@@ -5,7 +5,7 @@ engineering, fast-forward scaling, digitized (Trotterized) driving, and
 quantum-speed-limit performance certificates, on dense matrices at desk scale.
 """
 
-from .config import hbar, set_hbar
+from .config import hbar
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -61,7 +61,6 @@ from .agp import (
     odd_commutator_support,
     solve_cd,
     variational_cd,
-    variational_system,
 )
 from .invariants import (
     AlgebraSpec,

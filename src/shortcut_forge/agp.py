@@ -1,16 +1,25 @@
 """Approximate counterdiabatic construction without eigenstates.
 
-Three routes, all reducing to one linear system B a = u over a trial span:
+One operator chain underlies every route. ``krylov_chain`` runs Lanczos on
+the Liouvillian [H, .] from dH and returns an orthonormal stack of operators,
+Hermitian at even and anti-Hermitian at odd positions. Each route solves one
+linear system B a = u over a span of trial operators:
 
-* variational -- nested-commutator ansatz, B_kl = ||O_{k+l}||^2, u_k = -||O_k||^2;
-* algebraic   -- user-supplied Hermitian trial basis, B_kl = ([H,L_k]|[H,L_l]);
-* krylov      -- Lanczos operator chain, B tridiagonal in the chain normalizations.
+* krylov      -- the odd chain operators; B is tridiagonal in the chain
+                 normalizations;
+* variational -- the nested-commutator ansatz up to order K, which spans the
+                 odd operators of a chain of length 2K + 1, so it is the krylov
+                 route truncated there;
+* algebraic   -- a user-supplied Hermitian trial basis, B_kl = ([H,L_k]|[H,L_l]);
+                 the support of the odd chain operators in a basis
+                 (``odd_commutator_support``) is the natural trial basis.
 
-For identical spans the three assembled operators coincide; at full span they
+For identical spans the assembled operators coincide; at full span they
 reproduce the exact counterdiabatic term (zero-diagonal in the eigenbasis).
+A vanishing drive dH = 0 has a zero counterdiabatic term.
 
 Sign convention: the solved coefficients are real and multiply the Hermitian
-operators stored in ``basis_ops`` (i*hbar times an anti-Hermitian chain/ansatz
+operators stored in ``basis_ops`` (i*hbar times an anti-Hermitian chain
 element, or -hbar times a Hermitian trial element). The convention is pinned
 by agreement with the spectral construction on two-level models.
 """
@@ -18,15 +27,13 @@ by agreement with the spectral construction on two-level models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
 from . import config
 from .errors import DimensionMismatchError
-from .operators import OperatorBasis, commutator, expand_in_basis, frobenius_inner, frobenius_norm
+from .operators import OperatorBasis, commutator, frobenius_inner, frobenius_norm
 
 
 @dataclass
@@ -35,13 +42,13 @@ class LinearCDSystem:
 
     B is real symmetric positive semidefinite; for the krylov method it is
     tridiagonal. ``basis_ops`` are the Hermitian operators the solved
-    coefficients multiply.
+    coefficients multiply, as a list or a stacked (n, D, D) array.
     """
 
     B: np.ndarray
     u: np.ndarray
     method: str
-    basis_ops: list
+    basis_ops: list | np.ndarray
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -57,13 +64,14 @@ class LinearCDSystem:
 class KrylovChain:
     """Orthonormal operator chain from Lanczos on the Liouvillian.
 
-    ``ops[k]`` alternate Hermitian (even k) and anti-Hermitian (odd k);
-    ``b[k]`` are the positive chain normalizations, with b[0] = ||dH||.
+    ``ops`` is a (K, D, D) stack whose ``ops[k]`` alternate Hermitian (even k)
+    and anti-Hermitian (odd k); ``b[k]`` are the positive chain
+    normalizations, with b[0] = ||dH||.
     ``b_next`` is the would-be next normalization: below the termination
     tolerance for a naturally complete chain, finite when truncated by k_max.
     """
 
-    ops: list
+    ops: np.ndarray
     b: np.ndarray
     b_next: float
     term_tol: float
@@ -74,64 +82,7 @@ class KrylovChain:
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
-
-
-def _chain_norms(H: np.ndarray, dH: np.ndarray, order: int):
-    """Normalized nested commutators N_k = O_k/||O_k|| and the successive
-    norm factors; ||O_k|| is the cumulative product of the factors."""
-    n0 = frobenius_norm(dH)
-    if n0 == 0.0:
-        raise ValueError("dH vanishes; the counterdiabatic term is zero")
-    N = [dH / n0]
-    factors = [n0]
-    logC = [np.log(n0)]
-    for k in range(1, order + 1):
-        W = commutator(H, N[-1])
-        nw = frobenius_norm(W)
-        if nw < 1e-14:
-            break
-        N.append(W / nw)
-        factors.append(nw)
-        logC.append(logC[-1] + np.log(nw))
-        if logC[-1] > np.log(config.NORM_OVERFLOW):
-            raise OverflowError(
-                "nested-commutator norms exceed 1e150; rescale H (and dH) to O(1) "
-                "spectral spread before building the variational system"
-            )
-    return N, np.array(factors), np.array(logC)
-
-
-def variational_system(
-    H: np.ndarray, dH: np.ndarray, K_tr: int, hbar: float | None = None
-) -> LinearCDSystem:
-    """Variational nested-commutator system at truncation order K_tr.
-
-    B_kl = ||O_{k+l}||^2 and u_k = -||O_k||^2 in the nested-commutator norms;
-    the ansatz operators are i*hbar times the odd nested commutators. Norm
-    factors are accumulated in log space so entries overflow loudly, not
-    silently.
-    """
-    if K_tr < 1:
-        raise ValueError("K_tr must be >= 1")
-    hb = config.hbar(hbar)
-    N, factors, logC = _chain_norms(H, dH, 2 * K_tr)
-    avail = (len(N) - 1) // 2
-    k = min(K_tr, avail)
-    if k == 0:
-        return LinearCDSystem(
-            B=np.zeros((0, 0)), u=np.zeros(0), method="variational_nc", basis_ops=[],
-            metadata={"note": "commuting family: [H, dH] = 0, no counterdiabatic term"},
-        )
-    B = np.empty((k, k))
-    u = np.empty(k)
-    for i in range(1, k + 1):
-        u[i - 1] = -np.exp(2 * logC[i])
-        for j in range(1, k + 1):
-            B[i - 1, j - 1] = np.exp(2 * logC[i + j])
-    ops = [1j * hb * np.exp(logC[2 * i - 1]) * N[2 * i - 1] for i in range(1, k + 1)]
-    return LinearCDSystem(B=B, u=u, method="variational_nc", basis_ops=ops,
-                          metadata={"K_tr": k, "requested_K_tr": K_tr})
+        return self.ops.shape[1]
 
 
 def algebraic_system(
@@ -170,45 +121,50 @@ def krylov_chain(
     """Lanczos three-term recurrence on the Liouvillian with full
     re-orthogonalization; terminates at b < term_tol * b_0 or k_max.
 
-    The chain length satisfies K <= D^2 - D + 1.
+    The chain is held as one (K, D^2) stack, and each new operator is
+    projected off all earlier ones with one stacked product. A second pass
+    runs only when the first removed more than half of ||W||^2 (the
+    Daniel-Gragg-Kaufman-Stewart test) and left more than the termination
+    norm. The chain length satisfies K <= D^2 - D + 1.
     """
-    b0 = frobenius_norm(dH)
+    H = np.asarray(H, dtype=complex)
+    dH = np.asarray(dH, dtype=complex)
+    if H.shape != dH.shape:
+        raise DimensionMismatchError(f"H has shape {H.shape}, dH has shape {dH.shape}")
+    D = H.shape[0]
+    b0 = np.sqrt(np.vdot(dH, dH).real / D)
     if b0 == 0.0:
         raise ValueError("dH vanishes; no Krylov chain exists")
-    D = H.shape[0]
     hard_cap = D * D - D + 1
-    if k_max is None:
-        k_max = hard_cap
-    k_max = min(k_max, hard_cap)
+    k_max = hard_cap if k_max is None else max(1, min(k_max, hard_cap))
     tol = (1e-10 if term_tol is None else term_tol) * b0
-    ops = [np.asarray(dH, dtype=complex) / b0]
+    tol2 = tol * tol * D            # tol^2 in the unnormalized |W|^2
+    # grown geometrically: k_max may lie far beyond where the chain terminates
+    Q = np.empty((min(k_max, 16), D * D), dtype=complex)
+    Q[0] = dH.ravel() / b0
     bs = [b0]
-    prev, cur = None, ops[0]
-    b_next = 0.0
-    while len(ops) < k_max:
-        W = commutator(H, cur)
-        if prev is not None:
-            W = W - bs[-1] * prev
-        # full re-orthogonalization, twice: drift here is the dominant failure mode
+    K = 1
+    while True:
+        W = commutator(H, Q[K - 1].reshape(D, D)).ravel()
+        if K > 1:
+            W -= bs[-1] * Q[K - 2]
+        w2 = np.vdot(W, W).real
         for _ in range(2):
-            for O in ops:
-                W = W - frobenius_inner(O, W) * O
-        b = frobenius_norm(W)
-        if b < tol:
-            b_next = b
+            # W -= sum_j Q_j (Q_j|W), conjugating W rather than the stack
+            W -= ((Q[:K] @ W.conj()).conj() / D) @ Q[:K]
+            r2 = np.vdot(W, W).real
+            if r2 > 0.5 * w2 or r2 < tol2:
+                break
+            w2 = r2
+        b = np.sqrt(r2 / D)
+        if b < tol or K == k_max:
             break
-        ops.append(W / b)
+        if K == len(Q):
+            Q = np.concatenate([Q, np.empty((min(K, k_max - K), D * D), dtype=complex)])
+        Q[K] = W / b
         bs.append(b)
-        prev, cur = ops[-2], ops[-1]
-        b_next = np.nan
-    if np.isnan(b_next):
-        # truncated by k_max: still compute the next normalization for B
-        W = commutator(H, cur) - bs[-1] * prev if prev is not None else commutator(H, cur)
-        for _ in range(2):
-            for O in ops:
-                W = W - frobenius_inner(O, W) * O
-        b_next = frobenius_norm(W)
-    return KrylovChain(ops=ops, b=np.array(bs), b_next=float(b_next), term_tol=tol)
+        K += 1
+    return KrylovChain(ops=Q[:K].reshape(K, D, D), b=np.array(bs), b_next=float(b), term_tol=tol)
 
 
 def krylov_system(chain: KrylovChain, hbar: float | None = None) -> LinearCDSystem:
@@ -225,52 +181,57 @@ def krylov_system(chain: KrylovChain, hbar: float | None = None) -> LinearCDSyst
     if nb == 0:
         return LinearCDSystem(B=np.zeros((0, 0)), u=np.zeros(0), method="krylov",
                               basis_ops=[], metadata={"K": K, "empty_reason": "K < 2"})
-    # b[j] for j >= K: the terminating/truncation value, then zero beyond
-    def bval(j: int) -> float:
-        if j < K:
-            return float(chain.b[j])
-        if j == K:
-            return chain.b_next
-        return 0.0
-
+    b = chain.b.tolist() + [chain.b_next]      # b_K: the terminating/truncation value
     B = np.zeros((nb, nb))
-    u = np.zeros(nb)
     for k in range(1, nb + 1):
-        B[k - 1, k - 1] = bval(2 * k - 1) ** 2 + bval(2 * k) ** 2
-        if k >= 2:
-            B[k - 1, k - 2] = bval(2 * k - 2) * bval(2 * k - 1)
+        B[k - 1, k - 1] = b[2 * k - 1] ** 2 + b[2 * k] ** 2
         if k < nb:
-            B[k - 1, k] = bval(2 * k) * bval(2 * k + 1)
-    u[0] = -bval(0) * bval(1)
-    ops = [1j * hb * chain.ops[2 * k - 1] for k in range(1, nb + 1)]
+            B[k - 1, k] = B[k, k - 1] = b[2 * k] * b[2 * k + 1]
+    u = np.zeros(nb)
+    u[0] = -b[0] * b[1]
+    ops = 1j * hb * chain.ops[1:2 * nb:2]
     return LinearCDSystem(B=B, u=u, method="krylov", basis_ops=ops, metadata={"K": K})
 
 
 def solve_cd(system: LinearCDSystem) -> np.ndarray:
     """Solve B a = u.
 
-    Krylov systems use an O(k) banded (Thomas) solve. Dense systems are
-    diagonally equilibrated and solved by minimum-norm least squares with a
+    Krylov systems (symmetric positive definite, tridiagonal) use an O(k)
+    Thomas elimination. Dense systems, and a Krylov system that meets a
+    non-positive pivot, are solved by minimum-norm least squares with a
     relative rank tolerance of 1e-12, so rank deficiency yields a
     deterministic solution (recorded in metadata) instead of an error.
     """
     if system.empty:
         return np.zeros(0)
     B, u = system.B, system.u
-    if system.method == "krylov" and system.size > 1:
-        ab = np.zeros((3, system.size))
-        ab[0, 1:] = np.diagonal(B, 1)
-        ab[1] = np.diagonal(B)
-        ab[2, :-1] = np.diagonal(B, -1)
-        try:
-            return scipy.linalg.solve_banded((1, 1), ab, u)
-        except scipy.linalg.LinAlgError:
-            pass  # fall through to least squares
+    if system.method == "krylov":
+        a = _solve_spd_tridiagonal(B, u)
+        if a is not None:
+            return a
     a, _, rank, _ = np.linalg.lstsq(B, u, rcond=1e-12)
     if rank < system.size:
         # min-norm coefficients have no component along the trial-span kernel
         system.metadata["rank_deficiency"] = int(system.size - rank)
     return a
+
+
+def _solve_spd_tridiagonal(B: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    """Thomas elimination without pivoting (stable for SPD B); None when a
+    pivot is not positive. Plain floats: the systems are short."""
+    d, off, x = np.diagonal(B).tolist(), np.diagonal(B, 1).tolist(), u.tolist()
+    for i in range(1, len(x)):
+        if not d[i - 1] > 0.0:
+            return None
+        m = off[i - 1] / d[i - 1]
+        d[i] -= m * off[i - 1]
+        x[i] -= m * x[i - 1]
+    if not d[-1] > 0.0:
+        return None
+    x[-1] /= d[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = (x[i] - off[i] * x[i + 1]) / d[i]
+    return np.array(x)
 
 
 def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:
@@ -312,11 +273,13 @@ def krylov_cd(
     term_tol: float | None = None,
     hbar: float | None = None,
 ) -> np.ndarray:
-    """Counterdiabatic operator from the Krylov route (full chain by default)."""
-    chain = krylov_chain(H, dH, k_max=k_max, term_tol=term_tol)
-    system = krylov_system(chain, hbar=hbar)
+    """Counterdiabatic operator from the Krylov route (full chain by default);
+    zero when the drive dH vanishes."""
+    if frobenius_norm(dH) == 0.0:
+        return np.zeros(np.shape(H), dtype=complex)
+    system = krylov_system(krylov_chain(H, dH, k_max=k_max, term_tol=term_tol), hbar=hbar)
     if system.empty:
-        return np.zeros_like(np.asarray(H, dtype=complex))
+        return np.zeros(np.shape(H), dtype=complex)
     return assemble_cd(system, solve_cd(system))
 
 
@@ -328,119 +291,19 @@ def algebraic_cd(
     return assemble_cd(system, solve_cd(system))
 
 
-#: beyond this truncation order the float64 moment route loses the needed
-#: digits and the construction transparently switches to extended precision
-FLOAT64_ORDER_LIMIT = 6
-
-
 def variational_cd(
-    H: np.ndarray,
-    dH: np.ndarray,
-    K_tr: int,
-    hbar: float | None = None,
-    precision: str = "auto",
+    H: np.ndarray, dH: np.ndarray, K_tr: int, hbar: float | None = None
 ) -> np.ndarray:
     """Counterdiabatic operator from the variational nested-commutator route.
 
-    precision:
-        "float64"  -- direct least-squares minimization of the action over the
-                      ansatz span (adequate for K_tr <= ~6);
-        "extended" -- the full moment pipeline in mpmath arithmetic, needed at
-                      high orders where the moment matrix condition number
-                      exceeds float64 range;
-        "auto"     -- float64 up to FLOAT64_ORDER_LIMIT, extended beyond.
+    The order-K_tr ansatz sum_k alpha_k i O_{2k-1}, with O_k the k-fold nested
+    commutator of H with dH, spans the odd operators of a Krylov chain of
+    length 2 K_tr + 1 (Claeys et al., PRL 123, 090602 (2019); Takahashi & del
+    Campo, PRX 14, 011032 (2024)). Minimizing the action over that span is the
+    Krylov route truncated there. The orthonormal chain keeps every order in
+    float64, where the moment matrix of the raw commutators would not.
     """
-    if precision not in ("auto", "float64", "extended"):
-        raise ValueError(f"unknown precision {precision!r}")
-    hb = config.hbar(hbar)
-    if precision == "auto":
-        precision = "float64" if K_tr <= FLOAT64_ORDER_LIMIT else "extended"
-    if precision == "extended":
-        return _variational_cd_mp(H, dH, K_tr, hb)
-
-    N, factors, logC = _chain_norms(H, dH, 2 * K_tr)
-    avail = (len(N) - 1) // 2
-    k = min(K_tr, avail)
-    if k == 0:
-        return np.zeros_like(np.asarray(H, dtype=complex))
-    # minimize ||N_0 + sum_k atil_k N_{2k}|| directly (the variational principle
-    # in its least-squares form, equivalent to B a = u but backward stable)
-    cols = np.stack([N[2 * i].ravel() for i in range(1, k + 1)], axis=1)
-    target = -N[0].ravel()
-    A = np.vstack([cols.real, cols.imag])
-    rhs = np.concatenate([target.real, target.imag])
-    atil, *_ = np.linalg.lstsq(A, rhs, rcond=1e-13)
-    for _ in range(2):  # iterative refinement against roundoff in the QR
-        r = rhs - A @ atil
-        datil, *_ = np.linalg.lstsq(A, r, rcond=1e-13)
-        atil = atil + datil
-    out = np.zeros_like(N[0])
-    for i in range(1, k + 1):
-        scale = np.exp(logC[0] + logC[2 * i - 1] - logC[2 * i])
-        out = out + (atil[i - 1] * scale) * N[2 * i - 1]
-    return 1j * hb * out
-
-
-def _variational_cd_mp(H: np.ndarray, dH: np.ndarray, K_tr: int, hb: float) -> np.ndarray:
-    """Moment-matrix variational pipeline in mpmath arithmetic.
-
-    The normalized-moment Gram matrix at order k has condition number growing
-    like exp(c k); at desk scale (D <= ~10) the whole chain-Gram-solve-assemble
-    pipeline in ~(30 + 2.5 K_tr)-digit arithmetic is cheap and exact enough.
-    """
-    from mpmath import mp, mpc
-    from mpmath import matrix as mpmatrix
-
-    D = H.shape[0]
-    dps = max(50, 30 + int(2.5 * K_tr))
-    with mp.workdps(dps):
-        def to_mp(A):
-            M = mpmatrix(D, D)
-            for i in range(D):
-                for j in range(D):
-                    M[i, j] = mpc(complex(A[i, j]).real, complex(A[i, j]).imag)
-            return M
-
-        def inner(X, Y):
-            s = mpc(0)
-            for i in range(D):
-                for j in range(D):
-                    s += X[i, j].conjugate() * Y[i, j]
-            return s / D
-
-        Hm = to_mp(np.asarray(H, dtype=complex))
-        N = [to_mp(np.asarray(dH, dtype=complex))]
-        n0 = mp.sqrt(inner(N[0], N[0]).real)
-        if n0 == 0:
-            return np.zeros((D, D), dtype=complex)
-        N[0] = N[0] / n0
-        lognorm = [mp.log(n0)]
-        for k in range(1, 2 * K_tr + 1):
-            W = Hm * N[-1] - N[-1] * Hm
-            nw = mp.sqrt(inner(W, W).real)
-            if nw < mp.mpf("1e-30") * n0:
-                break
-            N.append(W / nw)
-            lognorm.append(lognorm[-1] + mp.log(nw))
-        k = min(K_tr, (len(N) - 1) // 2)
-        if k == 0:
-            return np.zeros((D, D), dtype=complex)
-        B = mpmatrix(k, k)
-        u = mpmatrix(k, 1)
-        for i in range(1, k + 1):
-            u[i - 1] = -inner(N[2 * i], N[0]).real
-            for j in range(1, k + 1):
-                B[i - 1, j - 1] = inner(N[2 * i], N[2 * j]).real
-        atil = mp.lu_solve(B, u)
-        CD = mpmatrix(D, D)
-        for i in range(1, k + 1):
-            scale = mp.e ** (lognorm[0] + lognorm[2 * i - 1] - lognorm[2 * i])
-            CD += (atil[i - 1] * scale) * N[2 * i - 1]
-        out = np.empty((D, D), dtype=complex)
-        for i in range(D):
-            for j in range(D):
-                out[i, j] = complex(CD[i, j])
-    return 1j * hb * out
+    return krylov_cd(H, dH, k_max=2 * K_tr + 1, hbar=hbar)
 
 
 def odd_commutator_support(
@@ -450,32 +313,24 @@ def odd_commutator_support(
     max_order: int | None = None,
     tol: float = 1e-10,
 ) -> list[int]:
-    """Indices of basis elements appearing in the odd nested commutators.
+    """Indices of basis elements appearing in the first max_order odd nested
+    commutators (all of them by default).
 
-    Expands -i * O_{2k-1} (Hermitian) in the given orthonormal basis and
-    accumulates the support until it stops growing; the returned sublist is
-    the natural trial basis for the algebraic route.
+    Those commutators span the same space as the odd operators of the Krylov
+    chain, so one stacked product expands every -i * Q_{2k-1} (Hermitian,
+    unit norm) in the orthonormal basis; an element is in the support when
+    any of its coefficients exceeds tol. The returned sublist is the natural
+    trial basis for the algebraic route. A vanishing drive has empty support.
     """
-    D = H.shape[0]
-    if max_order is None:
-        max_order = (D * D - D + 1) // 2 + 1
-    N, _, _ = _chain_norms(H, dH, 2 * max_order)
-    support: set[int] = set()
-    stable = 0
-    for k in range(1, (len(N) + 1) // 2 + 1):
-        if 2 * k - 1 >= len(N):
-            break
-        Xh = -1j * N[2 * k - 1]
-        coeffs = np.array([frobenius_inner(L, Xh) for L in basis.elements])
-        new = {int(i) for i in np.nonzero(np.abs(coeffs) > tol)[0]}
-        if new <= support:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-            support |= new
-    return sorted(support)
+    if frobenius_norm(dH) == 0.0:
+        return []
+    k_max = None if max_order is None else 2 * max_order
+    odd = krylov_chain(H, dH, k_max=k_max).ops[1::2]
+    D = odd.shape[1]
+    L = np.stack(basis.elements).reshape(len(basis), D * D)
+    # |(L_j | -i Q_k)| = |sum L_j^* Q_k| / D
+    overlap = np.abs(L.conj() @ odd.reshape(len(odd), D * D).T)
+    return np.nonzero((overlap > tol * D).any(axis=1))[0].tolist()
 
 
 def cd_integral_representation(

@@ -1,15 +1,12 @@
 """Global numerical configuration.
 
-The reduced Planck constant is a process-wide constant (natural units by
-default). Functions accept an ``hbar`` keyword that overrides the global
-value for that call.
+The reduced Planck constant is 1 (natural units). Functions accept an
+``hbar`` keyword that overrides it for that call.
 """
 
 from __future__ import annotations
 
 import os
-
-_HBAR = 1.0
 
 #: Hermiticity is asserted relative to the largest matrix entry.
 TOL_HERM = 1e-12
@@ -22,16 +19,8 @@ NORM_OVERFLOW = 1e150
 
 
 def hbar(override: float | None = None) -> float:
-    """Return the effective hbar: the override if given, else the global value."""
-    return _HBAR if override is None else float(override)
-
-
-def set_hbar(value: float) -> None:
-    """Set the global hbar (natural units use 1.0, the default)."""
-    global _HBAR
-    if value <= 0:
-        raise ValueError("hbar must be positive")
-    _HBAR = float(value)
+    """Return the effective hbar: the override if given, else 1.0."""
+    return 1.0 if override is None else float(override)
 
 
 def thread_cap() -> int:

@@ -8,6 +8,7 @@ from shortcut_forge import (
     algebraic_system,
     assemble_cd,
     cd_integral_representation,
+    commutator,
     counterdiabatic_term,
     expand_in_basis,
     frobenius_inner,
@@ -16,12 +17,12 @@ from shortcut_forge import (
     krylov_chain,
     krylov_system,
     liouvillian_apply,
+    nested_commutator,
     odd_commutator_support,
     pauli_basis,
     pauli_matrix,
     solve_cd,
     variational_cd,
-    variational_system,
 )
 from shortcut_forge.models import random_hermitian
 
@@ -42,19 +43,24 @@ def offdiag_part(H, X):
 
 class TestVariationalSystem:
     def test_lz_hand_values(self):
-        system = variational_system(H_LZ, DH_LZ, 1)
+        """Order-1 moment-matrix values B_11 = ||O_2||^2, u_1 = -||O_1||^2 and the
+        coefficient of i*O_1, read off the chain system whose operator is
+        i*O_1/||O_1||."""
+        system = krylov_system(krylov_chain(H_LZ, DH_LZ, k_max=3))
+        n1 = 2 * DELTA * abs(RATE)                     # ||O_1|| = ||[H, dH]||
         B11 = 16 * DELTA**2 * RATE**2 * (LAM**2 + DELTA**2)
         u1 = -4 * DELTA**2 * RATE**2
-        assert system.B[0, 0] == pytest.approx(B11, rel=1e-12)
-        assert system.u[0] == pytest.approx(u1, rel=1e-12)
+        assert system.B[0, 0] * n1**2 == pytest.approx(B11, rel=1e-12)
+        assert system.u[0] * n1 == pytest.approx(u1, rel=1e-12)
         a = solve_cd(system)
-        assert a[0] == pytest.approx(-1 / (4 * (LAM**2 + DELTA**2)), rel=1e-12)
+        assert a[0] / n1 == pytest.approx(-1 / (4 * (LAM**2 + DELTA**2)), rel=1e-12)
         assert np.abs(assemble_cd(system, a) - CD_LZ).max() < 1e-12
+        assert np.abs(variational_cd(H_LZ, DH_LZ, 1) - CD_LZ).max() < 1e-12
 
     def test_commuting_family_zero(self):
         H = np.diag([1.0, 2.0, 3.0]).astype(complex)
         dH = np.diag([0.3, -0.1, 0.5]).astype(complex)
-        system = variational_system(H, dH, 2)
+        system = krylov_system(krylov_chain(H, dH, k_max=5))
         assert system.empty
         assert np.abs(variational_cd(H, dH, 2)).max() == 0.0
 
@@ -66,15 +72,22 @@ class TestVariationalSystem:
 
     def test_extended_precision_path(self):
         H, dH = random_hermitian_pair(8, seed=9)
-        cd = variational_cd(H, dH, 28, precision="extended")
+        cd = variational_cd(H, dH, 28)
         target = counterdiabatic_term(H, dH)
         assert frobenius_norm(cd - target) < 1e-7
 
-    def test_overflow_guard(self):
-        H = 1e40 * H_LZ
-        dH = 1e40 * DH_LZ
-        with pytest.raises(OverflowError):
-            variational_system(H, dH, 2)
+    def test_joint_rescaling_invariant(self):
+        # the chain is normalized at every step, so huge scales neither
+        # overflow nor change the operator
+        cd = variational_cd(1e40 * H_LZ, 1e40 * DH_LZ, 2)
+        assert np.abs(cd - CD_LZ).max() < 1e-12
+
+    def test_zero_drive_gives_zero_cd(self):
+        H, _ = random_hermitian_pair(4, seed=12)
+        zero = np.zeros_like(H)
+        assert np.abs(krylov_cd(H, zero)).max() == 0.0
+        assert np.abs(variational_cd(H, zero, 2)).max() == 0.0
+        assert odd_commutator_support(H, zero, pauli_basis(2)) == []
 
 
 class TestAlgebraicSystem:
@@ -115,6 +128,31 @@ class TestAlgebraicSystem:
         with pytest.raises(ValueError):
             algebraic_system(H_LZ, DH_LZ, OperatorBasis([], []))
 
+    def test_support_matches_nested_commutators(self):
+        """The support read off the orthonormal chain equals the support of
+        the raw odd nested commutators O_1, ..., O_{2k-1}."""
+        basis = pauli_basis(3)
+        n_sites = 3
+        Hz = sum(pauli_matrix("".join("Z" if j == i else "I" for j in range(n_sites)))
+                 for i in range(n_sites))
+        Hxx = pauli_matrix("XXI") + pauli_matrix("IXX")
+        H, dH = Hz + 0.6 * Hxx, 0.8 * Hxx
+        for order in (1, 2, 3):
+            expect = set()
+            for k in range(1, order + 1):
+                O = nested_commutator(H, dH, 2 * k - 1)
+                coeffs = expand_in_basis(-1j * O / frobenius_norm(O), basis)
+                expect |= set(np.nonzero(np.abs(coeffs) > 1e-10)[0].tolist())
+            support = odd_commutator_support(H, dH, basis, max_order=order)
+            assert support == sorted(expect)
+            assert 0 < len(support) < len(basis)
+
+    def test_support_without_overflow(self):
+        # raw nested-commutator norms of an O(1) D = 16 pair pass 1e150 long
+        # before the chain ends; the normalized chain does not grow
+        H, dH = random_hermitian_pair(16, seed=14)
+        assert odd_commutator_support(H, dH, pauli_basis(4)) == list(range(255))
+
 
 class TestKrylovChain:
     def test_lz_closed_form(self):
@@ -129,14 +167,16 @@ class TestKrylovChain:
         assert np.allclose(chain.b, [abs(RATE), 2 * DELTA], atol=1e-12)
 
     def test_orthonormality_and_alternation(self):
-        H, dH = random_hermitian_pair(4, seed=4)
-        chain = krylov_chain(H, dH)
-        for j, Oj in enumerate(chain.ops):
-            sign = 1.0 if j % 2 == 0 else -1.0
-            assert np.abs(Oj - sign * Oj.conj().T).max() < 1e-8
-            for k, Ok in enumerate(chain.ops):
-                expect = 1.0 if j == k else 0.0
-                assert abs(frobenius_inner(Oj, Ok) - expect) < 1e-8
+        # a full D = 4 and D = 8 chain, and a D = 16 chain truncated at 13
+        for dim, seed, k_max in ((4, 4, None), (8, 5, None), (16, 6, 13)):
+            H, dH = random_hermitian_pair(dim, seed=seed)
+            chain = krylov_chain(H, dH, k_max=k_max)
+            for j, Oj in enumerate(chain.ops):
+                sign = 1.0 if j % 2 == 0 else -1.0
+                assert np.abs(Oj - sign * Oj.conj().T).max() < 1e-8
+                for k, Ok in enumerate(chain.ops):
+                    expect = 1.0 if j == k else 0.0
+                    assert abs(frobenius_inner(Oj, Ok) - expect) < 1e-8
 
     def test_dimension_bound(self):
         for seed in range(3):
@@ -180,11 +220,23 @@ class TestKrylovSystem:
         assert np.abs(offband).max() <= 1e-10 * np.abs(system.B).max()
 
     def test_truncated_equals_variational(self):
+        """Oracle: least-squares minimizer of the action over span{i O_1, ...,
+        i O_{2K-1}}. The trial sum_k c_k i O_{2k-1} leaves the residual
+        dH + sum_k c_k O_{2k}, minimized over real c."""
         H, dH = random_hermitian_pair(4, seed=6)
         for order in (1, 2, 3):
+            odd = [nested_commutator(H, dH, 2 * k - 1) for k in range(1, order + 1)]
+            cols = np.stack([commutator(H, O).ravel() / frobenius_norm(O) for O in odd], axis=1)
+            A = np.vstack([cols.real, cols.imag])
+            rhs = -np.concatenate([dH.ravel().real, dH.ravel().imag])
+            c, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+            cd_oracle = sum(ck * 1j * O / frobenius_norm(O) for ck, O in zip(c, odd))
+            assert action_value(H, dH, cd_oracle) == pytest.approx(
+                np.linalg.norm(A @ c - rhs) ** 2 / 4, rel=1e-10)
             cd_k = krylov_cd(H, dH, k_max=2 * order + 1)
             cd_v = variational_cd(H, dH, order)
-            assert frobenius_norm(cd_k - cd_v) < 1e-7
+            assert frobenius_norm(cd_k - cd_oracle) < 1e-7
+            assert frobenius_norm(cd_v - cd_oracle) < 1e-7
 
     def test_short_chain_empty_system(self):
         # dH proportional to H: chain length 1, counterdiabatic term zero
@@ -196,7 +248,7 @@ class TestKrylovSystem:
 class TestSolveCD:
     def test_zero_rhs(self):
         H, dH = random_hermitian_pair(3, seed=1)
-        system = variational_system((H + H.conj().T) / 2, dH, 2)
+        system = krylov_system(krylov_chain((H + H.conj().T) / 2, dH, k_max=5))
         system.u[:] = 0.0
         assert np.abs(solve_cd(system)).max() == 0.0
 
@@ -213,6 +265,21 @@ class TestSolveCD:
                 np.linalg.norm(B) * np.linalg.norm(a) + np.linalg.norm(u)
             )
 
+    def test_tridiagonal_elimination_and_fallback(self, rng):
+        from shortcut_forge import LinearCDSystem
+
+        n = 7
+        off = rng.uniform(-0.9, 0.9, n - 1)
+        B = np.diag(rng.uniform(2.0, 3.0, n)) + np.diag(off, 1) + np.diag(off, -1)  # SPD
+        u = rng.standard_normal(n)
+        system = LinearCDSystem(B=B, u=u, method="krylov", basis_ops=[np.eye(2)] * n)
+        assert np.abs(solve_cd(system) - np.linalg.solve(B, u)).max() < 1e-12
+        # a zero pivot falls back to minimum-norm least squares
+        system = LinearCDSystem(B=np.diag([1.0, 0.0, 2.0]), u=np.array([1.0, 0.0, 4.0]),
+                                method="krylov", basis_ops=[np.eye(2)] * 3)
+        assert np.abs(solve_cd(system) - [1.0, 0.0, 2.0]).max() < 1e-12
+        assert system.metadata["rank_deficiency"] == 1
+
     def test_rank_deficient_minimum_norm(self):
         """Full-basis algebraic trial has the commutant of H in its kernel;
         minimum-norm coefficients must exclude it so the assembled operator
@@ -228,11 +295,11 @@ class TestSolveCD:
 
 class TestAssembleCD:
     def test_zero_coefficients(self):
-        system = variational_system(H_LZ, DH_LZ, 1)
+        system = krylov_system(krylov_chain(H_LZ, DH_LZ, k_max=3))
         assert np.abs(assemble_cd(system, np.zeros(1))).max() == 0.0
 
     def test_length_mismatch(self):
-        system = variational_system(H_LZ, DH_LZ, 1)
+        system = krylov_system(krylov_chain(H_LZ, DH_LZ, k_max=3))
         with pytest.raises(ValueError):
             assemble_cd(system, np.zeros(2))
 
@@ -285,7 +352,7 @@ class TestActionValue:
 
     def test_optimum_is_stationary_and_minimal(self):
         H, dH = random_hermitian_pair(4, seed=7)
-        system = variational_system(H, dH, 2)
+        system = krylov_system(krylov_chain(H, dH, k_max=5))
         a = solve_cd(system)
         cd = assemble_cd(system, a)
         S0 = action_value(H, dH, cd)
