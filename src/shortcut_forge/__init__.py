@@ -54,7 +54,6 @@ from .agp import (
     algebraic_cd,
     algebraic_system,
     assemble_cd,
-    cd_integral_representation,
     krylov_cd,
     krylov_chain,
     krylov_system,

@@ -18,6 +18,9 @@ For identical spans the assembled operators coincide; at full span they
 reproduce the exact counterdiabatic term (zero-diagonal in the eigenbasis).
 A vanishing drive dH = 0 has a zero counterdiabatic term.
 
+Operator sets are (n, D, D) arrays throughout, and every set-wise Frobenius
+product is one ``gram_matrix`` call.
+
 Sign convention: the solved coefficients are real and multiply the Hermitian
 operators stored in ``basis_ops`` (i*hbar times an anti-Hermitian chain
 element, or -hbar times a Hermitian trial element). The convention is pinned
@@ -29,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from . import config
 from .errors import DimensionMismatchError
-from .operators import OperatorBasis, commutator, frobenius_inner, frobenius_norm
+from .operators import OperatorBasis, commutator, frobenius_norm, gram_matrix
 
 
 @dataclass
@@ -41,14 +43,14 @@ class LinearCDSystem:
     """B a = u for approximate counterdiabatic coefficients.
 
     B is real symmetric positive semidefinite; for the krylov method it is
-    tridiagonal. ``basis_ops`` are the Hermitian operators the solved
-    coefficients multiply, as a list or a stacked (n, D, D) array.
+    tridiagonal. ``basis_ops`` is the (n, D, D) stack of Hermitian operators
+    the solved coefficients multiply; an empty system keeps D in its shape.
     """
 
     B: np.ndarray
     u: np.ndarray
     method: str
-    basis_ops: list | np.ndarray
+    basis_ops: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -99,17 +101,11 @@ def algebraic_system(
     hb = config.hbar(hbar)
     if H.shape != trial_basis.elements[0].shape:
         raise DimensionMismatchError("trial basis dimension does not match H")
-    LH = [commutator(H, L) for L in trial_basis.elements]
-    k = len(LH)
-    B = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            val = frobenius_inner(LH[i], LH[j]).real
-            B[i, j] = B[j, i] = val
-    u = np.array([(1j * frobenius_inner(LHk, dH)).real for LHk in LH])
-    ops = [-hb * L for L in trial_basis.elements]
-    return LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=ops,
-                          metadata={"labels": list(trial_basis.labels)})
+    L = trial_basis.elements
+    LH = H @ L - L @ H
+    B = gram_matrix(LH).real
+    u = (1j * gram_matrix(LH, dH[None])[:, 0]).real
+    return LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=-hb * L)
 
 
 def krylov_chain(
@@ -180,7 +176,8 @@ def krylov_system(chain: KrylovChain, hbar: float | None = None) -> LinearCDSyst
     nb = K // 2
     if nb == 0:
         return LinearCDSystem(B=np.zeros((0, 0)), u=np.zeros(0), method="krylov",
-                              basis_ops=[], metadata={"K": K, "empty_reason": "K < 2"})
+                              basis_ops=np.zeros((0, chain.dim, chain.dim), dtype=complex),
+                              metadata={"K": K, "empty_reason": "K < 2"})
     b = chain.b.tolist() + [chain.b_next]      # b_K: the terminating/truncation value
     B = np.zeros((nb, nb))
     for k in range(1, nb + 1):
@@ -235,14 +232,13 @@ def _solve_spd_tridiagonal(B: np.ndarray, u: np.ndarray) -> np.ndarray | None:
 
 
 def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:
-    """H_cd = sum_k a_k basis_ops[k]; Hermitian within 1e-10 by construction."""
+    """H_cd = sum_k a_k basis_ops[k]; Hermitian within 1e-10 by construction.
+
+    An empty system assembles to the D x D zero matrix.
+    """
     if len(a) != system.size:
         raise ValueError(f"coefficient length {len(a)} != system size {system.size}")
-    if system.empty:
-        raise ValueError("cannot assemble from an empty system without a dimension")
-    out = np.zeros_like(system.basis_ops[0])
-    for ak, op in zip(a, system.basis_ops):
-        out = out + ak * op
+    out = np.tensordot(a, system.basis_ops, axes=1)
     dev = np.abs(out - out.conj().T).max()
     if dev > 1e-10 * max(np.abs(out).max(), 1e-300):
         raise AssertionError(f"assembled counterdiabatic term not Hermitian: dev {dev:.3e}")
@@ -278,8 +274,6 @@ def krylov_cd(
     if frobenius_norm(dH) == 0.0:
         return np.zeros(np.shape(H), dtype=complex)
     system = krylov_system(krylov_chain(H, dH, k_max=k_max, term_tol=term_tol), hbar=hbar)
-    if system.empty:
-        return np.zeros(np.shape(H), dtype=complex)
     return assemble_cd(system, solve_cd(system))
 
 
@@ -317,51 +311,15 @@ def odd_commutator_support(
     commutators (all of them by default).
 
     Those commutators span the same space as the odd operators of the Krylov
-    chain, so one stacked product expands every -i * Q_{2k-1} (Hermitian,
-    unit norm) in the orthonormal basis; an element is in the support when
-    any of its coefficients exceeds tol. The returned sublist is the natural
+    chain, so one Gram matrix holds the overlap of every basis element with
+    every Q_{2k-1} (unit norm); an element is in the support when any of its
+    overlaps exceeds tol in magnitude. The returned sublist is the natural
     trial basis for the algebraic route. A vanishing drive has empty support.
     """
     if frobenius_norm(dH) == 0.0:
         return []
     k_max = None if max_order is None else 2 * max_order
     odd = krylov_chain(H, dH, k_max=k_max).ops[1::2]
-    D = odd.shape[1]
-    L = np.stack(basis.elements).reshape(len(basis), D * D)
-    # |(L_j | -i Q_k)| = |sum L_j^* Q_k| / D
-    overlap = np.abs(L.conj() @ odd.reshape(len(odd), D * D).T)
-    return np.nonzero((overlap > tol * D).any(axis=1))[0].tolist()
+    overlap = np.abs(gram_matrix(basis.elements, odd))
+    return np.nonzero((overlap > tol).any(axis=1))[0].tolist()
 
-
-def cd_integral_representation(
-    H: np.ndarray,
-    dH: np.ndarray,
-    eta: float,
-    hbar: float | None = None,
-) -> np.ndarray:
-    """Validation identity: the regularized integral form of the exact
-    counterdiabatic term at finite damping eta.
-
-    Matrix elements are Fourier-type integrals over the fictitious evolution
-    of dH, evaluated with QUADPACK's oscillatory-weight quadrature. The
-    series/integral exchange behind the nested-commutator expansion does not
-    converge in general, so this form is a small-dimension cross-check only;
-    production construction always goes through B a = u.
-    """
-    hb = config.hbar(hbar)
-    E, V = np.linalg.eigh(np.asarray(H, dtype=complex))
-    dHe = V.conj().T @ np.asarray(dH, dtype=complex) @ V
-    D = H.shape[0]
-    M = np.zeros((D, D), dtype=complex)
-    for m in range(D):
-        for n in range(D):
-            if m == n:
-                continue
-            w = (E[m] - E[n]) / hb
-            # -(1/2) * integral sgn(u) e^{-eta|u|} e^{i w u} du = -i w/(eta^2+w^2)
-            # evaluated numerically: 2*sin-weighted QAWF integral over [0, inf)
-            val, _ = scipy.integrate.quad(
-                lambda uu: np.exp(-eta * uu), 0, np.inf, weight="sin", wvar=w
-            )
-            M[m, n] = -1j * dHe[m, n] * val
-    return V @ M @ V.conj().T

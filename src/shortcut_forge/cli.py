@@ -28,14 +28,14 @@ import numpy as np
 from . import config as cfg
 from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
-from .digitized import TrotterPlan, digitization_error, trotter_baseline_error, trotter_cd_evolve, trotter_step_unitaries
-from .dynamics import evolve, fidelity
+from .digitized import TrotterPlan, digitization_error, trotter_baseline_error, trotter_step_unitaries
+from .dynamics import evolve, step_unitary
 from .errors import ConfigError, ShortcutForgeError
 from .fastforward import TimeRescaling, ff_of_cd
 from .gridff import GridSystem1D, ff_potential, phase_from_continuity, split_step_evolve
 from .invariants import DynamicalInvariant, invariant_residual
 from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim_chain
-from .operators import gell_mann_basis, pauli_basis, frobenius_inner
+from .operators import gell_mann_basis, gram_matrix, pauli_basis
 from .qsl import qsl_continuous, qsl_discrete
 from .spectral import adiabatic_state, counterdiabatic_term, eigenpath
 
@@ -234,10 +234,8 @@ def _driven_scenario(conf: dict, out_dir: Path) -> dict:
             columns.append(f"population_{n}")
             cols.append(pops[:, n])
         basis = _canonical_basis(system.dim)
-        coeff_rows = np.empty((len(grid), len(basis)))
-        for i, t in enumerate(grid):
-            cd_matrix = cd_of_t(t)
-            coeff_rows[i] = [frobenius_inner(L, cd_matrix).real for L in basis.elements]
+        cds = np.array([cd_of_t(t) for t in grid])
+        coeff_rows = gram_matrix(basis.elements, cds).real.T
         for j, lab in enumerate(basis.labels):
             columns.append(f"cd_coeff_{lab.lower()}")
             cols.append(coeff_rows[:, j])
@@ -287,26 +285,27 @@ def _trotter_scenario(conf: dict, out_dir: Path) -> dict:
     report = digitization_error(system.hamiltonian, cd_of_t, T, M_list, target,
                                 metric="infidelity", ordering=ordering, sampling=sampling,
                                 psi0=psi0, hbar=hbar)
+    H_tot = lambda t: system.hamiltonian(t) + cd_of_t(t)
     bounds, observed = [], []
     for M in report.M_list:
         plan = TrotterPlan(M=int(M), T=T, ordering=ordering, sampling=sampling)
         steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan, hbar=hbar)
-        H_tot = lambda t: system.hamiltonian(t) + cd_of_t(t)
         slice_grid = np.linspace(0.0, T, int(M) + 1)
-        exact_traj = evolve(H_tot, psi0, slice_grid, steps_per_interval=8, hbar=hbar)
+        # each slice: 8 midpoint exponentials of H + H_cd
+        exact_states, psi_dig = [psi0], psi0
         steps_exact = []
         for n in range(int(M)):
             sub = np.linspace(slice_grid[n], slice_grid[n + 1], 9)
             U = np.eye(system.dim, dtype=complex)
             for j in range(8):
                 tm = 0.5 * (sub[j] + sub[j + 1])
-                from .dynamics import step_unitary
                 U = step_unitary(H_tot(tm), sub[j + 1] - sub[j], hbar=hbar) @ U
             steps_exact.append(U)
-        rep = qsl_discrete(steps_exact, steps_dig, exact_traj.states, grid=slice_grid)
-        psi_dig = trotter_cd_evolve(system.hamiltonian, cd_of_t, plan, psi0, hbar=hbar)
+            exact_states.append(U @ exact_states[-1])
+            psi_dig = steps_dig[n] @ psi_dig
+        rep = qsl_discrete(steps_exact, steps_dig, np.array(exact_states), grid=slice_grid)
         bounds.append(rep.bound[-1])
-        observed.append(abs(np.vdot(exact_traj.final(), psi_dig)))
+        observed.append(abs(np.vdot(exact_states[-1], psi_dig)))
     columns = ["m", "infidelity", "qsl_bound", "observed_overlap"]
     rows = np.column_stack([report.M_list.astype(float), report.values, bounds, observed])
     summary = {
@@ -508,14 +507,23 @@ def cmd_run(args) -> int:
 
 
 def _load_run(d: Path):
-    summaries = sorted(d.glob("*.json"))
-    if not summaries:
-        raise ConfigError(f"no summary JSON in {d}")
-    summary = json.loads(summaries[0].read_text())
-    csvs = sorted(d.glob("*.csv"))
-    if not csvs:
-        raise ConfigError(f"no CSV in {d}")
-    with open(csvs[0]) as fh:
+    """The run's summary is the one JSON written by this tool; its config
+    names the CSV."""
+    summaries = []
+    for path in sorted(d.glob("*.json")):
+        try:
+            data = json.loads(path.read_text())
+        except ValueError:
+            continue
+        if isinstance(data, dict) and data.get("tool") == "shortcut-forge":
+            summaries.append(data)
+    if len(summaries) != 1:
+        raise ConfigError(f"expected one shortcut-forge summary JSON in {d}, found {len(summaries)}")
+    summary = summaries[0]
+    csv_path = d / summary.get("config", {}).get("output", {}).get("csv", "timeseries.csv")
+    if not csv_path.exists():
+        raise ConfigError(f"no CSV {csv_path.name} in {d}")
+    with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     return summary, header, data

@@ -141,7 +141,6 @@ def digitization_error(
         raise ValueError(f"unknown metric {metric!r}")
     target = np.asarray(target, dtype=complex)
     if psi0 is None:
-        psi0 = target / np.linalg.norm(target)
         raise ValueError("psi0 is required (the digitized product needs an initial state)")
     values = np.empty(len(M_list))
     for i, M in enumerate(M_list):

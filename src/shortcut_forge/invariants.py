@@ -14,7 +14,7 @@ import numpy as np
 
 from . import config
 from .errors import GaugeDiscontinuityError
-from .operators import OperatorBasis, commutator, frobenius_inner, frobenius_norm
+from .operators import OperatorBasis, commutator, frobenius_norm, gram_matrix
 from .spectral import _align_frames
 
 
@@ -220,43 +220,47 @@ class AlgebraSpec:
             self.T = structure_constants(self.basis)
 
     def verify(self, tol: float = 1e-10) -> None:
-        """Check the structure constants and the [A, B] in span(B) closure."""
-        X = self.basis.elements
-        n = len(X)
-        for j in range(n):
-            for k in range(n):
-                target = 1j * sum(self.T[j, k, l] * X[l] for l in range(n))
-                if frobenius_norm(commutator(X[j], X[k]) - target) > tol:
-                    raise ValueError(f"structure constants wrong for pair ({j}, {k})")
-        outside = [l for l in range(n) if l not in self.B_indices]
-        for k in self.A_indices:
-            for l in self.B_indices:
-                leak = np.abs(self.T[k, l, :][outside]).max() if outside else 0.0
-                if leak > tol:
-                    raise ValueError(
-                        f"[X_{k}, X_{l}] leaks outside span(B) by {leak:.2e}: closure fails"
-                    )
+        """Check the structure constants and the [A, B] in span(B) closure.
+
+        For an orthonormal basis the defect of [X_j, X_k] = i sum_l T_jkl X_l
+        is the 2-norm over l of the deviation of T from the computed tensor.
+        """
+        dev = np.linalg.norm(self.T - structure_constants(self.basis), axis=2)
+        if dev.max() > tol:
+            j, k = np.argwhere(dev > tol)[0]
+            raise ValueError(f"structure constants wrong for pair ({j}, {k})")
+        A, B = self.A_indices, self.B_indices
+        outside = [l for l in range(len(self.basis)) if l not in B]
+        leak = np.abs(self.T[np.ix_(A, B, outside)])
+        if leak.size and leak.max() > tol:
+            a, b, _ = np.argwhere(leak > tol)[0]
+            raise ValueError(
+                f"[X_{A[a]}, X_{B[b]}] leaks outside span(B) by {leak[a, b].max():.2e}: closure fails"
+            )
 
 
 def structure_constants(basis: OperatorBasis) -> np.ndarray:
     """T_jkl with [X_j, X_k] = i sum_l T_jkl X_l for an orthonormal basis.
 
-    Antisymmetric in (j, k); raises if the set does not close.
+    Antisymmetric in (j, k); raises if the set does not close. Row j is one
+    stacked pass over the commutators of X_j with X_{j+1:}, so memory stays
+    at O(n D^2).
     """
     X = basis.elements
-    n = len(X)
+    n, D = len(X), basis.dim
     T = np.zeros((n, n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            C = -1j * commutator(X[j], X[k])   # Hermitian
-            coeffs = np.array([frobenius_inner(L, C) for L in X])
-            recon = sum(c * L for c, L in zip(coeffs, X))
-            if frobenius_norm(C - recon) > 1e-10 * max(1.0, frobenius_norm(C)):
-                raise ValueError(f"[X_{j}, X_{k}] is not in the span of the generator set")
-            if np.abs(coeffs.imag).max() > 1e-10:
-                raise ValueError("structure constants must be real for Hermitian generators")
-            T[j, k, :] = coeffs.real
-            T[k, j, :] = -coeffs.real
+    for j in range(n - 1):
+        C = -1j * (X[j] @ X[j + 1:] - X[j + 1:] @ X[j])     # Hermitian
+        coeffs = gram_matrix(C, X).conj()                   # coeffs[k, l] = (X_l|C_k)
+        res = np.linalg.norm((C - np.tensordot(coeffs, X, axes=1)).reshape(len(C), -1), axis=1)
+        scale = np.maximum(np.sqrt(D), np.linalg.norm(C.reshape(len(C), -1), axis=1))
+        bad = np.nonzero(res > 1e-10 * scale)[0]
+        if bad.size:
+            raise ValueError(f"[X_{j}, X_{j + 1 + bad[0]}] is not in the span of the generator set")
+        if np.abs(coeffs.imag).max() > 1e-10:
+            raise ValueError("structure constants must be real for Hermitian generators")
+        T[j, j + 1:] = coeffs.real
+        T[j + 1:, j] = -coeffs.real
     return T
 
 
@@ -281,17 +285,13 @@ def inverse_engineer_schedule(
     df_target = np.asarray(df_target, dtype=float)
     A_idx, B_idx = algebra.A_indices, algebra.B_indices
     n_t = len(grid)
+    # M[t, j, k] = sum_{l in B} T_klj f_l(t), j in B, k in A
+    M = np.einsum("klj,tl->tjk", algebra.T[np.ix_(A_idx, B_idx, B_idx)], f_target)
     h = np.zeros((n_t, len(A_idx)))
     res = np.zeros(n_t)
     for i in range(n_t):
-        M = np.zeros((len(B_idx), len(A_idx)))
-        for jj, j in enumerate(B_idx):
-            for kk, k in enumerate(A_idx):
-                M[jj, kk] = sum(
-                    algebra.T[k, l, j] * f_target[i, ll] for ll, l in enumerate(B_idx)
-                )
         rhs = hb * df_target[i]
-        sol, _, _, _ = np.linalg.lstsq(M, rhs, rcond=None)
+        sol, _, _, _ = np.linalg.lstsq(M[i], rhs, rcond=None)
         h[i] = sol
-        res[i] = np.linalg.norm(M @ sol - rhs)
+        res[i] = np.linalg.norm(M[i] @ sol - rhs)
     return h, res

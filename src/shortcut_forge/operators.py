@@ -90,12 +90,17 @@ def nested_commutator(H: np.ndarray, dH: np.ndarray, k: int, k_max: int = 12) ->
 
 @dataclass
 class OperatorBasis:
-    """Ordered list of traceless Hermitian operators, orthonormal under (.|.)."""
+    """Ordered traceless Hermitian operators, orthonormal under (.|.).
 
-    elements: list[np.ndarray]
+    ``elements`` is one (n, D, D) array; a sequence of matrices is stacked
+    on construction.
+    """
+
+    elements: np.ndarray
     labels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        self.elements = np.asarray(self.elements, dtype=complex)
         if not self.labels:
             self.labels = [f"L{i}" for i in range(len(self.elements))]
         if len(self.labels) != len(self.elements):
@@ -106,7 +111,7 @@ class OperatorBasis:
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def validate(self, tol: float = 1e-12) -> None:
         """Check tracelessness, Hermiticity and pairwise orthonormality."""
@@ -119,16 +124,17 @@ class OperatorBasis:
             raise ValueError("basis is not orthonormal under the Frobenius inner product")
 
     def subset(self, indices) -> "OperatorBasis":
-        return OperatorBasis([self.elements[i] for i in indices], [self.labels[i] for i in indices])
+        return OperatorBasis(self.elements[list(indices)], [self.labels[i] for i in indices])
 
 
-def gram_matrix(ops) -> np.ndarray:
-    n = len(ops)
-    G = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = frobenius_inner(ops[i], ops[j])
-    return G
+def gram_matrix(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """G[i, j] = (X_i|Y_j) for stacks X (n, D, D) and Y (m, D, D); Y = X by default."""
+    X = np.asarray(X)
+    Y = X if Y is None else np.asarray(Y)
+    n, D = X.shape[:2]
+    if Y.shape[1:] != X.shape[1:]:
+        raise DimensionMismatchError(f"operands have shapes {X.shape[1:]} and {Y.shape[1:]}")
+    return X.reshape(n, D * D).conj() @ Y.reshape(len(Y), D * D).T / D
 
 
 def pauli_matrix(label: str) -> np.ndarray:
@@ -191,16 +197,12 @@ def expand_in_basis(X: np.ndarray, basis: OperatorBasis, residual_tol: float = 1
     SpanningError is raised rather than silently truncating.
     """
     _check_same_dim(X, basis.elements[0])
-    coeffs = np.array([frobenius_inner(L, X) for L in basis.elements])
-    recon = reconstruct_from_basis(coeffs, basis)
-    res = frobenius_norm(X - recon)
+    coeffs = gram_matrix(basis.elements, X[None])[:, 0]
+    res = frobenius_norm(X - reconstruct_from_basis(coeffs, basis))
     if res > residual_tol * max(1.0, frobenius_norm(X)):
         raise SpanningError(f"expansion residual {res:.3e} exceeds {residual_tol:.1e}")
     return coeffs
 
 
 def reconstruct_from_basis(coeffs: np.ndarray, basis: OperatorBasis) -> np.ndarray:
-    out = np.zeros_like(basis.elements[0])
-    for c, L in zip(coeffs, basis.elements):
-        out = out + c * L
-    return out
+    return np.tensordot(coeffs, basis.elements, axes=1)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,16 +19,10 @@ class Schedule:
     duration: float
     value: Callable[[float], np.ndarray]
     derivative: Callable[[float], np.ndarray] | None = None
-    grid: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.grid is None:
-            self.grid = np.linspace(0.0, self.duration, 257)
-        self.grid = np.asarray(self.grid, dtype=float)
-        if not (np.diff(self.grid) > 0).all():
-            raise ValueError("grid must be strictly increasing")
 
     def __call__(self, t: float) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.value(t), dtype=float))
@@ -41,19 +35,14 @@ class Schedule:
         return (self(hi) - self(lo)) / (hi - lo)
 
     @classmethod
-    def linear(cls, start, stop, duration: float, n_grid: int = 257) -> "Schedule":
+    def linear(cls, start, stop, duration: float) -> "Schedule":
         a = np.atleast_1d(np.asarray(start, dtype=float))
         b = np.atleast_1d(np.asarray(stop, dtype=float))
         slope = (b - a) / duration
-        return cls(
-            duration,
-            value=lambda t: a + slope * t,
-            derivative=lambda t: slope.copy(),
-            grid=np.linspace(0.0, duration, n_grid),
-        )
+        return cls(duration, value=lambda t: a + slope * t, derivative=lambda t: slope.copy())
 
     @classmethod
-    def smoothstep(cls, start, stop, duration: float, n_grid: int = 257) -> "Schedule":
+    def smoothstep(cls, start, stop, duration: float) -> "Schedule":
         """Quintic ramp with vanishing first and second endpoint derivatives."""
         a = np.atleast_1d(np.asarray(start, dtype=float))
         b = np.atleast_1d(np.asarray(stop, dtype=float))
@@ -68,4 +57,4 @@ class Schedule:
             dp = 30 * u**2 * (1 - u) ** 2 / duration
             return (b - a) * dp
 
-        return cls(duration, value=val, derivative=der, grid=np.linspace(0.0, duration, n_grid))
+        return cls(duration, value=val, derivative=der)

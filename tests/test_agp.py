@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
 from shortcut_forge import (
     OperatorBasis,
@@ -7,12 +8,12 @@ from shortcut_forge import (
     algebraic_cd,
     algebraic_system,
     assemble_cd,
-    cd_integral_representation,
     commutator,
     counterdiabatic_term,
     expand_in_basis,
     frobenius_inner,
     frobenius_norm,
+    gell_mann_basis,
     krylov_cd,
     krylov_chain,
     krylov_system,
@@ -94,6 +95,7 @@ class TestAlgebraicSystem:
     def test_single_qubit_y_trial(self):
         basis = OperatorBasis([SY], ["Y"])
         system = algebraic_system(H_LZ, DH_LZ, basis)
+        assert system.basis_ops.shape == (1, 2, 2)
         assert system.B[0, 0] == pytest.approx(4 * (LAM**2 + DELTA**2), rel=1e-12)
         assert system.u[0] == pytest.approx(2 * DELTA * RATE, rel=1e-12)
         cd = assemble_cd(system, solve_cd(system))
@@ -123,6 +125,19 @@ class TestAlgebraicSystem:
         assert abs(system.u[1]) < 1e-12
         assert abs(a[1]) < 1e-10
         assert np.abs(assemble_cd(system, a) - np.kron(CD_LZ, np.eye(2))).max() < 1e-10
+
+    def test_matches_pairwise_definition(self):
+        """B_kl = ([H, L_k]|[H, L_l]), u_k = Re(i ([H, L_k]|dH)) and
+        basis_ops[k] = -L_k, pair by pair, on the su(3) Gell-Mann basis."""
+        H, dH = random_hermitian_pair(3, seed=17)
+        basis = gell_mann_basis(3)
+        system = algebraic_system(H, dH, basis)
+        LH = [commutator(H, L) for L in basis.elements]
+        B = np.array([[frobenius_inner(X, Y).real for Y in LH] for X in LH])
+        u = np.array([(1j * frobenius_inner(X, dH)).real for X in LH])
+        assert np.abs(system.B - B).max() < 1e-13
+        assert np.abs(system.u - u).max() < 1e-13
+        assert np.abs(system.basis_ops + basis.elements).max() == 0.0
 
     def test_empty_trial_rejected(self):
         with pytest.raises(ValueError):
@@ -243,6 +258,8 @@ class TestKrylovSystem:
         system = krylov_system(krylov_chain(SZ, 2.0 * SZ + 1e-30 * SZ))
         assert system.empty
         assert len(solve_cd(system)) == 0
+        assert system.basis_ops.shape == (0, 2, 2)
+        assert np.array_equal(assemble_cd(system, solve_cd(system)), np.zeros((2, 2)))
 
 
 class TestSolveCD:
@@ -259,7 +276,7 @@ class TestSolveCD:
             u = rng.standard_normal(6)
             from shortcut_forge import LinearCDSystem
 
-            system = LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=[np.eye(2)] * 6)
+            system = LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=np.array([np.eye(2)] * 6))
             a = solve_cd(system)
             assert np.linalg.norm(B @ a - u) <= 1e-9 * (
                 np.linalg.norm(B) * np.linalg.norm(a) + np.linalg.norm(u)
@@ -272,11 +289,11 @@ class TestSolveCD:
         off = rng.uniform(-0.9, 0.9, n - 1)
         B = np.diag(rng.uniform(2.0, 3.0, n)) + np.diag(off, 1) + np.diag(off, -1)  # SPD
         u = rng.standard_normal(n)
-        system = LinearCDSystem(B=B, u=u, method="krylov", basis_ops=[np.eye(2)] * n)
+        system = LinearCDSystem(B=B, u=u, method="krylov", basis_ops=np.array([np.eye(2)] * n))
         assert np.abs(solve_cd(system) - np.linalg.solve(B, u)).max() < 1e-12
         # a zero pivot falls back to minimum-norm least squares
         system = LinearCDSystem(B=np.diag([1.0, 0.0, 2.0]), u=np.array([1.0, 0.0, 4.0]),
-                                method="krylov", basis_ops=[np.eye(2)] * 3)
+                                method="krylov", basis_ops=np.array([np.eye(2)] * 3))
         assert np.abs(solve_cd(system) - [1.0, 0.0, 2.0]).max() < 1e-12
         assert system.metadata["rank_deficiency"] == 1
 
@@ -384,8 +401,6 @@ class TestActionValue:
 
 class TestUnifiedViewpoint:
     def test_three_routes_agree(self):
-        from shortcut_forge import gell_mann_basis
-
         for dim, seed in ((2, 21), (3, 22), (4, 23)):
             H, dH = random_hermitian_pair(dim, seed=seed)
             K = krylov_chain(H, dH).K
@@ -405,6 +420,33 @@ class TestUnifiedViewpoint:
         cd = krylov_cd(H, dH)
         for k in range(0, chain.K, 2):
             assert abs(frobenius_inner(chain.ops[k], cd)) < 1e-9
+
+
+def cd_integral_representation(H, dH, eta, hbar=1.0):
+    """Oracle: the regularized integral form of the exact counterdiabatic term
+    at finite damping eta.
+
+    Matrix elements are Fourier-type integrals over the fictitious evolution
+    of dH, evaluated with QUADPACK's oscillatory-weight quadrature; the
+    series/integral exchange behind the nested-commutator expansion does not
+    converge in general, so this form is a small-dimension cross-check only.
+    """
+    E, V = np.linalg.eigh(np.asarray(H, dtype=complex))
+    dHe = V.conj().T @ np.asarray(dH, dtype=complex) @ V
+    D = H.shape[0]
+    M = np.zeros((D, D), dtype=complex)
+    for m in range(D):
+        for n in range(D):
+            if m == n:
+                continue
+            w = (E[m] - E[n]) / hbar
+            # -(1/2) * integral sgn(u) e^{-eta|u|} e^{i w u} du = -i w/(eta^2+w^2)
+            # evaluated numerically: 2*sin-weighted QAWF integral over [0, inf)
+            val, _ = scipy.integrate.quad(
+                lambda uu: np.exp(-eta * uu), 0, np.inf, weight="sin", wvar=w
+            )
+            M[m, n] = -1j * dHe[m, n] * val
+    return V @ M @ V.conj().T
 
 
 class TestIntegralRepresentation:

@@ -5,6 +5,7 @@ from shortcut_forge import (
     AlgebraSpec,
     DynamicalInvariant,
     adiabatic_state,
+    commutator,
     decompose_in_invariant_basis,
     eigenpath,
     evolve,
@@ -13,6 +14,7 @@ from shortcut_forge import (
     hamiltonian_from_modes,
     invariant_residual,
     inverse_engineer_schedule,
+    gell_mann_basis,
     lr_phase,
     pauli_basis,
     structure_constants,
@@ -230,6 +232,27 @@ class TestAlgebra:
             eps[i, j, k] = 1.0
             eps[j, i, k] = -1.0
         assert np.abs(T - 2 * eps).max() < 1e-12
+
+    def test_su3_structure_constants(self):
+        basis = gell_mann_basis(3)
+        X = basis.elements
+        T = structure_constants(basis)
+        assert np.abs(T + T.transpose(1, 0, 2)).max() == 0.0
+        for j in range(8):
+            for k in range(8):
+                target = 1j * np.tensordot(T[j, k], X, axes=1)
+                assert np.abs(commutator(X[j], X[k]) - target).max() < 1e-12
+        spec = AlgebraSpec(basis=basis, A_indices=[7], B_indices=list(range(8)))
+        spec.verify()
+        bad = T.copy()
+        bad[0, 1, 7] += 1e-6
+        with pytest.raises(ValueError, match="structure constants wrong"):
+            AlgebraSpec(basis=basis, A_indices=[7], B_indices=list(range(8)), T=bad).verify()
+
+    def test_open_set_rejected(self):
+        # [X, Y] = 2i Z lies outside span{X, Y}
+        with pytest.raises(ValueError, match="not in the span"):
+            structure_constants(pauli_basis(1).subset([0, 1]))
 
     def test_verify_accepts_closed_pair(self):
         basis = pauli_basis(1)

@@ -55,6 +55,21 @@ class TestFrobenius:
         assert frobenius_inner(X, Y) == pytest.approx(np.conj(frobenius_inner(Y, X)))
 
 
+class TestGramMatrix:
+    def test_rectangular_matches_pairwise(self, rng):
+        X = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        Y = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        G = gram_matrix(X, Y)
+        assert G.shape == (4, 2)
+        for i in range(4):
+            for j in range(2):
+                assert abs(G[i, j] - frobenius_inner(X[i], Y[j])) < 1e-14
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            gram_matrix(np.zeros((2, 2, 2)), np.zeros((2, 3, 3)))
+
+
 class TestCommutator:
     def test_su2(self):
         assert np.allclose(commutator(SZ, SX), 2j * SY)
@@ -160,6 +175,13 @@ class TestPauliBasis:
     def test_traceless_hermitian(self):
         basis = pauli_basis(2)
         basis.validate()
+
+    def test_stacked_elements_and_subset(self):
+        basis = OperatorBasis([SX, SY, SZ], ["X", "Y", "Z"])
+        assert isinstance(basis.elements, np.ndarray) and basis.elements.shape == (3, 2, 2)
+        sub = basis.subset([2, 0])
+        assert sub.labels == ["Z", "X"]
+        assert np.array_equal(sub.elements, np.stack([SZ, SX]))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
