@@ -28,8 +28,8 @@ import numpy as np
 from . import config as cfg
 from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
-from .digitized import TrotterPlan, digitization_error, trotter_baseline_error, trotter_step_unitaries
-from .dynamics import evolve, step_unitary
+from .digitized import TrotterPlan, _fit_scaling, trotter_baseline_error, trotter_step_unitaries
+from .dynamics import evolve, fidelity, step_unitary
 from .errors import ConfigError, ShortcutForgeError
 from .fastforward import TimeRescaling, ff_of_cd
 from .gridff import GridSystem1D, ff_potential, phase_from_continuity, split_step_evolve
@@ -54,10 +54,15 @@ _SCHEMA = {
     "compare_tolerances": dict,
     "output": dict,
 }
+#: parameter keys each system reads; ``seed`` is accepted everywhere because
+#: seeded batches (perfbench) pass their seed to every scenario, though only
+#: random_hermitian reads it
 _PARAM_KEYS = {
-    "delta", "lambda_start", "lambda_stop", "duration", "schedule_shape",
-    "n_sites", "coupling", "field", "dim", "seed",
-    "width_start", "width_stop", "mass", "x_extent", "x_points",
+    "landau_zener": {"delta", "lambda_start", "lambda_stop", "duration", "schedule_shape", "seed"},
+    "tfim_chain": {"n_sites", "coupling", "field", "lambda_start", "lambda_stop", "duration",
+                   "schedule_shape", "seed"},
+    "random_hermitian": {"dim", "seed", "duration", "schedule_shape"},
+    "grid_1d": {"width_start", "width_stop", "duration", "mass", "x_extent", "x_points", "seed"},
 }
 _TROTTER_KEYS = {"M_list", "ordering", "sampling", "total_time"}
 _FF_KEYS = {"rate", "n_steps"}
@@ -93,9 +98,9 @@ def validate_config(data: dict) -> dict:
         if key in data and not isinstance(data[key], typ) and not (typ is float and isinstance(data[key], int)):
             raise ConfigError(f"config key {key!r} must be {typ.__name__}")
     params = data.get("parameters", {})
-    unknown = set(params) - _PARAM_KEYS
+    unknown = set(params) - _PARAM_KEYS[data["system"]]
     if unknown:
-        raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
+        raise ConfigError(f"parameter keys {sorted(unknown)} do not apply to system {data['system']!r}")
     if data["system"] == "random_hermitian" and "seed" not in params:
         raise ConfigError("random_hermitian scenarios require an explicit seed")
     unknown = set(data.get("trotter", {})) - _TROTTER_KEYS
@@ -171,6 +176,8 @@ def _build_system(conf: dict):
             coupling=p.get("coupling", 1.0),
             field=p.get("field", 1.0),
             duration=p.get("duration", 1.0),
+            lam_start=p.get("lambda_start", 0.0),
+            lam_stop=p.get("lambda_stop", 1.0),
             shape=p.get("schedule_shape", "smoothstep"),
         )
     if sys_name == "random_hermitian":
@@ -282,12 +289,10 @@ def _trotter_scenario(conf: dict, out_dir: Path) -> dict:
     target = adiabatic_state(path, c0, hbar=hbar).trajectory.final()
     cd_of_t = _cd_of_method(system, "exact_cd", conf["order"], hbar)
     psi0 = path.vectors[0][:, 0]
-    report = digitization_error(system.hamiltonian, cd_of_t, T, M_list, target,
-                                metric="infidelity", ordering=ordering, sampling=sampling,
-                                psi0=psi0, hbar=hbar)
     H_tot = lambda t: system.hamiltonian(t) + cd_of_t(t)
-    bounds, observed = [], []
-    for M in report.M_list:
+    M_list = np.asarray(sorted(M_list), dtype=int)
+    infidelity, bounds, observed = [], [], []
+    for M in M_list:
         plan = TrotterPlan(M=int(M), T=T, ordering=ordering, sampling=sampling)
         steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan, hbar=hbar)
         slice_grid = np.linspace(0.0, T, int(M) + 1)
@@ -304,8 +309,10 @@ def _trotter_scenario(conf: dict, out_dir: Path) -> dict:
             exact_states.append(U @ exact_states[-1])
             psi_dig = steps_dig[n] @ psi_dig
         rep = qsl_discrete(steps_exact, steps_dig, np.array(exact_states), grid=slice_grid)
+        infidelity.append(1.0 - fidelity(target, psi_dig))
         bounds.append(rep.bound[-1])
         observed.append(abs(np.vdot(exact_states[-1], psi_dig)))
+    report = _fit_scaling(M_list, np.array(infidelity), "infidelity")
     columns = ["m", "infidelity", "qsl_bound", "observed_overlap"]
     rows = np.column_stack([report.M_list.astype(float), report.values, bounds, observed])
     summary = {

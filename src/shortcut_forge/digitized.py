@@ -134,14 +134,12 @@ def digitization_error(
     the least-squares slope fit and reported; the fit needs M_list to span
     at least two octaves.
     """
-    M_list = np.asarray(sorted(M_list), dtype=int)
-    if len(M_list) < 4 or M_list[-1] < 4 * M_list[0]:
-        raise ValueError("need >= 4 values of M spanning at least two octaves")
     if metric not in ("infidelity", "state_error"):
         raise ValueError(f"unknown metric {metric!r}")
     target = np.asarray(target, dtype=complex)
     if psi0 is None:
         raise ValueError("psi0 is required (the digitized product needs an initial state)")
+    M_list = np.asarray(sorted(M_list), dtype=int)
     values = np.empty(len(M_list))
     for i, M in enumerate(M_list):
         plan = TrotterPlan(M=int(M), T=T, ordering=ordering, sampling=sampling)
@@ -150,6 +148,14 @@ def digitization_error(
             values[i] = 1.0 - fidelity(target, psi)
         else:
             values[i] = np.linalg.norm(psi - target)
+    return _fit_scaling(M_list, values, metric)
+
+
+def _fit_scaling(M_list: np.ndarray, values: np.ndarray, metric: str) -> ScalingReport:
+    """The log-log slope fit of ``digitization_error`` on values already
+    measured at each M of the ascending M_list."""
+    if len(M_list) < 4 or M_list[-1] < 4 * M_list[0]:
+        raise ValueError("need >= 4 values of M spanning at least two octaves")
     used = values > 10 * ERROR_FLOOR
     report = ScalingReport(
         M_list=M_list, values=values, metric=metric, used=used,

@@ -83,6 +83,15 @@ def evolve(
     )
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid-rule integral of y over the grid x along the first
+    axis, zero at x[0]; the result has the shape of y."""
+    y = np.asarray(y)
+    dx = np.diff(np.asarray(x, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
+    steps = dx * (y[1:] + y[:-1]) / 2.0
+    return np.concatenate([np.zeros((1,) + steps.shape[1:], dtype=steps.dtype), np.cumsum(steps, axis=0)])
+
+
 def overlap(a: np.ndarray, b: np.ndarray) -> complex:
     """<a|b> with the physics convention (conjugate-linear in the first slot)."""
     a = np.asarray(a)
@@ -108,8 +117,6 @@ def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float | None = Non
         1.0, abs(traj.grid[-1])
     ):
         raise ValueError("trajectory and eigenpath grids are not aligned")
-    dt = np.diff(path.grid)
-    dyn = np.zeros_like(path.energies)
-    dyn[1:] = np.cumsum(0.5 * (path.energies[:-1] + path.energies[1:]) * dt[:, None], axis=0) / hb
+    dyn = cumulative_trapezoid(path.energies, path.grid) / hb
     raw = np.einsum("tdn,td->tn", path.vectors.conj(), traj.states)
     return np.exp(1j * dyn) * raw

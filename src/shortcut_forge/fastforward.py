@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import config
+from .dynamics import cumulative_trapezoid
 from .spectral import counterdiabatic_term
 
 
@@ -138,9 +138,7 @@ def nonadiabatic_phases(
     ts = np.linspace(0.0, rescale.T_ff, n_grid)
     E = np.array([np.linalg.eigvalsh(np.asarray(H_of_s(rescale.s(float(t))), dtype=complex)) for t in ts])
     rate = np.array([(1.0 - rescale.dsdt(float(t))) for t in ts])[:, None] * E / hb
-    vals = np.zeros_like(E)
-    vals[1:] = cumulative_trapezoid(rate, ts, axis=0)
-    return FFPhases(grid=ts, values=vals)
+    return FFPhases(grid=ts, values=cumulative_trapezoid(rate, ts))
 
 
 def ff_nonadiabatic_term(

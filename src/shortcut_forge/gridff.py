@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import config
+from .dynamics import cumulative_trapezoid
 from .errors import IllConditionedError
 from .fastforward import TimeRescaling
 
@@ -82,8 +82,7 @@ def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float | None = Non
     hb = config.hbar(hbar)
     rho = grid.density(t)
     drho = grid.density_rate(t)
-    flux = np.zeros_like(rho)
-    flux[1:] = -(grid.mass / hb) * cumulative_trapezoid(drho, grid.x)
+    flux = -(grid.mass / hb) * cumulative_trapezoid(drho, grid.x)
     dead = rho < grid.r_floor**2
     flux_scale = max(np.abs(flux).max(), 1e-300)
     if (np.abs(flux[dead]) > 1e-6 * flux_scale).any():
@@ -93,8 +92,7 @@ def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float | None = Non
         )
     grad_theta = np.zeros_like(rho)
     grad_theta[~dead] = flux[~dead] / rho[~dead]
-    theta = np.zeros_like(rho)
-    theta[1:] = cumulative_trapezoid(grad_theta, grid.x)
+    theta = cumulative_trapezoid(grad_theta, grid.x)
     theta -= theta[np.argmax(rho)]
     return theta
 

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import config
-from .dynamics import StateTrajectory
+from .dynamics import StateTrajectory, cumulative_trapezoid
 
 
 @dataclass
@@ -80,8 +79,7 @@ def qsl_continuous(
     for i, t in enumerate(grid):
         dHm = np.asarray(H1_of_t(t), dtype=complex) - np.asarray(H2_of_t(t), dtype=complex)
         L[i] = stddev_in_state(dHm, reference.states[i])
-    angle = np.zeros(len(grid))
-    angle[1:] = cumulative_trapezoid(L, grid) / hb
+    angle = cumulative_trapezoid(L, grid) / hb
     observed = None
     if other is not None:
         if len(other.grid) != len(grid) or np.abs(other.grid - grid).max() > 1e-12 * max(1.0, abs(grid[-1])):

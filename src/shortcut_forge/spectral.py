@@ -4,7 +4,11 @@ quantum geometric tensor.
 
 Eigenvector gauges are fixed by maximal-overlap phase alignment between
 consecutive grid points; level labels follow continuity (overlap matching),
-not per-time sort order, so labels survive avoided crossings.
+not per-time sort order, so labels survive avoided crossings. The matching is
+read off the overlap matrix directly when every mode has a partner with
+squared overlap above 1/2, which makes it the unique best assignment; only
+ambiguous frames go to an assignment solver (scipy's linear_sum_assignment,
+imported on first use), so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -13,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import config
-from .dynamics import StateTrajectory
+from .dynamics import StateTrajectory, cumulative_trapezoid
 from .errors import DegeneracyError, GridTooCoarseError
 
 
@@ -64,14 +67,27 @@ class EigenPath:
 
 def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
     """Match modes of V_cur to V_prev by overlap and fix phases; returns
-    (E, V, min_overlap) with Re <prev_n|cur_n> > 0."""
+    (E, V, min_overlap) with Re <prev_n|cur_n> > 0.
+
+    The matching maximises sum_n |<prev_n|cur_perm(n)>|^2. Each row and column
+    of P = |overlap|^2 between two orthonormal frames sums to 1, so when every
+    row maximum exceeds 1/2 the row-wise argmax is a permutation and the unique
+    maximiser: any other permutation loses in every row where it differs. Only
+    frames that fail this test (near-degenerate or strongly rotated modes) are
+    matched by linear_sum_assignment, imported here so that scipy loads only
+    when such a frame occurs.
+    """
     O = V_prev.conj().T @ V_cur
-    row, col = linear_sum_assignment(-np.abs(O) ** 2)
-    perm = np.empty_like(col)
-    perm[row] = col
-    V = V_cur[:, perm].copy()
-    E = E_cur[perm].copy()
-    ov = np.array([np.vdot(V_prev[:, n], V[:, n]) for n in range(V.shape[1])])
+    P = np.abs(O) ** 2
+    rows = np.arange(len(P))
+    perm = P.argmax(axis=1)
+    if not (P[rows, perm] > 0.5).all():
+        from scipy.optimize import linear_sum_assignment
+
+        _, perm = linear_sum_assignment(-P)
+    V = V_cur[:, perm]
+    E = E_cur[perm]
+    ov = O[rows, perm]
     V *= np.exp(-1j * np.angle(ov))[None, :]
     return E, V, float(np.abs(ov).min())
 
@@ -253,9 +269,7 @@ def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) 
     if abs(np.linalg.norm(c0) - 1.0) > 1e-10:
         raise ValueError("initial coefficients must be normalized")
     n_t, D = path.energies.shape
-    dt = np.diff(path.grid)
-    dyn = np.zeros((n_t, D))
-    dyn[1:] = np.cumsum(0.5 * (path.energies[:-1] + path.energies[1:]) * dt[:, None], axis=0) / hb
+    dyn = cumulative_trapezoid(path.energies, path.grid) / hb
     geo = np.zeros((n_t, D))
     for n in range(D):
         inc = np.imag(np.einsum("ij,ij->i", path.vectors[:-1, :, n].conj(), path.vectors[1:, :, n]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
 from shortcut_forge import (
     DimensionMismatchError,
@@ -11,6 +12,7 @@ from shortcut_forge import (
     overlap,
     step_unitary,
 )
+from shortcut_forge.dynamics import cumulative_trapezoid
 from shortcut_forge.models import landau_zener, random_hermitian
 
 from conftest import SX, SY, SZ
@@ -120,3 +122,18 @@ class TestOverlap:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             overlap(np.array([1, 0]), np.array([1, 0, 0]))
+
+
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("shape", [(41,), (41, 3)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_scipy_on_nonuniform_grid(self, shape, dtype):
+        rng = np.random.default_rng(17)
+        x = np.cumsum(rng.uniform(0.01, 0.2, shape[0]))
+        y = rng.standard_normal(shape)
+        if dtype is complex:
+            y = y + 1j * rng.standard_normal(shape)
+        ref = scipy.integrate.cumulative_trapezoid(y, x, axis=0, initial=0)
+        out = cumulative_trapezoid(y, x)
+        assert out.shape == y.shape and out.dtype == ref.dtype
+        assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()

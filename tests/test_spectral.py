@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.optimize import linear_sum_assignment
 
 from shortcut_forge import (
     loop_geometric_phase,
@@ -14,7 +16,9 @@ from shortcut_forge import (
     geometric_integrand,
     quantum_geometric_tensor,
 )
-from shortcut_forge.models import landau_zener, random_hermitian_ramp
+from shortcut_forge.errors import GridTooCoarseError
+from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
+from shortcut_forge.spectral import _align_frames
 
 from conftest import SX, SY, SZ, discrete_berry_phase, lz_cd_oracle
 
@@ -69,6 +73,102 @@ class TestEigenpath:
                 fd = np.vdot(V[:, n], dV[:, m])
                 formula = np.vdot(V[:, n], dH @ V[:, m]) / (E[m] - E[n])
                 assert abs(fd - formula) < 1e-6
+
+
+def _lsap_align(V_prev, E_cur, V_cur):
+    """Reference alignment: the assignment solver's maximal sum of squared
+    overlaps, with phases from per-mode inner products."""
+    O = V_prev.conj().T @ V_cur
+    row, col = linear_sum_assignment(-np.abs(O) ** 2)
+    perm = np.empty_like(col)
+    perm[row] = col
+    V = V_cur[:, perm].copy()
+    ov = np.array([np.vdot(V_prev[:, n], V[:, n]) for n in range(V.shape[1])])
+    V *= np.exp(-1j * np.angle(ov))[None, :]
+    return E_cur[perm], V, float(np.abs(ov).min())
+
+
+def _rotation(D, i, j, angle):
+    R = np.eye(D, dtype=complex)
+    c, s = np.cos(angle), np.sin(angle)
+    R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+    return R
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Records every call of the assignment solver made through scipy.optimize."""
+    calls = []
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
+    return calls
+
+
+class TestAlignFrames:
+    @pytest.mark.parametrize("D", [2, 8, 64])
+    @pytest.mark.parametrize("scrambled", [False, True])
+    def test_unique_match_equals_assignment_solver(self, D, scrambled, solver_calls):
+        rng = np.random.default_rng(D)
+        V_prev = np.linalg.eigh(random_hermitian(D, rng))[1]
+        # the next frame: eigenvectors of a nearby Hamiltonian (smallest
+        # best-partner overlap 0.66 at D = 64, still above 1/2)
+        H = V_prev @ np.diag(np.arange(D, dtype=float)) @ V_prev.conj().T
+        E_cur, V_cur = np.linalg.eigh(H + 0.2 * random_hermitian(D, rng))
+        if scrambled:
+            p = rng.permutation(D)
+            E_cur, V_cur = E_cur[p], V_cur[:, p] * np.exp(2j * np.pi * rng.random(D))
+        E, V, ov = _align_frames(V_prev, E_cur, V_cur)
+        E_ref, V_ref, ov_ref = _lsap_align(V_prev, E_cur, V_cur)
+        assert solver_calls == []
+        assert np.array_equal(E, E_ref)
+        assert np.abs(V - V_ref).max() <= 1e-15
+        assert abs(ov - ov_ref) <= 1e-15
+
+    def test_ambiguous_frame_takes_the_solver(self, solver_calls):
+        """Modes 0 and 1 rotated by ~47 degrees with mode 1 leaking into mode 2:
+        no overlap of mode 0 exceeds 1/2, so the row-wise maxima do not decide."""
+        rng = np.random.default_rng(3)
+        V_prev = np.linalg.eigh(random_hermitian(4, rng))[1]
+        V_cur = V_prev @ _rotation(4, 0, 1, np.pi / 4 + 0.02) @ _rotation(4, 1, 2, 0.3)
+        E_cur = np.arange(4.0)
+        P = np.abs(V_prev.conj().T @ V_cur) ** 2
+        assert P[0].max() < 0.5
+        E, V, ov = _align_frames(V_prev, E_cur, V_cur)
+        E_ref, V_ref, ov_ref = _lsap_align(V_prev, E_cur, V_cur)
+        assert solver_calls == [(4, 4)]
+        assert np.array_equal(E, E_ref)
+        assert np.array_equal(E, [1.0, 0.0, 2.0, 3.0])
+        assert np.abs(V - V_ref).max() <= 1e-15
+        assert abs(ov - ov_ref) <= 1e-15
+
+
+class TestEigenpathRefinement:
+    def test_bisection_splits_coarse_steps(self):
+        """The field turns by pi/2 per grid step (mode overlap cos(pi/4) < 0.9);
+        each step is bisected once and the half steps (overlap cos(pi/8)) pass."""
+        calls = []
+
+        def H(t):
+            calls.append(t)
+            return np.cos(np.pi * t) * SZ + np.sin(np.pi * t) * SX
+
+        path = eigenpath(H, np.array([0.0, 0.5, 1.0]))
+        assert calls == [0.0, 0.5, 0.25, 0.5, 1.0, 0.75, 1.0]
+        assert np.allclose(path.energies, [[-1.0, 1.0]] * 3)
+
+    def test_discontinuity_exhausts_refinement(self):
+        """A jump from sz to sx at t = 1/3 leaves overlap 1/sqrt(2) at every
+        level; the error names the last dyadic interval around the jump."""
+        with pytest.raises(GridTooCoarseError) as err:
+            eigenpath(lambda t: SZ if t < 1 / 3 else SX, np.array([0.0, 1.0]))
+        assert str(err.value) == (
+            "mode overlap 0.707 < 0.9 between t = 0.333251953125 and 0.33349609375 "
+            "after 12 refinement levels"
+        )
 
 
 class TestExactCD:
