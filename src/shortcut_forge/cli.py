@@ -6,21 +6,27 @@ Subcommands::
     shortcut-forge compare <run_a_dir> <run_b_dir> [--tol-default X]
     shortcut-forge sweep <config.json> --param <name> --values <v1,v2,...> [--out DIR]
 
-Runs validate the config strictly (unknown keys rejected), write one CSV time
-series and one JSON summary per scenario, and are byte-for-byte reproducible
-for a fixed config, seed and version on one platform. Exit codes: 0 success,
-1 compare mismatch, 2 config error, 3 numerical failure.
-SHORTCUT_FORGE_THREADS caps sweep parallelism.
+A config names a ``system`` and a ``method``. The key tables below
+(``_COMMON``, ``_PARAMETERS``, ``_METHOD_KEYS``, ``_UNREAD`` and ``_RULES``)
+are the config reference: ``validate_config`` rejects every key, type or value
+they do not allow and fills in the defaults. Runs write one CSV time series and
+one JSON summary per scenario, byte-for-byte reproducible for a fixed config,
+seed and version on one platform.
+
+Exit codes: 0 success, 1 compare mismatch, 2 config error (the message names
+the key), 3 numerical failure. SHORTCUT_FORGE_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import fnmatch
 import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +34,8 @@ import numpy as np
 from . import config as cfg
 from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
-from .digitized import TrotterPlan, _fit_scaling, trotter_baseline_error, trotter_step_unitaries
+from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, _fit_scaling, fit_spans, trotter_baseline_error,
+                        trotter_step_unitaries)
 from .dynamics import evolve, fidelity, step_unitary
 from .errors import ConfigError, ShortcutForgeError
 from .fastforward import TimeRescaling, ff_of_cd
@@ -37,91 +44,150 @@ from .invariants import DynamicalInvariant, invariant_residual
 from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim_chain
 from .operators import gell_mann_basis, gram_matrix, pauli_basis
 from .qsl import qsl_continuous, qsl_discrete
+from .schedule import SHAPES
 from .spectral import adiabatic_state, counterdiabatic_term, eigenpath
 
-SYSTEMS = ("landau_zener", "tfim_chain", "random_hermitian", "grid_1d")
-METHODS = ("exact_cd", "variational", "algebraic", "krylov", "trotter", "ff", "qsl", "invariant")
-
-_SCHEMA = {
+#: Every config key maps to its default, whose type is the key's type, or to a
+#: bare type when it has no default; a nested dict is a section of keys.
+_COMMON = {
     "system": str,
     "method": str,
-    "parameters": dict,
-    "grid_points": int,
-    "order": int,
-    "hbar": float,
-    "trotter": dict,
-    "ff": dict,
-    "compare_tolerances": dict,
-    "output": dict,
+    "grid_points": 1001,
+    "hbar": 1.0,
+    "compare_tolerances": dict,     # column glob (or "default") -> tolerance
+    "output": {"csv": "timeseries.csv", "summary": "summary.json"},
 }
-#: parameter keys each system reads; ``seed`` is accepted everywhere because
-#: seeded batches (perfbench) pass their seed to every scenario, though only
-#: random_hermitian reads it
-_PARAM_KEYS = {
-    "landau_zener": {"delta", "lambda_start", "lambda_stop", "duration", "schedule_shape", "seed"},
-    "tfim_chain": {"n_sites", "coupling", "field", "lambda_start", "lambda_stop", "duration",
-                   "schedule_shape", "seed"},
-    "random_hermitian": {"dim", "seed", "duration", "schedule_shape"},
-    "grid_1d": {"width_start", "width_stop", "duration", "mass", "x_extent", "x_points", "seed"},
+#: the ``parameters`` section of each system; ``seed`` is accepted by every
+#: system because seeded batches pass their seed to every scenario, though
+#: only random_hermitian reads it (and requires it)
+_PARAMETERS = {
+    "landau_zener": {"delta": 1.0, "lambda_start": -5.0, "lambda_stop": 5.0, "duration": 1.0,
+                     "schedule_shape": "linear", "seed": int},
+    "tfim_chain": {"n_sites": 4, "coupling": 1.0, "field": 1.0, "lambda_start": 0.0, "lambda_stop": 1.0,
+                   "duration": 1.0, "schedule_shape": "smoothstep", "seed": int},
+    "random_hermitian": {"dim": 4, "seed": int, "duration": 1.0, "schedule_shape": "smoothstep"},
+    "grid_1d": {"width_start": 1.0, "width_stop": 2.0, "duration": 4.0, "mass": 1.0, "x_extent": 40.0,
+                "x_points": 1024, "seed": int},
 }
-_TROTTER_KEYS = {"M_list", "ordering", "sampling", "total_time"}
-_FF_KEYS = {"rate", "n_steps"}
-_OUTPUT_KEYS = {"csv", "summary"}
+#: the keys each method reads on top of its system's
+_METHOD_KEYS = {
+    "exact_cd": {},
+    "variational": {"order": 1},
+    "algebraic": {"order": 1},
+    "krylov": {"order": 1},
+    # total_time defaults to the schedule's duration
+    "trotter": {"trotter": {"M_list": [8, 16, 32, 64, 128, 256], "ordering": "h-then-cd", "sampling": "right",
+                            "total_time": float}},
+    "ff": {"ff": {"rate": 2.0, "n_steps": 4000}},
+    "qsl": {"order": 1},
+    "invariant": {},
+}
+#: keys that the tables give a pair but its runner does not read: the
+#: random_hermitian Trotter baseline splits the constant pair (H0, H1) with
+#: the plain product, and the 1-D grid steps its own x grid and time steps
+_UNREAD = {
+    ("random_hermitian", "trotter"): ("grid_points", "parameters.schedule_shape", "trotter.ordering",
+                                      "trotter.sampling"),
+    ("landau_zener", "ff"): ("ff.n_steps",),
+    ("grid_1d", "ff"): ("grid_points",),
+}
+#: value rules by dotted key: (predicate, what it requires)
+_RULES = {
+    "grid_points": (lambda v: v >= 3, "at least 3"),
+    "hbar": (lambda v: v > 0, "positive"),
+    "order": (lambda v: v >= 1, "at least 1"),
+    "compare_tolerances": (lambda v: all(_has_type(t, 0.0) for t in v.values()), "a map to numbers"),
+    "parameters.duration": (lambda v: v > 0, "positive"),
+    "parameters.dim": (lambda v: v >= 2, "at least 2"),
+    "parameters.n_sites": (lambda v: 2 <= v <= 10, "between 2 and 10"),
+    "parameters.schedule_shape": (lambda v: v in SHAPES, f"one of {tuple(SHAPES)}"),
+    "trotter.M_list": (lambda v: fit_spans(sorted(v)) and min(v) >= 1,
+                       "at least 4 positive slice counts spanning at least two octaves"),
+    "trotter.ordering": (lambda v: v in ORDERINGS, f"one of {ORDERINGS}"),
+    "trotter.sampling": (lambda v: v in SAMPLINGS, f"one of {SAMPLINGS}"),
+    "trotter.total_time": (lambda v: v > 0, "positive"),
+    "ff.rate": (lambda v: v > 0, "positive"),
+}
+
+SYSTEMS = tuple(_PARAMETERS)
+METHODS = tuple(_METHOD_KEYS)
+
+_VALID_COMBOS = {
+    "landau_zener": set(METHODS),
+    "tfim_chain": {"exact_cd", "variational", "krylov", "qsl", "trotter", "invariant"},
+    "random_hermitian": {"exact_cd", "variational", "algebraic", "krylov", "trotter", "qsl"},
+    "grid_1d": {"ff"},
+}
 
 
 def load_config(path: str | Path) -> dict:
     try:
-        raw = Path(path).read_text()
+        return validate_config(json.loads(Path(path).read_text()))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(data)
 
 
 def validate_config(data: dict) -> dict:
+    """Check a config against the key tables; return it with every default filled in."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(data) - set(_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("system", "method"):
+    for key, choices in (("system", SYSTEMS), ("method", METHODS)):
         if key not in data:
             raise ConfigError(f"missing required key {key!r}")
-    if data["system"] not in SYSTEMS:
-        raise ConfigError(f"unknown system {data['system']!r}; choose from {SYSTEMS}")
-    if data["method"] not in METHODS:
-        raise ConfigError(f"unknown method {data['method']!r}; choose from {METHODS}")
-    for key, typ in _SCHEMA.items():
-        if key in data and not isinstance(data[key], typ) and not (typ is float and isinstance(data[key], int)):
-            raise ConfigError(f"config key {key!r} must be {typ.__name__}")
-    params = data.get("parameters", {})
-    unknown = set(params) - _PARAM_KEYS[data["system"]]
-    if unknown:
-        raise ConfigError(f"parameter keys {sorted(unknown)} do not apply to system {data['system']!r}")
-    if data["system"] == "random_hermitian" and "seed" not in params:
-        raise ConfigError("random_hermitian scenarios require an explicit seed")
-    unknown = set(data.get("trotter", {})) - _TROTTER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown trotter keys: {sorted(unknown)}")
-    unknown = set(data.get("ff", {})) - _FF_KEYS
-    if unknown:
-        raise ConfigError(f"unknown ff keys: {sorted(unknown)}")
-    unknown = set(data.get("output", {})) - _OUTPUT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown output keys: {sorted(unknown)}")
-    out = dict(data)
-    out.setdefault("parameters", {})
-    out.setdefault("grid_points", 1001)
-    out.setdefault("order", 1)
-    out.setdefault("hbar", 1.0)
-    out.setdefault("trotter", {})
-    out.setdefault("ff", {})
-    out.setdefault("compare_tolerances", {})
-    out.setdefault("output", {})
+        if data[key] not in choices:
+            raise ConfigError(f"unknown {key} {data[key]!r}; choose from {choices}")
+    system, method = data["system"], data["method"]
+    if method not in _VALID_COMBOS[system]:
+        raise ConfigError(f"method {method!r} is not supported for system {system!r}")
+    schema = {**_COMMON, "parameters": _PARAMETERS[system], **_METHOD_KEYS[method]}
+    out = _check_section(data, schema, "", set(_UNREAD.get((system, method), ())),
+                         f"system {system!r} with method {method!r}")
+    if system == "random_hermitian" and "seed" not in out["parameters"]:
+        raise ConfigError("random_hermitian scenarios require an explicit 'parameters.seed'")
     return out
+
+
+def _check_section(data: dict, schema: dict, prefix: str, unread: set, pair: str) -> dict:
+    schema = {k: spec for k, spec in schema.items() if prefix + k not in unread}
+    unknown = sorted(prefix + k for k in set(data) - set(schema))
+    if unknown:
+        raise ConfigError(f"config keys {unknown} are not read by {pair}")
+    out = {}
+    for key, spec in schema.items():
+        name = prefix + key
+        if isinstance(spec, dict):
+            section = data.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"config key {name!r} must be an object")
+            out[key] = _check_section(section, spec, name + ".", unread, pair)
+        elif key in data:
+            value = data[key]
+            if not _has_type(value, spec):
+                typ = spec if isinstance(spec, type) else type(spec)
+                raise ConfigError(f"config key {name!r} must be {typ.__name__}, got {value!r}")
+            rule = _RULES.get(name)
+            if rule and not rule[0](value):
+                raise ConfigError(f"config key {name!r} must be {rule[1]}, got {value!r}")
+            out[key] = value
+        elif not isinstance(spec, type):
+            out[key] = copy.deepcopy(spec)
+    return out
+
+
+def _has_type(value, spec) -> bool:
+    """Whether ``value`` has the type of ``spec`` (a default or a bare type): an
+    int passes for a float, a bool is never a number, and list items must have
+    the type of the default's items."""
+    typ = spec if isinstance(spec, type) else type(spec)
+    if isinstance(value, bool) and typ is not bool:
+        return False
+    if typ is float:
+        return isinstance(value, (int, float))
+    if typ is list:
+        return isinstance(value, list) and all(_has_type(v, spec[0]) for v in value)
+    return isinstance(value, typ)
 
 
 def _canonical_json(obj) -> str:
@@ -135,7 +201,7 @@ def config_hash(conf: dict) -> str:
 def scenario_hash(conf: dict) -> str:
     """Hash of the scenario identity only (system, parameters, grid, hbar):
     runs of different methods on the same scenario stay comparable."""
-    ident = {k: conf[k] for k in ("system", "parameters", "grid_points", "hbar")}
+    ident = {k: conf[k] for k in ("system", "parameters", "grid_points", "hbar") if k in conf}
     return hashlib.sha256(_canonical_json(ident).encode()).hexdigest()
 
 
@@ -158,36 +224,13 @@ def write_summary(path: Path, summary: dict) -> None:
 
 def _build_system(conf: dict):
     p = conf["parameters"]
-    sys_name = conf["system"]
-    if sys_name == "landau_zener":
-        return landau_zener(
-            delta=p.get("delta", 1.0),
-            lam_start=p.get("lambda_start", -5.0),
-            lam_stop=p.get("lambda_stop", 5.0),
-            duration=p.get("duration", 1.0),
-            shape=p.get("schedule_shape", "linear"),
-        )
-    if sys_name == "tfim_chain":
-        n = p.get("n_sites", 4)
-        if not 2 <= n <= 10:
-            raise ConfigError("n_sites must be between 2 and 10")
-        return tfim_chain(
-            n_sites=n,
-            coupling=p.get("coupling", 1.0),
-            field=p.get("field", 1.0),
-            duration=p.get("duration", 1.0),
-            lam_start=p.get("lambda_start", 0.0),
-            lam_stop=p.get("lambda_stop", 1.0),
-            shape=p.get("schedule_shape", "smoothstep"),
-        )
-    if sys_name == "random_hermitian":
-        return random_hermitian_ramp(
-            dim=p.get("dim", 4),
-            seed=p["seed"],
-            duration=p.get("duration", 1.0),
-            shape=p.get("schedule_shape", "smoothstep"),
-        )
-    raise ConfigError(f"system {sys_name!r} has no matrix model")
+    if conf["system"] == "landau_zener":
+        return landau_zener(delta=p["delta"], lam_start=p["lambda_start"], lam_stop=p["lambda_stop"],
+                            duration=p["duration"], shape=p["schedule_shape"])
+    if conf["system"] == "tfim_chain":
+        return tfim_chain(n_sites=p["n_sites"], coupling=p["coupling"], field=p["field"], duration=p["duration"],
+                          lam_start=p["lambda_start"], lam_stop=p["lambda_stop"], shape=p["schedule_shape"])
+    return random_hermitian_ramp(dim=p["dim"], seed=p["seed"], duration=p["duration"], shape=p["schedule_shape"])
 
 
 def _canonical_basis(dim: int):
@@ -197,111 +240,119 @@ def _canonical_basis(dim: int):
     return gell_mann_basis(dim)
 
 
-def _cd_of_method(system, method: str, order: int, hbar: float):
-    """Return cd(t) for the requested construction."""
-    if method in ("exact_cd", "trotter", "ff", "invariant"):
-        return lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t), hbar=hbar)
-    if method == "variational":
-        return lambda t: variational_cd(system.hamiltonian(t), system.dhamiltonian(t), order, hbar=hbar)
-    if method == "krylov":
-        return lambda t: krylov_cd(system.hamiltonian(t), system.dhamiltonian(t), k_max=2 * order + 1, hbar=hbar)
-    if method == "algebraic":
-        basis = _canonical_basis(system.dim)
+class _Reference:
+    """The adiabatic reference of a matrix scenario on [0, T] (T defaults to
+    the schedule's duration): the system, the grid and its eigenpath, the
+    initial ground state ``psi0`` and the ``target`` that follows it."""
+
+    def __init__(self, conf: dict, T: float | None = None):
+        self.conf = conf
+        self.hbar = conf["hbar"]
+        self.system = _build_system(conf)
+        self.T = self.system.duration if T is None else T
+        self.grid = np.linspace(0.0, self.T, conf["grid_points"])
+        self.path = eigenpath(self.system.hamiltonian, self.grid)
+        self.psi0 = self.path.vectors[0][:, 0]
+
+    @cached_property
+    def target(self):
+        """The adiabatic ground-state trajectory on the grid."""
+        c0 = np.zeros(self.system.dim)
+        c0[0] = 1.0
+        return adiabatic_state(self.path, c0, hbar=self.hbar).trajectory
+
+    def cd(self, method: str = "exact_cd"):
+        """cd(t) of a counterdiabatic route; the approximate ones read ``order``."""
+        H, dH, hbar = self.system.hamiltonian, self.system.dhamiltonian, self.hbar
+        if method == "exact_cd":
+            return lambda t: counterdiabatic_term(H(t), dH(t), hbar=hbar)
+        order = self.conf["order"]
+        if method == "variational":
+            return lambda t: variational_cd(H(t), dH(t), order, hbar=hbar)
+        if method == "krylov":
+            return lambda t: krylov_cd(H(t), dH(t), k_max=2 * order + 1, hbar=hbar)
+        basis = _canonical_basis(self.system.dim)     # algebraic
 
         def cd(t):
-            H, dH = system.hamiltonian(t), system.dhamiltonian(t)
-            support = odd_commutator_support(H, dH, basis, max_order=order)
+            Ht, dHt = H(t), dH(t)
+            support = odd_commutator_support(Ht, dHt, basis, max_order=order)
             if not support:
-                return np.zeros_like(H)
-            return algebraic_cd(H, dH, basis.subset(support), hbar=hbar)
+                return np.zeros_like(Ht)
+            return algebraic_cd(Ht, dHt, basis.subset(support), hbar=hbar)
 
         return cd
-    raise ConfigError(f"method {method!r} does not define a counterdiabatic construction")
+
+    def driven(self, cd):
+        """H + H_cd as a function of time."""
+        return lambda t: self.system.hamiltonian(t) + cd(t)
+
+    def populations(self, states: np.ndarray) -> np.ndarray:
+        """|<n(t)|psi(t)>|^2 in the adiabatic basis of each grid time, shape (times, levels)."""
+        return np.abs(np.einsum("tdn,td->tn", self.path.vectors.conj(), states)) ** 2
 
 
-def _driven_scenario(conf: dict, out_dir: Path) -> dict:
+def _driven_scenario(conf: dict) -> dict:
     """CD-driving scenarios: evolve under H + H_cd and track the adiabatic target."""
-    hbar = conf["hbar"]
-    method = conf["method"]
-    system = _build_system(conf)
-    grid = np.linspace(0.0, system.duration, conf["grid_points"])
-    path = eigenpath(system.hamiltonian, grid)
-    c0 = np.zeros(system.dim)
-    c0[0] = 1.0
-    target = adiabatic_state(path, c0, hbar=hbar)
-    cd_of_t = _cd_of_method(system, method, conf["order"], hbar)
-    H_tot = lambda t: system.hamiltonian(t) + cd_of_t(t)
-    traj = evolve(H_tot, path.vectors[0][:, 0], grid, hbar=hbar)
-    fid = np.abs(np.einsum("ti,ti->t", target.trajectory.states.conj(), traj.states))
+    ref = _Reference(conf)
+    cd_of_t = ref.cd(conf["method"])
+    traj = evolve(ref.driven(cd_of_t), ref.psi0, ref.grid, hbar=ref.hbar)
+    fid = np.abs(np.einsum("ti,ti->t", ref.target.states.conj(), traj.states))
     columns = ["time", "fidelity"]
-    cols = [grid, fid**2]
-    if system.dim <= 8:
-        pops = np.abs(np.einsum("tdn,td->tn", path.vectors.conj(), traj.states)) ** 2
-        for n in range(system.dim):
-            columns.append(f"population_{n}")
-            cols.append(pops[:, n])
-        basis = _canonical_basis(system.dim)
-        cds = np.array([cd_of_t(t) for t in grid])
-        coeff_rows = gram_matrix(basis.elements, cds).real.T
-        for j, lab in enumerate(basis.labels):
-            columns.append(f"cd_coeff_{lab.lower()}")
-            cols.append(coeff_rows[:, j])
+    cols = [ref.grid, fid**2]
+    if ref.system.dim <= 8:
+        columns += [f"population_{n}" for n in range(ref.system.dim)]
+        cols += list(ref.populations(traj.states).T)
+        basis = _canonical_basis(ref.system.dim)
+        cds = np.array([cd_of_t(t) for t in ref.grid])
+        columns += [f"cd_coeff_{lab.lower()}" for lab in basis.labels]
+        cols += list(gram_matrix(basis.elements, cds).real)
     rows = np.column_stack(cols)
     summary = {
         "final_fidelity": float(fid[-1] ** 2),
         "min_fidelity": float((fid**2).min()),
-        "method": method,
-        "order": conf["order"],
+        "method": conf["method"],
     }
+    if "order" in conf:
+        summary["order"] = conf["order"]
     return {"columns": columns, "rows": rows, "summary": summary}
 
 
-def _trotter_scenario(conf: dict, out_dir: Path) -> dict:
-    hbar = conf["hbar"]
+def _fit_summary(report) -> dict:
+    return {k: getattr(report, k) for k in ("slope", "slope_stderr", "metric", "fit_skipped", "note")}
+
+
+def _trotter_scenario(conf: dict) -> dict:
     tr = conf["trotter"]
-    M_list = tr.get("M_list", [8, 16, 32, 64, 128, 256])
-    ordering = tr.get("ordering", "h-then-cd")
-    sampling = tr.get("sampling", "right")
-    system = _build_system(conf)
-    T = tr.get("total_time", system.duration)
+    hbar = conf["hbar"]
     if conf["system"] == "random_hermitian":
-        # conventional first-order baseline: constant non-commuting pair
-        rng = np.random.default_rng(conf["parameters"]["seed"])
+        # conventional first-order baseline: the constant non-commuting pair (H0, H1)
+        p = conf["parameters"]
+        system = random_hermitian_ramp(dim=p["dim"], seed=p["seed"])
+        rng = np.random.default_rng(p["seed"])
         psi0 = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
         psi0 /= np.linalg.norm(psi0)
-        report = trotter_baseline_error(system.H0, system.H_terms[0], T, M_list, psi0,
-                                        metric="state_error", hbar=hbar)
-        columns = ["m", "state_error"]
+        report = trotter_baseline_error(system.H0, system.H_terms[0], tr.get("total_time", p["duration"]),
+                                        tr["M_list"], psi0, metric="state_error", hbar=hbar)
         rows = np.column_stack([report.M_list.astype(float), report.values])
-        summary = {
-            "slope": report.slope,
-            "slope_stderr": report.slope_stderr,
-            "metric": report.metric,
-            "fit_skipped": report.fit_skipped,
-            "note": report.note,
-        }
-        return {"columns": columns, "rows": rows, "summary": summary}
+        return {"columns": ["m", "state_error"], "rows": rows, "summary": _fit_summary(report)}
 
-    grid = np.linspace(0.0, T, conf["grid_points"])
-    path = eigenpath(system.hamiltonian, grid)
-    c0 = np.zeros(system.dim)
-    c0[0] = 1.0
-    target = adiabatic_state(path, c0, hbar=hbar).trajectory.final()
-    cd_of_t = _cd_of_method(system, "exact_cd", conf["order"], hbar)
-    psi0 = path.vectors[0][:, 0]
-    H_tot = lambda t: system.hamiltonian(t) + cd_of_t(t)
-    M_list = np.asarray(sorted(M_list), dtype=int)
+    ref = _Reference(conf, tr.get("total_time"))
+    T, psi0, dim = ref.T, ref.psi0, ref.system.dim
+    target = ref.target.final()
+    cd_of_t = ref.cd()
+    H_tot = ref.driven(cd_of_t)
+    M_list = np.asarray(sorted(tr["M_list"]), dtype=int)
     infidelity, bounds, observed = [], [], []
     for M in M_list:
-        plan = TrotterPlan(M=int(M), T=T, ordering=ordering, sampling=sampling)
-        steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan, hbar=hbar)
+        plan = TrotterPlan(M=int(M), T=T, ordering=tr["ordering"], sampling=tr["sampling"])
+        steps_dig = trotter_step_unitaries(ref.system.hamiltonian, cd_of_t, plan, hbar=hbar)
         slice_grid = np.linspace(0.0, T, int(M) + 1)
         # each slice: 8 midpoint exponentials of H + H_cd
         exact_states, psi_dig = [psi0], psi0
         steps_exact = []
         for n in range(int(M)):
             sub = np.linspace(slice_grid[n], slice_grid[n + 1], 9)
-            U = np.eye(system.dim, dtype=complex)
+            U = np.eye(dim, dtype=complex)
             for j in range(8):
                 tm = 0.5 * (sub[j] + sub[j + 1])
                 U = step_unitary(H_tot(tm), sub[j + 1] - sub[j], hbar=hbar) @ U
@@ -316,44 +367,30 @@ def _trotter_scenario(conf: dict, out_dir: Path) -> dict:
     columns = ["m", "infidelity", "qsl_bound", "observed_overlap"]
     rows = np.column_stack([report.M_list.astype(float), report.values, bounds, observed])
     summary = {
-        "slope": report.slope,
-        "slope_stderr": report.slope_stderr,
-        "metric": report.metric,
-        "fit_skipped": report.fit_skipped,
-        "note": report.note,
+        **_fit_summary(report),
         "qsl_certified": bool(all(o >= b - 1e-8 for o, b in zip(observed, bounds))),
     }
     return {"columns": columns, "rows": rows, "summary": summary}
 
 
-def _ff_scenario(conf: dict, out_dir: Path) -> dict:
-    hbar = conf["hbar"]
-    rate = conf["ff"].get("rate", 2.0)
+def _ff_scenario(conf: dict) -> dict:
     if conf["system"] == "grid_1d":
-        return _grid_ff_scenario(conf, rate)
-    system = _build_system(conf)
-    T_ref = system.duration
-    T_ff = T_ref / rate
-    rescale = TimeRescaling.uniform(rate, T_ff)
-    grid_ref = np.linspace(0.0, T_ref, conf["grid_points"])
-    path = eigenpath(system.hamiltonian, grid_ref)
-    c0 = np.zeros(system.dim)
-    c0[0] = 1.0
-    target = adiabatic_state(path, c0, hbar=hbar)
-    cd_of_s = _cd_of_method(system, "exact_cd", conf["order"], hbar)
-    H_ff = lambda t: ff_of_cd(system.hamiltonian, cd_of_s, rescale, t)
-    grid_ff = grid_ref / rate
-    traj = evolve(H_ff, path.vectors[0][:, 0], grid_ff, hbar=hbar)
+        return _grid_ff_scenario(conf)
+    rate = conf["ff"]["rate"]
+    ref = _Reference(conf)
+    rescale = TimeRescaling.uniform(rate, ref.T / rate)
+    cd_of_s = ref.cd()
+    H_ff = lambda t: ff_of_cd(ref.system.hamiltonian, cd_of_s, rescale, t)
+    grid_ff = ref.grid / rate
+    traj = evolve(H_ff, ref.psi0, grid_ff, hbar=ref.hbar)
     # populations in the adiabatic basis at s(t) against the target's
-    pops = np.abs(np.einsum("tdn,td->tn", path.vectors.conj(), traj.states)) ** 2
-    pops_t = np.abs(np.einsum("tdn,td->tn", path.vectors.conj(), target.trajectory.states)) ** 2
-    dev = np.abs(pops - pops_t).max(axis=1)
+    pops = ref.populations(traj.states)
+    dev = np.abs(pops - ref.populations(ref.target.states)).max(axis=1)
     columns = ["time", "population_deviation"]
     cols = [grid_ff, dev]
-    if system.dim <= 8:
-        for n in range(system.dim):
-            columns.append(f"population_{n}")
-            cols.append(pops[:, n])
+    if ref.system.dim <= 8:
+        columns += [f"population_{n}" for n in range(ref.system.dim)]
+        cols += list(pops.T)
     rows = np.column_stack(cols)
     summary = {
         "rate": rate,
@@ -363,25 +400,19 @@ def _ff_scenario(conf: dict, out_dir: Path) -> dict:
     return {"columns": columns, "rows": rows, "summary": summary}
 
 
-def _grid_ff_scenario(conf: dict, rate: float) -> dict:
+def _grid_ff_scenario(conf: dict) -> dict:
     hbar = conf["hbar"]
     p = conf["parameters"]
-    ramp = GaussianWidthRamp(
-        width_start=p.get("width_start", 1.0),
-        width_stop=p.get("width_stop", 2.0),
-        duration=p.get("duration", 4.0),
-        mass=p.get("mass", 1.0),
-    )
-    extent = p.get("x_extent", 40.0)
-    npts = p.get("x_points", 1024)
-    x = np.linspace(-extent / 2, extent / 2, npts, endpoint=False)
+    rate, n_steps = conf["ff"]["rate"], conf["ff"]["n_steps"]
+    ramp = GaussianWidthRamp(width_start=p["width_start"], width_stop=p["width_stop"], duration=p["duration"],
+                             mass=p["mass"])
+    extent = p["x_extent"]
+    x = np.linspace(-extent / 2, extent / 2, p["x_points"], endpoint=False)
     grid_sys = GridSystem1D(x=x, mass=ramp.mass, r=lambda t: ramp.amplitude(x, t))
     theta = lambda t: phase_from_continuity(grid_sys, t, hbar=hbar)
     T_ff = ramp.duration / rate
     rescale = TimeRescaling.uniform(rate, T_ff)
-    n_steps = conf["ff"].get("n_steps", 4000)
     psi = grid_sys.r(0.0).astype(complex)
-    dx = grid_sys.dx
     n_check = 9
     checks = np.linspace(0.0, T_ff, n_check)
     l2 = [0.0]
@@ -391,29 +422,21 @@ def _grid_ff_scenario(conf: dict, rate: float) -> dict:
             x, lambda tau, t0=checks[i]: ff_potential(grid_sys, theta, rescale, t0 + tau, hbar=hbar),
             psi, seg, max(n_steps // (n_check - 1), 1), ramp.mass, hbar=hbar)
         rho_t = grid_sys.density(rescale.s(checks[i + 1]))
-        l2.append(float(np.sqrt(np.sum((np.abs(psi) ** 2 - rho_t) ** 2) * dx)))
+        l2.append(float(np.sqrt(np.sum((np.abs(psi) ** 2 - rho_t) ** 2) * grid_sys.dx)))
     columns = ["time", "density_l2"]
     rows = np.column_stack([checks, l2])
     summary = {"rate": rate, "final_density_l2": l2[-1], "max_density_l2": max(l2)}
     return {"columns": columns, "rows": rows, "summary": summary}
 
 
-def _qsl_scenario(conf: dict, out_dir: Path) -> dict:
-    hbar = conf["hbar"]
-    system = _build_system(conf)
-    grid = np.linspace(0.0, system.duration, conf["grid_points"])
-    path = eigenpath(system.hamiltonian, grid)
-    c0 = np.zeros(system.dim)
-    c0[0] = 1.0
-    target = adiabatic_state(path, c0, hbar=hbar)
-    cd_exact = _cd_of_method(system, "exact_cd", conf["order"], hbar)
-    cd_approx = _cd_of_method(system, "variational", conf["order"], hbar)
-    H1 = lambda t: system.hamiltonian(t) + cd_exact(t)
-    H2 = lambda t: system.hamiltonian(t) + cd_approx(t)
-    traj2 = evolve(H2, path.vectors[0][:, 0], grid, hbar=hbar)
-    report = qsl_continuous(H1, H2, target.trajectory, other=traj2, hbar=hbar)
+def _qsl_scenario(conf: dict) -> dict:
+    ref = _Reference(conf)
+    H1 = ref.driven(ref.cd())
+    H2 = ref.driven(ref.cd("variational"))
+    traj2 = evolve(H2, ref.psi0, ref.grid, hbar=ref.hbar)
+    report = qsl_continuous(H1, H2, ref.target, other=traj2, hbar=ref.hbar)
     columns = ["time", "angle", "bound", "observed", "margin"]
-    rows = np.column_stack([grid, report.angle, report.bound, report.observed, report.margin()])
+    rows = np.column_stack([ref.grid, report.angle, report.bound, report.observed, report.margin()])
     summary = {
         "min_margin": float(report.margin().min()),
         "holds": report.holds(),
@@ -425,19 +448,13 @@ def _qsl_scenario(conf: dict, out_dir: Path) -> dict:
     return {"columns": columns, "rows": rows, "summary": summary}
 
 
-def _invariant_scenario(conf: dict, out_dir: Path) -> dict:
-    hbar = conf["hbar"]
-    system = _build_system(conf)
-    grid = np.linspace(0.0, system.duration, conf["grid_points"])
-    path = eigenpath(system.hamiltonian, grid)
-    fbar = np.arange(system.dim, dtype=float)
+def _invariant_scenario(conf: dict) -> dict:
+    ref = _Reference(conf)
+    grid, path = ref.grid, ref.path
+    fbar = np.arange(ref.system.dim, dtype=float)
     inv = DynamicalInvariant.from_modes(grid, path.vectors, fbar)
-    tracked = DynamicalInvariant.from_operator(
-        grid, lambda t: inv.operators[path.index_of(t)]
-    )
-    cd = _cd_of_method(system, "exact_cd", conf["order"], hbar)
-    H_tot = lambda t: system.hamiltonian(t) + cd(t)
-    res = invariant_residual(H_tot, inv, hbar=hbar)
+    tracked = DynamicalInvariant.from_operator(grid, lambda t: inv.operators[path.index_of(t)])
+    res = invariant_residual(ref.driven(ref.cd()), inv, hbar=ref.hbar)
     drift = np.abs(tracked.eigenvalues - tracked.eigenvalues[0]).max(axis=1)
     spread = max(np.abs(fbar).max(), 1e-300)
     columns = ["time", "eigenvalue_drift", "von_neumann_residual"]
@@ -450,34 +467,14 @@ def _invariant_scenario(conf: dict, out_dir: Path) -> dict:
 
 
 _RUNNERS = {
-    "exact_cd": _driven_scenario,
-    "variational": _driven_scenario,
-    "algebraic": _driven_scenario,
-    "krylov": _driven_scenario,
-    "trotter": _trotter_scenario,
-    "ff": _ff_scenario,
-    "qsl": _qsl_scenario,
-    "invariant": _invariant_scenario,
+    **dict.fromkeys(("exact_cd", "variational", "algebraic", "krylov"), _driven_scenario),
+    "trotter": _trotter_scenario, "ff": _ff_scenario, "qsl": _qsl_scenario, "invariant": _invariant_scenario,
 }
-
-_VALID_COMBOS = {
-    "landau_zener": set(METHODS),
-    "tfim_chain": {"exact_cd", "variational", "krylov", "qsl", "trotter", "invariant"},
-    "random_hermitian": {"exact_cd", "variational", "algebraic", "krylov", "trotter", "qsl"},
-    "grid_1d": {"ff"},
-}
-
 
 def run_scenario(conf: dict, out_dir: Path) -> dict:
-    if conf["method"] not in _VALID_COMBOS[conf["system"]]:
-        raise ConfigError(
-            f"method {conf['method']!r} is not supported for system {conf['system']!r}"
-        )
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = _RUNNERS[conf["method"]](conf, out_dir)
-    csv_name = conf["output"].get("csv", "timeseries.csv")
-    summary_name = conf["output"].get("summary", "summary.json")
-    write_csv(out_dir / csv_name, result["columns"], result["rows"])
+    result = _RUNNERS[conf["method"]](conf)
+    write_csv(out_dir / conf["output"]["csv"], result["columns"], result["rows"])
     summary = {
         "tool": "shortcut-forge",
         "version": __version__,
@@ -487,22 +484,15 @@ def run_scenario(conf: dict, out_dir: Path) -> dict:
         "config": conf,
         **result["summary"],
     }
-    write_summary(out_dir / summary_name, summary)
+    write_summary(out_dir / conf["output"]["summary"], summary)
     return summary
 
 
 def cmd_run(args) -> int:
-    try:
-        conf = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    conf = load_config(args.config)
     out_dir = Path(args.out) if args.out else Path(args.config).with_suffix("")
     try:
         summary = run_scenario(conf, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ShortcutForgeError as exc:
         print(f"numerical failure [{type(exc).__module__}.{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
@@ -532,7 +522,10 @@ def _load_run(d: Path):
         raise ConfigError(f"no CSV {csv_path.name} in {d}")
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"unreadable CSV {csv_path}: {exc}") from exc
     return summary, header, data
 
 
@@ -544,12 +537,8 @@ def _tolerance_for(column: str, tols: dict, default: float) -> float:
 
 
 def cmd_compare(args) -> int:
-    try:
-        sum_a, head_a, data_a = _load_run(Path(args.run_a))
-        sum_b, head_b, data_b = _load_run(Path(args.run_b))
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    sum_a, head_a, data_a = _load_run(Path(args.run_a))
+    sum_b, head_b, data_b = _load_run(Path(args.run_b))
     if sum_a.get("scenario_hash") != sum_b.get("scenario_hash"):
         print("mismatch: runs come from different scenarios (scenario_hash differs)", file=sys.stderr)
         return 2
@@ -569,43 +558,29 @@ def cmd_compare(args) -> int:
     return worst
 
 
-def _sweep_one(payload):
-    conf, out_dir = payload
-    return run_scenario(conf, Path(out_dir))
-
-
 def _set_by_path(conf: dict, dotted: str, value):
-    keys = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = conf
-    for k in keys[:-1]:
-        if k not in node or not isinstance(node[k], dict):
-            raise ConfigError(f"sweep parameter path {dotted!r} not found in config")
-        node = node[k]
-    leaf = keys[-1]
-    if leaf not in node:
+    for k in parents:
+        node = node.get(k) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"sweep parameter path {dotted!r} not found in config")
     old = node[leaf]
-    node[leaf] = type(old)(value) if not isinstance(old, str) else str(value)
+    if isinstance(old, str):
+        value = str(value)
+    elif isinstance(old, float) and _has_type(value, old):
+        value = float(value)
+    node[leaf] = value
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    values = args.values.split(",")
+    base = load_config(args.config)
     out_root = Path(args.out) if args.out else Path(args.config).with_suffix("")
     jobs = []
-    try:
-        for v in values:
-            conf = json.loads(json.dumps(base))
-            _set_by_path(conf, args.param, json.loads(v) if _is_number(v) else v)
-            conf = validate_config(conf)
-            jobs.append((conf, str(out_root / f"{args.param.replace('.', '_')}={v}")))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    for v in args.values.split(","):
+        conf = copy.deepcopy(base)
+        _set_by_path(conf, args.param, _sweep_value(v))
+        jobs.append((validate_config(conf), str(out_root / f"{args.param.replace('.', '_')}={v}")))
     workers = min(cfg.thread_cap(), len(jobs))
     failures = 0
     if workers > 1:
@@ -618,17 +593,17 @@ def cmd_sweep(args) -> int:
     return 3 if failures else 0
 
 
-def _is_number(s: str) -> bool:
+def _sweep_value(s: str):
     try:
-        json.loads(s)
-        return True
+        return json.loads(s)
     except json.JSONDecodeError:
-        return False
+        return s
 
 
 def _sweep_one_safe(payload):
+    conf, out_dir = payload
     try:
-        return _sweep_one(payload)
+        return run_scenario(conf, Path(out_dir))
     except ShortcutForgeError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -662,7 +637,11 @@ def main(argv=None) -> int:
     p_swp.add_argument("--out", default=None)
     p_swp.set_defaults(func=cmd_sweep)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

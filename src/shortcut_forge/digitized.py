@@ -21,6 +21,9 @@ import numpy as np
 from . import config
 from .dynamics import fidelity, step_unitary
 
+ORDERINGS = ("h-then-cd", "cd-then-h")   # operator order within a slice
+SAMPLINGS = ("right", "midpoint")        # where each slice samples H and H_cd
+
 
 @dataclass
 class TrotterPlan:
@@ -34,9 +37,9 @@ class TrotterPlan:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.ordering not in ("h-then-cd", "cd-then-h"):
+        if self.ordering not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        if self.sampling not in ("right", "midpoint"):
+        if self.sampling not in SAMPLINGS:
             raise ValueError(f"unknown sampling {self.sampling!r}")
 
     @property
@@ -151,10 +154,15 @@ def digitization_error(
     return _fit_scaling(M_list, values, metric)
 
 
+def fit_spans(M_list) -> bool:
+    """Whether ascending slice counts support the scaling fit: >= 4 values over >= two octaves."""
+    return len(M_list) >= 4 and M_list[-1] >= 4 * M_list[0]
+
+
 def _fit_scaling(M_list: np.ndarray, values: np.ndarray, metric: str) -> ScalingReport:
     """The log-log slope fit of ``digitization_error`` on values already
     measured at each M of the ascending M_list."""
-    if len(M_list) < 4 or M_list[-1] < 4 * M_list[0]:
+    if not fit_spans(M_list):
         raise ValueError("need >= 4 values of M spanning at least two octaves")
     used = values > 10 * ERROR_FLOOR
     report = ScalingReport(

@@ -68,8 +68,7 @@ def landau_zener(
 
     The gap is 2 sqrt(lambda^2 + delta^2), minimal (2 delta) at lambda = 0.
     """
-    maker = Schedule.linear if shape == "linear" else Schedule.smoothstep
-    sched = maker(lam_start, lam_stop, duration)
+    sched = Schedule.of_shape(shape, lam_start, lam_stop, duration)
     return DrivenSystem(H_terms=[SZ], H0=delta * SX, schedule=sched, name="landau_zener")
 
 
@@ -99,8 +98,7 @@ def tfim_chain(
     Hx = np.zeros_like(Hzz)
     for i in range(n_sites):
         Hx = Hx + _site_operator("X", i, n_sites)
-    maker = Schedule.linear if shape == "linear" else Schedule.smoothstep
-    sched = maker(lam_start, lam_stop, duration)
+    sched = Schedule.of_shape(shape, lam_start, lam_stop, duration)
     # H(lam) = -h Hx + lam * (h Hx - J Hzz)
     return DrivenSystem(
         H_terms=[field * Hx - coupling * Hzz], H0=-field * Hx, schedule=sched, name="tfim_chain"
@@ -120,8 +118,7 @@ def random_hermitian_ramp(
     rng = np.random.default_rng(seed)
     H0 = random_hermitian(dim, rng)
     H1 = random_hermitian(dim, rng)
-    maker = Schedule.linear if shape == "linear" else Schedule.smoothstep
-    sched = maker(0.0, 1.0, duration)
+    sched = Schedule.of_shape(shape, 0.0, 1.0, duration)
     return DrivenSystem(H_terms=[H1], H0=H0, schedule=sched, name=f"random_hermitian[{dim},{seed}]")
 
 

@@ -58,3 +58,14 @@ class Schedule:
             return (b - a) * dp
 
         return cls(duration, value=val, derivative=der)
+
+    @classmethod
+    def of_shape(cls, shape: str, start, stop, duration: float) -> "Schedule":
+        """The ramp named ``shape`` (a key of ``SHAPES``) from start to stop."""
+        if shape not in SHAPES:
+            raise ValueError(f"unknown schedule shape {shape!r}; choose from {tuple(SHAPES)}")
+        return SHAPES[shape](start, stop, duration)
+
+
+#: schedule constructors by shape name
+SHAPES = {"linear": Schedule.linear, "smoothstep": Schedule.smoothstep}
