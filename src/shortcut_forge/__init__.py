@@ -14,7 +14,6 @@ from .errors import (
     GridTooCoarseError,
     HermiticityError,
     IllConditionedError,
-    NumericalFailureError,
     ShortcutForgeError,
     SpanningError,
 )
@@ -71,25 +70,8 @@ from .invariants import (
     lr_phase,
     structure_constants,
 )
-from .fastforward import (
-    FFGauge,
-    FFPhases,
-    TimeRescaling,
-    ff_hamiltonian,
-    ff_nonadiabatic_hamiltonian,
-    ff_nonadiabatic_term,
-    ff_of_cd,
-    nonadiabatic_phases,
-    regularized_hamiltonian,
-)
-from .gridff import (
-    GridSystem1D,
-    ff_potential,
-    ff_wavefunction,
-    phase_from_continuity,
-    potentials_from_wavefunction,
-    split_step_evolve,
-)
+from .fastforward import FFGauge, TimeRescaling, ff_hamiltonian, ff_of_cd
+from .gridff import GridSystem1D, ff_potential, phase_from_continuity, split_step_evolve
 from .digitized import (
     ScalingReport,
     TrotterPlan,

@@ -101,6 +101,12 @@ _RULES = {
     "parameters.dim": (lambda v: v >= 2, "at least 2"),
     "parameters.n_sites": (lambda v: 2 <= v <= 10, "between 2 and 10"),
     "parameters.schedule_shape": (lambda v: v in SHAPES, f"one of {tuple(SHAPES)}"),
+    # the 1-D grid: the second-difference stencil needs three points
+    "parameters.x_points": (lambda v: v >= 3, "at least 3"),
+    "parameters.x_extent": (lambda v: v > 0, "positive"),
+    "parameters.mass": (lambda v: v > 0, "positive"),
+    "parameters.width_start": (lambda v: v > 0, "positive"),
+    "parameters.width_stop": (lambda v: v > 0, "positive"),
     "trotter.M_list": (lambda v: fit_spans(sorted(v)) and min(v) >= 1,
                        "at least 4 positive slice counts spanning at least two octaves"),
     "trotter.ordering": (lambda v: v in ORDERINGS, f"one of {ORDERINGS}"),
@@ -408,7 +414,8 @@ def _grid_ff_scenario(conf: dict) -> dict:
                              mass=p["mass"])
     extent = p["x_extent"]
     x = np.linspace(-extent / 2, extent / 2, p["x_points"], endpoint=False)
-    grid_sys = GridSystem1D(x=x, mass=ramp.mass, r=lambda t: ramp.amplitude(x, t))
+    grid_sys = GridSystem1D(x=x, mass=ramp.mass, r=lambda t: ramp.amplitude(x, t),
+                            drdt=lambda t: ramp.amplitude_rate(x, t))
     theta = lambda t: phase_from_continuity(grid_sys, t, hbar=hbar)
     T_ff = ramp.duration / rate
     rescale = TimeRescaling.uniform(rate, T_ff)

@@ -35,7 +35,3 @@ class IllConditionedError(ShortcutForgeError):
 
 class ConfigError(ShortcutForgeError):
     """Scenario configuration failed validation."""
-
-
-class NumericalFailureError(ShortcutForgeError):
-    """A scenario run aborted on a numerical failure (degeneracy, ill-conditioning, ...)."""

@@ -1,12 +1,15 @@
 """Coordinate-space fast-forward on a uniform 1-D grid.
 
 Given a target amplitude r(x, t), the phase theta(x, t) follows from the
-continuity condition Im V = 0, the trapping potential from the real part of
-the inverted Schrodinger equation, and the fast-forward potential from the
-time-rescaled phase choice f = (ds/dt - 1) theta. A split-step Fourier
-integrator (periodic boundary) serves as the independent reference for
-acceptance checks; the construction itself uses second-order central
-differences only.
+continuity equation d_x(r^2 d_x theta) = -(m/hbar) d_t(r^2), the reference
+potential from inverting the Schrodinger equation for r e^{i theta}, and the
+fast-forward potential from the time-rescaled phase choice
+f = (ds/dt - 1) theta(s). This is the coordinate form of the generator
+relation in ``fastforward``: the state r(x, s) e^{i (ds/dt) theta(x, s)}
+reproduces the reference density r(x, s(t))^2 on the rescaled clock, with
+the phase entering e^{+i f} as there. A split-step Fourier integrator
+(periodic boundary) serves as the independent reference for acceptance
+checks; the construction itself uses second-order central differences only.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from .fastforward import TimeRescaling
 
 @dataclass
 class GridSystem1D:
-    """Uniform grid, particle mass, and the target amplitude r(x, t) >= 0."""
+    """Uniform grid, particle mass, the target amplitude r(x, t) >= 0 and its
+    time derivative."""
 
     x: np.ndarray
     mass: float
     r: Callable[[float], np.ndarray]           # t -> amplitude on the grid
-    drdt: Callable[[float], np.ndarray] | None = None
+    drdt: Callable[[float], np.ndarray]        # t -> d_t r on the grid
     r_floor: float = 1e-8
 
     def __post_init__(self):
@@ -49,10 +53,7 @@ class GridSystem1D:
         return r * r
 
     def density_rate(self, t: float) -> np.ndarray:
-        if self.drdt is not None:
-            return 2.0 * np.asarray(self.r(t)) * np.asarray(self.drdt(t))
-        h = 1e-6
-        return (self.density(t + h) - self.density(t - h)) / (2 * h)
+        return 2.0 * np.asarray(self.r(t)) * np.asarray(self.drdt(t))
 
 
 def _grad(f: np.ndarray, dx: float) -> np.ndarray:
@@ -97,42 +98,6 @@ def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float | None = Non
     return theta
 
 
-def potentials_from_wavefunction(
-    grid: GridSystem1D,
-    theta_of_t: Callable[[float], np.ndarray],
-    t: float,
-    hbar: float | None = None,
-    fd_step: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Re V, Im V) reconstructed from amplitude and phase at time t.
-
-    Re V = -hbar d_t theta + hbar^2/2m [ (d_x^2 r)/r - (d_x theta)^2 ];
-    Im V = hbar (d_t r)/r + hbar^2/2m [ d_x^2 theta + 2 (d_x theta)(d_x r)/r ].
-    Im V is a diagnostic: it vanishes when theta solves the continuity
-    equation. Outside the amplitude support the potentials are continued
-    with their nearest defined value.
-    """
-    hb = config.hbar(hbar)
-    r = np.asarray(grid.r(t), dtype=float)
-    th = theta_of_t(t)
-    dth_dt = (theta_of_t(t + fd_step) - theta_of_t(t - fd_step)) / (2 * fd_step)
-    if grid.drdt is not None:
-        drdt = np.asarray(grid.drdt(t))
-    else:
-        drdt = (np.asarray(grid.r(t + fd_step)) - np.asarray(grid.r(t - fd_step))) / (2 * fd_step)
-    live = r > grid.r_floor
-    inv_r = np.zeros_like(r)
-    inv_r[live] = 1.0 / r[live]
-    grad_th = _grad(th, grid.dx)
-    reV = -hb * dth_dt + hb**2 / (2 * grid.mass) * (_lap(r, grid.dx) * inv_r - grad_th**2)
-    imV = hb * drdt * inv_r + hb**2 / (2 * grid.mass) * (
-        _lap(th, grid.dx) + 2 * grad_th * _grad(r, grid.dx) * inv_r
-    )
-    reV = _continue_outside(reV, live)
-    imV = _continue_outside(imV, live)
-    return reV, imV
-
-
 def _continue_outside(V: np.ndarray, live: np.ndarray) -> np.ndarray:
     if live.all():
         return V
@@ -149,39 +114,39 @@ def ff_potential(
     rescale: TimeRescaling,
     t: float,
     hbar: float | None = None,
-    fd_step: float = 1e-6,
 ) -> np.ndarray:
     """Real fast-forward potential at time t for the phase choice
     f = (ds/dt - 1) theta(s):
 
     V_FF = Re V(s) - hbar s'' theta(s) - hbar (s'^2 - 1) d_s theta(s)
-           - hbar^2/2m (s'^2 - 1) (d_x theta(s))^2.
+           - hbar^2/2m (s'^2 - 1) (d_x theta(s))^2,
+
+    where Re V = -hbar d_s theta + hbar^2/2m [(d_x^2 r)/r - (d_x theta)^2] is
+    the reference potential of r e^{i theta}. Outside the amplitude support
+    Re V is continued with its nearest defined value. d_s theta is a central
+    difference whose step, T_ref / n_points on the reference clock, shrinks
+    with dx: the potential stays second order in dx without the step falling
+    to where rounding in theta dominates.
     """
     hb = config.hbar(hbar)
     s = rescale.s(t)
     sp = rescale.dsdt(t)
     spp = rescale.d2sdt2(t)
-    reV, _ = potentials_from_wavefunction(grid, theta_of_t, s, hbar=hbar, fd_step=fd_step)
+    r = np.asarray(grid.r(s), dtype=float)
     th = theta_of_t(s)
-    dth_ds = (theta_of_t(s + fd_step) - theta_of_t(s - fd_step)) / (2 * fd_step)
+    h = rescale.s(rescale.T_ff) / len(grid.x)
+    dth_ds = (theta_of_t(s + h) - theta_of_t(s - h)) / (2 * h)
+    live = r > grid.r_floor
+    inv_r = np.zeros_like(r)
+    inv_r[live] = 1.0 / r[live]
     grad_th = _grad(th, grid.dx)
+    reV = -hb * dth_ds + hb**2 / (2 * grid.mass) * (_lap(r, grid.dx) * inv_r - grad_th**2)
     return (
-        reV
+        _continue_outside(reV, live)
         - hb * spp * th
         - hb * (sp**2 - 1.0) * dth_ds
         - hb**2 / (2 * grid.mass) * (sp**2 - 1.0) * grad_th**2
     )
-
-
-def ff_wavefunction(
-    grid: GridSystem1D,
-    theta_of_t: Callable[[float], np.ndarray],
-    rescale: TimeRescaling,
-    t: float,
-) -> np.ndarray:
-    """Target fast-forward state r(x, s) e^{i (ds/dt) theta(x, s)}."""
-    s = rescale.s(t)
-    return np.asarray(grid.r(s), dtype=complex) * np.exp(1j * rescale.dsdt(t) * theta_of_t(s))
 
 
 def split_step_evolve(

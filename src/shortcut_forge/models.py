@@ -150,6 +150,11 @@ class GaussianWidthRamp:
         w = self.width(t)
         return (np.pi * w**2) ** -0.25 * np.exp(-(x**2) / (2 * w**2))
 
+    def amplitude_rate(self, x: np.ndarray, t: float) -> np.ndarray:
+        """d_t r = r (x^2/w^3 - 1/(2w)) wdot."""
+        w = self.width(t)
+        return self.amplitude(x, t) * (x**2 / w**3 - 1 / (2 * w)) * self.width_rate(t)
+
     def theta_exact(self, x: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
         w, wd = self.width(t), self.width_rate(t)
         return self.mass * wd * x**2 / (2 * hbar * w)

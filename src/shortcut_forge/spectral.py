@@ -39,7 +39,6 @@ class EigenPath:
     grid: np.ndarray
     energies: np.ndarray           # (n_t, D), continuity-tracked order
     vectors: np.ndarray            # (n_t, D, D), columns are modes
-    eps_gap: float
     gauge: str = "smooth-overlap"
     degenerate_points: list = field(default_factory=list)
 
@@ -56,13 +55,6 @@ class EigenPath:
     def min_gap(self, i: int) -> float:
         E = np.sort(self.energies[i])
         return float(np.diff(E).min())
-
-    def require_nondegenerate(self, i: int) -> None:
-        g = self.min_gap(i)
-        if g < self.eps_gap:
-            raise DegeneracyError(
-                f"gap {g:.3e} below eps_gap {self.eps_gap:.3e} at t = {self.grid[i]}"
-            )
 
 
 def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
@@ -141,7 +133,7 @@ def eigenpath(
 
     energies = np.array(Es)
     vectors = np.array(Vs)
-    path = EigenPath(grid=grid, energies=energies, vectors=vectors, eps_gap=eps_gap)
+    path = EigenPath(grid=grid, energies=energies, vectors=vectors)
     for i in range(len(grid)):
         g = path.min_gap(i)
         if g < eps_gap:

@@ -133,10 +133,7 @@ def _pair_conf(system, method, grid_points=None):
 
 
 #: pairs that stop with a numerical failure at their defaults, by error class
-_FAILING_AT_DEFAULTS = {
-    **{("tfim_chain", m): "GridTooCoarseError" for m in cli._VALID_COMBOS["tfim_chain"]},
-    ("grid_1d", "ff"): "IllConditionedError",
-}
+_FAILING_AT_DEFAULTS = {("tfim_chain", m): "GridTooCoarseError" for m in cli._VALID_COMBOS["tfim_chain"]}
 
 
 def _pairs():
@@ -336,6 +333,12 @@ _LZ = {"system": "landau_zener", "grid_points": 21}
     ({"system": "grid_1d", "method": "ff", "grid_points": 21}, "grid_points"),
     ({**_LZ, "method": "algebraic", "parameters": {"dim": 4}}, "parameters.dim"),
     ({"system": "grid_1d", "method": "exact_cd"}, "exact_cd"),
+    ({"system": "grid_1d", "method": "ff", "parameters": {"x_points": 0}}, "parameters.x_points"),
+    ({"system": "grid_1d", "method": "ff", "parameters": {"x_points": 2}}, "parameters.x_points"),
+    ({"system": "grid_1d", "method": "ff", "parameters": {"mass": 0}}, "parameters.mass"),
+    ({"system": "grid_1d", "method": "ff", "parameters": {"x_extent": 0}}, "parameters.x_extent"),
+    ({"system": "grid_1d", "method": "ff", "parameters": {"width_start": 0}}, "parameters.width_start"),
+    ({"system": "grid_1d", "method": "ff", "parameters": {"width_stop": -1.0}}, "parameters.width_stop"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, conf, key):
     rc, _ = _run_conf(tmp_path, conf)
