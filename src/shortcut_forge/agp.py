@@ -21,6 +21,16 @@ A vanishing drive dH = 0 has a zero counterdiabatic term.
 Operator sets are (n, D, D) arrays throughout, and every set-wise Frobenius
 product is one ``gram_matrix`` call.
 
+Time stacks. Every route takes H and dH either as single (D, D) matrices or
+as (n, D, D) time stacks, as sampled in ``dynamics.STACK_BYTES`` chunks by
+the kernels that walk a grid; a stack runs one batched pass. The chain keeps
+a per-time length (a time drops out of the recurrence where its chain
+terminates, and a vanishing drive gives an empty chain), the Krylov systems
+are solved by one vectorized Thomas elimination with least squares only at
+times whose pivot fails, the algebraic support is a per-time mask over the
+trial basis, and Hermiticity is checked per time. A single matrix is the
+n = 1 case of the same code.
+
 Sign convention: the solved coefficients are real and multiply the Hermitian
 operators stored in ``basis_ops`` (i*hbar times an anti-Hermitian chain
 element, or -hbar times a Hermitian trial element). The convention is pinned
@@ -34,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
+from .dynamics import STACK_BYTES
 from .errors import DimensionMismatchError
 from .operators import OperatorBasis, commutator, frobenius_norm, gram_matrix
 
@@ -43,8 +54,10 @@ class LinearCDSystem:
     """B a = u for approximate counterdiabatic coefficients.
 
     B is real symmetric positive semidefinite; for the krylov method it is
-    tridiagonal. ``basis_ops`` is the (n, D, D) stack of Hermitian operators
+    tridiagonal. ``basis_ops`` is the (k, D, D) stack of Hermitian operators
     the solved coefficients multiply; an empty system keeps D in its shape.
+    A time-stacked system carries a leading time axis on B (n, k, k), u
+    (n, k) and basis_ops (n, k, D, D).
     """
 
     B: np.ndarray
@@ -55,7 +68,7 @@ class LinearCDSystem:
 
     @property
     def size(self) -> int:
-        return len(self.u)
+        return self.u.shape[-1]
 
     @property
     def empty(self) -> bool:
@@ -71,41 +84,69 @@ class KrylovChain:
     normalizations, with b[0] = ||dH||.
     ``b_next`` is the would-be next normalization: below the termination
     tolerance for a naturally complete chain, finite when truncated by k_max.
+    A time-stacked chain has ops (n, K, D, D), b (n, K) and b_next, term_tol
+    and ``length`` of shape (n,); each time's rows past its length are zero.
     """
 
     ops: np.ndarray
     b: np.ndarray
-    b_next: float
-    term_tol: float
+    b_next: float | np.ndarray
+    term_tol: float | np.ndarray
+    length: int | np.ndarray
 
     @property
     def K(self) -> int:
-        return len(self.ops)
+        return self.ops.shape[-3]
 
     @property
     def dim(self) -> int:
-        return self.ops.shape[1]
+        return self.ops.shape[-1]
+
+
+def _as_stacks(H, dH):
+    """(single, H, dH) with H and dH as complex (n, D, D) stacks."""
+    H = np.asarray(H, dtype=complex)
+    dH = np.asarray(dH, dtype=complex)
+    if H.shape != dH.shape:
+        raise DimensionMismatchError(f"H has shape {H.shape}, dH has shape {dH.shape}")
+    single = H.ndim == 2
+    return single, H.reshape((-1,) + H.shape[-2:]), dH.reshape((-1,) + H.shape[-2:])
 
 
 def algebraic_system(
-    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float | None = None
+    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float | None = None,
+    support: np.ndarray | None = None,
 ) -> LinearCDSystem:
     """Algebraic system over a Hermitian orthonormal trial basis.
 
     B_kl = ([H, L_k]|[H, L_l]) and u_k carries the inner product of the
     commutator condition with L_k; the solved coefficients multiply
-    basis_ops[k] = -hbar * L_k.
+    basis_ops[k] = -hbar * L_k. ``support``, a boolean mask over the basis
+    (one row per time for stacks), restricts each time's system to its
+    support: rows and columns outside it are zero, so the minimum-norm
+    solution leaves those coefficients at zero.
     """
     if len(trial_basis) == 0:
         raise ValueError("trial basis is empty")
     hb = config.hbar(hbar)
-    if H.shape != trial_basis.elements[0].shape:
+    single, H, dH = _as_stacks(H, dH)
+    if H.shape[1:] != trial_basis.elements[0].shape:
         raise DimensionMismatchError("trial basis dimension does not match H")
     L = trial_basis.elements
-    LH = H @ L - L @ H
+    n, m, D = len(H), len(L), trial_basis.dim
+    LH = H[:, None] @ L - L @ H[:, None]
     B = gram_matrix(LH).real
-    u = (1j * gram_matrix(LH, dH[None])[:, 0]).real
-    return LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=-hb * L)
+    u = (1j * gram_matrix(LH, dH[:, None])[..., 0]).real
+    meta = {}
+    if support is not None:
+        keep = np.asarray(support, dtype=bool).reshape(len(H), len(L))
+        B *= keep[:, :, None] & keep[:, None, :]
+        u *= keep
+        meta["support"] = keep[0] if single else keep
+    ops = np.broadcast_to(-hb * L, (len(H),) + L.shape)
+    if single:
+        return LinearCDSystem(B=B[0], u=u[0], method="algebraic", basis_ops=ops[0], metadata=meta)
+    return LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=ops, metadata=meta)
 
 
 def krylov_chain(
@@ -117,50 +158,76 @@ def krylov_chain(
     """Lanczos three-term recurrence on the Liouvillian with full
     re-orthogonalization; terminates at b < term_tol * b_0 or k_max.
 
-    The chain is held as one (K, D^2) stack, and each new operator is
+    The chain is held as one (n, K, D^2) stack, and each new operator is
     projected off all earlier ones with one stacked product. A second pass
-    runs only when the first removed more than half of ||W||^2 (the
-    Daniel-Gragg-Kaufman-Stewart test) and left more than the termination
-    norm. The chain length satisfies K <= D^2 - D + 1.
+    runs only at times where the first removed more than half of ||W||^2
+    (the Daniel-Gragg-Kaufman-Stewart test) and left more than the
+    termination norm. Each time leaves the recurrence where its own chain
+    terminates; a time with dH = 0 has an empty chain (a single dH = 0 is a
+    ValueError). The chain length satisfies K <= D^2 - D + 1.
     """
-    H = np.asarray(H, dtype=complex)
-    dH = np.asarray(dH, dtype=complex)
-    if H.shape != dH.shape:
-        raise DimensionMismatchError(f"H has shape {H.shape}, dH has shape {dH.shape}")
-    D = H.shape[0]
-    b0 = np.sqrt(np.vdot(dH, dH).real / D)
-    if b0 == 0.0:
+    single, H, dH = _as_stacks(H, dH)
+    n, D = len(H), H.shape[1]
+    b0 = np.sqrt(_norm2(dH.reshape(n, D * D)) / D)
+    if single and b0[0] == 0.0:
         raise ValueError("dH vanishes; no Krylov chain exists")
     hard_cap = D * D - D + 1
     k_max = hard_cap if k_max is None else max(1, min(k_max, hard_cap))
     tol = (1e-10 if term_tol is None else term_tol) * b0
     tol2 = tol * tol * D            # tol^2 in the unnormalized |W|^2
-    # grown geometrically: k_max may lie far beyond where the chain terminates
-    Q = np.empty((min(k_max, 16), D * D), dtype=complex)
-    Q[0] = dH.ravel() / b0
-    bs = [b0]
+    live = b0 > 0.0
+    # grown geometrically: k_max may lie far beyond where the chains terminate
+    Q = np.zeros((n, min(k_max, 16), D * D), dtype=complex)
+    Q[:, 0] = dH.reshape(n, D * D) / np.where(live, b0, 1.0)[:, None]
+    bs = np.zeros((n, Q.shape[1]))
+    bs[:, 0] = b0
+    length = live.astype(int)
+    b_next = np.zeros(n)
     K = 1
-    while True:
-        W = commutator(H, Q[K - 1].reshape(D, D)).ravel()
+    while live.any():
+        q = Q[:, K - 1].reshape(n, D, D)
+        W = (H @ q - q @ H).reshape(n, D * D)
         if K > 1:
-            W -= bs[-1] * Q[K - 2]
-        w2 = np.vdot(W, W).real
-        for _ in range(2):
-            # W -= sum_j Q_j (Q_j|W), conjugating W rather than the stack
-            W -= ((Q[:K] @ W.conj()).conj() / D) @ Q[:K]
-            r2 = np.vdot(W, W).real
-            if r2 > 0.5 * w2 or r2 < tol2:
-                break
-            w2 = r2
+            W -= bs[:, K - 1, None] * Q[:, K - 2]
+        w2 = _norm2(W)
+        # ended chains have zero rows from here on, so one pass over all times
+        # is exact for them; the second pass runs only where the test asks
+        W -= _projection(Q[:, :K], W, D)
+        r2 = _norm2(W)
+        again = np.nonzero(live & (r2 <= 0.5 * w2) & (r2 >= tol2))[0]
+        if len(again):
+            W[again] -= _projection(Q[again, :K], W[again], D)
+            r2[again] = _norm2(W[again])
         b = np.sqrt(r2 / D)
-        if b < tol or K == k_max:
+        b_next = np.where(live, b, b_next)
+        live = live & ~((b < tol) | (K == k_max))
+        if not live.any():
             break
-        if K == len(Q):
-            Q = np.concatenate([Q, np.empty((min(K, k_max - K), D * D), dtype=complex)])
-        Q[K] = W / b
-        bs.append(b)
+        if K == Q.shape[1]:
+            grow = min(K, k_max - K)
+            Q = np.concatenate([Q, np.zeros((n, grow, D * D), dtype=complex)], axis=1)
+            bs = np.concatenate([bs, np.zeros((n, grow))], axis=1)
+        Q[live, K] = W[live] / b[live, None]
+        bs[live, K] = b[live]
+        length += live
         K += 1
-    return KrylovChain(ops=Q[:K].reshape(K, D, D), b=np.array(bs), b_next=float(b), term_tol=tol)
+    ops = Q[:, :K].reshape(n, K, D, D)
+    if single:
+        L = int(length[0])
+        return KrylovChain(ops=ops[0, :L], b=bs[0, :L], b_next=float(b_next[0]), term_tol=float(tol[0]), length=L)
+    return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, term_tol=tol, length=length)
+
+
+def _norm2(W: np.ndarray) -> np.ndarray:
+    """|W_t|^2 for each row of an (n, D^2) stack."""
+    return np.einsum("ti,ti->t", W.conj(), W).real
+
+
+def _projection(Q: np.ndarray, W: np.ndarray, D: int) -> np.ndarray:
+    """sum_j Q_j (Q_j|W) per time for chains Q (n, K, D^2) and W (n, D^2),
+    conjugating W rather than the stack."""
+    coef = (Q @ W[:, :, None].conj()).conj() / D
+    return (Q.swapaxes(1, 2) @ coef)[..., 0]
 
 
 def krylov_system(chain: KrylovChain, hbar: float | None = None) -> LinearCDSystem:
@@ -169,79 +236,123 @@ def krylov_system(chain: KrylovChain, hbar: float | None = None) -> LinearCDSyst
     B_kl = (b_{2k-1}^2 + b_{2k}^2) delta_kl + b_{2k-2} b_{2k-1} delta_{k,l+1}
     + b_{2k} b_{2k+1} delta_{k+1,l}; u_k = -b_0 b_1 delta_{k1}. Size
     floor(K/2); a chain with K < 2 means the counterdiabatic term is zero and
-    the returned system is empty.
+    the returned system is empty. In a time-stacked system the shorter
+    systems are padded with identity rows and zero right-hand side, so their
+    padded coefficients solve to zero.
     """
     hb = config.hbar(hbar)
-    K = chain.K
-    nb = K // 2
-    if nb == 0:
-        return LinearCDSystem(B=np.zeros((0, 0)), u=np.zeros(0), method="krylov",
-                              basis_ops=np.zeros((0, chain.dim, chain.dim), dtype=complex),
-                              metadata={"K": K, "empty_reason": "K < 2"})
-    b = chain.b.tolist() + [chain.b_next]      # b_K: the terminating/truncation value
-    B = np.zeros((nb, nb))
-    for k in range(1, nb + 1):
-        B[k - 1, k - 1] = b[2 * k - 1] ** 2 + b[2 * k] ** 2
-        if k < nb:
-            B[k - 1, k] = B[k, k - 1] = b[2 * k] * b[2 * k + 1]
-    u = np.zeros(nb)
-    u[0] = -b[0] * b[1]
-    ops = 1j * hb * chain.ops[1:2 * nb:2]
-    return LinearCDSystem(B=B, u=u, method="krylov", basis_ops=ops, metadata={"K": K})
+    single = chain.ops.ndim == 3
+    ops = chain.ops[None] if single else chain.ops
+    n, K, D = ops.shape[0], ops.shape[1], chain.dim
+    length = np.reshape(chain.length, n)
+    nb = length // 2
+    kb = int(nb.max())
+    # b_k for k <= K, with b_length the terminating/truncation value
+    b = np.zeros((n, K + 2))
+    b[:, :K] = np.reshape(chain.b, (n, -1))[:, :K]
+    b[np.arange(n), length] = np.reshape(chain.b_next, n)
+    k = np.arange(1, kb + 1)
+    inside = k[None, :] <= nb[:, None]
+    B = np.zeros((n, kb, kb))
+    d = np.where(inside, b[:, 2 * k - 1] ** 2 + b[:, 2 * k] ** 2, 1.0)
+    B[:, k - 1, k - 1] = d
+    if kb > 1:
+        off = np.where(k[None, :-1] < nb[:, None], b[:, 2 * k[:-1]] * b[:, 2 * k[:-1] + 1], 0.0)
+        B[:, k[:-1] - 1, k[:-1]] = B[:, k[:-1], k[:-1] - 1] = off
+    u = np.zeros((n, kb))
+    if kb:
+        u[:, 0] = np.where(nb > 0, -b[:, 0] * b[:, 1], 0.0)
+    basis_ops = 1j * hb * ops[:, 1:2 * kb:2]
+    meta = {"K": int(length[0]) if single else length}
+    if kb == 0:
+        meta["empty_reason"] = "K < 2"
+    if single:
+        return LinearCDSystem(B=B[0], u=u[0], method="krylov", basis_ops=basis_ops[0], metadata=meta)
+    return LinearCDSystem(B=B, u=u, method="krylov", basis_ops=basis_ops, metadata=meta)
 
 
 def solve_cd(system: LinearCDSystem) -> np.ndarray:
     """Solve B a = u.
 
     Krylov systems (symmetric positive definite, tridiagonal) use an O(k)
-    Thomas elimination. Dense systems, and a Krylov system that meets a
-    non-positive pivot, are solved by minimum-norm least squares with a
-    relative rank tolerance of 1e-12, so rank deficiency yields a
-    deterministic solution (recorded in metadata) instead of an error.
+    Thomas elimination, vectorized over the times of a stack. Dense systems,
+    and the times of a Krylov system that meet a non-positive pivot, are
+    solved by minimum-norm least squares with a relative rank tolerance of
+    1e-12, so rank deficiency yields a deterministic solution (recorded in
+    metadata, per time for a stack) instead of an error.
     """
+    single = system.u.ndim == 1
+    B = system.B[None] if single else system.B
+    u = system.u[None] if single else system.u
     if system.empty:
-        return np.zeros(0)
-    B, u = system.B, system.u
+        return np.zeros(u.shape[-1:] if single else u.shape)
     if system.method == "krylov":
-        a = _solve_spd_tridiagonal(B, u)
-        if a is not None:
-            return a
-    a, _, rank, _ = np.linalg.lstsq(B, u, rcond=1e-12)
-    if rank < system.size:
+        a, ok = _solve_spd_tridiagonal(B, u)
+    else:
+        a, ok = np.zeros_like(u), np.zeros(len(u), dtype=bool)
+    deficiency = np.zeros(len(u), dtype=int)
+    todo = np.nonzero(~ok)[0]
+    if len(todo):
+        a[todo], rank = _min_norm_solve(B[todo], u[todo])
+        size = system.size
+        if "support" in system.metadata:
+            size = np.reshape(system.metadata["support"], (len(u), -1))[todo].sum(axis=1)
+        deficiency[todo] = size - rank
+    if deficiency.any():
         # min-norm coefficients have no component along the trial-span kernel
-        system.metadata["rank_deficiency"] = int(system.size - rank)
-    return a
+        system.metadata["rank_deficiency"] = int(deficiency[0]) if single else deficiency
+    return a[0] if single else a
 
 
-def _solve_spd_tridiagonal(B: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-    """Thomas elimination without pivoting (stable for SPD B); None when a
-    pivot is not positive. Plain floats: the systems are short."""
-    d, off, x = np.diagonal(B).tolist(), np.diagonal(B, 1).tolist(), u.tolist()
-    for i in range(1, len(x)):
-        if not d[i - 1] > 0.0:
-            return None
-        m = off[i - 1] / d[i - 1]
-        d[i] -= m * off[i - 1]
-        x[i] -= m * x[i - 1]
-    if not d[-1] > 0.0:
-        return None
-    x[-1] /= d[-1]
-    for i in range(len(x) - 2, -1, -1):
-        x[i] = (x[i] - off[i] * x[i + 1]) / d[i]
-    return np.array(x)
+def _min_norm_solve(B: np.ndarray, u: np.ndarray, rcond: float = 1e-12):
+    """Minimum-norm least-squares solutions of a stack of symmetric systems
+    and their ranks. The singular values of a symmetric B are its |eigenvalues|;
+    those at or below rcond times each system's largest are dropped, as in
+    ``np.linalg.lstsq``."""
+    w, V = np.linalg.eigh(B)
+    s = np.abs(w)
+    keep = s > rcond * s.max(axis=1, keepdims=True)
+    inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    coef = inv * (V.swapaxes(1, 2) @ u[..., None])[..., 0]
+    return (V @ coef[..., None])[..., 0], keep.sum(axis=1)
+
+
+def _solve_spd_tridiagonal(B: np.ndarray, u: np.ndarray):
+    """Thomas elimination without pivoting (stable for SPD B) over a stack
+    of systems; returns the solutions and a mask of the systems whose pivots
+    all stayed positive (the others hold no solution)."""
+    d = np.diagonal(B, axis1=1, axis2=2).copy()
+    off = np.diagonal(B, 1, axis1=1, axis2=2)
+    x = u.copy()
+    ok = np.ones(len(u), dtype=bool)
+    for i in range(1, x.shape[1]):
+        ok &= d[:, i - 1] > 0.0
+        m = off[:, i - 1] / np.where(ok, d[:, i - 1], 1.0)
+        d[:, i] -= m * off[:, i - 1]
+        x[:, i] -= m * x[:, i - 1]
+    ok &= d[:, -1] > 0.0
+    piv = np.where(ok[:, None], d, 1.0)
+    x[:, -1] /= piv[:, -1]
+    for i in range(x.shape[1] - 2, -1, -1):
+        x[:, i] = (x[:, i] - off[:, i] * x[:, i + 1]) / piv[:, i]
+    return x, ok
 
 
 def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:
-    """H_cd = sum_k a_k basis_ops[k]; Hermitian within 1e-10 by construction.
+    """H_cd = sum_k a_k basis_ops[k]; Hermitian within 1e-10 by construction,
+    checked at each time of a stack.
 
-    An empty system assembles to the D x D zero matrix.
+    An empty system assembles to the D x D zero matrix (one per time).
     """
-    if len(a) != system.size:
-        raise ValueError(f"coefficient length {len(a)} != system size {system.size}")
-    out = np.tensordot(a, system.basis_ops, axes=1)
-    dev = np.abs(out - out.conj().T).max()
-    if dev > 1e-10 * max(np.abs(out).max(), 1e-300):
-        raise AssertionError(f"assembled counterdiabatic term not Hermitian: dev {dev:.3e}")
+    a = np.asarray(a)
+    if a.shape != system.u.shape:
+        raise ValueError(f"coefficient shape {a.shape} != system shape {system.u.shape}")
+    out = np.einsum("...k,...kij->...ij", a, system.basis_ops)
+    stack = out.reshape((-1,) + out.shape[-2:])
+    dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1e-300)
+    if (dev > 1e-10 * scale).any():
+        raise AssertionError(f"assembled counterdiabatic term not Hermitian: dev {dev.max():.3e}")
     return out
 
 
@@ -270,19 +381,34 @@ def krylov_cd(
     hbar: float | None = None,
 ) -> np.ndarray:
     """Counterdiabatic operator from the Krylov route (full chain by default);
-    zero when the drive dH vanishes."""
-    if frobenius_norm(dH) == 0.0:
-        return np.zeros(np.shape(H), dtype=complex)
-    system = krylov_system(krylov_chain(H, dH, k_max=k_max, term_tol=term_tol), hbar=hbar)
-    return assemble_cd(system, solve_cd(system))
+    zero where the drive dH vanishes."""
+    single, Hs, dHs = _as_stacks(H, dH)
+    system = krylov_system(krylov_chain(Hs, dHs, k_max=k_max, term_tol=term_tol), hbar=hbar)
+    out = assemble_cd(system, solve_cd(system))
+    return out[0] if single else out
 
 
 def algebraic_cd(
-    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float | None = None
+    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float | None = None,
+    support: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Counterdiabatic operator from the algebraic route over a trial basis."""
-    system = algebraic_system(H, dH, trial_basis, hbar=hbar)
-    return assemble_cd(system, solve_cd(system))
+    """Counterdiabatic operator from the algebraic route over a trial basis,
+    restricted at each time to ``support`` when given (see ``algebraic_system``).
+
+    Each time expands into one commutator per basis element, so a time stack
+    runs in sub-stacks whose (n, len(basis), D, D) commutator stack fits
+    ``STACK_BYTES``.
+    """
+    single, H, dH = _as_stacks(H, dH)
+    support = None if support is None else np.reshape(support, (len(H), -1))
+    step = max(1, STACK_BYTES // (16 * trial_basis.elements.size))
+    out = np.empty_like(H)
+    for s in range(0, len(H), step):
+        part = slice(s, s + step)
+        system = algebraic_system(H[part], dH[part], trial_basis, hbar=hbar,
+                                  support=None if support is None else support[part])
+        out[part] = assemble_cd(system, solve_cd(system))
+    return out[0] if single else out
 
 
 def variational_cd(
@@ -306,20 +432,19 @@ def odd_commutator_support(
     basis: OperatorBasis,
     max_order: int | None = None,
     tol: float = 1e-10,
-) -> list[int]:
-    """Indices of basis elements appearing in the first max_order odd nested
-    commutators (all of them by default).
+):
+    """Basis elements appearing in the first max_order odd nested
+    commutators (all of them by default): their index list for one time, a
+    boolean (n, len(basis)) mask for a time stack.
 
     Those commutators span the same space as the odd operators of the Krylov
-    chain, so one Gram matrix holds the overlap of every basis element with
+    chain, so one product holds the overlap of every basis element with
     every Q_{2k-1} (unit norm); an element is in the support when any of its
-    overlaps exceeds tol in magnitude. The returned sublist is the natural
-    trial basis for the algebraic route. A vanishing drive has empty support.
+    overlaps exceeds tol in magnitude. The support is the natural trial basis
+    for the algebraic route. A vanishing drive has empty support.
     """
-    if frobenius_norm(dH) == 0.0:
-        return []
+    single, Hs, dHs = _as_stacks(H, dH)
     k_max = None if max_order is None else 2 * max_order
-    odd = krylov_chain(H, dH, k_max=k_max).ops[1::2]
-    overlap = np.abs(gram_matrix(basis.elements, odd))
-    return np.nonzero((overlap > tol).any(axis=1))[0].tolist()
-
+    odd = krylov_chain(Hs, dHs, k_max=k_max).ops[:, 1::2]
+    mask = (np.abs(gram_matrix(basis.elements, odd)) > tol).any(axis=2)
+    return np.nonzero(mask[0])[0].tolist() if single else mask

@@ -14,7 +14,8 @@ one JSON summary per scenario, byte-for-byte reproducible for a fixed config,
 seed and version on one platform.
 
 Exit codes: 0 success, 1 compare mismatch, 2 config error (the message names
-the key), 3 numerical failure. SHORTCUT_FORGE_THREADS caps sweep parallelism.
+the key), 3 numerical failure, 4 internal error (any other exception; its
+traceback goes to stderr). SHORTCUT_FORGE_THREADS caps sweep parallelism.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import fnmatch
 import hashlib
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property
 from pathlib import Path
@@ -36,7 +38,7 @@ from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, _fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
-from .dynamics import evolve, fidelity, step_unitary
+from .dynamics import evolve, fidelity, sample, step_unitary
 from .errors import ConfigError, ShortcutForgeError
 from .fastforward import TimeRescaling, ff_of_cd
 from .gridff import GridSystem1D, ff_potential, phase_from_continuity, split_step_evolve
@@ -84,10 +86,13 @@ _METHOD_KEYS = {
 }
 #: keys that the tables give a pair but its runner does not read: the
 #: random_hermitian Trotter baseline splits the constant pair (H0, H1) with
-#: the plain product, and the 1-D grid steps its own x grid and time steps
+#: the plain product, the other Trotter runs need the ground states at 0 and
+#: T only, and the 1-D grid steps its own x grid and time steps
 _UNREAD = {
     ("random_hermitian", "trotter"): ("grid_points", "parameters.schedule_shape", "trotter.ordering",
                                       "trotter.sampling"),
+    ("landau_zener", "trotter"): ("grid_points",),
+    ("tfim_chain", "trotter"): ("grid_points",),
     ("landau_zener", "ff"): ("ff.n_steps",),
     ("grid_1d", "ff"): ("grid_points",),
 }
@@ -249,14 +254,16 @@ def _canonical_basis(dim: int):
 class _Reference:
     """The adiabatic reference of a matrix scenario on [0, T] (T defaults to
     the schedule's duration): the system, the grid and its eigenpath, the
-    initial ground state ``psi0`` and the ``target`` that follows it."""
+    initial ground state ``psi0`` and the ``target`` that follows it. A
+    config without ``grid_points`` (a Trotter run) has the grid [0, T]. The
+    time callables it hands out are time-stacked."""
 
     def __init__(self, conf: dict, T: float | None = None):
         self.conf = conf
         self.hbar = conf["hbar"]
         self.system = _build_system(conf)
         self.T = self.system.duration if T is None else T
-        self.grid = np.linspace(0.0, self.T, conf["grid_points"])
+        self.grid = np.linspace(0.0, self.T, conf.get("grid_points", 2))
         self.path = eigenpath(self.system.hamiltonian, self.grid)
         self.psi0 = self.path.vectors[0][:, 0]
 
@@ -282,9 +289,7 @@ class _Reference:
         def cd(t):
             Ht, dHt = H(t), dH(t)
             support = odd_commutator_support(Ht, dHt, basis, max_order=order)
-            if not support:
-                return np.zeros_like(Ht)
-            return algebraic_cd(Ht, dHt, basis.subset(support), hbar=hbar)
+            return algebraic_cd(Ht, dHt, basis, hbar=hbar, support=support)
 
         return cd
 
@@ -309,7 +314,7 @@ def _driven_scenario(conf: dict) -> dict:
         columns += [f"population_{n}" for n in range(ref.system.dim)]
         cols += list(ref.populations(traj.states).T)
         basis = _canonical_basis(ref.system.dim)
-        cds = np.array([cd_of_t(t) for t in ref.grid])
+        cds = sample(cd_of_t, ref.grid)
         columns += [f"cd_coeff_{lab.lower()}" for lab in basis.labels]
         cols += list(gram_matrix(basis.elements, cds).real)
     rows = np.column_stack(cols)
@@ -343,8 +348,9 @@ def _trotter_scenario(conf: dict) -> dict:
         return {"columns": ["m", "state_error"], "rows": rows, "summary": _fit_summary(report)}
 
     ref = _Reference(conf, tr.get("total_time"))
-    T, psi0, dim = ref.T, ref.psi0, ref.system.dim
-    target = ref.target.final()
+    T, psi0 = ref.T, ref.psi0
+    # the infidelity drops the phase, so the ground state at T is the target
+    target = ref.path.vectors[-1][:, ref.path.energies[-1].argmin()]
     cd_of_t = ref.cd()
     H_tot = ref.driven(cd_of_t)
     M_list = np.asarray(sorted(tr["M_list"]), dtype=int)
@@ -353,17 +359,15 @@ def _trotter_scenario(conf: dict) -> dict:
         plan = TrotterPlan(M=int(M), T=T, ordering=tr["ordering"], sampling=tr["sampling"])
         steps_dig = trotter_step_unitaries(ref.system.hamiltonian, cd_of_t, plan, hbar=hbar)
         slice_grid = np.linspace(0.0, T, int(M) + 1)
-        # each slice: 8 midpoint exponentials of H + H_cd
+        # each slice: 8 midpoint exponentials of H + H_cd, one time stack per sub-step
+        sub = np.linspace(slice_grid[:-1], slice_grid[1:], 9, axis=1)
+        steps_exact = np.eye(ref.system.dim, dtype=complex)
+        for j in range(8):
+            tm = 0.5 * (sub[:, j] + sub[:, j + 1])
+            steps_exact = step_unitary(sample(H_tot, tm), sub[:, j + 1] - sub[:, j], hbar=hbar) @ steps_exact
         exact_states, psi_dig = [psi0], psi0
-        steps_exact = []
         for n in range(int(M)):
-            sub = np.linspace(slice_grid[n], slice_grid[n + 1], 9)
-            U = np.eye(dim, dtype=complex)
-            for j in range(8):
-                tm = 0.5 * (sub[j] + sub[j + 1])
-                U = step_unitary(H_tot(tm), sub[j + 1] - sub[j], hbar=hbar) @ U
-            steps_exact.append(U)
-            exact_states.append(U @ exact_states[-1])
+            exact_states.append(steps_exact[n] @ exact_states[-1])
             psi_dig = steps_dig[n] @ psi_dig
         rep = qsl_discrete(steps_exact, steps_dig, np.array(exact_states), grid=slice_grid)
         infidelity.append(1.0 - fidelity(target, psi_dig))
@@ -460,7 +464,7 @@ def _invariant_scenario(conf: dict) -> dict:
     grid, path = ref.grid, ref.path
     fbar = np.arange(ref.system.dim, dtype=float)
     inv = DynamicalInvariant.from_modes(grid, path.vectors, fbar)
-    tracked = DynamicalInvariant.from_operator(grid, lambda t: inv.operators[path.index_of(t)])
+    tracked = DynamicalInvariant.from_operator(grid, lambda t: inv.operators[[path.index_of(s) for s in t]])
     res = invariant_residual(ref.driven(ref.cd()), inv, hbar=ref.hbar)
     drift = np.abs(tracked.eigenvalues - tracked.eigenvalues[0]).max(axis=1)
     spread = max(np.abs(fbar).max(), 1e-300)
@@ -649,6 +653,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error: stopped on an unexpected exception (traceback above)", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

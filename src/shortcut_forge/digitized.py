@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .dynamics import fidelity, step_unitary
+from .dynamics import fidelity, sample, step_unitary
 
 ORDERINGS = ("h-then-cd", "cd-then-h")   # operator order within a slice
 SAMPLINGS = ("right", "midpoint")        # where each slice samples H and H_cd
@@ -46,33 +46,31 @@ class TrotterPlan:
     def dt(self) -> float:
         return self.T / self.M
 
-    def sample_time(self, n: int) -> float:
-        """Sampling time of slice n (1-based)."""
+    def sample_time(self, n):
+        """Sampling time of slice n (1-based), or of an array of slices."""
         if self.sampling == "right":
             return n * self.T / self.M
         return (n - 0.5) * self.T / self.M
 
 
 def trotter_step_unitaries(
-    H_of_t: Callable[[float], np.ndarray],
-    cd_of_t: Callable[[float], np.ndarray],
+    H_of_t: Callable[[np.ndarray], np.ndarray],
+    cd_of_t: Callable[[np.ndarray], np.ndarray],
     plan: TrotterPlan,
     hbar: float | None = None,
 ) -> list[np.ndarray]:
-    """Per-slice unitaries of the digitized counterdiabatic product."""
+    """Per-slice unitaries of the digitized counterdiabatic product, built
+    from one time stack of each term."""
     hb = config.hbar(hbar)
-    out = []
-    for n in range(1, plan.M + 1):
-        tn = plan.sample_time(n)
-        Uh = step_unitary(np.asarray(H_of_t(tn), dtype=complex), plan.dt, hbar=hb)
-        Uc = step_unitary(np.asarray(cd_of_t(tn), dtype=complex), plan.dt, hbar=hb)
-        out.append(Uh @ Uc if plan.ordering == "h-then-cd" else Uc @ Uh)
-    return out
+    tn = plan.sample_time(np.arange(1, plan.M + 1))
+    Uh = step_unitary(sample(H_of_t, tn), plan.dt, hbar=hb)
+    Uc = step_unitary(sample(cd_of_t, tn), plan.dt, hbar=hb)
+    return list(Uh @ Uc if plan.ordering == "h-then-cd" else Uc @ Uh)
 
 
 def trotter_cd_evolve(
-    H_of_t: Callable[[float], np.ndarray],
-    cd_of_t: Callable[[float], np.ndarray],
+    H_of_t: Callable[[np.ndarray], np.ndarray],
+    cd_of_t: Callable[[np.ndarray], np.ndarray],
     plan: TrotterPlan,
     psi0: np.ndarray,
     return_intermediate: bool = False,
@@ -118,8 +116,8 @@ class ScalingReport:
 
 
 def digitization_error(
-    H_of_t: Callable[[float], np.ndarray],
-    cd_of_t: Callable[[float], np.ndarray],
+    H_of_t: Callable[[np.ndarray], np.ndarray],
+    cd_of_t: Callable[[np.ndarray], np.ndarray],
     T: float,
     M_list,
     target: np.ndarray,
@@ -209,5 +207,6 @@ def trotter_baseline_error(
     hb = config.hbar(hbar)
     target = step_unitary(np.asarray(A + B, dtype=complex), T, hbar=hb) @ np.asarray(psi0, dtype=complex)
     return digitization_error(
-        lambda t: A, lambda t: B, T, M_list, target, metric=metric, psi0=psi0, hbar=hb
+        lambda t: np.broadcast_to(A, (len(t),) + A.shape), lambda t: np.broadcast_to(B, (len(t),) + B.shape),
+        T, M_list, target, metric=metric, psi0=psi0, hbar=hb
     )

@@ -5,6 +5,14 @@ The propagator exponentiates the midpoint Hamiltonian of each step by
 eigendecomposition, so every step is exactly unitary and the global error is
 O(dt^2). Population invariants at the 1e-7 level need norm preservation by
 construction, which generic adaptive ODE steppers do not guarantee.
+
+Time stacks. A time callable such as ``H_of_t`` maps a 1-D array of n times
+to an (n, D, D) stack; ``stack_at`` enforces that contract. Kernels walk a
+grid in chunks (``time_chunks``): the first chunk holds one time and fixes D,
+every later one holds as many times as fit one complex (n, D, D) stack into
+``STACK_BYTES`` (1024 times at D = 2, 64 at D = 8, 16 at D = 16, 1 at
+D >= 64), and each chunk is one batched eigendecomposition. Only the state
+recursion runs point by point.
 """
 
 from __future__ import annotations
@@ -16,6 +24,35 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatchError
+
+#: byte budget of one complex (n, D, D) time stack
+STACK_BYTES = 64 * 1024
+
+
+def stack_at(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> np.ndarray:
+    """H_of_t(times) as a complex (n, D, D) stack; any other shape is a ValueError."""
+    H = np.asarray(H_of_t(times), dtype=complex)
+    if H.ndim != 3 or H.shape[0] != len(times) or H.shape[1] != H.shape[2]:
+        raise ValueError(f"a time callable must map {len(times)} times to an ({len(times)}, D, D) stack, "
+                         f"got shape {H.shape}")
+    return H
+
+
+def time_chunks(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray):
+    """Yield (start, H_of_t(times[start:start + n])) over consecutive chunks of
+    ``times``: one time first, then chunks of the ``STACK_BYTES`` budget."""
+    times = np.asarray(times, dtype=float)
+    start, n = 0, 1
+    while start < len(times):
+        H = stack_at(H_of_t, times[start:start + n])
+        yield start, H
+        start += n
+        n = max(1, STACK_BYTES // (16 * H.shape[1] ** 2))
+
+
+def sample(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> np.ndarray:
+    """The whole (n, D, D) stack of H_of_t on ``times``, evaluated chunk by chunk."""
+    return np.concatenate([H for _, H in time_chunks(H_of_t, times)])
 
 
 @dataclass
@@ -40,17 +77,21 @@ class StateTrajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def step_unitary(H: np.ndarray, dt: float, hbar: float | None = None) -> np.ndarray:
-    """exp(-i dt H / hbar) by eigendecomposition; exactly unitary at desk scale."""
+def step_unitary(H: np.ndarray, dt, hbar: float | None = None) -> np.ndarray:
+    """exp(-i dt H / hbar) by eigendecomposition; exactly unitary at desk scale.
+
+    H is one (D, D) matrix or an (n, D, D) stack, dt a number or one step per
+    matrix."""
     hb = config.hbar(hbar)
     if not np.isfinite(H).all():
         raise ValueError("Hamiltonian contains non-finite entries")
     E, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * E * dt / hb)[None, :]) @ V.conj().T
+    phase = np.exp(-1j * E * np.asarray(dt, dtype=float)[..., None] / hb)
+    return (V * phase[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def evolve(
-    H_of_t: Callable[[float], np.ndarray],
+    H_of_t: Callable[[np.ndarray], np.ndarray],
     psi0: np.ndarray,
     grid: np.ndarray,
     steps_per_interval: int = 1,
@@ -59,25 +100,31 @@ def evolve(
     """Propagate psi0 along a time grid under H(t).
 
     Each grid interval is split into ``steps_per_interval`` sub-steps; each
-    sub-step applies the exponential of the midpoint Hamiltonian.
+    sub-step applies the exponential of the midpoint Hamiltonian. The
+    midpoint Hamiltonians are evaluated and diagonalized one time chunk at a
+    time; the state then steps through the chunk in order.
     """
     hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
+    per = steps_per_interval
+    dt = np.repeat(np.diff(grid) / per, per)
+    tm = np.repeat(grid[:-1], per) + (np.tile(np.arange(per), len(grid) - 1) + 0.5) * dt
     states = np.empty((len(grid), len(psi)), dtype=complex)
     states[0] = psi
-    for i in range(len(grid) - 1):
-        dt = (grid[i + 1] - grid[i]) / steps_per_interval
-        for j in range(steps_per_interval):
-            tm = grid[i] + (j + 0.5) * dt
-            H = np.asarray(H_of_t(tm), dtype=complex)
-            if not np.isfinite(H).all():
-                raise ValueError(f"Hamiltonian contains non-finite entries at t = {tm}")
-            E, V = np.linalg.eigh(H)
-            psi = V @ (np.exp(-1j * E * dt / hb) * (V.conj().T @ psi))
-        states[i + 1] = psi
+    for start, H in time_chunks(H_of_t, tm):
+        finite = np.isfinite(H).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"Hamiltonian contains non-finite entries at t = {tm[start + np.argmin(finite)]}")
+        E, V = np.linalg.eigh(H)
+        phase = np.exp(-1j * E * dt[start:start + len(H), None] / hb)
+        Vh = V.conj().swapaxes(1, 2)
+        for k in range(len(H)):
+            psi = V[k] @ (phase[k] * (Vh[k] @ psi))
+            if (start + k + 1) % per == 0:
+                states[(start + k + 1) // per] = psi
     return StateTrajectory(
         grid=grid, states=states, steps_per_interval=steps_per_interval, hbar=hb
     )

@@ -111,7 +111,9 @@ def ff_of_cd(
     This is ``ff_hamiltonian`` of H + H_cd in the gauge
     hbar df_n/dt = (ds/dt - 1) E_n(s) on adiabatic projectors: the reference
     term keeps its strength while the counterdiabatic term is amplified by
-    the rate.
+    the rate. For a 1-D array of times t, H_of_s and cd_of_s get the array
+    s(t) and the result is the (n, D, D) stack.
     """
     s = rescale.s(t)
-    return np.asarray(H_of_s(s), dtype=complex) + rescale.dsdt(t) * np.asarray(cd_of_s(s), dtype=complex)
+    rate = np.asarray(rescale.dsdt(t), dtype=float)[..., None, None]
+    return np.asarray(H_of_s(s), dtype=complex) + rate * np.asarray(cd_of_s(s), dtype=complex)

@@ -13,8 +13,9 @@ from typing import Callable
 import numpy as np
 
 from . import config
+from .dynamics import sample, time_chunks
 from .errors import GaugeDiscontinuityError
-from .operators import OperatorBasis, commutator, frobenius_norm, gram_matrix
+from .operators import OperatorBasis, gram_matrix
 from .spectral import _align_frames
 
 
@@ -54,33 +55,32 @@ class DynamicalInvariant:
         return cls(grid=np.asarray(grid, float), operators=ops, eigenvalues=ev, vectors=modes)
 
     @classmethod
-    def from_operator(cls, grid: np.ndarray, F_of_t: Callable[[float], np.ndarray]):
-        """Diagonalize a supplied F(t) on the grid with smooth-gauge tracking."""
+    def from_operator(cls, grid: np.ndarray, F_of_t: Callable[[np.ndarray], np.ndarray]):
+        """Diagonalize a supplied time-stacked F(t) on the grid, one ``eigh``
+        call per time chunk, with smooth-gauge tracking in order."""
         grid = np.asarray(grid, dtype=float)
         ops, evs, vecs = [], [], []
-        prev = None
-        for t in grid:
-            F = np.asarray(F_of_t(t), dtype=complex)
+        for _, F in time_chunks(F_of_t, grid):
             E, V = np.linalg.eigh(F)
-            if prev is not None:
-                E, V, _ = _align_frames(prev, E, V)
-            ops.append(F)
-            evs.append(E)
-            vecs.append(V)
-            prev = V
+            for k in range(len(F)):
+                e, v = (E[k], V[k]) if not vecs else _align_frames(vecs[-1], E[k], V[k])[:2]
+                ops.append(F[k])
+                evs.append(e)
+                vecs.append(v)
         return cls(grid=grid, operators=np.array(ops), eigenvalues=np.array(evs), vectors=np.array(vecs))
 
 
 def invariant_residual(
-    H_of_t: Callable[[float], np.ndarray],
-    F: DynamicalInvariant | Callable[[float], np.ndarray],
+    H_of_t: Callable[[np.ndarray], np.ndarray],
+    F: DynamicalInvariant | Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray | None = None,
     hbar: float | None = None,
 ) -> np.ndarray:
     """Per-time von Neumann defect ||i hbar dF/dt - [H, F]|| (Frobenius norm).
 
     dF/dt is taken by centered differences on the grid (one-sided at the
-    ends), so the grid must resolve the invariant's motion.
+    ends), so the grid must resolve the invariant's motion. H_of_t (and F,
+    when it is a callable) are time-stacked and evaluated chunk by chunk.
     """
     hb = config.hbar(hbar)
     if isinstance(F, DynamicalInvariant):
@@ -90,14 +90,15 @@ def invariant_residual(
         if grid is None:
             raise ValueError("grid required when F is a callable")
         grid = np.asarray(grid, dtype=float)
-        ops = np.array([np.asarray(F(t), dtype=complex) for t in grid])
+        ops = sample(F, grid)
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points for centered differences")
     dF = np.gradient(ops, grid, axis=0, edge_order=2)
     out = np.empty(len(grid))
-    for i, t in enumerate(grid):
-        H = np.asarray(H_of_t(t), dtype=complex)
-        out[i] = frobenius_norm(1j * hb * dF[i] - commutator(H, ops[i]))
+    for start, H in time_chunks(H_of_t, grid):
+        Fc = ops[start:start + len(H)]
+        X = 1j * hb * dF[start:start + len(H)] - (H @ Fc - Fc @ H)
+        out[start:start + len(H)] = np.sqrt(np.einsum("tij,tij->t", X.conj(), X).real / X.shape[-1])
     return out
 
 
@@ -111,7 +112,7 @@ def _check_mode_continuity(modes: np.ndarray, overlap_min: float = 0.9) -> None:
 
 
 def lr_phase(
-    H_of_t: Callable[[float], np.ndarray],
+    H_of_t: Callable[[np.ndarray], np.ndarray],
     phi: np.ndarray,
     grid: np.ndarray,
     hbar: float | None = None,
@@ -128,8 +129,10 @@ def lr_phase(
     _check_mode_continuity(phi[:, :, None])
     ov = np.einsum("ti,ti->t", phi[:-1].conj(), phi[1:])
     deriv_inc = -np.imag(ov)  # (1/hbar) * i*hbar <phi|dphi> integrated over the interval
-    energy = np.array([np.real(np.vdot(phi[i], np.asarray(H_of_t(t), dtype=complex) @ phi[i]))
-                       for i, t in enumerate(grid)])
+    energy = np.empty(len(grid))
+    for start, H in time_chunks(H_of_t, grid):
+        p = phi[start:start + len(H)]
+        energy[start:start + len(H)] = np.einsum("ti,ti->t", p.conj(), (H @ p[..., None])[..., 0]).real
     dt = np.diff(grid)
     energy_inc = 0.5 * (energy[:-1] + energy[1:]) * dt / hb
     alpha = np.zeros(len(grid))

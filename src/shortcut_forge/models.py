@@ -37,23 +37,26 @@ class DrivenSystem:
         return self.schedule.duration
 
     def H_of_lambda(self, lam: np.ndarray) -> np.ndarray:
-        lam = np.atleast_1d(lam)
-        H = self.H0.copy()
-        for li, Hi in zip(lam, self.H_terms):
-            H = H + li * Hi
+        """H at a parameter vector, or the (n, D, D) stack at an (n, p) array of them."""
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        H = np.broadcast_to(self.H0, lam.shape[:-1] + self.H0.shape)
+        for i, Hi in enumerate(self.H_terms):
+            H = H + lam[..., i, None, None] * Hi
         return H
 
     def dH_dlambda(self, lam: np.ndarray, i: int = 0) -> np.ndarray:
         return self.H_terms[i]
 
-    def hamiltonian(self, t: float) -> np.ndarray:
+    def hamiltonian(self, t) -> np.ndarray:
+        """H(t) at a time, or the (n, D, D) stack at a 1-D array of times."""
         return self.H_of_lambda(self.schedule(t))
 
-    def dhamiltonian(self, t: float) -> np.ndarray:
+    def dhamiltonian(self, t) -> np.ndarray:
+        """dH/dt at a time, or the (n, D, D) stack at a 1-D array of times."""
         rate = self.schedule.rate(t)
-        dH = np.zeros_like(self.H0)
-        for ri, Hi in zip(rate, self.H_terms):
-            dH = dH + ri * Hi
+        dH = np.zeros(rate.shape[:-1] + self.H0.shape, dtype=self.H0.dtype)
+        for i, Hi in enumerate(self.H_terms):
+            dH = dH + rate[..., i, None, None] * Hi
         return dH
 
 

@@ -128,13 +128,15 @@ class OperatorBasis:
 
 
 def gram_matrix(X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """G[i, j] = (X_i|Y_j) for stacks X (n, D, D) and Y (m, D, D); Y = X by default."""
+    """G[..., i, j] = (X_i|Y_j) for stacks X (..., n, D, D) and Y (..., m, D, D);
+    Y = X by default, and leading axes broadcast (one Gram matrix per time of
+    a time stack)."""
     X = np.asarray(X)
     Y = X if Y is None else np.asarray(Y)
-    n, D = X.shape[:2]
-    if Y.shape[1:] != X.shape[1:]:
-        raise DimensionMismatchError(f"operands have shapes {X.shape[1:]} and {Y.shape[1:]}")
-    return X.reshape(n, D * D).conj() @ Y.reshape(len(Y), D * D).T / D
+    D = X.shape[-1]
+    if Y.shape[-2:] != X.shape[-2:]:
+        raise DimensionMismatchError(f"operands have shapes {X.shape[-2:]} and {Y.shape[-2:]}")
+    return X.reshape(X.shape[:-2] + (D * D,)).conj() @ Y.reshape(Y.shape[:-2] + (D * D,)).swapaxes(-1, -2) / D
 
 
 def pauli_matrix(label: str) -> np.ndarray:

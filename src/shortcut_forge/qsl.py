@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .dynamics import StateTrajectory, cumulative_trapezoid
+from .dynamics import StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
 
 
 @dataclass
@@ -48,37 +48,39 @@ class BoundReport:
         return bool((self.margin() >= -tol).all())
 
 
-def stddev_in_state(X: np.ndarray, psi: np.ndarray) -> float:
-    """Standard deviation of a Hermitian operator in a pure state.
+def stddev_in_state(X: np.ndarray, psi: np.ndarray):
+    """Standard deviation of a Hermitian operator in a pure state, or one per
+    time for stacks X (n, D, D) and psi (n, D).
 
     Computed as the norm of the deviation vector (X - <X>)|psi>, which is
     algebraically <X^2> - <X>^2 without the catastrophic cancellation of the
     explicit difference when the deviation is tiny.
     """
-    Xp = X @ psi
-    mean = np.vdot(psi, Xp)
-    return float(np.linalg.norm(Xp - mean * psi))
+    Xp = (X @ psi[..., None])[..., 0]
+    mean = np.sum(psi.conj() * Xp, axis=-1, keepdims=True)
+    out = np.linalg.norm(Xp - mean * psi, axis=-1)
+    return out if out.ndim else float(out)
 
 
 def qsl_continuous(
-    H1_of_t: Callable[[float], np.ndarray],
-    H2_of_t: Callable[[float], np.ndarray],
+    H1_of_t: Callable[[np.ndarray], np.ndarray],
+    H2_of_t: Callable[[np.ndarray], np.ndarray],
     reference: StateTrajectory,
     other: StateTrajectory | None = None,
     hbar: float | None = None,
 ) -> BoundReport:
     """Continuous bound from the reference trajectory (solving either H_1 or H_2).
 
-    The integrand L(t_i) is evaluated on the reference grid and accumulated
-    with the trapezoid rule. When the other trajectory is supplied the
-    per-time |overlap| is reported alongside for the inequality check.
+    The integrand L(t_i) is evaluated on the reference grid, one time stack
+    per chunk, and accumulated with the trapezoid rule. When the other
+    trajectory is supplied the per-time |overlap| is reported alongside for
+    the inequality check.
     """
     hb = config.hbar(hbar)
     grid = reference.grid
     L = np.empty(len(grid))
-    for i, t in enumerate(grid):
-        dHm = np.asarray(H1_of_t(t), dtype=complex) - np.asarray(H2_of_t(t), dtype=complex)
-        L[i] = stddev_in_state(dHm, reference.states[i])
+    for start, dHm in time_chunks(lambda t: stack_at(H1_of_t, t) - stack_at(H2_of_t, t), grid):
+        L[start:start + len(dHm)] = stddev_in_state(dHm, reference.states[start:start + len(dHm)])
     angle = cumulative_trapezoid(L, grid) / hb
     observed = None
     if other is not None:

@@ -12,34 +12,32 @@ import numpy as np
 class Schedule:
     """A vector-valued parameter path on [0, duration].
 
-    ``value(t)`` returns lambda(t) as a 1-D array; ``derivative`` falls back
-    to centered finite differences when no analytic form is supplied.
+    ``value(t)`` returns lambda(t) and ``derivative(t)`` its time derivative,
+    each of shape t.shape + (p,): one p-vector for a time, an (n, p) array
+    for an array of n times.
     """
 
     duration: float
-    value: Callable[[float], np.ndarray]
-    derivative: Callable[[float], np.ndarray] | None = None
+    value: Callable[[np.ndarray], np.ndarray]
+    derivative: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
-    def __call__(self, t: float) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.value(t), dtype=float))
+    def __call__(self, t) -> np.ndarray:
+        return np.asarray(self.value(t), dtype=float)
 
-    def rate(self, t: float) -> np.ndarray:
-        if self.derivative is not None:
-            return np.atleast_1d(np.asarray(self.derivative(t), dtype=float))
-        h = max(self.duration * 1e-7, 1e-10)
-        lo, hi = max(t - h, 0.0), min(t + h, self.duration)
-        return (self(hi) - self(lo)) / (hi - lo)
+    def rate(self, t) -> np.ndarray:
+        return np.asarray(self.derivative(t), dtype=float)
 
     @classmethod
     def linear(cls, start, stop, duration: float) -> "Schedule":
         a = np.atleast_1d(np.asarray(start, dtype=float))
         b = np.atleast_1d(np.asarray(stop, dtype=float))
         slope = (b - a) / duration
-        return cls(duration, value=lambda t: a + slope * t, derivative=lambda t: slope.copy())
+        return cls(duration, value=lambda t: a + np.multiply.outer(t, slope),
+                   derivative=lambda t: np.broadcast_to(slope, np.shape(t) + slope.shape).copy())
 
     @classmethod
     def smoothstep(cls, start, stop, duration: float) -> "Schedule":
@@ -48,14 +46,14 @@ class Schedule:
         b = np.atleast_1d(np.asarray(stop, dtype=float))
 
         def val(t):
-            u = np.clip(t / duration, 0.0, 1.0)
+            u = np.clip(np.asarray(t) / duration, 0.0, 1.0)
             p = u**3 * (10 - 15 * u + 6 * u**2)
-            return a + (b - a) * p
+            return a + np.multiply.outer(p, b - a)
 
         def der(t):
-            u = np.clip(t / duration, 0.0, 1.0)
+            u = np.clip(np.asarray(t) / duration, 0.0, 1.0)
             dp = 30 * u**2 * (1 - u) ** 2 / duration
-            return (b - a) * dp
+            return np.multiply.outer(dp, b - a)
 
         return cls(duration, value=val, derivative=der)
 

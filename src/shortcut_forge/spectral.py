@@ -9,6 +9,11 @@ read off the overlap matrix directly when every mode has a partner with
 squared overlap above 1/2, which makes it the unique best assignment; only
 ambiguous frames go to an assignment solver (scipy's linear_sum_assignment,
 imported on first use), so importing this module loads numpy alone.
+
+Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
+1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
+grid one ``STACK_BYTES`` chunk per ``eigh`` call and aligns the frames in
+order, and ``counterdiabatic_term`` takes one matrix or an (n, D, D) stack.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .dynamics import StateTrajectory, cumulative_trapezoid
+from .dynamics import StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
 from .errors import DegeneracyError, GridTooCoarseError
 
 
@@ -52,10 +57,6 @@ class EigenPath:
             raise ValueError(f"t = {t} is not a grid point of this path")
         return i
 
-    def min_gap(self, i: int) -> float:
-        E = np.sort(self.energies[i])
-        return float(np.diff(E).min())
-
 
 def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
     """Match modes of V_cur to V_prev by overlap and fix phases; returns
@@ -85,7 +86,7 @@ def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
 
 
 def eigenpath(
-    H_of_t: Callable[[float], np.ndarray],
+    H_of_t: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
     eps_gap: float | None = None,
     overlap_min: float = 0.9,
@@ -93,27 +94,21 @@ def eigenpath(
 ) -> EigenPath:
     """Diagonalize H(t) on a grid with smooth gauge and continuity tracking.
 
-    If consecutive mode overlaps fall below ``overlap_min`` the interval is
-    bisected internally (the output grid is unchanged) up to ``max_refine``
-    levels, then GridTooCoarseError is raised. Grid points whose minimum gap
-    is below eps_gap are recorded in ``degenerate_points``; they only become
-    errors when a gap-dividing quantity is requested there.
+    The grid is diagonalized one time chunk per ``eigh`` call and the frames
+    are aligned in order. If consecutive mode overlaps fall below
+    ``overlap_min`` the interval is bisected internally (the output grid is
+    unchanged; only the failing interval's midpoints are evaluated) up to
+    ``max_refine`` levels, then GridTooCoarseError is raised. Grid points
+    whose minimum gap is below eps_gap are recorded in ``degenerate_points``;
+    they only become errors when a gap-dividing quantity is requested there.
     """
     grid = np.asarray(grid, dtype=float)
-    Es, Vs = [], []
-    E0, V0 = np.linalg.eigh(np.asarray(H_of_t(grid[0]), dtype=complex))
-    # initial gauge: largest component real positive
-    for n in range(V0.shape[1]):
-        i = np.argmax(np.abs(V0[:, n]))
-        V0[:, n] *= np.exp(-1j * np.angle(V0[i, n]))
-    Es.append(E0)
-    Vs.append(V0)
-    scale = max(np.abs(E0).max(), 1e-300)
-    if eps_gap is None:
-        eps_gap = config.EPS_GAP_REL * scale
 
-    def connect(t0, V_from, t1, depth):
-        E1, V1 = np.linalg.eigh(np.asarray(H_of_t(t1), dtype=complex))
+    def eig_at(t):
+        E, V = np.linalg.eigh(stack_at(H_of_t, np.array([t])))
+        return E[0], V[0]
+
+    def connect(t0, V_from, t1, E1, V1, depth):
         E, V, ov = _align_frames(V_from, E1, V1)
         if ov >= overlap_min:
             return E, V
@@ -123,21 +118,32 @@ def eigenpath(
                 f"after {max_refine} refinement levels"
             )
         tm = 0.5 * (t0 + t1)
-        _, Vm = connect(t0, V_from, tm, depth + 1)
-        return connect(tm, Vm, t1, depth + 1)
+        _, Vm = connect(t0, V_from, tm, *eig_at(tm), depth + 1)
+        return connect(tm, Vm, t1, E1, V1, depth + 1)
 
-    for i in range(1, len(grid)):
-        E, V = connect(grid[i - 1], Vs[-1], grid[i], 0)
-        Es.append(E)
-        Vs.append(V)
+    Es, Vs = [], []
+    for start, H in time_chunks(H_of_t, grid):
+        E, V = np.linalg.eigh(H)
+        if start == 0:          # the first chunk is the one time grid[0]
+            # initial gauge: largest component real positive
+            V0 = V[0]
+            big = np.abs(V0).argmax(axis=0)
+            V0 *= np.exp(-1j * np.angle(V0[big, np.arange(len(big))]))[None, :]
+            Es.append(E[0])
+            Vs.append(V0)
+            continue
+        for k in range(len(H)):
+            i = start + k
+            Ek, Vk = connect(grid[i - 1], Vs[-1], grid[i], E[k], V[k], 0)
+            Es.append(Ek)
+            Vs.append(Vk)
 
     energies = np.array(Es)
-    vectors = np.array(Vs)
-    path = EigenPath(grid=grid, energies=energies, vectors=vectors)
-    for i in range(len(grid)):
-        g = path.min_gap(i)
-        if g < eps_gap:
-            path.degenerate_points.append((i, g))
+    path = EigenPath(grid=grid, energies=energies, vectors=np.array(Vs))
+    if eps_gap is None:
+        eps_gap = config.EPS_GAP_REL * max(np.abs(energies[0]).max(), 1e-300)
+    gaps = np.diff(np.sort(energies, axis=1), axis=1).min(axis=1)
+    path.degenerate_points = [(int(i), float(gaps[i])) for i in np.nonzero(gaps < eps_gap)[0]]
     return path
 
 
@@ -153,31 +159,37 @@ def counterdiabatic_term(
     i*hbar <n|dH|m> / (E_m - E_n) for m != n, zero on the diagonal. Closed
     gaps are tolerated only where the coupling matrix element also vanishes
     (symmetry-protected crossings); a genuine coupling across a closed gap
-    raises DegeneracyError.
+    raises DegeneracyError. H and dH are single matrices or (n, D, D) stacks,
+    one ``eigh`` call for the stack; the default gap floor and the coupling
+    tolerance are relative to each time's own spectrum and coupling scale.
     """
     hb = config.hbar(hbar)
-    E, V = np.linalg.eigh(np.asarray(H, dtype=complex))
-    scale = max(np.abs(E).max(), 1e-300)
+    single = np.ndim(H) == 2
+    H = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
+    dH = np.asarray(dH, dtype=complex).reshape(H.shape)
+    E, V = np.linalg.eigh(H)
     if eps_gap is None:
-        eps_gap = config.EPS_GAP_REL * scale
-    dHe = V.conj().T @ np.asarray(dH, dtype=complex) @ V
-    gap = E[None, :] - E[:, None]          # gap[n, m] = E_m - E_n
-    closed = np.abs(gap) < eps_gap
-    np.fill_diagonal(closed, False)
+        eps_gap = config.EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)
+    eps = np.broadcast_to(eps_gap, (len(E),))[:, None, None]
+    Vh = V.conj().swapaxes(1, 2)
+    dHe = Vh @ dH @ V
+    gap = E[:, None, :] - E[:, :, None]          # gap[t, n, m] = E_m - E_n
+    off = ~np.eye(E.shape[1], dtype=bool)
+    closed = (np.abs(gap) < eps) & off
     if closed.any():
-        coupling_tol = 1e-9 * max(np.abs(dHe).max(), 1e-300)
-        bad = closed & (np.abs(dHe) > coupling_tol)
+        coupling_tol = 1e-9 * np.maximum(np.abs(dHe).max(axis=(1, 2)), 1e-300)
+        bad = closed & (np.abs(dHe) > coupling_tol[:, None, None])
         if bad.any():
-            n, m = np.argwhere(bad)[0]
+            t, n, m = np.argwhere(bad)[0]
+            where = "" if single else f" at stack index {t}"
             raise DegeneracyError(
-                f"levels {n} and {m} are degenerate (gap {abs(gap[n, m]):.3e}) "
-                f"with coupling {abs(dHe[n, m]):.3e}"
+                f"levels {n} and {m} are degenerate{where} (gap {abs(gap[t, n, m]):.3e}) "
+                f"with coupling {abs(dHe[t, n, m]):.3e}"
             )
-    safe_gap = np.where(np.abs(gap) < eps_gap, 1.0, gap)
-    M = 1j * hb * dHe / safe_gap
-    M[closed] = 0.0
-    np.fill_diagonal(M, 0.0)
-    return V @ M @ V.conj().T
+    M = 1j * hb * dHe / np.where(np.abs(gap) < eps, 1.0, gap)
+    M[closed | ~off] = 0.0
+    out = V @ M @ Vh
+    return out[0] if single else out
 
 
 def exact_cd(

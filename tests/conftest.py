@@ -21,6 +21,12 @@ def lz():
     return landau_zener(delta=1.0, lam_start=-5.0, lam_stop=5.0, duration=1.0)
 
 
+def stacked(H_of_t):
+    """The time-stacked form of a per-time callable: the (n, D, D) stack of
+    its matrices at a 1-D array of n times, one call per time."""
+    return lambda times: np.array([H_of_t(t) for t in times])
+
+
 def lz_cd_oracle(lam: float, rate: float, delta: float = 1.0, hbar: float = 1.0) -> np.ndarray:
     """Closed-form two-level counterdiabatic operator from the Bloch-angle
     eigenbasis: -(hbar delta rate / (2 (lam^2 + delta^2))) sigma_y."""

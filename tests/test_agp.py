@@ -464,3 +464,31 @@ class TestIntegralRepresentation:
         e2 = frobenius_norm(vals[1e-2] - target)
         e3 = frobenius_norm(vals[1e-3] - target)
         assert e3 < e2 * 1e-1                               # quadratic-in-eta decay
+
+
+class TestTimeStack:
+    def test_krylov_cd_stack_mixes_chain_lengths(self, rng):
+        """A commuting pair (chain length 1), a zero drive (length 0), Landau-Zener
+        (length 3) and a random pair in one stack give the per-point results."""
+        Hr, dHr = random_hermitian_pair(4, 7)
+        Hc = np.diag([0.3, -1.0, 0.5, 2.0]).astype(complex)
+        H = np.array([Hc, Hr, np.kron(H_LZ, np.eye(2)), Hr])
+        dH = np.array([2.0 * Hc, np.zeros((4, 4)), np.kron(DH_LZ, np.eye(2)), dHr])
+        assert list(krylov_chain(H, dH).length) == [1, 0, 3, krylov_chain(Hr, dHr).K]
+        for k_max in (None, 5):
+            cd = krylov_cd(H, dH, k_max=k_max)
+            loop = np.array([krylov_cd(h, d, k_max=k_max) for h, d in zip(H, dH)])
+            assert np.abs(cd - loop).max() <= 1e-12
+        assert np.abs(cd[:2]).max() == 0.0
+
+    def test_algebraic_support_is_kept_per_time(self):
+        H, dH = random_hermitian_pair(4, 3)
+        basis = pauli_basis(2)
+        Hs = np.array([np.kron(H_LZ, np.eye(2)), H])
+        dHs = np.array([np.kron(DH_LZ, np.eye(2)), dH])
+        support = odd_commutator_support(Hs, dHs, basis)
+        assert [list(np.nonzero(s)[0]) for s in support] == [odd_commutator_support(h, d, basis)
+                                                            for h, d in zip(Hs, dHs)]
+        cd = algebraic_cd(Hs, dHs, basis, support=support)
+        loop = [algebraic_cd(h, d, basis.subset(odd_commutator_support(h, d, basis))) for h, d in zip(Hs, dHs)]
+        assert np.abs(cd - np.array(loop)).max() <= 1e-10

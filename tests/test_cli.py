@@ -57,8 +57,8 @@ def test_compare_reads_the_configured_csv(tmp_path):
 
 
 _IMPORT_BUDGET_RUNS = [
-    {"system": "landau_zener", "method": m, "grid_points": 21} for m in ("exact_cd", "trotter", "qsl", "ff")
-] + [{"system": "random_hermitian", "method": "algebraic", "grid_points": 21,
+    {"system": "landau_zener", "method": m, "grid_points": 21} for m in ("exact_cd", "qsl", "ff")
+] + [{"system": "landau_zener", "method": "trotter"}] + [{"system": "random_hermitian", "method": "algebraic", "grid_points": 21,
       "parameters": {"dim": 4, "seed": 0}}]
 
 _IMPORT_BUDGET_SCRIPT = """
@@ -95,6 +95,40 @@ def _run(tmp_path, conf):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(conf))
     return cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_unexpected_exception_exits_4_with_its_traceback(tmp_path, capsys, monkeypatch):
+    """Exit 1 means a compare mismatch; a crash inside a run must not look like one."""
+    def crash(conf):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._RUNNERS, "exact_cd", crash)
+    assert _run(tmp_path, {"system": "landau_zener", "method": "exact_cd", "grid_points": 21}) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err and "internal error" in err
+    # a sweep run in this process stops the same way
+    assert cli.main(["sweep", str(tmp_path / "config.json"), "--param", "parameters.duration",
+                     "--values", "1,2", "--out", str(tmp_path / "sweep")]) == 4
+    assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypatch):
+    """At D = 64 a time chunk holds one point: 101 eigenpath points, 100
+    propagator steps and 100 midpoint CD terms make 301 eigh calls. (On this
+    seed no eigenpath interval of the 101-point grid is bisected; on coarser
+    grids the random ramp bisects, which would add calls.)"""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    conf = {"system": "random_hermitian", "method": "exact_cd", "grid_points": 101,
+            "parameters": {"dim": 64, "seed": 0}}
+    assert _run(tmp_path, conf) == 0
+    assert len(calls) == 301 and set(calls) == {(1, 64, 64)}
 
 
 def test_key_the_system_does_not_read_is_rejected(tmp_path, capsys):
@@ -194,8 +228,6 @@ _NO_EFFECT = {
     ("landau_zener", None, "parameters.seed"): "accepted for seeded batches; only random_hermitian reads it",
     ("landau_zener", None, "order"): "at D = 2 the Krylov chain is complete at order 1",
     (None, "algebraic", "order"): "the order-1 odd-commutator support of a generic pair spans the whole algebra",
-    (None, "trotter", "grid_points"): "the grid only carries psi0 and the target at T, whose phase the "
-                                      "infidelity drops",
 }
 
 
@@ -299,18 +331,20 @@ def test_sweep_materializes_defaults(tmp_path):
 
 
 _LZ = {"system": "landau_zener", "grid_points": 21}
+#: the Landau-Zener Trotter run reads no grid
+_LZ_TROTTER = {"system": "landau_zener", "method": "trotter"}
 
 
 @pytest.mark.parametrize("conf, key", [
     ({**_LZ, "method": "exact_cd", "parameters": {"delta": "x"}}, "parameters.delta"),
     ({**_LZ, "method": "exact_cd", "parameters": {"schedule_shape": "cubic"}}, "parameters.schedule_shape"),
     ({**_LZ, "method": "exact_cd", "grid_points": True}, "grid_points"),
-    ({**_LZ, "method": "trotter", "trotter": {"ordering": "bogus"}}, "trotter.ordering"),
-    ({**_LZ, "method": "trotter", "trotter": {"sampling": "left"}}, "trotter.sampling"),
-    ({**_LZ, "method": "trotter", "trotter": {"M_list": [8, 16]}}, "trotter.M_list"),
-    ({**_LZ, "method": "trotter", "trotter": {"M_list": [8, 10, 12, 16]}}, "trotter.M_list"),
-    ({**_LZ, "method": "trotter", "trotter": {"M_list": [0, 8, 16, 32]}}, "trotter.M_list"),
-    ({**_LZ, "method": "trotter", "trotter": {"total_time": 0}}, "trotter.total_time"),
+    ({**_LZ_TROTTER, "trotter": {"ordering": "bogus"}}, "trotter.ordering"),
+    ({**_LZ_TROTTER, "trotter": {"sampling": "left"}}, "trotter.sampling"),
+    ({**_LZ_TROTTER, "trotter": {"M_list": [8, 16]}}, "trotter.M_list"),
+    ({**_LZ_TROTTER, "trotter": {"M_list": [8, 10, 12, 16]}}, "trotter.M_list"),
+    ({**_LZ_TROTTER, "trotter": {"M_list": [0, 8, 16, 32]}}, "trotter.M_list"),
+    ({**_LZ_TROTTER, "trotter": {"total_time": 0}}, "trotter.total_time"),
     ({**_LZ, "method": "ff", "ff": {"rate": -1}}, "ff.rate"),
     ({**_LZ, "method": "ff", "ff": {"rate": 0}}, "ff.rate"),
     ({**_LZ, "method": "exact_cd", "grid_points": 0}, "grid_points"),
@@ -339,6 +373,8 @@ _LZ = {"system": "landau_zener", "grid_points": 21}
     ({"system": "grid_1d", "method": "ff", "parameters": {"x_extent": 0}}, "parameters.x_extent"),
     ({"system": "grid_1d", "method": "ff", "parameters": {"width_start": 0}}, "parameters.width_start"),
     ({"system": "grid_1d", "method": "ff", "parameters": {"width_stop": -1.0}}, "parameters.width_stop"),
+    ({**_LZ, "method": "trotter"}, "grid_points"),
+    ({"system": "tfim_chain", "method": "trotter", "grid_points": 101}, "grid_points"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, conf, key):
     rc, _ = _run_conf(tmp_path, conf)

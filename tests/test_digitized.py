@@ -12,7 +12,7 @@ from shortcut_forge.digitized import (
 from shortcut_forge.dynamics import step_unitary
 from shortcut_forge.models import random_hermitian
 
-from conftest import SX, SZ
+from conftest import SX, SZ, stacked
 
 
 class TestCommutingPair:
@@ -27,16 +27,16 @@ class TestCommutingPair:
     @pytest.mark.parametrize("ordering", ["h-then-cd", "cd-then-h"])
     def test_product_equals_exact(self, M, ordering):
         plan = TrotterPlan(M=M, T=1.3, ordering=ordering)
-        steps = trotter_step_unitaries(lambda t: self.H, lambda t: 0.4 * self.H, plan)
+        steps = trotter_step_unitaries(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), plan)
         U = np.linalg.multi_dot([np.eye(4)] + steps[::-1])
         exact = step_unitary(1.4 * self.H, 1.3)
         assert np.abs(U - exact).max() < 1e-12
-        psi = trotter_cd_evolve(lambda t: self.H, lambda t: 0.4 * self.H, plan, self.psi0)
+        psi = trotter_cd_evolve(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), plan, self.psi0)
         assert np.abs(psi - exact @ self.psi0).max() < 1e-12
 
     def test_error_at_floor_skips_the_fit(self):
         target = step_unitary(1.4 * self.H, 1.3) @ self.psi0
-        report = digitization_error(lambda t: self.H, lambda t: 0.4 * self.H, 1.3, [4, 8, 16, 32],
+        report = digitization_error(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), 1.3, [4, 8, 16, 32],
                                     target, psi0=self.psi0)
         assert report.fit_skipped and report.slope is None
         assert report.values.max() < 1e-12

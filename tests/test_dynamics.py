@@ -13,9 +13,9 @@ from shortcut_forge import (
     step_unitary,
 )
 from shortcut_forge.dynamics import cumulative_trapezoid
-from shortcut_forge.models import landau_zener, random_hermitian
+from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
 
-from conftest import SX, SY, SZ
+from conftest import SX, SY, SZ, stacked
 
 
 class TestEvolve:
@@ -28,21 +28,21 @@ class TestEvolve:
         plus_x = np.array([1, 1]) / np.sqrt(2)
         minus_y = np.array([1, -1j]) / np.sqrt(2)
         grid = np.linspace(0, np.pi / 2, 101)
-        traj = evolve(lambda t: H, plus_x, grid)
+        traj = evolve(stacked(lambda t: H), plus_x, grid)
         closed_form = np.stack([np.exp(1j * grid / 2), np.exp(-1j * grid / 2)], axis=1) / np.sqrt(2)
         assert np.abs(traj.states - closed_form).max() < 1e-12
         assert fidelity(minus_y, traj.final()) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_hamiltonian(self):
         psi0 = np.array([0.6, 0.8j])
-        traj = evolve(lambda t: np.zeros((2, 2)), psi0, np.linspace(0, 1, 11))
+        traj = evolve(stacked(lambda t: np.zeros((2, 2))), psi0, np.linspace(0, 1, 11))
         assert np.abs(traj.states - psi0).max() < 1e-14
 
     def test_constant_matches_single_exponential(self, rng):
         H = random_hermitian(4, rng)
         psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi0 /= np.linalg.norm(psi0)
-        traj = evolve(lambda t: H, psi0, np.linspace(0, 2.0, 101))
+        traj = evolve(stacked(lambda t: H), psi0, np.linspace(0, 2.0, 101))
         direct = step_unitary(H, 2.0) @ psi0
         assert fidelity(direct, traj.final()) >= 1 - 1e-10
 
@@ -65,7 +65,7 @@ class TestEvolve:
         assert all(3.3 < r < 4.7 for r in ratios)
 
     def test_rejects_nonfinite(self):
-        H_bad = lambda t: np.array([[np.nan, 0], [0, 1.0]])
+        H_bad = stacked(lambda t: np.array([[np.nan, 0], [0, 1.0]]))
         with pytest.raises(ValueError):
             evolve(H_bad, np.array([1.0, 0.0]), np.linspace(0, 1, 3))
 
@@ -98,8 +98,8 @@ class TestAdiabaticCoefficients:
         psi = V0[:, 0]
         expected = np.abs(V1.conj().T @ psi) ** 2
         grid = np.linspace(0, 0.5, 101)
-        path = eigenpath(lambda t: H1, grid)
-        traj = evolve(lambda t: H1, psi, grid)
+        path = eigenpath(stacked(lambda t: H1), grid)
+        traj = evolve(stacked(lambda t: H1), psi, grid)
         c = adiabatic_coefficients(traj, path)
         assert np.abs(np.abs(c) ** 2 - expected).max() < 1e-10
 
@@ -137,3 +137,24 @@ class TestCumulativeTrapezoid:
         out = cumulative_trapezoid(y, x)
         assert out.shape == y.shape and out.dtype == ref.dtype
         assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+class TestTimeChunks:
+    def test_chunk_edges_off_the_grid_match_the_loop(self):
+        """D = 8 chunks hold 64 midpoints; 49 intervals of 3 sub-steps split
+        as 1 + 64 + 64 + 18, and the states match a per-step loop."""
+        system = random_hermitian_ramp(8, 2)
+        grid = np.linspace(0.0, 1.0, 50)
+        psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
+        traj = evolve(system.hamiltonian, psi0, grid, steps_per_interval=3)
+        psi, loop = psi0, [psi0]
+        for i in range(len(grid) - 1):
+            dt = (grid[i + 1] - grid[i]) / 3
+            for j in range(3):
+                psi = step_unitary(system.hamiltonian(grid[i] + (j + 0.5) * dt), dt) @ psi
+            loop.append(psi)
+        assert np.abs(traj.states - np.array(loop)).max() <= 1e-12
+
+    def test_unstacked_callable_is_rejected_naming_the_contract(self):
+        with pytest.raises(ValueError, match=r"must map 1 times to an \(1, D, D\) stack, got shape \(2, 2\)"):
+            evolve(lambda t: SZ, np.array([1.0, 0.0]), np.linspace(0, 1, 3))

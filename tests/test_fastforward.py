@@ -14,6 +14,8 @@ from shortcut_forge.fastforward import FFGauge, TimeRescaling, ff_hamiltonian, f
 from shortcut_forge.models import landau_zener, random_hermitian_ramp
 from shortcut_forge.spectral import counterdiabatic_term
 
+from conftest import stacked
+
 SYSTEMS = {"lz": landau_zener, "rh4": lambda: random_hermitian_ramp(dim=4, seed=0)}
 
 
@@ -124,7 +126,7 @@ def test_relation_2_any_projector_gauge_reproduces_reference_populations(name, p
     psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
     reference = evolve(system.hamiltonian, psi0, grid)
     H_ff = lambda t: ff_hamiltonian(system.hamiltonian, gauge, rescale, t)
-    fast = evolve(H_ff, psi0, grid / rate)
+    fast = evolve(stacked(H_ff), psi0, grid / rate)
     expected = _populations(system, grid, reference.states)
     assert expected[-1, 0] < 0.9          # the reference is far from adiabatic
     deviation = _populations(system, rescale.s(grid / rate), fast.states) - expected

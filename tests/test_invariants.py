@@ -21,7 +21,7 @@ from shortcut_forge import (
 )
 from shortcut_forge.models import landau_zener, random_hermitian
 
-from conftest import SX, SY, SZ
+from conftest import SX, SY, SZ, stacked
 
 
 def lz_modes_analytic(lz, grid):
@@ -49,7 +49,7 @@ class TestInvariantResidual:
     def test_static_hamiltonian_is_its_own_invariant(self):
         H = 2 * SZ + 0.7 * SX
         grid = np.linspace(0, 1, 101)
-        res = invariant_residual(lambda t: H, lambda t: H, grid)
+        res = invariant_residual(stacked(lambda t: H), stacked(lambda t: H), grid)
         assert res.max() < 1e-12
 
     def test_density_operator_of_a_trajectory(self, lz):
@@ -80,12 +80,12 @@ class TestInvariantResidual:
         grid = np.linspace(0, 1, 301)
         path = eigenpath(lz.hamiltonian, grid)
         inv = DynamicalInvariant.from_modes(grid, path.vectors, np.array([1.0, 3.0]))
-        tracked = DynamicalInvariant.from_operator(grid, lambda t: inv.operators[inv_index(inv, t)])
+        tracked = DynamicalInvariant.from_operator(grid, stacked(lambda t: inv.operators[inv_index(inv, t)]))
         assert tracked.eigenvalue_drift() < 1e-8
 
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):
-            invariant_residual(lambda t: SZ, lambda t: SZ, np.array([0.0, 1.0]))
+            invariant_residual(stacked(lambda t: SZ), stacked(lambda t: SZ), np.array([0.0, 1.0]))
 
 
 def inv_index(inv, t):
@@ -97,7 +97,7 @@ class TestLRPhase:
         H = np.diag([2.0, -1.0]).astype(complex)
         grid = np.linspace(0, 1, 501)
         phi = np.tile(np.array([[1.0, 0.0]], dtype=complex), (len(grid), 1))
-        alpha = lr_phase(lambda t: H, phi, grid)
+        alpha = lr_phase(stacked(lambda t: H), phi, grid)
         assert np.abs(alpha + 2.0 * grid).max() < 1e-10
 
     def test_cd_driven_matches_adiabatic_phases(self, lz):
@@ -154,7 +154,7 @@ class TestHamiltonianFromModes:
         modes, dmodes, energies = lz_modes_analytic(lz, grid)
         H = hamiltonian_from_modes(grid, modes, -energies, dmodes=dmodes)
         H_of_t = lambda t: H[int(round(t / (grid[1] - grid[0])))]
-        traj = evolve(H_of_t, modes[0][:, 0], grid, steps_per_interval=2)
+        traj = evolve(stacked(H_of_t), modes[0][:, 0], grid, steps_per_interval=2)
         fids = np.abs(np.einsum("ti,ti->t", modes[:, :, 0].conj(), traj.states))
         assert (1 - fids).max() < 1e-6
 
@@ -300,7 +300,7 @@ class TestInverseEngineering:
             th, _ = self._theta_schedule(np.array([t, 1.0]))
             return np.sin(th[0]) * SX + np.cos(th[0]) * SZ
 
-        res2 = invariant_residual(H_of_t, F_of_t, fine)
+        res2 = invariant_residual(stacked(H_of_t), stacked(F_of_t), fine)
         assert res2.max() < 1e-6
 
     def test_endpoint_commutativity(self):
@@ -327,7 +327,7 @@ class TestInverseEngineering:
         H_of_t = lambda t: np.interp(t, grid, h[:, 0]) * SY
         # invariant modes: Bloch vector (sin theta, 0, cos theta)
         psi0 = np.array([np.cos(theta[0] / 2), np.sin(theta[0] / 2)], dtype=complex)
-        traj = evolve(H_of_t, psi0, grid, steps_per_interval=2)
+        traj = evolve(stacked(H_of_t), psi0, grid, steps_per_interval=2)
         pops = []
         for i in range(len(grid)):
             mode = np.array([np.cos(theta[i] / 2), np.sin(theta[i] / 2)], dtype=complex)

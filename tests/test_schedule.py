@@ -32,3 +32,15 @@ def test_unknown_shape_raises(make):
     """A typo must not silently become another ramp."""
     with pytest.raises(ValueError, match="'cubic'"):
         make("cubic")
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_value_and_rate_broadcast_over_times(name):
+    sched = Schedule.of_shape(name, [-1.0, 0.5], [3.0, 2.0], 2.0)
+    times = np.array([0.0, 0.3, 1.0, 2.0])
+    assert sched(times).shape == sched.rate(times).shape == (4, 2)
+    assert np.array_equal(sched(times), np.array([sched(t) for t in times]))
+    assert np.array_equal(sched.rate(times), np.array([sched.rate(t) for t in times]))
+    system = random_hermitian_ramp(4, 0, shape=name)
+    assert np.array_equal(system.hamiltonian(times), np.array([system.hamiltonian(t) for t in times]))
+    assert np.array_equal(system.dhamiltonian(times), np.array([system.dhamiltonian(t) for t in times]))

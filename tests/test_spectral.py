@@ -20,13 +20,13 @@ from shortcut_forge.errors import GridTooCoarseError
 from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
 from shortcut_forge.spectral import _align_frames
 
-from conftest import SX, SY, SZ, discrete_berry_phase, lz_cd_oracle
+from conftest import SX, SY, SZ, discrete_berry_phase, lz_cd_oracle, stacked
 
 
 class TestEigenpath:
     def test_constant_sz(self):
         grid = np.linspace(0, 1, 11)
-        path = eigenpath(lambda t: SZ, grid)
+        path = eigenpath(stacked(lambda t: SZ), grid)
         assert np.allclose(path.energies, [[-1.0, 1.0]] * 11)
         assert np.abs(path.vectors - path.vectors[0]).max() < 1e-12
 
@@ -149,22 +149,23 @@ class TestAlignFrames:
 class TestEigenpathRefinement:
     def test_bisection_splits_coarse_steps(self):
         """The field turns by pi/2 per grid step (mode overlap cos(pi/4) < 0.9);
-        each step is bisected once and the half steps (overlap cos(pi/8)) pass."""
+        each step is bisected once and the half steps (overlap cos(pi/8)) pass.
+        The grid is evaluated in time chunks, then only the failing midpoints."""
         calls = []
 
         def H(t):
-            calls.append(t)
-            return np.cos(np.pi * t) * SZ + np.sin(np.pi * t) * SX
+            calls.append(list(t))
+            return np.cos(np.pi * t)[:, None, None] * SZ + np.sin(np.pi * t)[:, None, None] * SX
 
         path = eigenpath(H, np.array([0.0, 0.5, 1.0]))
-        assert calls == [0.0, 0.5, 0.25, 0.5, 1.0, 0.75, 1.0]
+        assert calls == [[0.0], [0.5, 1.0], [0.25], [0.75]]
         assert np.allclose(path.energies, [[-1.0, 1.0]] * 3)
 
     def test_discontinuity_exhausts_refinement(self):
         """A jump from sz to sx at t = 1/3 leaves overlap 1/sqrt(2) at every
         level; the error names the last dyadic interval around the jump."""
         with pytest.raises(GridTooCoarseError) as err:
-            eigenpath(lambda t: SZ if t < 1 / 3 else SX, np.array([0.0, 1.0]))
+            eigenpath(stacked(lambda t: SZ if t < 1 / 3 else SX), np.array([0.0, 1.0]))
         assert str(err.value) == (
             "mode overlap 0.707 < 0.9 between t = 0.333251953125 and 0.33349609375 "
             "after 12 refinement levels"
@@ -258,7 +259,7 @@ class TestAGP:
 class TestAdiabaticState:
     def test_constant_hamiltonian_phase(self):
         grid = np.linspace(0, 2.0, 801)
-        path = eigenpath(lambda t: SZ, grid)
+        path = eigenpath(stacked(lambda t: SZ), grid)
         ad = adiabatic_state(path, np.array([1.0, 0.0]))
         expect = np.exp(1j * grid)[:, None] * path.vectors[:, :, 0]  # E_0 = -1
         fid = np.abs(np.einsum("ti,ti->t", expect.conj(), ad.trajectory.states))
@@ -281,7 +282,7 @@ class TestAdiabaticState:
             return n[0] * SX + n[1] * SY + n[2] * SZ
 
         grid = np.linspace(0, 1, 2001)
-        path = eigenpath(H, grid)
+        path = eigenpath(stacked(H), grid)
         g = geometric_integrand(path, 0)
         assert np.abs(g.real).max() < 1e-10
         assert np.abs(g.imag).max() < 1e-10
@@ -298,7 +299,7 @@ class TestAdiabaticState:
             return n[0] * SX + n[1] * SY + n[2] * SZ
 
         grid = np.linspace(0, 1, 4001)
-        path = eigenpath(H, grid)
+        path = eigenpath(stacked(H), grid)
         gamma = loop_geometric_phase(path, 1)                 # aligned (upper) state
         solid_angle = 2 * np.pi * (1 - np.cos(theta))
         oracle = discrete_berry_phase(path.vectors[:, :, 1])
@@ -324,7 +325,7 @@ class TestAdiabaticState:
         geos, dyns = [], []
         for T in (1.0, 2.0):
             grid = np.linspace(0, T, 4001)
-            path = eigenpath(H_factory(T), grid)
+            path = eigenpath(stacked(H_factory(T)), grid)
             geos.append(loop_geometric_phase(path, 0))
             ad = adiabatic_state(path, np.array([1.0, 0.0]))
             dyns.append(ad.dynamical_phases[-1, 0])
@@ -371,3 +372,37 @@ class TestQuantumGeometricTensor:
 
         g = quantum_geometric_tensor(H, np.array([0.3, 0.9]), n=0)
         assert np.linalg.eigvalsh(g).min() >= -1e-12
+
+
+class TestCounterdiabaticStack:
+    """A time stack gives the per-point results, time by time."""
+
+    @staticmethod
+    def _stack(rng, H_closed, dH_closed):
+        H = [random_hermitian(3, rng) for _ in range(4)]
+        dH = [random_hermitian(3, rng) for _ in range(4)]
+        H.insert(2, H_closed)
+        dH.insert(2, dH_closed)
+        return np.array(H), np.array(dH)
+
+    def test_uncoupled_closed_gap_matches_the_loop(self, rng):
+        # levels 1 and 2 of diag(-1, 1, 1) are degenerate; the drive couples only 0 and 1
+        X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+        H, dH = self._stack(rng, np.diag([-1.0, 1.0, 1.0]).astype(complex), X01)
+        cd = counterdiabatic_term(H, dH)
+        loop = np.array([counterdiabatic_term(h, d) for h, d in zip(H, dH)])
+        assert cd.shape == H.shape
+        assert np.abs(cd - loop).max() <= 1e-12
+        assert np.abs(cd[2, 1:, 1:]).max() <= 1e-12
+
+    def test_coupled_closed_gap_raises_like_the_loop(self, rng):
+        X12 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+        H, dH = self._stack(rng, np.diag([-1.0, 1.0, 1.0]).astype(complex), X12)
+        with pytest.raises(DegeneracyError, match="stack index 2"):
+            counterdiabatic_term(H, dH)
+        with pytest.raises(DegeneracyError):
+            [counterdiabatic_term(h, d) for h, d in zip(H, dH)]
+
+    def test_eigenpath_rejects_an_unstacked_callable(self):
+        with pytest.raises(ValueError, match=r"time callable must map 1 times to an \(1, D, D\) stack"):
+            eigenpath(lambda t: SZ, np.linspace(0, 1, 5))
