@@ -1,22 +1,34 @@
 """Norm-preserving integration of the time-dependent Schrodinger equation,
 adiabatic-frame coefficients, and overlap metrics.
 
-The propagator exponentiates the midpoint Hamiltonian of each step by
-eigendecomposition, so every step is exactly unitary and the global error is
-O(dt^2). Population invariants at the 1e-7 level need norm preservation by
-construction, which generic adaptive ODE steppers do not guarantee.
+Each step of ``evolve`` applies exp(-i dt H/hbar) of the midpoint Hamiltonian,
+so the global error is O(dt^2). Population invariants at the 1e-7 level need
+norm preservation by construction, which generic adaptive ODE steppers do not
+guarantee.
 
 Time stacks. A time callable such as ``H_of_t`` maps a 1-D array of n times
 to an (n, D, D) stack; ``stack_at`` enforces that contract. Kernels walk a
 grid in chunks (``time_chunks``): the first chunk holds one time and fixes D,
 every later one holds as many times as fit one complex (n, D, D) stack into
 ``STACK_BYTES`` (1024 times at D = 2, 64 at D = 8, 16 at D = 16, 1 at
-D >= 64), and each chunk is one batched eigendecomposition. Only the state
-recursion runs point by point.
+D >= 46). Only the state recursion runs point by point.
+
+Two step kernels. A chunk of several times is one batched eigendecomposition,
+whose exponentials are exactly unitary. A chunk of one time (every chunk at
+D >= 46, and the first chunk of every run) applies the exponential to the
+state alone by short-iterative Lanczos (``lanczos_step``; Park & Light,
+J. Chem. Phys. 85, 5870 (1986)), which costs matrix-vector products instead of
+a D x D eigendecomposition. Its basis grows until an a-priori bound on the
+Krylov defect (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)) is
+at most ``KRYLOV_TOL`` times the norm of the state, so its step is unitary and
+exact to that bound; a step whose basis reaches D/2 first, where the basis
+costs about as much as the eigendecomposition, goes through the
+eigendecomposition instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +39,9 @@ from .errors import DimensionMismatchError
 
 #: byte budget of one complex (n, D, D) time stack
 STACK_BYTES = 64 * 1024
+
+#: bound on the Lanczos step's Krylov defect, per unit norm of the state
+KRYLOV_TOL = 1e-16
 
 
 def stack_at(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> np.ndarray:
@@ -90,6 +105,68 @@ def step_unitary(H: np.ndarray, dt, hbar: float | None = None) -> np.ndarray:
     return (V * phase[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
+def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray | None:
+    """exp(-i tau H) psi by short-iterative Lanczos, or None when the basis
+    reaches D/2 vectors before its defect bound holds.
+
+    The Krylov basis of the Hermitian part A of H is reorthogonalized in full,
+    in two passes per vector. With T_m the m x m Lanczos tridiagonal and
+    beta_k its couplings (beta_m the norm of the residual), the defect of an
+    m-vector step is at most, per unit norm of psi,
+
+        tau beta_m [tau^(m-1) prod_{k<m} beta_k / (m-1)! + x^m e^x / m!],  x = tau ||A||_F,
+
+    a bound on the integral over s in [0, tau] of |<e_m| exp(-i s T_m) |e_1>|
+    from its first nonzero Taylor term plus the tail of the series. The basis
+    grows until that is at most ``KRYLOV_TOL`` (beta_m = 0, a breakdown,
+    makes it 0), and T_m is diagonalized once. Past D/2 vectors the basis
+    costs about as much as a D x D eigendecomposition.
+    """
+    A = (H + H.conj().T) / 2
+    x = tau * float(np.linalg.norm(A))
+    norm = float(np.linalg.norm(psi))
+    cap = len(psi) // 2
+    V = np.empty((cap + 1, len(psi)), dtype=complex)
+    V[0] = psi / norm
+    alpha, beta = np.empty(cap), np.empty(cap)
+    lead, tail = 1.0, x * math.exp(x) if x < 700.0 else math.inf
+    for m in range(1, cap + 1):
+        w = A @ V[m - 1]
+        a = 0.0
+        for _ in range(2):
+            h = (V[:m] @ w.conj()).conj()
+            w -= h @ V[:m]
+            a += h[m - 1].real
+        alpha[m - 1], beta[m - 1] = a, math.sqrt(np.vdot(w, w).real)
+        if beta[m - 1] == 0.0 or tau * beta[m - 1] * (lead + tail) <= KRYLOV_TOL:
+            break
+        V[m] = w / beta[m - 1]
+        lead *= tau * beta[m - 1] / m
+        tail *= x / (m + 1)
+    else:
+        return None
+    T = np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
+    theta, S = np.linalg.eigh(T)
+    return norm * ((S @ (np.exp(-1j * tau * theta) * S[0])) @ V[:m])
+
+
+def _chunk_states(H: np.ndarray, psi: np.ndarray, dt: np.ndarray, hb: float):
+    """Yield the state after each step of one time chunk: by ``lanczos_step``
+    when the chunk holds one time and its basis suffices, else by one batched
+    eigendecomposition of the chunk."""
+    if len(H) == 1:
+        psi_next = lanczos_step(H[0], psi, dt[0] / hb)
+        if psi_next is not None:
+            yield psi_next
+            return
+    E, V = np.linalg.eigh(H)
+    phase = np.exp(-1j * E * dt[:, None] / hb)
+    Vh = V.conj().swapaxes(1, 2)
+    for k in range(len(H)):
+        psi = V[k] @ (phase[k] * (Vh[k] @ psi))
+        yield psi
+
+
 def evolve(
     H_of_t: Callable[[np.ndarray], np.ndarray],
     psi0: np.ndarray,
@@ -100,9 +177,15 @@ def evolve(
     """Propagate psi0 along a time grid under H(t).
 
     Each grid interval is split into ``steps_per_interval`` sub-steps; each
-    sub-step applies the exponential of the midpoint Hamiltonian. The
-    midpoint Hamiltonians are evaluated and diagonalized one time chunk at a
-    time; the state then steps through the chunk in order.
+    sub-step applies exp(-i dt H/hbar) of the midpoint Hamiltonian. The
+    midpoint Hamiltonians are evaluated one ``time_chunks`` chunk at a time,
+    and the chunk length, which follows from D, picks the step kernel: a chunk
+    of several times is diagonalized in one batched ``eigh``, whose steps are
+    exactly unitary; a chunk of one time (every chunk at D >= 46, and the
+    first chunk) steps by ``lanczos_step``, unitary and exact to within
+    ``KRYLOV_TOL`` times the norm of the state, and falls back to the
+    ``eigh`` step when its Krylov basis would reach D/2 vectors first. Every
+    chunk must be finite, and its D must match ``psi0``.
     """
     hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
@@ -115,16 +198,14 @@ def evolve(
     states = np.empty((len(grid), len(psi)), dtype=complex)
     states[0] = psi
     for start, H in time_chunks(H_of_t, tm):
+        if H.shape[1] != len(psi):
+            raise DimensionMismatchError(f"psi0 has shape {psi.shape}, the Hamiltonian {H.shape[1:]}")
         finite = np.isfinite(H).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"Hamiltonian contains non-finite entries at t = {tm[start + np.argmin(finite)]}")
-        E, V = np.linalg.eigh(H)
-        phase = np.exp(-1j * E * dt[start:start + len(H), None] / hb)
-        Vh = V.conj().swapaxes(1, 2)
-        for k in range(len(H)):
-            psi = V[k] @ (phase[k] * (Vh[k] @ psi))
-            if (start + k + 1) % per == 0:
-                states[(start + k + 1) // per] = psi
+        for k, psi in enumerate(_chunk_states(H, psi, dt[start:start + len(H)], hb), start + 1):
+            if k % per == 0:
+                states[k // per] = psi
     return StateTrajectory(
         grid=grid, states=states, steps_per_interval=steps_per_interval, hbar=hb
     )

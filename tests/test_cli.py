@@ -113,10 +113,11 @@ def test_unexpected_exception_exits_4_with_its_traceback(tmp_path, capsys, monke
 
 
 def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypatch):
-    """At D = 64 a time chunk holds one point: 101 eigenpath points, 100
-    propagator steps and 100 midpoint CD terms make 301 eigh calls. (On this
-    seed no eigenpath interval of the 101-point grid is bisected; on coarser
-    grids the random ramp bisects, which would add calls.)"""
+    """At D = 64 a time chunk holds one point: 101 eigenpath points and 100
+    midpoint CD terms make 201 D x D eigh calls, and the 100 propagator steps
+    are Lanczos steps that each diagonalize one m x m tridiagonal, m < D.
+    (On this seed no eigenpath interval of the 101-point grid is bisected; on
+    coarser grids the random ramp bisects, which would add calls.)"""
     calls = []
     eigh = np.linalg.eigh
 
@@ -128,7 +129,9 @@ def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypa
     conf = {"system": "random_hermitian", "method": "exact_cd", "grid_points": 101,
             "parameters": {"dim": 64, "seed": 0}}
     assert _run(tmp_path, conf) == 0
-    assert len(calls) == 301 and set(calls) == {(1, 64, 64)}
+    dense = [c for c in calls if c == (1, 64, 64)]
+    tridiagonal = [c for c in calls if len(c) == 2 and c[0] == c[1] < 64]
+    assert len(dense) == 201 and len(tridiagonal) == 100 and len(calls) == 301
 
 
 def test_key_the_system_does_not_read_is_rejected(tmp_path, capsys):

@@ -69,6 +69,13 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(H_bad, np.array([1.0, 0.0]), np.linspace(0, 1, 3))
 
+    def test_rejects_a_state_of_another_dimension_before_stepping(self):
+        times = []
+        H_of_t = lambda t: times.append(len(t)) or np.broadcast_to(SZ, (len(t), 2, 2))
+        with pytest.raises(DimensionMismatchError, match=r"psi0 has shape \(3,\)"):
+            evolve(H_of_t, np.ones(3) / np.sqrt(3), np.linspace(0, 1, 11))
+        assert times == [1]
+
 
 class TestAdiabaticCoefficients:
     def test_initial_eigenstate(self, lz):
@@ -139,22 +146,87 @@ class TestCumulativeTrapezoid:
         assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
+def _step_loop(H_of_t, psi0, grid, per=1):
+    """The per-step reference: one ``step_unitary`` of each midpoint
+    Hamiltonian, the states at the grid times."""
+    psi, states = psi0, [psi0]
+    for i in range(len(grid) - 1):
+        dt = (grid[i + 1] - grid[i]) / per
+        for j in range(per):
+            psi = step_unitary(H_of_t(np.array([grid[i] + (j + 0.5) * dt]))[0], dt) @ psi
+        states.append(psi)
+    return np.array(states)
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shape of every array handed to np.linalg.eigh, in call order."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
 class TestTimeChunks:
-    def test_chunk_edges_off_the_grid_match_the_loop(self):
-        """D = 8 chunks hold 64 midpoints; 49 intervals of 3 sub-steps split
-        as 1 + 64 + 64 + 18, and the states match a per-step loop."""
-        system = random_hermitian_ramp(8, 2)
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_chunk_edges_off_the_grid_match_the_loop(self, dim):
+        """49 intervals of 3 sub-steps: D = 8 chunks hold 64 midpoints and
+        split as 1 + 64 + 64 + 18; D = 64 chunks hold one midpoint each and
+        step by Lanczos. The states match a per-step loop."""
+        system = random_hermitian_ramp(dim, 2)
         grid = np.linspace(0.0, 1.0, 50)
         psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
         traj = evolve(system.hamiltonian, psi0, grid, steps_per_interval=3)
-        psi, loop = psi0, [psi0]
-        for i in range(len(grid) - 1):
-            dt = (grid[i + 1] - grid[i]) / 3
-            for j in range(3):
-                psi = step_unitary(system.hamiltonian(grid[i] + (j + 0.5) * dt), dt) @ psi
-            loop.append(psi)
-        assert np.abs(traj.states - np.array(loop)).max() <= 1e-12
+        assert np.abs(traj.states - _step_loop(system.hamiltonian, psi0, grid, per=3)).max() <= 1e-12
 
     def test_unstacked_callable_is_rejected_naming_the_contract(self):
         with pytest.raises(ValueError, match=r"must map 1 times to an \(1, D, D\) stack, got shape \(2, 2\)"):
             evolve(lambda t: SZ, np.array([1.0, 0.0]), np.linspace(0, 1, 3))
+
+
+class TestLanczosStep:
+    """Chunks of one time (D >= 46) step by Lanczos; each case matches the
+    per-step ``step_unitary`` loop within 1e-12."""
+
+    def test_eigenvector_breaks_down_at_one_vector(self, eigh_shapes):
+        """psi0 = e_0 is decoupled from the rest of every H(t), so each step's
+        Krylov basis ends at m = 1: beta_1 is 0, or about 1e-31 after the
+        second orthogonalization pass where |psi| rounds off 1."""
+        system = random_hermitian_ramp(64, 3)
+        decoupled = np.ones((64, 64))
+        decoupled[0, 1:] = decoupled[1:, 0] = 0.0
+        H_of_t = lambda t: system.hamiltonian(t) * decoupled
+        grid = np.linspace(0.0, 1.0, 41)
+        psi0 = np.eye(64, dtype=complex)[0]
+        traj = evolve(H_of_t, psi0, grid)
+        assert eigh_shapes == [(1, 1)] * 40
+        assert np.abs(traj.states - _step_loop(H_of_t, psi0, grid)).max() <= 1e-12
+
+    @pytest.mark.parametrize("points", [5, 21])
+    def test_stiff_coarse_grid(self, points, eigh_shapes):
+        """dt ||H||_F is 18 on 5 points, past what D/2 = 32 Lanczos vectors can
+        bound, so every step falls back to the eigendecomposition; on 21
+        points (3.6) some steps need 30-32 vectors and the rest fall back."""
+        system = random_hermitian_ramp(64, 0)
+        grid = np.linspace(0.0, 1.0, points)
+        psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
+        eigh_shapes.clear()
+        traj = evolve(system.hamiltonian, psi0, grid)
+        fallback = eigh_shapes.count((1, 64, 64))
+        lanczos = [shape[0] for shape in eigh_shapes if len(shape) == 2]
+        assert fallback + len(lanczos) == points - 1
+        assert fallback == points - 1 if points == 5 else (fallback > 0 and min(lanczos) >= 24)
+        assert np.abs(traj.states - _step_loop(system.hamiltonian, psi0, grid)).max() <= 1e-12
+
+    def test_thousand_steps_keep_the_norm(self):
+        system = random_hermitian_ramp(64, 1)
+        grid = np.linspace(0.0, 1.0, 1001)
+        psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
+        traj = evolve(system.hamiltonian, psi0, grid)
+        assert np.abs(traj.norms() - 1).max() <= 1e-13
+        assert np.abs(traj.states - _step_loop(system.hamiltonian, psi0, grid)).max() <= 1e-12
