@@ -122,20 +122,21 @@ def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray | Non
     makes it 0), and T_m is diagonalized once. Past D/2 vectors the basis
     costs about as much as a D x D eigendecomposition.
     """
-    A = (H + H.conj().T) / 2
-    x = tau * float(np.linalg.norm(A))
-    norm = float(np.linalg.norm(psi))
+    A = 0.5 * (H + H.conj().T)
+    x = tau * math.sqrt(np.vdot(A, A).real)
+    norm = math.sqrt(np.vdot(psi, psi).real)
     cap = len(psi) // 2
     V = np.empty((cap + 1, len(psi)), dtype=complex)
     V[0] = psi / norm
     alpha, beta = np.empty(cap), np.empty(cap)
     lead, tail = 1.0, x * math.exp(x) if x < 700.0 else math.inf
     for m in range(1, cap + 1):
+        Vm = V[:m]
         w = A @ V[m - 1]
         a = 0.0
         for _ in range(2):
-            h = (V[:m] @ w.conj()).conj()
-            w -= h @ V[:m]
+            h = (Vm @ w.conj()).conj()
+            w -= h @ Vm
             a += h[m - 1].real
         alpha[m - 1], beta[m - 1] = a, math.sqrt(np.vdot(w, w).real)
         if beta[m - 1] == 0.0 or tau * beta[m - 1] * (lead + tail) <= KRYLOV_TOL:
