@@ -36,12 +36,10 @@ from .dynamics import StateTrajectory, adiabatic_coefficients, evolve, fidelity,
 from .spectral import (
     AdiabaticState,
     EigenPath,
-    adiabatic_gauge_potential,
     adiabatic_state,
     adiabaticity_metric,
     counterdiabatic_term,
     eigenpath,
-    exact_cd,
     geometric_integrand,
     loop_geometric_phase,
     quantum_geometric_tensor,

@@ -29,7 +29,7 @@ eigendecomposition instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,14 +72,10 @@ def sample(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> np.
 
 @dataclass
 class StateTrajectory:
-    """Time-indexed normalized state vectors plus integration metadata."""
+    """Time-indexed normalized state vectors."""
 
     grid: np.ndarray
     states: np.ndarray             # (n_t, D)
-    method: str = "midpoint-exponential"
-    steps_per_interval: int = 1
-    hbar: float = 1.0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -186,14 +182,17 @@ def evolve(
     first chunk) steps by ``lanczos_step``, unitary and exact to within
     ``KRYLOV_TOL`` times the norm of the state, and falls back to the
     ``eigh`` step when its Krylov basis would reach D/2 vectors first. Every
-    chunk must be finite, and its D must match ``psi0``.
+    chunk must be finite, and its D must match ``psi0``; ``steps_per_interval``
+    must be an int >= 1.
     """
+    per = steps_per_interval
+    if isinstance(per, bool) or not isinstance(per, (int, np.integer)) or per < 1:
+        raise ValueError(f"steps_per_interval must be an int >= 1, got {per!r}")
     hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
     psi = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    per = steps_per_interval
     dt = np.repeat(np.diff(grid) / per, per)
     tm = np.repeat(grid[:-1], per) + (np.tile(np.arange(per), len(grid) - 1) + 0.5) * dt
     states = np.empty((len(grid), len(psi)), dtype=complex)
@@ -207,9 +206,7 @@ def evolve(
         for k, psi in enumerate(_chunk_states(H, psi, dt[start:start + len(H)], hb), start + 1):
             if k % per == 0:
                 states[k // per] = psi
-    return StateTrajectory(
-        grid=grid, states=states, steps_per_interval=steps_per_interval, hbar=hb
-    )
+    return StateTrajectory(grid=grid, states=states)
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

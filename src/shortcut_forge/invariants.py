@@ -16,7 +16,7 @@ from . import config
 from .dynamics import sample, time_chunks
 from .errors import GaugeDiscontinuityError
 from .operators import OperatorBasis, gram_matrix
-from .spectral import _align_frames
+from .spectral import _align_frames, discrete_connection
 
 
 @dataclass
@@ -102,15 +102,6 @@ def invariant_residual(
     return out
 
 
-def _check_mode_continuity(modes: np.ndarray, overlap_min: float = 0.9) -> None:
-    ov = np.abs(np.einsum("tin,tin->tn", modes[:-1].conj(), modes[1:]))
-    if ov.min() < overlap_min:
-        i, n = np.argwhere(ov < overlap_min)[0]
-        raise GaugeDiscontinuityError(
-            f"mode {n} overlap {ov[i, n]:.3f} < {overlap_min} between grid points {i} and {i + 1}"
-        )
-
-
 def lr_phase(
     H_of_t: Callable[[np.ndarray], np.ndarray],
     phi: np.ndarray,
@@ -126,8 +117,10 @@ def lr_phase(
     hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
     phi = np.asarray(phi, dtype=complex)
-    _check_mode_continuity(phi[:, :, None])
-    ov = np.einsum("ti,ti->t", phi[:-1].conj(), phi[1:])
+    ov = discrete_connection(phi[:, :, None])[:, 0]
+    if np.abs(ov).min() < 0.9:
+        i = int(np.abs(ov).argmin())
+        raise GaugeDiscontinuityError(f"mode overlap {abs(ov[i]):.3f} < 0.9 between grid points {i} and {i + 1}")
     deriv_inc = -np.imag(ov)  # (1/hbar) * i*hbar <phi|dphi> integrated over the interval
     energy = np.empty(len(grid))
     for start, H in time_chunks(H_of_t, grid):

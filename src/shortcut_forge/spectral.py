@@ -1,6 +1,6 @@
 """Gauge-smoothed eigen-decompositions along a drive, exact counterdiabatic
-terms, the adiabatic gauge potential, adiabatic reference states, and the
-quantum geometric tensor.
+terms and the adiabatic gauge potential, adiabatic reference states, the
+adiabaticity metric and the quantum geometric tensor.
 
 Eigenvector gauges are fixed by maximal-overlap phase alignment between
 consecutive grid points; level labels follow continuity (overlap matching),
@@ -9,6 +9,15 @@ read off the overlap matrix directly when every mode has a partner with
 squared overlap above 1/2, which makes it the unique best assignment; only
 ambiguous frames go to an assignment solver (scipy's linear_sum_assignment,
 imported on first use), so importing this module loads numpy alone.
+
+One kernel, ``_eigenbasis_coupling``, gives the coupling matrix
+M_nm = i hbar <n|dH|m> / (E_m - E_n) from matrices H and dH: the CD term (or,
+for dH = d_lambda H, the gauge potential) is V M V^dagger, the adiabaticity
+metric |M_nm| / |E_m - E_n|, the geometric tensor Re <n|A_i A_j|n> / hbar^2.
+A closed gap contributes zero where nothing couples across it, as at a
+symmetry-protected crossing, and raises DegeneracyError where something does.
+One function, ``discrete_connection``, gives the overlaps <n(t_i)|n(t_{i+1})>
+behind every geometric and Lewis-Riesenfeld phase.
 
 Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
 1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
@@ -24,13 +33,8 @@ from typing import Callable
 import numpy as np
 
 from . import config
-from .dynamics import StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
+from .dynamics import STACK_BYTES, StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
 from .errors import DegeneracyError, GridTooCoarseError
-
-
-def _fd_derivative(H_of_t: Callable[[float], np.ndarray], t: float, span: float) -> np.ndarray:
-    h = max(span, 1.0) * 1e-6
-    return (np.asarray(H_of_t(t + h)) - np.asarray(H_of_t(t - h))) / (2 * h)
 
 
 @dataclass
@@ -44,7 +48,6 @@ class EigenPath:
     grid: np.ndarray
     energies: np.ndarray           # (n_t, D), continuity-tracked order
     vectors: np.ndarray            # (n_t, D, D), columns are modes
-    gauge: str = "smooth-overlap"
     degenerate_points: list = field(default_factory=list)
 
     @property
@@ -147,6 +150,38 @@ def eigenpath(
     return path
 
 
+def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float | None = None, eps_gap: float | None = None):
+    """(E, V, M, closed) of H (one matrix or an (n, D, D) stack, one ``eigh``
+    call) and dH (one matrix per H, or a stack of derivatives of one H), as
+    stacks: M is the coupling matrix of ``counterdiabatic_term``, zero on the
+    diagonal and on the ``closed`` gaps."""
+    hb = config.hbar(hbar)
+    single = np.ndim(H) == 2
+    H = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
+    dH = np.asarray(dH, dtype=complex).reshape((-1,) + H.shape[1:])
+    E, V = np.linalg.eigh(H)
+    if eps_gap is None:
+        eps_gap = config.EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)
+    eps = np.broadcast_to(eps_gap, (len(E),))[:, None, None]
+    dHe = V.conj().swapaxes(1, 2) @ dH @ V
+    gap = np.broadcast_to(E[:, None, :] - E[:, :, None], dHe.shape)   # gap[t, n, m] = E_m - E_n
+    off = ~np.eye(E.shape[1], dtype=bool)
+    closed = (np.abs(gap) < eps) & off
+    if closed.any():
+        coupling_tol = 1e-9 * np.maximum(np.abs(dHe).max(axis=(1, 2)), 1e-300)
+        bad = closed & (np.abs(dHe) > coupling_tol[:, None, None])
+        if bad.any():
+            t, n, m = np.argwhere(bad)[0]
+            where = "" if single else f" at stack index {t}"
+            raise DegeneracyError(
+                f"levels {n} and {m} are degenerate{where} (gap {abs(gap[t, n, m]):.3e}) "
+                f"with coupling {abs(dHe[t, n, m]):.3e}"
+            )
+    M = 1j * hb * dHe / np.where(np.abs(gap) < eps, 1.0, gap)
+    M[closed | ~off] = 0.0
+    return E, V, M, closed
+
+
 def counterdiabatic_term(
     H: np.ndarray,
     dH: np.ndarray,
@@ -162,74 +197,13 @@ def counterdiabatic_term(
     raises DegeneracyError. H and dH are single matrices or (n, D, D) stacks,
     one ``eigh`` call for the stack; the default gap floor and the coupling
     tolerance are relative to each time's own spectrum and coupling scale.
+
+    With dH = d_lambda H, a parameter derivative, the result is the adiabatic
+    gauge potential A_lambda, and H_cd = lambda_dot . A_lambda.
     """
-    hb = config.hbar(hbar)
-    single = np.ndim(H) == 2
-    H = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
-    dH = np.asarray(dH, dtype=complex).reshape(H.shape)
-    E, V = np.linalg.eigh(H)
-    if eps_gap is None:
-        eps_gap = config.EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)
-    eps = np.broadcast_to(eps_gap, (len(E),))[:, None, None]
-    Vh = V.conj().swapaxes(1, 2)
-    dHe = Vh @ dH @ V
-    gap = E[:, None, :] - E[:, :, None]          # gap[t, n, m] = E_m - E_n
-    off = ~np.eye(E.shape[1], dtype=bool)
-    closed = (np.abs(gap) < eps) & off
-    if closed.any():
-        coupling_tol = 1e-9 * np.maximum(np.abs(dHe).max(axis=(1, 2)), 1e-300)
-        bad = closed & (np.abs(dHe) > coupling_tol[:, None, None])
-        if bad.any():
-            t, n, m = np.argwhere(bad)[0]
-            where = "" if single else f" at stack index {t}"
-            raise DegeneracyError(
-                f"levels {n} and {m} are degenerate{where} (gap {abs(gap[t, n, m]):.3e}) "
-                f"with coupling {abs(dHe[t, n, m]):.3e}"
-            )
-    M = 1j * hb * dHe / np.where(np.abs(gap) < eps, 1.0, gap)
-    M[closed | ~off] = 0.0
-    out = V @ M @ Vh
-    return out[0] if single else out
-
-
-def exact_cd(
-    H_of_t: Callable[[float], np.ndarray],
-    t: float,
-    dH_of_t: Callable[[float], np.ndarray] | None = None,
-    hbar: float | None = None,
-    eps_gap: float | None = None,
-    time_span: float = 1.0,
-) -> np.ndarray:
-    """Exact counterdiabatic operator of a driven Hamiltonian at time t.
-
-    dH/dt is taken from ``dH_of_t`` when supplied and by central finite
-    differences of H otherwise.
-    """
-    H = np.asarray(H_of_t(t), dtype=complex)
-    dH = np.asarray(dH_of_t(t), dtype=complex) if dH_of_t is not None else _fd_derivative(H_of_t, t, time_span)
-    return counterdiabatic_term(H, dH, hbar=hbar, eps_gap=eps_gap)
-
-
-def adiabatic_gauge_potential(
-    H_of_lambda: Callable[[np.ndarray], np.ndarray],
-    lam: np.ndarray,
-    component: int = 0,
-    dH_dlambda: Callable[[np.ndarray], np.ndarray] | None = None,
-    hbar: float | None = None,
-    eps_gap: float | None = None,
-) -> np.ndarray:
-    """Adiabatic gauge potential A_i(lambda), the parameter-space generator of
-    the eigenbasis: the counterdiabatic term is (dlambda/dt) . A(lambda)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if dH_dlambda is not None:
-        dH = np.asarray(dH_dlambda(lam), dtype=complex)
-    else:
-        h = 1e-6 * max(1.0, np.abs(lam).max())
-        lp, lm = lam.copy(), lam.copy()
-        lp[component] += h
-        lm[component] -= h
-        dH = (np.asarray(H_of_lambda(lp)) - np.asarray(H_of_lambda(lm))) / (2 * h)
-    return counterdiabatic_term(np.asarray(H_of_lambda(lam), dtype=complex), dH, hbar=hbar, eps_gap=eps_gap)
+    _, V, M, _ = _eigenbasis_coupling(H, dH, hbar, eps_gap)
+    out = V @ M @ V.conj().swapaxes(1, 2)
+    return out[0] if np.ndim(H) == 2 else out
 
 
 @dataclass
@@ -248,16 +222,30 @@ class AdiabaticState:
         return self.trajectory.states[i]
 
 
+def discrete_connection(vectors: np.ndarray) -> np.ndarray:
+    """<n(t_i)|n(t_{i+1})> of every mode column n of an (n_t, D, K) path;
+    returns the (n_t - 1, K) array.
+
+    The products are taken one ``STACK_BYTES`` chunk of times at a time, so
+    no temporary of the path's size is built.
+    """
+    n_t, D, K = vectors.shape
+    out = np.empty((n_t - 1, K), dtype=complex)
+    step = max(1, STACK_BYTES // (16 * D * K))
+    for s in range(0, n_t - 1, step):
+        e = min(s + step, n_t - 1)
+        out[s:e] = np.einsum("tdn,tdn->tn", vectors[s:e].conj(), vectors[s + 1:e + 1])
+    return out
+
+
 def geometric_integrand(path: EigenPath, n: int) -> np.ndarray:
     """Midpoint estimates of <n|d_t n> along the path (length n_t - 1).
 
     The antisymmetrized two-point estimator is purely imaginary by
     construction, matching the exact structure for normalized modes.
     """
-    V = path.vectors[:, :, n]
-    dt = np.diff(path.grid)
-    ov = np.einsum("ij,ij->i", V[:-1].conj(), V[1:])
-    return 1j * np.imag(ov) / dt
+    ov = discrete_connection(path.vectors[:, :, n:n + 1])[:, 0]
+    return 1j * np.imag(ov) / np.diff(path.grid)
 
 
 def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) -> AdiabaticState:
@@ -272,15 +260,12 @@ def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) 
     c0 = np.asarray(c0, dtype=complex)
     if abs(np.linalg.norm(c0) - 1.0) > 1e-10:
         raise ValueError("initial coefficients must be normalized")
-    n_t, D = path.energies.shape
     dyn = cumulative_trapezoid(path.energies, path.grid) / hb
-    geo = np.zeros((n_t, D))
-    for n in range(D):
-        inc = np.imag(np.einsum("ij,ij->i", path.vectors[:-1, :, n].conj(), path.vectors[1:, :, n]))
-        geo[1:, n] = -np.cumsum(inc)
+    geo = np.zeros(path.energies.shape)
+    geo[1:] = -np.cumsum(np.imag(discrete_connection(path.vectors)), axis=0)
     phases = np.exp(-1j * dyn + 1j * geo)
     states = np.einsum("n,tn,tdn->td", c0, phases, path.vectors)
-    traj = StateTrajectory(grid=path.grid, states=states, method="adiabatic")
+    traj = StateTrajectory(grid=path.grid, states=states)
     return AdiabaticState(trajectory=traj, dynamical_phases=dyn, geometric_phases=geo, coefficients=c0)
 
 
@@ -295,7 +280,7 @@ def loop_geometric_phase(path: EigenPath, n: int, closure_tol: float = 1e-6) -> 
     is minus half the solid angle enclosed on the Bloch sphere.
     """
     V = path.vectors[:, :, n]
-    ov = np.einsum("ti,ti->t", V[:-1].conj(), V[1:])
+    ov = discrete_connection(V[:, :, None])[:, 0]
     closure = np.vdot(V[-1], V[0])
     if abs(abs(closure) - 1.0) > closure_tol:
         raise ValueError(
@@ -306,72 +291,44 @@ def loop_geometric_phase(path: EigenPath, n: int, closure_tol: float = 1e-6) -> 
 
 
 def adiabaticity_metric(
-    H_of_t: Callable[[float], np.ndarray],
-    t: float,
+    H: np.ndarray,
+    dH: np.ndarray,
     m: int,
     n: int,
-    dH_of_t: Callable[[float], np.ndarray] | None = None,
     hbar: float | None = None,
     eps_gap: float | None = None,
-    time_span: float = 1.0,
 ) -> float:
-    """Two-level adiabaticity measure hbar |<n|dH|m>| / (E_m - E_n)^2.
+    """Two-level adiabaticity measure hbar |<n|dH|m>| / (E_m - E_n)^2 of one
+    H and its time derivative, read off the counterdiabatic coupling matrix as
+    |(H_cd)_nm| / |E_m - E_n|.
 
     Values much smaller than 1 indicate the pair (m, n) evolves adiabatically;
-    the threshold is left to the caller.
+    the threshold is left to the caller. A closed gap of the pair raises
+    DegeneracyError, as does a coupled closed gap of any other pair.
     """
     if m == n:
         raise ValueError("adiabaticity metric needs two distinct levels")
-    hb = config.hbar(hbar)
-    H = np.asarray(H_of_t(t), dtype=complex)
-    dH = np.asarray(dH_of_t(t), dtype=complex) if dH_of_t is not None else _fd_derivative(H_of_t, t, time_span)
-    E, V = np.linalg.eigh(H)
-    scale = max(np.abs(E).max(), 1e-300)
-    gap = E[m] - E[n]
-    if abs(gap) < (eps_gap if eps_gap is not None else config.EPS_GAP_REL * scale):
-        raise DegeneracyError(f"levels {m} and {n} are degenerate at t = {t}")
-    elem = V[:, n].conj() @ dH @ V[:, m]
-    return float(hb * abs(elem) / gap**2)
+    E, _, M, closed = _eigenbasis_coupling(H, dH, hbar, eps_gap)
+    if closed[0, n, m]:
+        raise DegeneracyError(f"levels {m} and {n} are degenerate")
+    return float(abs(M[0, n, m]) / abs(E[0, m] - E[0, n]))
 
 
 def quantum_geometric_tensor(
-    H_of_lambda: Callable[[np.ndarray], np.ndarray],
-    lam: np.ndarray,
+    H: np.ndarray,
+    dH_stack: np.ndarray,
     n: int = 0,
-    dH_dlambda: list[Callable] | None = None,
     eps_gap: float | None = None,
 ) -> np.ndarray:
-    """Quantum geometric tensor g_ij of the n-th eigenstate at a parameter point.
+    """Quantum geometric tensor g_ij of the n-th eigenstate of H, from the
+    (p, D, D) stack of its parameter derivatives d_i H.
 
-    g_ij = Re <d_i n|(1 - |n><n|)|d_j n>, evaluated through the gauge-free
-    matrix-element form sum_{m != n} <n|d_iH|m><m|d_jH|n> / (E_m - E_n)^2.
-    Real, symmetric, positive semidefinite.
+    g_ij = Re <d_i n|(1 - |n><n|)|d_j n> = Re <n|A_i A_j|n> / hbar^2, the
+    covariance of the adiabatic gauge potentials A_i, in matrix elements
+    sum_{m != n} <n|d_iH|m><m|d_jH|n> / (E_m - E_n)^2. Real, symmetric,
+    positive semidefinite. A level degenerate with n contributes nothing when
+    no d_i H couples them, and raises DegeneracyError otherwise.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    p = len(lam)
-    H = np.asarray(H_of_lambda(lam), dtype=complex)
-    E, V = np.linalg.eigh(H)
-    scale = max(np.abs(E).max(), 1e-300)
-    if eps_gap is None:
-        eps_gap = config.EPS_GAP_REL * scale
-    gaps = E - E[n]
-    others = [m for m in range(len(E)) if m != n]
-    if min(abs(gaps[m]) for m in others) < eps_gap:
-        raise DegeneracyError(f"level {n} is degenerate at lambda = {lam}")
-    derivs = []
-    for i in range(p):
-        if dH_dlambda is not None:
-            dH = np.asarray(dH_dlambda[i](lam), dtype=complex)
-        else:
-            h = 1e-6 * max(1.0, np.abs(lam).max())
-            lp, lm = lam.copy(), lam.copy()
-            lp[i] += h
-            lm[i] -= h
-            dH = (np.asarray(H_of_lambda(lp)) - np.asarray(H_of_lambda(lm))) / (2 * h)
-        derivs.append(V.conj().T @ dH @ V)
-    g = np.zeros((p, p))
-    for i in range(p):
-        for j in range(p):
-            s = sum(derivs[i][n, m] * derivs[j][m, n] / gaps[m] ** 2 for m in others)
-            g[i, j] = s.real
+    _, _, A, _ = _eigenbasis_coupling(H, dH_stack, 1.0, eps_gap)
+    g = (A[:, n, :] @ A[:, :, n].T).real
     return 0.5 * (g + g.T)

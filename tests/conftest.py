@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shortcut_forge import counterdiabatic_term
 from shortcut_forge.models import landau_zener, random_hermitian
 from shortcut_forge.operators import pauli_matrix
 
@@ -25,6 +26,12 @@ def stacked(H_of_t):
     """The time-stacked form of a per-time callable: the (n, D, D) stack of
     its matrices at a 1-D array of n times, one call per time."""
     return lambda times: np.array([H_of_t(t) for t in times])
+
+
+def cd_driven(system):
+    """H + H_cd of a DrivenSystem as a time callable: the (n, D, D) stack at a
+    1-D array of times, or one matrix at one time."""
+    return lambda t: system.hamiltonian(t) + counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
 
 
 def lz_cd_oracle(lam: float, rate: float, delta: float = 1.0, hbar: float = 1.0) -> np.ndarray:

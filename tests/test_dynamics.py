@@ -7,7 +7,6 @@ from shortcut_forge import (
     adiabatic_coefficients,
     eigenpath,
     evolve,
-    exact_cd,
     fidelity,
     overlap,
     step_unitary,
@@ -15,7 +14,7 @@ from shortcut_forge import (
 from shortcut_forge.dynamics import cumulative_trapezoid
 from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
 
-from conftest import SX, SY, SZ, stacked
+from conftest import SX, SY, SZ, cd_driven, stacked
 
 
 class TestEvolve:
@@ -76,6 +75,14 @@ class TestEvolve:
             evolve(H_of_t, np.ones(3) / np.sqrt(3), np.linspace(0, 1, 11))
         assert times == [1]
 
+    @pytest.mark.parametrize("steps", [0, -1, 1.5, 2.0, True])
+    def test_rejects_steps_per_interval_not_a_positive_int_before_stepping(self, steps):
+        times = []
+        H_of_t = lambda t: times.append(len(t)) or np.broadcast_to(SZ, (len(t), 2, 2))
+        with pytest.raises(ValueError, match="steps_per_interval must be an int >= 1"):
+            evolve(H_of_t, np.array([1.0, 0.0]), np.linspace(0, 1, 11), steps_per_interval=steps)
+        assert times == []
+
 
 class TestAdiabaticCoefficients:
     def test_initial_eigenstate(self, lz):
@@ -88,7 +95,7 @@ class TestAdiabaticCoefficients:
     def test_cd_driven_moduli_constant(self, lz):
         grid = np.linspace(0, 1, 1001)
         path = eigenpath(lz.hamiltonian, grid)
-        H_tot = lambda t: lz.hamiltonian(t) + exact_cd(lz.hamiltonian, t, lz.dhamiltonian)
+        H_tot = cd_driven(lz)
         psi0 = (path.vectors[0][:, 0] + path.vectors[0][:, 1]) / np.sqrt(2)
         traj = evolve(H_tot, psi0, grid, steps_per_interval=2)
         c = adiabatic_coefficients(traj, path)

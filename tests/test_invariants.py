@@ -4,12 +4,12 @@ import pytest
 from shortcut_forge import (
     AlgebraSpec,
     DynamicalInvariant,
+    GaugeDiscontinuityError,
     adiabatic_state,
     commutator,
     decompose_in_invariant_basis,
     eigenpath,
     evolve,
-    exact_cd,
     fidelity,
     hamiltonian_from_modes,
     invariant_residual,
@@ -21,7 +21,7 @@ from shortcut_forge import (
 )
 from shortcut_forge.models import landau_zener, random_hermitian
 
-from conftest import SX, SY, SZ, stacked
+from conftest import SX, SY, SZ, cd_driven, stacked
 
 
 def lz_modes_analytic(lz, grid):
@@ -71,7 +71,7 @@ class TestInvariantResidual:
         grid = np.linspace(0, 1, 12001)
         path = eigenpath(lz.hamiltonian, grid)
         inv = DynamicalInvariant.from_modes(grid, path.vectors, np.array([0.0, 1.0]))
-        H_tot = lambda t: lz.hamiltonian(t) + exact_cd(lz.hamiltonian, t, lz.dhamiltonian)
+        H_tot = cd_driven(lz)
         res = invariant_residual(H_tot, inv)
         scale = np.sqrt(0.5) * np.sqrt(26.0)      # ||F|| * max ||H + H_cd|| lower bound
         assert res.max() < 1e-6 * scale
@@ -100,13 +100,22 @@ class TestLRPhase:
         alpha = lr_phase(stacked(lambda t: H), phi, grid)
         assert np.abs(alpha + 2.0 * grid).max() < 1e-10
 
+    def test_discontinuous_mode_path_rejected(self):
+        """A mode path that jumps from |0> to |+> (overlap 0.707 < 0.9) between
+        grid points 3 and 4 has no Lewis-Riesenfeld phase."""
+        grid = np.linspace(0, 1, 9)
+        phi = np.tile(np.array([[1.0, 0.0]], dtype=complex), (len(grid), 1))
+        phi[4:] = np.array([1.0, 1.0]) / np.sqrt(2)
+        with pytest.raises(GaugeDiscontinuityError, match="overlap 0.707 < 0.9 between grid points 3 and 4"):
+            lr_phase(stacked(lambda t: SZ), phi, grid)
+
     def test_cd_driven_matches_adiabatic_phases(self, lz):
         """Under H + H_cd the eigenmodes are invariant modes; their
         Lewis-Riesenfeld phase is the sum of dynamical and geometric phases
         of the adiabatic reference."""
         grid = np.linspace(0, 1, 2001)
         path = eigenpath(lz.hamiltonian, grid)
-        H_tot = lambda t: lz.hamiltonian(t) + exact_cd(lz.hamiltonian, t, lz.dhamiltonian)
+        H_tot = cd_driven(lz)
         ad = adiabatic_state(path, np.array([1.0, 0.0]))
         alpha = lr_phase(H_tot, path.vectors[:, :, 0], grid)
         expect = -ad.dynamical_phases[:, 0] + ad.geometric_phases[:, 0]
@@ -117,7 +126,7 @@ class TestLRPhase:
         solution for a superposition initial state."""
         grid = np.linspace(0, 1, 2001)
         path = eigenpath(lz.hamiltonian, grid)
-        H_tot = lambda t: lz.hamiltonian(t) + exact_cd(lz.hamiltonian, t, lz.dhamiltonian)
+        H_tot = cd_driven(lz)
         c0 = np.array([0.6, 0.8], dtype=complex)
         psi0 = c0[0] * path.vectors[0][:, 0] + c0[1] * path.vectors[0][:, 1]
         traj = evolve(H_tot, psi0, grid, steps_per_interval=4)
@@ -146,7 +155,7 @@ class TestHamiltonianFromModes:
         H = hamiltonian_from_modes(grid, modes, rates, dmodes=dmodes)
         for i in (0, 50, 100):
             t = grid[i]
-            expect = lz.hamiltonian(t) + exact_cd(lz.hamiltonian, t, lz.dhamiltonian)
+            expect = cd_driven(lz)(t)
             assert np.abs(H[i] - expect).max() < 1e-7
 
     def test_drives_its_own_modes(self, lz):
@@ -213,7 +222,7 @@ class TestDecompose:
         modes, dmodes, energies = lz_modes_analytic(lz, grid)
         i = 40
         t = grid[i]
-        H_tot = lz.hamiltonian(t) + exact_cd(lz.hamiltonian, t, lz.dhamiltonian)
+        H_tot = cd_driven(lz)(t)
         diag, cd = decompose_in_invariant_basis(H_tot, modes[i], dmodes[i])
         assert np.abs(diag + cd - H_tot).max() < 1e-8
         # and hamiltonian_from_modes rebuilds it from the same data

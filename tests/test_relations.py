@@ -1,9 +1,18 @@
 """Relations between shortcut methods, checked as executable oracles."""
 
 import numpy as np
+import pytest
 
-from shortcut_forge import adiabatic_coefficients, counterdiabatic_term, eigenpath, evolve
-from shortcut_forge.models import random_hermitian_ramp
+from shortcut_forge import (
+    adiabatic_coefficients,
+    adiabaticity_metric,
+    eigenpath,
+    evolve,
+    quantum_geometric_tensor,
+)
+from shortcut_forge.models import random_hermitian, random_hermitian_ramp
+
+from conftest import cd_driven
 
 
 class TestCounterdiabaticInvariant:
@@ -14,12 +23,51 @@ class TestCounterdiabaticInvariant:
         midpoint integrator's: doubling the grid cuts it by about 4, with no
         floor from the Lanczos steps of this D."""
         system = random_hermitian_ramp(64, 0)
-        driven = lambda t: system.hamiltonian(t) + counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
         deviation = []
         for points in (201, 401):
             grid = np.linspace(0.0, 1.0, points)
             path = eigenpath(system.hamiltonian, grid)
-            traj = evolve(driven, path.vectors[0].sum(axis=1) / 8, grid)
+            traj = evolve(cd_driven(system), path.vectors[0].sum(axis=1) / 8, grid)
             c = adiabatic_coefficients(traj, path)
             deviation.append(np.abs(np.abs(c) ** 2 - 1 / 64).max())
         assert 3.5 <= deviation[0] / deviation[1] <= 4.5
+
+
+class TestGeometricTensorFidelitySusceptibility:
+    def test_tensor_is_the_fidelity_susceptibility(self):
+        """QGT <-> fidelity susceptibility: on a D = 5 two-parameter family,
+        1 - |<n(lambda - delta v)|n(lambda + delta v)>|^2 = (2 delta)^2 v.g.v
+        up to O(delta^4), for every level n and four directions v. The
+        eigenvectors come from direct diagonalization at the two points."""
+        rng = np.random.default_rng(7)
+        H0, H1, H2 = (random_hermitian(5, rng) for _ in range(3))
+        H_of = lambda lam: H0 + lam[0] * H1 + lam[1] * H2
+        lam, delta = np.array([0.3, -0.2]), 1e-3
+        for n in range(5):
+            g = quantum_geometric_tensor(H_of(lam), np.array([H1, H2]), n=n)
+            for phi in (0.0, np.pi / 4, np.pi / 2, 2.0):
+                v = np.array([np.cos(phi), np.sin(phi)])
+                lo = np.linalg.eigh(H_of(lam - delta * v))[1][:, n]
+                hi = np.linalg.eigh(H_of(lam + delta * v))[1][:, n]
+                chi = (1 - abs(np.vdot(lo, hi)) ** 2) / (2 * delta) ** 2
+                assert chi == pytest.approx(v @ g @ v, rel=1e-4)
+
+
+class TestAdiabaticityMetricModeVelocity:
+    def test_metric_is_the_mode_velocity_over_the_gap(self):
+        """Adiabaticity metric <-> hbar |<n|d_t m>| / |E_m - E_n|, with the mode
+        derivative taken by central differences of a 4001-point eigenpath of
+        a random D = 4 ramp."""
+        system = random_hermitian_ramp(4, 2)
+        grid = np.linspace(0.0, 1.0, 4001)
+        path = eigenpath(system.hamiltonian, grid)
+        dt = grid[1] - grid[0]
+        for i in (1000, 1700, 3000):
+            E, V = path.energies[i], path.vectors[i]
+            dV = (path.vectors[i + 1] - path.vectors[i - 1]) / (2 * dt)
+            H, dH = system.hamiltonian(grid[i]), system.dhamiltonian(grid[i])
+            for n in range(4):
+                for m in range(4):
+                    if m != n:
+                        oracle = abs(np.vdot(V[:, n], dV[:, m])) / abs(E[m] - E[n])
+                        assert adiabaticity_metric(H, dH, m, n) == pytest.approx(oracle, rel=1e-5)

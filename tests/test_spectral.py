@@ -6,21 +6,19 @@ from scipy.optimize import linear_sum_assignment
 from shortcut_forge import (
     loop_geometric_phase,
     DegeneracyError,
-    adiabatic_gauge_potential,
     adiabatic_state,
     adiabaticity_metric,
     counterdiabatic_term,
     eigenpath,
     evolve,
-    exact_cd,
     geometric_integrand,
     quantum_geometric_tensor,
 )
 from shortcut_forge.errors import GridTooCoarseError
 from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
-from shortcut_forge.spectral import _align_frames
+from shortcut_forge.spectral import _align_frames, discrete_connection
 
-from conftest import SX, SY, SZ, discrete_berry_phase, lz_cd_oracle, stacked
+from conftest import SX, SY, SZ, cd_driven, discrete_berry_phase, lz_cd_oracle, stacked
 
 
 class TestEigenpath:
@@ -178,13 +176,13 @@ class TestExactCD:
 
     def test_lz_closed_form_at_crossing(self, lz):
         # delta = 1, rate = 10 at lambda = 0 (t = 0.5): CD = -(10/2) sy / (0+1) -> -5 sy... scaled
-        cd = exact_cd(lz.hamiltonian, 0.5, lz.dhamiltonian)
+        cd = counterdiabatic_term(lz.hamiltonian(0.5), lz.dhamiltonian(0.5))
         assert np.allclose(cd, lz_cd_oracle(0.0, 10.0), atol=1e-12)
 
     def test_unit_rate_convention(self):
         # lam = 0, delta = 1, rate = 1: CD = -(1/2) sy
-        H_of_t = lambda t: t * SZ + SX
-        cd = exact_cd(H_of_t, 0.0, lambda t: SZ)
+        # H(t) = t sz + sx at t = 0
+        cd = counterdiabatic_term(SX, SZ)
         assert np.allclose(cd, -0.5 * SY, atol=1e-12)
 
     def test_zero_diagonal_in_eigenbasis(self):
@@ -211,7 +209,7 @@ class TestExactCD:
                 if m == n:
                     continue
                 oracle += 1j * np.outer(V[:, n], V[:, m].conj()) * np.vdot(V[:, n], dV[:, m])
-        cd = exact_cd(sys4.hamiltonian, grid[i], sys4.dhamiltonian)
+        cd = counterdiabatic_term(sys4.hamiltonian(grid[i]), sys4.dhamiltonian(grid[i]))
         assert np.abs(cd - oracle).max() < 1e-6
 
     def test_population_freezing_any_speed(self, lz):
@@ -221,7 +219,7 @@ class TestExactCD:
             sys_t = landau_zener(duration=T)
             grid = np.linspace(0, T, 3001)
             path = eigenpath(sys_t.hamiltonian, grid)
-            H_tot = lambda t: sys_t.hamiltonian(t) + exact_cd(sys_t.hamiltonian, t, sys_t.dhamiltonian)
+            H_tot = cd_driven(sys_t)
             psi0 = (path.vectors[0, :, 0] + 1j * path.vectors[0, :, 1]) / np.sqrt(2)
             traj = evolve(H_tot, psi0, grid, steps_per_interval=4)
             pops = np.abs(np.einsum("tdn,td->tn", path.vectors.conj(), traj.states)) ** 2
@@ -239,20 +237,22 @@ class TestExactCD:
 
 
 class TestAGP:
+    """The adiabatic gauge potential is counterdiabatic_term of d_lambda H."""
+
     def test_lz_closed_form(self, lz):
-        A = adiabatic_gauge_potential(lz.H_of_lambda, np.array([2.0]), dH_dlambda=lambda lam: SZ)
+        A = counterdiabatic_term(lz.H_of_lambda(np.array([2.0])), SZ)
         assert np.allclose(A, -1.0 / (2 * (4 + 1)) * SY, atol=1e-12)
 
     def test_cd_equals_rate_times_agp(self, lz):
         t = 0.3
         lam = lz.schedule(t)
         rate = lz.schedule.rate(t)[0]
-        A = adiabatic_gauge_potential(lz.H_of_lambda, lam, dH_dlambda=lambda l: SZ)
-        cd = exact_cd(lz.hamiltonian, t, lz.dhamiltonian)
+        A = counterdiabatic_term(lz.H_of_lambda(lam), SZ)
+        cd = counterdiabatic_term(lz.hamiltonian(t), lz.dhamiltonian(t))
         assert np.abs(cd - rate * A).max() < 1e-10
 
     def test_parameter_independent_vanishes(self):
-        A = adiabatic_gauge_potential(lambda lam: SZ + 0.5 * SX, np.array([1.0]))
+        A = counterdiabatic_term(SZ + 0.5 * SX, np.zeros((2, 2)))
         assert np.abs(A).max() < 1e-8
 
 
@@ -335,43 +335,58 @@ class TestAdiabaticState:
 
 class TestAdiabaticityMetric:
     def test_static(self):
-        assert adiabaticity_metric(lambda t: SZ, 0.1, 0, 1, dH_of_t=lambda t: np.zeros((2, 2))) == 0.0
+        assert adiabaticity_metric(SZ, np.zeros((2, 2)), 0, 1) == 0.0
 
     def test_lz_value(self, lz):
         # at lambda = 0: |<0|dH|1>| = rate, gap = 2 -> rate/4 = 2.5 for rate 10
-        val = adiabaticity_metric(lz.hamiltonian, 0.5, 0, 1, dH_of_t=lz.dhamiltonian)
+        val = adiabaticity_metric(lz.hamiltonian(0.5), lz.dhamiltonian(0.5), 0, 1)
         assert val == pytest.approx(2.5, abs=1e-9)
 
     def test_unit_rate_value(self):
-        H_of_t = lambda t: t * SZ + SX
-        val = adiabaticity_metric(H_of_t, 0.0, 0, 1, dH_of_t=lambda t: SZ)
+        # H(t) = t sz + sx at t = 0
+        val = adiabaticity_metric(SX, SZ, 0, 1)
         assert val == pytest.approx(0.25, abs=1e-12)
 
     def test_symmetry(self, lz):
-        a = adiabaticity_metric(lz.hamiltonian, 0.3, 0, 1, dH_of_t=lz.dhamiltonian)
-        b = adiabaticity_metric(lz.hamiltonian, 0.3, 1, 0, dH_of_t=lz.dhamiltonian)
+        a = adiabaticity_metric(lz.hamiltonian(0.3), lz.dhamiltonian(0.3), 0, 1)
+        b = adiabaticity_metric(lz.hamiltonian(0.3), lz.dhamiltonian(0.3), 1, 0)
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_closed_gap_of_the_pair_raises(self):
+        # levels 1 and 2 of diag(-1, 1, 1) are degenerate; the drive couples only 0 and 1
+        H, X01 = np.diag([-1.0, 1.0, 1.0]), np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        assert adiabaticity_metric(H, X01, 0, 1) == pytest.approx(0.25, abs=1e-12)
+        with pytest.raises(DegeneracyError, match="levels 1 and 2"):
+            adiabaticity_metric(H, X01, 1, 2)
 
 
 class TestQuantumGeometricTensor:
     def test_parameter_independent(self):
-        g = quantum_geometric_tensor(lambda lam: SZ + 0.2 * SX, np.array([0.7]))
+        g = quantum_geometric_tensor(SZ + 0.2 * SX, np.zeros((1, 2, 2)))
         assert np.abs(g).max() < 1e-10
 
     def test_two_level_closed_form(self):
         delta = 1.0
-        H = lambda lam: lam[0] * SZ + delta * SX
         for lam in (-2.0, 0.0, 1.5):
-            g = quantum_geometric_tensor(H, np.array([lam]), n=0, dH_dlambda=[lambda l: SZ])
+            g = quantum_geometric_tensor(lam * SZ + delta * SX, SZ[None], n=0)
             expect = delta**2 / (4 * (lam**2 + delta**2) ** 2)
             assert g[0, 0] == pytest.approx(expect, rel=1e-9)
 
     def test_positive_semidefinite(self):
-        def H(lam):
-            return lam[0] * SZ + lam[1] * SX + 0.5 * SY
-
-        g = quantum_geometric_tensor(H, np.array([0.3, 0.9]), n=0)
+        # H(lam) = lam_0 sz + lam_1 sx + 0.5 sy at lam = (0.3, 0.9)
+        g = quantum_geometric_tensor(0.3 * SZ + 0.9 * SX + 0.5 * SY, np.array([SZ, SX]), n=0)
         assert np.linalg.eigvalsh(g).min() >= -1e-12
+
+    def test_uncoupled_degenerate_level_contributes_nothing(self):
+        """Level 2 of diag(-1, 1, 1) is degenerate with level 1 but no
+        derivative couples them: the tensor of level 1 is its coupling to
+        level 0 alone, 1/gap^2 = 1/4. A coupled degenerate pair raises."""
+        H = np.diag([-1.0, 1.0, 1.0])
+        X01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+        X12 = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+        assert quantum_geometric_tensor(H, X01[None], n=1)[0, 0] == pytest.approx(0.25, abs=1e-12)
+        with pytest.raises(DegeneracyError):
+            quantum_geometric_tensor(H, np.array([X01, X12]), n=1)
 
 
 class TestCounterdiabaticStack:
@@ -402,6 +417,13 @@ class TestCounterdiabaticStack:
             counterdiabatic_term(H, dH)
         with pytest.raises(DegeneracyError):
             [counterdiabatic_term(h, d) for h, d in zip(H, dH)]
+
+    def test_discrete_connection_chunks_match_the_per_mode_products(self, rng):
+        """2500 times of D = 2 span three time chunks; the products equal the
+        per-mode inner products bit for bit."""
+        V = rng.standard_normal((2500, 2, 2)) + 1j * rng.standard_normal((2500, 2, 2))
+        per_mode = np.stack([np.einsum("ij,ij->i", V[:-1, :, n].conj(), V[1:, :, n]) for n in range(2)], axis=1)
+        assert np.array_equal(discrete_connection(V), per_mode)
 
     def test_eigenpath_rejects_an_unstacked_callable(self):
         with pytest.raises(ValueError, match=r"time callable must map 1 times to an \(1, D, D\) stack"):
