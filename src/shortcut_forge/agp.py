@@ -149,14 +149,9 @@ def algebraic_system(
     return LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=ops, metadata=meta)
 
 
-def krylov_chain(
-    H: np.ndarray,
-    dH: np.ndarray,
-    k_max: int | None = None,
-    term_tol: float | None = None,
-) -> KrylovChain:
+def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> KrylovChain:
     """Lanczos three-term recurrence on the Liouvillian with full
-    re-orthogonalization; terminates at b < term_tol * b_0 or k_max.
+    re-orthogonalization; terminates at b < 1e-10 b_0 or k_max.
 
     The chain is held as one (n, K, D^2) stack, and each new operator is
     projected off all earlier ones with one stacked product. A second pass
@@ -173,7 +168,7 @@ def krylov_chain(
         raise ValueError("dH vanishes; no Krylov chain exists")
     hard_cap = D * D - D + 1
     k_max = hard_cap if k_max is None else max(1, min(k_max, hard_cap))
-    tol = (1e-10 if term_tol is None else term_tol) * b0
+    tol = 1e-10 * b0
     tol2 = tol * tol * D            # tol^2 in the unnormalized |W|^2
     live = b0 > 0.0
     # grown geometrically: k_max may lie far beyond where the chains terminate
@@ -373,17 +368,11 @@ def action_value(
 # End-to-end constructions
 
 
-def krylov_cd(
-    H: np.ndarray,
-    dH: np.ndarray,
-    k_max: int | None = None,
-    term_tol: float | None = None,
-    hbar: float | None = None,
-) -> np.ndarray:
+def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None, hbar: float | None = None) -> np.ndarray:
     """Counterdiabatic operator from the Krylov route (full chain by default);
     zero where the drive dH vanishes."""
     single, Hs, dHs = _as_stacks(H, dH)
-    system = krylov_system(krylov_chain(Hs, dHs, k_max=k_max, term_tol=term_tol), hbar=hbar)
+    system = krylov_system(krylov_chain(Hs, dHs, k_max=k_max), hbar=hbar)
     out = assemble_cd(system, solve_cd(system))
     return out[0] if single else out
 
@@ -426,13 +415,7 @@ def variational_cd(
     return krylov_cd(H, dH, k_max=2 * K_tr + 1, hbar=hbar)
 
 
-def odd_commutator_support(
-    H: np.ndarray,
-    dH: np.ndarray,
-    basis: OperatorBasis,
-    max_order: int | None = None,
-    tol: float = 1e-10,
-):
+def odd_commutator_support(H: np.ndarray, dH: np.ndarray, basis: OperatorBasis, max_order: int | None = None):
     """Basis elements appearing in the first max_order odd nested
     commutators (all of them by default): their index list for one time, a
     boolean (n, len(basis)) mask for a time stack.
@@ -440,11 +423,11 @@ def odd_commutator_support(
     Those commutators span the same space as the odd operators of the Krylov
     chain, so one product holds the overlap of every basis element with
     every Q_{2k-1} (unit norm); an element is in the support when any of its
-    overlaps exceeds tol in magnitude. The support is the natural trial basis
+    overlaps exceeds 1e-10 in magnitude. The support is the natural trial basis
     for the algebraic route. A vanishing drive has empty support.
     """
     single, Hs, dHs = _as_stacks(H, dH)
     k_max = None if max_order is None else 2 * max_order
     odd = krylov_chain(Hs, dHs, k_max=k_max).ops[:, 1::2]
-    mask = (np.abs(gram_matrix(basis.elements, odd)) > tol).any(axis=2)
+    mask = (np.abs(gram_matrix(basis.elements, odd)) > 1e-10).any(axis=2)
     return np.nonzero(mask[0])[0].tolist() if single else mask

@@ -298,8 +298,9 @@ class _Reference:
         return lambda t: self.system.hamiltonian(t) + cd(t)
 
     def populations(self, states: np.ndarray) -> np.ndarray:
-        """|<n(t)|psi(t)>|^2 in the adiabatic basis of each grid time, shape (times, levels)."""
-        return np.abs(np.einsum("tdn,td->tn", self.path.vectors.conj(), states)) ** 2
+        """|<n(t)|psi(t)>|^2 in the adiabatic basis of each grid time, shape (times, levels);
+        taken as |<psi|n>|^2 so that the path is not copied to conjugate it."""
+        return np.abs(np.einsum("tdn,td->tn", self.path.vectors, states.conj())) ** 2
 
 
 def _driven_scenario(conf: dict) -> dict:

@@ -11,7 +11,7 @@ import os
 #: Hermiticity is asserted relative to the largest matrix entry.
 TOL_HERM = 1e-12
 
-#: Default relative gap floor: gaps below eps_gap * ||H|| count as degenerate.
+#: Relative gap floor: gaps below EPS_GAP_REL * max|E| count as degenerate.
 EPS_GAP_REL = 1e-10
 
 #: Nested-commutator norms beyond this abort with a scaling hint.

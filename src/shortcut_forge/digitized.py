@@ -73,9 +73,8 @@ def trotter_cd_evolve(
     cd_of_t: Callable[[np.ndarray], np.ndarray],
     plan: TrotterPlan,
     psi0: np.ndarray,
-    return_intermediate: bool = False,
     hbar: float | None = None,
-):
+) -> np.ndarray:
     """Apply the digitized counterdiabatic product to psi0.
 
     Each slice uses exact (eigendecomposition) exponentials, so the composed
@@ -85,13 +84,8 @@ def trotter_cd_evolve(
     psi = np.asarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
-    states = [psi.copy()]
     for U in trotter_step_unitaries(H_of_t, cd_of_t, plan, hbar=hbar):
         psi = U @ psi
-        if return_intermediate:
-            states.append(psi.copy())
-    if return_intermediate:
-        return psi, np.array(states)
     return psi
 
 
@@ -122,12 +116,11 @@ def digitization_error(
     M_list,
     target: np.ndarray,
     metric: str = "infidelity",
-    ordering: str = "h-then-cd",
-    sampling: str = "right",
     psi0: np.ndarray | None = None,
     hbar: float | None = None,
 ) -> ScalingReport:
-    """Digitization error against the coherent target at T, per slice count.
+    """Digitization error against the coherent target at T, per slice count,
+    for the default ``TrotterPlan`` (right endpoints, H after H_cd).
 
     metric "infidelity" is 1 - |<target|psi_M>|^2; metric "state_error" is
     the 2-norm ||psi_M - target|| (the quantity first-order product-formula
@@ -143,7 +136,7 @@ def digitization_error(
     M_list = np.asarray(sorted(M_list), dtype=int)
     values = np.empty(len(M_list))
     for i, M in enumerate(M_list):
-        plan = TrotterPlan(M=int(M), T=T, ordering=ordering, sampling=sampling)
+        plan = TrotterPlan(M=int(M), T=T)
         psi = trotter_cd_evolve(H_of_t, cd_of_t, plan, psi0, hbar=hbar)
         if metric == "infidelity":
             values[i] = 1.0 - fidelity(target, psi)

@@ -77,10 +77,6 @@ class StateTrajectory:
     grid: np.ndarray
     states: np.ndarray             # (n_t, D)
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
     def final(self) -> np.ndarray:
         return self.states[-1]
 
@@ -236,7 +232,9 @@ def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float | None = Non
     """Adiabatic-frame coefficients c_n(t) = e^{+(i/hbar) int E_n} <n(t)|Psi(t)>.
 
     ``path`` is an EigenPath on the same grid. The dynamical phase is removed
-    so that |c_n| is constant exactly when transitions are suppressed.
+    so that |c_n| is constant exactly when transitions are suppressed. The
+    overlaps are taken against the conjugated states, so the (n_t, D, D)
+    path is never copied.
     """
     hb = config.hbar(hbar)
     if len(traj.grid) != len(path.grid) or np.abs(traj.grid - path.grid).max() > 1e-12 * max(
@@ -244,5 +242,5 @@ def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float | None = Non
     ):
         raise ValueError("trajectory and eigenpath grids are not aligned")
     dyn = cumulative_trapezoid(path.energies, path.grid) / hb
-    raw = np.einsum("tdn,td->tn", path.vectors.conj(), traj.states)
+    raw = np.einsum("tdn,td->tn", path.vectors, traj.states.conj()).conj()
     return np.exp(1j * dyn) * raw

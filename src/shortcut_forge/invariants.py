@@ -16,7 +16,7 @@ from . import config
 from .dynamics import sample, time_chunks
 from .errors import GaugeDiscontinuityError
 from .operators import OperatorBasis, gram_matrix
-from .spectral import _align_frames, discrete_connection
+from .spectral import OVERLAP_MIN, discrete_connection, eigenpath
 
 
 @dataclass
@@ -27,10 +27,6 @@ class DynamicalInvariant:
     operators: np.ndarray          # (n_t, D, D)
     eigenvalues: np.ndarray        # (n_t, D), continuity-tracked
     vectors: np.ndarray            # (n_t, D, D) smooth-gauge modes
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[1]
 
     def eigenvalue_drift(self) -> float:
         """Max relative drift of any tracked eigenvalue across the grid."""
@@ -56,18 +52,14 @@ class DynamicalInvariant:
 
     @classmethod
     def from_operator(cls, grid: np.ndarray, F_of_t: Callable[[np.ndarray], np.ndarray]):
-        """Diagonalize a supplied time-stacked F(t) on the grid, one ``eigh``
-        call per time chunk, with smooth-gauge tracking in order."""
-        grid = np.asarray(grid, dtype=float)
-        ops, evs, vecs = [], [], []
-        for _, F in time_chunks(F_of_t, grid):
-            E, V = np.linalg.eigh(F)
-            for k in range(len(F)):
-                e, v = (E[k], V[k]) if not vecs else _align_frames(vecs[-1], E[k], V[k])[:2]
-                ops.append(F[k])
-                evs.append(e)
-                vecs.append(v)
-        return cls(grid=grid, operators=np.array(ops), eigenvalues=np.array(evs), vectors=np.array(vecs))
+        """Diagonalize a supplied time-stacked F(t) on the grid by ``eigenpath``:
+        one ``eigh`` call per time chunk, frames aligned in order, and an
+        interval whose mode overlap falls below ``spectral.OVERLAP_MIN`` (0.9)
+        bisected up to ``spectral.MAX_REFINE`` (12) levels, so F_of_t may be
+        called between grid points; past that, GridTooCoarseError."""
+        path = eigenpath(F_of_t, grid)
+        return cls(grid=path.grid, operators=sample(F_of_t, path.grid), eigenvalues=path.energies,
+                   vectors=path.vectors)
 
 
 def invariant_residual(
@@ -118,9 +110,10 @@ def lr_phase(
     grid = np.asarray(grid, dtype=float)
     phi = np.asarray(phi, dtype=complex)
     ov = discrete_connection(phi[:, :, None])[:, 0]
-    if np.abs(ov).min() < 0.9:
+    if np.abs(ov).min() < OVERLAP_MIN:
         i = int(np.abs(ov).argmin())
-        raise GaugeDiscontinuityError(f"mode overlap {abs(ov[i]):.3f} < 0.9 between grid points {i} and {i + 1}")
+        raise GaugeDiscontinuityError(
+            f"mode overlap {abs(ov[i]):.3f} < {OVERLAP_MIN} between grid points {i} and {i + 1}")
     deriv_inc = -np.imag(ov)  # (1/hbar) * i*hbar <phi|dphi> integrated over the interval
     energy = np.empty(len(grid))
     for start, H in time_chunks(H_of_t, grid):
@@ -139,7 +132,6 @@ def hamiltonian_from_modes(
     alpha_rates: np.ndarray,
     dmodes: np.ndarray | None = None,
     hbar: float | None = None,
-    herm_tol: float = 1e-9,
 ) -> np.ndarray:
     """Inverse-engineered Hamiltonian driving the given mode paths and phases.
 
@@ -147,7 +139,7 @@ def hamiltonian_from_modes(
     Evolving |phi_n(0)> under it reproduces e^{i alpha_n(t)} |phi_n(t)>.
     ``alpha_rates``: array (n_t, D). ``dmodes``: analytic mode derivatives;
     centered differences otherwise (supply analytic ones when the Hermiticity
-    tolerance matters).
+    check, 1e-9 relative to the largest entry of H, matters).
     """
     hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
@@ -165,7 +157,7 @@ def hamiltonian_from_modes(
         Kmat = 1j * hb * dmodes[i] @ modes[i].conj().T
         H = P + Kmat
         dev = np.abs(H - H.conj().T).max()
-        if dev > herm_tol * max(np.abs(H).max(), 1e-300):
+        if dev > 1e-9 * max(np.abs(H).max(), 1e-300):
             raise AssertionError(
                 f"inverse-engineered H not Hermitian at t = {grid[i]}: dev {dev:.3e}; "
                 "supply analytic dmodes or refine the grid"
@@ -215,12 +207,14 @@ class AlgebraSpec:
         if self.T is None:
             self.T = structure_constants(self.basis)
 
-    def verify(self, tol: float = 1e-10) -> None:
-        """Check the structure constants and the [A, B] in span(B) closure.
+    def verify(self) -> None:
+        """Check the structure constants and the [A, B] in span(B) closure,
+        each to 1e-10.
 
         For an orthonormal basis the defect of [X_j, X_k] = i sum_l T_jkl X_l
         is the 2-norm over l of the deviation of T from the computed tensor.
         """
+        tol = 1e-10
         dev = np.linalg.norm(self.T - structure_constants(self.basis), axis=2)
         if dev.max() > tol:
             j, k = np.argwhere(dev > tol)[0]

@@ -44,9 +44,6 @@ class DrivenSystem:
             H = H + lam[..., i, None, None] * Hi
         return H
 
-    def dH_dlambda(self, lam: np.ndarray, i: int = 0) -> np.ndarray:
-        return self.H_terms[i]
-
     def hamiltonian(self, t) -> np.ndarray:
         """H(t) at a time, or the (n, D, D) stack at a 1-D array of times."""
         return self.H_of_lambda(self.schedule(t))

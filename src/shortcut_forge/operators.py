@@ -28,12 +28,14 @@ def _check_same_dim(X: np.ndarray, Y: np.ndarray) -> None:
         raise DimensionMismatchError(f"operands have shapes {X.shape} and {Y.shape}")
 
 
-def as_hermitian(A: np.ndarray, tol: float = config.TOL_HERM) -> np.ndarray:
-    """Validate Hermiticity and return the array unchanged.
+def as_hermitian(A: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity to ``config.TOL_HERM`` relative to the largest
+    entry and return the array unchanged.
 
     Violations raise HermiticityError; the input is never symmetrized, since
     that would hide upstream bugs.
     """
+    tol = config.TOL_HERM
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
@@ -66,8 +68,9 @@ def liouvillian_apply(H: np.ndarray, X: np.ndarray) -> np.ndarray:
     return commutator(H, X)
 
 
-def nested_commutator(H: np.ndarray, dH: np.ndarray, k: int, k_max: int = 12) -> np.ndarray:
-    """k-fold nested commutator of H with dH: the k = 0 case is dH itself.
+def nested_commutator(H: np.ndarray, dH: np.ndarray, k: int) -> np.ndarray:
+    """k-fold nested commutator of H with dH, 0 <= k <= 12: the k = 0 case
+    is dH itself.
 
     Hermitian for even k and anti-Hermitian for odd k when H, dH are
     Hermitian. Norms grow roughly like (spectral spread)^k; growth beyond
@@ -76,8 +79,8 @@ def nested_commutator(H: np.ndarray, dH: np.ndarray, k: int, k_max: int = 12) ->
     _check_same_dim(H, dH)
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k > k_max:
-        raise ValueError(f"k = {k} exceeds k_max = {k_max}")
+    if k > 12:
+        raise ValueError(f"k = {k} exceeds 12")
     out = dH
     for _ in range(k):
         out = commutator(H, out)
@@ -113,14 +116,15 @@ class OperatorBasis:
     def dim(self) -> int:
         return self.elements.shape[1]
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check tracelessness, Hermiticity and pairwise orthonormality."""
+    def validate(self) -> None:
+        """Check tracelessness, Hermiticity and pairwise orthonormality, each
+        to 1e-12."""
         for L, lab in zip(self.elements, self.labels):
-            if abs(np.trace(L)) > tol * max(1.0, np.abs(L).max()):
+            if abs(np.trace(L)) > 1e-12 * max(1.0, np.abs(L).max()):
                 raise ValueError(f"basis element {lab} is not traceless")
-            as_hermitian(L, tol=max(tol, config.TOL_HERM))
+            as_hermitian(L)
         G = gram_matrix(self.elements)
-        if np.abs(G - np.eye(len(self))).max() > max(tol, 1e-12):
+        if np.abs(G - np.eye(len(self))).max() > 1e-12:
             raise ValueError("basis is not orthonormal under the Frobenius inner product")
 
     def subset(self, indices) -> "OperatorBasis":
@@ -192,17 +196,17 @@ def gell_mann_basis(dim: int) -> OperatorBasis:
     return OperatorBasis(elems, labels)
 
 
-def expand_in_basis(X: np.ndarray, basis: OperatorBasis, residual_tol: float = 1e-8) -> np.ndarray:
+def expand_in_basis(X: np.ndarray, basis: OperatorBasis) -> np.ndarray:
     """Coefficients c_mu = (L_mu|X) of a traceless operator in an orthonormal basis.
 
-    If the basis does not span X the residual exceeds residual_tol and a
-    SpanningError is raised rather than silently truncating.
+    If the basis does not span X the residual exceeds 1e-8 relative to
+    max(1, ||X||) and a SpanningError is raised rather than silently truncating.
     """
     _check_same_dim(X, basis.elements[0])
     coeffs = gram_matrix(basis.elements, X[None])[:, 0]
     res = frobenius_norm(X - reconstruct_from_basis(coeffs, basis))
-    if res > residual_tol * max(1.0, frobenius_norm(X)):
-        raise SpanningError(f"expansion residual {res:.3e} exceeds {residual_tol:.1e}")
+    if res > 1e-8 * max(1.0, frobenius_norm(X)):
+        raise SpanningError(f"expansion residual {res:.3e} exceeds 1.0e-08")
     return coeffs
 
 

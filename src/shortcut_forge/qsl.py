@@ -44,8 +44,9 @@ class BoundReport:
             raise ValueError("no observed trajectory was supplied")
         return self.observed - self.bound
 
-    def holds(self, tol: float = 1e-8) -> bool:
-        return bool((self.margin() >= -tol).all())
+    def holds(self) -> bool:
+        """Whether the margin stays >= -1e-8 at every time."""
+        return bool((self.margin() >= -1e-8).all())
 
 
 def stddev_in_state(X: np.ndarray, psi: np.ndarray):
@@ -96,16 +97,14 @@ def qsl_discrete(
     U2_steps: list[np.ndarray],
     reference_states: np.ndarray,
     grid: np.ndarray | None = None,
-    reference_index: int = 1,
     observed: np.ndarray | None = None,
-    clamp_warn: float = 1e-9,
 ) -> BoundReport:
     """Discretized bound from per-slice propagators.
 
-    L_n = arccos |<Psi_i(t_n)| U_ibar U_i^dag |Psi_i(t_n)>| with Psi_i the
-    reference trajectory (index 1 or 2) sampled at slice ends; the bound at
+    L_n = arccos |<Psi_1(t_n)| U_2 U_1^dag |Psi_1(t_n)>| with Psi_1 the
+    reference trajectory of the U_1 steps sampled at slice ends; the bound at
     slice n is cos(sum_{m<=n} L_m). Overlap magnitudes exceeding 1 by more
-    than ``clamp_warn`` trigger a warning before clamping.
+    than 1e-9 trigger a warning before clamping.
     """
     if len(U1_steps) != len(U2_steps):
         raise ValueError("step lists must have equal length")
@@ -113,19 +112,15 @@ def qsl_discrete(
     reference_states = np.asarray(reference_states, dtype=complex)
     if reference_states.shape[0] != M + 1:
         raise ValueError("need M + 1 reference states (slice boundaries)")
-    if reference_index not in (1, 2):
-        raise ValueError("reference_index must be 1 or 2")
-    Ui = U1_steps if reference_index == 1 else U2_steps
-    Ubar = U2_steps if reference_index == 1 else U1_steps
     L = np.empty(M)
     for n in range(M):
         psi = reference_states[n + 1]
-        val = abs(np.vdot(psi, Ubar[n] @ (Ui[n].conj().T @ psi)))
-        if val > 1.0 + clamp_warn:
+        val = abs(np.vdot(psi, U2_steps[n] @ (U1_steps[n].conj().T @ psi)))
+        if val > 1.0 + 1e-9:
             warnings.warn(f"overlap magnitude {val - 1.0:.2e} above 1 clamped at slice {n + 1}")
         L[n] = np.arccos(min(val, 1.0))
     angle = np.concatenate([[0.0], np.cumsum(L)])
     if grid is None:
         grid = np.arange(M + 1, dtype=float)
     return BoundReport(grid=np.asarray(grid, float), angle=angle, bound=np.cos(angle),
-                       observed=observed, metadata={"per_step_angle": L, "reference_index": reference_index})
+                       observed=observed, metadata={"per_step_angle": L})

@@ -4,11 +4,13 @@ adiabaticity metric and the quantum geometric tensor.
 
 Eigenvector gauges are fixed by maximal-overlap phase alignment between
 consecutive grid points; level labels follow continuity (overlap matching),
-not per-time sort order, so labels survive avoided crossings. The matching is
-read off the overlap matrix directly when every mode has a partner with
-squared overlap above 1/2, which makes it the unique best assignment; only
-ambiguous frames go to an assignment solver (scipy's linear_sum_assignment,
-imported on first use), so importing this module loads numpy alone.
+not per-time sort order, so labels survive avoided crossings. Each mode takes
+the partner of largest squared overlap. Between two orthonormal frames the
+squared overlaps of one mode sum to 1, so a best partner above 1/2 is unique
+and these choices form the best assignment. A best partner at or below 1/2
+leaves an overlap of at most 1/sqrt(2) < ``OVERLAP_MIN`` = 0.9, which
+``eigenpath`` bisects or rejects whatever was matched, so no assignment solver
+is needed and the module needs numpy alone.
 
 One kernel, ``_eigenbasis_coupling``, gives the coupling matrix
 M_nm = i hbar <n|dH|m> / (E_m - E_n) from matrices H and dH: the CD term (or,
@@ -27,7 +29,7 @@ order, and ``counterdiabatic_term`` takes one matrix or an (n, D, D) stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,6 +37,12 @@ import numpy as np
 from . import config
 from .dynamics import STACK_BYTES, StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
 from .errors import DegeneracyError, GridTooCoarseError
+
+#: smallest mode overlap |<n(t_i)|n(t_{i+1})>| that ``eigenpath`` accepts
+OVERLAP_MIN = 0.9
+
+#: bisection levels ``eigenpath`` tries on one grid interval before it gives up
+MAX_REFINE = 12
 
 
 @dataclass
@@ -48,11 +56,6 @@ class EigenPath:
     grid: np.ndarray
     energies: np.ndarray           # (n_t, D), continuity-tracked order
     vectors: np.ndarray            # (n_t, D, D), columns are modes
-    degenerate_points: list = field(default_factory=list)
-
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[1]
 
     def index_of(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.grid - t)))
@@ -65,45 +68,30 @@ def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
     """Match modes of V_cur to V_prev by overlap and fix phases; returns
     (E, V, min_overlap) with Re <prev_n|cur_n> > 0.
 
-    The matching maximises sum_n |<prev_n|cur_perm(n)>|^2. Each row and column
-    of P = |overlap|^2 between two orthonormal frames sums to 1, so when every
-    row maximum exceeds 1/2 the row-wise argmax is a permutation and the unique
-    maximiser: any other permutation loses in every row where it differs. Only
-    frames that fail this test (near-degenerate or strongly rotated modes) are
-    matched by linear_sum_assignment, imported here so that scipy loads only
-    when such a frame occurs.
+    Mode n takes the column of V_cur of largest overlap |<prev_n|cur>|. Each
+    row and column of P = |overlap|^2 between two orthonormal frames sums to 1,
+    so when every row maximum exceeds 1/2 these columns form a permutation and
+    the unique maximiser of sum_n P[n, perm(n)]. When a row maximum is at or
+    below 1/2, that mode's overlap is at most 1/sqrt(2) < ``OVERLAP_MIN``, so
+    the returned min_overlap already tells ``eigenpath`` to bisect the interval
+    or raise; the match made there, a permutation or not, is never used.
     """
     O = V_prev.conj().T @ V_cur
-    P = np.abs(O) ** 2
-    rows = np.arange(len(P))
-    perm = P.argmax(axis=1)
-    if not (P[rows, perm] > 0.5).all():
-        from scipy.optimize import linear_sum_assignment
-
-        _, perm = linear_sum_assignment(-P)
+    perm = np.abs(O).argmax(axis=1)
     V = V_cur[:, perm]
-    E = E_cur[perm]
-    ov = O[rows, perm]
+    ov = O[np.arange(len(O)), perm]
     V *= np.exp(-1j * np.angle(ov))[None, :]
-    return E, V, float(np.abs(ov).min())
+    return E_cur[perm], V, float(np.abs(ov).min())
 
 
-def eigenpath(
-    H_of_t: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    eps_gap: float | None = None,
-    overlap_min: float = 0.9,
-    max_refine: int = 12,
-) -> EigenPath:
+def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> EigenPath:
     """Diagonalize H(t) on a grid with smooth gauge and continuity tracking.
 
     The grid is diagonalized one time chunk per ``eigh`` call and the frames
-    are aligned in order. If consecutive mode overlaps fall below
-    ``overlap_min`` the interval is bisected internally (the output grid is
+    are aligned in order. An interval whose smallest mode overlap falls below
+    ``OVERLAP_MIN`` (0.9) is bisected internally (the output grid is
     unchanged; only the failing interval's midpoints are evaluated) up to
-    ``max_refine`` levels, then GridTooCoarseError is raised. Grid points
-    whose minimum gap is below eps_gap are recorded in ``degenerate_points``;
-    they only become errors when a gap-dividing quantity is requested there.
+    ``MAX_REFINE`` (12) levels, then GridTooCoarseError is raised.
     """
     grid = np.asarray(grid, dtype=float)
 
@@ -113,12 +101,12 @@ def eigenpath(
 
     def connect(t0, V_from, t1, E1, V1, depth):
         E, V, ov = _align_frames(V_from, E1, V1)
-        if ov >= overlap_min:
+        if ov >= OVERLAP_MIN:
             return E, V
-        if depth >= max_refine:
+        if depth >= MAX_REFINE:
             raise GridTooCoarseError(
-                f"mode overlap {ov:.3f} < {overlap_min} between t = {t0} and {t1} "
-                f"after {max_refine} refinement levels"
+                f"mode overlap {ov:.3f} < {OVERLAP_MIN} between t = {t0} and {t1} "
+                f"after {MAX_REFINE} refinement levels"
             )
         tm = 0.5 * (t0 + t1)
         _, Vm = connect(t0, V_from, tm, *eig_at(tm), depth + 1)
@@ -140,29 +128,21 @@ def eigenpath(
             Ek, Vk = connect(grid[i - 1], Vs[-1], grid[i], E[k], V[k], 0)
             Es.append(Ek)
             Vs.append(Vk)
-
-    energies = np.array(Es)
-    path = EigenPath(grid=grid, energies=energies, vectors=np.array(Vs))
-    if eps_gap is None:
-        eps_gap = config.EPS_GAP_REL * max(np.abs(energies[0]).max(), 1e-300)
-    gaps = np.diff(np.sort(energies, axis=1), axis=1).min(axis=1)
-    path.degenerate_points = [(int(i), float(gaps[i])) for i in np.nonzero(gaps < eps_gap)[0]]
-    return path
+    return EigenPath(grid=grid, energies=np.array(Es), vectors=np.array(Vs))
 
 
-def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float | None = None, eps_gap: float | None = None):
+def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float | None = None):
     """(E, V, M, closed) of H (one matrix or an (n, D, D) stack, one ``eigh``
     call) and dH (one matrix per H, or a stack of derivatives of one H), as
     stacks: M is the coupling matrix of ``counterdiabatic_term``, zero on the
-    diagonal and on the ``closed`` gaps."""
+    diagonal and on the ``closed`` gaps, those below ``config.EPS_GAP_REL``
+    times the time's largest |E|."""
     hb = config.hbar(hbar)
     single = np.ndim(H) == 2
     H = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
     dH = np.asarray(dH, dtype=complex).reshape((-1,) + H.shape[1:])
     E, V = np.linalg.eigh(H)
-    if eps_gap is None:
-        eps_gap = config.EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)
-    eps = np.broadcast_to(eps_gap, (len(E),))[:, None, None]
+    eps = config.EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)[:, None, None]
     dHe = V.conj().swapaxes(1, 2) @ dH @ V
     gap = np.broadcast_to(E[:, None, :] - E[:, :, None], dHe.shape)   # gap[t, n, m] = E_m - E_n
     off = ~np.eye(E.shape[1], dtype=bool)
@@ -182,12 +162,7 @@ def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float | None = Non
     return E, V, M, closed
 
 
-def counterdiabatic_term(
-    H: np.ndarray,
-    dH: np.ndarray,
-    hbar: float | None = None,
-    eps_gap: float | None = None,
-) -> np.ndarray:
+def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float | None = None) -> np.ndarray:
     """Exact counterdiabatic operator from H and its time derivative.
 
     Built from the gauge-free projector form: the (n, m) eigenbasis element is
@@ -195,13 +170,13 @@ def counterdiabatic_term(
     gaps are tolerated only where the coupling matrix element also vanishes
     (symmetry-protected crossings); a genuine coupling across a closed gap
     raises DegeneracyError. H and dH are single matrices or (n, D, D) stacks,
-    one ``eigh`` call for the stack; the default gap floor and the coupling
+    one ``eigh`` call for the stack; the gap floor and the coupling
     tolerance are relative to each time's own spectrum and coupling scale.
 
     With dH = d_lambda H, a parameter derivative, the result is the adiabatic
     gauge potential A_lambda, and H_cd = lambda_dot . A_lambda.
     """
-    _, V, M, _ = _eigenbasis_coupling(H, dH, hbar, eps_gap)
+    _, V, M, _ = _eigenbasis_coupling(H, dH, hbar)
     out = V @ M @ V.conj().swapaxes(1, 2)
     return out[0] if np.ndim(H) == 2 else out
 
@@ -216,10 +191,6 @@ class AdiabaticState:
     trajectory: StateTrajectory
     dynamical_phases: np.ndarray   # (n_t, D): (1/hbar) int E_n dt'
     geometric_phases: np.ndarray   # (n_t, D): -Im int <n|d_t n> dt'
-    coefficients: np.ndarray       # c_n(0)
-
-    def state(self, i: int) -> np.ndarray:
-        return self.trajectory.states[i]
 
 
 def discrete_connection(vectors: np.ndarray) -> np.ndarray:
@@ -266,23 +237,24 @@ def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) 
     phases = np.exp(-1j * dyn + 1j * geo)
     states = np.einsum("n,tn,tdn->td", c0, phases, path.vectors)
     traj = StateTrajectory(grid=path.grid, states=states)
-    return AdiabaticState(trajectory=traj, dynamical_phases=dyn, geometric_phases=geo, coefficients=c0)
+    return AdiabaticState(trajectory=traj, dynamical_phases=dyn, geometric_phases=geo)
 
 
-def loop_geometric_phase(path: EigenPath, n: int, closure_tol: float = 1e-6) -> float:
+def loop_geometric_phase(path: EigenPath, n: int) -> float:
     """Gauge-invariant geometric phase of mode n around a closed parameter loop.
 
     Requires H(T) = H(0) so that the final eigenframe matches the initial one
-    up to a phase. In the maximal-overlap gauge the interior connection
-    vanishes (discrete parallel transport) and the whole phase appears as the
-    holonomy in the closure overlap; the discrete line-integral product makes
-    the value gauge-independent either way. For a two-level system the result
-    is minus half the solid angle enclosed on the Bloch sphere.
+    up to a phase (|<n(T)|n(0)>| within 1e-6 of 1, else ValueError). In the
+    maximal-overlap gauge the interior connection vanishes (discrete parallel
+    transport) and the whole phase appears as the holonomy in the closure
+    overlap; the discrete line-integral product makes the value
+    gauge-independent either way. For a two-level system the result is minus
+    half the solid angle enclosed on the Bloch sphere.
     """
     V = path.vectors[:, :, n]
     ov = discrete_connection(V[:, :, None])[:, 0]
     closure = np.vdot(V[-1], V[0])
-    if abs(abs(closure) - 1.0) > closure_tol:
+    if abs(abs(closure) - 1.0) > 1e-6:
         raise ValueError(
             f"loop does not close: |<n(T)|n(0)>| = {abs(closure):.6f}; "
             "the Hamiltonian must return to its initial value"
@@ -290,14 +262,7 @@ def loop_geometric_phase(path: EigenPath, n: int, closure_tol: float = 1e-6) -> 
     return float(-(np.angle(ov).sum() + np.angle(closure)))
 
 
-def adiabaticity_metric(
-    H: np.ndarray,
-    dH: np.ndarray,
-    m: int,
-    n: int,
-    hbar: float | None = None,
-    eps_gap: float | None = None,
-) -> float:
+def adiabaticity_metric(H: np.ndarray, dH: np.ndarray, m: int, n: int, hbar: float | None = None) -> float:
     """Two-level adiabaticity measure hbar |<n|dH|m>| / (E_m - E_n)^2 of one
     H and its time derivative, read off the counterdiabatic coupling matrix as
     |(H_cd)_nm| / |E_m - E_n|.
@@ -308,18 +273,13 @@ def adiabaticity_metric(
     """
     if m == n:
         raise ValueError("adiabaticity metric needs two distinct levels")
-    E, _, M, closed = _eigenbasis_coupling(H, dH, hbar, eps_gap)
+    E, _, M, closed = _eigenbasis_coupling(H, dH, hbar)
     if closed[0, n, m]:
         raise DegeneracyError(f"levels {m} and {n} are degenerate")
     return float(abs(M[0, n, m]) / abs(E[0, m] - E[0, n]))
 
 
-def quantum_geometric_tensor(
-    H: np.ndarray,
-    dH_stack: np.ndarray,
-    n: int = 0,
-    eps_gap: float | None = None,
-) -> np.ndarray:
+def quantum_geometric_tensor(H: np.ndarray, dH_stack: np.ndarray, n: int = 0) -> np.ndarray:
     """Quantum geometric tensor g_ij of the n-th eigenstate of H, from the
     (p, D, D) stack of its parameter derivatives d_i H.
 
@@ -329,6 +289,6 @@ def quantum_geometric_tensor(
     positive semidefinite. A level degenerate with n contributes nothing when
     no d_i H couples them, and raises DegeneracyError otherwise.
     """
-    _, _, A, _ = _eigenbasis_coupling(H, dH_stack, 1.0, eps_gap)
+    _, _, A, _ = _eigenbasis_coupling(H, dH_stack, 1.0)
     g = (A[:, n, :] @ A[:, :, n].T).real
     return 0.5 * (g + g.T)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -80,6 +81,22 @@ def test_runs_import_no_scipy(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_package_source_imports_no_scipy():
+    """The package needs numpy alone: no module under src/shortcut_forge
+    imports scipy, at module level or inside a function."""
+    found = []
+    for path in sorted((SRC / "shortcut_forge").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_tfim_range_keys_take_effect():

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
 
 from shortcut_forge import (
     DimensionMismatchError,
+    EigenPath,
+    StateTrajectory,
     adiabatic_coefficients,
     eigenpath,
     evolve,
@@ -116,6 +120,27 @@ class TestAdiabaticCoefficients:
         traj = evolve(stacked(lambda t: H1), psi, grid)
         c = adiabatic_coefficients(traj, path)
         assert np.abs(np.abs(c) ** 2 - expected).max() < 1e-10
+
+    def test_per_time_overlaps_without_a_path_copy(self):
+        """On a D = 64, 401-point path c_n(t_i) is e^{(i/hbar) int E_n} times
+        the per-time <n(t_i)|psi(t_i)>, and the call allocates less than half
+        of the path's vectors: the (n_t, D, D) path is never copied."""
+        rng = np.random.default_rng(7)
+        n_t, D = 401, 64
+        grid = np.linspace(0, 1, n_t)
+        vectors = rng.standard_normal((n_t, D, D)) + 1j * rng.standard_normal((n_t, D, D))
+        path = EigenPath(grid=grid, energies=rng.standard_normal((n_t, D)), vectors=vectors)
+        traj = StateTrajectory(grid=grid, states=rng.standard_normal((n_t, D)) + 1j * rng.standard_normal((n_t, D)))
+        tracemalloc.start()
+        try:
+            c = adiabatic_coefficients(traj, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw = np.array([[np.vdot(vectors[i, :, n], traj.states[i]) for n in range(D)] for i in range(n_t)])
+        expected = np.exp(1j * cumulative_trapezoid(path.energies, grid)) * raw
+        assert np.abs(c - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert peak < 0.5 * vectors.nbytes
 
 
 class TestOverlap:

@@ -5,6 +5,7 @@ from shortcut_forge import (
     AlgebraSpec,
     DynamicalInvariant,
     GaugeDiscontinuityError,
+    GridTooCoarseError,
     adiabatic_state,
     commutator,
     decompose_in_invariant_basis,
@@ -82,6 +83,12 @@ class TestInvariantResidual:
         inv = DynamicalInvariant.from_modes(grid, path.vectors, np.array([1.0, 3.0]))
         tracked = DynamicalInvariant.from_operator(grid, stacked(lambda t: inv.operators[inv_index(inv, t)]))
         assert tracked.eigenvalue_drift() < 1e-8
+
+    def test_from_operator_rejects_a_jump(self):
+        """F jumps from sz to sx at t = 1/3: every bisection level leaves a
+        mode overlap of 1/sqrt(2), so tracking fails instead of guessing."""
+        with pytest.raises(GridTooCoarseError, match="overlap 0.707 < 0.9"):
+            DynamicalInvariant.from_operator(np.array([0.0, 1.0]), stacked(lambda t: SZ if t < 1 / 3 else SX))
 
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -80,4 +80,4 @@ def test_overlap_above_one_warns_and_clamps():
     assert report.bound[-1] == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        qsl_discrete([U], [(1 + 1e-12) * U], states)   # within clamp_warn: silent
+        qsl_discrete([U], [(1 + 1e-12) * U], states)   # within the 1e-9 clamp tolerance: silent

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
 from shortcut_forge import (
@@ -16,7 +15,7 @@ from shortcut_forge import (
 )
 from shortcut_forge.errors import GridTooCoarseError
 from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
-from shortcut_forge.spectral import _align_frames, discrete_connection
+from shortcut_forge.spectral import OVERLAP_MIN, _align_frames, discrete_connection
 
 from conftest import SX, SY, SZ, cd_driven, discrete_berry_phase, lz_cd_oracle, stacked
 
@@ -93,23 +92,18 @@ def _rotation(D, i, j, angle):
     return R
 
 
-@pytest.fixture
-def solver_calls(monkeypatch):
-    """Records every call of the assignment solver made through scipy.optimize."""
-    calls = []
-
-    def counted(cost):
-        calls.append(cost.shape)
-        return linear_sum_assignment(cost)
-
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counted)
-    return calls
+def _ambiguous_frames():
+    """The frame path V(t) = V0 R01(t (pi/4 + 0.02)) R12(0.3 t). From V(0) to
+    V(1) modes 0 and 1 turn by ~47 degrees and mode 1 leaks into mode 2: no
+    overlap of mode 0 exceeds 1/2, so the row-wise maxima do not decide."""
+    V0 = np.linalg.eigh(random_hermitian(4, np.random.default_rng(3)))[1]
+    return lambda t: V0 @ _rotation(4, 0, 1, t * (np.pi / 4 + 0.02)) @ _rotation(4, 1, 2, 0.3 * t)
 
 
 class TestAlignFrames:
     @pytest.mark.parametrize("D", [2, 8, 64])
     @pytest.mark.parametrize("scrambled", [False, True])
-    def test_unique_match_equals_assignment_solver(self, D, scrambled, solver_calls):
+    def test_unique_match_equals_assignment_solver(self, D, scrambled):
         rng = np.random.default_rng(D)
         V_prev = np.linalg.eigh(random_hermitian(D, rng))[1]
         # the next frame: eigenvectors of a nearby Hamiltonian (smallest
@@ -121,30 +115,40 @@ class TestAlignFrames:
             E_cur, V_cur = E_cur[p], V_cur[:, p] * np.exp(2j * np.pi * rng.random(D))
         E, V, ov = _align_frames(V_prev, E_cur, V_cur)
         E_ref, V_ref, ov_ref = _lsap_align(V_prev, E_cur, V_cur)
-        assert solver_calls == []
         assert np.array_equal(E, E_ref)
         assert np.abs(V - V_ref).max() <= 1e-15
         assert abs(ov - ov_ref) <= 1e-15
 
-    def test_ambiguous_frame_takes_the_solver(self, solver_calls):
-        """Modes 0 and 1 rotated by ~47 degrees with mode 1 leaking into mode 2:
-        no overlap of mode 0 exceeds 1/2, so the row-wise maxima do not decide."""
-        rng = np.random.default_rng(3)
-        V_prev = np.linalg.eigh(random_hermitian(4, rng))[1]
-        V_cur = V_prev @ _rotation(4, 0, 1, np.pi / 4 + 0.02) @ _rotation(4, 1, 2, 0.3)
-        E_cur = np.arange(4.0)
+    def test_ambiguous_frame_fails_the_overlap_test(self):
+        """A row maximum of |overlap|^2 below 1/2 caps that mode's overlap at
+        1/sqrt(2) < OVERLAP_MIN, whatever the row-wise argmax matched."""
+        frame = _ambiguous_frames()
+        V_prev, V_cur = frame(0.0), frame(1.0)
         P = np.abs(V_prev.conj().T @ V_cur) ** 2
         assert P[0].max() < 0.5
-        E, V, ov = _align_frames(V_prev, E_cur, V_cur)
-        E_ref, V_ref, ov_ref = _lsap_align(V_prev, E_cur, V_cur)
-        assert solver_calls == [(4, 4)]
-        assert np.array_equal(E, E_ref)
-        assert np.array_equal(E, [1.0, 0.0, 2.0, 3.0])
-        assert np.abs(V - V_ref).max() <= 1e-15
-        assert abs(ov - ov_ref) <= 1e-15
+        _, _, ov = _align_frames(V_prev, np.arange(4.0), V_cur)
+        assert ov <= 1 / np.sqrt(2) < OVERLAP_MIN
 
 
 class TestEigenpathRefinement:
+    def test_ambiguous_step_is_bisected(self):
+        """eigenpath over the ambiguous step [0, 1] bisects it and ends where
+        the assignment solver, chained over eight sub-steps, ends."""
+        frame = _ambiguous_frames()
+        levels = np.diag(np.arange(4.0))
+        H = lambda t: np.array([frame(s) @ levels @ frame(s).conj().T for s in t])
+        calls = []
+        path = eigenpath(lambda t: calls.append(len(t)) or H(t), np.array([0.0, 1.0]))
+        assert len(calls) > 2                       # midpoints were evaluated
+        E_ref, V_ref = path.energies[0], path.vectors[0]
+        for t in np.linspace(0, 1, 9)[1:]:
+            E, V = np.linalg.eigh(H([t]))
+            E_ref, V_ref, ov = _lsap_align(V_ref, E[0], V[0])
+            assert ov > OVERLAP_MIN
+        assert np.array_equal(path.energies[1], E_ref)
+        assert np.abs(E_ref - np.arange(4.0)).max() < 1e-12     # labels kept: no swap of modes 0 and 1
+        assert np.abs(path.vectors[1] - V_ref).max() <= 1e-12
+
     def test_bisection_splits_coarse_steps(self):
         """The field turns by pi/2 per grid step (mode overlap cos(pi/4) < 0.9);
         each step is bisected once and the half steps (overlap cos(pi/8)) pass.
