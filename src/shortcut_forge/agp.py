@@ -84,14 +84,13 @@ class KrylovChain:
     normalizations, with b[0] = ||dH||.
     ``b_next`` is the would-be next normalization: below the termination
     tolerance for a naturally complete chain, finite when truncated by k_max.
-    A time-stacked chain has ops (n, K, D, D), b (n, K) and b_next, term_tol
-    and ``length`` of shape (n,); each time's rows past its length are zero.
+    A time-stacked chain has ops (n, K, D, D), b (n, K) and b_next and
+    ``length`` of shape (n,); each time's rows past its length are zero.
     """
 
     ops: np.ndarray
     b: np.ndarray
     b_next: float | np.ndarray
-    term_tol: float | np.ndarray
     length: int | np.ndarray
 
     @property
@@ -209,8 +208,8 @@ def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> Kry
     ops = Q[:, :K].reshape(n, K, D, D)
     if single:
         L = int(length[0])
-        return KrylovChain(ops=ops[0, :L], b=bs[0, :L], b_next=float(b_next[0]), term_tol=float(tol[0]), length=L)
-    return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, term_tol=tol, length=length)
+        return KrylovChain(ops=ops[0, :L], b=bs[0, :L], b_next=float(b_next[0]), length=L)
+    return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, length=length)
 
 
 def _norm2(W: np.ndarray) -> np.ndarray:

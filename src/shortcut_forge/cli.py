@@ -460,12 +460,36 @@ def _qsl_scenario(conf: dict) -> dict:
     return {"columns": columns, "rows": rows, "summary": summary}
 
 
+def _invariant_operator(ref: _Reference, inv: DynamicalInvariant, fbar: np.ndarray):
+    """F(t) of the invariant sum_n fbar_n |n(t)><n(t)| built on the tracked
+    modes of ``ref.path``, defined between grid points too, where a tracker
+    bisects: the stored operator at a grid time; elsewhere V diag(f) V^dagger
+    from the ``eigh`` of H(t), the k-th lowest level taking the fbar of the
+    mode that is k-th lowest at the nearest grid point."""
+    grid = ref.grid
+    label_of_rank = np.argsort(ref.path.energies, axis=1)
+
+    def F(t):
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.searchsorted(grid, t), 1, len(grid) - 1)
+        j -= t - grid[j - 1] < grid[j] - t
+        on = grid[j] == t
+        out = np.empty((len(t),) + inv.operators.shape[1:], dtype=complex)
+        out[on] = inv.operators[j[on]]
+        if not on.all():
+            _, V = np.linalg.eigh(ref.system.hamiltonian(t[~on]))
+            out[~on] = np.einsum("tk,tik,tjk->tij", fbar[label_of_rank[j[~on]]], V, V.conj())
+        return out
+
+    return F
+
+
 def _invariant_scenario(conf: dict) -> dict:
     ref = _Reference(conf)
     grid, path = ref.grid, ref.path
     fbar = np.arange(ref.system.dim, dtype=float)
     inv = DynamicalInvariant.from_modes(grid, path.vectors, fbar)
-    tracked = DynamicalInvariant.from_operator(grid, lambda t: inv.operators[[path.index_of(s) for s in t]])
+    tracked = DynamicalInvariant.from_operator(grid, _invariant_operator(ref, inv, fbar))
     res = invariant_residual(ref.driven(ref.cd()), inv, hbar=ref.hbar)
     drift = np.abs(tracked.eigenvalues - tracked.eigenvalues[0]).max(axis=1)
     spread = max(np.abs(fbar).max(), 1e-300)

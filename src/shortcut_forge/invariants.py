@@ -56,10 +56,12 @@ class DynamicalInvariant:
         one ``eigh`` call per time chunk, frames aligned in order, and an
         interval whose mode overlap falls below ``spectral.OVERLAP_MIN`` (0.9)
         bisected up to ``spectral.MAX_REFINE`` (12) levels, so F_of_t may be
-        called between grid points; past that, GridTooCoarseError."""
+        called between grid points; past that, GridTooCoarseError. F_of_t is
+        evaluated by the tracker alone: ``operators`` is rebuilt from the
+        tracked spectrum as V diag(E) V^dagger, equal to F to rounding."""
         path = eigenpath(F_of_t, grid)
-        return cls(grid=path.grid, operators=sample(F_of_t, path.grid), eigenvalues=path.energies,
-                   vectors=path.vectors)
+        ops = np.einsum("tn,tin,tjn->tij", path.energies, path.vectors, path.vectors.conj())
+        return cls(grid=path.grid, operators=ops, eigenvalues=path.energies, vectors=path.vectors)
 
 
 def invariant_residual(

@@ -236,6 +236,22 @@ def test_scenario_matrix(tmp_path, system, method):
         assert 3.5 <= ratio <= 4.5
 
 
+def test_invariant_on_the_coarsest_grid_tracks_between_grid_points(tmp_path, monkeypatch):
+    """On 3 Landau-Zener grid points the modes turn by about 39 degrees a step,
+    so re-tracking the invariant bisects and evaluates F off the grid."""
+    times = []
+    tracker = cli.DynamicalInvariant.from_operator
+
+    def spy(grid, F_of_t):
+        return tracker(grid, lambda t: times.append(np.array(t)) or F_of_t(t))
+
+    monkeypatch.setattr(cli.DynamicalInvariant, "from_operator", spy)
+    rc, summary = _run_conf(tmp_path, {"system": "landau_zener", "method": "invariant", "grid_points": 3})
+    assert rc == 0
+    assert not np.isin(np.concatenate(times), np.linspace(0.0, 1.0, 3)).all()
+    assert summary["max_eigenvalue_drift"] < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Every accepted key takes effect
 

@@ -84,6 +84,21 @@ class TestInvariantResidual:
         tracked = DynamicalInvariant.from_operator(grid, stacked(lambda t: inv.operators[inv_index(inv, t)]))
         assert tracked.eigenvalue_drift() < 1e-8
 
+    def test_from_operator_evaluates_F_once_per_grid_time(self, lz):
+        """The operators come from the tracked spectrum, not a second pass of F."""
+        grid = np.linspace(0, 1, 301)
+        path = eigenpath(lz.hamiltonian, grid)
+        inv = DynamicalInvariant.from_modes(grid, path.vectors, np.array([1.0, 3.0]))
+        times = []
+
+        def F(t):
+            times.append(np.array(t))
+            return inv.operators[[inv_index(inv, s) for s in t]]
+
+        tracked = DynamicalInvariant.from_operator(grid, F)
+        assert np.array_equal(np.sort(np.concatenate(times)), grid)
+        assert np.abs(tracked.operators - inv.operators).max() < 1e-12
+
     def test_from_operator_rejects_a_jump(self):
         """F jumps from sz to sx at t = 1/3: every bisection level leaves a
         mode overlap of 1/sqrt(2), so tracking fails instead of guessing."""
