@@ -45,7 +45,7 @@ import numpy as np
 
 from . import config
 from .dynamics import STACK_BYTES
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, HermiticityError
 from .operators import OperatorBasis, commutator, frobenius_norm, gram_matrix
 
 
@@ -334,7 +334,7 @@ def _solve_spd_tridiagonal(B: np.ndarray, u: np.ndarray):
 
 def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:
     """H_cd = sum_k a_k basis_ops[k]; Hermitian within 1e-10 by construction,
-    checked at each time of a stack.
+    checked at each time of a stack (HermiticityError otherwise).
 
     An empty system assembles to the D x D zero matrix (one per time).
     """
@@ -346,7 +346,7 @@ def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:
     dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1e-300)
     if (dev > 1e-10 * scale).any():
-        raise AssertionError(f"assembled counterdiabatic term not Hermitian: dev {dev.max():.3e}")
+        raise HermiticityError(f"assembled counterdiabatic term not Hermitian: dev {dev.max():.3e}")
     return out
 
 

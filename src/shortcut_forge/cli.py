@@ -251,21 +251,33 @@ def _canonical_basis(dim: int):
     return gell_mann_basis(dim)
 
 
+#: the largest D whose runs write one population column per level
+_LEVEL_COLUMNS_MAX = 8
+
+
 class _Reference:
     """The adiabatic reference of a matrix scenario on [0, T] (T defaults to
     the schedule's duration): the system, the grid and its eigenpath, the
     initial ground state ``psi0`` and the ``target`` that follows it. A
     config without ``grid_points`` (a Trotter run) has the grid [0, T]. The
-    time callables it hands out are time-stacked."""
+    time callables it hands out are time-stacked.
 
-    def __init__(self, conf: dict, T: float | None = None):
+    The path keeps every mode, unless the run reads no mode but the ground
+    mode (``ground_only``) and D exceeds ``_LEVEL_COLUMNS_MAX``: then it keeps
+    mode 0 alone, (n_t, D, 1) vectors instead of (n_t, D, D), while the
+    tracking still gates every mode. At D <= 8 a full path costs at most 8
+    columns, and the driven runs there read every mode for their population
+    columns."""
+
+    def __init__(self, conf: dict, T: float | None = None, ground_only: bool = False):
         self.conf = conf
         self.hbar = conf["hbar"]
         self.system = _build_system(conf)
         self.T = self.system.duration if T is None else T
         self.grid = np.linspace(0.0, self.T, conf.get("grid_points", 2))
-        self.path = eigenpath(self.system.hamiltonian, self.grid)
-        self.psi0 = self.path.vectors[0][:, 0]
+        modes = [0] if ground_only and self.system.dim > _LEVEL_COLUMNS_MAX else None
+        self.path = eigenpath(self.system.hamiltonian, self.grid, modes)
+        self.psi0 = self.path.vectors[0, :, self.path.column(0)]
 
     @cached_property
     def target(self):
@@ -305,13 +317,13 @@ class _Reference:
 
 def _driven_scenario(conf: dict) -> dict:
     """CD-driving scenarios: evolve under H + H_cd and track the adiabatic target."""
-    ref = _Reference(conf)
+    ref = _Reference(conf, ground_only=True)
     cd_of_t = ref.cd(conf["method"])
     traj = evolve(ref.driven(cd_of_t), ref.psi0, ref.grid, hbar=ref.hbar)
     fid = np.abs(np.einsum("ti,ti->t", ref.target.states.conj(), traj.states))
     columns = ["time", "fidelity"]
     cols = [ref.grid, fid**2]
-    if ref.system.dim <= 8:
+    if ref.system.dim <= _LEVEL_COLUMNS_MAX:
         columns += [f"population_{n}" for n in range(ref.system.dim)]
         cols += list(ref.populations(traj.states).T)
         basis = _canonical_basis(ref.system.dim)
@@ -399,7 +411,7 @@ def _ff_scenario(conf: dict) -> dict:
     dev = np.abs(pops - ref.populations(ref.target.states)).max(axis=1)
     columns = ["time", "population_deviation"]
     cols = [grid_ff, dev]
-    if ref.system.dim <= 8:
+    if ref.system.dim <= _LEVEL_COLUMNS_MAX:
         columns += [f"population_{n}" for n in range(ref.system.dim)]
         cols += list(pops.T)
     rows = np.column_stack(cols)
@@ -442,7 +454,7 @@ def _grid_ff_scenario(conf: dict) -> dict:
 
 
 def _qsl_scenario(conf: dict) -> dict:
-    ref = _Reference(conf)
+    ref = _Reference(conf, ground_only=True)
     H1 = ref.driven(ref.cd())
     H2 = ref.driven(ref.cd("variational"))
     traj2 = evolve(H2, ref.psi0, ref.grid, hbar=ref.hbar)

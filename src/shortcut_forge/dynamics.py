@@ -229,11 +229,13 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float | None = None) -> np.ndarray:
-    """Adiabatic-frame coefficients c_n(t) = e^{+(i/hbar) int E_n} <n(t)|Psi(t)>.
+    """Adiabatic-frame coefficients c_n(t) = e^{+(i/hbar) int E_n} <n(t)|Psi(t)>
+    of the modes ``path`` keeps: an (n_t, K) array whose column k is mode
+    ``path.modes[k]``, so (n_t, D) for a path that keeps every mode.
 
     ``path`` is an EigenPath on the same grid. The dynamical phase is removed
     so that |c_n| is constant exactly when transitions are suppressed. The
-    overlaps are taken against the conjugated states, so the (n_t, D, D)
+    overlaps are taken against the conjugated states, so the (n_t, D, K)
     path is never copied.
     """
     hb = config.hbar(hbar)
@@ -241,6 +243,6 @@ def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float | None = Non
         1.0, abs(traj.grid[-1])
     ):
         raise ValueError("trajectory and eigenpath grids are not aligned")
-    dyn = cumulative_trapezoid(path.energies, path.grid) / hb
+    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid) / hb
     raw = np.einsum("tdn,td->tn", path.vectors, traj.states.conj()).conj()
     return np.exp(1j * dyn) * raw

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import config
 from .dynamics import sample, time_chunks
-from .errors import GaugeDiscontinuityError
+from .errors import GaugeDiscontinuityError, HermiticityError
 from .operators import OperatorBasis, gram_matrix
 from .spectral import OVERLAP_MIN, discrete_connection, eigenpath
 
@@ -132,16 +132,17 @@ def hamiltonian_from_modes(
     grid: np.ndarray,
     modes: np.ndarray,
     alpha_rates: np.ndarray,
-    dmodes: np.ndarray | None = None,
+    dmodes: np.ndarray,
     hbar: float | None = None,
 ) -> np.ndarray:
     """Inverse-engineered Hamiltonian driving the given mode paths and phases.
 
     H(t) = -hbar sum_n (d alpha_n/dt) |phi_n><phi_n| + i hbar sum_n |d_t phi_n><phi_n|.
     Evolving |phi_n(0)> under it reproduces e^{i alpha_n(t)} |phi_n(t)>.
-    ``alpha_rates``: array (n_t, D). ``dmodes``: analytic mode derivatives;
-    centered differences otherwise (supply analytic ones when the Hermiticity
-    check, 1e-9 relative to the largest entry of H, matters).
+    ``alpha_rates``: array (n_t, D). ``dmodes``: the analytic mode derivatives,
+    (n_t, D, D); grid differences of the modes miss the Hermiticity check
+    (1e-9 relative to the largest entry of H, HermiticityError otherwise) at
+    every practical grid.
     """
     hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
@@ -151,8 +152,6 @@ def hamiltonian_from_modes(
         G = modes[i].conj().T @ modes[i]
         if np.abs(G - np.eye(D)).max() > 1e-8:
             raise ValueError(f"modes are not orthonormal at grid index {i}")
-    if dmodes is None:
-        dmodes = np.gradient(modes, grid, axis=0)
     out = np.empty_like(modes)
     for i in range(n_t):
         P = -hb * np.einsum("n,in,jn->ij", alpha_rates[i], modes[i], modes[i].conj())
@@ -160,9 +159,9 @@ def hamiltonian_from_modes(
         H = P + Kmat
         dev = np.abs(H - H.conj().T).max()
         if dev > 1e-9 * max(np.abs(H).max(), 1e-300):
-            raise AssertionError(
+            raise HermiticityError(
                 f"inverse-engineered H not Hermitian at t = {grid[i]}: dev {dev:.3e}; "
-                "supply analytic dmodes or refine the grid"
+                "the mode derivatives do not match the modes"
             )
         out[i] = 0.5 * (H + H.conj().T)  # remove only the sub-tolerance noise just checked
     return out

@@ -21,6 +21,14 @@ symmetry-protected crossing, and raises DegeneracyError where something does.
 One function, ``discrete_connection``, gives the overlaps <n(t_i)|n(t_{i+1})>
 behind every geometric and Lewis-Riesenfeld phase.
 
+An ``EigenPath`` stores the vectors of the modes its caller names and the
+energies of all of them, while the tracker itself always aligns whole
+frames: a run that reads only the ground mode stores (n_t, D, 1) vectors
+instead of (n_t, D, D). The readers of a path (``adiabatic_state``,
+``geometric_integrand``, ``loop_geometric_phase`` and
+``dynamics.adiabatic_coefficients``) work on its kept columns and raise
+ValueError for a mode it did not keep.
+
 Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
 1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
 grid one ``STACK_BYTES`` chunk per ``eigh`` call and aligns the frames in
@@ -47,21 +55,32 @@ MAX_REFINE = 12
 
 @dataclass
 class EigenPath:
-    """Smooth-gauge spectral data {E_n(t), |n(t)>} on a time grid.
+    """Smooth-gauge spectral data {E_n(t), |n(t)>} on a time grid: the
+    energies of every tracked mode and the vectors of the kept ones.
 
-    vectors[i, :, n] is the n-th tracked mode at grid[i]; the gauge satisfies
-    Re <n(t_i)|n(t_{i+1})> > 0 for every consecutive pair.
+    energies[i, n] is the energy of the n-th tracked mode at grid[i], for all
+    D modes. vectors[i, :, k] is the vector of mode ``modes[k]`` at grid[i];
+    a path keeps every mode, so that column k is mode k, unless it was built
+    to keep fewer. The gauge satisfies Re <n(t_i)|n(t_{i+1})> > 0 for every
+    consecutive pair.
     """
 
     grid: np.ndarray
     energies: np.ndarray           # (n_t, D), continuity-tracked order
-    vectors: np.ndarray            # (n_t, D, D), columns are modes
+    vectors: np.ndarray            # (n_t, D, K), columns are the kept modes
+    modes: np.ndarray | None = None     # (K,) mode labels of the columns; None: 0 .. K-1
 
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[i] - t) > 1e-9 * max(1.0, abs(self.grid[-1])):
-            raise ValueError(f"t = {t} is not a grid point of this path")
-        return i
+    def __post_init__(self):
+        if self.modes is None:
+            self.modes = np.arange(self.vectors.shape[2])
+
+    def column(self, n: int) -> int:
+        """The column of ``vectors`` that holds mode n; ValueError when the
+        path did not keep mode n."""
+        hit = np.flatnonzero(self.modes == n)
+        if not hit.size:
+            raise ValueError(f"mode {n} is not kept by this path (it keeps {self.modes.tolist()})")
+        return int(hit[0])
 
 
 def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
@@ -84,7 +103,8 @@ def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
     return E_cur[perm], V, float(np.abs(ov).min())
 
 
-def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> EigenPath:
+def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
+              modes: list[int] | None = None) -> EigenPath:
     """Diagonalize H(t) on a grid with smooth gauge and continuity tracking.
 
     The grid is diagonalized one time chunk per ``eigh`` call and the frames
@@ -92,6 +112,14 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> E
     ``OVERLAP_MIN`` (0.9) is bisected internally (the output grid is
     unchanged; only the failing interval's midpoints are evaluated) up to
     ``MAX_REFINE`` (12) levels, then GridTooCoarseError is raised.
+
+    ``modes`` names the mode labels whose vectors the path keeps, every mode
+    by default; the columns hold them in increasing label order. Tracking
+    always runs on the whole frame: only the previous aligned frame is held
+    while the grid is walked, every mode passes the overlap gate, and the
+    energies of every mode are kept. So a path that keeps K modes stores
+    (n_t, D, K) vectors, and its energies and kept columns are those of the
+    full path, bit for bit.
     """
     grid = np.asarray(grid, dtype=float)
 
@@ -112,23 +140,27 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> E
         _, Vm = connect(t0, V_from, tm, *eig_at(tm), depth + 1)
         return connect(tm, Vm, t1, E1, V1, depth + 1)
 
-    Es, Vs = [], []
     for start, H in time_chunks(H_of_t, grid):
         E, V = np.linalg.eigh(H)
         if start == 0:          # the first chunk is the one time grid[0]
+            D = H.shape[1]
+            keep = np.arange(D) if modes is None else np.array(sorted(set(modes)), dtype=int)
+            if not keep.size or keep[0] < 0 or keep[-1] >= D:
+                raise ValueError(f"modes must name at least one of the labels 0 .. {D - 1}, got {modes!r}")
+            cols = slice(None) if modes is None else keep      # a view when every mode is kept
+            energies = np.empty((len(grid), D))
+            vectors = np.empty((len(grid), D, len(keep)), dtype=complex)
             # initial gauge: largest component real positive
-            V0 = V[0]
-            big = np.abs(V0).argmax(axis=0)
-            V0 *= np.exp(-1j * np.angle(V0[big, np.arange(len(big))]))[None, :]
-            Es.append(E[0])
-            Vs.append(V0)
+            V_prev = V[0]
+            big = np.abs(V_prev).argmax(axis=0)
+            V_prev *= np.exp(-1j * np.angle(V_prev[big, np.arange(D)]))[None, :]
+            energies[0], vectors[0] = E[0], V_prev[:, cols]
             continue
         for k in range(len(H)):
             i = start + k
-            Ek, Vk = connect(grid[i - 1], Vs[-1], grid[i], E[k], V[k], 0)
-            Es.append(Ek)
-            Vs.append(Vk)
-    return EigenPath(grid=grid, energies=np.array(Es), vectors=np.array(Vs))
+            energies[i], V_prev = connect(grid[i - 1], V_prev, grid[i], E[k], V[k], 0)
+            vectors[i] = V_prev[:, cols]
+    return EigenPath(grid=grid, energies=energies, vectors=vectors, modes=keep)
 
 
 def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float | None = None):
@@ -189,8 +221,8 @@ class AdiabaticState:
     """
 
     trajectory: StateTrajectory
-    dynamical_phases: np.ndarray   # (n_t, D): (1/hbar) int E_n dt'
-    geometric_phases: np.ndarray   # (n_t, D): -Im int <n|d_t n> dt'
+    dynamical_phases: np.ndarray   # (n_t, K): (1/hbar) int E_n dt', one column per kept mode
+    geometric_phases: np.ndarray   # (n_t, K): -Im int <n|d_t n> dt'
 
 
 def discrete_connection(vectors: np.ndarray) -> np.ndarray:
@@ -210,32 +242,41 @@ def discrete_connection(vectors: np.ndarray) -> np.ndarray:
 
 
 def geometric_integrand(path: EigenPath, n: int) -> np.ndarray:
-    """Midpoint estimates of <n|d_t n> along the path (length n_t - 1).
+    """Midpoint estimates of <n|d_t n> along the path (length n_t - 1);
+    ValueError when the path did not keep mode n.
 
     The antisymmetrized two-point estimator is purely imaginary by
     construction, matching the exact structure for normalized modes.
     """
-    ov = discrete_connection(path.vectors[:, :, n:n + 1])[:, 0]
+    k = path.column(n)
+    ov = discrete_connection(path.vectors[:, :, k:k + 1])[:, 0]
     return 1j * np.imag(ov) / np.diff(path.grid)
 
 
 def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) -> AdiabaticState:
     """Adiabatic reference state for initial adiabatic-frame coefficients c0.
 
-    Per-mode dynamical phases integrate E_n(t) with the trapezoid rule on the
-    path grid; geometric phases accumulate the (purely imaginary) midpoint
-    overlap increments, which for a closed parameter loop reproduce the Berry
-    phase of each mode.
+    c0 has one entry per mode, D in all, and may be nonzero only on the modes
+    the path keeps (else ValueError). Per-mode dynamical phases integrate
+    E_n(t) with the trapezoid rule on the path grid; geometric phases
+    accumulate the (purely imaginary) midpoint overlap increments, which for
+    a closed parameter loop reproduce the Berry phase of each mode. Both are
+    taken for the kept modes alone, one column each, in ``path.modes`` order.
     """
     hb = config.hbar(hbar)
     c0 = np.asarray(c0, dtype=complex)
     if abs(np.linalg.norm(c0) - 1.0) > 1e-10:
         raise ValueError("initial coefficients must be normalized")
-    dyn = cumulative_trapezoid(path.energies, path.grid) / hb
-    geo = np.zeros(path.energies.shape)
+    kept = np.zeros(len(c0), dtype=bool)
+    kept[path.modes] = True
+    dropped = np.flatnonzero((c0 != 0) & ~kept)
+    if dropped.size:
+        raise ValueError(f"c0 is nonzero on modes {dropped.tolist()} that the path did not keep")
+    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid) / hb
+    geo = np.zeros(dyn.shape)
     geo[1:] = -np.cumsum(np.imag(discrete_connection(path.vectors)), axis=0)
     phases = np.exp(-1j * dyn + 1j * geo)
-    states = np.einsum("n,tn,tdn->td", c0, phases, path.vectors)
+    states = np.einsum("n,tn,tdn->td", c0[path.modes], phases, path.vectors)
     traj = StateTrajectory(grid=path.grid, states=states)
     return AdiabaticState(trajectory=traj, dynamical_phases=dyn, geometric_phases=geo)
 
@@ -243,15 +284,16 @@ def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) 
 def loop_geometric_phase(path: EigenPath, n: int) -> float:
     """Gauge-invariant geometric phase of mode n around a closed parameter loop.
 
-    Requires H(T) = H(0) so that the final eigenframe matches the initial one
-    up to a phase (|<n(T)|n(0)>| within 1e-6 of 1, else ValueError). In the
-    maximal-overlap gauge the interior connection vanishes (discrete parallel
-    transport) and the whole phase appears as the holonomy in the closure
-    overlap; the discrete line-integral product makes the value
-    gauge-independent either way. For a two-level system the result is minus
-    half the solid angle enclosed on the Bloch sphere.
+    The path must keep mode n (else ValueError), and H(T) = H(0) so that the
+    final eigenframe matches the initial one up to a phase (|<n(T)|n(0)>|
+    within 1e-6 of 1, else ValueError). In the maximal-overlap gauge the
+    interior connection vanishes (discrete parallel transport) and the whole
+    phase appears as the holonomy in the closure overlap; the discrete
+    line-integral product makes the value gauge-independent either way. For
+    a two-level system the result is minus half the solid angle enclosed on
+    the Bloch sphere.
     """
-    V = path.vectors[:, :, n]
+    V = path.vectors[:, :, path.column(n)]
     ov = discrete_connection(V[:, :, None])[:, 0]
     closure = np.vdot(V[-1], V[0])
     if abs(abs(closure) - 1.0) > 1e-6:

@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 
 from shortcut_forge import (
+    HermiticityError,
     OperatorBasis,
     action_value,
     algebraic_cd,
@@ -319,6 +320,14 @@ class TestAssembleCD:
         system = krylov_system(krylov_chain(H_LZ, DH_LZ, k_max=3))
         with pytest.raises(ValueError):
             assemble_cd(system, np.zeros(2))
+
+    def test_non_hermitian_operators_raise_a_typed_error(self):
+        """An anti-Hermitian part in the assembled term is a HermiticityError,
+        which the CLI reports with exit 3, not a bare AssertionError."""
+        system = krylov_system(krylov_chain(H_LZ, DH_LZ, k_max=3))
+        system.basis_ops = system.basis_ops + 1j * np.eye(2)
+        with pytest.raises(HermiticityError):
+            assemble_cd(system, np.ones(system.size))
 
     @pytest.mark.parametrize("dim,seed", [(2, 0), (3, 1), (4, 2), (8, 3)])
     def test_full_order_equals_exact(self, dim, seed):

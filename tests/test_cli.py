@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,22 @@ def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypa
     dense = [c for c in calls if c == (1, 64, 64)]
     tridiagonal = [c for c in calls if len(c) == 2 and c[0] == c[1] < 64]
     assert len(dense) == 201 and len(tridiagonal) == 100 and len(calls) == 301
+
+
+def test_large_dim_exact_cd_allocates_less_than_one_full_eigenpath(tmp_path):
+    """A D = 64 driven run reads the ground mode alone, so its eigenpath keeps
+    one column: the traced peak of the whole run stays below the size of one
+    (n_t, D, D) complex path, which a path of every mode would take."""
+    conf = cli.validate_config({"system": "random_hermitian", "method": "exact_cd", "grid_points": 201,
+                                "parameters": {"dim": 64, "seed": 0}})
+    full_path = 201 * 64 * 64 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        cli.run_scenario(conf, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_path
 
 
 def test_key_the_system_does_not_read_is_rejected(tmp_path, capsys):

@@ -6,6 +6,7 @@ from shortcut_forge import (
     DynamicalInvariant,
     GaugeDiscontinuityError,
     GridTooCoarseError,
+    HermiticityError,
     adiabatic_state,
     commutator,
     decompose_in_invariant_basis,
@@ -203,7 +204,27 @@ class TestHamiltonianFromModes:
         grid = np.linspace(0, 1, 5)
         modes = np.tile((np.eye(2) + 0.1).astype(complex)[None], (5, 1, 1))
         with pytest.raises(ValueError):
-            hamiltonian_from_modes(grid, modes, np.zeros((5, 2)))
+            hamiltonian_from_modes(grid, modes, np.zeros((5, 2)), dmodes=np.zeros_like(modes))
+
+    def test_inconsistent_mode_derivatives_raise_a_typed_error(self):
+        """A derivative whose generator i dmodes modes^dagger is not Hermitian
+        is a HermiticityError, which the CLI reports with exit 3."""
+        grid = np.linspace(0, 1, 5)
+        modes = np.tile(np.eye(2, dtype=complex)[None], (5, 1, 1))
+        dmodes = np.tile(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)[None], (5, 1, 1))
+        with pytest.raises(HermiticityError):
+            hamiltonian_from_modes(grid, modes, np.zeros((5, 2)), dmodes=dmodes)
+
+    @pytest.mark.parametrize("n_t", [401, 6401])
+    def test_grid_differences_of_tracked_modes_fail_the_check(self, lz, n_t):
+        """Why dmodes is required: second-order grid differences of the
+        tracked modes leave an O(dt^2) anti-Hermitian part far above the
+        1e-9 check (5.8e-6 at 6401 points)."""
+        grid = np.linspace(0, 1, n_t)
+        path = eigenpath(lz.hamiltonian, grid)
+        with pytest.raises(HermiticityError):
+            hamiltonian_from_modes(grid, path.vectors, -path.energies,
+                                   dmodes=np.gradient(path.vectors, grid, axis=0))
 
 
 class TestDecompose:

@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 from shortcut_forge import (
     loop_geometric_phase,
     DegeneracyError,
+    adiabatic_coefficients,
     adiabatic_state,
     adiabaticity_metric,
     counterdiabatic_term,
@@ -172,6 +173,91 @@ class TestEigenpathRefinement:
             "mode overlap 0.707 < 0.9 between t = 0.333251953125 and 0.33349609375 "
             "after 12 refinement levels"
         )
+
+
+def _ground_and_turning_pair(jump: bool):
+    """D = 3: the ground mode is e_0 at energy -5 throughout; modes 1 and 2
+    are those of cos(pi t) sz + sin(pi t) sx on (e_1, e_2), or of sz before
+    t = 1/3 and sx after it (``jump``). Only modes 1 and 2 turn, so a path
+    that keeps mode 0 alone drops every mode the overlap gate fails on."""
+    def H(t):
+        t = np.asarray(t, dtype=float)
+        if jump:
+            block = np.where((t < 1 / 3)[:, None, None], SZ, SX)
+        else:
+            block = np.cos(np.pi * t)[:, None, None] * SZ + np.sin(np.pi * t)[:, None, None] * SX
+        out = np.zeros((len(t), 3, 3), dtype=complex)
+        out[:, 0, 0] = -5.0
+        out[:, 1:, 1:] = block
+        return out
+
+    return H
+
+
+class TestKeptModes:
+    """A path that keeps some modes is the full path's energies and columns."""
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    @pytest.mark.parametrize("modes", [[0], [3, 1]])
+    def test_kept_columns_are_the_full_paths_bit_for_bit(self, dim, modes):
+        system = landau_zener() if dim == 2 else random_hermitian_ramp(16, seed=2)
+        modes = [m for m in modes if m < dim]
+        grid = np.linspace(0, 1, 301)
+        full = eigenpath(system.hamiltonian, grid)
+        kept = eigenpath(system.hamiltonian, grid, modes=modes)
+        assert kept.vectors.shape == (301, dim, len(modes))
+        assert kept.modes.tolist() == sorted(modes)
+        assert np.array_equal(kept.energies, full.energies)
+        assert np.array_equal(kept.vectors, full.vectors[:, :, sorted(modes)])
+        for n in modes:
+            assert np.array_equal(geometric_integrand(kept, n), geometric_integrand(full, n))
+
+    def test_a_dropped_mode_is_bisected_like_the_full_path(self):
+        """Only modes 1 and 2 turn, by pi/2 per grid step: a ground-only path
+        bisects each step once, at the same midpoints as the full path."""
+        H = _ground_and_turning_pair(jump=False)
+        paths = []
+        for modes in (None, [0]):
+            calls = []
+            paths.append(eigenpath(lambda t: calls.append(list(t)) or H(t), np.array([0.0, 0.5, 1.0]), modes=modes))
+            assert calls == [[0.0], [0.5, 1.0], [0.25], [0.75]]
+        full, ground = paths
+        assert np.array_equal(ground.energies, full.energies)
+        assert np.array_equal(ground.vectors[:, :, 0], full.vectors[:, :, 0])
+
+    def test_a_dropped_mode_exhausts_refinement_like_the_full_path(self):
+        H = _ground_and_turning_pair(jump=True)
+        messages = []
+        for modes in (None, [0]):
+            with pytest.raises(GridTooCoarseError) as err:
+                eigenpath(H, np.array([0.0, 1.0]), modes=modes)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "mode overlap 0.707 < 0.9 between t = 0.333251953125 and 0.33349609375 "
+            "after 12 refinement levels"
+        )
+
+    def test_readers_work_on_kept_columns_and_reject_dropped_modes(self, lz):
+        grid = np.linspace(0, 1, 201)
+        full = eigenpath(lz.hamiltonian, grid)
+        ground = eigenpath(lz.hamiltonian, grid, modes=[0])
+        e0 = np.array([1.0, 0.0])
+        ad_full, ad = adiabatic_state(full, e0), adiabatic_state(ground, e0)
+        assert np.array_equal(ad.trajectory.states, ad_full.trajectory.states)
+        assert np.array_equal(ad.dynamical_phases, ad_full.dynamical_phases[:, :1])
+        assert np.array_equal(geometric_integrand(ground, 0), geometric_integrand(full, 0))
+        traj = evolve(lz.hamiltonian, full.vectors[0, :, 0], grid)
+        assert np.array_equal(adiabatic_coefficients(traj, ground), adiabatic_coefficients(traj, full)[:, :1])
+        with pytest.raises(ValueError, match="modes \\[1\\] that the path did not keep"):
+            adiabatic_state(ground, np.array([0.6, 0.8]))
+        for reader in (geometric_integrand, loop_geometric_phase):
+            with pytest.raises(ValueError, match="mode 1 is not kept"):
+                reader(ground, 1)
+
+    @pytest.mark.parametrize("modes", [[], [2], [-1]])
+    def test_modes_outside_the_labels_are_rejected(self, lz, modes):
+        with pytest.raises(ValueError, match="modes must name"):
+            eigenpath(lz.hamiltonian, np.linspace(0, 1, 5), modes=modes)
 
 
 class TestExactCD:
