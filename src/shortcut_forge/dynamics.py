@@ -179,14 +179,16 @@ def evolve(
     ``KRYLOV_TOL`` times the norm of the state, and falls back to the
     ``eigh`` step when its Krylov basis would reach D/2 vectors first. Every
     chunk must be finite, and its D must match ``psi0``; ``steps_per_interval``
-    must be an int >= 1.
+    must be an int >= 1. psi0 is copied to a contiguous array, so the
+    trajectory does not depend on its memory layout.
     """
     per = steps_per_interval
     if isinstance(per, bool) or not isinstance(per, (int, np.integer)) or per < 1:
         raise ValueError(f"steps_per_interval must be an int >= 1, got {per!r}")
     hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
-    psi = np.asarray(psi0, dtype=complex)
+    # a contiguous copy: BLAS sums a strided vector in another order
+    psi = np.ascontiguousarray(psi0, dtype=complex)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("initial state must be normalized")
     dt = np.repeat(np.diff(grid) / per, per)

@@ -147,24 +147,24 @@ def hamiltonian_from_modes(
     hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
     modes = np.asarray(modes, dtype=complex)
+    dmodes = np.asarray(dmodes, dtype=complex)
+    alpha_rates = np.asarray(alpha_rates)
     n_t, D, _ = modes.shape
     for i in (0, n_t // 2, n_t - 1):
         G = modes[i].conj().T @ modes[i]
         if np.abs(G - np.eye(D)).max() > 1e-8:
             raise ValueError(f"modes are not orthonormal at grid index {i}")
-    out = np.empty_like(modes)
-    for i in range(n_t):
-        P = -hb * np.einsum("n,in,jn->ij", alpha_rates[i], modes[i], modes[i].conj())
-        Kmat = 1j * hb * dmodes[i] @ modes[i].conj().T
-        H = P + Kmat
-        dev = np.abs(H - H.conj().T).max()
-        if dev > 1e-9 * max(np.abs(H).max(), 1e-300):
-            raise HermiticityError(
-                f"inverse-engineered H not Hermitian at t = {grid[i]}: dev {dev:.3e}; "
-                "the mode derivatives do not match the modes"
-            )
-        out[i] = 0.5 * (H + H.conj().T)  # remove only the sub-tolerance noise just checked
-    return out
+    # H = hbar sum_n (-alpha_n' |phi_n> + i |d_t phi_n>) <phi_n|
+    H = hb * np.einsum("tin,tjn->tij", 1j * dmodes - alpha_rates[:, None, :] * modes, modes.conj())
+    Hh = H.conj().swapaxes(1, 2)
+    bad = np.abs(H - Hh).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(H).max(axis=(1, 2)), 1e-300)
+    if bad.any():
+        i = int(bad.argmax())
+        raise HermiticityError(
+            f"inverse-engineered H not Hermitian at t = {grid[i]}: dev {np.abs(H[i] - Hh[i]).max():.3e}; "
+            "the mode derivatives do not match the modes"
+        )
+    return 0.5 * (H + Hh)  # remove only the sub-tolerance noise just checked
 
 
 def decompose_in_invariant_basis(
@@ -267,22 +267,21 @@ def inverse_engineer_schedule(
     Substituting F = sum_l f_l X_l and H = sum_k h_k X_k into the von Neumann
     equation gives, per time, the real linear system
         hbar df_j/dt = sum_{k in A, l in B} T_klj h_k f_l,   j in B,
-    solved here in the least-squares sense (minimum-norm h when
-    under-determined). Returns (h, residuals) with h of shape (n_t, |A|).
+    solved for every time at once in the least-squares sense (minimum-norm h
+    when under-determined), with ``np.linalg.lstsq``'s default cutoff on the
+    singular values. Returns (h, residuals) with h of shape (n_t, |A|).
     """
     hb = config.hbar(hbar)
-    grid = np.asarray(grid, dtype=float)
     f_target = np.asarray(f_target, dtype=float)     # (n_t, |B|)
     df_target = np.asarray(df_target, dtype=float)
     A_idx, B_idx = algebra.A_indices, algebra.B_indices
-    n_t = len(grid)
     # M[t, j, k] = sum_{l in B} T_klj f_l(t), j in B, k in A
     M = np.einsum("klj,tl->tjk", algebra.T[np.ix_(A_idx, B_idx, B_idx)], f_target)
-    h = np.zeros((n_t, len(A_idx)))
-    res = np.zeros(n_t)
-    for i in range(n_t):
-        rhs = hb * df_target[i]
-        sol, _, _, _ = np.linalg.lstsq(M[i], rhs, rcond=None)
-        h[i] = sol
-        res[i] = np.linalg.norm(M[i] @ sol - rhs)
+    rhs = hb * df_target
+    # the minimum-norm solution by one stacked SVD, with lstsq's rcond=None cutoff
+    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(M.shape[1:]) * sv[:, :1]
+    coef = np.divide(np.einsum("tjr,tj->tr", U, rhs), sv, out=np.zeros_like(sv), where=keep)
+    h = np.einsum("trk,tr->tk", Vt, coef)
+    res = np.linalg.norm(np.einsum("tjk,tk->tj", M, h) - rhs, axis=1)
     return h, res

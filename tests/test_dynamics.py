@@ -87,6 +87,18 @@ class TestEvolve:
             evolve(H_of_t, np.array([1.0, 0.0]), np.linspace(0, 1, 11), steps_per_interval=steps)
         assert times == []
 
+    @pytest.mark.parametrize("dim", [6, 50])
+    def test_memory_layout_of_psi0_changes_no_bit(self, dim):
+        """A strided psi0, such as an eigenpath column, and its contiguous copy
+        give the same trajectory bit for bit; BLAS sums the two layouts in
+        different orders, which moved the last bits on these dimensions."""
+        system = random_hermitian_ramp(dim, 1)
+        grid = np.linspace(0.0, 1.0, 3)
+        psi0 = eigenpath(system.hamiltonian, grid).vectors[0, :, 0]
+        assert not psi0.flags.c_contiguous
+        strided = evolve(system.hamiltonian, psi0, grid).states
+        assert np.array_equal(strided, evolve(system.hamiltonian, psi0.copy(), grid).states)
+
 
 class TestAdiabaticCoefficients:
     def test_initial_eigenstate(self, lz):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shortcut_forge.dynamics import evolve, step_unitary
-from shortcut_forge.models import landau_zener, random_hermitian
+from shortcut_forge.models import SX, landau_zener, random_hermitian
 from shortcut_forge.qsl import qsl_continuous, qsl_discrete, stddev_in_state
 
 
@@ -61,7 +61,7 @@ def test_discrete_bound_is_a_triangle_inequality(seed):
         psi1.append(a @ psi1[-1])
         psi2.append(b @ psi2[-1])
     observed = np.abs(np.einsum("ti,ti->t", np.conj(psi1), psi2))
-    report = qsl_discrete(U1, U2, np.array(psi1), observed=observed)
+    report = qsl_discrete(U2, np.array(psi1), observed=observed)
     assert report.angle[-1] > np.pi / 2          # the test reaches the vacuous regime
     live = report.angle <= np.pi / 2
     assert live.sum() > 5
@@ -75,9 +75,18 @@ def test_overlap_above_one_warns_and_clamps():
     psi0 = _random_state(3, rng)
     states = np.array([psi0, U @ psi0])
     with pytest.warns(UserWarning, match="clamped"):
-        report = qsl_discrete([U], [(1 + 1e-6) * U], states)
+        report = qsl_discrete([(1 + 1e-6) * U], states)
     assert report.metadata["per_step_angle"][0] == 0.0
     assert report.bound[-1] == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        qsl_discrete([U], [(1 + 1e-12) * U], states)   # within the 1e-9 clamp tolerance: silent
+        qsl_discrete([(1 + 1e-12) * U], states)   # within the 1e-9 clamp tolerance: silent
+
+
+def test_small_step_angle_keeps_every_digit():
+    """A step that rotates the reference state by 1e-9 against a static
+    reference has the angle 1e-9; arccos of the overlap, which rounds to 1,
+    would keep only about half the digits."""
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    report = qsl_discrete([step_unitary(SX, 1e-9)], np.array([psi0, psi0]))
+    assert report.metadata["per_step_angle"][0] == pytest.approx(1e-9, rel=1e-15)
