@@ -3,9 +3,11 @@
 Exact and approximate counterdiabatic driving, Lewis-Riesenfeld invariant
 engineering, fast-forward scaling, digitized (Trotterized) driving, and
 quantum-speed-limit performance certificates, on dense matrices at desk scale.
+
+Units: the reduced Planck constant is 1 (natural units) unless a function's
+``hbar`` argument says otherwise.
 """
 
-from .config import hbar
 from .errors import (
     ConfigError,
     DegeneracyError,

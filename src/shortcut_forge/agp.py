@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
 from .dynamics import STACK_BYTES
 from .errors import DimensionMismatchError, HermiticityError
 from .operators import OperatorBasis, commutator, frobenius_norm, gram_matrix
@@ -113,7 +112,7 @@ def _as_stacks(H, dH):
 
 
 def algebraic_system(
-    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float | None = None,
+    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float = 1.0,
     support: np.ndarray | None = None,
 ) -> LinearCDSystem:
     """Algebraic system over a Hermitian orthonormal trial basis.
@@ -127,7 +126,6 @@ def algebraic_system(
     """
     if len(trial_basis) == 0:
         raise ValueError("trial basis is empty")
-    hb = config.hbar(hbar)
     single, H, dH = _as_stacks(H, dH)
     if H.shape[1:] != trial_basis.elements[0].shape:
         raise DimensionMismatchError("trial basis dimension does not match H")
@@ -142,7 +140,7 @@ def algebraic_system(
         B *= keep[:, :, None] & keep[:, None, :]
         u *= keep
         meta["support"] = keep[0] if single else keep
-    ops = np.broadcast_to(-hb * L, (len(H),) + L.shape)
+    ops = np.broadcast_to(-hbar * L, (len(H),) + L.shape)
     if single:
         return LinearCDSystem(B=B[0], u=u[0], method="algebraic", basis_ops=ops[0], metadata=meta)
     return LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=ops, metadata=meta)
@@ -224,7 +222,7 @@ def _projection(Q: np.ndarray, W: np.ndarray, D: int) -> np.ndarray:
     return (Q.swapaxes(1, 2) @ coef)[..., 0]
 
 
-def krylov_system(chain: KrylovChain, hbar: float | None = None) -> LinearCDSystem:
+def krylov_system(chain: KrylovChain, hbar: float = 1.0) -> LinearCDSystem:
     """Tridiagonal system in the Krylov chain normalizations.
 
     B_kl = (b_{2k-1}^2 + b_{2k}^2) delta_kl + b_{2k-2} b_{2k-1} delta_{k,l+1}
@@ -234,7 +232,6 @@ def krylov_system(chain: KrylovChain, hbar: float | None = None) -> LinearCDSyst
     systems are padded with identity rows and zero right-hand side, so their
     padded coefficients solve to zero.
     """
-    hb = config.hbar(hbar)
     single = chain.ops.ndim == 3
     ops = chain.ops[None] if single else chain.ops
     n, K, D = ops.shape[0], ops.shape[1], chain.dim
@@ -256,7 +253,7 @@ def krylov_system(chain: KrylovChain, hbar: float | None = None) -> LinearCDSyst
     u = np.zeros((n, kb))
     if kb:
         u[:, 0] = np.where(nb > 0, -b[:, 0] * b[:, 1], 0.0)
-    basis_ops = 1j * hb * ops[:, 1:2 * kb:2]
+    basis_ops = 1j * hbar * ops[:, 1:2 * kb:2]
     meta = {"K": int(length[0]) if single else length}
     if kb == 0:
         meta["empty_reason"] = "K < 2"
@@ -351,15 +348,14 @@ def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:
 
 
 def action_value(
-    H: np.ndarray, dH: np.ndarray, H_cd_trial: np.ndarray, hbar: float | None = None
+    H: np.ndarray, dH: np.ndarray, H_cd_trial: np.ndarray, hbar: float = 1.0
 ) -> float:
     """Variational cost ||G||^2 with G = dH - (i/hbar)[H, H_cd_trial].
 
     The solved coefficients of any of the three systems sit at a stationary
     point of this quadratic along every ansatz direction.
     """
-    hb = config.hbar(hbar)
-    G = dH - (1j / hb) * commutator(H, H_cd_trial)
+    G = dH - (1j / hbar) * commutator(H, H_cd_trial)
     return frobenius_norm(G) ** 2
 
 
@@ -367,7 +363,7 @@ def action_value(
 # End-to-end constructions
 
 
-def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None, hbar: float | None = None) -> np.ndarray:
+def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None, hbar: float = 1.0) -> np.ndarray:
     """Counterdiabatic operator from the Krylov route (full chain by default);
     zero where the drive dH vanishes."""
     single, Hs, dHs = _as_stacks(H, dH)
@@ -377,7 +373,7 @@ def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None, hbar: flo
 
 
 def algebraic_cd(
-    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float | None = None,
+    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float = 1.0,
     support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Counterdiabatic operator from the algebraic route over a trial basis,
@@ -400,7 +396,7 @@ def algebraic_cd(
 
 
 def variational_cd(
-    H: np.ndarray, dH: np.ndarray, K_tr: int, hbar: float | None = None
+    H: np.ndarray, dH: np.ndarray, K_tr: int, hbar: float = 1.0
 ) -> np.ndarray:
     """Counterdiabatic operator from the variational nested-commutator route.
 

@@ -25,6 +25,7 @@ import copy
 import fnmatch
 import hashlib
 import json
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -33,10 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config as cfg
 from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
-from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, _fit_scaling, fit_spans, trotter_baseline_error,
+from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
 from .dynamics import evolve, fidelity, sample
 from .errors import ConfigError, ShortcutForgeError
@@ -381,7 +381,7 @@ def _trotter_scenario(conf: dict) -> dict:
         infidelity.append(1.0 - fidelity(target, psi_dig))
         bounds.append(rep.bound[-1])
         observed.append(abs(np.vdot(exact[-1], psi_dig)))
-    report = _fit_scaling(M_list, np.array(infidelity), "infidelity")
+    report = fit_scaling(M_list, np.array(infidelity), "infidelity")
     columns = ["m", "infidelity", "qsl_bound", "observed_overlap"]
     rows = np.column_stack([report.M_list.astype(float), report.values, bounds, observed])
     summary = {
@@ -593,6 +593,16 @@ def _set_by_path(conf: dict, dotted: str, value):
     node[leaf] = value
 
 
+def _thread_cap() -> int:
+    """Parallelism cap for scenario sweeps, from SHORTCUT_FORGE_THREADS (default 1)."""
+    raw = os.environ.get("SHORTCUT_FORGE_THREADS", "1")
+    try:
+        n = int(raw)
+    except ValueError:
+        return 1
+    return max(1, n)
+
+
 def cmd_sweep(args) -> int:
     base = load_config(args.config)
     out_root = Path(args.out) if args.out else Path(args.config).with_suffix("")
@@ -601,7 +611,7 @@ def cmd_sweep(args) -> int:
         conf = copy.deepcopy(base)
         _set_by_path(conf, args.param, _sweep_value(v))
         jobs.append((validate_config(conf), str(out_root / f"{args.param.replace('.', '_')}={v}")))
-    workers = min(cfg.thread_cap(), len(jobs))
+    workers = min(_thread_cap(), len(jobs))
     failures = 0
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

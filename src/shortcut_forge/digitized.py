@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import config
 from .dynamics import fidelity, sample, step_unitary
 
 ORDERINGS = ("h-then-cd", "cd-then-h")   # operator order within a slice
@@ -57,14 +56,13 @@ def trotter_step_unitaries(
     H_of_t: Callable[[np.ndarray], np.ndarray],
     cd_of_t: Callable[[np.ndarray], np.ndarray],
     plan: TrotterPlan,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> list[np.ndarray]:
     """Per-slice unitaries of the digitized counterdiabatic product, built
     from one time stack of each term."""
-    hb = config.hbar(hbar)
     tn = plan.sample_time(np.arange(1, plan.M + 1))
-    Uh = step_unitary(sample(H_of_t, tn), plan.dt, hbar=hb)
-    Uc = step_unitary(sample(cd_of_t, tn), plan.dt, hbar=hb)
+    Uh = step_unitary(sample(H_of_t, tn), plan.dt, hbar=hbar)
+    Uc = step_unitary(sample(cd_of_t, tn), plan.dt, hbar=hbar)
     return list(Uh @ Uc if plan.ordering == "h-then-cd" else Uc @ Uh)
 
 
@@ -73,7 +71,7 @@ def trotter_cd_evolve(
     cd_of_t: Callable[[np.ndarray], np.ndarray],
     plan: TrotterPlan,
     psi0: np.ndarray,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> np.ndarray:
     """Apply the digitized counterdiabatic product to psi0.
 
@@ -115,9 +113,9 @@ def digitization_error(
     T: float,
     M_list,
     target: np.ndarray,
+    psi0: np.ndarray,
     metric: str = "infidelity",
-    psi0: np.ndarray | None = None,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> ScalingReport:
     """Digitization error against the coherent target at T, per slice count,
     for the default ``TrotterPlan`` (right endpoints, H after H_cd).
@@ -131,8 +129,6 @@ def digitization_error(
     if metric not in ("infidelity", "state_error"):
         raise ValueError(f"unknown metric {metric!r}")
     target = np.asarray(target, dtype=complex)
-    if psi0 is None:
-        raise ValueError("psi0 is required (the digitized product needs an initial state)")
     M_list = np.asarray(sorted(M_list), dtype=int)
     values = np.empty(len(M_list))
     for i, M in enumerate(M_list):
@@ -142,7 +138,7 @@ def digitization_error(
             values[i] = 1.0 - fidelity(target, psi)
         else:
             values[i] = np.linalg.norm(psi - target)
-    return _fit_scaling(M_list, values, metric)
+    return fit_scaling(M_list, values, metric)
 
 
 def fit_spans(M_list) -> bool:
@@ -150,7 +146,7 @@ def fit_spans(M_list) -> bool:
     return len(M_list) >= 4 and M_list[-1] >= 4 * M_list[0]
 
 
-def _fit_scaling(M_list: np.ndarray, values: np.ndarray, metric: str) -> ScalingReport:
+def fit_scaling(M_list: np.ndarray, values: np.ndarray, metric: str) -> ScalingReport:
     """The log-log slope fit of ``digitization_error`` on values already
     measured at each M of the ascending M_list."""
     if not fit_spans(M_list):
@@ -189,7 +185,7 @@ def trotter_baseline_error(
     M_list,
     psi0: np.ndarray,
     metric: str = "state_error",
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> ScalingReport:
     """Conventional first-order baseline: constant non-commuting pair.
 
@@ -197,9 +193,8 @@ def trotter_baseline_error(
     error metric against the exact evolution; with the norm metric the fitted
     slope sits at the first-order value of -1.
     """
-    hb = config.hbar(hbar)
-    target = step_unitary(np.asarray(A + B, dtype=complex), T, hbar=hb) @ np.asarray(psi0, dtype=complex)
+    target = step_unitary(np.asarray(A + B, dtype=complex), T, hbar=hbar) @ np.asarray(psi0, dtype=complex)
     return digitization_error(
         lambda t: np.broadcast_to(A, (len(t),) + A.shape), lambda t: np.broadcast_to(B, (len(t),) + B.shape),
-        T, M_list, target, metric=metric, psi0=psi0, hbar=hb
+        T, M_list, target, metric=metric, psi0=psi0, hbar=hbar
     )

@@ -34,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import config
 from .errors import DimensionMismatchError
 
 #: byte budget of one complex (n, D, D) time stack
@@ -84,16 +83,15 @@ class StateTrajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def step_unitary(H: np.ndarray, dt, hbar: float | None = None) -> np.ndarray:
+def step_unitary(H: np.ndarray, dt, hbar: float = 1.0) -> np.ndarray:
     """exp(-i dt H / hbar) by eigendecomposition; exactly unitary at desk scale.
 
     H is one (D, D) matrix or an (n, D, D) stack, dt a number or one step per
     matrix."""
-    hb = config.hbar(hbar)
     if not np.isfinite(H).all():
         raise ValueError("Hamiltonian contains non-finite entries")
     E, V = np.linalg.eigh(H)
-    phase = np.exp(-1j * E * np.asarray(dt, dtype=float)[..., None] / hb)
+    phase = np.exp(-1j * E * np.asarray(dt, dtype=float)[..., None] / hbar)
     return (V * phase[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
@@ -143,17 +141,17 @@ def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray | Non
     return norm * ((S @ (np.exp(-1j * tau * theta) * S[0])) @ V[:m])
 
 
-def _chunk_states(H: np.ndarray, psi: np.ndarray, dt: np.ndarray, hb: float):
+def _chunk_states(H: np.ndarray, psi: np.ndarray, dt: np.ndarray, hbar: float):
     """Yield the state after each step of one time chunk: by ``lanczos_step``
     when the chunk holds one time and its basis suffices, else by one batched
     eigendecomposition of the chunk."""
     if len(H) == 1:
-        psi_next = lanczos_step(H[0], psi, dt[0] / hb)
+        psi_next = lanczos_step(H[0], psi, dt[0] / hbar)
         if psi_next is not None:
             yield psi_next
             return
     E, V = np.linalg.eigh(H)
-    phase = np.exp(-1j * E * dt[:, None] / hb)
+    phase = np.exp(-1j * E * dt[:, None] / hbar)
     Vh = V.conj().swapaxes(1, 2)
     for k in range(len(H)):
         psi = V[k] @ (phase[k] * (Vh[k] @ psi))
@@ -165,7 +163,7 @@ def evolve(
     psi0: np.ndarray,
     grid: np.ndarray,
     steps_per_interval: int = 1,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> StateTrajectory:
     """Propagate psi0 along a time grid under H(t).
 
@@ -185,7 +183,6 @@ def evolve(
     per = steps_per_interval
     if isinstance(per, bool) or not isinstance(per, (int, np.integer)) or per < 1:
         raise ValueError(f"steps_per_interval must be an int >= 1, got {per!r}")
-    hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
     # a contiguous copy: BLAS sums a strided vector in another order
     psi = np.ascontiguousarray(psi0, dtype=complex)
@@ -201,7 +198,7 @@ def evolve(
         finite = np.isfinite(H).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"Hamiltonian contains non-finite entries at t = {tm[start + np.argmin(finite)]}")
-        for k, psi in enumerate(_chunk_states(H, psi, dt[start:start + len(H)], hb), start + 1):
+        for k, psi in enumerate(_chunk_states(H, psi, dt[start:start + len(H)], hbar), start + 1):
             if k % per == 0:
                 states[k // per] = psi
     return StateTrajectory(grid=grid, states=states)
@@ -230,7 +227,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return abs(overlap(a, b)) ** 2
 
 
-def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float | None = None) -> np.ndarray:
+def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float = 1.0) -> np.ndarray:
     """Adiabatic-frame coefficients c_n(t) = e^{+(i/hbar) int E_n} <n(t)|Psi(t)>
     of the modes ``path`` keeps: an (n_t, K) array whose column k is mode
     ``path.modes[k]``, so (n_t, D) for a path that keeps every mode.
@@ -240,11 +237,10 @@ def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float | None = Non
     overlaps are taken against the conjugated states, so the (n_t, D, K)
     path is never copied.
     """
-    hb = config.hbar(hbar)
     if len(traj.grid) != len(path.grid) or np.abs(traj.grid - path.grid).max() > 1e-12 * max(
         1.0, abs(traj.grid[-1])
     ):
         raise ValueError("trajectory and eigenpath grids are not aligned")
-    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid) / hb
+    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid) / hbar
     raw = np.einsum("tdn,td->tn", path.vectors, traj.states.conj()).conj()
     return np.exp(1j * dyn) * raw

@@ -27,8 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import config
-
 #: time step of the U_f difference in ``ff_hamiltonian``, relative to max(T_ff, 1)
 _DT_REL = 1e-6
 
@@ -76,7 +74,7 @@ def ff_hamiltonian(
     gauge: FFGauge,
     rescale: TimeRescaling,
     t: float,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> np.ndarray:
     """Fast-forward Hamiltonian at time t for an arbitrary measurement gauge.
 
@@ -85,7 +83,6 @@ def ff_hamiltonian(
     three-point one-sided within one step of an end) and is antisymmetrized,
     which makes it Hermitian by construction.
     """
-    hb = config.hbar(hbar)
     Uf = gauge.unitary(t)
     H = np.asarray(H_of_s(rescale.s(t)), dtype=complex)
     main = rescale.dsdt(t) * (Uf @ H @ Uf.conj().T)
@@ -96,7 +93,7 @@ def ff_hamiltonian(
     else:
         dU = (gauge.unitary(t + h) - gauge.unitary(t - h)) / (2 * h)
     T_ = dU @ Uf.conj().T
-    gen = 1j * hb * 0.5 * (T_ - T_.conj().T)   # (d_t U) U^dag is anti-Hermitian for unitary U
+    gen = 1j * hbar * 0.5 * (T_ - T_.conj().T)   # (d_t U) U^dag is anti-Hermitian for unitary U
     return main + gen
 
 

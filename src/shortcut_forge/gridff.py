@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import config
 from .dynamics import cumulative_trapezoid
 from .errors import IllConditionedError
 from .fastforward import TimeRescaling
@@ -72,7 +71,7 @@ def _lap(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float | None = None) -> np.ndarray:
+def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float = 1.0) -> np.ndarray:
     """Phase theta(x, t) solving d_x(r^2 d_x theta) = -(m/hbar) d_t(r^2).
 
     Integrated from the left edge with d_x theta(x_min) = 0; the additive
@@ -80,10 +79,9 @@ def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float | None = Non
     through a region where r is below the floor cannot be carried by a
     finite phase gradient and raises IllConditionedError.
     """
-    hb = config.hbar(hbar)
     rho = grid.density(t)
     drho = grid.density_rate(t)
-    flux = -(grid.mass / hb) * cumulative_trapezoid(drho, grid.x)
+    flux = -(grid.mass / hbar) * cumulative_trapezoid(drho, grid.x)
     dead = rho < grid.r_floor**2
     flux_scale = max(np.abs(flux).max(), 1e-300)
     if (np.abs(flux[dead]) > 1e-6 * flux_scale).any():
@@ -113,7 +111,7 @@ def ff_potential(
     theta_of_t: Callable[[float], np.ndarray],
     rescale: TimeRescaling,
     t: float,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> np.ndarray:
     """Real fast-forward potential at time t for the phase choice
     f = (ds/dt - 1) theta(s):
@@ -128,7 +126,6 @@ def ff_potential(
     with dx: the potential stays second order in dx without the step falling
     to where rounding in theta dominates.
     """
-    hb = config.hbar(hbar)
     s = rescale.s(t)
     sp = rescale.dsdt(t)
     spp = rescale.d2sdt2(t)
@@ -140,12 +137,12 @@ def ff_potential(
     inv_r = np.zeros_like(r)
     inv_r[live] = 1.0 / r[live]
     grad_th = _grad(th, grid.dx)
-    reV = -hb * dth_ds + hb**2 / (2 * grid.mass) * (_lap(r, grid.dx) * inv_r - grad_th**2)
+    reV = -hbar * dth_ds + hbar**2 / (2 * grid.mass) * (_lap(r, grid.dx) * inv_r - grad_th**2)
     return (
         _continue_outside(reV, live)
-        - hb * spp * th
-        - hb * (sp**2 - 1.0) * dth_ds
-        - hb**2 / (2 * grid.mass) * (sp**2 - 1.0) * grad_th**2
+        - hbar * spp * th
+        - hbar * (sp**2 - 1.0) * dth_ds
+        - hbar**2 / (2 * grid.mass) * (sp**2 - 1.0) * grad_th**2
     )
 
 
@@ -156,23 +153,22 @@ def split_step_evolve(
     duration: float,
     n_steps: int,
     mass: float,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> np.ndarray:
     """Strang-split Fourier reference integrator (periodic boundary).
 
     Independent of the finite-difference construction path; the domain should
     be padded so boundary density stays negligible.
     """
-    hb = config.hbar(hbar)
     x = np.asarray(x, dtype=float)
     dx = x[1] - x[0]
     k = 2 * np.pi * np.fft.fftfreq(len(x), d=dx)
     dt = duration / n_steps
-    half_kin = np.exp(-1j * (hb * k**2 / (2 * mass)) * dt / 2)
+    half_kin = np.exp(-1j * (hbar * k**2 / (2 * mass)) * dt / 2)
     psi = np.asarray(psi0, dtype=complex).copy()
     for n in range(n_steps):
         tm = (n + 0.5) * dt
         psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-        psi = np.exp(-1j * V_of_t(tm) * dt / hb) * psi
+        psi = np.exp(-1j * V_of_t(tm) * dt / hbar) * psi
         psi = np.fft.ifft(half_kin * np.fft.fft(psi))
     return psi

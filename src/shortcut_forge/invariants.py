@@ -12,7 +12,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import config
 from .dynamics import sample, time_chunks
 from .errors import GaugeDiscontinuityError, HermiticityError
 from .operators import OperatorBasis, gram_matrix
@@ -68,7 +67,7 @@ def invariant_residual(
     H_of_t: Callable[[np.ndarray], np.ndarray],
     F: DynamicalInvariant | Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray | None = None,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> np.ndarray:
     """Per-time von Neumann defect ||i hbar dF/dt - [H, F]|| (Frobenius norm).
 
@@ -76,7 +75,6 @@ def invariant_residual(
     ends), so the grid must resolve the invariant's motion. H_of_t (and F,
     when it is a callable) are time-stacked and evaluated chunk by chunk.
     """
-    hb = config.hbar(hbar)
     if isinstance(F, DynamicalInvariant):
         grid = F.grid
         ops = F.operators
@@ -91,7 +89,7 @@ def invariant_residual(
     out = np.empty(len(grid))
     for start, H in time_chunks(H_of_t, grid):
         Fc = ops[start:start + len(H)]
-        X = 1j * hb * dF[start:start + len(H)] - (H @ Fc - Fc @ H)
+        X = 1j * hbar * dF[start:start + len(H)] - (H @ Fc - Fc @ H)
         out[start:start + len(H)] = np.sqrt(np.einsum("tij,tij->t", X.conj(), X).real / X.shape[-1])
     return out
 
@@ -100,7 +98,7 @@ def lr_phase(
     H_of_t: Callable[[np.ndarray], np.ndarray],
     phi: np.ndarray,
     grid: np.ndarray,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> np.ndarray:
     """Lewis-Riesenfeld phase alpha(t) of one smooth mode path phi[i] = phi(t_i).
 
@@ -108,7 +106,6 @@ def lr_phase(
     term uses the antisymmetrized midpoint overlap, which is real by
     construction; the energy term uses the trapezoid rule.
     """
-    hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
     phi = np.asarray(phi, dtype=complex)
     ov = discrete_connection(phi[:, :, None])[:, 0]
@@ -122,7 +119,7 @@ def lr_phase(
         p = phi[start:start + len(H)]
         energy[start:start + len(H)] = np.einsum("ti,ti->t", p.conj(), (H @ p[..., None])[..., 0]).real
     dt = np.diff(grid)
-    energy_inc = 0.5 * (energy[:-1] + energy[1:]) * dt / hb
+    energy_inc = 0.5 * (energy[:-1] + energy[1:]) * dt / hbar
     alpha = np.zeros(len(grid))
     alpha[1:] = np.cumsum(deriv_inc - energy_inc)
     return alpha
@@ -133,7 +130,7 @@ def hamiltonian_from_modes(
     modes: np.ndarray,
     alpha_rates: np.ndarray,
     dmodes: np.ndarray,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> np.ndarray:
     """Inverse-engineered Hamiltonian driving the given mode paths and phases.
 
@@ -144,7 +141,6 @@ def hamiltonian_from_modes(
     (1e-9 relative to the largest entry of H, HermiticityError otherwise) at
     every practical grid.
     """
-    hb = config.hbar(hbar)
     grid = np.asarray(grid, dtype=float)
     modes = np.asarray(modes, dtype=complex)
     dmodes = np.asarray(dmodes, dtype=complex)
@@ -155,7 +151,7 @@ def hamiltonian_from_modes(
         if np.abs(G - np.eye(D)).max() > 1e-8:
             raise ValueError(f"modes are not orthonormal at grid index {i}")
     # H = hbar sum_n (-alpha_n' |phi_n> + i |d_t phi_n>) <phi_n|
-    H = hb * np.einsum("tin,tjn->tij", 1j * dmodes - alpha_rates[:, None, :] * modes, modes.conj())
+    H = hbar * np.einsum("tin,tjn->tij", 1j * dmodes - alpha_rates[:, None, :] * modes, modes.conj())
     Hh = H.conj().swapaxes(1, 2)
     bad = np.abs(H - Hh).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(H).max(axis=(1, 2)), 1e-300)
     if bad.any():
@@ -168,7 +164,7 @@ def hamiltonian_from_modes(
 
 
 def decompose_in_invariant_basis(
-    H: np.ndarray, modes: np.ndarray, dmodes: np.ndarray, hbar: float | None = None
+    H: np.ndarray, modes: np.ndarray, dmodes: np.ndarray, hbar: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split H at one time into its diagonal part in the mode basis and the
     counterdiabatic-like off-diagonal generator of the mode motion.
@@ -176,7 +172,6 @@ def decompose_in_invariant_basis(
     Returns (diagonal part, cd-like part); the two sum to H when the modes
     actually diagonalize an invariant of H (general decomposition identity).
     """
-    hb = config.hbar(hbar)
     modes = np.asarray(modes, dtype=complex)
     D = modes.shape[0]
     G = modes.conj().T @ modes
@@ -186,7 +181,7 @@ def decompose_in_invariant_basis(
     diag = modes @ np.diag(np.diagonal(h_el).real) @ modes.conj().T
     A = modes.conj().T @ np.asarray(dmodes, dtype=complex)   # A[n, m] = <phi_n|d_t phi_m>
     A = A - np.diag(np.diagonal(A))
-    cd = 1j * hb * modes @ A @ modes.conj().T
+    cd = 1j * hbar * modes @ A @ modes.conj().T
     return diag, cd
 
 
@@ -259,8 +254,7 @@ def inverse_engineer_schedule(
     algebra: AlgebraSpec,
     f_target: np.ndarray,
     df_target: np.ndarray,
-    grid: np.ndarray,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hamiltonian coefficients h_k(t) on span(A) driving a target invariant.
 
@@ -271,13 +265,12 @@ def inverse_engineer_schedule(
     when under-determined), with ``np.linalg.lstsq``'s default cutoff on the
     singular values. Returns (h, residuals) with h of shape (n_t, |A|).
     """
-    hb = config.hbar(hbar)
     f_target = np.asarray(f_target, dtype=float)     # (n_t, |B|)
     df_target = np.asarray(df_target, dtype=float)
     A_idx, B_idx = algebra.A_indices, algebra.B_indices
     # M[t, j, k] = sum_{l in B} T_klj f_l(t), j in B, k in A
     M = np.einsum("klj,tl->tjk", algebra.T[np.ix_(A_idx, B_idx, B_idx)], f_target)
-    rhs = hb * df_target
+    rhs = hbar * df_target
     # the minimum-norm solution by one stacked SVD, with lstsq's rcond=None cutoff
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     keep = sv > np.finfo(float).eps * max(M.shape[1:]) * sv[:, :1]

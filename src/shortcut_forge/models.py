@@ -122,9 +122,10 @@ def random_hermitian_ramp(
     return DrivenSystem(H_terms=[H1], H0=H0, schedule=sched, name=f"random_hermitian[{dim},{seed}]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianWidthRamp:
-    """Normalized Gaussian amplitude whose width follows a quintic ramp.
+    """Normalized Gaussian amplitude whose width follows a quintic ramp,
+    ``Schedule.smoothstep`` from width_start to width_stop.
 
     The scaling phase theta = m wdot x^2 / (2 hbar w) solves the continuity
     equation exactly, making this the standard oracle for the 1-D
@@ -136,15 +137,16 @@ class GaussianWidthRamp:
     duration: float = 4.0
     mass: float = 1.0
 
+    def __post_init__(self):
+        object.__setattr__(self, "_ramp", Schedule.smoothstep(self.width_start, self.width_stop, self.duration))
+
     def width(self, t: float) -> float:
-        u = np.clip(t / self.duration, 0.0, 1.0)
-        p = u**3 * (10 - 15 * u + 6 * u**2)
-        return self.width_start + (self.width_stop - self.width_start) * p
+        """w at one time t."""
+        return self._ramp(t)[0]
 
     def width_rate(self, t: float) -> float:
-        u = np.clip(t / self.duration, 0.0, 1.0)
-        dp = 30 * u**2 * (1 - u) ** 2 / self.duration
-        return (self.width_stop - self.width_start) * dp
+        """dw/dt at one time t."""
+        return self._ramp.rate(t)[0]
 
     def amplitude(self, x: np.ndarray, t: float) -> np.ndarray:
         w = self.width(t)

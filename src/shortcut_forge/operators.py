@@ -12,8 +12,13 @@ from itertools import product
 
 import numpy as np
 
-from . import config
 from .errors import DimensionMismatchError, HermiticityError, SpanningError
+
+#: Hermiticity is asserted relative to the largest matrix entry.
+TOL_HERM = 1e-12
+
+#: Nested-commutator norms beyond this abort with a scaling hint.
+NORM_OVERFLOW = 1e150
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -29,13 +34,13 @@ def _check_same_dim(X: np.ndarray, Y: np.ndarray) -> None:
 
 
 def as_hermitian(A: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity to ``config.TOL_HERM`` relative to the largest
-    entry and return the array unchanged.
+    """Validate Hermiticity to ``TOL_HERM`` relative to the largest entry and
+    return the array unchanged.
 
     Violations raise HermiticityError; the input is never symmetrized, since
     that would hide upstream bugs.
     """
-    tol = config.TOL_HERM
+    tol = TOL_HERM
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
@@ -84,7 +89,7 @@ def nested_commutator(H: np.ndarray, dH: np.ndarray, k: int) -> np.ndarray:
     out = dH
     for _ in range(k):
         out = commutator(H, out)
-        if not np.isfinite(out).all() or np.abs(out).max() > config.NORM_OVERFLOW:
+        if not np.isfinite(out).all() or np.abs(out).max() > NORM_OVERFLOW:
             raise OverflowError(
                 "nested-commutator norm overflow; rescale H to O(1) spectral spread"
             )

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import config
 from .dynamics import StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
 
 
@@ -71,7 +70,7 @@ def qsl_continuous(
     H2_of_t: Callable[[np.ndarray], np.ndarray],
     reference: StateTrajectory,
     other: StateTrajectory | None = None,
-    hbar: float | None = None,
+    hbar: float = 1.0,
 ) -> BoundReport:
     """Continuous bound from the reference trajectory (solving either H_1 or H_2).
 
@@ -80,12 +79,11 @@ def qsl_continuous(
     trajectory is supplied the per-time |overlap| is reported alongside for
     the inequality check.
     """
-    hb = config.hbar(hbar)
     grid = reference.grid
     L = np.empty(len(grid))
     for start, dHm in time_chunks(lambda t: stack_at(H1_of_t, t) - stack_at(H2_of_t, t), grid):
         L[start:start + len(dHm)] = stddev_in_state(dHm, reference.states[start:start + len(dHm)])
-    angle = cumulative_trapezoid(L, grid) / hb
+    angle = cumulative_trapezoid(L, grid) / hbar
     observed = None
     if other is not None:
         if len(other.grid) != len(grid) or np.abs(other.grid - grid).max() > 1e-12 * max(1.0, abs(grid[-1])):
@@ -113,9 +111,9 @@ def qsl_discrete(
 
     which is arccos |<a|b>| without its loss of half the digits at small
     angles (the deviation vector of ``stddev_in_state``). The bound at slice
-    n is cos(sum_{m<=n} L_m). An overlap magnitude above 1 + 1e-9 marks a
-    step that is not unitary: it warns, and the overlap is clamped to 1, so
-    that step's angle is 0.
+    n is cos(sum_{m<=n} L_m). L_n does not change when b is rescaled, so it
+    is the angle between the rays of a and b even for a step that is not
+    unitary; an overlap magnitude above 1 + 1e-9 marks such a step and warns.
     """
     M = len(U2_steps)
     reference_states = np.asarray(reference_states, dtype=complex)
@@ -126,8 +124,7 @@ def qsl_discrete(
         a, b = reference_states[n + 1], U2_steps[n] @ reference_states[n]
         c = np.vdot(a, b)
         if abs(c) > 1.0 + 1e-9:
-            warnings.warn(f"overlap magnitude {abs(c) - 1.0:.2e} above 1 clamped at slice {n + 1}")
-            continue
+            warnings.warn(f"step {n + 1} is not unitary: overlap magnitude {abs(c) - 1.0:.2e} above 1")
         L[n] = np.arctan2(np.linalg.norm(b - c * a), abs(c))
     angle = np.concatenate([[0.0], np.cumsum(L)])
     if grid is None:

@@ -42,7 +42,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import config
 from .dynamics import STACK_BYTES, StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
 from .errors import DegeneracyError, GridTooCoarseError
 
@@ -51,6 +50,9 @@ OVERLAP_MIN = 0.9
 
 #: bisection levels ``eigenpath`` tries on one grid interval before it gives up
 MAX_REFINE = 12
+
+#: relative gap floor: gaps below EPS_GAP_REL * max|E| count as degenerate
+EPS_GAP_REL = 1e-10
 
 
 @dataclass
@@ -163,18 +165,17 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     return EigenPath(grid=grid, energies=energies, vectors=vectors, modes=keep)
 
 
-def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float | None = None):
+def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0):
     """(E, V, M, closed) of H (one matrix or an (n, D, D) stack, one ``eigh``
     call) and dH (one matrix per H, or a stack of derivatives of one H), as
     stacks: M is the coupling matrix of ``counterdiabatic_term``, zero on the
-    diagonal and on the ``closed`` gaps, those below ``config.EPS_GAP_REL``
+    diagonal and on the ``closed`` gaps, those below ``EPS_GAP_REL``
     times the time's largest |E|."""
-    hb = config.hbar(hbar)
     single = np.ndim(H) == 2
     H = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
     dH = np.asarray(dH, dtype=complex).reshape((-1,) + H.shape[1:])
     E, V = np.linalg.eigh(H)
-    eps = config.EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)[:, None, None]
+    eps = EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)[:, None, None]
     dHe = V.conj().swapaxes(1, 2) @ dH @ V
     gap = np.broadcast_to(E[:, None, :] - E[:, :, None], dHe.shape)   # gap[t, n, m] = E_m - E_n
     off = ~np.eye(E.shape[1], dtype=bool)
@@ -189,12 +190,12 @@ def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float | None = Non
                 f"levels {n} and {m} are degenerate{where} (gap {abs(gap[t, n, m]):.3e}) "
                 f"with coupling {abs(dHe[t, n, m]):.3e}"
             )
-    M = 1j * hb * dHe / np.where(np.abs(gap) < eps, 1.0, gap)
+    M = 1j * hbar * dHe / np.where(np.abs(gap) < eps, 1.0, gap)
     M[closed | ~off] = 0.0
     return E, V, M, closed
 
 
-def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float | None = None) -> np.ndarray:
+def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """Exact counterdiabatic operator from H and its time derivative.
 
     Built from the gauge-free projector form: the (n, m) eigenbasis element is
@@ -253,7 +254,7 @@ def geometric_integrand(path: EigenPath, n: int) -> np.ndarray:
     return 1j * np.imag(ov) / np.diff(path.grid)
 
 
-def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) -> AdiabaticState:
+def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float = 1.0) -> AdiabaticState:
     """Adiabatic reference state for initial adiabatic-frame coefficients c0.
 
     c0 has one entry per mode, D in all, and may be nonzero only on the modes
@@ -263,7 +264,6 @@ def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) 
     a closed parameter loop reproduce the Berry phase of each mode. Both are
     taken for the kept modes alone, one column each, in ``path.modes`` order.
     """
-    hb = config.hbar(hbar)
     c0 = np.asarray(c0, dtype=complex)
     if abs(np.linalg.norm(c0) - 1.0) > 1e-10:
         raise ValueError("initial coefficients must be normalized")
@@ -272,7 +272,7 @@ def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float | None = None) 
     dropped = np.flatnonzero((c0 != 0) & ~kept)
     if dropped.size:
         raise ValueError(f"c0 is nonzero on modes {dropped.tolist()} that the path did not keep")
-    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid) / hb
+    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid) / hbar
     geo = np.zeros(dyn.shape)
     geo[1:] = -np.cumsum(np.imag(discrete_connection(path.vectors)), axis=0)
     phases = np.exp(-1j * dyn + 1j * geo)
@@ -304,7 +304,7 @@ def loop_geometric_phase(path: EigenPath, n: int) -> float:
     return float(-(np.angle(ov).sum() + np.angle(closure)))
 
 
-def adiabaticity_metric(H: np.ndarray, dH: np.ndarray, m: int, n: int, hbar: float | None = None) -> float:
+def adiabaticity_metric(H: np.ndarray, dH: np.ndarray, m: int, n: int, hbar: float = 1.0) -> float:
     """Two-level adiabaticity measure hbar |<n|dH|m>| / (E_m - E_n)^2 of one
     H and its time derivative, read off the counterdiabatic coupling matrix as
     |(H_cd)_nm| / |E_m - E_n|.

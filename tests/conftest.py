@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shortcut_forge import counterdiabatic_term
+from shortcut_forge.fastforward import TimeRescaling
 from shortcut_forge.models import landau_zener, random_hermitian
 from shortcut_forge.operators import pauli_matrix
 
@@ -26,6 +27,17 @@ def stacked(H_of_t):
     """The time-stacked form of a per-time callable: the (n, D, D) stack of
     its matrices at a 1-D array of n times, one call per time."""
     return lambda times: np.array([H_of_t(t) for t in times])
+
+
+def sine_rescaling(T_ref: float, c: float = 0.5) -> TimeRescaling:
+    """A non-uniform clock on [0, T_ref / 2]: s(t) = T_ref (u - (c / 2 pi) sin 2 pi u)
+    with u = t / T_ff, so ds/dt runs from 2 (1 - c) to 2 (1 + c) and d2s/dt2
+    is nonzero inside the interval."""
+    T_ff = T_ref / 2
+    k = 2 * np.pi / T_ff
+    return TimeRescaling(s=lambda t: T_ref * (t / T_ff - c / (2 * np.pi) * np.sin(k * t)),
+                         dsdt=lambda t: T_ref / T_ff * (1 - c * np.cos(k * t)),
+                         d2sdt2=lambda t: T_ref / T_ff * c * k * np.sin(k * t), T_ff=T_ff)
 
 
 def cd_driven(system):

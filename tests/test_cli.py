@@ -100,6 +100,18 @@ def test_package_source_imports_no_scipy():
     assert found == []
 
 
+def test_package_modules_import_no_private_names():
+    """A module imports only public names from the other package modules: a
+    leading-underscore name is private to the module that defines it."""
+    found = []
+    for path in sorted((SRC / "shortcut_forge").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("shortcut_forge")):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []
+
+
 def test_tfim_range_keys_take_effect():
     conf = cli.validate_config({"system": "tfim_chain", "method": "exact_cd",
                                 "parameters": {"n_sites": 3, "lambda_start": 0.2, "lambda_stop": 0.8}})
@@ -384,6 +396,45 @@ def test_sweep_materializes_defaults(tmp_path):
             for v in (1, 2)]
     assert [r["config"]["parameters"]["duration"] for r in runs] == [1.0, 2.0]
     assert runs[0]["final_fidelity"] != runs[1]["final_fidelity"]
+
+
+def _sweep_outputs(tmp_path, name):
+    """Every file a three-value Landau-Zener sweep writes, by relative path."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"system": "landau_zener", "method": "exact_cd", "grid_points": 21}))
+    out = tmp_path / name
+    assert cli.main(["sweep", str(path), "--param", "parameters.delta", "--values", "0.9,1.0,1.1",
+                     "--out", str(out)]) == 0
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools the CLI opens."""
+    opened = []
+
+    class Recording(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    return opened
+
+
+def test_parallel_sweep_writes_the_serial_bytes(tmp_path, monkeypatch, pools):
+    monkeypatch.setenv("SHORTCUT_FORGE_THREADS", "1")
+    serial = _sweep_outputs(tmp_path, "serial")
+    monkeypatch.setenv("SHORTCUT_FORGE_THREADS", "2")
+    parallel = _sweep_outputs(tmp_path, "parallel")
+    assert pools == [2]
+    assert len(serial) == 6 and parallel == serial
+
+
+def test_non_integer_thread_cap_runs_one_worker(tmp_path, monkeypatch, pools):
+    monkeypatch.setenv("SHORTCUT_FORGE_THREADS", "two")
+    assert len(_sweep_outputs(tmp_path, "sweep")) == 6
+    assert pools == []
 
 
 # ---------------------------------------------------------------------------

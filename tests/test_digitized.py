@@ -3,8 +3,8 @@ import pytest
 
 from shortcut_forge.digitized import (
     TrotterPlan,
-    _fit_scaling,
     digitization_error,
+    fit_scaling,
     trotter_baseline_error,
     trotter_cd_evolve,
     trotter_step_unitaries,
@@ -45,7 +45,7 @@ class TestCommutingPair:
 class TestFitScaling:
     def test_recovers_power_law(self):
         M = np.array([8, 16, 32, 64, 128])
-        report = _fit_scaling(M, 3.7 * M.astype(float) ** -2, "infidelity")
+        report = fit_scaling(M, 3.7 * M.astype(float) ** -2, "infidelity")
         assert report.slope == pytest.approx(-2.0, abs=1e-12)
         assert report.intercept == pytest.approx(np.log(3.7), abs=1e-12)
         assert report.slope_stderr < 1e-12
@@ -53,7 +53,7 @@ class TestFitScaling:
 
     def test_needs_two_octaves(self):
         with pytest.raises(ValueError, match="two octaves"):
-            _fit_scaling(np.array([8, 10, 12, 16]), np.ones(4), "infidelity")
+            fit_scaling(np.array([8, 10, 12, 16]), np.ones(4), "infidelity")
 
 
 def test_baseline_first_order_slope():

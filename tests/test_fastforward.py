@@ -14,7 +14,7 @@ from shortcut_forge.fastforward import FFGauge, TimeRescaling, ff_hamiltonian, f
 from shortcut_forge.models import landau_zener, random_hermitian_ramp
 from shortcut_forge.spectral import counterdiabatic_term
 
-from conftest import stacked
+from conftest import sine_rescaling, stacked
 
 SYSTEMS = {"lz": landau_zener, "rh4": lambda: random_hermitian_ramp(dim=4, seed=0)}
 
@@ -112,24 +112,32 @@ def _populations(system, times, states):
                      for s, psi in zip(times, states)])
 
 
-@pytest.mark.parametrize("name, phases", [("lz", "relation_1"), ("lz", "arbitrary"), ("rh4", "arbitrary")])
-def test_relation_2_any_projector_gauge_reproduces_reference_populations(name, phases):
+@pytest.mark.parametrize("name, phases, clock", [("lz", "relation_1", "uniform"), ("lz", "arbitrary", "uniform"),
+                                                  ("rh4", "arbitrary", "uniform"), ("lz", "arbitrary", "sine"),
+                                                  ("rh4", "arbitrary", "sine")])
+def test_relation_2_any_projector_gauge_reproduces_reference_populations(name, phases, clock):
+    """The fast-forward populations at t are the reference populations at
+    s(t), on the uniform clock s = 2 t and on the non-uniform sine clock."""
     system = SYSTEMS[name]()
     rate = 2.0
-    rescale = TimeRescaling.uniform(rate, system.duration / rate)
+    if clock == "sine":
+        rescale = sine_rescaling(system.duration)
+    else:
+        rescale = TimeRescaling.uniform(rate, system.duration / rate)
     if phases == "relation_1":
         gauge = _relation_1_gauge(name, system, rescale, rate)
     else:
         n = np.arange(system.dim)
         gauge = FFGauge(_projectors(system, rescale), lambda t: (n + 1) * np.sin(3 * t) + n * t**2)
-    grid = np.linspace(0.0, system.duration, 1001)
+    grid = np.linspace(0.0, rescale.T_ff, 1001)
+    s = rescale.s(grid)
     psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
-    reference = evolve(system.hamiltonian, psi0, grid)
+    reference = evolve(system.hamiltonian, psi0, s)
     H_ff = lambda t: ff_hamiltonian(system.hamiltonian, gauge, rescale, t)
-    fast = evolve(stacked(H_ff), psi0, grid / rate)
-    expected = _populations(system, grid, reference.states)
+    fast = evolve(stacked(H_ff), psi0, grid)
+    expected = _populations(system, s, reference.states)
     assert expected[-1, 0] < 0.9          # the reference is far from adiabatic
-    deviation = _populations(system, rescale.s(grid / rate), fast.states) - expected
+    deviation = _populations(system, s, fast.states) - expected
     assert np.abs(deviation).max() <= 1e-5
     for t in np.linspace(0.0, rescale.T_ff, 11):
         H = H_ff(t)

@@ -9,6 +9,8 @@ from shortcut_forge.fastforward import TimeRescaling
 from shortcut_forge.gridff import GridSystem1D, ff_potential, phase_from_continuity, split_step_evolve
 from shortcut_forge.models import GaussianWidthRamp
 
+from conftest import sine_rescaling
+
 RAMP = GaussianWidthRamp()
 
 
@@ -49,15 +51,19 @@ def test_continuity_phase_converges_to_the_scaling_phase_at_second_order():
     assert errors[-1] <= 1e-3
 
 
-@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("rate", [1.0, 2.0, "sine"])
 @pytest.mark.parametrize("t", [0.25, 1.5])
 def test_ff_potential_is_the_harmonic_trap_of_the_rescaled_width(rate, t):
     """V_FF = m omega^2 x^2 / 2 - hbar^2 / (2 m w^2) with
-    omega^2 = hbar^2 / (m^2 w^4) - (ds/dt)^2 wddot / w, all at s(t)."""
-    rescale = TimeRescaling.uniform(rate, RAMP.duration / rate)
-    s = rescale.s(t)
+    omega^2 = hbar^2 / (m^2 w^4) - ((ds/dt)^2 w'' + (d2s/dt2) w') / w, the
+    width and its s-derivatives at s(t); rate "sine" is the non-uniform clock."""
+    if rate == "sine":
+        rescale = sine_rescaling(RAMP.duration)
+    else:
+        rescale = TimeRescaling.uniform(rate, RAMP.duration / rate)
+    s, sp, spp = rescale.s(t), rescale.dsdt(t), rescale.d2sdt2(t)
     w = RAMP.width(s)
-    omega2 = 1 / (RAMP.mass**2 * w**4) - rate**2 * _width_acceleration(s) / w
+    omega2 = 1 / (RAMP.mass**2 * w**4) - (sp**2 * _width_acceleration(s) + spp * RAMP.width_rate(s)) / w
     errors = []
     for n in (512, 1024, 2048, 4096):
         grid = _grid(n)

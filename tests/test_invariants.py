@@ -336,7 +336,7 @@ class TestInverseEngineering:
         theta, thetadot = self._theta_schedule(grid)
         f = np.stack([np.sin(theta), np.cos(theta)], axis=1)          # (X, Z)
         df = np.stack([thetadot * np.cos(theta), -thetadot * np.sin(theta)], axis=1)
-        h, res = inverse_engineer_schedule(algebra, f, df, grid)
+        h, res = inverse_engineer_schedule(algebra, f, df)
         assert res.max() < 1e-12
         assert np.abs(h[:, 0] - thetadot / 2).max() < 1e-10
         # oracle: the von Neumann equation under the recovered drive, with the
@@ -362,7 +362,7 @@ class TestInverseEngineering:
         theta, thetadot = self._theta_schedule(grid)
         f = np.stack([np.sin(theta), np.cos(theta)], axis=1)
         df = np.stack([thetadot * np.cos(theta), -thetadot * np.sin(theta)], axis=1)
-        h, _ = inverse_engineer_schedule(algebra, f, df, grid)
+        h, _ = inverse_engineer_schedule(algebra, f, df)
         for i in (0, -1):
             H = h[i, 0] * SY
             F = f[i, 0] * SX + f[i, 1] * SZ
@@ -375,7 +375,7 @@ class TestInverseEngineering:
         theta, thetadot = self._theta_schedule(grid)
         f = np.stack([np.sin(theta), np.cos(theta)], axis=1)
         df = np.stack([thetadot * np.cos(theta), -thetadot * np.sin(theta)], axis=1)
-        h, _ = inverse_engineer_schedule(algebra, f, df, grid)
+        h, _ = inverse_engineer_schedule(algebra, f, df)
         H_of_t = lambda t: np.interp(t, grid, h[:, 0]) * SY
         # invariant modes: Bloch vector (sin theta, 0, cos theta)
         psi0 = np.array([np.cos(theta[0] / 2), np.sin(theta[0] / 2)], dtype=complex)
@@ -390,9 +390,8 @@ class TestInverseEngineering:
         basis = pauli_basis(1)
         algebra = AlgebraSpec(basis=basis, A_indices=[2], B_indices=[2])
         algebra.verify()
-        grid = np.linspace(0, 1, 11)
         f = np.ones((11, 1))
         df = np.zeros((11, 1))
-        h, res = inverse_engineer_schedule(algebra, f, df, grid)
+        h, res = inverse_engineer_schedule(algebra, f, df)
         assert np.abs(h).max() == 0.0
         assert res.max() == 0.0

@@ -69,18 +69,25 @@ def test_discrete_bound_is_a_triangle_inequality(seed):
     assert np.all(np.diff(report.angle) >= 0)
 
 
-def test_overlap_above_one_warns_and_clamps():
+def test_overlap_above_one_warns_and_keeps_the_ray_angle():
+    """A step that is not unitary warns, and its angle is that between the
+    rays: 0 for a pure rescale of the reference step, the rotation angle for a
+    rescaled rotation of a static reference."""
     rng = np.random.default_rng(3)
     U = step_unitary(random_hermitian(3, rng), 0.4)
     psi0 = _random_state(3, rng)
     states = np.array([psi0, U @ psi0])
-    with pytest.warns(UserWarning, match="clamped"):
+    with pytest.warns(UserWarning, match="not unitary"):
         report = qsl_discrete([(1 + 1e-6) * U], states)
-    assert report.metadata["per_step_angle"][0] == 0.0
+    assert abs(report.metadata["per_step_angle"][0]) < 1e-15   # 0 up to rounding of the two states
     assert report.bound[-1] == 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        qsl_discrete([(1 + 1e-12) * U], states)   # within the 1e-9 clamp tolerance: silent
+        qsl_discrete([(1 + 1e-12) * U], states)   # within the 1e-9 tolerance: silent
+    zero = np.array([1.0, 0.0], dtype=complex)
+    with pytest.warns(UserWarning, match="not unitary"):
+        report = qsl_discrete([1.1 * step_unitary(SX, 0.3)], np.array([zero, zero]))
+    assert report.metadata["per_step_angle"][0] == pytest.approx(0.3, rel=1e-15)
 
 
 def test_small_step_angle_keeps_every_digit():
