@@ -27,7 +27,6 @@ from .operators import (
     frobenius_inner,
     frobenius_norm,
     gell_mann_basis,
-    liouvillian_apply,
     nested_commutator,
     pauli_basis,
     pauli_matrix,
@@ -63,7 +62,6 @@ from .agp import (
 from .invariants import (
     AlgebraSpec,
     DynamicalInvariant,
-    decompose_in_invariant_basis,
     hamiltonian_from_modes,
     invariant_residual,
     inverse_engineer_schedule,

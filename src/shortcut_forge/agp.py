@@ -254,12 +254,9 @@ def krylov_system(chain: KrylovChain, hbar: float = 1.0) -> LinearCDSystem:
     if kb:
         u[:, 0] = np.where(nb > 0, -b[:, 0] * b[:, 1], 0.0)
     basis_ops = 1j * hbar * ops[:, 1:2 * kb:2]
-    meta = {"K": int(length[0]) if single else length}
-    if kb == 0:
-        meta["empty_reason"] = "K < 2"
     if single:
-        return LinearCDSystem(B=B[0], u=u[0], method="krylov", basis_ops=basis_ops[0], metadata=meta)
-    return LinearCDSystem(B=B, u=u, method="krylov", basis_ops=basis_ops, metadata=meta)
+        return LinearCDSystem(B=B[0], u=u[0], method="krylov", basis_ops=basis_ops[0])
+    return LinearCDSystem(B=B, u=u, method="krylov", basis_ops=basis_ops)
 
 
 def solve_cd(system: LinearCDSystem) -> np.ndarray:
@@ -295,14 +292,14 @@ def solve_cd(system: LinearCDSystem) -> np.ndarray:
     return a[0] if single else a
 
 
-def _min_norm_solve(B: np.ndarray, u: np.ndarray, rcond: float = 1e-12):
+def _min_norm_solve(B: np.ndarray, u: np.ndarray):
     """Minimum-norm least-squares solutions of a stack of symmetric systems
     and their ranks. The singular values of a symmetric B are its |eigenvalues|;
-    those at or below rcond times each system's largest are dropped, as in
+    those at or below 1e-12 times each system's largest are dropped, as in
     ``np.linalg.lstsq``."""
     w, V = np.linalg.eigh(B)
     s = np.abs(w)
-    keep = s > rcond * s.max(axis=1, keepdims=True)
+    keep = s > 1e-12 * s.max(axis=1, keepdims=True)
     inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     coef = inv * (V.swapaxes(1, 2) @ u[..., None])[..., 0]
     return (V @ coef[..., None])[..., 0], keep.sum(axis=1)

@@ -29,7 +29,6 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +37,16 @@ from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
-from .dynamics import evolve, fidelity, sample
+from .dynamics import StateTrajectory, evolve, fidelity, sample
 from .errors import ConfigError, ShortcutForgeError
 from .fastforward import TimeRescaling, ff_of_cd
-from .gridff import GridSystem1D, ff_potential, phase_from_continuity, split_step_evolve
+from .gridff import GridSystem1D, ff_potential, split_step_evolve
 from .invariants import DynamicalInvariant, invariant_residual
 from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim_chain
 from .operators import gell_mann_basis, gram_matrix, pauli_basis
 from .qsl import qsl_continuous, qsl_discrete
 from .schedule import SHAPES
-from .spectral import adiabatic_state, counterdiabatic_term, eigenpath
+from .spectral import counterdiabatic_term, eigenpath
 
 #: Every config key maps to its default, whose type is the key's type, or to a
 #: bare type when it has no default; a nested dict is a section of keys.
@@ -258,8 +257,10 @@ _LEVEL_COLUMNS_MAX = 8
 class _Reference:
     """The adiabatic reference of a matrix scenario on [0, T] (T defaults to
     the schedule's duration): the system, the grid and its eigenpath, the
-    initial ground state ``psi0`` and the ``target`` that follows it. A
-    config without ``grid_points`` (a Trotter run) has the grid [0, T]. The
+    tracked ground mode ``target`` and its initial state ``psi0``. The target
+    carries no adiabatic phase, because every reader (the fidelity, the
+    populations, the QSL stddev and |overlap|) drops the phase at each time.
+    A config without ``grid_points`` (a Trotter run) has the grid [0, T]. The
     time callables it hands out are time-stacked.
 
     The path keeps every mode, unless the run reads no mode but the ground
@@ -277,14 +278,9 @@ class _Reference:
         self.grid = np.linspace(0.0, self.T, conf.get("grid_points", 2))
         modes = [0] if ground_only and self.system.dim > _LEVEL_COLUMNS_MAX else None
         self.path = eigenpath(self.system.hamiltonian, self.grid, modes)
-        self.psi0 = self.path.vectors[0, :, self.path.column(0)]
-
-    @cached_property
-    def target(self):
-        """The adiabatic ground-state trajectory on the grid."""
-        c0 = np.zeros(self.system.dim)
-        c0[0] = 1.0
-        return adiabatic_state(self.path, c0, hbar=self.hbar).trajectory
+        ground = self.path.vectors[:, :, self.path.column(0)]
+        self.psi0 = ground[0]
+        self.target = StateTrajectory(grid=self.grid, states=ground)
 
     def cd(self, method: str = "exact_cd"):
         """cd(t) of a counterdiabatic route; the approximate ones read ``order``."""
@@ -428,7 +424,6 @@ def _grid_ff_scenario(conf: dict) -> dict:
     x = np.linspace(-extent / 2, extent / 2, p["x_points"], endpoint=False)
     grid_sys = GridSystem1D(x=x, mass=ramp.mass, r=lambda t: ramp.amplitude(x, t),
                             drdt=lambda t: ramp.amplitude_rate(x, t))
-    theta = lambda t: phase_from_continuity(grid_sys, t, hbar=hbar)
     T_ff = ramp.duration / rate
     rescale = TimeRescaling.uniform(rate, T_ff)
     psi = grid_sys.r(0.0).astype(complex)
@@ -438,7 +433,7 @@ def _grid_ff_scenario(conf: dict) -> dict:
     for i in range(n_check - 1):
         seg = checks[i + 1] - checks[i]
         psi = split_step_evolve(
-            x, lambda tau, t0=checks[i]: ff_potential(grid_sys, theta, rescale, t0 + tau, hbar=hbar),
+            x, lambda tau, t0=checks[i]: ff_potential(grid_sys, rescale, t0 + tau, hbar=hbar),
             psi, seg, max(n_steps // (n_check - 1), 1), ramp.mass, hbar=hbar)
         rho_t = grid_sys.density(rescale.s(checks[i + 1]))
         l2.append(float(np.sqrt(np.sum((np.abs(psi) ** 2 - rho_t) ** 2) * grid_sys.dx)))
@@ -470,17 +465,13 @@ def _qsl_scenario(conf: dict) -> dict:
 def _invariant_scenario(conf: dict) -> dict:
     ref = _Reference(conf)
     grid, path = ref.grid, ref.path
-    fbar = np.arange(ref.system.dim, dtype=float)
-    inv = DynamicalInvariant.from_modes(grid, path.vectors, fbar)
+    inv = DynamicalInvariant.from_modes(grid, path.vectors)
     res = invariant_residual(ref.driven(ref.cd()), inv, hbar=ref.hbar)
-    # fbar is distinct and conserved, so the ascending spectrum is in tracked order
-    ev = np.linalg.eigvalsh(inv.operators)
-    drift = np.abs(ev - ev[0]).max(axis=1)
-    spread = max(np.abs(fbar).max(), 1e-300)
+    drift = inv.eigenvalue_drift()
     columns = ["time", "eigenvalue_drift", "von_neumann_residual"]
-    rows = np.column_stack([grid, drift / spread, res])
+    rows = np.column_stack([grid, drift, res])
     summary = {
-        "max_eigenvalue_drift": float(drift.max() / spread),
+        "max_eigenvalue_drift": float(drift.max()),
         "max_von_neumann_residual": float(res.max()),
     }
     return {"columns": columns, "rows": rows, "summary": summary}

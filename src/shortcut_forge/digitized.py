@@ -98,7 +98,6 @@ class ScalingReport:
     M_list: np.ndarray
     values: np.ndarray
     metric: str
-    used: np.ndarray                 # mask of points entering the fit
     slope: float | None
     slope_stderr: float | None
     intercept: float | None = None
@@ -153,7 +152,7 @@ def fit_scaling(M_list: np.ndarray, values: np.ndarray, metric: str) -> ScalingR
         raise ValueError("need >= 4 values of M spanning at least two octaves")
     used = values > 10 * ERROR_FLOOR
     report = ScalingReport(
-        M_list=M_list, values=values, metric=metric, used=used,
+        M_list=M_list, values=values, metric=metric,
         slope=None, slope_stderr=None,
         per_M={int(M): float(v) for M, v in zip(M_list, values)},
     )

@@ -23,6 +23,10 @@ from .dynamics import cumulative_trapezoid
 from .errors import IllConditionedError
 from .fastforward import TimeRescaling
 
+#: amplitude below which the grid carries no phase: no flux may cross it, and
+#: the reference potential is continued over it
+R_FLOOR = 1e-8
+
 
 @dataclass
 class GridSystem1D:
@@ -33,7 +37,6 @@ class GridSystem1D:
     mass: float
     r: Callable[[float], np.ndarray]           # t -> amplitude on the grid
     drdt: Callable[[float], np.ndarray]        # t -> d_t r on the grid
-    r_floor: float = 1e-8
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -55,14 +58,6 @@ class GridSystem1D:
         return 2.0 * np.asarray(self.r(t)) * np.asarray(self.drdt(t))
 
 
-def _grad(f: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2 * dx)
-    out[0] = (f[1] - f[0]) / dx
-    out[-1] = (f[-1] - f[-2]) / dx
-    return out
-
-
 def _lap(f: np.ndarray, dx: float) -> np.ndarray:
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - 2 * f[1:-1] + f[:-2]) / dx**2
@@ -82,11 +77,11 @@ def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float = 1.0) -> np
     rho = grid.density(t)
     drho = grid.density_rate(t)
     flux = -(grid.mass / hbar) * cumulative_trapezoid(drho, grid.x)
-    dead = rho < grid.r_floor**2
+    dead = rho < R_FLOOR**2
     flux_scale = max(np.abs(flux).max(), 1e-300)
     if (np.abs(flux[dead]) > 1e-6 * flux_scale).any():
         raise IllConditionedError(
-            "probability flux crosses a region with amplitude below r_floor; "
+            "probability flux crosses a region with amplitude below R_FLOOR; "
             "the continuity equation has no well-conditioned phase there"
         )
     grad_theta = np.zeros_like(rho)
@@ -108,7 +103,6 @@ def _continue_outside(V: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 def ff_potential(
     grid: GridSystem1D,
-    theta_of_t: Callable[[float], np.ndarray],
     rescale: TimeRescaling,
     t: float,
     hbar: float = 1.0,
@@ -120,23 +114,25 @@ def ff_potential(
            - hbar^2/2m (s'^2 - 1) (d_x theta(s))^2,
 
     where Re V = -hbar d_s theta + hbar^2/2m [(d_x^2 r)/r - (d_x theta)^2] is
-    the reference potential of r e^{i theta}. Outside the amplitude support
-    Re V is continued with its nearest defined value. d_s theta is a central
-    difference whose step, T_ref / n_points on the reference clock, shrinks
-    with dx: the potential stays second order in dx without the step falling
-    to where rounding in theta dominates.
+    the reference potential of r e^{i theta}, with theta from
+    ``phase_from_continuity``. Outside the amplitude support (r above
+    R_FLOOR) Re V is continued with its nearest defined value. d_s theta is
+    a central difference whose step, T_ref / n_points on the reference
+    clock, shrinks with dx: the potential stays second order in dx without
+    the step falling to where rounding in theta dominates.
     """
     s = rescale.s(t)
     sp = rescale.dsdt(t)
     spp = rescale.d2sdt2(t)
     r = np.asarray(grid.r(s), dtype=float)
-    th = theta_of_t(s)
+    theta = lambda u: phase_from_continuity(grid, u, hbar=hbar)
+    th = theta(s)
     h = rescale.s(rescale.T_ff) / len(grid.x)
-    dth_ds = (theta_of_t(s + h) - theta_of_t(s - h)) / (2 * h)
-    live = r > grid.r_floor
+    dth_ds = (theta(s + h) - theta(s - h)) / (2 * h)
+    live = r > R_FLOOR
     inv_r = np.zeros_like(r)
     inv_r[live] = 1.0 / r[live]
-    grad_th = _grad(th, grid.dx)
+    grad_th = np.gradient(th, grid.dx)
     reV = -hbar * dth_ds + hbar**2 / (2 * grid.mass) * (_lap(r, grid.dx) * inv_r - grad_th**2)
     return (
         _continue_outside(reV, live)

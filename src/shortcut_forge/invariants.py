@@ -1,5 +1,5 @@
-"""Dynamical invariants, Lewis-Riesenfeld phases, Hamiltonian decomposition in
-an invariant basis, and algebra-closed inverse engineering.
+"""Dynamical invariants, Lewis-Riesenfeld phases, Hamiltonians inverse
+engineered from mode paths, and algebra-closed inverse engineering.
 
 Mode paths use the same layout as EigenPath: modes[i, :, n] is the n-th
 orthonormal eigenvector of the invariant at grid[i], in a smooth gauge.
@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import sample, time_chunks
+from .dynamics import cumulative_trapezoid, sample, time_chunks
 from .errors import GaugeDiscontinuityError, HermiticityError
 from .operators import OperatorBasis, gram_matrix
 from .spectral import OVERLAP_MIN, discrete_connection, eigenpath
@@ -20,34 +20,33 @@ from .spectral import OVERLAP_MIN, discrete_connection, eigenpath
 
 @dataclass
 class DynamicalInvariant:
-    """Hermitian F(t) with conserved spectrum obeying the von Neumann equation."""
+    """Hermitian F(t) on a grid, meant to obey the von Neumann equation with a
+    conserved spectrum; ``invariant_residual`` and ``eigenvalue_drift``
+    measure how well it does."""
 
     grid: np.ndarray
     operators: np.ndarray          # (n_t, D, D)
-    eigenvalues: np.ndarray        # (n_t, D), continuity-tracked
-    vectors: np.ndarray            # (n_t, D, D) smooth-gauge modes
 
-    def eigenvalue_drift(self) -> float:
-        """Max relative drift of any tracked eigenvalue across the grid."""
-        ev = self.eigenvalues
-        spread = max(np.abs(ev).max(), 1e-300)
-        return float(np.abs(ev - ev[0]).max() / spread)
+    def eigenvalue_drift(self) -> np.ndarray:
+        """Per-time drift max_n |f_n(t) - f_n(0)| of the ascending spectrum of
+        ``operators``, relative to the largest |f_n(0)|; shape (n_t,)."""
+        ev = np.linalg.eigvalsh(self.operators)
+        return np.abs(ev - ev[0]).max(axis=1) / max(np.abs(ev[0]).max(), 1e-300)
 
     @classmethod
     def from_modes(cls, grid: np.ndarray, modes: np.ndarray, fbar: np.ndarray | None = None):
         """Build F(t) = sum_n fbar_n |phi_n(t)><phi_n(t)| from mode paths.
 
         The free eigenvalues default to 0..D-1: any time-independent values
-        work, distinct ones keep the eigenvectors well-defined.
+        work, distinct ones keep the eigenvectors well-defined. Modes that are
+        not orthonormal give F another spectrum, which ``eigenvalue_drift``
+        shows once it changes along the path.
         """
         modes = np.asarray(modes, dtype=complex)
-        D = modes.shape[1]
         if fbar is None:
-            fbar = np.arange(D, dtype=float)
-        fbar = np.asarray(fbar, dtype=float)
-        ops = np.einsum("n,tin,tjn->tij", fbar, modes, modes.conj())
-        ev = np.tile(fbar, (len(grid), 1))
-        return cls(grid=np.asarray(grid, float), operators=ops, eigenvalues=ev, vectors=modes)
+            fbar = np.arange(modes.shape[1], dtype=float)
+        ops = np.einsum("n,tin,tjn->tij", np.asarray(fbar, dtype=float), modes, modes.conj())
+        return cls(grid=np.asarray(grid, float), operators=ops)
 
     @classmethod
     def from_operator(cls, grid: np.ndarray, F_of_t: Callable[[np.ndarray], np.ndarray]):
@@ -60,7 +59,7 @@ class DynamicalInvariant:
         tracked spectrum as V diag(E) V^dagger, equal to F to rounding."""
         path = eigenpath(F_of_t, grid)
         ops = np.einsum("tn,tin,tjn->tij", path.energies, path.vectors, path.vectors.conj())
-        return cls(grid=path.grid, operators=ops, eigenvalues=path.energies, vectors=path.vectors)
+        return cls(grid=path.grid, operators=ops)
 
 
 def invariant_residual(
@@ -118,10 +117,8 @@ def lr_phase(
     for start, H in time_chunks(H_of_t, grid):
         p = phi[start:start + len(H)]
         energy[start:start + len(H)] = np.einsum("ti,ti->t", p.conj(), (H @ p[..., None])[..., 0]).real
-    dt = np.diff(grid)
-    energy_inc = 0.5 * (energy[:-1] + energy[1:]) * dt / hbar
-    alpha = np.zeros(len(grid))
-    alpha[1:] = np.cumsum(deriv_inc - energy_inc)
+    alpha = -cumulative_trapezoid(energy, grid) / hbar
+    alpha[1:] += np.cumsum(deriv_inc)
     return alpha
 
 
@@ -136,20 +133,19 @@ def hamiltonian_from_modes(
 
     H(t) = -hbar sum_n (d alpha_n/dt) |phi_n><phi_n| + i hbar sum_n |d_t phi_n><phi_n|.
     Evolving |phi_n(0)> under it reproduces e^{i alpha_n(t)} |phi_n(t)>.
-    ``alpha_rates``: array (n_t, D). ``dmodes``: the analytic mode derivatives,
-    (n_t, D, D); grid differences of the modes miss the Hermiticity check
-    (1e-9 relative to the largest entry of H, HermiticityError otherwise) at
-    every practical grid.
+    The modes must be orthonormal to 1e-8 at every grid time (ValueError
+    otherwise). ``alpha_rates``: array (n_t, D). ``dmodes``: the analytic
+    mode derivatives, (n_t, D, D); grid differences of the modes miss the
+    Hermiticity check (1e-9 relative to the largest entry of H,
+    HermiticityError otherwise) at every practical grid.
     """
     grid = np.asarray(grid, dtype=float)
     modes = np.asarray(modes, dtype=complex)
     dmodes = np.asarray(dmodes, dtype=complex)
     alpha_rates = np.asarray(alpha_rates)
-    n_t, D, _ = modes.shape
-    for i in (0, n_t // 2, n_t - 1):
-        G = modes[i].conj().T @ modes[i]
-        if np.abs(G - np.eye(D)).max() > 1e-8:
-            raise ValueError(f"modes are not orthonormal at grid index {i}")
+    gram_dev = np.abs(modes.conj().swapaxes(1, 2) @ modes - np.eye(modes.shape[2])).max(axis=(1, 2))
+    if (gram_dev > 1e-8).any():
+        raise ValueError(f"modes are not orthonormal at grid index {int((gram_dev > 1e-8).argmax())}")
     # H = hbar sum_n (-alpha_n' |phi_n> + i |d_t phi_n>) <phi_n|
     H = hbar * np.einsum("tin,tjn->tij", 1j * dmodes - alpha_rates[:, None, :] * modes, modes.conj())
     Hh = H.conj().swapaxes(1, 2)
@@ -163,63 +159,28 @@ def hamiltonian_from_modes(
     return 0.5 * (H + Hh)  # remove only the sub-tolerance noise just checked
 
 
-def decompose_in_invariant_basis(
-    H: np.ndarray, modes: np.ndarray, dmodes: np.ndarray, hbar: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split H at one time into its diagonal part in the mode basis and the
-    counterdiabatic-like off-diagonal generator of the mode motion.
-
-    Returns (diagonal part, cd-like part); the two sum to H when the modes
-    actually diagonalize an invariant of H (general decomposition identity).
-    """
-    modes = np.asarray(modes, dtype=complex)
-    D = modes.shape[0]
-    G = modes.conj().T @ modes
-    if np.abs(G - np.eye(D)).max() > 1e-8:
-        raise ValueError("modes are not orthonormal")
-    h_el = modes.conj().T @ np.asarray(H, dtype=complex) @ modes
-    diag = modes @ np.diag(np.diagonal(h_el).real) @ modes.conj().T
-    A = modes.conj().T @ np.asarray(dmodes, dtype=complex)   # A[n, m] = <phi_n|d_t phi_m>
-    A = A - np.diag(np.diagonal(A))
-    cd = 1j * hbar * modes @ A @ modes.conj().T
-    return diag, cd
-
-
 @dataclass
 class AlgebraSpec:
     """Closed operator algebra for invariant-based inverse engineering.
 
     ``basis`` holds the full orthonormal generator set X; the Hamiltonian
-    lives on span(A), the invariant on span(B). T is the structure tensor
-    [X_j, X_k] = i sum_l T_jkl X_l.
+    lives on span(A), the invariant on span(B). On construction ``T`` is set
+    to the structure tensor [X_j, X_k] = i sum_l T_jkl X_l of the basis, and
+    the closure [A, B] in span(B) is checked to 1e-10 (ValueError otherwise).
     """
 
     basis: OperatorBasis
     A_indices: list[int]
     B_indices: list[int]
-    T: np.ndarray = field(default=None, repr=False)
+    T: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.T is None:
-            self.T = structure_constants(self.basis)
-
-    def verify(self) -> None:
-        """Check the structure constants and the [A, B] in span(B) closure,
-        each to 1e-10.
-
-        For an orthonormal basis the defect of [X_j, X_k] = i sum_l T_jkl X_l
-        is the 2-norm over l of the deviation of T from the computed tensor.
-        """
-        tol = 1e-10
-        dev = np.linalg.norm(self.T - structure_constants(self.basis), axis=2)
-        if dev.max() > tol:
-            j, k = np.argwhere(dev > tol)[0]
-            raise ValueError(f"structure constants wrong for pair ({j}, {k})")
+        self.T = structure_constants(self.basis)
         A, B = self.A_indices, self.B_indices
         outside = [l for l in range(len(self.basis)) if l not in B]
         leak = np.abs(self.T[np.ix_(A, B, outside)])
-        if leak.size and leak.max() > tol:
-            a, b, _ = np.argwhere(leak > tol)[0]
+        if leak.size and leak.max() > 1e-10:
+            a, b, _ = np.argwhere(leak > 1e-10)[0]
             raise ValueError(
                 f"[X_{A[a]}, X_{B[b]}] leaks outside span(B) by {leak[a, b].max():.2e}: closure fails"
             )

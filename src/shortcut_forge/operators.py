@@ -68,11 +68,6 @@ def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
 
-def liouvillian_apply(H: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Action of the closed-system Liouvillian: [H, X]."""
-    return commutator(H, X)
-
-
 def nested_commutator(H: np.ndarray, dH: np.ndarray, k: int) -> np.ndarray:
     """k-fold nested commutator of H with dH, 0 <= k <= 12: the k = 0 case
     is dH itself.

@@ -18,7 +18,6 @@ from shortcut_forge import (
     krylov_cd,
     krylov_chain,
     krylov_system,
-    liouvillian_apply,
     nested_commutator,
     odd_commutator_support,
     pauli_basis,
@@ -223,7 +222,7 @@ class TestKrylovSystem:
         system = krylov_system(chain)
         nb = system.size
         gram = np.empty((nb, nb))
-        imgs = [liouvillian_apply(H, chain.ops[2 * k - 1]) for k in range(1, nb + 1)]
+        imgs = [commutator(H, chain.ops[2 * k - 1]) for k in range(1, nb + 1)]
         for i in range(nb):
             for j in range(nb):
                 gram[i, j] = frobenius_inner(imgs[i], imgs[j]).real

@@ -67,7 +67,7 @@ def test_ff_potential_is_the_harmonic_trap_of_the_rescaled_width(rate, t):
     errors = []
     for n in (512, 1024, 2048, 4096):
         grid = _grid(n)
-        V = ff_potential(grid, lambda u: phase_from_continuity(grid, u), rescale, t)
+        V = ff_potential(grid, rescale, t)
         exact = 0.5 * RAMP.mass * omega2 * grid.x**2 - 1 / (2 * RAMP.mass * w**2)
         errors.append(np.abs(V - exact)[grid.r(s) > 1e-4].max())
     ok, ratios = _second_order(errors)
@@ -85,10 +85,27 @@ def test_split_step_reproduces_free_gaussian_spreading():
     assert np.abs(psi - exact).max() <= 1e-14
 
 
-def test_split_step_keeps_the_norm_in_a_moving_trap():
+def _moving_trap():
     x = np.linspace(-20.0, 20.0, 256, endpoint=False)
     dx = x[1] - x[0]
     psi0 = np.exp(-((x - 1.0) ** 2) / 2 + 0.5j * x)
     psi0 /= np.sqrt(np.sum(np.abs(psi0) ** 2) * dx)
-    psi = split_step_evolve(x, lambda t: 0.5 * (1 + t) * (x - np.sin(t)) ** 2, psi0, 3.0, 300, 1.0)
-    assert abs(np.sum(np.abs(psi) ** 2) * dx - 1.0) <= 1e-13
+    return x, psi0, lambda t: 0.5 * (1 + t) * (x - np.sin(t)) ** 2
+
+
+def test_split_step_keeps_the_norm_in_a_moving_trap():
+    x, psi0, V = _moving_trap()
+    psi = split_step_evolve(x, V, psi0, 3.0, 300, 1.0)
+    assert abs(np.sum(np.abs(psi) ** 2) * (x[1] - x[0]) - 1.0) <= 1e-13
+
+
+def test_split_step_is_second_order_in_time():
+    """Strang splitting: against a 12,800-step run of the moving trap to
+    T = 3, each doubling of 100, 200, 400, 800 steps divides the L2 error by
+    4 (4.00-4.01 measured; errors 4.0e-4 down to 6.3e-6)."""
+    x, psi0, V = _moving_trap()
+    ref = split_step_evolve(x, V, psi0, 3.0, 12800, 1.0)
+    errors = [np.sqrt(np.sum(np.abs(split_step_evolve(x, V, psi0, 3.0, n, 1.0) - ref) ** 2) * (x[1] - x[0]))
+              for n in (100, 200, 400, 800)]
+    ratios = np.asarray(errors[:-1]) / np.asarray(errors[1:])
+    assert np.all(np.abs(ratios - 4.0) <= 0.4), (errors, ratios)

@@ -14,7 +14,6 @@ from shortcut_forge import (
     frobenius_inner,
     frobenius_norm,
     gell_mann_basis,
-    liouvillian_apply,
     nested_commutator,
     pauli_basis,
     reconstruct_from_basis,
@@ -116,17 +115,17 @@ class TestCommutator:
 class TestLiouvillian:
     def test_identity_annihilated(self):
         H = _rand_herm(5)
-        assert np.abs(liouvillian_apply(H, np.eye(3))).max() < 1e-14
+        assert np.abs(commutator(H, np.eye(3))).max() < 1e-14
 
     def test_su2(self):
-        assert np.allclose(liouvillian_apply(SZ, SY), -2j * SX)
+        assert np.allclose(commutator(SZ, SY), -2j * SX)
 
     def test_iterated_matches_nested(self):
         H, dH = _rand_herm(7), _rand_herm(8)
         out = dH
         for k in range(4):
             assert np.allclose(out, nested_commutator(H, dH, k))
-            out = liouvillian_apply(H, out)
+            out = commutator(H, out)
 
 
 class TestNestedCommutator:

@@ -1,11 +1,15 @@
-"""Every name the benchmark tracer wraps must exist in the package.
+"""Every name the benchmark tracer wraps must exist in the package, and every
+argument its hooks read by position must be the parameter they expect.
 
 ``perfbench/tracer.py`` lists the traced layer functions by dotted name;
 ``perfbench/run.py --trace 1`` stops with "no binding" when one of them is
-renamed or removed. This check keeps that contract in the fast test suite.
+renamed or removed. Its hooks read some arguments by position, so a reordered
+signature would silently skew the per-layer counts instead. This check keeps
+both contracts in the fast test suite.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -19,11 +23,32 @@ try:
 finally:
     sys.path.pop(0)
 
+#: (traced name, position, parameter) of each positional read of a hook
+HOOK_READS = [
+    ("spectral.eigenpath", 1, "grid"),
+    ("dynamics.evolve", 2, "grid"),
+    ("dynamics.evolve", 3, "steps_per_interval"),
+    ("agp.solve_cd", 0, "system"),
+]
 
-@pytest.mark.parametrize("name", tracer.SPANS + tracer.COUNTERS)
-def test_traced_name_resolves(name):
+
+def _resolve(name):
     module, attr = name.split(".", 1)
     obj = importlib.import_module(f"shortcut_forge.{module}")
     for part in attr.split("."):
         obj = getattr(obj, part)
-    assert callable(obj)
+    return obj
+
+
+@pytest.mark.parametrize("name", tracer.SPANS + tracer.COUNTERS)
+def test_traced_name_resolves(name):
+    assert callable(_resolve(name))
+
+
+def test_every_hook_is_guarded():
+    assert set(tracer._HOOKS) == {name for name, _, _ in HOOK_READS}
+
+
+@pytest.mark.parametrize("name, position, parameter", HOOK_READS)
+def test_hook_reads_the_named_parameter(name, position, parameter):
+    assert list(inspect.signature(_resolve(name)).parameters)[position] == parameter
