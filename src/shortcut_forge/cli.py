@@ -28,7 +28,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +101,7 @@ _RULES = {
     "order": (lambda v: v >= 1, "at least 1"),
     "compare_tolerances": (lambda v: all(_has_type(t, 0.0) for t in v.values()), "a map to numbers"),
     "parameters.duration": (lambda v: v > 0, "positive"),
-    "parameters.dim": (lambda v: v >= 2, "at least 2"),
+    "parameters.dim": (lambda v: 2 <= v <= 1024, "between 2 and 1024"),
     "parameters.n_sites": (lambda v: 2 <= v <= 10, "between 2 and 10"),
     "parameters.schedule_shape": (lambda v: v in SHAPES, f"one of {tuple(SHAPES)}"),
     # the 1-D grid: the second-difference stencil needs three points
@@ -351,7 +350,7 @@ def _trotter_scenario(conf: dict) -> dict:
         rng = np.random.default_rng(p["seed"])
         psi0 = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
         psi0 /= np.linalg.norm(psi0)
-        report = trotter_baseline_error(system.H0, system.H_terms[0], tr.get("total_time", p["duration"]),
+        report = trotter_baseline_error(system.H0, system.H1, tr.get("total_time", p["duration"]),
                                         tr["M_list"], psi0, metric="state_error", hbar=hbar)
         rows = np.column_stack([report.M_list.astype(float), report.values])
         return {"columns": ["m", "state_error"], "rows": rows, "summary": _fit_summary(report)}
@@ -605,6 +604,7 @@ def cmd_sweep(args) -> int:
     workers = min(_thread_cap(), len(jobs))
     failures = 0
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a plain run never loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for job, result in zip(jobs, pool.map(_sweep_one_safe, jobs)):
                 failures += _report_sweep(job, result)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import cumulative_trapezoid, sample, time_chunks
+from .dynamics import cumulative_trapezoid, time_chunks
 from .errors import GaugeDiscontinuityError, HermiticityError
 from .operators import OperatorBasis, gram_matrix
 from .spectral import OVERLAP_MIN, discrete_connection, eigenpath
@@ -34,18 +34,16 @@ class DynamicalInvariant:
         return np.abs(ev - ev[0]).max(axis=1) / max(np.abs(ev[0]).max(), 1e-300)
 
     @classmethod
-    def from_modes(cls, grid: np.ndarray, modes: np.ndarray, fbar: np.ndarray | None = None):
-        """Build F(t) = sum_n fbar_n |phi_n(t)><phi_n(t)| from mode paths.
+    def from_modes(cls, grid: np.ndarray, modes: np.ndarray):
+        """Build F(t) = sum_n n |phi_n(t)><phi_n(t)| from mode paths.
 
-        The free eigenvalues default to 0..D-1: any time-independent values
+        The eigenvalues are the constants 0..D-1: any time-independent values
         work, distinct ones keep the eigenvectors well-defined. Modes that are
         not orthonormal give F another spectrum, which ``eigenvalue_drift``
         shows once it changes along the path.
         """
         modes = np.asarray(modes, dtype=complex)
-        if fbar is None:
-            fbar = np.arange(modes.shape[1], dtype=float)
-        ops = np.einsum("n,tin,tjn->tij", np.asarray(fbar, dtype=float), modes, modes.conj())
+        ops = np.einsum("n,tin,tjn->tij", np.arange(modes.shape[1], dtype=float), modes, modes.conj())
         return cls(grid=np.asarray(grid, float), operators=ops)
 
     @classmethod
@@ -64,24 +62,17 @@ class DynamicalInvariant:
 
 def invariant_residual(
     H_of_t: Callable[[np.ndarray], np.ndarray],
-    F: DynamicalInvariant | Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray | None = None,
+    F: DynamicalInvariant,
     hbar: float = 1.0,
 ) -> np.ndarray:
-    """Per-time von Neumann defect ||i hbar dF/dt - [H, F]|| (Frobenius norm).
+    """Per-time von Neumann defect ||i hbar dF/dt - [H, F]|| (Frobenius norm)
+    on the grid of F.
 
     dF/dt is taken by centered differences on the grid (one-sided at the
-    ends), so the grid must resolve the invariant's motion. H_of_t (and F,
-    when it is a callable) are time-stacked and evaluated chunk by chunk.
+    ends), so the grid must resolve the invariant's motion. H_of_t is
+    time-stacked and evaluated chunk by chunk.
     """
-    if isinstance(F, DynamicalInvariant):
-        grid = F.grid
-        ops = F.operators
-    else:
-        if grid is None:
-            raise ValueError("grid required when F is a callable")
-        grid = np.asarray(grid, dtype=float)
-        ops = sample(F, grid)
+    grid, ops = F.grid, F.operators
     if len(grid) < 3:
         raise ValueError("need at least 3 grid points for centered differences")
     dF = np.gradient(ops, grid, axis=0, edge_order=2)

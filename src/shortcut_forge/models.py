@@ -1,8 +1,8 @@
-"""Concrete driven systems used by the demos, the scenario runner, and tests."""
+"""Concrete driven systems used by the scenario runner and the tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,17 +16,21 @@ SZ = pauli_matrix("Z")
 
 @dataclass
 class DrivenSystem:
-    """A Hamiltonian family H(lambda) pulled along a schedule lambda(t)."""
+    """The Hamiltonian family H(lambda) = H0 + lambda H1 pulled along a scalar
+    schedule lambda(t), so dH/dt = lambda'(t) H1.
 
-    H_terms: list[np.ndarray]        # H(lam) = H0 + sum_i lam_i * H_terms[i]
+    ``hamiltonian`` and ``dhamiltonian`` give one D x D matrix at one time and
+    the (n, D, D) stack at a 1-D array of n times. H0 and H1 must be Hermitian
+    (HermiticityError otherwise).
+    """
+
     H0: np.ndarray
+    H1: np.ndarray
     schedule: Schedule
-    name: str = "driven-system"
 
     def __post_init__(self):
         as_hermitian(self.H0)
-        for Hi in self.H_terms:
-            as_hermitian(Hi)
+        as_hermitian(self.H1)
 
     @property
     def dim(self) -> int:
@@ -36,13 +40,9 @@ class DrivenSystem:
     def duration(self) -> float:
         return self.schedule.duration
 
-    def H_of_lambda(self, lam: np.ndarray) -> np.ndarray:
-        """H at a parameter vector, or the (n, D, D) stack at an (n, p) array of them."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        H = np.broadcast_to(self.H0, lam.shape[:-1] + self.H0.shape)
-        for i, Hi in enumerate(self.H_terms):
-            H = H + lam[..., i, None, None] * Hi
-        return H
+    def H_of_lambda(self, lam: float | np.ndarray) -> np.ndarray:
+        """H at a parameter value, or the (n, D, D) stack at an (n,) array of them."""
+        return self.H0 + np.asarray(lam, dtype=float)[..., None, None] * self.H1
 
     def hamiltonian(self, t) -> np.ndarray:
         """H(t) at a time, or the (n, D, D) stack at a 1-D array of times."""
@@ -50,11 +50,7 @@ class DrivenSystem:
 
     def dhamiltonian(self, t) -> np.ndarray:
         """dH/dt at a time, or the (n, D, D) stack at a 1-D array of times."""
-        rate = self.schedule.rate(t)
-        dH = np.zeros(rate.shape[:-1] + self.H0.shape, dtype=self.H0.dtype)
-        for i, Hi in enumerate(self.H_terms):
-            dH = dH + rate[..., i, None, None] * Hi
-        return dH
+        return self.schedule.rate(t)[..., None, None] * self.H1
 
 
 def landau_zener(
@@ -69,7 +65,7 @@ def landau_zener(
     The gap is 2 sqrt(lambda^2 + delta^2), minimal (2 delta) at lambda = 0.
     """
     sched = Schedule.of_shape(shape, lam_start, lam_stop, duration)
-    return DrivenSystem(H_terms=[SZ], H0=delta * SX, schedule=sched, name="landau_zener")
+    return DrivenSystem(H0=delta * SX, H1=SZ, schedule=sched)
 
 
 def _site_operator(op: str, i: int, n: int) -> np.ndarray:
@@ -100,9 +96,7 @@ def tfim_chain(
         Hx = Hx + _site_operator("X", i, n_sites)
     sched = Schedule.of_shape(shape, lam_start, lam_stop, duration)
     # H(lam) = -h Hx + lam * (h Hx - J Hzz)
-    return DrivenSystem(
-        H_terms=[field * Hx - coupling * Hzz], H0=-field * Hx, schedule=sched, name="tfim_chain"
-    )
+    return DrivenSystem(H0=-field * Hx, H1=field * Hx - coupling * Hzz, schedule=sched)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -119,7 +113,7 @@ def random_hermitian_ramp(
     H0 = random_hermitian(dim, rng)
     H1 = random_hermitian(dim, rng)
     sched = Schedule.of_shape(shape, 0.0, 1.0, duration)
-    return DrivenSystem(H_terms=[H1], H0=H0, schedule=sched, name=f"random_hermitian[{dim},{seed}]")
+    return DrivenSystem(H0=H0, H1=H1, schedule=sched)
 
 
 @dataclass(frozen=True)
@@ -142,11 +136,11 @@ class GaussianWidthRamp:
 
     def width(self, t: float) -> float:
         """w at one time t."""
-        return self._ramp(t)[0]
+        return self._ramp(t)
 
     def width_rate(self, t: float) -> float:
         """dw/dt at one time t."""
-        return self._ramp.rate(t)[0]
+        return self._ramp.rate(t)
 
     def amplitude(self, x: np.ndarray, t: float) -> np.ndarray:
         w = self.width(t)

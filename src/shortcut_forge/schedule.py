@@ -1,4 +1,4 @@
-"""Smooth parameter paths lambda(t) on [0, T] with derivative access."""
+"""Smooth scalar parameter paths lambda(t) on [0, T] with derivative access."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ import numpy as np
 
 @dataclass
 class Schedule:
-    """A vector-valued parameter path on [0, duration].
+    """A scalar parameter path on [0, duration].
 
     ``value(t)`` returns lambda(t) and ``derivative(t)`` its time derivative,
-    each of shape t.shape + (p,): one p-vector for a time, an (n, p) array
-    for an array of n times.
+    each shaped like t: a number (np.float64) for one time, an (n,) array for
+    an array of n times.
     """
 
     duration: float
@@ -25,40 +25,35 @@ class Schedule:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
-    def __call__(self, t) -> np.ndarray:
-        return np.asarray(self.value(t), dtype=float)
+    def __call__(self, t) -> float | np.ndarray:
+        # [()] makes the 0-d array of one time a number and leaves arrays as they are
+        return np.asarray(self.value(t), dtype=float)[()]
 
-    def rate(self, t) -> np.ndarray:
-        return np.asarray(self.derivative(t), dtype=float)
-
-    @classmethod
-    def linear(cls, start, stop, duration: float) -> "Schedule":
-        a = np.atleast_1d(np.asarray(start, dtype=float))
-        b = np.atleast_1d(np.asarray(stop, dtype=float))
-        slope = (b - a) / duration
-        return cls(duration, value=lambda t: a + np.multiply.outer(t, slope),
-                   derivative=lambda t: np.broadcast_to(slope, np.shape(t) + slope.shape).copy())
+    def rate(self, t) -> float | np.ndarray:
+        return np.asarray(self.derivative(t), dtype=float)[()]
 
     @classmethod
-    def smoothstep(cls, start, stop, duration: float) -> "Schedule":
+    def linear(cls, start: float, stop: float, duration: float) -> "Schedule":
+        slope = (stop - start) / duration
+        return cls(duration, value=lambda t: start + np.asarray(t) * slope,
+                   derivative=lambda t: np.full(np.shape(t), slope))
+
+    @classmethod
+    def smoothstep(cls, start: float, stop: float, duration: float) -> "Schedule":
         """Quintic ramp with vanishing first and second endpoint derivatives."""
-        a = np.atleast_1d(np.asarray(start, dtype=float))
-        b = np.atleast_1d(np.asarray(stop, dtype=float))
 
         def val(t):
             u = np.clip(np.asarray(t) / duration, 0.0, 1.0)
-            p = u**3 * (10 - 15 * u + 6 * u**2)
-            return a + np.multiply.outer(p, b - a)
+            return start + u**3 * (10 - 15 * u + 6 * u**2) * (stop - start)
 
         def der(t):
             u = np.clip(np.asarray(t) / duration, 0.0, 1.0)
-            dp = 30 * u**2 * (1 - u) ** 2 / duration
-            return np.multiply.outer(dp, b - a)
+            return 30 * u**2 * (1 - u) ** 2 / duration * (stop - start)
 
         return cls(duration, value=val, derivative=der)
 
     @classmethod
-    def of_shape(cls, shape: str, start, stop, duration: float) -> "Schedule":
+    def of_shape(cls, shape: str, start: float, stop: float, duration: float) -> "Schedule":
         """The ramp named ``shape`` (a key of ``SHAPES``) from start to stop."""
         if shape not in SHAPES:
             raise ValueError(f"unknown schedule shape {shape!r}; choose from {tuple(SHAPES)}")

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -63,6 +64,10 @@ _IMPORT_BUDGET_RUNS = [
 ] + [{"system": "landau_zener", "method": "trotter"}] + [{"system": "random_hermitian", "method": "algebraic", "grid_points": 21,
       "parameters": {"dim": 4, "seed": 0}}]
 
+#: packages a plain run must not load: scipy costs more start-up than numpy and
+#: the whole package together, and only a parallel sweep needs the process pool
+_IMPORT_BUDGET_BANNED = ["scipy", "concurrent.futures", "multiprocessing"]
+
 _IMPORT_BUDGET_SCRIPT = """
 import json, sys
 from shortcut_forge import cli
@@ -70,15 +75,16 @@ for i, conf in enumerate(json.loads(sys.argv[1])):
     with open(f"c{i}.json", "w") as fh:
         json.dump(conf, fh)
     assert cli.main(["run", f"c{i}.json", "--out", f"out{i}"]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+banned = json.loads(sys.argv[2])
+print(json.dumps(sorted(m for m in sys.modules if any(m == b or m.startswith(b + ".") for b in banned))))
 """
 
 
-def test_runs_import_no_scipy(tmp_path):
-    """scipy costs more start-up than numpy and the whole package together;
-    a plain run must not load it."""
+def test_runs_import_no_scipy_or_process_pool(tmp_path):
+    """A plain run loads neither scipy nor the process pool."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, json.dumps(_IMPORT_BUDGET_RUNS)],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, json.dumps(_IMPORT_BUDGET_RUNS),
+                           json.dumps(_IMPORT_BUDGET_BANNED)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
@@ -413,12 +419,12 @@ def pools(monkeypatch):
     """The worker counts of the process pools the CLI opens."""
     opened = []
 
-    class Recording(cli.ProcessPoolExecutor):
+    class Recording(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             opened.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     return opened
 
 
@@ -465,6 +471,7 @@ _LZ_TROTTER = {"system": "landau_zener", "method": "trotter"}
     ({**_LZ, "method": "variational", "order": 0}, "order"),
     ({**_LZ, "method": "exact_cd", "compare_tolerances": {"fidelity": "tight"}}, "compare_tolerances"),
     ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 1, "seed": 0}}, "parameters.dim"),
+    ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 1025, "seed": 0}}, "parameters.dim"),
     ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 4}}, "parameters.seed"),
     ({"system": "tfim_chain", "method": "exact_cd", "parameters": {"n_sites": 11}}, "parameters.n_sites"),
     ({**_LZ, "method": "exact_cd", "order": 5}, "order"),

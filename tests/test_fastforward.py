@@ -21,12 +21,12 @@ SYSTEMS = {"lz": landau_zener, "rh4": lambda: random_hermitian_ramp(dim=4, seed=
 
 def _lz_energy_integral(system):
     """s -> int_0^s E_n ds' for lam sz + sx on a linear ramp, E = -+sqrt(lam^2 + 1)."""
-    lam0, lam1 = system.schedule(0.0)[0], system.schedule(system.duration)[0]
+    lam0, lam1 = system.schedule(0.0), system.schedule(system.duration)
     G = lambda lam: 0.5 * (lam * np.sqrt(lam**2 + 1.0) + np.arcsinh(lam))
     scale = system.duration / (lam1 - lam0)
 
     def integral(s):
-        value = scale * (G(system.schedule(s)[0]) - G(lam0))
+        value = scale * (G(system.schedule(s)) - G(lam0))
         return np.array([-value, value])
 
     return integral

@@ -20,6 +20,7 @@ from shortcut_forge import (
     pauli_basis,
     structure_constants,
 )
+from shortcut_forge.dynamics import sample
 
 from conftest import SX, SY, SZ, cd_driven, stacked
 
@@ -31,8 +32,8 @@ def lz_modes_analytic(lz, grid):
     dmodes = np.zeros_like(modes)
     energies = np.zeros((n_t, 2))
     for i, t in enumerate(grid):
-        lam = lz.schedule(t)[0]
-        rate = lz.schedule.rate(t)[0]
+        lam = lz.schedule(t)
+        rate = lz.schedule.rate(t)
         theta = np.arctan2(1.0, lam)
         thetadot = -rate / (lam**2 + 1.0)
         g = np.array([-np.sin(theta / 2), np.cos(theta / 2)], dtype=complex)
@@ -49,7 +50,8 @@ class TestInvariantResidual:
     def test_static_hamiltonian_is_its_own_invariant(self):
         H = 2 * SZ + 0.7 * SX
         grid = np.linspace(0, 1, 101)
-        res = invariant_residual(stacked(lambda t: H), stacked(lambda t: H), grid)
+        H_of_t = stacked(lambda t: H)
+        res = invariant_residual(H_of_t, DynamicalInvariant(grid, sample(H_of_t, grid)))
         assert res.max() < 1e-12
 
     def test_density_operator_of_a_trajectory(self, lz):
@@ -65,10 +67,10 @@ class TestInvariantResidual:
         assert res.max() < 1e-6 * scale
 
     def test_cd_driving_invariant(self, lz):
-        """F = sum_n fbar_n |n(t)><n(t)| is invariant under H + H_cd."""
+        """F = sum_n n |n(t)><n(t)| is invariant under H + H_cd."""
         grid = np.linspace(0, 1, 12001)
         path = eigenpath(lz.hamiltonian, grid)
-        inv = DynamicalInvariant.from_modes(grid, path.vectors, np.array([0.0, 1.0]))
+        inv = DynamicalInvariant.from_modes(grid, path.vectors)
         H_tot = cd_driven(lz)
         res = invariant_residual(H_tot, inv)
         scale = np.sqrt(0.5) * np.sqrt(26.0)      # ||F|| * max ||H + H_cd|| lower bound
@@ -77,7 +79,7 @@ class TestInvariantResidual:
     def test_eigenvalue_conservation(self, lz):
         grid = np.linspace(0, 1, 301)
         path = eigenpath(lz.hamiltonian, grid)
-        inv = DynamicalInvariant.from_modes(grid, path.vectors, np.array([1.0, 3.0]))
+        inv = DynamicalInvariant.from_modes(grid, path.vectors)
         tracked = DynamicalInvariant.from_operator(grid, stacked(lambda t: inv.operators[inv_index(inv, t)]))
         drift = tracked.eigenvalue_drift()
         assert drift.shape == grid.shape
@@ -86,10 +88,10 @@ class TestInvariantResidual:
     def test_non_orthonormal_modes_show_a_drift(self):
         """Modes that shear from the identity to eye + 0.3 build an F whose
         spectrum moves from {0, 1} to {0, 1.78}; the drift is measured on
-        the operators, not assumed from fbar."""
+        the operators, not assumed from the mode weights."""
         grid = np.linspace(0, 1, 5)
         modes = np.eye(2) + 0.3 * grid[:, None, None]
-        drift = DynamicalInvariant.from_modes(grid, modes, np.array([0.0, 1.0])).eigenvalue_drift()
+        drift = DynamicalInvariant.from_modes(grid, modes).eigenvalue_drift()
         assert drift[0] == 0.0
         assert drift[-1] == pytest.approx(0.78, rel=1e-12)
 
@@ -97,7 +99,7 @@ class TestInvariantResidual:
         """The operators come from the tracked spectrum, not a second pass of F."""
         grid = np.linspace(0, 1, 301)
         path = eigenpath(lz.hamiltonian, grid)
-        inv = DynamicalInvariant.from_modes(grid, path.vectors, np.array([1.0, 3.0]))
+        inv = DynamicalInvariant.from_modes(grid, path.vectors)
         times = []
 
         def F(t):
@@ -116,7 +118,7 @@ class TestInvariantResidual:
 
     def test_short_grid_rejected(self):
         with pytest.raises(ValueError):
-            invariant_residual(stacked(lambda t: SZ), stacked(lambda t: SZ), np.array([0.0, 1.0]))
+            invariant_residual(stacked(lambda t: SZ), DynamicalInvariant(np.array([0.0, 1.0]), np.array([SZ, SZ])))
 
 
 def inv_index(inv, t):
@@ -325,7 +327,7 @@ class TestInverseEngineering:
             th, _ = self._theta_schedule(np.array([t, 1.0]))
             return np.sin(th[0]) * SX + np.cos(th[0]) * SZ
 
-        res2 = invariant_residual(stacked(H_of_t), stacked(F_of_t), fine)
+        res2 = invariant_residual(stacked(H_of_t), DynamicalInvariant(fine, sample(stacked(F_of_t), fine)))
         assert res2.max() < 1e-6
 
     def test_endpoint_commutativity(self):

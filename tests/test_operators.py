@@ -83,8 +83,8 @@ class TestCommutator:
         from conftest import lz_cd_oracle, two_level_eigvecs
 
         t = 0.35
-        lam = lz.schedule(t)[0]
-        rate = lz.schedule.rate(t)[0]
+        lam = lz.schedule(t)
+        rate = lz.schedule.rate(t)
         H = lz.hamiltonian(t)
         CD = lz_cd_oracle(lam, rate)
         g, e = two_level_eigvecs(lam)

@@ -17,9 +17,9 @@ def test_shape_by_name(name):
 def test_models_pass_the_shape_through():
     u = 0.25
     smooth = u**3 * (10 - 15 * u + 6 * u**2)
-    assert landau_zener(shape="linear").schedule(u)[0] == pytest.approx(-5.0 + 10.0 * u, abs=1e-15)
-    assert landau_zener(shape="smoothstep").schedule(u)[0] == pytest.approx(-5.0 + 10.0 * smooth, abs=1e-15)
-    assert random_hermitian_ramp(3, 0, shape="linear").schedule(u)[0] == pytest.approx(u, abs=1e-15)
+    assert landau_zener(shape="linear").schedule(u) == pytest.approx(-5.0 + 10.0 * u, abs=1e-15)
+    assert landau_zener(shape="smoothstep").schedule(u) == pytest.approx(-5.0 + 10.0 * smooth, abs=1e-15)
+    assert random_hermitian_ramp(3, 0, shape="linear").schedule(u) == pytest.approx(u, abs=1e-15)
 
 
 @pytest.mark.parametrize("make", [
@@ -36,11 +36,15 @@ def test_unknown_shape_raises(make):
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_value_and_rate_broadcast_over_times(name):
-    sched = Schedule.of_shape(name, [-1.0, 0.5], [3.0, 2.0], 2.0)
+    """The path is scalar: a number at one time and an (n,) array at n times,
+    which the system maps to one D x D matrix and to an (n, D, D) stack."""
+    sched = Schedule.of_shape(name, -1.0, 3.0, 2.0)
     times = np.array([0.0, 0.3, 1.0, 2.0])
-    assert sched(times).shape == sched.rate(times).shape == (4, 2)
-    assert np.array_equal(sched(times), np.array([sched(t) for t in times]))
-    assert np.array_equal(sched.rate(times), np.array([sched.rate(t) for t in times]))
+    assert isinstance(sched(0.3), float) and isinstance(sched.rate(0.3), float)
+    assert sched(times).shape == sched.rate(times).shape == (4,)
+    assert np.array_equal(sched(times), [sched(t) for t in times])
+    assert np.array_equal(sched.rate(times), [sched.rate(t) for t in times])
     system = random_hermitian_ramp(4, 0, shape=name)
+    assert system.hamiltonian(0.3).shape == system.dhamiltonian(0.3).shape == (4, 4)
     assert np.array_equal(system.hamiltonian(times), np.array([system.hamiltonian(t) for t in times]))
     assert np.array_equal(system.dhamiltonian(times), np.array([system.dhamiltonian(t) for t in times]))

@@ -31,7 +31,7 @@ class TestEigenpath:
     def test_lz_gap_closed_form(self, lz):
         grid = np.linspace(0, 1, 201)
         path = eigenpath(lz.hamiltonian, grid)
-        lams = np.array([lz.schedule(t)[0] for t in grid])
+        lams = np.array([lz.schedule(t) for t in grid])
         gaps = path.energies[:, 1] - path.energies[:, 0]
         assert np.allclose(gaps, 2 * np.sqrt(lams**2 + 1), atol=1e-12)
         assert gaps.min() == pytest.approx(2.0, abs=1e-3)
@@ -330,13 +330,13 @@ class TestAGP:
     """The adiabatic gauge potential is counterdiabatic_term of d_lambda H."""
 
     def test_lz_closed_form(self, lz):
-        A = counterdiabatic_term(lz.H_of_lambda(np.array([2.0])), SZ)
+        A = counterdiabatic_term(lz.H_of_lambda(2.0), SZ)
         assert np.allclose(A, -1.0 / (2 * (4 + 1)) * SY, atol=1e-12)
 
     def test_cd_equals_rate_times_agp(self, lz):
         t = 0.3
         lam = lz.schedule(t)
-        rate = lz.schedule.rate(t)[0]
+        rate = lz.schedule.rate(t)
         A = counterdiabatic_term(lz.H_of_lambda(lam), SZ)
         cd = counterdiabatic_term(lz.hamiltonian(t), lz.dhamiltonian(t))
         assert np.abs(cd - rate * A).max() < 1e-10
