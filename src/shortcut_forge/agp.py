@@ -21,15 +21,18 @@ A vanishing drive dH = 0 has a zero counterdiabatic term.
 Operator sets are (n, D, D) arrays throughout, and every set-wise Frobenius
 product is one ``gram_matrix`` call.
 
+Every system is solved the same way (``solve_cd``): minimum-norm least
+squares from one batched eigendecomposition of B.
+
 Time stacks. Every route takes H and dH either as single (D, D) matrices or
 as (n, D, D) time stacks, as sampled in ``dynamics.STACK_BYTES`` chunks by
 the kernels that walk a grid; a stack runs one batched pass. The chain keeps
 a per-time length (a time drops out of the recurrence where its chain
-terminates, and a vanishing drive gives an empty chain), the Krylov systems
-are solved by one vectorized Thomas elimination with least squares only at
-times whose pivot fails, the algebraic support is a per-time mask over the
-trial basis, and Hermiticity is checked per time. A single matrix is the
-n = 1 case of the same code.
+terminates, and a vanishing drive gives an empty chain). Each time's system
+lives on its ``support``, a per-time mask of live rows: the Krylov rows
+within that time's chain, or the algebraic trial elements a caller keeps.
+Rows outside it are zero. Hermiticity is checked per time. A single matrix
+is the n = 1 case of the same code.
 
 Sign convention: the solved coefficients are real and multiply the Hermitian
 operators stored in ``basis_ops`` (i*hbar times an anti-Hermitian chain
@@ -52,16 +55,17 @@ from .operators import OperatorBasis, commutator, frobenius_norm, gram_matrix
 class LinearCDSystem:
     """B a = u for approximate counterdiabatic coefficients.
 
-    B is real symmetric positive semidefinite; for the krylov method it is
-    tridiagonal. ``basis_ops`` is the (k, D, D) stack of Hermitian operators
-    the solved coefficients multiply; an empty system keeps D in its shape.
+    B is real symmetric positive semidefinite (tridiagonal for a Krylov
+    chain). ``basis_ops`` is the (k, D, D) stack of Hermitian operators the
+    solved coefficients multiply; an empty system keeps D in its shape.
     A time-stacked system carries a leading time axis on B (n, k, k), u
-    (n, k) and basis_ops (n, k, D, D).
+    (n, k) and basis_ops (n, k, D, D). ``metadata["support"]``, when present,
+    is the boolean mask (k,) or (n, k) of each time's live rows; B and u
+    are zero outside it.
     """
 
     B: np.ndarray
     u: np.ndarray
-    method: str
     basis_ops: np.ndarray
     metadata: dict = field(default_factory=dict)
 
@@ -142,8 +146,8 @@ def algebraic_system(
         meta["support"] = keep[0] if single else keep
     ops = np.broadcast_to(-hbar * L, (len(H),) + L.shape)
     if single:
-        return LinearCDSystem(B=B[0], u=u[0], method="algebraic", basis_ops=ops[0], metadata=meta)
-    return LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=ops, metadata=meta)
+        return LinearCDSystem(B=B[0], u=u[0], basis_ops=ops[0], metadata=meta)
+    return LinearCDSystem(B=B, u=u, basis_ops=ops, metadata=meta)
 
 
 def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> KrylovChain:
@@ -229,8 +233,9 @@ def krylov_system(chain: KrylovChain, hbar: float = 1.0) -> LinearCDSystem:
     + b_{2k} b_{2k+1} delta_{k+1,l}; u_k = -b_0 b_1 delta_{k1}. Size
     floor(K/2); a chain with K < 2 means the counterdiabatic term is zero and
     the returned system is empty. In a time-stacked system the shorter
-    systems are padded with identity rows and zero right-hand side, so their
-    padded coefficients solve to zero.
+    systems are padded with zero rows, and ``metadata["support"]`` marks each
+    time's live rows, so the minimum-norm solve leaves the padded
+    coefficients at zero.
     """
     single = chain.ops.ndim == 3
     ops = chain.ops[None] if single else chain.ops
@@ -245,7 +250,7 @@ def krylov_system(chain: KrylovChain, hbar: float = 1.0) -> LinearCDSystem:
     k = np.arange(1, kb + 1)
     inside = k[None, :] <= nb[:, None]
     B = np.zeros((n, kb, kb))
-    d = np.where(inside, b[:, 2 * k - 1] ** 2 + b[:, 2 * k] ** 2, 1.0)
+    d = np.where(inside, b[:, 2 * k - 1] ** 2 + b[:, 2 * k] ** 2, 0.0)
     B[:, k - 1, k - 1] = d
     if kb > 1:
         off = np.where(k[None, :-1] < nb[:, None], b[:, 2 * k[:-1]] * b[:, 2 * k[:-1] + 1], 0.0)
@@ -255,75 +260,38 @@ def krylov_system(chain: KrylovChain, hbar: float = 1.0) -> LinearCDSystem:
         u[:, 0] = np.where(nb > 0, -b[:, 0] * b[:, 1], 0.0)
     basis_ops = 1j * hbar * ops[:, 1:2 * kb:2]
     if single:
-        return LinearCDSystem(B=B[0], u=u[0], method="krylov", basis_ops=basis_ops[0])
-    return LinearCDSystem(B=B, u=u, method="krylov", basis_ops=basis_ops)
+        return LinearCDSystem(B=B[0], u=u[0], basis_ops=basis_ops[0], metadata={"support": inside[0]})
+    return LinearCDSystem(B=B, u=u, basis_ops=basis_ops, metadata={"support": inside})
 
 
 def solve_cd(system: LinearCDSystem) -> np.ndarray:
-    """Solve B a = u.
+    """Minimum-norm least-squares solution of B a = u.
 
-    Krylov systems (symmetric positive definite, tridiagonal) use an O(k)
-    Thomas elimination, vectorized over the times of a stack. Dense systems,
-    and the times of a Krylov system that meet a non-positive pivot, are
-    solved by minimum-norm least squares with a relative rank tolerance of
-    1e-12, so rank deficiency yields a deterministic solution (recorded in
-    metadata, per time for a stack) instead of an error.
+    One batched ``eigh`` per stack; as in ``np.linalg.lstsq``, eigenvalues at
+    or below 1e-12 times each time's largest magnitude are dropped, so a rank
+    deficient system has a deterministic solution with no component along
+    the kernel of B. The deficiency, counted against each time's
+    ``metadata["support"]`` when the system has one, is recorded in
+    ``metadata["rank_deficiency"]`` (an int, or an (n,) array for a stack)
+    when any time has one.
     """
     single = system.u.ndim == 1
     B = system.B[None] if single else system.B
     u = system.u[None] if single else system.u
     if system.empty:
         return np.zeros(u.shape[-1:] if single else u.shape)
-    if system.method == "krylov":
-        a, ok = _solve_spd_tridiagonal(B, u)
-    else:
-        a, ok = np.zeros_like(u), np.zeros(len(u), dtype=bool)
-    deficiency = np.zeros(len(u), dtype=int)
-    todo = np.nonzero(~ok)[0]
-    if len(todo):
-        a[todo], rank = _min_norm_solve(B[todo], u[todo])
-        size = system.size
-        if "support" in system.metadata:
-            size = np.reshape(system.metadata["support"], (len(u), -1))[todo].sum(axis=1)
-        deficiency[todo] = size - rank
-    if deficiency.any():
-        # min-norm coefficients have no component along the trial-span kernel
-        system.metadata["rank_deficiency"] = int(deficiency[0]) if single else deficiency
-    return a[0] if single else a
-
-
-def _min_norm_solve(B: np.ndarray, u: np.ndarray):
-    """Minimum-norm least-squares solutions of a stack of symmetric systems
-    and their ranks. The singular values of a symmetric B are its |eigenvalues|;
-    those at or below 1e-12 times each system's largest are dropped, as in
-    ``np.linalg.lstsq``."""
     w, V = np.linalg.eigh(B)
     s = np.abs(w)
     keep = s > 1e-12 * s.max(axis=1, keepdims=True)
     inv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    coef = inv * (V.swapaxes(1, 2) @ u[..., None])[..., 0]
-    return (V @ coef[..., None])[..., 0], keep.sum(axis=1)
-
-
-def _solve_spd_tridiagonal(B: np.ndarray, u: np.ndarray):
-    """Thomas elimination without pivoting (stable for SPD B) over a stack
-    of systems; returns the solutions and a mask of the systems whose pivots
-    all stayed positive (the others hold no solution)."""
-    d = np.diagonal(B, axis1=1, axis2=2).copy()
-    off = np.diagonal(B, 1, axis1=1, axis2=2)
-    x = u.copy()
-    ok = np.ones(len(u), dtype=bool)
-    for i in range(1, x.shape[1]):
-        ok &= d[:, i - 1] > 0.0
-        m = off[:, i - 1] / np.where(ok, d[:, i - 1], 1.0)
-        d[:, i] -= m * off[:, i - 1]
-        x[:, i] -= m * x[:, i - 1]
-    ok &= d[:, -1] > 0.0
-    piv = np.where(ok[:, None], d, 1.0)
-    x[:, -1] /= piv[:, -1]
-    for i in range(x.shape[1] - 2, -1, -1):
-        x[:, i] = (x[:, i] - off[:, i] * x[:, i + 1]) / piv[:, i]
-    return x, ok
+    a = (V @ (inv * (V.swapaxes(1, 2) @ u[..., None])[..., 0])[..., None])[..., 0]
+    size = system.size
+    if "support" in system.metadata:
+        size = np.reshape(system.metadata["support"], (len(u), -1)).sum(axis=1)
+    deficiency = size - keep.sum(axis=1)
+    if deficiency.any():
+        system.metadata["rank_deficiency"] = int(deficiency[0]) if single else deficiency
+    return a[0] if single else a
 
 
 def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:

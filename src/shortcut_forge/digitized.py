@@ -57,13 +57,13 @@ def trotter_step_unitaries(
     cd_of_t: Callable[[np.ndarray], np.ndarray],
     plan: TrotterPlan,
     hbar: float = 1.0,
-) -> list[np.ndarray]:
-    """Per-slice unitaries of the digitized counterdiabatic product, built
-    from one time stack of each term."""
+) -> np.ndarray:
+    """The (M, D, D) stack of per-slice unitaries of the digitized
+    counterdiabatic product, built from one time stack of each term."""
     tn = plan.sample_time(np.arange(1, plan.M + 1))
     Uh = step_unitary(sample(H_of_t, tn), plan.dt, hbar=hbar)
     Uc = step_unitary(sample(cd_of_t, tn), plan.dt, hbar=hbar)
-    return list(Uh @ Uc if plan.ordering == "h-then-cd" else Uc @ Uh)
+    return Uh @ Uc if plan.ordering == "h-then-cd" else Uc @ Uh
 
 
 def trotter_cd_evolve(

@@ -38,11 +38,16 @@ class DynamicalInvariant:
         """Build F(t) = sum_n n |phi_n(t)><phi_n(t)| from mode paths.
 
         The eigenvalues are the constants 0..D-1: any time-independent values
-        work, distinct ones keep the eigenvectors well-defined. Modes that are
-        not orthonormal give F another spectrum, which ``eigenvalue_drift``
-        shows once it changes along the path.
+        work, distinct ones keep the eigenvectors well-defined. ``modes`` must
+        hold every column of the frame, (n_t, D, D) on a grid of n_t points
+        (ValueError otherwise): a subset of the columns would give F another
+        spectrum at every time, which ``eigenvalue_drift`` cannot show. Modes
+        that are not orthonormal give F another spectrum too, which it shows
+        once it changes along the path.
         """
         modes = np.asarray(modes, dtype=complex)
+        if modes.ndim != 3 or modes.shape[1] != modes.shape[2] or len(modes) != len(grid):
+            raise ValueError(f"modes must be a full (n_t, D, D) frame per grid time, got shape {modes.shape}")
         ops = np.einsum("n,tin,tjn->tij", np.arange(modes.shape[1], dtype=float), modes, modes.conj())
         return cls(grid=np.asarray(grid, float), operators=ops)
 

@@ -94,7 +94,7 @@ def qsl_continuous(
 
 
 def qsl_discrete(
-    U2_steps: list[np.ndarray],
+    U2_steps: np.ndarray,
     reference_states: np.ndarray,
     grid: np.ndarray | None = None,
     observed: np.ndarray | None = None,
@@ -113,19 +113,22 @@ def qsl_discrete(
     angles (the deviation vector of ``stddev_in_state``). The bound at slice
     n is cos(sum_{m<=n} L_m). L_n does not change when b is rescaled, so it
     is the angle between the rays of a and b even for a step that is not
-    unitary; an overlap magnitude above 1 + 1e-9 marks such a step and warns.
+    unitary; an overlap magnitude above 1 + 1e-9 marks such a step, and one
+    warning names the first. ``U2_steps`` is an (M, D, D) stack (or a
+    sequence of M matrices); every angle comes from one stacked pass.
     """
+    U2_steps = np.asarray(U2_steps)
     M = len(U2_steps)
     reference_states = np.asarray(reference_states, dtype=complex)
     if reference_states.shape[0] != M + 1:
         raise ValueError("need M + 1 reference states (slice boundaries)")
-    L = np.zeros(M)
-    for n in range(M):
-        a, b = reference_states[n + 1], U2_steps[n] @ reference_states[n]
-        c = np.vdot(a, b)
-        if abs(c) > 1.0 + 1e-9:
-            warnings.warn(f"step {n + 1} is not unitary: overlap magnitude {abs(c) - 1.0:.2e} above 1")
-        L[n] = np.arctan2(np.linalg.norm(b - c * a), abs(c))
+    a, b = reference_states[1:], (U2_steps @ reference_states[:-1, :, None])[..., 0]
+    c = np.einsum("ti,ti->t", a.conj(), b)
+    excess = np.abs(c) - 1.0
+    bad = np.nonzero(excess > 1e-9)[0]
+    if len(bad):
+        warnings.warn(f"step {bad[0] + 1} is not unitary: overlap magnitude {excess[bad[0]]:.2e} above 1")
+    L = np.arctan2(np.linalg.norm(b - c[:, None] * a, axis=1), np.abs(c))
     angle = np.concatenate([[0.0], np.cumsum(L)])
     if grid is None:
         grid = np.arange(M + 1, dtype=float)

@@ -34,9 +34,10 @@ class Schedule:
 
     @classmethod
     def linear(cls, start: float, stop: float, duration: float) -> "Schedule":
-        slope = (stop - start) / duration
-        return cls(duration, value=lambda t: start + np.asarray(t) * slope,
-                   derivative=lambda t: np.full(np.shape(t), slope))
+        # the slope is formed per call, so a non-positive duration reaches
+        # __post_init__'s ValueError instead of dividing by zero here
+        return cls(duration, value=lambda t: start + np.asarray(t) * ((stop - start) / duration),
+                   derivative=lambda t: np.full(np.shape(t), (stop - start) / duration))
 
     @classmethod
     def smoothstep(cls, start: float, stop: float, duration: float) -> "Schedule":

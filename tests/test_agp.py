@@ -276,7 +276,7 @@ class TestSolveCD:
             u = rng.standard_normal(6)
             from shortcut_forge import LinearCDSystem
 
-            system = LinearCDSystem(B=B, u=u, method="algebraic", basis_ops=np.array([np.eye(2)] * 6))
+            system = LinearCDSystem(B=B, u=u, basis_ops=np.array([np.eye(2)] * 6))
             a = solve_cd(system)
             assert np.linalg.norm(B @ a - u) <= 1e-9 * (
                 np.linalg.norm(B) * np.linalg.norm(a) + np.linalg.norm(u)
@@ -289,11 +289,11 @@ class TestSolveCD:
         off = rng.uniform(-0.9, 0.9, n - 1)
         B = np.diag(rng.uniform(2.0, 3.0, n)) + np.diag(off, 1) + np.diag(off, -1)  # SPD
         u = rng.standard_normal(n)
-        system = LinearCDSystem(B=B, u=u, method="krylov", basis_ops=np.array([np.eye(2)] * n))
+        system = LinearCDSystem(B=B, u=u, basis_ops=np.array([np.eye(2)] * n))
         assert np.abs(solve_cd(system) - np.linalg.solve(B, u)).max() < 1e-12
-        # a zero pivot falls back to minimum-norm least squares
+        # a singular tridiagonal system has the minimum-norm least-squares solution
         system = LinearCDSystem(B=np.diag([1.0, 0.0, 2.0]), u=np.array([1.0, 0.0, 4.0]),
-                                method="krylov", basis_ops=np.array([np.eye(2)] * 3))
+                                basis_ops=np.array([np.eye(2)] * 3))
         assert np.abs(solve_cd(system) - [1.0, 0.0, 2.0]).max() < 1e-12
         assert system.metadata["rank_deficiency"] == 1
 
@@ -500,3 +500,28 @@ class TestTimeStack:
         cd = algebraic_cd(Hs, dHs, basis, support=support)
         loop = [algebraic_cd(h, d, basis.subset(odd_commutator_support(h, d, basis))) for h, d in zip(Hs, dHs)]
         assert np.abs(cd - np.array(loop)).max() <= 1e-10
+
+    def test_krylov_stack_keeps_the_rows_of_a_small_time(self):
+        """Padding the shorter system of a stack must not set the scale of its
+        rank cutoff: a length-2 chain whose H is 1e-7 times smaller sits in a
+        stack with a length-5 chain and keeps its single-time result."""
+        H, dH = self._mixed_length_stack()
+        assert list(krylov_chain(H, dH, k_max=5).length) == [5, 2]
+        cd = krylov_cd(H, dH, k_max=5)
+        for c, h, d in zip(cd, H, dH):
+            single = krylov_cd(h, d, k_max=5)
+            assert np.abs(c - single).max() <= 1e-12 * np.abs(single).max()
+
+    def test_padded_krylov_rows_are_no_rank_deficiency(self):
+        """The padded rows lie outside each time's support, so they are not
+        counted as rank deficiency."""
+        H, dH = self._mixed_length_stack()
+        system = krylov_system(krylov_chain(H, dH, k_max=5))
+        assert system.metadata["support"].tolist() == [[True, True], [True, False]]
+        solve_cd(system)
+        assert "rank_deficiency" not in system.metadata
+
+    @staticmethod
+    def _mixed_length_stack():
+        Hr, dHr = random_hermitian_pair(4, 7)
+        return np.array([Hr, 1e-7 * np.kron(SZ, np.eye(2))]), np.array([dHr, np.kron(SX, np.eye(2))])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,33 @@ def test_compare_reads_the_configured_csv(tmp_path):
     assert cli.main(["compare", str(run_a), str(run_b)]) == 0
     (run_b / "copy.json").write_text((run_b / "summary.json").read_text())
     assert cli.main(["compare", str(run_a), str(run_b)]) == 2
+
+
+def _set_csv_entry(run, column, row, value):
+    path = run / "timeseries.csv"
+    header, *lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[header.split(",").index(column)] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join([header, *lines]) + "\n")
+
+
+def test_compare_exits_1_when_a_nan_exceeds(tmp_path, capsys):
+    """One comparison sets both the printed status and the exit code: NaN or
+    an infinity at the same place in both runs agrees, and a NaN against a
+    number exceeds."""
+    run_a = _lz_run(tmp_path, "a", 1.0)
+    run_b = _lz_run(tmp_path, "b", 1.0)
+    _set_csv_entry(run_a, "fidelity", 5, "nan")
+    _set_csv_entry(run_a, "fidelity", 6, "inf")
+    _set_csv_entry(run_b, "fidelity", 6, "inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["compare", str(run_a), str(run_a)]) == 0
+    assert "EXCEEDS" not in capsys.readouterr().out
+    assert cli.main(["compare", str(run_a), str(run_b)]) == 1
+    assert "fidelity: max |diff| = nan (tol 0) EXCEEDS" in capsys.readouterr().out
+    assert cli.main(["compare", str(run_b), str(run_a)]) == 1
 
 
 _IMPORT_BUDGET_RUNS = [
@@ -473,6 +501,10 @@ _LZ_TROTTER = {"system": "landau_zener", "method": "trotter"}
     ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 1, "seed": 0}}, "parameters.dim"),
     ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 1025, "seed": 0}}, "parameters.dim"),
     ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 4}}, "parameters.seed"),
+    # the algebraic trial basis grows as D^2 operators of size D x D; validation stops it before any run
+    ({"system": "random_hermitian", "method": "algebraic", "parameters": {"dim": 17, "seed": 0}}, "parameters.dim"),
+    ({"system": "random_hermitian", "method": "algebraic", "parameters": {"dim": 1024, "seed": 0}},
+     "parameters.dim"),
     ({"system": "tfim_chain", "method": "exact_cd", "parameters": {"n_sites": 11}}, "parameters.n_sites"),
     ({**_LZ, "method": "exact_cd", "order": 5}, "order"),
     ({**_LZ, "method": "exact_cd", "trotter": {"M_list": [8]}}, "trotter"),

@@ -28,7 +28,7 @@ class TestCommutingPair:
     def test_product_equals_exact(self, M, ordering):
         plan = TrotterPlan(M=M, T=1.3, ordering=ordering)
         steps = trotter_step_unitaries(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), plan)
-        U = np.linalg.multi_dot([np.eye(4)] + steps[::-1])
+        U = np.linalg.multi_dot([np.eye(4)] + list(steps[::-1]))
         exact = step_unitary(1.4 * self.H, 1.3)
         assert np.abs(U - exact).max() < 1e-12
         psi = trotter_cd_evolve(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), plan, self.psi0)

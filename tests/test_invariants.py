@@ -21,6 +21,7 @@ from shortcut_forge import (
     structure_constants,
 )
 from shortcut_forge.dynamics import sample
+from shortcut_forge.models import random_hermitian_ramp
 
 from conftest import SX, SY, SZ, cd_driven, stacked
 
@@ -94,6 +95,17 @@ class TestInvariantResidual:
         drift = DynamicalInvariant.from_modes(grid, modes).eigenvalue_drift()
         assert drift[0] == 0.0
         assert drift[-1] == pytest.approx(0.78, rel=1e-12)
+
+    def test_partial_frame_is_rejected(self):
+        """Only the ground mode of a 4-level path would build F = 6|phi_0><phi_0|,
+        whose spectrum {0, 0, 0, 6} never drifts, so the drift check cannot
+        catch it: from_modes takes full frames only."""
+        grid = np.linspace(0, 1, 11)
+        H = random_hermitian_ramp(4, 0).hamiltonian
+        with pytest.raises(ValueError, match="full"):
+            DynamicalInvariant.from_modes(grid, eigenpath(H, grid, modes=[0]).vectors)
+        with pytest.raises(ValueError, match="full"):      # a frame per grid time
+            DynamicalInvariant.from_modes(grid[:-1], eigenpath(H, grid).vectors)
 
     def test_from_operator_evaluates_F_once_per_grid_time(self, lz):
         """The operators come from the tracked spectrum, not a second pass of F."""

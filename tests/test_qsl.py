@@ -90,6 +90,20 @@ def test_overlap_above_one_warns_and_keeps_the_ray_angle():
     assert report.metadata["per_step_angle"][0] == pytest.approx(0.3, rel=1e-15)
 
 
+def test_steps_that_are_not_unitary_warn_once_naming_the_first():
+    """A stack of steps takes one stacked pass: the warning names the first
+    step that is not unitary and is given once, however many there are."""
+    zero = np.array([1.0, 0.0], dtype=complex)
+    U = step_unitary(SX, 0.3)
+    steps = np.array([U, 1.1 * U, 1.2 * U])
+    states = np.array([zero, U @ zero, U @ U @ zero, U @ U @ U @ zero])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = qsl_discrete(steps, states)
+    assert [str(w.message).split(":")[0] for w in caught] == ["step 2 is not unitary"]
+    assert np.abs(report.metadata["per_step_angle"]).max() < 1e-15
+
+
 def test_small_step_angle_keeps_every_digit():
     """A step that rotates the reference state by 1e-9 against a static
     reference has the angle 1e-9; arccos of the overlap, which rounds to 1,

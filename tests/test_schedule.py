@@ -48,3 +48,10 @@ def test_value_and_rate_broadcast_over_times(name):
     assert system.hamiltonian(0.3).shape == system.dhamiltonian(0.3).shape == (4, 4)
     assert np.array_equal(system.hamiltonian(times), np.array([system.hamiltonian(t) for t in times]))
     assert np.array_equal(system.dhamiltonian(times), np.array([system.dhamiltonian(t) for t in times]))
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@pytest.mark.parametrize("duration", [0.0, -1.0])
+def test_non_positive_duration_raises(name, duration):
+    with pytest.raises(ValueError, match="duration must be positive"):
+        SHAPES[name](0.0, 1.0, duration)
