@@ -36,11 +36,13 @@ from .schedule import Schedule
 from .dynamics import StateTrajectory, adiabatic_coefficients, evolve, fidelity, overlap, step_unitary
 from .spectral import (
     AdiabaticState,
+    CDWalk,
     EigenPath,
     adiabatic_state,
     adiabaticity_metric,
     counterdiabatic_term,
     eigenpath,
+    exact_cd_walk,
     geometric_integrand,
     loop_geometric_phase,
     quantum_geometric_tensor,

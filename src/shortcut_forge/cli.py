@@ -45,7 +45,7 @@ from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim
 from .operators import gell_mann_basis, gram_matrix, pauli_basis
 from .qsl import qsl_continuous, qsl_discrete
 from .schedule import SHAPES
-from .spectral import counterdiabatic_term, eigenpath
+from .spectral import counterdiabatic_term, eigenpath, exact_cd_walk
 
 #: Every config key maps to its default, whose type is the key's type, or to a
 #: bare type when it has no default; a nested dict is a section of keys.
@@ -270,6 +270,12 @@ class _Reference:
     A config without ``grid_points`` (a Trotter run) has the grid [0, T]. The
     time callables it hands out are time-stacked.
 
+    With ``walk`` the eigenpath comes from ``exact_cd_walk``, which also
+    drives psi0 with H + H_cd by the fourth-order Magnus step on the same
+    eigendecompositions and keeps H_cd at the grid points at D <= 8: its
+    result is ``self.walk``. Every other run takes the plain ``eigenpath``,
+    and steps its time callables with ``evolve``'s midpoint rule.
+
     The path keeps every mode, unless the run reads no mode but the ground
     mode (``ground_only``) and D exceeds ``_LEVEL_COLUMNS_MAX``: then it keeps
     mode 0 alone, (n_t, D, 1) vectors instead of (n_t, D, D), while the
@@ -277,14 +283,19 @@ class _Reference:
     columns, and the driven runs there read every mode for their population
     columns."""
 
-    def __init__(self, conf: dict, T: float | None = None, ground_only: bool = False):
+    def __init__(self, conf: dict, T: float | None = None, ground_only: bool = False, walk: bool = False):
         self.conf = conf
         self.hbar = conf["hbar"]
         self.system = _build_system(conf)
         self.T = self.system.duration if T is None else T
         self.grid = np.linspace(0.0, self.T, conf.get("grid_points", 2))
         modes = [0] if ground_only and self.system.dim > _LEVEL_COLUMNS_MAX else None
-        self.path = eigenpath(self.system.hamiltonian, self.grid, modes)
+        if walk:
+            self.walk = exact_cd_walk(self.system.hamiltonian, self.system.dhamiltonian, self.grid, modes,
+                                      self.hbar, keep_cd=self.system.dim <= _LEVEL_COLUMNS_MAX)
+            self.path = self.walk.path
+        else:
+            self.path = eigenpath(self.system.hamiltonian, self.grid, modes)
         ground = self.path.vectors[:, :, self.path.column(0)]
         self.psi0 = ground[0]
         self.target = StateTrajectory(grid=self.grid, states=ground)
@@ -319,10 +330,20 @@ class _Reference:
 
 
 def _driven_scenario(conf: dict) -> dict:
-    """CD-driving scenarios: evolve under H + H_cd and track the adiabatic target."""
-    ref = _Reference(conf, ground_only=True)
-    cd_of_t = ref.cd(conf["method"])
-    traj = evolve(ref.driven(cd_of_t), ref.psi0, ref.grid, hbar=ref.hbar)
+    """CD-driving scenarios: evolve under H + H_cd and track the adiabatic target.
+
+    ``exact_cd`` runs ``exact_cd_walk``: one ``eigh`` per grid point serves
+    the eigenpath, H_cd and a fourth-order Magnus step, and at D <= 8 the
+    ``cd_coeff_*`` columns read the H_cd it formed. The approximate routes
+    step H + H_cd with ``evolve``'s second-order midpoint rule, and sample
+    H_cd at the grid points for those columns."""
+    exact = conf["method"] == "exact_cd"
+    ref = _Reference(conf, ground_only=True, walk=exact)
+    if exact:
+        traj = ref.walk.trajectory
+    else:
+        cd_of_t = ref.cd(conf["method"])
+        traj = evolve(ref.driven(cd_of_t), ref.psi0, ref.grid, hbar=ref.hbar)
     fid = np.abs(np.einsum("ti,ti->t", ref.target.states.conj(), traj.states))
     columns = ["time", "fidelity"]
     cols = [ref.grid, fid**2]
@@ -330,7 +351,7 @@ def _driven_scenario(conf: dict) -> dict:
         columns += [f"population_{n}" for n in range(ref.system.dim)]
         cols += list(ref.populations(traj.states).T)
         basis = _canonical_basis(ref.system.dim)
-        cds = sample(cd_of_t, ref.grid)
+        cds = ref.walk.cd if exact else sample(cd_of_t, ref.grid)
         columns += [f"cd_coeff_{lab.lower()}" for lab in basis.labels]
         cols += list(gram_matrix(basis.elements, cds).real)
     rows = np.column_stack(cols)

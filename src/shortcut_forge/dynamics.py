@@ -1,10 +1,15 @@
 """Norm-preserving integration of the time-dependent Schrodinger equation,
 adiabatic-frame coefficients, and overlap metrics.
 
-Each step of ``evolve`` applies exp(-i dt H/hbar) of the midpoint Hamiltonian,
-so the global error is O(dt^2). Population invariants at the 1e-7 level need
-norm preservation by construction, which generic adaptive ODE steppers do not
-guarantee.
+Two step rules. Each step of ``evolve`` applies exp(-i dt H/hbar) of the
+midpoint Hamiltonian, so its global error is O(dt^2); it serves every time
+callable, and the approximate counterdiabatic routes, the Trotter reference,
+the QSL, fast-forward and invariant runs use it. ``Magnus4Walk`` is fourth
+order and takes no time callable: it steps an evenly spaced grid from the
+operators at the grid points, which a caller that already holds them (the
+exact-CD walk of ``spectral``) hands over chunk by chunk. Population
+invariants at the 1e-7 level need norm preservation by construction, which
+generic adaptive ODE steppers do not guarantee.
 
 Time stacks. A time callable such as ``H_of_t`` maps a 1-D array of n times
 to an (n, D, D) stack; ``stack_at`` enforces that contract. Kernels walk a
@@ -13,17 +18,17 @@ every later one holds as many times as fit one complex (n, D, D) stack into
 ``STACK_BYTES`` (1024 times at D = 2, 64 at D = 8, 16 at D = 16, 1 at
 D >= 46). Only the state recursion runs point by point.
 
-Two step kernels. A chunk of several times is one batched eigendecomposition,
-whose exponentials are exactly unitary. A chunk of one time (every chunk at
-D >= 46, and the first chunk of every run) applies the exponential to the
-state alone by short-iterative Lanczos (``lanczos_step``; Park & Light,
-J. Chem. Phys. 85, 5870 (1986)), which costs matrix-vector products instead of
-a D x D eigendecomposition. Its basis grows until an a-priori bound on the
-Krylov defect (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)) is
-at most ``KRYLOV_TOL`` times the norm of the state, so its step is unitary and
-exact to that bound; a step whose basis reaches D/2 first, where the basis
-costs about as much as the eigendecomposition, goes through the
-eigendecomposition instead.
+Two step kernels, shared by both rules. A chunk of several times is one
+batched eigendecomposition, whose exponentials are exactly unitary. A chunk
+of one time (every chunk at D >= 46, and the first chunk of every run)
+applies the exponential to the state alone by short-iterative Lanczos
+(``lanczos_step``; Park & Light, J. Chem. Phys. 85, 5870 (1986)), which costs
+matrix-vector products instead of a D x D eigendecomposition. Its basis grows
+until an a-priori bound on the Krylov defect (Hochbruck & Lubich, SIAM J.
+Numer. Anal. 34, 1911 (1997)) is at most ``KRYLOV_TOL`` times the norm of the
+state, so its step is unitary and exact to that bound; a step whose basis
+reaches D/2 first, where the basis costs about as much as the
+eigendecomposition, goes through the eigendecomposition instead.
 """
 
 from __future__ import annotations
@@ -202,6 +207,124 @@ def evolve(
             if k % per == 0:
                 states[k // per] = psi
     return StateTrajectory(grid=grid, states=states)
+
+
+#: the weights of a ``Magnus4Walk`` step by stencil width: rows are the first,
+#: an interior and the last interval, columns the stencil's grid points. W
+#: integrates the interpolant through them over the interval, in units of h;
+#: M is its value at the interval's midpoint. A 3-point grid has no interior
+#: interval.
+_MAGNUS4 = {
+    4: (np.array([[9, 19, -5, 1], [-1, 13, 13, -1], [1, -5, 19, 9]]) / 24,
+        np.array([[5, 15, -5, 1], [-1, 9, 9, -1], [1, -5, 15, 5]]) / 16),
+    3: (np.array([[5, 8, -1], [0, 0, 0], [-1, 8, 5]]) / 12,
+        np.array([[3, 6, -1], [0, 0, 0], [-1, 6, 3]]) / 8),
+}
+
+
+def uniform_step(grid: np.ndarray) -> float:
+    """The spacing h of an increasing, evenly spaced grid of at least 3 points,
+    every spacing within 1e-9 of h relative; ValueError for any other grid."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 3:
+        raise ValueError(f"the grid must be a 1-D array of at least 3 times, got shape {grid.shape}")
+    h = (grid[-1] - grid[0]) / (len(grid) - 1)
+    if not h > 0 or np.abs(np.diff(grid) - h).max() > 1e-9 * h:
+        raise ValueError("the grid must be increasing and evenly spaced (within 1e-9 relative)")
+    return h
+
+
+class Magnus4Walk:
+    """Propagate psi0 along an evenly spaced grid by one fourth-order Magnus
+    step per interval, whose nodes are grid points.
+
+    The operators A_k at the grid points arrive in order, one (n, D, D) chunk
+    per ``push``. Interval [t_i, t_i+1] takes the four grid points nearest to
+    it, i-1 .. i+2 inside the grid and the first or last four at its ends (the
+    three points of a 3-point grid), and steps
+
+        psi <- exp(-i h H_eff / hbar) psi,
+        H_eff = sum_k w_k A_k + (i h / 12 hbar) [a0, A_i+1 - A_i],  a0 = sum_k m_k A_k,
+
+    with the weights of ``_MAGNUS4``: sum_k w_k A_k integrates the cubic
+    through the nodes and a0 is its midpoint value, so the global error is
+    O(h^4) (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)). Each push steps every
+    interval whose nodes it completes, with the step kernels of ``evolve``:
+    one batched ``eigh`` when the chunk holds several times, a ``lanczos_step``
+    per interval when it holds one. The walk holds the (at most 3) earlier
+    nodes a later interval reads, besides the chunk. ``uniform_step`` checks
+    the grid, and psi0 must be normalized (ValueError otherwise).
+    """
+
+    def __init__(self, psi0: np.ndarray, grid: np.ndarray, hbar: float = 1.0):
+        self.grid = np.asarray(grid, dtype=float)
+        self.h = uniform_step(self.grid)
+        self.hbar = hbar
+        psi = np.ascontiguousarray(psi0, dtype=complex)
+        if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+            raise ValueError("initial state must be normalized")
+        self.states = np.empty((len(self.grid), len(psi)), dtype=complex)
+        self.states[0] = psi
+        # grid point k is ring[k % len(ring)]; the ring holds the chunk and
+        # the 3 points before it, which a later interval may still read
+        self.ring = np.empty((0, len(psi), len(psi)), dtype=complex)
+        self.known = 0          # grid points pushed so far
+        self.next = 0           # the next interval to step
+
+    def push(self, A: np.ndarray) -> None:
+        """Take the operators at the next len(A) grid points and step every
+        interval whose nodes are now known."""
+        n_t, D = len(self.grid), self.states.shape[1]
+        if np.shape(A)[1:] != (D, D):
+            raise DimensionMismatchError(f"psi0 has shape {(D,)}, the operators {np.shape(A)[1:]}")
+        known = self.known + len(A)
+        if known > n_t:
+            raise ValueError(f"the walk takes {n_t} grid points, got {known}")
+        if len(A) + 3 > len(self.ring):
+            ring = np.empty((len(A) + 3, D, D), dtype=complex)
+            held = np.arange(max(0, self.known - 3), self.known)
+            ring[held % len(ring)] = self.ring[held % len(self.ring)]
+            self.ring = ring
+        self.ring[np.arange(self.known, known) % len(self.ring)] = A
+        self.known = known
+        s = min(n_t, 4)
+        stop = n_t - 1 if known == n_t else known - 2 if known >= s else 0
+        # a chunk of several times steps its intervals as one stack, a chunk of
+        # one time interval by interval, so no temporary outgrows one operator
+        per = max(1, stop - self.next) if len(A) > 1 else 1
+        for j in range(self.next, stop, per):
+            i = np.arange(j, min(j + per, stop))
+            for k, psi in enumerate(_chunk_states(self._operator(i), self.states[j], np.full(len(i), self.h),
+                                                  self.hbar), j + 1):
+                self.states[k] = psi
+        self.next = max(self.next, stop)
+
+    def _operator(self, i: np.ndarray) -> np.ndarray:
+        """The (len(i), D, D) stack of H_eff of the intervals i."""
+        n_t, s, ring = len(self.grid), min(len(self.grid), 4), self.ring
+        w, m = (table[np.where(i == 0, 0, np.where(i == n_t - 2, 2, 1))] for table in _MAGNUS4[s])
+        lo = np.clip(i - 1, 0, n_t - s)
+        H = np.zeros((len(i),) + ring.shape[1:], dtype=complex)
+        a0 = np.zeros_like(H)
+        for k in range(s):
+            node = ring[(lo + k) % len(ring)]
+            H += w[:, k, None, None] * node
+            a0 += m[:, k, None, None] * node
+        node = ring[(i + 1) % len(ring)]
+        node -= ring[i % len(ring)]
+        P = a0 @ node
+        del a0, node
+        P -= P.conj().swapaxes(1, 2)
+        P *= 1j * self.h / (12 * self.hbar)
+        H += P
+        return H
+
+    def trajectory(self) -> StateTrajectory:
+        """The states at every grid point; ValueError until every interval is stepped."""
+        if self.next != len(self.grid) - 1:
+            raise ValueError(f"the walk stepped {self.next} of {len(self.grid) - 1} intervals")
+        return StateTrajectory(grid=self.grid, states=self.states)
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -12,12 +12,14 @@ leaves an overlap of at most 1/sqrt(2) < ``OVERLAP_MIN`` = 0.9, which
 ``eigenpath`` bisects or rejects whatever was matched, so no assignment solver
 is needed and the module needs numpy alone.
 
-One kernel, ``_eigenbasis_coupling``, gives the coupling matrix
-M_nm = i hbar <n|dH|m> / (E_m - E_n) from matrices H and dH: the CD term (or,
-for dH = d_lambda H, the gauge potential) is V M V^dagger, the adiabaticity
-metric |M_nm| / |E_m - E_n|, the geometric tensor Re <n|A_i A_j|n> / hbar^2.
-A closed gap contributes zero where nothing couples across it, as at a
-symmetry-protected crossing, and raises DegeneracyError where something does.
+One kernel, ``_coupling``, gives the coupling matrix
+M_nm = i hbar <n|dH|m> / (E_m - E_n) from an eigendecomposition (E, V) of H
+and from dH; ``_eigenbasis_coupling`` runs it on its own ``eigh`` of H. The CD
+term (or, for dH = d_lambda H, the gauge potential) is V M V^dagger, the
+adiabaticity metric |M_nm| / |E_m - E_n|, the geometric tensor
+Re <n|A_i A_j|n> / hbar^2. A closed gap contributes zero where nothing couples
+across it, as at a symmetry-protected crossing, and raises DegeneracyError
+where something does.
 One function, ``discrete_connection``, gives the overlaps <n(t_i)|n(t_{i+1})>
 behind every geometric and Lewis-Riesenfeld phase.
 
@@ -33,6 +35,15 @@ Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
 1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
 grid one ``STACK_BYTES`` chunk per ``eigh`` call and aligns the frames in
 order, and ``counterdiabatic_term`` takes one matrix or an (n, D, D) stack.
+
+Exact counterdiabatic driving in one walk. ``exact_cd_walk`` makes one
+``eigh`` per grid chunk serve the eigenpath, the CD term and the propagation:
+``eigenpath`` hands each chunk's decomposition to a consumer, which forms
+A = H + H_cd at the grid points from it and feeds them to the fourth-order
+``dynamics.Magnus4Walk``. So an exact-CD run on an evenly spaced grid
+diagonalizes H once per grid point (plus the bisections of the tracker),
+where ``evolve`` of ``counterdiabatic_term`` would diagonalize it again at
+every step midpoint, for a second-order step.
 """
 
 from __future__ import annotations
@@ -42,7 +53,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import STACK_BYTES, StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
+from .dynamics import (STACK_BYTES, Magnus4Walk, StateTrajectory, cumulative_trapezoid, stack_at, time_chunks,
+                       uniform_step)
 from .errors import DegeneracyError, GridTooCoarseError
 
 #: smallest mode overlap |<n(t_i)|n(t_{i+1})>| that ``eigenpath`` accepts
@@ -105,8 +117,16 @@ def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
     return E_cur[perm], V, float(np.abs(ov).min())
 
 
+def _initial_gauge(V: np.ndarray) -> np.ndarray:
+    """Phase each column of a frame in place so that its largest component is
+    real and positive; returns the frame."""
+    big = np.abs(V).argmax(axis=0)
+    V *= np.exp(-1j * np.angle(V[big, np.arange(V.shape[1])]))[None, :]
+    return V
+
+
 def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
-              modes: list[int] | None = None) -> EigenPath:
+              modes: list[int] | None = None, on_chunk: Callable | None = None) -> EigenPath:
     """Diagonalize H(t) on a grid with smooth gauge and continuity tracking.
 
     The grid is diagonalized one time chunk per ``eigh`` call and the frames
@@ -122,6 +142,12 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     energies of every mode are kept. So a path that keeps K modes stores
     (n_t, D, K) vectors, and its energies and kept columns are those of the
     full path, bit for bit.
+
+    ``on_chunk(start, H, E, V)``, when given, receives each grid chunk's
+    (n, D, D) stack H = H_of_t(grid[start:start + n]) and its ``eigh`` output
+    (E, V), in ascending order as ``eigh`` gives them, once the chunk's
+    frames are aligned: a failed match in the chunk is raised first. The
+    bisection midpoints are not handed on.
     """
     grid = np.asarray(grid, dtype=float)
 
@@ -152,29 +178,36 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
             cols = slice(None) if modes is None else keep      # a view when every mode is kept
             energies = np.empty((len(grid), D))
             vectors = np.empty((len(grid), D, len(keep)), dtype=complex)
-            # initial gauge: largest component real positive
-            V_prev = V[0]
-            big = np.abs(V_prev).argmax(axis=0)
-            V_prev *= np.exp(-1j * np.angle(V_prev[big, np.arange(D)]))[None, :]
+            V_prev = _initial_gauge(V[0].copy())
             energies[0], vectors[0] = E[0], V_prev[:, cols]
-            continue
-        for k in range(len(H)):
+        for k in range(start == 0, len(H)):
             i = start + k
             energies[i], V_prev = connect(grid[i - 1], V_prev, grid[i], E[k], V[k], 0)
             vectors[i] = V_prev[:, cols]
+        if on_chunk is not None:
+            on_chunk(start, H, E, V)
     return EigenPath(grid=grid, energies=energies, vectors=vectors, modes=keep)
 
 
 def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0):
     """(E, V, M, closed) of H (one matrix or an (n, D, D) stack, one ``eigh``
     call) and dH (one matrix per H, or a stack of derivatives of one H), as
-    stacks: M is the coupling matrix of ``counterdiabatic_term``, zero on the
-    diagonal and on the ``closed`` gaps, those below ``EPS_GAP_REL``
-    times the time's largest |E|."""
+    stacks: ``_coupling`` of the ``eigh`` of H."""
     single = np.ndim(H) == 2
     H = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
     dH = np.asarray(dH, dtype=complex).reshape((-1,) + H.shape[1:])
     E, V = np.linalg.eigh(H)
+    where = (lambda t: "") if single else (lambda t: f" at stack index {t}")
+    return (E, V) + _coupling(E, V, dH, hbar, where)
+
+
+def _coupling(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float, where: Callable[[int], str]):
+    """(M, closed) of the (n, D) energies and (n, D, D) eigenvectors of H and
+    the (n, D, D) stack dH (or one derivative per stack entry of a single H):
+    M is the coupling matrix of ``counterdiabatic_term``, zero on the diagonal
+    and on the ``closed`` gaps, those below ``EPS_GAP_REL`` times the time's
+    largest |E|. A coupled closed gap raises DegeneracyError, whose message
+    names stack entry t by ``where(t)``."""
     eps = EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)[:, None, None]
     dHe = V.conj().swapaxes(1, 2) @ dH @ V
     gap = np.broadcast_to(E[:, None, :] - E[:, :, None], dHe.shape)   # gap[t, n, m] = E_m - E_n
@@ -185,14 +218,13 @@ def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0):
         bad = closed & (np.abs(dHe) > coupling_tol[:, None, None])
         if bad.any():
             t, n, m = np.argwhere(bad)[0]
-            where = "" if single else f" at stack index {t}"
             raise DegeneracyError(
-                f"levels {n} and {m} are degenerate{where} (gap {abs(gap[t, n, m]):.3e}) "
+                f"levels {n} and {m} are degenerate{where(t)} (gap {abs(gap[t, n, m]):.3e}) "
                 f"with coupling {abs(dHe[t, n, m]):.3e}"
             )
     M = 1j * hbar * dHe / np.where(np.abs(gap) < eps, 1.0, gap)
     M[closed | ~off] = 0.0
-    return E, V, M, closed
+    return M, closed
 
 
 def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np.ndarray:
@@ -212,6 +244,53 @@ def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np
     _, V, M, _ = _eigenbasis_coupling(H, dH, hbar)
     out = V @ M @ V.conj().swapaxes(1, 2)
     return out[0] if np.ndim(H) == 2 else out
+
+
+@dataclass
+class CDWalk:
+    """An ``exact_cd_walk``: the eigenpath, the trajectory under H + H_cd from
+    the tracked ground state, and H_cd at the grid points when it was kept."""
+
+    path: EigenPath
+    trajectory: StateTrajectory
+    cd: np.ndarray | None = None    # (n_t, D, D) H_cd at the grid points, or None
+
+
+def exact_cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.ndarray], np.ndarray],
+                  grid: np.ndarray, modes: list[int] | None = None, hbar: float = 1.0,
+                  keep_cd: bool = False) -> CDWalk:
+    """Drive the ground state with H + H_cd along an evenly spaced grid, one
+    ``eigh`` per grid chunk serving the eigenpath, the CD term and the step.
+
+    ``eigenpath(H_of_t, grid, modes)`` tracks the frames; each chunk's
+    decomposition (E, V) and dH_of_t at its times give H_cd = V M V^dagger
+    at the grid points (``counterdiabatic_term``'s arithmetic, so the same
+    values bit for bit), and the ``Magnus4Walk`` steps H + H_cd at them. The
+    state starts in mode 0 at grid[0], in the path's gauge, so
+    trajectory.states[0] is the path's ground vector there. ``keep_cd`` keeps
+    the (n_t, D, D) stack of H_cd. The grid must be evenly spaced
+    (``uniform_step``, ValueError before any ``eigh``). A failed frame match
+    raises GridTooCoarseError, and a coupled closed gap at a grid point
+    DegeneracyError, as in ``eigenpath`` and ``counterdiabatic_term``; the
+    match is checked first, chunk by chunk.
+    """
+    grid = np.asarray(grid, dtype=float)
+    uniform_step(grid)
+    walk, cds = None, []
+
+    def on_chunk(start, H, E, V):
+        nonlocal walk
+        times = grid[start:start + len(H)]
+        cd = V @ _coupling(E, V, stack_at(dH_of_t, times), hbar, lambda t: f" at t = {times[t]}")[0]
+        cd = cd @ V.conj().swapaxes(1, 2)
+        if keep_cd:
+            cds.append(cd.copy())
+        if start == 0:
+            walk = Magnus4Walk(_initial_gauge(V[0, :, :1].copy())[:, 0], grid, hbar)
+        walk.push(np.add(cd, H, out=cd))
+
+    path = eigenpath(H_of_t, grid, modes, on_chunk)
+    return CDWalk(path=path, trajectory=walk.trajectory(), cd=np.concatenate(cds) if keep_cd else None)
 
 
 @dataclass

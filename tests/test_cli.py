@@ -13,7 +13,9 @@ import pytest
 
 from shortcut_forge import cli, counterdiabatic_term, eigenpath
 from shortcut_forge.digitized import ORDERINGS, SAMPLINGS, digitization_error
-from shortcut_forge.models import landau_zener, tfim_chain
+from shortcut_forge.dynamics import sample
+from shortcut_forge.models import landau_zener, random_hermitian_ramp, tfim_chain
+from shortcut_forge.operators import gram_matrix, pauli_basis
 from shortcut_forge.schedule import SHAPES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -177,11 +179,12 @@ def test_unexpected_exception_exits_4_with_its_traceback(tmp_path, capsys, monke
 
 
 def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypatch):
-    """At D = 64 a time chunk holds one point: 101 eigenpath points and 100
-    midpoint CD terms make 201 D x D eigh calls, and the 100 propagator steps
-    are Lanczos steps that each diagonalize one m x m tridiagonal, m < D.
-    (On this seed no eigenpath interval of the 101-point grid is bisected; on
-    coarser grids the random ramp bisects, which would add calls.)"""
+    """At D = 64 a time chunk holds one point, and one D x D eigh per point
+    serves the eigenpath, the CD term and the propagator: 101 calls for 101
+    points. The 100 Magnus steps are Lanczos steps that each diagonalize one
+    m x m tridiagonal, m < D. (On this seed no eigenpath interval of the
+    101-point grid is bisected; on coarser grids the random ramp bisects,
+    which would add calls.)"""
     calls = []
     eigh = np.linalg.eigh
 
@@ -195,7 +198,7 @@ def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypa
     assert _run(tmp_path, conf) == 0
     dense = [c for c in calls if c == (1, 64, 64)]
     tridiagonal = [c for c in calls if len(c) == 2 and c[0] == c[1] < 64]
-    assert len(dense) == 201 and len(tridiagonal) == 100 and len(calls) == 301
+    assert len(dense) == 101 and len(tridiagonal) == 100 and len(calls) == 201
 
 
 def test_large_dim_exact_cd_allocates_less_than_one_full_eigenpath(tmp_path):
@@ -305,6 +308,44 @@ def test_invariant_on_the_coarsest_grid_tracks_between_grid_points(tmp_path):
     rc, summary = _run_conf(tmp_path, {"system": "landau_zener", "method": "invariant", "grid_points": 3})
     assert rc == 0
     assert summary["max_eigenvalue_drift"] < 1e-12
+
+
+@pytest.mark.parametrize("grid_points", [3, 4])
+@pytest.mark.parametrize("system, dim", [("landau_zener", 2), ("random_hermitian", 4), ("random_hermitian", 50)])
+def test_exact_cd_runs_on_the_shortest_grids(tmp_path, grid_points, system, dim):
+    """3 points take the quadratic stencils, 4 the cubic ones with no
+    interior interval; D = 50 steps each interval alone."""
+    conf = {"system": system, "method": "exact_cd", "grid_points": grid_points}
+    if system == "random_hermitian":
+        conf["parameters"] = {"dim": dim, "seed": 0}
+    rc, summary = _run_conf(tmp_path, conf)
+    assert rc == 0
+    assert 0.0 < summary["final_fidelity"] <= 1.0 + 1e-12
+
+
+def test_tfim_exact_cd_stops_on_a_grid_too_coarse(tmp_path, capsys):
+    rc, _ = _run_conf(tmp_path, _pair_conf("tfim_chain", "exact_cd"))
+    assert rc == 3
+    assert "GridTooCoarseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, shape", [("landau_zener", "linear"), ("random_hermitian", "smoothstep")])
+def test_exact_cd_coefficient_columns_are_the_library_cd_term(tmp_path, system, shape):
+    """The ``cd_coeff_*`` columns that the walk fills from its own H_cd are
+    the Pauli coefficients of ``counterdiabatic_term`` at the grid points."""
+    conf = {"system": system, "method": "exact_cd", "grid_points": 101, "parameters": {"schedule_shape": shape}}
+    if system == "random_hermitian":
+        conf["parameters"].update(dim=4, seed=2)
+    rc, _ = _run_conf(tmp_path, conf)
+    assert rc == 0
+    with open(tmp_path / "run" / "timeseries.csv") as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",")
+    model = landau_zener() if system == "landau_zener" else random_hermitian_ramp(4, seed=2, shape=shape)
+    basis = pauli_basis(int(np.log2(model.dim)))
+    cds = sample(lambda t: counterdiabatic_term(model.hamiltonian(t), model.dhamiltonian(t)), data[:, 0])
+    columns = [header.index(f"cd_coeff_{lab.lower()}") for lab in basis.labels]
+    assert np.abs(data[:, columns] - gram_matrix(basis.elements, cds).real.T).max() <= 1e-14
 
 
 def test_lz_trotter_infidelity_is_the_library_digitization_error(tmp_path):

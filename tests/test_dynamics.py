@@ -15,7 +15,7 @@ from shortcut_forge import (
     overlap,
     step_unitary,
 )
-from shortcut_forge.dynamics import cumulative_trapezoid
+from shortcut_forge.dynamics import Magnus4Walk, cumulative_trapezoid, uniform_step
 from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
 
 from conftest import SX, SY, SZ, cd_driven, stacked
@@ -98,6 +98,71 @@ class TestEvolve:
         assert not psi0.flags.c_contiguous
         strided = evolve(system.hamiltonian, psi0, grid).states
         assert np.array_equal(strided, evolve(system.hamiltonian, psi0.copy(), grid).states)
+
+
+def _push_in_chunks(walk, nodes, sizes):
+    start = 0
+    for n in sizes:
+        walk.push(nodes[start:start + n])
+        start += n
+    assert start == len(nodes)
+    return walk.trajectory().states
+
+
+class TestMagnus4Walk:
+    @pytest.mark.parametrize("n_t, degree", [(3, 2), (4, 3), (11, 3)])
+    @pytest.mark.parametrize("dim, chunk", [(2, 64), (50, 1)])
+    def test_polynomial_drive_of_one_operator_is_exact(self, rng, n_t, degree, dim, chunk):
+        """For A(t) = f(t) B the commutator term vanishes, and the stencils
+        integrate a polynomial f of degree 3 (2 on a 3-point grid) exactly,
+        so every state is exp(-i F(t) B) psi0 with F the integral of f: by
+        one batched eigh per chunk at D = 2 and by Lanczos steps at D = 50."""
+        coeffs = [1.0, 2.0, -3.0, 0.5][:degree + 1]
+        grid = np.linspace(0.0, 1.3, n_t)
+        f = np.polynomial.Polynomial(coeffs)
+        B = random_hermitian(dim, rng)
+        psi0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi0 /= np.linalg.norm(psi0)
+        nodes = f(grid)[:, None, None] * B
+        sizes = [1] + [chunk] * ((n_t - 1) // chunk) + ([(n_t - 1) % chunk] if (n_t - 1) % chunk else [])
+        states = _push_in_chunks(Magnus4Walk(psi0, grid), nodes, sizes)
+        F = f.integ()(grid) - f.integ()(grid[0])
+        exact = np.array([step_unitary(B, F_k) @ psi0 for F_k in F])
+        assert np.abs(states - exact).max() < 1e-12
+
+    def test_chunk_boundaries_change_no_state(self, rng):
+        """The ring of held points serves any chunking: pushing the grid points
+        in uneven chunks gives the states of one chunk after the first."""
+        grid = np.linspace(0.0, 1.0, 30)
+        H0, H1 = random_hermitian(3, rng), random_hermitian(3, rng)
+        nodes = H0 + np.sin(3 * grid)[:, None, None] * H1
+        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        whole = _push_in_chunks(Magnus4Walk(psi0, grid), nodes, [1, 29])
+        uneven = _push_in_chunks(Magnus4Walk(psi0, grid), nodes, [1, 1, 1, 4, 1, 2, 9, 1, 10])
+        assert np.abs(uneven - whole).max() < 1e-13
+
+    @pytest.mark.parametrize("grid", [np.geomspace(0.1, 1.0, 11), np.linspace(0.0, 1.0, 2),
+                                      np.linspace(1.0, 0.0, 11), np.r_[np.linspace(0.0, 1.0, 10), 1.2]])
+    def test_rejects_a_grid_that_is_not_evenly_spaced(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            Magnus4Walk(np.array([1.0, 0.0]), grid)
+        with pytest.raises(ValueError, match="grid"):
+            uniform_step(grid)
+
+    def test_a_spacing_within_1e_9_relative_is_even(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        grid[5] += 5e-11
+        assert uniform_step(grid) == pytest.approx(0.1, rel=1e-15)
+
+    def test_rejects_extra_points_and_an_early_trajectory(self):
+        walk = Magnus4Walk(np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 5))
+        walk.push(np.broadcast_to(SZ, (4, 2, 2)))      # the first two intervals read points 0 .. 3
+        with pytest.raises(ValueError, match="stepped 2 of 4 intervals"):
+            walk.trajectory()
+        with pytest.raises(ValueError, match="takes 5 grid points, got 6"):
+            walk.push(np.broadcast_to(SZ, (2, 2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            walk.push(np.eye(3)[None])
 
 
 class TestAdiabaticCoefficients:

@@ -11,11 +11,14 @@ from shortcut_forge import (
     counterdiabatic_term,
     eigenpath,
     evolve,
+    exact_cd_walk,
     geometric_integrand,
     quantum_geometric_tensor,
 )
 from shortcut_forge.errors import GridTooCoarseError
-from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
+from shortcut_forge.dynamics import sample
+from shortcut_forge.models import DrivenSystem, landau_zener, random_hermitian, random_hermitian_ramp
+from shortcut_forge.schedule import Schedule
 from shortcut_forge.spectral import OVERLAP_MIN, _align_frames, discrete_connection
 
 from conftest import SX, SY, SZ, cd_driven, discrete_berry_phase, lz_cd_oracle, stacked
@@ -518,3 +521,85 @@ class TestCounterdiabaticStack:
     def test_eigenpath_rejects_an_unstacked_callable(self):
         with pytest.raises(ValueError, match=r"time callable must map 1 times to an \(1, D, D\) stack"):
             eigenpath(lambda t: SZ, np.linspace(0, 1, 5))
+
+
+class TestExactCDWalk:
+    """One eigh per grid chunk serves the eigenpath, H_cd and a fourth-order
+    Magnus step."""
+
+    @staticmethod
+    def _walk(system, n_t, **kwargs):
+        grid = np.linspace(0.0, system.duration, n_t)
+        return exact_cd_walk(system.hamiltonian, system.dhamiltonian, grid, **kwargs)
+
+    @pytest.mark.parametrize("system", [landau_zener(), random_hermitian_ramp(4, seed=0)], ids=["lz", "rh4"])
+    def test_fourth_order(self, system):
+        """Each halving of the step cuts the final-state error against a
+        6401-point walk 16 +- 3 fold: 21 -> 41 -> 81 -> 161 points."""
+        ref = self._walk(system, 6401).trajectory.final()
+        errs = [np.linalg.norm(self._walk(system, n).trajectory.final() - ref) for n in (21, 41, 81, 161)]
+        ratios = [errs[i] / errs[i + 1] for i in range(3)]
+        assert all(13.0 <= r <= 19.0 for r in ratios), ratios
+
+    @pytest.mark.parametrize("dim", [4, 50])
+    def test_path_and_first_state_are_eigenpaths_bit_for_bit(self, dim):
+        """The walk's path is ``eigenpath(..., modes=[0])``, and its state
+        starts on that path's ground vector, bit for bit: batched chunks at
+        D = 4, one time per chunk at D = 50."""
+        system = random_hermitian_ramp(dim, seed=3)
+        grid = np.linspace(0.0, 1.0, 41)
+        walk = exact_cd_walk(system.hamiltonian, system.dhamiltonian, grid, modes=[0])
+        path = eigenpath(system.hamiltonian, grid, modes=[0])
+        assert np.array_equal(walk.path.energies, path.energies)
+        assert np.array_equal(walk.path.vectors, path.vectors)
+        assert np.array_equal(walk.trajectory.states[0], path.vectors[0, :, 0])
+        fid = np.abs(np.einsum("td,td->t", path.vectors[:, :, 0].conj(), walk.trajectory.states)) ** 2
+        assert fid.min() >= 1 - 1e-6
+
+    def test_cd_is_counterdiabatic_term_bit_for_bit(self):
+        system = random_hermitian_ramp(4, seed=1, shape="linear")
+        walk = self._walk(system, 301, keep_cd=True)
+        cd = sample(lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t)), walk.path.grid)
+        assert np.array_equal(walk.cd, cd)
+        assert self._walk(system, 11).cd is None
+
+    def test_smoothstep_end_points_give_zero_cd(self):
+        walk = self._walk(random_hermitian_ramp(4, seed=0, shape="smoothstep"), 21, keep_cd=True)
+        assert not walk.cd[0].any() and not walk.cd[-1].any()
+        assert np.abs(walk.cd[10]).max() > 0.1
+
+    @pytest.mark.parametrize("grid", [np.geomspace(0.01, 1.0, 21), np.linspace(0.0, 1.0, 2)])
+    def test_a_grid_that_is_not_evenly_spaced_raises_before_any_eigh(self, grid):
+        calls = []
+        system = landau_zener()
+        H_of_t = lambda t: calls.append(t) or system.hamiltonian(t)
+        with pytest.raises(ValueError, match="grid"):
+            exact_cd_walk(H_of_t, system.dhamiltonian, grid)
+        assert calls == []
+
+    def test_uncoupled_crossing_at_a_grid_point_runs(self):
+        """At delta = 0 the Landau-Zener levels cross at lambda = 0, which is
+        grid point 10: the gap closes there, but nothing couples across it, so
+        H_cd is zero and the state stays on the tracked mode."""
+        walk = self._walk(landau_zener(delta=0.0), 21, keep_cd=True)
+        E = walk.path.energies[10]
+        assert E[0] == E[1] == 0.0
+        assert not walk.cd.any()
+        fid = np.abs(np.vdot(walk.path.vectors[-1, :, 0], walk.trajectory.final())) ** 2
+        assert fid == pytest.approx(1.0, abs=1e-14)
+
+    def test_coupled_closed_gap_at_a_grid_point_raises(self):
+        """The delta = 0 crossing of the Landau-Zener levels at grid point 10,
+        with dH = sx given for it: the frames match across the crossing, and
+        the drive couples the closed gap."""
+        system = landau_zener(delta=0.0)
+        with pytest.raises(DegeneracyError, match="levels 0 and 1 are degenerate at t = 0.5"):
+            exact_cd_walk(system.hamiltonian, lambda t: np.broadcast_to(SX, (len(t), 2, 2)),
+                          np.linspace(0.0, 1.0, 21))
+
+    def test_a_failed_frame_match_is_raised_ahead_of_a_closed_gap(self):
+        """H = lambda sx vanishes at grid point 10, where eigh's frame of the
+        zero matrix matches neither neighbour: the tracker's error comes first."""
+        system = DrivenSystem(H0=np.zeros((2, 2), dtype=complex), H1=SX, schedule=Schedule.linear(-1.0, 1.0, 1.0))
+        with pytest.raises(GridTooCoarseError, match="and 0.5 after 12 refinement levels"):
+            self._walk(system, 21)
