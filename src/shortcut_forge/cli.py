@@ -227,10 +227,13 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: Path, columns: list[str], rows: np.ndarray) -> None:
+    """Write a header and one line per row, each value as ``_fmt`` gives it:
+    one ``%`` of a line format per row."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in np.asarray(rows, dtype=float).tolist():
+            fh.write(line % tuple(row))
 
 
 def write_summary(path: Path, summary: dict) -> None:

@@ -33,8 +33,11 @@ ValueError for a mode it did not keep.
 
 Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
 1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
-grid one ``STACK_BYTES`` chunk per ``eigh`` call and aligns the frames in
-order, and ``counterdiabatic_term`` takes one matrix or an (n, D, D) stack.
+grid one ``STACK_BYTES`` chunk per ``eigh`` call and tracks each chunk's
+frames together (``_track_frames``); only an interval that fails the overlap
+gate, and a chunk of one time (every chunk at D >= 46), goes through the
+per-point match ``_align_frames``. ``counterdiabatic_term`` takes one matrix
+or an (n, D, D) stack.
 
 Exact counterdiabatic driving in one walk. ``exact_cd_walk`` makes one
 ``eigh`` per grid chunk serve the eigenpath, the CD term and the propagation:
@@ -125,23 +128,69 @@ def _initial_gauge(V: np.ndarray) -> np.ndarray:
     return V
 
 
+def _track_frames(V_from: np.ndarray, E: np.ndarray, V: np.ndarray):
+    """Track a run of raw ``eigh`` frames (E[k], V[k]), k = 0 .. m - 1, from
+    the aligned frame V_from up to the first interval whose smallest mode
+    overlap falls below ``OVERLAP_MIN``: returns the aligned energies and
+    frames of that passing prefix, (j, D) and (j, D, D), the labels and
+    phases ``_align_frames`` gives frame by frame.
+
+    One batched product gives the raw overlaps R[k] = V[k]^H V[k+1]. An
+    aligned frame is a raw frame with permuted, rephased columns, so the row
+    of |overlap| that ``_align_frames`` maximizes for mode n at k is row
+    perm[k - 1, n] of |R[k - 1]|: with r[k] the row argmaxes of |R[k]|, the
+    labels compose as perm[k] = r[k - 1][perm[k - 1]], which a scan of
+    ``take_along_axis`` gives for every k in log2(m) steps. Mode n's phase at
+    k is the conjugate of the product of its unit overlaps up to k,
+    normalized; the product (not a sum of angles) keeps each step's overlap
+    real to rounding however far the phase has turned.
+    """
+    O = V_from.conj().T @ V[0]
+    R = V[:-1].conj().swapaxes(1, 2) @ V[1:]
+    perm = np.concatenate([np.abs(O).argmax(axis=1)[None], np.abs(R).argmax(axis=2)])
+    step = 1
+    while step < len(perm):
+        perm[step:] = np.take_along_axis(perm[step:], perm[:-step], axis=1)
+        step *= 2
+    ov = np.empty(perm.shape, dtype=complex)
+    ov[0] = O[np.arange(len(O)), perm[0]]
+    ov[1:] = R[np.arange(len(R))[:, None], perm[:-1], perm[1:]]
+    size = np.abs(ov)
+    fails = np.flatnonzero(size.min(axis=1) < OVERLAP_MIN)
+    j = int(fails[0]) if fails.size else len(ov)
+    phase = np.cumprod(ov[:j].conj() / size[:j], axis=0)
+    phase /= np.abs(phase)
+    k, perm = np.arange(j)[:, None], perm[:j]
+    frames = V[:j].swapaxes(1, 2)[k, perm].swapaxes(1, 2)     # frames[k] = V[k][:, perm[k]]
+    frames *= phase[:, None, :]
+    return E[:j][k, perm], frames
+
+
 def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
               modes: list[int] | None = None, on_chunk: Callable | None = None) -> EigenPath:
     """Diagonalize H(t) on a grid with smooth gauge and continuity tracking.
 
-    The grid is diagonalized one time chunk per ``eigh`` call and the frames
-    are aligned in order. An interval whose smallest mode overlap falls below
-    ``OVERLAP_MIN`` (0.9) is bisected internally (the output grid is
-    unchanged; only the failing interval's midpoints are evaluated) up to
-    ``MAX_REFINE`` (12) levels, then GridTooCoarseError is raised.
+    The grid is diagonalized one time chunk per ``eigh`` call and tracked a
+    chunk at a time by ``_track_frames``: one batched product gives the
+    overlaps of consecutive raw frames of the chunk, and with the overlap of
+    the carried aligned frame and the chunk's first frame they give every
+    point's labels and phases, the labels and phases of ``_align_frames``.
+    The first interval whose smallest mode overlap falls below
+    ``OVERLAP_MIN`` (0.9) is matched by ``_align_frames`` from the aligned
+    frame before it and bisected (the output grid is unchanged; only the
+    failing interval's midpoints are evaluated) up to ``MAX_REFINE`` (12)
+    levels, then GridTooCoarseError is raised; batched tracking resumes
+    after it. A chunk of one time (every chunk at D >= 46) takes the
+    per-point match directly. An empty grid or a non-finite time is a
+    ValueError before any ``eigh``.
 
     ``modes`` names the mode labels whose vectors the path keeps, every mode
     by default; the columns hold them in increasing label order. Tracking
     always runs on the whole frame: only the previous aligned frame is held
-    while the grid is walked, every mode passes the overlap gate, and the
-    energies of every mode are kept. So a path that keeps K modes stores
-    (n_t, D, K) vectors, and its energies and kept columns are those of the
-    full path, bit for bit.
+    between chunks, every mode passes the overlap gate, and the energies of
+    every mode are kept. So a path that keeps K modes stores (n_t, D, K)
+    vectors, and its energies and kept columns are those of the full path,
+    bit for bit.
 
     ``on_chunk(start, H, E, V)``, when given, receives each grid chunk's
     (n, D, D) stack H = H_of_t(grid[start:start + n]) and its ``eigh`` output
@@ -150,6 +199,11 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     bisection midpoints are not handed on.
     """
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError(f"eigenpath needs a 1-D grid of at least one time, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        i = int(np.flatnonzero(~np.isfinite(grid))[0])
+        raise ValueError(f"grid times must be finite, got {grid[i]} at index {i}")
 
     def eig_at(t):
         E, V = np.linalg.eigh(stack_at(H_of_t, np.array([t])))
@@ -180,10 +234,18 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
             vectors = np.empty((len(grid), D, len(keep)), dtype=complex)
             V_prev = _initial_gauge(V[0].copy())
             energies[0], vectors[0] = E[0], V_prev[:, cols]
-        for k in range(start == 0, len(H)):
-            i = start + k
-            energies[i], V_prev = connect(grid[i - 1], V_prev, grid[i], E[k], V[k], 0)
-            vectors[i] = V_prev[:, cols]
+        pos = int(start == 0)
+        while pos < len(H):
+            if len(H) - pos > 1:    # batched, up to the first failing interval
+                E_al, frames = _track_frames(V_prev, E[pos:], V[pos:])
+                i, pos = start + pos, pos + len(frames)
+                energies[i:start + pos], vectors[i:start + pos] = E_al, frames[:, :, cols]
+                V_prev = frames[-1] if len(frames) else V_prev
+            if pos < len(H):        # a lone frame, or the failing interval, matched and bisected as needed
+                i = start + pos
+                energies[i], V_prev = connect(grid[i - 1], V_prev, grid[i], E[pos], V[pos], 0)
+                vectors[i] = V_prev[:, cols]
+                pos += 1
         if on_chunk is not None:
             on_chunk(start, H, E, V)
     return EigenPath(grid=grid, energies=energies, vectors=vectors, modes=keep)

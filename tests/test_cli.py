@@ -110,6 +110,18 @@ print(json.dumps(sorted(m for m in sys.modules if any(m == b or m.startswith(b +
 """
 
 
+def test_write_csv_formats_each_value_as_the_per_value_formatter(tmp_path):
+    """One line format per row writes the bytes of "%.17g" per value, on the
+    values whose text is easy to get wrong."""
+    rows = np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1],
+                     [1.0, -2.5, 1 / 3, 2.0**-1074, 1e-300, 123456789012345678.0, 0.0]])
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    cli.write_csv(tmp_path / "out.csv", columns, rows)
+    expected = ",".join(columns) + "\n" + "".join(",".join("%.17g" % float(v) for v in row) + "\n" for row in rows)
+    assert (tmp_path / "out.csv").read_text() == expected
+    assert expected.splitlines()[1] == "nan,inf,-inf,-0,4.9406564584124654e-324,10000000000000000,0.10000000000000001"
+
+
 def test_runs_import_no_scipy_or_process_pool(tmp_path):
     """A plain run loads neither scipy nor the process pool."""
     env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -19,7 +19,8 @@ from shortcut_forge.errors import GridTooCoarseError
 from shortcut_forge.dynamics import sample
 from shortcut_forge.models import DrivenSystem, landau_zener, random_hermitian, random_hermitian_ramp
 from shortcut_forge.schedule import Schedule
-from shortcut_forge.spectral import OVERLAP_MIN, _align_frames, discrete_connection
+from shortcut_forge import spectral
+from shortcut_forge.spectral import MAX_REFINE, OVERLAP_MIN, _align_frames, _initial_gauge, discrete_connection
 
 from conftest import SX, SY, SZ, cd_driven, discrete_berry_phase, lz_cd_oracle, stacked
 
@@ -261,6 +262,113 @@ class TestKeptModes:
     def test_modes_outside_the_labels_are_rejected(self, lz, modes):
         with pytest.raises(ValueError, match="modes must name"):
             eigenpath(lz.hamiltonian, np.linspace(0, 1, 5), modes=modes)
+
+
+def _per_point_path(H_of_t, grid):
+    """Reference tracker: ``_align_frames`` at every grid point from the
+    previous aligned frame, a failing interval bisected recursively. Returns
+    the (n_t, D) energies, (n_t, D, D) vectors and the number of bisected
+    intervals."""
+    def eig(t):
+        E, V = np.linalg.eigh(H_of_t(np.array([t])))
+        return E[0], V[0]
+
+    def connect(t0, V_from, t1, depth):
+        E, V, ov = _align_frames(V_from, *eig(t1))
+        if ov >= OVERLAP_MIN:
+            return E, V
+        assert depth < MAX_REFINE
+        tm = 0.5 * (t0 + t1)
+        return connect(tm, connect(t0, V_from, tm, depth + 1)[1], t1, depth + 1)
+
+    E, V = eig(grid[0])
+    energies, vectors = [E], [_initial_gauge(V.copy())]
+    bisected = 0
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        bisected += _align_frames(vectors[-1], *eig(t1))[2] < OVERLAP_MIN
+        E, V = connect(t0, vectors[-1], t1, 0)
+        energies.append(E)
+        vectors.append(V)
+    return np.array(energies), np.array(vectors), bisected
+
+
+def _labels(H_of_t, grid, vectors):
+    """labels[i, n]: the column of ``eigh``'s frame at grid[i] that mode n holds."""
+    V = np.linalg.eigh(H_of_t(grid))[1]
+    return np.abs(V.conj().swapaxes(1, 2) @ vectors).argmax(axis=1)
+
+
+def _sharp_turn(t):
+    """The field turns by pi/2 about t = 0.5037 over a width of 0.002: of the
+    grid linspace(0, 1, 101) only the interval [0.50, 0.51], in the middle of
+    the second time chunk, has a mode overlap below OVERLAP_MIN (0.71)."""
+    theta = 0.25 * np.pi * (1 + np.tanh((np.asarray(t) - 0.5037) / 0.002))
+    return np.cos(theta)[:, None, None] * SZ + np.sin(theta)[:, None, None] * SX
+
+
+@pytest.fixture
+def align_calls(monkeypatch):
+    """The list that gets one entry per call of ``spectral._align_frames``."""
+    calls, align = [], spectral._align_frames
+    monkeypatch.setattr(spectral, "_align_frames", lambda *a: calls.append(1) or align(*a))
+    return calls
+
+
+class TestChunkedTracker:
+    """``eigenpath`` tracks a time chunk at a time; the per-point loop of
+    ``_align_frames`` with bisection is its oracle."""
+
+    @pytest.mark.parametrize("case", ["lz_crossing", "mid_chunk_bisection", "rh2_complex_phases", "rh8_chunk_boundaries"])
+    def test_matches_the_per_point_tracker(self, case, align_calls):
+        """Energies and labels equal the oracle's, vectors to 1e-13 and of unit
+        norm, and only an interval that fails the overlap gate goes through
+        ``_align_frames`` (the crossing is passed by the chunk's labels)."""
+        if case == "lz_crossing":
+            # delta = 0: the levels cross at grid point 1000, inside the 1024-time chunk [1, 1025)
+            H_of_t, grid, bisected = landau_zener(delta=0.0).hamiltonian, np.linspace(0, 1, 2001), 0
+        elif case == "mid_chunk_bisection":
+            H_of_t, grid, bisected = _sharp_turn, np.linspace(0, 1, 101), 1
+        elif case == "rh2_complex_phases":
+            # complex overlaps: the phases turn over 1024-time chunks
+            H_of_t, grid, bisected = random_hermitian_ramp(2, seed=4).hamiltonian, np.linspace(0, 1, 3001), 0
+        else:
+            # D = 8: time chunks of 64, so 301 points cross four chunk boundaries
+            H_of_t, grid, bisected = random_hermitian_ramp(8, seed=4).hamiltonian, np.linspace(0, 1, 301), 0
+        path = eigenpath(H_of_t, grid)
+        assert bool(align_calls) == bool(bisected)
+        energies, vectors, n_bisected = _per_point_path(H_of_t, grid)
+        assert n_bisected == bisected
+        assert np.array_equal(path.energies, energies)
+        assert np.array_equal(_labels(H_of_t, grid, path.vectors), _labels(H_of_t, grid, vectors))
+        assert np.abs(path.vectors - vectors).max() <= 1e-13
+        assert np.abs(np.linalg.norm(path.vectors, axis=1) - 1).max() <= 4e-15     # unit phases keep unit vectors
+        steps = np.einsum("tdn,tdn->tn", path.vectors[:-1].conj(), path.vectors[1:])
+        assert (steps.real > 0).all()
+        assert np.abs(steps.imag).max() <= 1e-14
+
+    def test_lz_crossing_keeps_its_labels(self):
+        """Across the delta = 0 crossing eigh's ascending order swaps the two
+        vectors; the tracked modes keep theirs, so their energies cross."""
+        path = eigenpath(landau_zener(delta=0.0).hamiltonian, np.linspace(0, 1, 2001))
+        assert path.energies[0, 0] < path.energies[0, 1] and path.energies[-1, 0] > path.energies[-1, 1]
+        assert np.abs(np.abs(path.vectors[-1]) - np.abs(path.vectors[0])).max() < 1e-12
+
+    def test_a_smooth_path_makes_no_per_point_match(self, lz, align_calls):
+        eigenpath(lz.hamiltonian, np.linspace(0, 1, 1001))
+        assert align_calls == []
+
+    @pytest.mark.parametrize("grid, match", [
+        (np.array([]), "at least one time"),
+        (np.array([0.0, np.nan, 1.0]), "finite, got nan at index 1"),
+        (np.array([0.0, 0.5, np.inf]), "finite, got inf at index 2"),
+    ])
+    def test_a_bad_grid_raises_before_any_eigh(self, lz, grid, match, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(1) or eigh(*a))
+        with pytest.raises(ValueError, match=match):
+            eigenpath(lz.hamiltonian, grid)
+        assert calls == []
 
 
 class TestExactCD:
