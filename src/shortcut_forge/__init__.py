@@ -40,9 +40,9 @@ from .spectral import (
     EigenPath,
     adiabatic_state,
     adiabaticity_metric,
+    cd_walk,
     counterdiabatic_term,
     eigenpath,
-    exact_cd_walk,
     geometric_integrand,
     loop_geometric_phase,
     quantum_geometric_tensor,

@@ -36,7 +36,7 @@ from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
-from .dynamics import StateTrajectory, evolve, fidelity, sample
+from .dynamics import StateTrajectory, evolve, fidelity
 from .errors import ConfigError, ShortcutForgeError
 from .fastforward import TimeRescaling, ff_of_cd
 from .gridff import GridSystem1D, ff_potential, split_step_evolve
@@ -45,7 +45,7 @@ from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim
 from .operators import gell_mann_basis, gram_matrix, pauli_basis
 from .qsl import qsl_continuous, qsl_discrete
 from .schedule import SHAPES
-from .spectral import counterdiabatic_term, eigenpath, exact_cd_walk
+from .spectral import cd_walk, counterdiabatic_term, eigenpath
 
 #: Every config key maps to its default, whose type is the key's type, or to a
 #: bare type when it has no default; a nested dict is a section of keys.
@@ -273,32 +273,29 @@ class _Reference:
     A config without ``grid_points`` (a Trotter run) has the grid [0, T]. The
     time callables it hands out are time-stacked.
 
-    With ``walk`` the eigenpath comes from ``exact_cd_walk``, which also
-    drives psi0 with H + H_cd by the fourth-order Magnus step on the same
-    eigendecompositions and keeps H_cd at the grid points at D <= 8: its
-    result is ``self.walk``. Every other run takes the plain ``eigenpath``,
-    and steps its time callables with ``evolve``'s midpoint rule.
+    A ``route`` (a method name of ``cd``) runs ``cd_walk`` in place of the
+    plain ``eigenpath``: the walk drives psi0 with H + H_cd of that route by
+    the fourth-order Magnus step and keeps H_cd at the grid points at D <= 8
+    (``self.walk``). A walked run reads no mode but the ground mode, except
+    for its population columns at D <= 8, so above ``_LEVEL_COLUMNS_MAX`` its
+    path keeps mode 0 alone, (n_t, D, 1) vectors instead of (n_t, D, D),
+    while the tracking still gates every mode."""
 
-    The path keeps every mode, unless the run reads no mode but the ground
-    mode (``ground_only``) and D exceeds ``_LEVEL_COLUMNS_MAX``: then it keeps
-    mode 0 alone, (n_t, D, 1) vectors instead of (n_t, D, D), while the
-    tracking still gates every mode. At D <= 8 a full path costs at most 8
-    columns, and the driven runs there read every mode for their population
-    columns."""
-
-    def __init__(self, conf: dict, T: float | None = None, ground_only: bool = False, walk: bool = False):
+    def __init__(self, conf: dict, T: float | None = None, route: str | None = None):
         self.conf = conf
         self.hbar = conf["hbar"]
         self.system = _build_system(conf)
         self.T = self.system.duration if T is None else T
         self.grid = np.linspace(0.0, self.T, conf.get("grid_points", 2))
-        modes = [0] if ground_only and self.system.dim > _LEVEL_COLUMNS_MAX else None
-        if walk:
-            self.walk = exact_cd_walk(self.system.hamiltonian, self.system.dhamiltonian, self.grid, modes,
-                                      self.hbar, keep_cd=self.system.dim <= _LEVEL_COLUMNS_MAX)
-            self.path = self.walk.path
+        H, dim = self.system.hamiltonian, self.system.dim
+        if route is None:
+            self.path = eigenpath(H, self.grid)
         else:
-            self.path = eigenpath(self.system.hamiltonian, self.grid, modes)
+            modes = [0] if dim > _LEVEL_COLUMNS_MAX else None
+            self.walk = cd_walk(H, self.system.dhamiltonian, self.grid, modes, self.hbar,
+                                keep_cd=dim <= _LEVEL_COLUMNS_MAX,
+                                cd_of_t=None if route == "exact_cd" else self.cd(route))
+            self.path = self.walk.path
         ground = self.path.vectors[:, :, self.path.column(0)]
         self.psi0 = ground[0]
         self.target = StateTrajectory(grid=self.grid, states=ground)
@@ -333,20 +330,11 @@ class _Reference:
 
 
 def _driven_scenario(conf: dict) -> dict:
-    """CD-driving scenarios: evolve under H + H_cd and track the adiabatic target.
-
-    ``exact_cd`` runs ``exact_cd_walk``: one ``eigh`` per grid point serves
-    the eigenpath, H_cd and a fourth-order Magnus step, and at D <= 8 the
-    ``cd_coeff_*`` columns read the H_cd it formed. The approximate routes
-    step H + H_cd with ``evolve``'s second-order midpoint rule, and sample
-    H_cd at the grid points for those columns."""
-    exact = conf["method"] == "exact_cd"
-    ref = _Reference(conf, ground_only=True, walk=exact)
-    if exact:
-        traj = ref.walk.trajectory
-    else:
-        cd_of_t = ref.cd(conf["method"])
-        traj = evolve(ref.driven(cd_of_t), ref.psi0, ref.grid, hbar=ref.hbar)
+    """CD-driving scenarios: drive the ground state with H + H_cd of the
+    method's route on ``cd_walk`` and track the adiabatic target. At D <= 8
+    the ``cd_coeff_*`` columns read the H_cd the walk stepped."""
+    ref = _Reference(conf, route=conf["method"])
+    traj = ref.walk.trajectory
     fid = np.abs(np.einsum("ti,ti->t", ref.target.states.conj(), traj.states))
     columns = ["time", "fidelity"]
     cols = [ref.grid, fid**2]
@@ -354,9 +342,8 @@ def _driven_scenario(conf: dict) -> dict:
         columns += [f"population_{n}" for n in range(ref.system.dim)]
         cols += list(ref.populations(traj.states).T)
         basis = _canonical_basis(ref.system.dim)
-        cds = ref.walk.cd if exact else sample(cd_of_t, ref.grid)
         columns += [f"cd_coeff_{lab.lower()}" for lab in basis.labels]
-        cols += list(gram_matrix(basis.elements, cds).real)
+        cols += list(gram_matrix(basis.elements, ref.walk.cd).real)
     rows = np.column_stack(cols)
     summary = {
         "final_fidelity": float(fid[-1] ** 2),
@@ -475,11 +462,10 @@ def _grid_ff_scenario(conf: dict) -> dict:
 
 
 def _qsl_scenario(conf: dict) -> dict:
-    ref = _Reference(conf, ground_only=True)
+    ref = _Reference(conf, route="variational")
     H1 = ref.driven(ref.cd())
     H2 = ref.driven(ref.cd("variational"))
-    traj2 = evolve(H2, ref.psi0, ref.grid, hbar=ref.hbar)
-    report = qsl_continuous(H1, H2, ref.target, other=traj2, hbar=ref.hbar)
+    report = qsl_continuous(H1, H2, ref.target, other=ref.walk.trajectory, hbar=ref.hbar)
     columns = ["time", "angle", "bound", "observed", "margin"]
     rows = np.column_stack([ref.grid, report.angle, report.bound, report.observed, report.margin()])
     summary = {

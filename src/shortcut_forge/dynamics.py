@@ -3,13 +3,14 @@ adiabatic-frame coefficients, and overlap metrics.
 
 Two step rules. Each step of ``evolve`` applies exp(-i dt H/hbar) of the
 midpoint Hamiltonian, so its global error is O(dt^2); it serves every time
-callable, and the approximate counterdiabatic routes, the Trotter reference,
-the QSL, fast-forward and invariant runs use it. ``Magnus4Walk`` is fourth
-order and takes no time callable: it steps an evenly spaced grid from the
-operators at the grid points, which a caller that already holds them (the
-exact-CD walk of ``spectral``) hands over chunk by chunk. Population
-invariants at the 1e-7 level need norm preservation by construction, which
-generic adaptive ODE steppers do not guarantee.
+callable, and the Trotter reference and fast-forward runs use it.
+``Magnus4Walk`` is fourth order and takes no time callable: it steps an
+evenly spaced grid from the operators at the grid points, which a caller
+that already holds them hands over chunk by chunk. ``spectral.cd_walk`` is
+that caller for every counterdiabatic run, exact or approximate, and for the
+QSL partner trajectory. Population invariants at the 1e-7 level need norm
+preservation by construction, which generic adaptive ODE steppers do not
+guarantee.
 
 Time stacks. A time callable such as ``H_of_t`` maps a 1-D array of n times
 to an (n, D, D) stack; ``stack_at`` enforces that contract. Kernels walk a

@@ -39,14 +39,14 @@ gate, and a chunk of one time (every chunk at D >= 46), goes through the
 per-point match ``_align_frames``. ``counterdiabatic_term`` takes one matrix
 or an (n, D, D) stack.
 
-Exact counterdiabatic driving in one walk. ``exact_cd_walk`` makes one
-``eigh`` per grid chunk serve the eigenpath, the CD term and the propagation:
+Counterdiabatic driving in one walk. ``cd_walk`` makes one ``eigh`` per
+grid chunk serve the eigenpath and the propagation of every CD route:
 ``eigenpath`` hands each chunk's decomposition to a consumer, which forms
-A = H + H_cd at the grid points from it and feeds them to the fourth-order
-``dynamics.Magnus4Walk``. So an exact-CD run on an evenly spaced grid
-diagonalizes H once per grid point (plus the bisections of the tracker),
-where ``evolve`` of ``counterdiabatic_term`` would diagonalize it again at
-every step midpoint, for a second-order step.
+A = H + H_cd at the grid points, with the exact H_cd from that decomposition
+or the route's own H_cd, and feeds them to the fourth-order
+``dynamics.Magnus4Walk``. So a CD run on an evenly spaced grid diagonalizes
+H once per grid point (plus the bisections of the tracker) and evaluates its
+route once per grid point.
 """
 
 from __future__ import annotations
@@ -310,31 +310,33 @@ def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np
 
 @dataclass
 class CDWalk:
-    """An ``exact_cd_walk``: the eigenpath, the trajectory under H + H_cd from
-    the tracked ground state, and H_cd at the grid points when it was kept."""
+    """A ``cd_walk``: the eigenpath, the trajectory under H + H_cd from the
+    tracked ground state, and H_cd at the grid points when it was kept."""
 
     path: EigenPath
     trajectory: StateTrajectory
     cd: np.ndarray | None = None    # (n_t, D, D) H_cd at the grid points, or None
 
 
-def exact_cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.ndarray], np.ndarray],
-                  grid: np.ndarray, modes: list[int] | None = None, hbar: float = 1.0,
-                  keep_cd: bool = False) -> CDWalk:
+def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.ndarray], np.ndarray],
+            grid: np.ndarray, modes: list[int] | None = None, hbar: float = 1.0, keep_cd: bool = False,
+            cd_of_t: Callable[[np.ndarray], np.ndarray] | None = None) -> CDWalk:
     """Drive the ground state with H + H_cd along an evenly spaced grid, one
-    ``eigh`` per grid chunk serving the eigenpath, the CD term and the step.
+    ``eigh`` per grid chunk serving the eigenpath and the step.
 
-    ``eigenpath(H_of_t, grid, modes)`` tracks the frames; each chunk's
-    decomposition (E, V) and dH_of_t at its times give H_cd = V M V^dagger
-    at the grid points (``counterdiabatic_term``'s arithmetic, so the same
-    values bit for bit), and the ``Magnus4Walk`` steps H + H_cd at them. The
-    state starts in mode 0 at grid[0], in the path's gauge, so
-    trajectory.states[0] is the path's ground vector there. ``keep_cd`` keeps
-    the (n_t, D, D) stack of H_cd. The grid must be evenly spaced
-    (``uniform_step``, ValueError before any ``eigh``). A failed frame match
-    raises GridTooCoarseError, and a coupled closed gap at a grid point
-    DegeneracyError, as in ``eigenpath`` and ``counterdiabatic_term``; the
-    match is checked first, chunk by chunk.
+    ``eigenpath(H_of_t, grid, modes)`` tracks the frames. H_cd at each
+    chunk's grid points is ``cd_of_t`` of its times, a route's time-stacked
+    H_cd, or by default the exact term: the chunk's decomposition (E, V) and
+    dH_of_t give H_cd = V M V^dagger (``counterdiabatic_term``'s arithmetic,
+    so the same values bit for bit). The ``Magnus4Walk`` steps H + H_cd at
+    the grid points; the array a route returns is only read. The state starts
+    in mode 0 at grid[0], in the path's gauge, so trajectory.states[0] is the
+    path's ground vector there. ``keep_cd`` keeps the (n_t, D, D) stack of
+    H_cd. The grid must be evenly spaced (``uniform_step``, ValueError before
+    any ``eigh``). A failed frame match raises GridTooCoarseError before H_cd
+    of its chunk is formed or the route is called on it; a coupled closed gap
+    at a grid point raises DegeneracyError in the exact term, as in
+    ``counterdiabatic_term``.
     """
     grid = np.asarray(grid, dtype=float)
     uniform_step(grid)
@@ -343,13 +345,17 @@ def exact_cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[
     def on_chunk(start, H, E, V):
         nonlocal walk
         times = grid[start:start + len(H)]
-        cd = V @ _coupling(E, V, stack_at(dH_of_t, times), hbar, lambda t: f" at t = {times[t]}")[0]
-        cd = cd @ V.conj().swapaxes(1, 2)
+        if cd_of_t is None:
+            cd = V @ _coupling(E, V, stack_at(dH_of_t, times), hbar, lambda t: f" at t = {times[t]}")[0]
+            cd = cd @ V.conj().swapaxes(1, 2)
+        else:
+            cd = stack_at(cd_of_t, times)
         if keep_cd:
             cds.append(cd.copy())
         if start == 0:
             walk = Magnus4Walk(_initial_gauge(V[0, :, :1].copy())[:, 0], grid, hbar)
-        walk.push(np.add(cd, H, out=cd))
+        # the exact term is the walk's own array; a route's is only read
+        walk.push(np.add(cd, H, out=cd) if cd_of_t is None else H + cd)
 
     path = eigenpath(H_of_t, grid, modes, on_chunk)
     return CDWalk(path=path, trajectory=walk.trajectory(), cd=np.concatenate(cds) if keep_cd else None)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from shortcut_forge import cli, counterdiabatic_term, eigenpath
+from shortcut_forge.agp import algebraic_cd, odd_commutator_support
 from shortcut_forge.digitized import ORDERINGS, SAMPLINGS, digitization_error
 from shortcut_forge.dynamics import sample
 from shortcut_forge.models import landau_zener, random_hermitian_ramp, tfim_chain
@@ -308,7 +309,8 @@ def test_scenario_matrix(tmp_path, system, method):
     elif method == "ff":
         assert summary["max_population_deviation"] <= 1e-6
     else:
-        # the midpoint propagator is second order: doubling the grid quarters the residual
+        # nothing is propagated: invariant_residual takes dF/dt by np.gradient's centered
+        # differences, second order in the grid step, so doubling the grid quarters it
         _, fine = _run_conf(tmp_path, _pair_conf(system, method, 401), "fine")
         ratio = summary["max_von_neumann_residual"] / fine["max_von_neumann_residual"]
         assert 3.5 <= ratio <= 4.5
@@ -341,11 +343,14 @@ def test_tfim_exact_cd_stops_on_a_grid_too_coarse(tmp_path, capsys):
     assert "GridTooCoarseError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("system, shape", [("landau_zener", "linear"), ("random_hermitian", "smoothstep")])
-def test_exact_cd_coefficient_columns_are_the_library_cd_term(tmp_path, system, shape):
-    """The ``cd_coeff_*`` columns that the walk fills from its own H_cd are
-    the Pauli coefficients of ``counterdiabatic_term`` at the grid points."""
-    conf = {"system": system, "method": "exact_cd", "grid_points": 101, "parameters": {"schedule_shape": shape}}
+@pytest.mark.parametrize("system, shape, method", [("landau_zener", "linear", "exact_cd"),
+                                                   ("random_hermitian", "smoothstep", "exact_cd"),
+                                                   ("random_hermitian", "smoothstep", "algebraic")])
+def test_exact_cd_coefficient_columns_are_the_library_cd_term(tmp_path, system, shape, method):
+    """The ``cd_coeff_*`` columns that the walk fills from the H_cd it
+    stepped are the Pauli coefficients of the library route at the grid
+    points: ``counterdiabatic_term``, or the order-1 algebraic route."""
+    conf = {"system": system, "method": method, "grid_points": 101, "parameters": {"schedule_shape": shape}}
     if system == "random_hermitian":
         conf["parameters"].update(dim=4, seed=2)
     rc, _ = _run_conf(tmp_path, conf)
@@ -355,9 +360,33 @@ def test_exact_cd_coefficient_columns_are_the_library_cd_term(tmp_path, system, 
         data = np.loadtxt(fh, delimiter=",")
     model = landau_zener() if system == "landau_zener" else random_hermitian_ramp(4, seed=2, shape=shape)
     basis = pauli_basis(int(np.log2(model.dim)))
-    cds = sample(lambda t: counterdiabatic_term(model.hamiltonian(t), model.dhamiltonian(t)), data[:, 0])
+
+    def route(t):
+        H, dH = model.hamiltonian(t), model.dhamiltonian(t)
+        if method == "exact_cd":
+            return counterdiabatic_term(H, dH)
+        return algebraic_cd(H, dH, basis, support=odd_commutator_support(H, dH, basis, max_order=1))
+
+    cds = sample(route, data[:, 0])
     columns = [header.index(f"cd_coeff_{lab.lower()}") for lab in basis.labels]
     assert np.abs(data[:, columns] - gram_matrix(basis.elements, cds).real.T).max() <= 1e-14
+
+
+def test_approximate_route_is_evaluated_once_per_grid_point(tmp_path, monkeypatch):
+    """The Krylov route of a 101-point Landau-Zener run is evaluated at the
+    101 grid times the walk steps from and the ``cd_coeff_*`` columns read,
+    and at no other time."""
+    times = []
+    krylov_cd = cli.krylov_cd
+
+    def counting(H, *args, **kwargs):
+        times.append(len(H))
+        return krylov_cd(H, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "krylov_cd", counting)
+    rc, _ = _run_conf(tmp_path, {"system": "landau_zener", "method": "krylov", "grid_points": 101})
+    assert rc == 0
+    assert sum(times) == 101
 
 
 def test_lz_trotter_infidelity_is_the_library_digitization_error(tmp_path):

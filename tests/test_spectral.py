@@ -8,10 +8,10 @@ from shortcut_forge import (
     adiabatic_coefficients,
     adiabatic_state,
     adiabaticity_metric,
+    cd_walk,
     counterdiabatic_term,
     eigenpath,
     evolve,
-    exact_cd_walk,
     geometric_integrand,
     quantum_geometric_tensor,
 )
@@ -20,6 +20,7 @@ from shortcut_forge.dynamics import sample
 from shortcut_forge.models import DrivenSystem, landau_zener, random_hermitian, random_hermitian_ramp
 from shortcut_forge.schedule import Schedule
 from shortcut_forge import spectral
+from shortcut_forge.agp import variational_cd
 from shortcut_forge.spectral import MAX_REFINE, OVERLAP_MIN, _align_frames, _initial_gauge, discrete_connection
 
 from conftest import SX, SY, SZ, cd_driven, discrete_berry_phase, lz_cd_oracle, stacked
@@ -631,14 +632,15 @@ class TestCounterdiabaticStack:
             eigenpath(lambda t: SZ, np.linspace(0, 1, 5))
 
 
-class TestExactCDWalk:
-    """One eigh per grid chunk serves the eigenpath, H_cd and a fourth-order
-    Magnus step."""
+class TestCDWalk:
+    """One eigh per grid chunk serves the eigenpath, the exact H_cd and a
+    fourth-order Magnus step; an approximate route's H_cd is evaluated once
+    per grid point and stepped the same way."""
 
     @staticmethod
     def _walk(system, n_t, **kwargs):
         grid = np.linspace(0.0, system.duration, n_t)
-        return exact_cd_walk(system.hamiltonian, system.dhamiltonian, grid, **kwargs)
+        return cd_walk(system.hamiltonian, system.dhamiltonian, grid, **kwargs)
 
     @pytest.mark.parametrize("system", [landau_zener(), random_hermitian_ramp(4, seed=0)], ids=["lz", "rh4"])
     def test_fourth_order(self, system):
@@ -656,7 +658,7 @@ class TestExactCDWalk:
         D = 4, one time per chunk at D = 50."""
         system = random_hermitian_ramp(dim, seed=3)
         grid = np.linspace(0.0, 1.0, 41)
-        walk = exact_cd_walk(system.hamiltonian, system.dhamiltonian, grid, modes=[0])
+        walk = cd_walk(system.hamiltonian, system.dhamiltonian, grid, modes=[0])
         path = eigenpath(system.hamiltonian, grid, modes=[0])
         assert np.array_equal(walk.path.energies, path.energies)
         assert np.array_equal(walk.path.vectors, path.vectors)
@@ -682,7 +684,7 @@ class TestExactCDWalk:
         system = landau_zener()
         H_of_t = lambda t: calls.append(t) or system.hamiltonian(t)
         with pytest.raises(ValueError, match="grid"):
-            exact_cd_walk(H_of_t, system.dhamiltonian, grid)
+            cd_walk(H_of_t, system.dhamiltonian, grid)
         assert calls == []
 
     def test_uncoupled_crossing_at_a_grid_point_runs(self):
@@ -702,7 +704,7 @@ class TestExactCDWalk:
         the drive couples the closed gap."""
         system = landau_zener(delta=0.0)
         with pytest.raises(DegeneracyError, match="levels 0 and 1 are degenerate at t = 0.5"):
-            exact_cd_walk(system.hamiltonian, lambda t: np.broadcast_to(SX, (len(t), 2, 2)),
+            cd_walk(system.hamiltonian, lambda t: np.broadcast_to(SX, (len(t), 2, 2)),
                           np.linspace(0.0, 1.0, 21))
 
     def test_a_failed_frame_match_is_raised_ahead_of_a_closed_gap(self):
@@ -711,3 +713,61 @@ class TestExactCDWalk:
         system = DrivenSystem(H0=np.zeros((2, 2), dtype=complex), H1=SX, schedule=Schedule.linear(-1.0, 1.0, 1.0))
         with pytest.raises(GridTooCoarseError, match="and 0.5 after 12 refinement levels"):
             self._walk(system, 21)
+
+    @staticmethod
+    def _variational(system, calls=None):
+        def cd_of_t(t):
+            if calls is not None:
+                calls.append(t.copy())
+            return variational_cd(system.hamiltonian(t), system.dhamiltonian(t), 1)
+        return cd_of_t
+
+    def test_fourth_order_on_a_variational_route(self):
+        """An order-1 variational route on a D = 8 ramp: each halving of the
+        step cuts the final-state error against a 6401-point walk 16 +- 3 fold,
+        21 -> 41 -> 81 -> 161 points."""
+        system = random_hermitian_ramp(8, seed=1, shape="linear")
+        route = self._variational(system)
+        ref = self._walk(system, 6401, cd_of_t=route).trajectory.final()
+        errs = [np.linalg.norm(self._walk(system, n, cd_of_t=route).trajectory.final() - ref)
+                for n in (21, 41, 81, 161)]
+        ratios = [errs[i] / errs[i + 1] for i in range(3)]
+        assert all(13.0 <= r <= 19.0 for r in ratios), ratios
+
+    def test_route_cd_is_the_route_at_the_grid_points_bit_for_bit(self):
+        """201 points of D = 8 span four time chunks; the kept H_cd is the
+        route sampled on the grid, and the route sees each grid time once."""
+        system = random_hermitian_ramp(8, seed=1, shape="linear")
+        calls = []
+        walk = self._walk(system, 201, keep_cd=True, cd_of_t=self._variational(system, calls))
+        assert np.array_equal(walk.cd, sample(self._variational(system), walk.path.grid))
+        assert np.array_equal(np.concatenate(calls), walk.path.grid)
+
+    def test_a_failed_frame_match_is_raised_before_the_route_sees_its_chunk(self):
+        """H = lambda sx vanishes at grid point 10, inside the second time
+        chunk: the route has seen the first chunk, t = 0, alone."""
+        system = DrivenSystem(H0=np.zeros((2, 2), dtype=complex), H1=SX, schedule=Schedule.linear(-1.0, 1.0, 1.0))
+        calls = []
+        with pytest.raises(GridTooCoarseError, match="and 0.5 after 12 refinement levels"):
+            self._walk(system, 21, cd_of_t=self._variational(system, calls))
+        assert [t.tolist() for t in calls] == [[0.0]]
+
+    def test_a_read_only_route_stack_runs(self):
+        """A route that returns a read-only broadcast of zeros steps H alone:
+        the same states as a route that returns fresh zeros."""
+        system = landau_zener()
+        read_only = self._walk(system, 21, keep_cd=True,
+                               cd_of_t=lambda t: np.broadcast_to(np.zeros((2, 2), dtype=complex), (len(t), 2, 2)))
+        fresh = self._walk(system, 21, cd_of_t=lambda t: np.zeros((len(t), 2, 2), dtype=complex))
+        assert not read_only.cd.any()
+        assert np.array_equal(read_only.trajectory.states, fresh.trajectory.states)
+
+    def test_a_cached_route_array_is_left_unchanged(self):
+        """At D = 50 every time chunk holds one time, and the route hands back
+        the same (1, D, D) array on every call: the walk only reads it."""
+        system = random_hermitian_ramp(50, seed=3)
+        cache = 0.01 * random_hermitian(50, np.random.default_rng(0))[None]
+        saved = cache.copy()
+        walk = self._walk(system, 11, keep_cd=True, cd_of_t=lambda t: cache)
+        assert np.array_equal(cache, saved)
+        assert np.array_equal(walk.cd, np.broadcast_to(saved, walk.cd.shape))
