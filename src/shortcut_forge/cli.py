@@ -84,8 +84,8 @@ _METHOD_KEYS = {
 }
 #: keys that the tables give a pair but its runner does not read: the
 #: random_hermitian Trotter baseline splits the constant pair (H0, H1) with
-#: the plain product, the other Trotter runs need the ground states at 0 and
-#: T only, and the 1-D grid steps its own x grid and time steps
+#: the plain product, the other Trotter runs read their eigenpath at the slice
+#: ends only, and the 1-D grid steps its own x grid and time steps
 _UNREAD = {
     ("random_hermitian", "trotter"): ("grid_points", "parameters.schedule_shape", "trotter.ordering",
                                       "trotter.sampling"),
@@ -94,6 +94,8 @@ _UNREAD = {
     ("landau_zener", "ff"): ("ff.n_steps",),
     ("grid_1d", "ff"): ("grid_points",),
 }
+#: the 1-D grid ff run checks the density at the ends of this many equal time segments
+_FF_SEGMENTS = 8
 #: value rules by dotted key: (predicate, what it requires)
 _RULES = {
     "grid_points": (lambda v: v >= 3, "at least 3"),
@@ -116,6 +118,10 @@ _RULES = {
     "trotter.sampling": (lambda v: v in SAMPLINGS, f"one of {SAMPLINGS}"),
     "trotter.total_time": (lambda v: v > 0, "positive"),
     "ff.rate": (lambda v: v > 0, "positive"),
+    "ff.n_steps": (lambda v: v >= _FF_SEGMENTS, f"at least {_FF_SEGMENTS}, one step per density check"),
+    "output.csv": (lambda v: v not in ("", ".", "..") and os.path.basename(v) == v, "a plain file name"),
+    # compare finds the summary among the run's *.json files
+    "output.summary": (lambda v: os.path.basename(v) == v and v.endswith(".json"), "a plain file name ending in .json"),
 }
 
 #: the algebraic trial basis holds D^2 - 1 operators of size D x D, so one CD
@@ -163,6 +169,8 @@ def validate_config(data: dict) -> dict:
     if method == "algebraic" and out["parameters"].get("dim", 0) > ALGEBRAIC_MAX_DIM:
         raise ConfigError(f"config key 'parameters.dim' must be at most {ALGEBRAIC_MAX_DIM} for method "
                           f"'algebraic', got {out['parameters']['dim']!r}")
+    if out["output"]["csv"] == out["output"]["summary"]:
+        raise ConfigError(f"config key 'output.summary' must differ from 'output.csv', got {out['output']['csv']!r}")
     return out
 
 
@@ -264,29 +272,45 @@ def _canonical_basis(dim: int):
 _LEVEL_COLUMNS_MAX = 8
 
 
-class _Reference:
-    """The adiabatic reference of a matrix scenario on [0, T] (T defaults to
-    the schedule's duration): the system, the grid and its eigenpath, the
-    tracked ground mode ``target`` and its initial state ``psi0``. The target
-    carries no adiabatic phase, because every reader (the fidelity, the
-    populations, the QSL stddev and |overlap|) drops the phase at each time.
-    A config without ``grid_points`` (a Trotter run) has the grid [0, T]. The
-    time callables it hands out are time-stacked.
+def _cd_route(system, conf: dict, method: str = "exact_cd"):
+    """cd(t) of a counterdiabatic route on ``system``; the approximate ones read ``order``."""
+    H, dH, hbar = system.hamiltonian, system.dhamiltonian, conf["hbar"]
+    if method == "exact_cd":
+        return lambda t: counterdiabatic_term(H(t), dH(t), hbar=hbar)
+    order = conf["order"]
+    if method == "variational":
+        return lambda t: variational_cd(H(t), dH(t), order, hbar=hbar)
+    if method == "krylov":
+        return lambda t: krylov_cd(H(t), dH(t), k_max=2 * order + 1, hbar=hbar)
+    basis = _canonical_basis(system.dim)     # algebraic
 
-    A ``route`` (a method name of ``cd``) runs ``cd_walk`` in place of the
-    plain ``eigenpath``: the walk drives psi0 with H + H_cd of that route by
-    the fourth-order Magnus step and keeps H_cd at the grid points at D <= 8
+    def cd(t):
+        Ht, dHt = H(t), dH(t)
+        support = odd_commutator_support(Ht, dHt, basis, max_order=order)
+        return algebraic_cd(Ht, dHt, basis, hbar=hbar, support=support)
+
+    return cd
+
+
+class _Reference:
+    """The adiabatic reference of a matrix scenario: the system, the
+    ``grid_points`` grid on its duration and the grid's eigenpath, the tracked
+    ground mode ``target`` and its initial state ``psi0``. The target carries
+    no adiabatic phase, because every reader (the fidelity, the populations,
+    the QSL stddev and |overlap|) drops the phase at each time.
+
+    A ``route`` (a method name of ``_cd_route``) runs ``cd_walk`` in place of
+    the plain ``eigenpath``: the walk drives psi0 with H + H_cd of that route
+    by the fourth-order Magnus step and keeps H_cd at the grid points at D <= 8
     (``self.walk``). A walked run reads no mode but the ground mode, except
     for its population columns at D <= 8, so above ``_LEVEL_COLUMNS_MAX`` its
     path keeps mode 0 alone, (n_t, D, 1) vectors instead of (n_t, D, D),
     while the tracking still gates every mode."""
 
-    def __init__(self, conf: dict, T: float | None = None, route: str | None = None):
-        self.conf = conf
+    def __init__(self, conf: dict, route: str | None = None):
         self.hbar = conf["hbar"]
         self.system = _build_system(conf)
-        self.T = self.system.duration if T is None else T
-        self.grid = np.linspace(0.0, self.T, conf.get("grid_points", 2))
+        self.grid = np.linspace(0.0, self.system.duration, conf["grid_points"])
         H, dim = self.system.hamiltonian, self.system.dim
         if route is None:
             self.path = eigenpath(H, self.grid)
@@ -294,33 +318,13 @@ class _Reference:
             modes = [0] if dim > _LEVEL_COLUMNS_MAX else None
             self.walk = cd_walk(H, self.system.dhamiltonian, self.grid, modes, self.hbar,
                                 keep_cd=dim <= _LEVEL_COLUMNS_MAX,
-                                cd_of_t=None if route == "exact_cd" else self.cd(route))
+                                cd_of_t=None if route == "exact_cd" else _cd_route(self.system, conf, route))
             self.path = self.walk.path
-        ground = self.path.vectors[:, :, self.path.column(0)]
-        self.psi0 = ground[0]
-        self.target = StateTrajectory(grid=self.grid, states=ground)
-
-    def cd(self, method: str = "exact_cd"):
-        """cd(t) of a counterdiabatic route; the approximate ones read ``order``."""
-        H, dH, hbar = self.system.hamiltonian, self.system.dhamiltonian, self.hbar
-        if method == "exact_cd":
-            return lambda t: counterdiabatic_term(H(t), dH(t), hbar=hbar)
-        order = self.conf["order"]
-        if method == "variational":
-            return lambda t: variational_cd(H(t), dH(t), order, hbar=hbar)
-        if method == "krylov":
-            return lambda t: krylov_cd(H(t), dH(t), k_max=2 * order + 1, hbar=hbar)
-        basis = _canonical_basis(self.system.dim)     # algebraic
-
-        def cd(t):
-            Ht, dHt = H(t), dH(t)
-            support = odd_commutator_support(Ht, dHt, basis, max_order=order)
-            return algebraic_cd(Ht, dHt, basis, hbar=hbar, support=support)
-
-        return cd
+        self.target = StateTrajectory(grid=self.grid, states=self.path.vectors[:, :, self.path.column(0)])
+        self.psi0 = self.target.states[0]
 
     def driven(self, cd):
-        """H + H_cd as a function of time."""
+        """H + H_cd as a time-stacked function of time."""
         return lambda t: self.system.hamiltonian(t) + cd(t)
 
     def populations(self, states: np.ndarray) -> np.ndarray:
@@ -374,26 +378,24 @@ def _trotter_scenario(conf: dict) -> dict:
         rows = np.column_stack([report.M_list.astype(float), report.values])
         return {"columns": ["m", "state_error"], "rows": rows, "summary": _fit_summary(report)}
 
-    ref = _Reference(conf, tr.get("total_time"))
-    T, psi0 = ref.T, ref.psi0
-    # the infidelity drops the phase, so the ground state at T is the target
-    target = ref.path.vectors[-1][:, ref.path.energies[-1].argmin()]
-    cd_of_t = ref.cd()
-    H_tot = ref.driven(cd_of_t)
+    system = _build_system(conf)
+    T = tr.get("total_time", system.duration)
+    cd_of_t = _cd_route(system, conf)
     M_list = np.asarray(sorted(tr["M_list"]), dtype=int)
+    slice_grids = [np.linspace(0.0, T, M + 1) for M in M_list]
+    # H + H_cd carries the tracked mode exactly: it is the exact state at the slice ends up to a phase
+    path = eigenpath(system.hamiltonian, sorted(set(np.concatenate(slice_grids).tolist())), modes=[0])
+    mode = path.vectors[:, :, 0]
     infidelity, bounds, observed = [], [], []
-    for M in M_list:
+    for M, slice_grid in zip(M_list, slice_grids):
         plan = TrotterPlan(M=int(M), T=T, ordering=tr["ordering"], sampling=tr["sampling"])
-        steps_dig = trotter_step_unitaries(ref.system.hamiltonian, cd_of_t, plan, hbar=hbar)
-        slice_grid = np.linspace(0.0, T, int(M) + 1)
-        # the exact reference: 8 midpoint sub-steps of H + H_cd per slice
-        exact = evolve(H_tot, psi0, slice_grid, steps_per_interval=8, hbar=hbar).states
-        psi_dig = psi0
+        steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan, hbar=hbar)
+        exact = mode[np.searchsorted(path.grid, slice_grid)]
+        psi_dig = mode[0]
         for U in steps_dig:
             psi_dig = U @ psi_dig
-        rep = qsl_discrete(steps_dig, exact, grid=slice_grid)
-        infidelity.append(1.0 - fidelity(target, psi_dig))
-        bounds.append(rep.bound[-1])
+        infidelity.append(1.0 - fidelity(mode[-1], psi_dig))
+        bounds.append(qsl_discrete(steps_dig, exact, grid=slice_grid).bound[-1])
         observed.append(abs(np.vdot(exact[-1], psi_dig)))
     report = fit_scaling(M_list, np.array(infidelity), "infidelity")
     columns = ["m", "infidelity", "qsl_bound", "observed_overlap"]
@@ -410,8 +412,8 @@ def _ff_scenario(conf: dict) -> dict:
         return _grid_ff_scenario(conf)
     rate = conf["ff"]["rate"]
     ref = _Reference(conf)
-    rescale = TimeRescaling.uniform(rate, ref.T / rate)
-    cd_of_s = ref.cd()
+    rescale = TimeRescaling.uniform(rate, ref.system.duration / rate)
+    cd_of_s = _cd_route(ref.system, conf)
     H_ff = lambda t: ff_of_cd(ref.system.hamiltonian, cd_of_s, rescale, t)
     grid_ff = ref.grid / rate
     traj = evolve(H_ff, ref.psi0, grid_ff, hbar=ref.hbar)
@@ -438,21 +440,19 @@ def _grid_ff_scenario(conf: dict) -> dict:
     rate, n_steps = conf["ff"]["rate"], conf["ff"]["n_steps"]
     ramp = GaussianWidthRamp(width_start=p["width_start"], width_stop=p["width_stop"], duration=p["duration"],
                              mass=p["mass"])
-    extent = p["x_extent"]
-    x = np.linspace(-extent / 2, extent / 2, p["x_points"], endpoint=False)
+    x = np.linspace(-p["x_extent"] / 2, p["x_extent"] / 2, p["x_points"], endpoint=False)
     grid_sys = GridSystem1D(x=x, mass=ramp.mass, r=lambda t: ramp.amplitude(x, t),
                             drdt=lambda t: ramp.amplitude_rate(x, t))
     T_ff = ramp.duration / rate
     rescale = TimeRescaling.uniform(rate, T_ff)
     psi = grid_sys.r(0.0).astype(complex)
-    n_check = 9
-    checks = np.linspace(0.0, T_ff, n_check)
+    checks = np.linspace(0.0, T_ff, _FF_SEGMENTS + 1)
     l2 = [0.0]
-    for i in range(n_check - 1):
-        seg = checks[i + 1] - checks[i]
+    for i in range(_FF_SEGMENTS):
+        steps = n_steps // _FF_SEGMENTS + (i < n_steps % _FF_SEGMENTS)    # the first segments take the rest
         psi = split_step_evolve(
             x, lambda tau, t0=checks[i]: ff_potential(grid_sys, rescale, t0 + tau, hbar=hbar),
-            psi, seg, max(n_steps // (n_check - 1), 1), ramp.mass, hbar=hbar)
+            psi, checks[i + 1] - checks[i], steps, ramp.mass, hbar=hbar)
         rho_t = grid_sys.density(rescale.s(checks[i + 1]))
         l2.append(float(np.sqrt(np.sum((np.abs(psi) ** 2 - rho_t) ** 2) * grid_sys.dx)))
     columns = ["time", "density_l2"]
@@ -463,8 +463,8 @@ def _grid_ff_scenario(conf: dict) -> dict:
 
 def _qsl_scenario(conf: dict) -> dict:
     ref = _Reference(conf, route="variational")
-    H1 = ref.driven(ref.cd())
-    H2 = ref.driven(ref.cd("variational"))
+    H1 = ref.driven(_cd_route(ref.system, conf))
+    H2 = ref.driven(_cd_route(ref.system, conf, "variational"))
     report = qsl_continuous(H1, H2, ref.target, other=ref.walk.trajectory, hbar=ref.hbar)
     columns = ["time", "angle", "bound", "observed", "margin"]
     rows = np.column_stack([ref.grid, report.angle, report.bound, report.observed, report.margin()])
@@ -483,7 +483,7 @@ def _invariant_scenario(conf: dict) -> dict:
     ref = _Reference(conf)
     grid, path = ref.grid, ref.path
     inv = DynamicalInvariant.from_modes(grid, path.vectors)
-    res = invariant_residual(ref.driven(ref.cd()), inv, hbar=ref.hbar)
+    res = invariant_residual(ref.driven(_cd_route(ref.system, conf)), inv, hbar=ref.hbar)
     drift = inv.eigenvalue_drift()
     columns = ["time", "eigenvalue_drift", "von_neumann_residual"]
     rows = np.column_stack([grid, drift, res])

@@ -404,6 +404,62 @@ def test_lz_trotter_infidelity_is_the_library_digitization_error(tmp_path):
     assert np.array_equal(data[:, 1], report.values)
 
 
+def _trotter_columns(tmp_path, conf):
+    rc, summary = _run_conf(tmp_path, conf)
+    assert rc == 0
+    return np.loadtxt(tmp_path / "run" / "timeseries.csv", delimiter=",", skiprows=1, ndmin=2), summary
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.02])
+def test_lz_trotter_overlap_and_infidelity_read_one_exact_state(tmp_path, delta):
+    """H + H_cd carries the tracked mode exactly, so the exact state at T is
+    that mode and the overlap with it closes the infidelity to 1 at every M,
+    also where H_cd peaks as 1/delta."""
+    data, _ = _trotter_columns(tmp_path, {**_LZ_TROTTER, "parameters": {"delta": delta}})
+    assert np.abs(data[:, 3] ** 2 + data[:, 1] - 1).max() <= 1e-14
+
+
+def test_lz_trotter_at_a_protected_crossing_is_exact(tmp_path):
+    """At delta = 0 the levels cross, H_cd = 0 and the digitized product is
+    the exact evolution: the tracked mode follows the crossing into the
+    state the run ends in."""
+    data, summary = _trotter_columns(tmp_path, {**_LZ_TROTTER, "parameters": {"delta": 0.0}})
+    assert data[:, 1].max() <= 1e-12
+    assert summary["fit_skipped"] and summary["qsl_certified"]
+
+
+def test_lz_trotter_reads_one_eigenpath_on_the_slice_ends(tmp_path, monkeypatch):
+    """psi0, every exact reference and the target come off one eigenpath on
+    the sorted union of the slice ends; nothing is integrated."""
+    grids = []
+
+    def recording(H_of_t, grid, *args, **kwargs):
+        grids.append(np.array(grid))
+        return eigenpath(H_of_t, grid, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Trotter reference is not integrated")
+
+    monkeypatch.setattr(cli, "eigenpath", recording)
+    monkeypatch.setattr(cli, "evolve", refuse)
+    M_list = [3, 5, 7, 12, 30]
+    _trotter_columns(tmp_path, {**_LZ_TROTTER, "trotter": {"M_list": M_list}})
+    ends = np.unique(np.concatenate([np.linspace(0.0, 1.0, M + 1) for M in M_list]))
+    assert len(grids) == 1 and np.array_equal(grids[0], ends)
+
+
+def test_grid_ff_takes_every_step(tmp_path):
+    """The steps are split over the density checks, the first segments taking
+    the remainder, so one step more changes the run."""
+    finals = []
+    for n_steps in (8, 9):
+        rc, summary = _run_conf(tmp_path, {"system": "grid_1d", "method": "ff", "ff": {"n_steps": n_steps}},
+                                f"n{n_steps}")
+        assert rc == 0
+        finals.append(summary["final_density_l2"])
+    assert finals[0] != finals[1]
+
+
 # ---------------------------------------------------------------------------
 # Every accepted key takes effect
 
@@ -607,6 +663,16 @@ _LZ_TROTTER = {"system": "landau_zener", "method": "trotter"}
     ({"system": "grid_1d", "method": "ff", "parameters": {"width_stop": -1.0}}, "parameters.width_stop"),
     ({**_LZ, "method": "trotter"}, "grid_points"),
     ({"system": "tfim_chain", "method": "trotter", "grid_points": 101}, "grid_points"),
+    # one split-step per density check at least
+    ({"system": "grid_1d", "method": "ff", "ff": {"n_steps": 0}}, "ff.n_steps"),
+    ({"system": "grid_1d", "method": "ff", "ff": {"n_steps": 7}}, "ff.n_steps"),
+    # output names are files in the output directory, and compare finds the summary among its *.json
+    ({**_LZ, "method": "exact_cd", "output": {"csv": ""}}, "output.csv"),
+    ({**_LZ, "method": "exact_cd", "output": {"csv": "sub/x.csv"}}, "output.csv"),
+    ({**_LZ, "method": "exact_cd", "output": {"csv": ".."}}, "output.csv"),
+    ({**_LZ, "method": "exact_cd", "output": {"summary": "sub/s.json"}}, "output.summary"),
+    ({**_LZ, "method": "exact_cd", "output": {"summary": "summary.txt"}}, "output.summary"),
+    ({**_LZ, "method": "exact_cd", "output": {"csv": "summary.json"}}, "output.summary"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, conf, key):
     rc, _ = _run_conf(tmp_path, conf)
