@@ -37,7 +37,7 @@ from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
 from .dynamics import StateTrajectory, evolve, fidelity
-from .errors import ConfigError, ShortcutForgeError
+from .errors import ConfigError, GridTooCoarseError, ShortcutForgeError
 from .fastforward import TimeRescaling, ff_of_cd
 from .gridff import GridSystem1D, ff_potential, split_step_evolve
 from .invariants import DynamicalInvariant, invariant_residual
@@ -45,7 +45,7 @@ from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim
 from .operators import gell_mann_basis, gram_matrix, pauli_basis
 from .qsl import qsl_continuous, qsl_discrete
 from .schedule import SHAPES
-from .spectral import cd_walk, counterdiabatic_term, eigenpath
+from .spectral import MAX_REFINE, cd_walk, counterdiabatic_term, eigenpath
 
 #: Every config key maps to its default, whose type is the key's type, or to a
 #: bare type when it has no default; a nested dict is a section of keys.
@@ -320,11 +320,12 @@ class _Reference:
                                 keep_cd=dim <= _LEVEL_COLUMNS_MAX,
                                 cd_of_t=None if route == "exact_cd" else _cd_route(self.system, conf, route))
             self.path = self.walk.path
-        self.target = StateTrajectory(grid=self.grid, states=self.path.vectors[:, :, self.path.column(0)])
-        self.psi0 = self.target.states[0]
+        ground = self.path.vectors[:, :, self.path.column(0)]
+        self.psi0 = ground[0]
+        self.target = StateTrajectory(grid=self.grid, states=ground)
 
     def driven(self, cd):
-        """H + H_cd as a time-stacked function of time."""
+        """H + H_cd as a function of time."""
         return lambda t: self.system.hamiltonian(t) + cd(t)
 
     def populations(self, states: np.ndarray) -> np.ndarray:
@@ -363,6 +364,24 @@ def _fit_summary(report) -> dict:
     return {k: getattr(report, k) for k in ("slope", "slope_stderr", "metric", "fit_skipped", "note")}
 
 
+def _carried_ground(H_of_t, times: np.ndarray) -> np.ndarray:
+    """Mode 0 of an eigenpath at ``times``: the state H + H_cd carries from
+    the ground state, up to a phase. The tracker passes an avoided crossing
+    inside one interval diabatically when the levels' overlap stays above its
+    gate, so each interval where mode 0 changes energy rank with an overlap
+    short of 1 (not a protected crossing, where H_cd = 0) is halved, up to
+    ``MAX_REFINE`` times."""
+    grid = times
+    for _ in range(MAX_REFINE + 1):
+        path = eigenpath(H_of_t, grid, modes=[0])
+        v, rank = path.vectors[:, :, 0], (path.energies < path.energies[:, :1]).sum(axis=1)
+        skipped = (rank[1:] != rank[:-1]) & (np.abs(np.einsum("ti,ti->t", v[:-1].conj(), v[1:])) < 1 - 1e-12)
+        if not skipped.any():
+            return v[np.searchsorted(grid, times)]
+        grid = np.insert(grid, np.flatnonzero(skipped) + 1, (grid[:-1] + grid[1:])[skipped] / 2)
+    raise GridTooCoarseError(f"mode 0 changes energy rank with overlap below 1 after {MAX_REFINE} refinement levels")
+
+
 def _trotter_scenario(conf: dict) -> dict:
     tr = conf["trotter"]
     hbar = conf["hbar"]
@@ -383,19 +402,19 @@ def _trotter_scenario(conf: dict) -> dict:
     cd_of_t = _cd_route(system, conf)
     M_list = np.asarray(sorted(tr["M_list"]), dtype=int)
     slice_grids = [np.linspace(0.0, T, M + 1) for M in M_list]
-    # H + H_cd carries the tracked mode exactly: it is the exact state at the slice ends up to a phase
-    path = eigenpath(system.hamiltonian, sorted(set(np.concatenate(slice_grids).tolist())), modes=[0])
-    mode = path.vectors[:, :, 0]
+    ends = np.array(sorted(set(np.concatenate(slice_grids).tolist())))
+    mode = _carried_ground(system.hamiltonian, ends)
     infidelity, bounds, observed = [], [], []
     for M, slice_grid in zip(M_list, slice_grids):
         plan = TrotterPlan(M=int(M), T=T, ordering=tr["ordering"], sampling=tr["sampling"])
         steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan, hbar=hbar)
-        exact = mode[np.searchsorted(path.grid, slice_grid)]
+        exact = mode[np.searchsorted(ends, slice_grid)]
         psi_dig = mode[0]
         for U in steps_dig:
             psi_dig = U @ psi_dig
+        rep = qsl_discrete(steps_dig, exact, grid=slice_grid)
         infidelity.append(1.0 - fidelity(mode[-1], psi_dig))
-        bounds.append(qsl_discrete(steps_dig, exact, grid=slice_grid).bound[-1])
+        bounds.append(rep.bound[-1])
         observed.append(abs(np.vdot(exact[-1], psi_dig)))
     report = fit_scaling(M_list, np.array(infidelity), "infidelity")
     columns = ["m", "infidelity", "qsl_bound", "observed_overlap"]
@@ -440,7 +459,8 @@ def _grid_ff_scenario(conf: dict) -> dict:
     rate, n_steps = conf["ff"]["rate"], conf["ff"]["n_steps"]
     ramp = GaussianWidthRamp(width_start=p["width_start"], width_stop=p["width_stop"], duration=p["duration"],
                              mass=p["mass"])
-    x = np.linspace(-p["x_extent"] / 2, p["x_extent"] / 2, p["x_points"], endpoint=False)
+    extent = p["x_extent"]
+    x = np.linspace(-extent / 2, extent / 2, p["x_points"], endpoint=False)
     grid_sys = GridSystem1D(x=x, mass=ramp.mass, r=lambda t: ramp.amplitude(x, t),
                             drdt=lambda t: ramp.amplitude_rate(x, t))
     T_ff = ramp.duration / rate

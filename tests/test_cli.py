@@ -419,13 +419,48 @@ def test_lz_trotter_overlap_and_infidelity_read_one_exact_state(tmp_path, delta)
     assert np.abs(data[:, 3] ** 2 + data[:, 1] - 1).max() <= 1e-14
 
 
-def test_lz_trotter_at_a_protected_crossing_is_exact(tmp_path):
+@pytest.mark.parametrize("M_list", [None, [3, 5, 7, 13]])
+def test_lz_trotter_at_a_protected_crossing_is_exact(tmp_path, M_list):
     """At delta = 0 the levels cross, H_cd = 0 and the digitized product is
     the exact evolution: the tracked mode follows the crossing into the
-    state the run ends in."""
-    data, summary = _trotter_columns(tmp_path, {**_LZ_TROTTER, "parameters": {"delta": 0.0}})
+    state the run ends in, also where no slice end falls on the crossing."""
+    trotter = {} if M_list is None else {"M_list": M_list}
+    data, summary = _trotter_columns(tmp_path, {**_LZ_TROTTER, "parameters": {"delta": 0.0}, "trotter": trotter})
     assert data[:, 1].max() <= 1e-12
     assert summary["fit_skipped"] and summary["qsl_certified"]
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.1])
+def test_lz_trotter_carries_the_ground_state_past_an_avoided_crossing_between_slice_ends(tmp_path, delta):
+    """With every slice count odd, no slice end falls on the avoided crossing
+    at T/2, and the levels at the slice ends beside it overlap by more than
+    the tracker's gate. The run still carries the ground state: its
+    infidelity is the library's against the ground state at T, and the
+    overlap closes it to 1."""
+    M_list = [3, 5, 7, 13]
+    data, summary = _trotter_columns(tmp_path, {**_LZ_TROTTER, "parameters": {"delta": delta},
+                                                "trotter": {"M_list": M_list}})
+    system = landau_zener(delta=delta)
+    path = eigenpath(system.hamiltonian, [0.0, system.duration])
+    cd = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
+    report = digitization_error(system.hamiltonian, cd, system.duration, np.array(M_list),
+                                path.vectors[-1][:, path.energies[-1].argmin()], psi0=path.vectors[0, :, 0])
+    assert np.array_equal(data[:, 1], report.values)
+    assert np.abs(data[:, 3] ** 2 + data[:, 1] - 1).max() <= 1e-14
+    assert summary["qsl_certified"]
+
+
+def test_carried_ground_refuses_a_rank_change_it_cannot_resolve():
+    """Levels that cross while their eigenvectors turn change rank with an
+    overlap short of 1 on every refinement: a grid error, not a silent
+    diabatic path."""
+    def H(t):
+        t = np.atleast_1d(t)[:, None, None]
+        n = np.cos(t) * np.array([[1, 0], [0, -1]]) + np.sin(t) * np.array([[0, 1], [1, 0]])
+        return (t - 0.5) * n
+
+    with pytest.raises(cli.GridTooCoarseError, match="energy rank"):
+        cli._carried_ground(H, np.linspace(0.0, 1.0, 4))
 
 
 def test_lz_trotter_reads_one_eigenpath_on_the_slice_ends(tmp_path, monkeypatch):
