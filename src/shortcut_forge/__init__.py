@@ -80,7 +80,7 @@ from .digitized import (
     trotter_cd_evolve,
     trotter_step_unitaries,
 )
-from .qsl import BoundReport, qsl_continuous, qsl_discrete, stddev_in_state
+from .qsl import BoundReport, qsl_continuous, qsl_discrete, qsl_from_integrand, stddev_in_state
 from . import models
 
 __version__ = "0.1.0"

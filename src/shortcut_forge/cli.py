@@ -36,16 +36,16 @@ from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
-from .dynamics import StateTrajectory, evolve, fidelity
+from .dynamics import StateTrajectory, fidelity, stack_at
 from .errors import ConfigError, GridTooCoarseError, ShortcutForgeError
-from .fastforward import TimeRescaling, ff_of_cd
+from .fastforward import TimeRescaling
 from .gridff import GridSystem1D, ff_potential, split_step_evolve
 from .invariants import DynamicalInvariant, invariant_residual
 from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim_chain
 from .operators import gell_mann_basis, gram_matrix, pauli_basis
-from .qsl import qsl_continuous, qsl_discrete
+from .qsl import qsl_discrete, qsl_from_integrand, stddev_in_state
 from .schedule import SHAPES
-from .spectral import MAX_REFINE, cd_walk, counterdiabatic_term, eigenpath
+from .spectral import MAX_REFINE, cd_walk, counterdiabatic_term, eigenpath, frame_cd
 
 #: Every config key maps to its default, whose type is the key's type, or to a
 #: bare type when it has no default; a nested dict is a section of keys.
@@ -294,20 +294,21 @@ def _cd_route(system, conf: dict, method: str = "exact_cd"):
 
 class _Reference:
     """The adiabatic reference of a matrix scenario: the system, the
-    ``grid_points`` grid on its duration and the grid's eigenpath, the tracked
-    ground mode ``target`` and its initial state ``psi0``. The target carries
-    no adiabatic phase, because every reader (the fidelity, the populations,
-    the QSL stddev and |overlap|) drops the phase at each time.
+    ``grid_points`` grid on its duration and the grid's eigenpath, and the
+    tracked ground mode ``target``. The target carries no adiabatic phase,
+    because every reader (the fidelity, the populations, the QSL stddev and
+    |overlap|) drops the phase at each time.
 
     A ``route`` (a method name of ``_cd_route``) runs ``cd_walk`` in place of
-    the plain ``eigenpath``: the walk drives psi0 with H + H_cd of that route
-    by the fourth-order Magnus step and keeps H_cd at the grid points at D <= 8
-    (``self.walk``). A walked run reads no mode but the ground mode, except
-    for its population columns at D <= 8, so above ``_LEVEL_COLUMNS_MAX`` its
-    path keeps mode 0 alone, (n_t, D, 1) vectors instead of (n_t, D, D),
-    while the tracking still gates every mode."""
+    the plain ``eigenpath``: the walk drives the target's first state with
+    H + H_cd of that route by the fourth-order Magnus step and keeps H_cd at
+    the grid points at D <= 8 (``self.walk``). A walked run reads no mode but
+    the ground mode, except for its population columns at D <= 8, so above
+    ``_LEVEL_COLUMNS_MAX`` its path keeps mode 0 alone, (n_t, D, 1) vectors
+    instead of (n_t, D, D), while the tracking still gates every mode.
+    ``on_chunk`` is ``cd_walk``'s consumer, with this reference first."""
 
-    def __init__(self, conf: dict, route: str | None = None):
+    def __init__(self, conf: dict, route: str | None = None, on_chunk=None):
         self.hbar = conf["hbar"]
         self.system = _build_system(conf)
         self.grid = np.linspace(0.0, self.system.duration, conf["grid_points"])
@@ -318,15 +319,10 @@ class _Reference:
             modes = [0] if dim > _LEVEL_COLUMNS_MAX else None
             self.walk = cd_walk(H, self.system.dhamiltonian, self.grid, modes, self.hbar,
                                 keep_cd=dim <= _LEVEL_COLUMNS_MAX,
-                                cd_of_t=None if route == "exact_cd" else _cd_route(self.system, conf, route))
+                                cd_of_t=None if route == "exact_cd" else _cd_route(self.system, conf, route),
+                                on_chunk=None if on_chunk is None else (lambda *chunk: on_chunk(self, *chunk)))
             self.path = self.walk.path
-        ground = self.path.vectors[:, :, self.path.column(0)]
-        self.psi0 = ground[0]
-        self.target = StateTrajectory(grid=self.grid, states=ground)
-
-    def driven(self, cd):
-        """H + H_cd as a function of time."""
-        return lambda t: self.system.hamiltonian(t) + cd(t)
+        self.target = StateTrajectory(grid=self.grid, states=self.path.vectors[:, :, self.path.column(0)])
 
     def populations(self, states: np.ndarray) -> np.ndarray:
         """|<n(t)|psi(t)>|^2 in the adiabatic basis of each grid time, shape (times, levels);
@@ -429,18 +425,14 @@ def _trotter_scenario(conf: dict) -> dict:
 def _ff_scenario(conf: dict) -> dict:
     if conf["system"] == "grid_1d":
         return _grid_ff_scenario(conf)
+    # a uniform fast-forward of CD driving is CD driving on a clock that runs rate times faster
     rate = conf["ff"]["rate"]
-    ref = _Reference(conf)
-    rescale = TimeRescaling.uniform(rate, ref.system.duration / rate)
-    cd_of_s = _cd_route(ref.system, conf)
-    H_ff = lambda t: ff_of_cd(ref.system.hamiltonian, cd_of_s, rescale, t)
-    grid_ff = ref.grid / rate
-    traj = evolve(H_ff, ref.psi0, grid_ff, hbar=ref.hbar)
-    # populations in the adiabatic basis at s(t) against the target's
-    pops = ref.populations(traj.states)
+    p = conf["parameters"]
+    ref = _Reference({**conf, "parameters": {**p, "duration": p["duration"] / rate}}, route="exact_cd")
+    pops = ref.populations(ref.walk.trajectory.states)
     dev = np.abs(pops - ref.populations(ref.target.states)).max(axis=1)
     columns = ["time", "population_deviation"]
-    cols = [grid_ff, dev]
+    cols = [ref.grid, dev]
     if ref.system.dim <= _LEVEL_COLUMNS_MAX:
         columns += [f"population_{n}" for n in range(ref.system.dim)]
         cols += list(pops.T)
@@ -482,10 +474,16 @@ def _grid_ff_scenario(conf: dict) -> dict:
 
 
 def _qsl_scenario(conf: dict) -> dict:
-    ref = _Reference(conf, route="variational")
-    H1 = ref.driven(_cd_route(ref.system, conf))
-    H2 = ref.driven(_cd_route(ref.system, conf, "variational"))
-    report = qsl_continuous(H1, H2, ref.target, other=ref.walk.trajectory, hbar=ref.hbar)
+    L = np.empty(conf["grid_points"])
+
+    def integrand(ref, start, H, E, V, kept, cd):
+        """stddev of exact H_cd - the walk's variational H_cd in the tracked ground state."""
+        times = ref.grid[start:start + len(H)]
+        exact = frame_cd(E, V, stack_at(ref.system.dhamiltonian, times), ref.hbar, times)
+        L[start:start + len(H)] = stddev_in_state(exact - cd, kept[:, :, 0])
+
+    ref = _Reference(conf, route="variational", on_chunk=integrand)
+    report = qsl_from_integrand(L, ref.target, other=ref.walk.trajectory, hbar=ref.hbar)
     columns = ["time", "angle", "bound", "observed", "margin"]
     rows = np.column_stack([ref.grid, report.angle, report.bound, report.observed, report.margin()])
     summary = {
@@ -503,7 +501,14 @@ def _invariant_scenario(conf: dict) -> dict:
     ref = _Reference(conf)
     grid, path = ref.grid, ref.path
     inv = DynamicalInvariant.from_modes(grid, path.vectors)
-    res = invariant_residual(ref.driven(_cd_route(ref.system, conf)), inv, hbar=ref.hbar)
+    H, dH = ref.system.hamiltonian, ref.system.dhamiltonian
+
+    def driven(t):
+        """H + H_cd at grid times t, H_cd from the path's own frames there."""
+        i = np.searchsorted(grid, t)
+        return H(t) + frame_cd(path.energies[i], path.vectors[i], stack_at(dH, t), ref.hbar, t)
+
+    res = invariant_residual(driven, inv, hbar=ref.hbar)
     drift = inv.eigenvalue_drift()
     columns = ["time", "eigenvalue_drift", "von_neumann_residual"]
     rows = np.column_stack([grid, drift, res])

@@ -3,7 +3,7 @@ adiabatic-frame coefficients, and overlap metrics.
 
 Two step rules. Each step of ``evolve`` applies exp(-i dt H/hbar) of the
 midpoint Hamiltonian, so its global error is O(dt^2); it serves every time
-callable, and the fast-forward run uses it.
+callable on any grid, evenly spaced or not. No CLI scenario calls it.
 ``Magnus4Walk`` is fourth order and takes no time callable: it steps an
 evenly spaced grid from the operators at the grid points, which a caller
 that already holds them hands over chunk by chunk. ``spectral.cd_walk`` is

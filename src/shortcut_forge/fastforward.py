@@ -18,6 +18,9 @@ the method to counterdiabatic (CD) driving, and the tests check both:
    reproduces the nonadiabatic reference populations at s(t). In the gauge
    of relation 1 it equals H + (ds/dt)(H_cd - U_f H_cd U_f^dag): fast-forwarded
    CD plus the term that restores the reference's transitions.
+
+The CLI's matrix ff run uses relation 1 on the uniform clock s = rate t, as CD
+driving of the model rescaled to duration T / rate: ``ff_of_cd`` is H' + H'_cd.
 """
 
 from __future__ import annotations

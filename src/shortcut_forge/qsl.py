@@ -75,14 +75,20 @@ def qsl_continuous(
     """Continuous bound from the reference trajectory (solving either H_1 or H_2).
 
     The integrand L(t_i) is evaluated on the reference grid, one time stack
-    per chunk, and accumulated with the trapezoid rule. When the other
-    trajectory is supplied the per-time |overlap| is reported alongside for
-    the inequality check.
+    per chunk, and ``qsl_from_integrand`` assembles the bound from it.
     """
-    grid = reference.grid
-    L = np.empty(len(grid))
-    for start, dHm in time_chunks(lambda t: stack_at(H1_of_t, t) - stack_at(H2_of_t, t), grid):
+    L = np.empty(len(reference.grid))
+    for start, dHm in time_chunks(lambda t: stack_at(H1_of_t, t) - stack_at(H2_of_t, t), reference.grid):
         L[start:start + len(dHm)] = stddev_in_state(dHm, reference.states[start:start + len(dHm)])
+    return qsl_from_integrand(L, reference, other, hbar)
+
+
+def qsl_from_integrand(L: np.ndarray, reference: StateTrajectory, other: StateTrajectory | None = None,
+                       hbar: float = 1.0) -> BoundReport:
+    """The continuous bound from the integrand L(t_i) on the reference grid:
+    the trapezoid angle (1/hbar) int L, its cosine and, given the other
+    trajectory on the same grid, the per-time |overlap| for the check."""
+    grid = reference.grid
     angle = cumulative_trapezoid(L, grid) / hbar
     observed = None
     if other is not None:

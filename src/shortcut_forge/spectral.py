@@ -15,11 +15,11 @@ is needed and the module needs numpy alone.
 One kernel, ``_coupling``, gives the coupling matrix
 M_nm = i hbar <n|dH|m> / (E_m - E_n) from an eigendecomposition (E, V) of H
 and from dH; ``_eigenbasis_coupling`` runs it on its own ``eigh`` of H. The CD
-term (or, for dH = d_lambda H, the gauge potential) is V M V^dagger, the
-adiabaticity metric |M_nm| / |E_m - E_n|, the geometric tensor
-Re <n|A_i A_j|n> / hbar^2. A closed gap contributes zero where nothing couples
-across it, as at a symmetry-protected crossing, and raises DegeneracyError
-where something does.
+term (or, for dH = d_lambda H, the gauge potential) is V M V^dagger, formed
+by ``frame_cd`` from frames its caller holds, the adiabaticity metric
+|M_nm| / |E_m - E_n|, the geometric tensor Re <n|A_i A_j|n> / hbar^2. A
+closed gap contributes zero where nothing couples across it, as at a
+symmetry-protected crossing, and raises DegeneracyError where something does.
 One function, ``discrete_connection``, gives the overlaps <n(t_i)|n(t_{i+1})>
 behind every geometric and Lewis-Riesenfeld phase.
 
@@ -192,11 +192,11 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     vectors, and its energies and kept columns are those of the full path,
     bit for bit.
 
-    ``on_chunk(start, H, E, V)``, when given, receives each grid chunk's
-    (n, D, D) stack H = H_of_t(grid[start:start + n]) and its ``eigh`` output
-    (E, V), in ascending order as ``eigh`` gives them, once the chunk's
-    frames are aligned: a failed match in the chunk is raised first. The
-    bisection midpoints are not handed on.
+    ``on_chunk(start, H, E, V, kept)``, when given, receives each chunk's
+    stack H = H_of_t(grid[start:start + n]), its ascending ``eigh`` output
+    (E, V) and its aligned kept vectors, vectors[start:start + n] of the path,
+    once the chunk's frames are aligned: a failed match in the chunk is raised
+    first. The bisection midpoints are not handed on.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or not grid.size:
@@ -247,7 +247,7 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                 vectors[i] = V_prev[:, cols]
                 pos += 1
         if on_chunk is not None:
-            on_chunk(start, H, E, V)
+            on_chunk(start, H, E, V, vectors[start:start + len(H)])
     return EigenPath(grid=grid, energies=energies, vectors=vectors, modes=keep)
 
 
@@ -303,9 +303,19 @@ def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np
     With dH = d_lambda H, a parameter derivative, the result is the adiabatic
     gauge potential A_lambda, and H_cd = lambda_dot . A_lambda.
     """
-    _, V, M, _ = _eigenbasis_coupling(H, dH, hbar)
-    out = V @ M @ V.conj().swapaxes(1, 2)
+    Hs = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
+    out = frame_cd(*np.linalg.eigh(Hs), np.asarray(dH, dtype=complex).reshape((-1,) + Hs.shape[1:]), hbar)
     return out[0] if np.ndim(H) == 2 else out
+
+
+def frame_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float = 1.0, times: np.ndarray | None = None):
+    """``counterdiabatic_term`` V M V^dagger from eigenframes a caller holds:
+    (n, D) energies E and (n, D, D) vectors V of H at n times, in any matching
+    column order and phases, and the (n, D, D) stack dH. A coupled closed gap
+    raises DegeneracyError naming t = times[k], or stack index k."""
+    where = ((lambda k: f" at t = {times[k]}") if times is not None
+             else (lambda k: f" at stack index {k}" if len(E) > 1 else ""))
+    return V @ _coupling(E, V, dH, hbar, where)[0] @ V.conj().swapaxes(1, 2)
 
 
 @dataclass
@@ -320,44 +330,45 @@ class CDWalk:
 
 def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.ndarray], np.ndarray],
             grid: np.ndarray, modes: list[int] | None = None, hbar: float = 1.0, keep_cd: bool = False,
-            cd_of_t: Callable[[np.ndarray], np.ndarray] | None = None) -> CDWalk:
+            cd_of_t: Callable[[np.ndarray], np.ndarray] | None = None, on_chunk: Callable | None = None) -> CDWalk:
     """Drive the ground state with H + H_cd along an evenly spaced grid, one
     ``eigh`` per grid chunk serving the eigenpath and the step.
 
     ``eigenpath(H_of_t, grid, modes)`` tracks the frames. H_cd at each
     chunk's grid points is ``cd_of_t`` of its times, a route's time-stacked
     H_cd, or by default the exact term: the chunk's decomposition (E, V) and
-    dH_of_t give H_cd = V M V^dagger (``counterdiabatic_term``'s arithmetic,
-    so the same values bit for bit). The ``Magnus4Walk`` steps H + H_cd at
-    the grid points; the array a route returns is only read. The state starts
-    in mode 0 at grid[0], in the path's gauge, so trajectory.states[0] is the
-    path's ground vector there. ``keep_cd`` keeps the (n_t, D, D) stack of
-    H_cd. The grid must be evenly spaced (``uniform_step``, ValueError before
-    any ``eigh``). A failed frame match raises GridTooCoarseError before H_cd
-    of its chunk is formed or the route is called on it; a coupled closed gap
-    at a grid point raises DegeneracyError in the exact term, as in
-    ``counterdiabatic_term``.
+    dH_of_t give H_cd = ``frame_cd`` (E, V, dH), the values of
+    ``counterdiabatic_term`` bit for bit. The ``Magnus4Walk`` steps H + H_cd
+    at the grid points; the array a route returns is only read. The state
+    starts in mode 0 at grid[0], in the path's gauge, so
+    trajectory.states[0] is the path's ground vector there. ``keep_cd`` keeps
+    the (n_t, D, D) stack of H_cd. The grid must be evenly spaced
+    (``uniform_step``, ValueError before any ``eigh``). A failed frame match
+    raises GridTooCoarseError before H_cd of its chunk is formed or the route
+    is called on it; a coupled closed gap at a grid point raises
+    DegeneracyError in the exact term, as in ``counterdiabatic_term``.
+
+    ``on_chunk(start, H, E, V, kept, cd)``, when given, reads ``eigenpath``'s
+    five arguments and the chunk's H_cd, valid during the call, once it is formed.
     """
     grid = np.asarray(grid, dtype=float)
     uniform_step(grid)
     walk, cds = None, []
 
-    def on_chunk(start, H, E, V):
+    def step(start, H, E, V, kept):
         nonlocal walk
         times = grid[start:start + len(H)]
-        if cd_of_t is None:
-            cd = V @ _coupling(E, V, stack_at(dH_of_t, times), hbar, lambda t: f" at t = {times[t]}")[0]
-            cd = cd @ V.conj().swapaxes(1, 2)
-        else:
-            cd = stack_at(cd_of_t, times)
+        cd = frame_cd(E, V, stack_at(dH_of_t, times), hbar, times) if cd_of_t is None else stack_at(cd_of_t, times)
         if keep_cd:
             cds.append(cd.copy())
+        if on_chunk is not None:
+            on_chunk(start, H, E, V, kept, cd)
         if start == 0:
             walk = Magnus4Walk(_initial_gauge(V[0, :, :1].copy())[:, 0], grid, hbar)
         # the exact term is the walk's own array; a route's is only read
         walk.push(np.add(cd, H, out=cd) if cd_of_t is None else H + cd)
 
-    path = eigenpath(H_of_t, grid, modes, on_chunk)
+    path = eigenpath(H_of_t, grid, modes, step)
     return CDWalk(path=path, trajectory=walk.trajectory(), cd=np.concatenate(cds) if keep_cd else None)
 
 

@@ -79,6 +79,27 @@ def test_ff_of_cd_at_rate_one_is_cd_driving(name):
         assert np.abs(ff_of_cd(system.hamiltonian, cd, rescale, t) - expected).max() <= 1e-14
 
 
+#: models by the duration they are built with
+_MODELS = {"lz": lambda T: landau_zener(duration=T),
+           "lz_smoothstep": lambda T: landau_zener(delta=0.7, duration=T, shape="smoothstep"),
+           "rh4": lambda T: random_hermitian_ramp(dim=4, seed=0, duration=T)}
+
+
+@pytest.mark.parametrize("rate, rel", [(2.0, 0.0), (0.5, 0.0), (3.0, 1e-14)])
+@pytest.mark.parametrize("name", _MODELS)
+def test_uniform_ff_of_cd_is_cd_of_the_model_on_the_faster_clock(name, rate, rel):
+    """On the uniform clock s = rate t, ff_of_cd is H' + H'_cd of the same
+    model built with duration T / rate: H'(t) = H(rate t) and dH' = rate dH.
+    At 101 times the two agree bit for bit where rate is a power of two, and
+    to rounding of the schedule's t / T' at rate 3."""
+    system = _MODELS[name](1.0)
+    fast = _MODELS[name](system.duration / rate)
+    t = np.linspace(0.0, fast.duration, 101)
+    ff = ff_of_cd(system.hamiltonian, _cd(system), TimeRescaling.uniform(rate, fast.duration), t)
+    cd = fast.hamiltonian(t) + _cd(fast)(t)
+    assert np.abs(ff - cd).max() <= rel * np.abs(cd).max()
+
+
 @pytest.mark.parametrize("rate", [2.0, 3.0])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_relation_1_ff_of_cd_is_a_gauge_of_the_generator_form(name, rate):

@@ -743,6 +743,22 @@ class TestCDWalk:
         assert np.array_equal(walk.cd, sample(self._variational(system), walk.path.grid))
         assert np.array_equal(np.concatenate(calls), walk.path.grid)
 
+    @pytest.mark.parametrize("dim, n_t, modes", [(4, 401, None), (48, 11, [0])], ids=["batched", "lone"])
+    @pytest.mark.parametrize("route", ["exact", "variational"])
+    def test_consumer_sees_each_chunk_kept_vectors_and_cd(self, dim, n_t, modes, route):
+        """The consumer sees the chunks in order, each once H_cd is formed:
+        its kept rows are the path's vectors and its cd rows the kept H_cd,
+        bit for bit, on batched chunks at D = 4 and on lone frames at D = 48."""
+        system = random_hermitian_ramp(dim, seed=0, shape="linear")
+        seen = []
+        walk = self._walk(system, n_t, modes=modes, keep_cd=True,
+                          cd_of_t=None if route == "exact" else self._variational(system),
+                          on_chunk=lambda start, H, E, V, kept, cd: seen.append((start, kept.copy(), cd.copy())))
+        starts = [start for start, _, _ in seen]
+        assert len(seen) > 2 and starts == [0] + np.cumsum([len(kept) for _, kept, _ in seen[:-1]]).tolist()
+        assert np.array_equal(np.concatenate([kept for _, kept, _ in seen]), walk.path.vectors)
+        assert np.array_equal(np.concatenate([cd for _, _, cd in seen]), walk.cd)
+
     def test_a_failed_frame_match_is_raised_before_the_route_sees_its_chunk(self):
         """H = lambda sx vanishes at grid point 10, inside the second time
         chunk: the route has seen the first chunk, t = 0, alone."""
