@@ -37,7 +37,7 @@ from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
 from .dynamics import StateTrajectory, fidelity, stack_at
-from .errors import ConfigError, GridTooCoarseError, ShortcutForgeError
+from .errors import ConfigError, ShortcutForgeError
 from .fastforward import TimeRescaling
 from .gridff import GridSystem1D, ff_potential, split_step_evolve
 from .invariants import DynamicalInvariant, invariant_residual
@@ -45,7 +45,7 @@ from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim
 from .operators import gell_mann_basis, gram_matrix, pauli_basis
 from .qsl import qsl_discrete, qsl_from_integrand, stddev_in_state
 from .schedule import SHAPES
-from .spectral import MAX_REFINE, cd_walk, counterdiabatic_term, eigenpath, frame_cd
+from .spectral import cd_walk, counterdiabatic_term, eigenpath, frame_cd
 
 #: Every config key maps to its default, whose type is the key's type, or to a
 #: bare type when it has no default; a nested dict is a section of keys.
@@ -301,12 +301,12 @@ class _Reference:
 
     A ``route`` (a method name of ``_cd_route``) runs ``cd_walk`` in place of
     the plain ``eigenpath``: the walk drives the target's first state with
-    H + H_cd of that route by the fourth-order Magnus step and keeps H_cd at
-    the grid points at D <= 8 (``self.walk``). A walked run reads no mode but
-    the ground mode, except for its population columns at D <= 8, so above
-    ``_LEVEL_COLUMNS_MAX`` its path keeps mode 0 alone, (n_t, D, 1) vectors
-    instead of (n_t, D, D), while the tracking still gates every mode.
-    ``on_chunk`` is ``cd_walk``'s consumer, with this reference first."""
+    H + H_cd of that route by the fourth-order Magnus step (``self.walk``). A
+    walked run reads no mode but the ground mode, except for its population
+    columns at D <= 8, so above ``_LEVEL_COLUMNS_MAX`` its path keeps mode 0
+    alone, (n_t, D, 1) vectors instead of (n_t, D, D), while the tracker's
+    overlap gate and rank guard still run on every mode. ``on_chunk`` is
+    ``cd_walk``'s consumer, with this reference first."""
 
     def __init__(self, conf: dict, route: str | None = None, on_chunk=None):
         self.hbar = conf["hbar"]
@@ -318,7 +318,6 @@ class _Reference:
         else:
             modes = [0] if dim > _LEVEL_COLUMNS_MAX else None
             self.walk = cd_walk(H, self.system.dhamiltonian, self.grid, modes, self.hbar,
-                                keep_cd=dim <= _LEVEL_COLUMNS_MAX,
                                 cd_of_t=None if route == "exact_cd" else _cd_route(self.system, conf, route),
                                 on_chunk=None if on_chunk is None else (lambda *chunk: on_chunk(self, *chunk)))
             self.path = self.walk.path
@@ -334,7 +333,13 @@ def _driven_scenario(conf: dict) -> dict:
     """CD-driving scenarios: drive the ground state with H + H_cd of the
     method's route on ``cd_walk`` and track the adiabatic target. At D <= 8
     the ``cd_coeff_*`` columns read the H_cd the walk stepped."""
-    ref = _Reference(conf, route=conf["method"])
+    cds = []
+
+    def keep(ref, start, H, E, V, kept, cd):
+        if ref.system.dim <= _LEVEL_COLUMNS_MAX:
+            cds.append(cd.copy())
+
+    ref = _Reference(conf, route=conf["method"], on_chunk=keep)
     traj = ref.walk.trajectory
     fid = np.abs(np.einsum("ti,ti->t", ref.target.states.conj(), traj.states))
     columns = ["time", "fidelity"]
@@ -344,7 +349,7 @@ def _driven_scenario(conf: dict) -> dict:
         cols += list(ref.populations(traj.states).T)
         basis = _canonical_basis(ref.system.dim)
         columns += [f"cd_coeff_{lab.lower()}" for lab in basis.labels]
-        cols += list(gram_matrix(basis.elements, ref.walk.cd).real)
+        cols += list(gram_matrix(basis.elements, np.concatenate(cds)).real)
     rows = np.column_stack(cols)
     summary = {
         "final_fidelity": float(fid[-1] ** 2),
@@ -358,24 +363,6 @@ def _driven_scenario(conf: dict) -> dict:
 
 def _fit_summary(report) -> dict:
     return {k: getattr(report, k) for k in ("slope", "slope_stderr", "metric", "fit_skipped", "note")}
-
-
-def _carried_ground(H_of_t, times: np.ndarray) -> np.ndarray:
-    """Mode 0 of an eigenpath at ``times``: the state H + H_cd carries from
-    the ground state, up to a phase. The tracker passes an avoided crossing
-    inside one interval diabatically when the levels' overlap stays above its
-    gate, so each interval where mode 0 changes energy rank with an overlap
-    short of 1 (not a protected crossing, where H_cd = 0) is halved, up to
-    ``MAX_REFINE`` times."""
-    grid = times
-    for _ in range(MAX_REFINE + 1):
-        path = eigenpath(H_of_t, grid, modes=[0])
-        v, rank = path.vectors[:, :, 0], (path.energies < path.energies[:, :1]).sum(axis=1)
-        skipped = (rank[1:] != rank[:-1]) & (np.abs(np.einsum("ti,ti->t", v[:-1].conj(), v[1:])) < 1 - 1e-12)
-        if not skipped.any():
-            return v[np.searchsorted(grid, times)]
-        grid = np.insert(grid, np.flatnonzero(skipped) + 1, (grid[:-1] + grid[1:])[skipped] / 2)
-    raise GridTooCoarseError(f"mode 0 changes energy rank with overlap below 1 after {MAX_REFINE} refinement levels")
 
 
 def _trotter_scenario(conf: dict) -> dict:
@@ -399,8 +386,8 @@ def _trotter_scenario(conf: dict) -> dict:
     M_list = np.asarray(sorted(tr["M_list"]), dtype=int)
     slice_grids = [np.linspace(0.0, T, M + 1) for M in M_list]
     ends = np.array(sorted(set(np.concatenate(slice_grids).tolist())))
-    mode = _carried_ground(system.hamiltonian, ends)
-    infidelity, bounds, observed = [], [], []
+    mode = eigenpath(system.hamiltonian, ends, modes=[0]).vectors[:, :, 0]
+    infidelity, bounds = [], []
     for M, slice_grid in zip(M_list, slice_grids):
         plan = TrotterPlan(M=int(M), T=T, ordering=tr["ordering"], sampling=tr["sampling"])
         steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan, hbar=hbar)
@@ -411,13 +398,12 @@ def _trotter_scenario(conf: dict) -> dict:
         rep = qsl_discrete(steps_dig, exact, grid=slice_grid)
         infidelity.append(1.0 - fidelity(mode[-1], psi_dig))
         bounds.append(rep.bound[-1])
-        observed.append(abs(np.vdot(exact[-1], psi_dig)))
     report = fit_scaling(M_list, np.array(infidelity), "infidelity")
-    columns = ["m", "infidelity", "qsl_bound", "observed_overlap"]
-    rows = np.column_stack([report.M_list.astype(float), report.values, bounds, observed])
+    columns = ["m", "infidelity", "qsl_bound"]
+    rows = np.column_stack([report.M_list.astype(float), report.values, bounds])
     summary = {
         **_fit_summary(report),
-        "qsl_certified": bool(all(o >= b - 1e-8 for o, b in zip(observed, bounds))),
+        "qsl_certified": bool((np.sqrt(1.0 - report.values) >= np.array(bounds) - 1e-8).all()),
     }
     return {"columns": columns, "rows": rows, "summary": summary}
 

@@ -55,7 +55,7 @@ class DynamicalInvariant:
     def from_operator(cls, grid: np.ndarray, F_of_t: Callable[[np.ndarray], np.ndarray]):
         """Diagonalize a supplied time-stacked F(t) on the grid by ``eigenpath``:
         one ``eigh`` call per time chunk, frames aligned in order, and an
-        interval whose mode overlap falls below ``spectral.OVERLAP_MIN`` (0.9)
+        interval that fails the overlap gate or the rank guard of ``eigenpath``
         bisected up to ``spectral.MAX_REFINE`` (12) levels, so F_of_t may be
         called between grid points; past that, GridTooCoarseError. F_of_t is
         evaluated by the tracker alone: ``operators`` is rebuilt from the

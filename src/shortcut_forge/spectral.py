@@ -10,7 +10,11 @@ squared overlaps of one mode sum to 1, so a best partner above 1/2 is unique
 and these choices form the best assignment. A best partner at or below 1/2
 leaves an overlap of at most 1/sqrt(2) < ``OVERLAP_MIN`` = 0.9, which
 ``eigenpath`` bisects or rejects whatever was matched, so no assignment solver
-is needed and the module needs numpy alone.
+is needed and the module needs numpy alone. An avoided crossing narrower
+than the grid keeps the overlap above 0.9, so the rank guard also bisects
+where a mode changes energy rank (its column in the ascending ``eigh`` frame)
+with an overlap below ``RANK_OVERLAP``: the modes follow the adiabatic
+continuation, and only fixed eigenvectors (overlap 1) let levels cross.
 
 One kernel, ``_coupling``, gives the coupling matrix
 M_nm = i hbar <n|dH|m> / (E_m - E_n) from an eigendecomposition (E, V) of H
@@ -35,9 +39,9 @@ Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
 1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
 grid one ``STACK_BYTES`` chunk per ``eigh`` call and tracks each chunk's
 frames together (``_track_frames``); only an interval that fails the overlap
-gate, and a chunk of one time (every chunk at D >= 46), goes through the
-per-point match ``_align_frames``. ``counterdiabatic_term`` takes one matrix
-or an (n, D, D) stack.
+gate or the rank guard, and a chunk of one time (every chunk at D >= 46),
+goes through the per-point match ``_align_frames``. ``counterdiabatic_term``
+takes one matrix or an (n, D, D) stack.
 
 Counterdiabatic driving in one walk. ``cd_walk`` makes one ``eigh`` per
 grid chunk serve the eigenpath and the propagation of every CD route:
@@ -62,6 +66,9 @@ from .errors import DegeneracyError, GridTooCoarseError
 
 #: smallest mode overlap |<n(t_i)|n(t_{i+1})>| that ``eigenpath`` accepts
 OVERLAP_MIN = 0.9
+
+#: a mode that changes energy rank with an overlap below this fails its interval
+RANK_OVERLAP = 1 - 1e-12
 
 #: bisection levels ``eigenpath`` tries on one grid interval before it gives up
 MAX_REFINE = 12
@@ -102,22 +109,28 @@ class EigenPath:
 
 def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
     """Match modes of V_cur to V_prev by overlap and fix phases; returns
-    (E, V, min_overlap) with Re <prev_n|cur_n> > 0.
+    (E, V, |<prev_n|cur_n>|, perm) with Re <prev_n|cur_n> > 0 and perm[n]
+    the column mode n took, its energy rank in an ascending frame.
 
     Mode n takes the column of V_cur of largest overlap |<prev_n|cur>|. Each
     row and column of P = |overlap|^2 between two orthonormal frames sums to 1,
     so when every row maximum exceeds 1/2 these columns form a permutation and
     the unique maximiser of sum_n P[n, perm(n)]. When a row maximum is at or
     below 1/2, that mode's overlap is at most 1/sqrt(2) < ``OVERLAP_MIN``, so
-    the returned min_overlap already tells ``eigenpath`` to bisect the interval
-    or raise; the match made there, a permutation or not, is never used.
+    the returned sizes already tell ``eigenpath`` to bisect the interval or
+    raise; the match made there, a permutation or not, is never used.
     """
     O = V_prev.conj().T @ V_cur
     perm = np.abs(O).argmax(axis=1)
     V = V_cur[:, perm]
     ov = O[np.arange(len(O)), perm]
     V *= np.exp(-1j * np.angle(ov))[None, :]
-    return E_cur[perm], V, float(np.abs(ov).min())
+    return E_cur[perm], V, np.abs(ov), perm
+
+
+def _fails(size: np.ndarray, rank_from: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Whether each interval, given its (..., D) overlaps and ranks, fails the gate or the rank guard."""
+    return (size.min(axis=-1) < OVERLAP_MIN) | ((rank != rank_from) & (size < RANK_OVERLAP)).any(axis=-1)
 
 
 def _initial_gauge(V: np.ndarray) -> np.ndarray:
@@ -128,22 +141,22 @@ def _initial_gauge(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _track_frames(V_from: np.ndarray, E: np.ndarray, V: np.ndarray):
+def _track_frames(V_from: np.ndarray, rank_from: np.ndarray, E: np.ndarray, V: np.ndarray):
     """Track a run of raw ``eigh`` frames (E[k], V[k]), k = 0 .. m - 1, from
-    the aligned frame V_from up to the first interval whose smallest mode
-    overlap falls below ``OVERLAP_MIN``: returns the aligned energies and
-    frames of that passing prefix, (j, D) and (j, D, D), the labels and
-    phases ``_align_frames`` gives frame by frame.
+    the aligned frame V_from of ranks rank_from up to the first interval that
+    ``_fails``: returns the aligned energies, frames and ranks of that
+    passing prefix, the labels and phases ``_align_frames`` gives frame by
+    frame.
 
     One batched product gives the raw overlaps R[k] = V[k]^H V[k+1]. An
     aligned frame is a raw frame with permuted, rephased columns, so the row
     of |overlap| that ``_align_frames`` maximizes for mode n at k is row
     perm[k - 1, n] of |R[k - 1]|: with r[k] the row argmaxes of |R[k]|, the
     labels compose as perm[k] = r[k - 1][perm[k - 1]], which a scan of
-    ``take_along_axis`` gives for every k in log2(m) steps. Mode n's phase at
-    k is the conjugate of the product of its unit overlaps up to k,
-    normalized; the product (not a sum of angles) keeps each step's overlap
-    real to rounding however far the phase has turned.
+    ``take_along_axis`` gives for every k in log2(m) steps; they are the
+    ranks. Mode n's phase at k is the conjugate of the product of its unit
+    overlaps up to k, normalized; the product (not a sum of angles) keeps
+    each step's overlap real to rounding however far the phase has turned.
     """
     O = V_from.conj().T @ V[0]
     R = V[:-1].conj().swapaxes(1, 2) @ V[1:]
@@ -156,14 +169,14 @@ def _track_frames(V_from: np.ndarray, E: np.ndarray, V: np.ndarray):
     ov[0] = O[np.arange(len(O)), perm[0]]
     ov[1:] = R[np.arange(len(R))[:, None], perm[:-1], perm[1:]]
     size = np.abs(ov)
-    fails = np.flatnonzero(size.min(axis=1) < OVERLAP_MIN)
+    fails = np.flatnonzero(_fails(size, np.concatenate([rank_from[None], perm[:-1]]), perm))
     j = int(fails[0]) if fails.size else len(ov)
     phase = np.cumprod(ov[:j].conj() / size[:j], axis=0)
     phase /= np.abs(phase)
     k, perm = np.arange(j)[:, None], perm[:j]
     frames = V[:j].swapaxes(1, 2)[k, perm].swapaxes(1, 2)     # frames[k] = V[k][:, perm[k]]
     frames *= phase[:, None, :]
-    return E[:j][k, perm], frames
+    return E[:j][k, perm], frames, perm
 
 
 def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
@@ -175,22 +188,22 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     overlaps of consecutive raw frames of the chunk, and with the overlap of
     the carried aligned frame and the chunk's first frame they give every
     point's labels and phases, the labels and phases of ``_align_frames``.
-    The first interval whose smallest mode overlap falls below
-    ``OVERLAP_MIN`` (0.9) is matched by ``_align_frames`` from the aligned
-    frame before it and bisected (the output grid is unchanged; only the
-    failing interval's midpoints are evaluated) up to ``MAX_REFINE`` (12)
-    levels, then GridTooCoarseError is raised; batched tracking resumes
-    after it. A chunk of one time (every chunk at D >= 46) takes the
-    per-point match directly. An empty grid or a non-finite time is a
-    ValueError before any ``eigh``.
+    The first interval that fails the overlap gate (``OVERLAP_MIN``, 0.9) or
+    the rank guard (``RANK_OVERLAP``) is matched by ``_align_frames`` from
+    the aligned frame before it and bisected (the output grid is unchanged;
+    only the failing interval's midpoints are evaluated) up to ``MAX_REFINE``
+    (12) levels, then GridTooCoarseError names the overlap or the mode;
+    batched tracking resumes after it. A chunk of one time (every chunk at
+    D >= 46) takes the per-point match directly. An empty grid or a
+    non-finite time is a ValueError before any ``eigh``.
 
     ``modes`` names the mode labels whose vectors the path keeps, every mode
     by default; the columns hold them in increasing label order. Tracking
-    always runs on the whole frame: only the previous aligned frame is held
-    between chunks, every mode passes the overlap gate, and the energies of
-    every mode are kept. So a path that keeps K modes stores (n_t, D, K)
-    vectors, and its energies and kept columns are those of the full path,
-    bit for bit.
+    always runs on the whole frame: only the previous aligned frame and its
+    ranks are held between chunks, every mode passes the overlap gate and the
+    rank guard, and the energies of every mode are kept. So a path that keeps
+    K modes stores (n_t, D, K) vectors, and its energies and kept columns are
+    those of the full path, bit for bit.
 
     ``on_chunk(start, H, E, V, kept)``, when given, receives each chunk's
     stack H = H_of_t(grid[start:start + n]), its ascending ``eigh`` output
@@ -209,18 +222,19 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
         E, V = np.linalg.eigh(stack_at(H_of_t, np.array([t])))
         return E[0], V[0]
 
-    def connect(t0, V_from, t1, E1, V1, depth):
-        E, V, ov = _align_frames(V_from, E1, V1)
-        if ov >= OVERLAP_MIN:
-            return E, V
+    def connect(t0, V_from, rank_from, t1, E1, V1, depth):
+        E, V, size, rank = _align_frames(V_from, E1, V1)
+        if not _fails(size, rank_from, rank):
+            return E, V, rank
         if depth >= MAX_REFINE:
-            raise GridTooCoarseError(
-                f"mode overlap {ov:.3f} < {OVERLAP_MIN} between t = {t0} and {t1} "
-                f"after {MAX_REFINE} refinement levels"
-            )
+            where = f"between t = {t0} and {t1} after {MAX_REFINE} refinement levels"
+            if size.min() < OVERLAP_MIN:
+                raise GridTooCoarseError(f"mode overlap {size.min():.3f} < {OVERLAP_MIN} {where}")
+            n = int(np.flatnonzero((rank != rank_from) & (size < RANK_OVERLAP))[0])
+            raise GridTooCoarseError(f"mode {n} changes energy rank with overlap {size[n]:.15g} {where}")
         tm = 0.5 * (t0 + t1)
-        _, Vm = connect(t0, V_from, tm, *eig_at(tm), depth + 1)
-        return connect(tm, Vm, t1, E1, V1, depth + 1)
+        _, Vm, rank_m = connect(t0, V_from, rank_from, tm, *eig_at(tm), depth + 1)
+        return connect(tm, Vm, rank_m, t1, E1, V1, depth + 1)
 
     for start, H in time_chunks(H_of_t, grid):
         E, V = np.linalg.eigh(H)
@@ -232,18 +246,18 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
             cols = slice(None) if modes is None else keep      # a view when every mode is kept
             energies = np.empty((len(grid), D))
             vectors = np.empty((len(grid), D, len(keep)), dtype=complex)
-            V_prev = _initial_gauge(V[0].copy())
+            V_prev, rank = _initial_gauge(V[0].copy()), np.arange(D)
             energies[0], vectors[0] = E[0], V_prev[:, cols]
         pos = int(start == 0)
         while pos < len(H):
             if len(H) - pos > 1:    # batched, up to the first failing interval
-                E_al, frames = _track_frames(V_prev, E[pos:], V[pos:])
+                E_al, frames, ranks = _track_frames(V_prev, rank, E[pos:], V[pos:])
                 i, pos = start + pos, pos + len(frames)
                 energies[i:start + pos], vectors[i:start + pos] = E_al, frames[:, :, cols]
-                V_prev = frames[-1] if len(frames) else V_prev
+                V_prev, rank = (frames[-1], ranks[-1]) if len(frames) else (V_prev, rank)
             if pos < len(H):        # a lone frame, or the failing interval, matched and bisected as needed
                 i = start + pos
-                energies[i], V_prev = connect(grid[i - 1], V_prev, grid[i], E[pos], V[pos], 0)
+                energies[i], V_prev, rank = connect(grid[i - 1], V_prev, rank, grid[i], E[pos], V[pos], 0)
                 vectors[i] = V_prev[:, cols]
                 pos += 1
         if on_chunk is not None:
@@ -320,16 +334,15 @@ def frame_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float = 1.0, ti
 
 @dataclass
 class CDWalk:
-    """A ``cd_walk``: the eigenpath, the trajectory under H + H_cd from the
-    tracked ground state, and H_cd at the grid points when it was kept."""
+    """A ``cd_walk``: the eigenpath and the trajectory under H + H_cd from
+    the tracked ground state."""
 
     path: EigenPath
     trajectory: StateTrajectory
-    cd: np.ndarray | None = None    # (n_t, D, D) H_cd at the grid points, or None
 
 
 def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.ndarray], np.ndarray],
-            grid: np.ndarray, modes: list[int] | None = None, hbar: float = 1.0, keep_cd: bool = False,
+            grid: np.ndarray, modes: list[int] | None = None, hbar: float = 1.0,
             cd_of_t: Callable[[np.ndarray], np.ndarray] | None = None, on_chunk: Callable | None = None) -> CDWalk:
     """Drive the ground state with H + H_cd along an evenly spaced grid, one
     ``eigh`` per grid chunk serving the eigenpath and the step.
@@ -341,26 +354,24 @@ def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.nd
     ``counterdiabatic_term`` bit for bit. The ``Magnus4Walk`` steps H + H_cd
     at the grid points; the array a route returns is only read. The state
     starts in mode 0 at grid[0], in the path's gauge, so
-    trajectory.states[0] is the path's ground vector there. ``keep_cd`` keeps
-    the (n_t, D, D) stack of H_cd. The grid must be evenly spaced
-    (``uniform_step``, ValueError before any ``eigh``). A failed frame match
-    raises GridTooCoarseError before H_cd of its chunk is formed or the route
-    is called on it; a coupled closed gap at a grid point raises
+    trajectory.states[0] is the path's ground vector there. The grid must be
+    evenly spaced (``uniform_step``, ValueError before any ``eigh``). A failed
+    frame match raises GridTooCoarseError before H_cd of its chunk is formed
+    or the route is called on it; a coupled closed gap at a grid point raises
     DegeneracyError in the exact term, as in ``counterdiabatic_term``.
 
     ``on_chunk(start, H, E, V, kept, cd)``, when given, reads ``eigenpath``'s
-    five arguments and the chunk's H_cd, valid during the call, once it is formed.
+    five arguments and the chunk's H_cd, valid during the call, once it is
+    formed: a caller that keeps H_cd copies it.
     """
     grid = np.asarray(grid, dtype=float)
     uniform_step(grid)
-    walk, cds = None, []
+    walk = None
 
     def step(start, H, E, V, kept):
         nonlocal walk
         times = grid[start:start + len(H)]
         cd = frame_cd(E, V, stack_at(dH_of_t, times), hbar, times) if cd_of_t is None else stack_at(cd_of_t, times)
-        if keep_cd:
-            cds.append(cd.copy())
         if on_chunk is not None:
             on_chunk(start, H, E, V, kept, cd)
         if start == 0:
@@ -369,7 +380,7 @@ def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.nd
         walk.push(np.add(cd, H, out=cd) if cd_of_t is None else H + cd)
 
     path = eigenpath(H_of_t, grid, modes, step)
-    return CDWalk(path=path, trajectory=walk.trajectory(), cd=np.concatenate(cds) if keep_cd else None)
+    return CDWalk(path=path, trajectory=walk.trajectory())
 
 
 @dataclass

@@ -119,11 +119,11 @@ class TestAlignFrames:
         if scrambled:
             p = rng.permutation(D)
             E_cur, V_cur = E_cur[p], V_cur[:, p] * np.exp(2j * np.pi * rng.random(D))
-        E, V, ov = _align_frames(V_prev, E_cur, V_cur)
+        E, V, size, rank = _align_frames(V_prev, E_cur, V_cur)
         E_ref, V_ref, ov_ref = _lsap_align(V_prev, E_cur, V_cur)
-        assert np.array_equal(E, E_ref)
+        assert np.array_equal(E, E_ref) and np.array_equal(E_cur[rank], E_ref)
         assert np.abs(V - V_ref).max() <= 1e-15
-        assert abs(ov - ov_ref) <= 1e-15
+        assert abs(size.min() - ov_ref) <= 1e-15
 
     def test_ambiguous_frame_fails_the_overlap_test(self):
         """A row maximum of |overlap|^2 below 1/2 caps that mode's overlap at
@@ -132,8 +132,8 @@ class TestAlignFrames:
         V_prev, V_cur = frame(0.0), frame(1.0)
         P = np.abs(V_prev.conj().T @ V_cur) ** 2
         assert P[0].max() < 0.5
-        _, _, ov = _align_frames(V_prev, np.arange(4.0), V_cur)
-        assert ov <= 1 / np.sqrt(2) < OVERLAP_MIN
+        _, _, size, _ = _align_frames(V_prev, np.arange(4.0), V_cur)
+        assert size.min() <= 1 / np.sqrt(2) < OVERLAP_MIN
 
 
 class TestEigenpathRefinement:
@@ -177,6 +177,24 @@ class TestEigenpathRefinement:
         assert str(err.value) == (
             "mode overlap 0.707 < 0.9 between t = 0.333251953125 and 0.33349609375 "
             "after 12 refinement levels"
+        )
+
+    @pytest.mark.parametrize("modes", [None, [0]])
+    def test_a_rank_change_it_cannot_resolve_raises(self, modes):
+        """Levels that cross while their eigenvectors turn, H = (t - 1/2) n(t).sigma
+        with n(t) = (sin t, 0, cos t), change energy rank with an overlap short
+        of 1 on every refinement: eigh's frame of H(1/2) = 0 is the identity,
+        which the turning vectors beside it overlap by about cos(1/4). A grid
+        error naming the mode and its overlap, not a silent diabatic path."""
+        def H(t):
+            t = np.asarray(t, dtype=float)[:, None, None]
+            return (t - 0.5) * (np.cos(t) * SZ + np.sin(t) * SX)
+
+        with pytest.raises(GridTooCoarseError) as err:
+            eigenpath(H, np.linspace(0.0, 1.0, 4), modes=modes)
+        assert str(err.value) == (
+            "mode 0 changes energy rank with overlap 0.968902354015668 between t = 0.5 and "
+            "0.5000813802083333 after 12 refinement levels"
         )
 
 
@@ -242,6 +260,30 @@ class TestKeptModes:
             "after 12 refinement levels"
         )
 
+    def test_a_dropped_pair_crossing_between_grid_points_is_bisected(self):
+        """D = 3: the ground mode is e_0 at energy -5 throughout, and levels 1
+        and 2 are those of (t - 1/2) sz + 0.005 sx on (e_1, e_2), an avoided
+        crossing at t = 1/2 between the grid points 0.4 and 0.6. Across that
+        interval the diabatic overlap cos(0.05) passes the gate, so only the
+        rank guard sees it: a ground-only path bisects there like the full
+        path, and modes 1 and 2 end on their own levels."""
+        def H(t):
+            t = np.asarray(t, dtype=float)
+            out = np.zeros((len(t), 3, 3), dtype=complex)
+            out[:, 0, 0] = -5.0
+            out[:, 1:, 1:] = (t - 0.5)[:, None, None] * SZ + 0.005 * SX
+            return out
+
+        grid, paths = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], []
+        for modes in (None, [0]):
+            calls = []
+            paths.append(eigenpath(lambda t: calls.append(list(t)) or H(t), np.array(grid), modes=modes))
+            assert calls[:3] == [grid[:1], grid[1:], [0.5]]
+        full, ground = paths
+        assert np.array_equal(ground.energies, full.energies)
+        assert np.array_equal(ground.vectors[:, :, 0], full.vectors[:, :, 0])
+        assert (np.diff(full.energies, axis=1) > 0).all()       # every mode keeps its energy rank
+
     def test_readers_work_on_kept_columns_and_reject_dropped_modes(self, lz):
         grid = np.linspace(0, 1, 201)
         full = eigenpath(lz.hamiltonian, grid)
@@ -267,27 +309,34 @@ class TestKeptModes:
 
 def _per_point_path(H_of_t, grid):
     """Reference tracker: ``_align_frames`` at every grid point from the
-    previous aligned frame, a failing interval bisected recursively. Returns
-    the (n_t, D) energies, (n_t, D, D) vectors and the number of bisected
-    intervals."""
+    previous aligned frame, an interval bisected recursively where a mode's
+    overlap falls below OVERLAP_MIN or a mode changes energy rank (the
+    ascending ``eigh`` column it matched) with an overlap below 1 - 1e-12.
+    Returns the (n_t, D) energies, (n_t, D, D) vectors and the number of
+    bisected intervals."""
     def eig(t):
         E, V = np.linalg.eigh(H_of_t(np.array([t])))
         return E[0], V[0]
 
-    def connect(t0, V_from, t1, depth):
-        E, V, ov = _align_frames(V_from, *eig(t1))
-        if ov >= OVERLAP_MIN:
-            return E, V
+    def match(V_from, rank_from, t1):
+        E, V, size, rank = _align_frames(V_from, *eig(t1))
+        ok = size.min() >= OVERLAP_MIN and not ((rank != rank_from) & (size < 1 - 1e-12)).any()
+        return E, V, rank, ok
+
+    def connect(t0, V_from, rank_from, t1, depth):
+        E, V, rank, ok = match(V_from, rank_from, t1)
+        if ok:
+            return E, V, rank
         assert depth < MAX_REFINE
         tm = 0.5 * (t0 + t1)
-        return connect(tm, connect(t0, V_from, tm, depth + 1)[1], t1, depth + 1)
+        return connect(tm, *connect(t0, V_from, rank_from, tm, depth + 1)[1:], t1, depth + 1)
 
     E, V = eig(grid[0])
-    energies, vectors = [E], [_initial_gauge(V.copy())]
+    energies, vectors, rank = [E], [_initial_gauge(V.copy())], np.arange(len(E))
     bisected = 0
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        bisected += _align_frames(vectors[-1], *eig(t1))[2] < OVERLAP_MIN
-        E, V = connect(t0, vectors[-1], t1, 0)
+        bisected += not match(vectors[-1], rank, t1)[3]
+        E, V, rank = connect(t0, vectors[-1], rank, t1, 0)
         energies.append(E)
         vectors.append(V)
     return np.array(energies), np.array(vectors), bisected
@@ -319,14 +368,20 @@ class TestChunkedTracker:
     """``eigenpath`` tracks a time chunk at a time; the per-point loop of
     ``_align_frames`` with bisection is its oracle."""
 
-    @pytest.mark.parametrize("case", ["lz_crossing", "mid_chunk_bisection", "rh2_complex_phases", "rh8_chunk_boundaries"])
+    @pytest.mark.parametrize("case", ["lz_crossing", "mid_chunk_bisection", "narrow_lz_avoided_crossing",
+                                      "rh2_complex_phases", "rh8_chunk_boundaries"])
     def test_matches_the_per_point_tracker(self, case, align_calls):
         """Energies and labels equal the oracle's, vectors to 1e-13 and of unit
-        norm, and only an interval that fails the overlap gate goes through
-        ``_align_frames`` (the crossing is passed by the chunk's labels)."""
+        norm, and only an interval that fails the overlap gate or the rank
+        guard goes through ``_align_frames`` (the protected crossing is passed
+        by the chunk's labels)."""
         if case == "lz_crossing":
             # delta = 0: the levels cross at grid point 1000, inside the 1024-time chunk [1, 1025)
             H_of_t, grid, bisected = landau_zener(delta=0.0).hamiltonian, np.linspace(0, 1, 2001), 0
+        elif case == "narrow_lz_avoided_crossing":
+            # delta = 0.003: the avoided crossing at t = 1/2 falls between grid points 99 and 100, inside
+            # the chunk [1, 200), where the diabatic overlap passes the gate and only the rank guard fails
+            H_of_t, grid, bisected = landau_zener(delta=0.003).hamiltonian, np.linspace(0, 1, 200), 1
         elif case == "mid_chunk_bisection":
             H_of_t, grid, bisected = _sharp_turn, np.linspace(0, 1, 101), 1
         elif case == "rh2_complex_phases":
@@ -642,6 +697,14 @@ class TestCDWalk:
         grid = np.linspace(0.0, system.duration, n_t)
         return cd_walk(system.hamiltonian, system.dhamiltonian, grid, **kwargs)
 
+    @staticmethod
+    def _walk_cd(system, n_t, **kwargs):
+        """The walk and the (n_t, D, D) H_cd it stepped, which a consumer
+        copies chunk by chunk."""
+        cds = []
+        walk = TestCDWalk._walk(system, n_t, on_chunk=lambda *chunk: cds.append(chunk[-1].copy()), **kwargs)
+        return walk, np.concatenate(cds)
+
     @pytest.mark.parametrize("system", [landau_zener(), random_hermitian_ramp(4, seed=0)], ids=["lz", "rh4"])
     def test_fourth_order(self, system):
         """Each halving of the step cuts the final-state error against a
@@ -668,15 +731,13 @@ class TestCDWalk:
 
     def test_cd_is_counterdiabatic_term_bit_for_bit(self):
         system = random_hermitian_ramp(4, seed=1, shape="linear")
-        walk = self._walk(system, 301, keep_cd=True)
-        cd = sample(lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t)), walk.path.grid)
-        assert np.array_equal(walk.cd, cd)
-        assert self._walk(system, 11).cd is None
+        walk, cd = self._walk_cd(system, 301)
+        assert np.array_equal(cd, sample(self._exact(system), walk.path.grid))
 
     def test_smoothstep_end_points_give_zero_cd(self):
-        walk = self._walk(random_hermitian_ramp(4, seed=0, shape="smoothstep"), 21, keep_cd=True)
-        assert not walk.cd[0].any() and not walk.cd[-1].any()
-        assert np.abs(walk.cd[10]).max() > 0.1
+        _, cd = self._walk_cd(random_hermitian_ramp(4, seed=0, shape="smoothstep"), 21)
+        assert not cd[0].any() and not cd[-1].any()
+        assert np.abs(cd[10]).max() > 0.1
 
     @pytest.mark.parametrize("grid", [np.geomspace(0.01, 1.0, 21), np.linspace(0.0, 1.0, 2)])
     def test_a_grid_that_is_not_evenly_spaced_raises_before_any_eigh(self, grid):
@@ -691,10 +752,10 @@ class TestCDWalk:
         """At delta = 0 the Landau-Zener levels cross at lambda = 0, which is
         grid point 10: the gap closes there, but nothing couples across it, so
         H_cd is zero and the state stays on the tracked mode."""
-        walk = self._walk(landau_zener(delta=0.0), 21, keep_cd=True)
+        walk, cd = self._walk_cd(landau_zener(delta=0.0), 21)
         E = walk.path.energies[10]
         assert E[0] == E[1] == 0.0
-        assert not walk.cd.any()
+        assert not cd.any()
         fid = np.abs(np.vdot(walk.path.vectors[-1, :, 0], walk.trajectory.final())) ** 2
         assert fid == pytest.approx(1.0, abs=1e-14)
 
@@ -713,6 +774,10 @@ class TestCDWalk:
         system = DrivenSystem(H0=np.zeros((2, 2), dtype=complex), H1=SX, schedule=Schedule.linear(-1.0, 1.0, 1.0))
         with pytest.raises(GridTooCoarseError, match="and 0.5 after 12 refinement levels"):
             self._walk(system, 21)
+
+    @staticmethod
+    def _exact(system):
+        return lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
 
     @staticmethod
     def _variational(system, calls=None):
@@ -735,29 +800,31 @@ class TestCDWalk:
         assert all(13.0 <= r <= 19.0 for r in ratios), ratios
 
     def test_route_cd_is_the_route_at_the_grid_points_bit_for_bit(self):
-        """201 points of D = 8 span four time chunks; the kept H_cd is the
+        """201 points of D = 8 span four time chunks; the stepped H_cd is the
         route sampled on the grid, and the route sees each grid time once."""
         system = random_hermitian_ramp(8, seed=1, shape="linear")
         calls = []
-        walk = self._walk(system, 201, keep_cd=True, cd_of_t=self._variational(system, calls))
-        assert np.array_equal(walk.cd, sample(self._variational(system), walk.path.grid))
+        walk, cd = self._walk_cd(system, 201, cd_of_t=self._variational(system, calls))
+        assert np.array_equal(cd, sample(self._variational(system), walk.path.grid))
         assert np.array_equal(np.concatenate(calls), walk.path.grid)
 
     @pytest.mark.parametrize("dim, n_t, modes", [(4, 401, None), (48, 11, [0])], ids=["batched", "lone"])
     @pytest.mark.parametrize("route", ["exact", "variational"])
     def test_consumer_sees_each_chunk_kept_vectors_and_cd(self, dim, n_t, modes, route):
         """The consumer sees the chunks in order, each once H_cd is formed:
-        its kept rows are the path's vectors and its cd rows the kept H_cd,
-        bit for bit, on batched chunks at D = 4 and on lone frames at D = 48."""
+        its kept rows are the path's vectors and its cd rows the route (or the
+        exact term) sampled on the grid, bit for bit, on batched chunks at
+        D = 4 and on lone frames at D = 48."""
         system = random_hermitian_ramp(dim, seed=0, shape="linear")
         seen = []
-        walk = self._walk(system, n_t, modes=modes, keep_cd=True,
+        walk = self._walk(system, n_t, modes=modes,
                           cd_of_t=None if route == "exact" else self._variational(system),
                           on_chunk=lambda start, H, E, V, kept, cd: seen.append((start, kept.copy(), cd.copy())))
         starts = [start for start, _, _ in seen]
         assert len(seen) > 2 and starts == [0] + np.cumsum([len(kept) for _, kept, _ in seen[:-1]]).tolist()
         assert np.array_equal(np.concatenate([kept for _, kept, _ in seen]), walk.path.vectors)
-        assert np.array_equal(np.concatenate([cd for _, _, cd in seen]), walk.cd)
+        cd_of_t = self._exact(system) if route == "exact" else self._variational(system)
+        assert np.array_equal(np.concatenate([cd for _, _, cd in seen]), sample(cd_of_t, walk.path.grid))
 
     def test_a_failed_frame_match_is_raised_before_the_route_sees_its_chunk(self):
         """H = lambda sx vanishes at grid point 10, inside the second time
@@ -772,10 +839,10 @@ class TestCDWalk:
         """A route that returns a read-only broadcast of zeros steps H alone:
         the same states as a route that returns fresh zeros."""
         system = landau_zener()
-        read_only = self._walk(system, 21, keep_cd=True,
-                               cd_of_t=lambda t: np.broadcast_to(np.zeros((2, 2), dtype=complex), (len(t), 2, 2)))
+        read_only, cd = self._walk_cd(
+            system, 21, cd_of_t=lambda t: np.broadcast_to(np.zeros((2, 2), dtype=complex), (len(t), 2, 2)))
         fresh = self._walk(system, 21, cd_of_t=lambda t: np.zeros((len(t), 2, 2), dtype=complex))
-        assert not read_only.cd.any()
+        assert not cd.any()
         assert np.array_equal(read_only.trajectory.states, fresh.trajectory.states)
 
     def test_a_cached_route_array_is_left_unchanged(self):
@@ -784,6 +851,6 @@ class TestCDWalk:
         system = random_hermitian_ramp(50, seed=3)
         cache = 0.01 * random_hermitian(50, np.random.default_rng(0))[None]
         saved = cache.copy()
-        walk = self._walk(system, 11, keep_cd=True, cd_of_t=lambda t: cache)
+        _, cd = self._walk_cd(system, 11, cd_of_t=lambda t: cache)
         assert np.array_equal(cache, saved)
-        assert np.array_equal(walk.cd, np.broadcast_to(saved, walk.cd.shape))
+        assert np.array_equal(cd, np.broadcast_to(saved, cd.shape))
