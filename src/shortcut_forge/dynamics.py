@@ -30,6 +30,15 @@ Numer. Anal. 34, 1911 (1997)) is at most ``KRYLOV_TOL`` times the norm of the
 state, so its step is unitary and exact to that bound; a step whose basis
 reaches D/2 first, where the basis costs about as much as the
 eigendecomposition, goes through the eigendecomposition instead.
+
+Held arrays. A ``Magnus4Walk`` whose chunks hold one time each allocates its
+D x D arrays once: the ring of the last four operators and four work arrays,
+which take the weighted node sums, the commutator product and the Hermitian
+part of ``lanczos_step``, and which ``spectral.cd_walk`` borrows for the
+exact H_cd between pushes. ``time_chunks`` (and ``spectral.eigenpath``, its
+reader) drop each chunk before the next is made, so the per-call arrays of
+the callables and of ``eigh`` reuse the same freed blocks at every grid point
+instead of growing the heap and faulting it in again after each trim.
 """
 
 from __future__ import annotations
@@ -65,9 +74,11 @@ def time_chunks(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray):
     start, n = 0, 1
     while start < len(times):
         H = stack_at(H_of_t, times[start:start + n])
+        D = H.shape[1]
         yield start, H
+        del H           # the next chunk's arrays then reuse its blocks
         start += n
-        n = max(1, STACK_BYTES // (16 * H.shape[1] ** 2))
+        n = max(1, STACK_BYTES // (16 * D ** 2))
 
 
 def sample(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> np.ndarray:
@@ -101,7 +112,7 @@ def step_unitary(H: np.ndarray, dt, hbar: float = 1.0) -> np.ndarray:
     return (V * phase[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray | None:
+def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float, work: np.ndarray | None = None) -> np.ndarray | None:
     """exp(-i tau H) psi by short-iterative Lanczos, or None when the basis
     reaches D/2 vectors before its defect bound holds.
 
@@ -116,43 +127,51 @@ def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float) -> np.ndarray | Non
     from its first nonzero Taylor term plus the tail of the series. The basis
     grows until that is at most ``KRYLOV_TOL`` (beta_m = 0, a breakdown,
     makes it 0), and T_m is diagonalized once. Past D/2 vectors the basis
-    costs about as much as a D x D eigendecomposition.
+    costs about as much as a D x D eigendecomposition. ``work``, a (D, D)
+    complex array other than H, receives A in place of a fresh array.
     """
-    A = 0.5 * (H + H.conj().T)
+    A = np.conjugate(H.T, out=np.empty_like(H) if work is None else work)
+    A += H
+    A *= 0.5
     x = tau * math.sqrt(np.vdot(A, A).real)
     norm = math.sqrt(np.vdot(psi, psi).real)
     cap = len(psi) // 2
     V = np.empty((cap + 1, len(psi)), dtype=complex)
-    V[0] = psi / norm
-    alpha, beta = np.empty(cap), np.empty(cap)
+    Vc = np.empty_like(V)           # the conjugated basis: <V_k|w> is one product
+    np.divide(psi, norm, out=V[0])
+    np.conjugate(V[0], out=Vc[0])
+    alpha, beta = [], []
     lead, tail = 1.0, x * math.exp(x) if x < 700.0 else math.inf
     for m in range(1, cap + 1):
-        Vm = V[:m]
         w = A @ V[m - 1]
         a = 0.0
         for _ in range(2):
-            h = (Vm @ w.conj()).conj()
-            w -= h @ Vm
+            h = Vc[:m] @ w
+            w -= h @ V[:m]
             a += h[m - 1].real
-        alpha[m - 1], beta[m - 1] = a, math.sqrt(np.vdot(w, w).real)
-        if beta[m - 1] == 0.0 or tau * beta[m - 1] * (lead + tail) <= KRYLOV_TOL:
+        b = math.sqrt(np.vdot(w, w).real)
+        alpha.append(a)
+        beta.append(b)
+        if b == 0.0 or tau * b * (lead + tail) <= KRYLOV_TOL:
             break
-        V[m] = w / beta[m - 1]
-        lead *= tau * beta[m - 1] / m
+        np.divide(w, b, out=V[m])
+        np.conjugate(V[m], out=Vc[m])
+        lead *= tau * b / m
         tail *= x / (m + 1)
     else:
         return None
-    T = np.diag(alpha[:m]) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
+    T = np.zeros((m, m))
+    T.flat[::m + 1], T.flat[1::m + 1], T.flat[m::m + 1] = alpha, beta[:-1], beta[:-1]
     theta, S = np.linalg.eigh(T)
     return norm * ((S @ (np.exp(-1j * tau * theta) * S[0])) @ V[:m])
 
 
-def _chunk_states(H: np.ndarray, psi: np.ndarray, dt: np.ndarray, hbar: float):
+def _chunk_states(H: np.ndarray, psi: np.ndarray, dt: np.ndarray, hbar: float, work: np.ndarray | None = None):
     """Yield the state after each step of one time chunk: by ``lanczos_step``
-    when the chunk holds one time and its basis suffices, else by one batched
-    eigendecomposition of the chunk."""
+    (with its ``work`` array) when the chunk holds one time and its basis
+    suffices, else by one batched eigendecomposition of the chunk."""
     if len(H) == 1:
-        psi_next = lanczos_step(H[0], psi, dt[0] / hbar)
+        psi_next = lanczos_step(H[0], psi, dt[0] / hbar, work)
         if psi_next is not None:
             yield psi_next
             return
@@ -256,6 +275,15 @@ class Magnus4Walk:
     per interval when it holds one. The walk holds the (at most 3) earlier
     nodes a later interval reads, besides the chunk. ``uniform_step`` checks
     the grid, and psi0 must be normalized (ValueError otherwise).
+
+    While every push holds one time (every chunk at D >= 46) the ring is four
+    operators, and a step makes no D x D array: one (2, 4) by (4, D^2)
+    product of the weights, permuted to the ring's slots, gives sum_k w_k A_k
+    and a0 without gathering the nodes, and the commutator product and the
+    Hermitian part of ``lanczos_step`` are written into ``work``, the walk's
+    four (D, D) work arrays. A push copies A into the ring before it steps, so
+    a caller may form A in ``work`` between pushes. A walk that has taken a
+    chunk of several times steps from gathered nodes, as a stack.
     """
 
     def __init__(self, psi0: np.ndarray, grid: np.ndarray, hbar: float = 1.0):
@@ -270,6 +298,7 @@ class Magnus4Walk:
         # grid point k is ring[k % len(ring)]; the ring holds the chunk and
         # the 3 points before it, which a later interval may still read
         self.ring = np.empty((0, len(psi), len(psi)), dtype=complex)
+        self.work = np.empty((4, len(psi), len(psi)), dtype=complex)
         self.known = 0          # grid points pushed so far
         self.next = 0           # the next interval to step
 
@@ -283,7 +312,8 @@ class Magnus4Walk:
         if known > n_t:
             raise ValueError(f"the walk takes {n_t} grid points, got {known}")
         if len(A) + 3 > len(self.ring):
-            ring = np.empty((len(A) + 3, D, D), dtype=complex)
+            # zeros: a 3-point grid's one-time product reads the unused slot with weight 0
+            ring = np.zeros((len(A) + 3, D, D), dtype=complex)
             held = np.arange(max(0, self.known - 3), self.known)
             ring[held % len(ring)] = self.ring[held % len(self.ring)]
             self.ring = ring
@@ -297,13 +327,15 @@ class Magnus4Walk:
         for j in range(self.next, stop, per):
             i = np.arange(j, min(j + per, stop))
             for k, psi in enumerate(_chunk_states(self._operator(i), self.states[j], np.full(len(i), self.h),
-                                                  self.hbar), j + 1):
+                                                  self.hbar, self.work[3]), j + 1):
                 self.states[k] = psi
         self.next = max(self.next, stop)
 
     def _operator(self, i: np.ndarray) -> np.ndarray:
         """The (len(i), D, D) stack of H_eff of the intervals i."""
         n_t, s, ring = len(self.grid), min(len(self.grid), 4), self.ring
+        if len(ring) == 4:
+            return self._held_operator(int(i[0]))
         w, m = (table[np.where(i == 0, 0, np.where(i == n_t - 2, 2, 1))] for table in _MAGNUS4[s])
         lo = np.clip(i - 1, 0, n_t - s)
         H = np.zeros((len(i),) + ring.shape[1:], dtype=complex)
@@ -320,6 +352,26 @@ class Magnus4Walk:
         P *= 1j * self.h / (12 * self.hbar)
         H += P
         return H
+
+    def _held_operator(self, i: int) -> np.ndarray:
+        """The (1, D, D) H_eff of interval i when every push held one time, in
+        ``work``: one product of the (2, 4) weights, permuted to the ring's
+        slots, with the ring gives sum_k w_k A_k and a0, and the commutator
+        product writes into the held arrays too."""
+        n_t, ring, work = len(self.grid), self.ring, self.work
+        s = min(n_t, 4)
+        row, lo = (0 if i == 0 else 2 if i == n_t - 2 else 1), min(max(i - 1, 0), n_t - s)
+        C = np.zeros((2, 4))
+        C[:, (lo + np.arange(s)) % 4] = [table[row] for table in _MAGNUS4[s]]
+        np.matmul(C, ring.reshape(4, -1).view(float), out=work[:2].reshape(2, -1).view(float))
+        H, a0, diff, P = work
+        np.subtract(ring[(i + 1) % 4], ring[i % 4], out=diff)
+        np.matmul(a0, diff, out=P)
+        Ph = np.conjugate(P.T, out=a0)
+        P -= Ph
+        P *= 1j * self.h / (12 * self.hbar)
+        H += P
+        return work[:1]
 
     def trajectory(self) -> StateTrajectory:
         """The states at every grid point; ValueError until every interval is stepped."""

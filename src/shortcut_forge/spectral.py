@@ -38,10 +38,12 @@ ValueError for a mode it did not keep.
 Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
 1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
 grid one ``STACK_BYTES`` chunk per ``eigh`` call and tracks each chunk's
-frames together (``_track_frames``); only an interval that fails the overlap
-gate or the rank guard, and a chunk of one time (every chunk at D >= 46),
-goes through the per-point match ``_align_frames``. ``counterdiabatic_term``
-takes one matrix or an (n, D, D) stack.
+frames together (``_track_frames``). A chunk of one time (every chunk at
+D >= 46) takes an O(D^2) pre-check instead (``_keeps_ranks``): each mode's
+overlap with the column of its previous energy rank. Only an interval that
+fails the overlap gate or the rank guard, or a lone frame that fails the
+pre-check, goes through the O(D^3) per-point match ``_align_frames``.
+``counterdiabatic_term`` takes one matrix or an (n, D, D) stack.
 
 Counterdiabatic driving in one walk. ``cd_walk`` makes one ``eigh`` per
 grid chunk serve the eigenpath and the propagation of every CD route:
@@ -50,7 +52,10 @@ A = H + H_cd at the grid points, with the exact H_cd from that decomposition
 or the route's own H_cd, and feeds them to the fourth-order
 ``dynamics.Magnus4Walk``. So a CD run on an evenly spaced grid diagonalizes
 H once per grid point (plus the bisections of the tracker) and evaluates its
-route once per grid point.
+route once per grid point. At one time per chunk a grid point costs one
+``eigh``, the four products of the exact H_cd and the one commutator product
+of the Magnus step, and nothing else of order D^3; H_cd and the Magnus
+operator are formed in the walk's held work arrays.
 """
 
 from __future__ import annotations
@@ -128,6 +133,23 @@ def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
     return E_cur[perm], V, np.abs(ov), perm
 
 
+def _keeps_ranks(V_prev: np.ndarray, rank: np.ndarray, V_cur: np.ndarray, out: np.ndarray) -> bool:
+    """The pre-check of a lone frame, O(D^2): whether every mode n of V_prev
+    overlaps V_cur[:, rank[n]], the column of its previous rank, by at least
+    ``OVERLAP_MIN``. Then that column is its unique best partner (|overlap|^2
+    > 1/2) and no rank changes, so the labels, the gate and the rank guard of
+    ``_align_frames`` are decided, and ``out`` holds V_cur[:, rank] with the
+    phases of ``_align_frames``. Otherwise ``out`` holds no frame."""
+    np.take(V_cur, rank, axis=1, out=out, mode="clip")     # "clip" writes out unbuffered; rank is in range
+    # <prev_n|out_n> as the conjugate of <out_n|prev_n>: out is conjugated in place and back, with no copy
+    ov = np.einsum("dn,dn->n", V_prev, np.conjugate(out, out=out)).conj()
+    np.conjugate(out, out=out)
+    if not (np.abs(ov) >= OVERLAP_MIN).all():
+        return False
+    out *= np.exp(-1j * np.angle(ov))[None, :]
+    return True
+
+
 def _fails(size: np.ndarray, rank_from: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Whether each interval, given its (..., D) overlaps and ranks, fails the gate or the rank guard."""
     return (size.min(axis=-1) < OVERLAP_MIN) | ((rank != rank_from) & (size < RANK_OVERLAP)).any(axis=-1)
@@ -194,8 +216,16 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     only the failing interval's midpoints are evaluated) up to ``MAX_REFINE``
     (12) levels, then GridTooCoarseError names the overlap or the mode;
     batched tracking resumes after it. A chunk of one time (every chunk at
-    D >= 46) takes the per-point match directly. An empty grid or a
-    non-finite time is a ValueError before any ``eigh``.
+    D >= 46) first takes the pre-check ``_keeps_ranks``, an O(D^2) column
+    dot of each mode with the column of its previous rank. When every
+    overlap reaches ``OVERLAP_MIN`` the match, the gate and the rank guard
+    are decided (that column is the unique best partner and no rank
+    changes), and the frame takes the phases of ``_align_frames``; any other
+    lone frame goes through the per-point match and its bisection. The lone
+    frames alternate between two held (D, D) arrays. Each chunk's H, E and V
+    are dropped before the next chunk is made, so a walk of one time per
+    chunk reuses the same freed blocks at every grid point. An empty grid or
+    a non-finite time is a ValueError before any ``eigh``.
 
     ``modes`` names the mode labels whose vectors the path keeps, every mode
     by default; the columns hold them in increasing label order. Tracking
@@ -247,6 +277,7 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
             energies = np.empty((len(grid), D))
             vectors = np.empty((len(grid), D, len(keep)), dtype=complex)
             V_prev, rank = _initial_gauge(V[0].copy()), np.arange(D)
+            spare = np.empty_like(V_prev)      # the frame a lone pre-check writes; it swaps with V_prev
             energies[0], vectors[0] = E[0], V_prev[:, cols]
         pos = int(start == 0)
         while pos < len(H):
@@ -257,16 +288,20 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
                 V_prev, rank = (frames[-1], ranks[-1]) if len(frames) else (V_prev, rank)
             if pos < len(H):        # a lone frame, or the failing interval, matched and bisected as needed
                 i = start + pos
-                energies[i], V_prev, rank = connect(grid[i - 1], V_prev, rank, grid[i], E[pos], V[pos], 0)
+                if len(H) == 1 and _keeps_ranks(V_prev, rank, V[0], spare):
+                    energies[i], V_prev, spare = E[0, rank], spare, V_prev
+                else:
+                    energies[i], V_prev, rank = connect(grid[i - 1], V_prev, rank, grid[i], E[pos], V[pos], 0)
                 vectors[i] = V_prev[:, cols]
                 pos += 1
         if on_chunk is not None:
             on_chunk(start, H, E, V, vectors[start:start + len(H)])
+        del H, E, V     # before the next chunk's arrays are made, which then reuse their blocks
     return EigenPath(grid=grid, energies=energies, vectors=vectors, modes=keep)
 
 
 def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0):
-    """(E, V, M, closed) of H (one matrix or an (n, D, D) stack, one ``eigh``
+    """(E, V, M, shut) of H (one matrix or an (n, D, D) stack, one ``eigh``
     call) and dH (one matrix per H, or a stack of derivatives of one H), as
     stacks: ``_coupling`` of the ``eigh`` of H."""
     single = np.ndim(H) == 2
@@ -274,33 +309,38 @@ def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0):
     dH = np.asarray(dH, dtype=complex).reshape((-1,) + H.shape[1:])
     E, V = np.linalg.eigh(H)
     where = (lambda t: "") if single else (lambda t: f" at stack index {t}")
-    return (E, V) + _coupling(E, V, dH, hbar, where)
+    return (E, V) + _coupling(E, V, V.conj().swapaxes(1, 2), dH, hbar, where)
 
 
-def _coupling(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float, where: Callable[[int], str]):
-    """(M, closed) of the (n, D) energies and (n, D, D) eigenvectors of H and
-    the (n, D, D) stack dH (or one derivative per stack entry of a single H):
-    M is the coupling matrix of ``counterdiabatic_term``, zero on the diagonal
-    and on the ``closed`` gaps, those below ``EPS_GAP_REL`` times the time's
-    largest |E|. A coupled closed gap raises DegeneracyError, whose message
-    names stack entry t by ``where(t)``."""
+def _coupling(E: np.ndarray, V: np.ndarray, Vh: np.ndarray, dH: np.ndarray, hbar: float,
+              where: Callable[[int], str], work=(None, None)):
+    """(M, shut) of the (n, D) energies, (n, D, D) eigenvectors V and their
+    adjoints Vh of H and the (n, D, D) stack dH (or one derivative per stack
+    entry of a single H): M is the coupling matrix of
+    ``counterdiabatic_term``, zero where ``shut``, on the diagonal and on the
+    closed gaps, those below ``EPS_GAP_REL`` times the time's largest |E|. A
+    coupled closed gap raises DegeneracyError, whose message names stack
+    entry t by ``where(t)``. The two products are written into the two
+    (n, D, D) arrays of ``work`` when it holds them, and M is work[1]."""
     eps = EPS_GAP_REL * np.maximum(np.abs(E).max(axis=1), 1e-300)[:, None, None]
-    dHe = V.conj().swapaxes(1, 2) @ dH @ V
-    gap = np.broadcast_to(E[:, None, :] - E[:, :, None], dHe.shape)   # gap[t, n, m] = E_m - E_n
-    off = ~np.eye(E.shape[1], dtype=bool)
-    closed = (np.abs(gap) < eps) & off
-    if closed.any():
+    dHe = np.matmul(np.matmul(Vh, dH, out=work[0]), V, out=work[1])
+    gap = E[:, None, :] - E[:, :, None]     # gap[t, n, m] = E_m - E_n
+    shut = np.abs(gap) < eps                # the closed gaps and the diagonal
+    if np.count_nonzero(shut) > np.count_nonzero(shut.diagonal(axis1=1, axis2=2)):     # a closed gap
+        closed = np.broadcast_to(shut & ~np.eye(E.shape[1], dtype=bool), dHe.shape)
         coupling_tol = 1e-9 * np.maximum(np.abs(dHe).max(axis=(1, 2)), 1e-300)
         bad = closed & (np.abs(dHe) > coupling_tol[:, None, None])
         if bad.any():
             t, n, m = np.argwhere(bad)[0]
             raise DegeneracyError(
-                f"levels {n} and {m} are degenerate{where(t)} (gap {abs(gap[t, n, m]):.3e}) "
-                f"with coupling {abs(dHe[t, n, m]):.3e}"
+                f"levels {n} and {m} are degenerate{where(t)} "
+                f"(gap {abs(np.broadcast_to(gap, dHe.shape)[t, n, m]):.3e}) with coupling {abs(dHe[t, n, m]):.3e}"
             )
-    M = 1j * hbar * dHe / np.where(np.abs(gap) < eps, 1.0, gap)
-    M[closed | ~off] = 0.0
-    return M, closed
+    np.copyto(gap, 1.0, where=shut)
+    M = np.multiply(1j * hbar, dHe, out=dHe)
+    M /= gap
+    np.copyto(M, 0.0, where=shut)
+    return M, shut
 
 
 def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np.ndarray:
@@ -322,14 +362,22 @@ def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np
     return out[0] if np.ndim(H) == 2 else out
 
 
-def frame_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float = 1.0, times: np.ndarray | None = None):
+def frame_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float = 1.0, times: np.ndarray | None = None,
+             work: np.ndarray | None = None):
     """``counterdiabatic_term`` V M V^dagger from eigenframes a caller holds:
     (n, D) energies E and (n, D, D) vectors V of H at n times, in any matching
     column order and phases, and the (n, D, D) stack dH. A coupled closed gap
-    raises DegeneracyError naming t = times[k], or stack index k."""
+    raises DegeneracyError naming t = times[k], or stack index k.
+
+    V^dagger is formed once for both products. ``work``, a (3, n, D, D)
+    complex array, takes the products in place of fresh arrays, with the
+    same arithmetic, and the result is work[2]."""
     where = ((lambda k: f" at t = {times[k]}") if times is not None
              else (lambda k: f" at stack index {k}" if len(E) > 1 else ""))
-    return V @ _coupling(E, V, dH, hbar, where)[0] @ V.conj().swapaxes(1, 2)
+    work = (None,) * 3 if work is None else work
+    Vh = np.conjugate(V, out=work[0]).swapaxes(1, 2)
+    M = _coupling(E, V, Vh, dH, hbar, where, work[1:])[0]
+    return np.matmul(np.matmul(V, M, out=work[1]), Vh, out=work[2])
 
 
 @dataclass
@@ -351,7 +399,8 @@ def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.nd
     chunk's grid points is ``cd_of_t`` of its times, a route's time-stacked
     H_cd, or by default the exact term: the chunk's decomposition (E, V) and
     dH_of_t give H_cd = ``frame_cd`` (E, V, dH), the values of
-    ``counterdiabatic_term`` bit for bit. The ``Magnus4Walk`` steps H + H_cd
+    ``counterdiabatic_term`` bit for bit; a chunk of one time forms it in the
+    walk's work arrays (``Magnus4Walk.work``). The ``Magnus4Walk`` steps H + H_cd
     at the grid points; the array a route returns is only read. The state
     starts in mode 0 at grid[0], in the path's gauge, so
     trajectory.states[0] is the path's ground vector there. The grid must be
@@ -371,11 +420,14 @@ def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.nd
     def step(start, H, E, V, kept):
         nonlocal walk
         times = grid[start:start + len(H)]
-        cd = frame_cd(E, V, stack_at(dH_of_t, times), hbar, times) if cd_of_t is None else stack_at(cd_of_t, times)
-        if on_chunk is not None:
-            on_chunk(start, H, E, V, kept, cd)
         if start == 0:
             walk = Magnus4Walk(_initial_gauge(V[0, :, :1].copy())[:, 0], grid, hbar)
+        if cd_of_t is None:     # a chunk of one time forms H_cd in the walk's work arrays
+            cd = frame_cd(E, V, stack_at(dH_of_t, times), hbar, times, walk.work[:3, None] if len(H) == 1 else None)
+        else:
+            cd = stack_at(cd_of_t, times)
+        if on_chunk is not None:
+            on_chunk(start, H, E, V, kept, cd)
         # the exact term is the walk's own array; a route's is only read
         walk.push(np.add(cd, H, out=cd) if cd_of_t is None else H + cd)
 
@@ -484,8 +536,8 @@ def adiabaticity_metric(H: np.ndarray, dH: np.ndarray, m: int, n: int, hbar: flo
     """
     if m == n:
         raise ValueError("adiabaticity metric needs two distinct levels")
-    E, _, M, closed = _eigenbasis_coupling(H, dH, hbar)
-    if closed[0, n, m]:
+    E, _, M, shut = _eigenbasis_coupling(H, dH, hbar)
+    if shut[0, n, m]:
         raise DegeneracyError(f"levels {m} and {n} are degenerate")
     return float(abs(M[0, n, m]) / abs(E[0, m] - E[0, n]))
 

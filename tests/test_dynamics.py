@@ -15,7 +15,7 @@ from shortcut_forge import (
     overlap,
     step_unitary,
 )
-from shortcut_forge.dynamics import Magnus4Walk, cumulative_trapezoid, uniform_step
+from shortcut_forge.dynamics import _MAGNUS4, Magnus4Walk, cumulative_trapezoid, uniform_step
 from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
 
 from conftest import SX, SY, SZ, cd_driven, stacked
@@ -129,6 +129,31 @@ class TestMagnus4Walk:
         F = f.integ()(grid) - f.integ()(grid[0])
         exact = np.array([step_unitary(B, F_k) @ psi0 for F_k in F])
         assert np.abs(states - exact).max() < 1e-12
+
+    @pytest.mark.parametrize("n_t", [3, 7])
+    def test_one_time_operator_is_the_written_out_stencil(self, rng, n_t):
+        """At D = 50, one time per push, each interval's H_eff comes from the
+        held ring and work arrays; it equals sum_k w_k A_k + (i h / 12)
+        [a0, A_i+1 - A_i] written out from the ``_MAGNUS4`` weights to 1e-13,
+        on the first, the interior and the last intervals (3 points: the
+        quadratic stencil, whose fourth ring slot has weight 0)."""
+        grid = np.linspace(0.0, 0.6, n_t)
+        h, s = grid[1] - grid[0], min(n_t, 4)
+        nodes = np.array([random_hermitian(50, rng) for _ in grid])
+        walk = Magnus4Walk(np.eye(50)[0].astype(complex), grid)
+        made = {}
+        operator = walk._operator
+        walk._operator = lambda i: made.setdefault(int(i[0]), operator(i).copy())
+        _push_in_chunks(walk, nodes, [1] * n_t)
+        assert sorted(made) == list(range(n_t - 1))
+        W, M = _MAGNUS4[s]
+        for i, H_eff in made.items():
+            row, lo = (0 if i == 0 else 2 if i == n_t - 2 else 1), min(max(i - 1, 0), n_t - s)
+            stencil = nodes[lo:lo + s]
+            a0 = np.einsum("k,kab->ab", M[row], stencil)
+            dA = nodes[i + 1] - nodes[i]
+            expected = np.einsum("k,kab->ab", W[row], stencil) + 1j * h / 12 * (a0 @ dA - dA @ a0)
+            assert np.abs(H_eff[0] - expected).max() <= 1e-13
 
     def test_chunk_boundaries_change_no_state(self, rng):
         """The ring of held points serves any chunking: pushing the grid points

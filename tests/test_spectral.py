@@ -356,6 +356,20 @@ def _sharp_turn(t):
     return np.cos(theta)[:, None, None] * SZ + np.sin(theta)[:, None, None] * SX
 
 
+def _beside_fixed_levels(H_of_t, n_fixed=48):
+    """H_of_t's (n, 2, 2) stack as the top-left block of an (n, 2 + n_fixed,
+    2 + n_fixed) H whose other levels are fixed at 3, 5, 7, ...: well apart
+    from the block's levels (+-1 for ``_sharp_turn``) and from each other, with
+    fixed eigenvectors."""
+    def H(t):
+        block = H_of_t(t)
+        out = np.zeros((len(block), 2 + n_fixed, 2 + n_fixed), dtype=complex)
+        out[:, :2, :2] = block
+        out[:, np.arange(2, 2 + n_fixed), np.arange(2, 2 + n_fixed)] = 3.0 + 2.0 * np.arange(n_fixed)
+        return out
+    return H
+
+
 @pytest.fixture
 def align_calls(monkeypatch):
     """The list that gets one entry per call of ``spectral._align_frames``."""
@@ -369,12 +383,13 @@ class TestChunkedTracker:
     ``_align_frames`` with bisection is its oracle."""
 
     @pytest.mark.parametrize("case", ["lz_crossing", "mid_chunk_bisection", "narrow_lz_avoided_crossing",
-                                      "rh2_complex_phases", "rh8_chunk_boundaries"])
-    def test_matches_the_per_point_tracker(self, case, align_calls):
+                                      "rh2_complex_phases", "rh8_chunk_boundaries", "d50_one_time_chunks"])
+    def test_matches_the_per_point_tracker(self, case, align_calls, monkeypatch):
         """Energies and labels equal the oracle's, vectors to 1e-13 and of unit
         norm, and only an interval that fails the overlap gate or the rank
         guard goes through ``_align_frames`` (the protected crossing is passed
-        by the chunk's labels)."""
+        by the chunk's labels, and a lone frame that passes the pre-check by
+        the labels it keeps)."""
         if case == "lz_crossing":
             # delta = 0: the levels cross at grid point 1000, inside the 1024-time chunk [1, 1025)
             H_of_t, grid, bisected = landau_zener(delta=0.0).hamiltonian, np.linspace(0, 1, 2001), 0
@@ -384,14 +399,23 @@ class TestChunkedTracker:
             H_of_t, grid, bisected = landau_zener(delta=0.003).hamiltonian, np.linspace(0, 1, 200), 1
         elif case == "mid_chunk_bisection":
             H_of_t, grid, bisected = _sharp_turn, np.linspace(0, 1, 101), 1
+        elif case == "d50_one_time_chunks":
+            # D = 50: every chunk holds one time; of the 100 intervals only [0.50, 0.51] fails and bisects
+            H_of_t, grid, bisected = _beside_fixed_levels(_sharp_turn), np.linspace(0, 1, 101), 1
         elif case == "rh2_complex_phases":
             # complex overlaps: the phases turn over 1024-time chunks
             H_of_t, grid, bisected = random_hermitian_ramp(2, seed=4).hamiltonian, np.linspace(0, 1, 3001), 0
         else:
             # D = 8: time chunks of 64, so 301 points cross four chunk boundaries
             H_of_t, grid, bisected = random_hermitian_ramp(8, seed=4).hamiltonian, np.linspace(0, 1, 301), 0
-        path = eigenpath(H_of_t, grid)
+        evaluated, served = [], []      # the last time of each H_of_t call; that time at each match
+        count = spectral._align_frames
+        monkeypatch.setattr(spectral, "_align_frames", lambda *a: served.append(evaluated[-1]) or count(*a))
+        path = eigenpath(lambda t: evaluated.append(t[-1]) or H_of_t(t), grid)
         assert bool(align_calls) == bool(bisected)
+        if case == "d50_one_time_chunks":
+            # a chunk of one time is evaluated right before its match: every match serves [0.50, 0.51]
+            assert served and all(0.50 < t <= 0.51 for t in served)
         energies, vectors, n_bisected = _per_point_path(H_of_t, grid)
         assert n_bisected == bisected
         assert np.array_equal(path.energies, energies)
@@ -409,8 +433,12 @@ class TestChunkedTracker:
         assert path.energies[0, 0] < path.energies[0, 1] and path.energies[-1, 0] > path.energies[-1, 1]
         assert np.abs(np.abs(path.vectors[-1]) - np.abs(path.vectors[0])).max() < 1e-12
 
-    def test_a_smooth_path_makes_no_per_point_match(self, lz, align_calls):
-        eigenpath(lz.hamiltonian, np.linspace(0, 1, 1001))
+    @pytest.mark.parametrize("system, n_t", [(landau_zener(), 1001), (random_hermitian_ramp(64, seed=0), 201)],
+                             ids=["lz_batched", "rh64_one_time_chunks"])
+    def test_a_smooth_path_makes_no_per_point_match(self, system, n_t, align_calls):
+        """LZ is tracked by batched chunks; at D = 64 every chunk holds one time
+        and passes the O(D^2) pre-check."""
+        eigenpath(system.hamiltonian, np.linspace(0, system.duration, n_t))
         assert align_calls == []
 
     @pytest.mark.parametrize("grid, match", [
@@ -729,9 +757,13 @@ class TestCDWalk:
         fid = np.abs(np.einsum("td,td->t", path.vectors[:, :, 0].conj(), walk.trajectory.states)) ** 2
         assert fid.min() >= 1 - 1e-6
 
-    def test_cd_is_counterdiabatic_term_bit_for_bit(self):
-        system = random_hermitian_ramp(4, seed=1, shape="linear")
-        walk, cd = self._walk_cd(system, 301)
+    @pytest.mark.parametrize("dim, n_t", [(4, 301), (50, 31)])
+    def test_cd_is_counterdiabatic_term_bit_for_bit(self, dim, n_t):
+        """At D = 4 the walk forms H_cd a chunk at a time; at D = 50 one time
+        per chunk in the walk's work arrays. Either way it is one ``frame_cd``
+        with ``counterdiabatic_term``."""
+        system = random_hermitian_ramp(dim, seed=1, shape="linear")
+        walk, cd = self._walk_cd(system, n_t)
         assert np.array_equal(cd, sample(self._exact(system), walk.path.grid))
 
     def test_smoothstep_end_points_give_zero_cd(self):
