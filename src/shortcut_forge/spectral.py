@@ -37,12 +37,12 @@ ValueError for a mode it did not keep.
 
 Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
 1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
-grid one ``STACK_BYTES`` chunk per ``eigh`` call and tracks each chunk's
-frames together (``_track_frames``). A chunk of one time (every chunk at
-D >= 46) takes an O(D^2) pre-check instead (``_keeps_ranks``): each mode's
-overlap with the column of its previous energy rank. Only an interval that
-fails the overlap gate or the rank guard, or a lone frame that fails the
-pre-check, goes through the O(D^3) per-point match ``_align_frames``.
+grid one ``STACK_BYTES`` chunk per ``eigh`` call and tracks it by one rule,
+whatever the chunk's length: each mode keeps its energy rank while its
+overlap with the column of that rank reaches ``OVERLAP_MIN``
+(``_same_ranks``, O(D^2) per time). Only an interval where it does not, a
+turn of the frame or a change of rank, goes through the O(D^3) per-point
+match ``_align_frames`` and its bisection.
 ``counterdiabatic_term`` takes one matrix or an (n, D, D) stack.
 
 Counterdiabatic driving in one walk. ``cd_walk`` makes one ``eigh`` per
@@ -133,23 +133,6 @@ def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
     return E_cur[perm], V, np.abs(ov), perm
 
 
-def _keeps_ranks(V_prev: np.ndarray, rank: np.ndarray, V_cur: np.ndarray, out: np.ndarray) -> bool:
-    """The pre-check of a lone frame, O(D^2): whether every mode n of V_prev
-    overlaps V_cur[:, rank[n]], the column of its previous rank, by at least
-    ``OVERLAP_MIN``. Then that column is its unique best partner (|overlap|^2
-    > 1/2) and no rank changes, so the labels, the gate and the rank guard of
-    ``_align_frames`` are decided, and ``out`` holds V_cur[:, rank] with the
-    phases of ``_align_frames``. Otherwise ``out`` holds no frame."""
-    np.take(V_cur, rank, axis=1, out=out, mode="clip")     # "clip" writes out unbuffered; rank is in range
-    # <prev_n|out_n> as the conjugate of <out_n|prev_n>: out is conjugated in place and back, with no copy
-    ov = np.einsum("dn,dn->n", V_prev, np.conjugate(out, out=out)).conj()
-    np.conjugate(out, out=out)
-    if not (np.abs(ov) >= OVERLAP_MIN).all():
-        return False
-    out *= np.exp(-1j * np.angle(ov))[None, :]
-    return True
-
-
 def _fails(size: np.ndarray, rank_from: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Whether each interval, given its (..., D) overlaps and ranks, fails the gate or the rank guard."""
     return (size.min(axis=-1) < OVERLAP_MIN) | ((rank != rank_from) & (size < RANK_OVERLAP)).any(axis=-1)
@@ -163,69 +146,56 @@ def _initial_gauge(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _track_frames(V_from: np.ndarray, rank_from: np.ndarray, E: np.ndarray, V: np.ndarray):
-    """Track a run of raw ``eigh`` frames (E[k], V[k]), k = 0 .. m - 1, from
-    the aligned frame V_from of ranks rank_from up to the first interval that
-    ``_fails``: returns the aligned energies, frames and ranks of that
-    passing prefix, the labels and phases ``_align_frames`` gives frame by
-    frame.
+def _same_ranks(V_from: np.ndarray, rank: np.ndarray, V: np.ndarray, out: np.ndarray) -> int:
+    """Track a run of raw ``eigh`` frames V[k], k = 0 .. m - 1, from the
+    aligned frame V_from of ranks ``rank`` while every mode keeps its rank:
+    out[k] = V[k][:, rank] with the phases of ``_align_frames``, up to the
+    first interval where a mode's overlap with the column of its rank is
+    below ``OVERLAP_MIN``; returns the number j of frames aligned in out.
 
-    One batched product gives the raw overlaps R[k] = V[k]^H V[k+1]. An
-    aligned frame is a raw frame with permuted, rephased columns, so the row
-    of |overlap| that ``_align_frames`` maximizes for mode n at k is row
-    perm[k - 1, n] of |R[k - 1]|: with r[k] the row argmaxes of |R[k]|, the
-    labels compose as perm[k] = r[k - 1][perm[k - 1]], which a scan of
-    ``take_along_axis`` gives for every k in log2(m) steps; they are the
-    ranks. Mode n's phase at k is the conjugate of the product of its unit
-    overlaps up to k, normalized; the product (not a sum of angles) keeps
-    each step's overlap real to rounding however far the phase has turned.
+    In a passing interval each overlap exceeds 0.9, so that column is the
+    mode's unique best partner (|overlap|^2 > 1/2): the labels, the gate and
+    the rank guard of ``_align_frames`` are decided, and the overlaps cost
+    O(D^2) per frame. Mode n's phase at k is the conjugate of the product of
+    its unit overlaps up to k, normalized; the product (not a sum of angles)
+    keeps each step's overlap real to rounding however far the phase has
+    turned.
     """
-    O = V_from.conj().T @ V[0]
-    R = V[:-1].conj().swapaxes(1, 2) @ V[1:]
-    perm = np.concatenate([np.abs(O).argmax(axis=1)[None], np.abs(R).argmax(axis=2)])
-    step = 1
-    while step < len(perm):
-        perm[step:] = np.take_along_axis(perm[step:], perm[:-step], axis=1)
-        step *= 2
-    ov = np.empty(perm.shape, dtype=complex)
-    ov[0] = O[np.arange(len(O)), perm[0]]
-    ov[1:] = R[np.arange(len(R))[:, None], perm[:-1], perm[1:]]
-    size = np.abs(ov)
-    fails = np.flatnonzero(_fails(size, np.concatenate([rank_from[None], perm[:-1]]), perm))
-    j = int(fails[0]) if fails.size else len(ov)
-    phase = np.cumprod(ov[:j].conj() / size[:j], axis=0)
+    frames = np.take(V, rank, axis=2, out=out[:len(V)], mode="clip")    # "clip" writes out unbuffered
+    # w[k, n] = conj <prev_n|frames[k]_n>, prev = V_from, then frames[k - 1]; frames[0] is conjugated in place and back
+    w = np.empty((len(frames), len(rank)), dtype=complex)
+    np.einsum("dn,dn->n", V_from, np.conjugate(frames[0], out=frames[0]), out=w[0])
+    np.conjugate(frames[0], out=frames[0])
+    np.einsum("tdn,tdn->tn", frames[:-1], frames[1:].conj(), out=w[1:])
+    size = np.abs(w)
+    fails = size.min(axis=1) < OVERLAP_MIN
+    j = int(fails.argmax()) if fails.any() else len(w)
+    phase = np.cumprod(np.divide(w[:j], size[:j], out=w[:j]), axis=0, out=w[:j])
     phase /= np.abs(phase)
-    k, perm = np.arange(j)[:, None], perm[:j]
-    frames = V[:j].swapaxes(1, 2)[k, perm].swapaxes(1, 2)     # frames[k] = V[k][:, perm[k]]
-    frames *= phase[:, None, :]
-    return E[:j][k, perm], frames, perm
+    frames[:j] *= phase[:, None, :]
+    return j
 
 
 def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
               modes: list[int] | None = None, on_chunk: Callable | None = None) -> EigenPath:
     """Diagonalize H(t) on a grid with smooth gauge and continuity tracking.
 
-    The grid is diagonalized one time chunk per ``eigh`` call and tracked a
-    chunk at a time by ``_track_frames``: one batched product gives the
-    overlaps of consecutive raw frames of the chunk, and with the overlap of
-    the carried aligned frame and the chunk's first frame they give every
-    point's labels and phases, the labels and phases of ``_align_frames``.
-    The first interval that fails the overlap gate (``OVERLAP_MIN``, 0.9) or
-    the rank guard (``RANK_OVERLAP``) is matched by ``_align_frames`` from
-    the aligned frame before it and bisected (the output grid is unchanged;
-    only the failing interval's midpoints are evaluated) up to ``MAX_REFINE``
-    (12) levels, then GridTooCoarseError names the overlap or the mode;
-    batched tracking resumes after it. A chunk of one time (every chunk at
-    D >= 46) first takes the pre-check ``_keeps_ranks``, an O(D^2) column
-    dot of each mode with the column of its previous rank. When every
-    overlap reaches ``OVERLAP_MIN`` the match, the gate and the rank guard
-    are decided (that column is the unique best partner and no rank
-    changes), and the frame takes the phases of ``_align_frames``; any other
-    lone frame goes through the per-point match and its bisection. The lone
-    frames alternate between two held (D, D) arrays. Each chunk's H, E and V
-    are dropped before the next chunk is made, so a walk of one time per
-    chunk reuses the same freed blocks at every grid point. An empty grid or
-    a non-finite time is a ValueError before any ``eigh``.
+    The grid is diagonalized one time chunk per ``eigh`` call and tracked by
+    one rule: each mode keeps the column of its energy rank while every
+    overlap with that column reaches the gate ``OVERLAP_MIN`` (0.9), which
+    ``_same_ranks`` checks with O(D^2) work per time and no D x D product.
+    The first interval where a mode falls below it, by a turn of the frame or
+    by a change of rank, is matched by ``_align_frames`` from the aligned
+    frame before it. That match passes when it meets the gate and the rank
+    guard (``RANK_OVERLAP``): a rank changes only with fixed eigenvectors, as
+    at a protected crossing. Otherwise the interval is bisected (the output
+    grid is unchanged; only the failing interval's midpoints are evaluated)
+    up to ``MAX_REFINE`` (12) levels, then GridTooCoarseError names the
+    overlap or the mode; tracking by rank resumes after it. The aligned
+    frames alternate between two held chunk-sized arrays, and each chunk's
+    H, E and V are dropped before the next chunk is made, so a walk of one
+    time per chunk (D >= 46) reuses the same blocks at every grid point. An
+    empty grid or a non-finite time is a ValueError before any ``eigh``.
 
     ``modes`` names the mode labels whose vectors the path keeps, every mode
     by default; the columns hold them in increasing label order. Tracking
@@ -277,21 +247,20 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
             energies = np.empty((len(grid), D))
             vectors = np.empty((len(grid), D, len(keep)), dtype=complex)
             V_prev, rank = _initial_gauge(V[0].copy()), np.arange(D)
-            spare = np.empty_like(V_prev)      # the frame a lone pre-check writes; it swaps with V_prev
+            held, side = np.empty((2, max(1, STACK_BYTES // (16 * D ** 2)), D, D), dtype=complex), 0
             energies[0], vectors[0] = E[0], V_prev[:, cols]
         pos = int(start == 0)
         while pos < len(H):
-            if len(H) - pos > 1:    # batched, up to the first failing interval
-                E_al, frames, ranks = _track_frames(V_prev, rank, E[pos:], V[pos:])
-                i, pos = start + pos, pos + len(frames)
-                energies[i:start + pos], vectors[i:start + pos] = E_al, frames[:, :, cols]
-                V_prev, rank = (frames[-1], ranks[-1]) if len(frames) else (V_prev, rank)
-            if pos < len(H):        # a lone frame, or the failing interval, matched and bisected as needed
+            frames = held[side]     # the held array that V_prev is not read from
+            j = _same_ranks(V_prev, rank, V[pos:], frames)
+            i = start + pos
+            energies[i:i + j], vectors[i:i + j] = E[pos:pos + j, rank], frames[:j, :, cols]
+            if j:
+                V_prev, side = frames[j - 1], 1 - side
+            pos += j
+            if pos < len(H):        # the failing interval, matched and bisected as needed
                 i = start + pos
-                if len(H) == 1 and _keeps_ranks(V_prev, rank, V[0], spare):
-                    energies[i], V_prev, spare = E[0, rank], spare, V_prev
-                else:
-                    energies[i], V_prev, rank = connect(grid[i - 1], V_prev, rank, grid[i], E[pos], V[pos], 0)
+                energies[i], V_prev, rank = connect(grid[i - 1], V_prev, rank, grid[i], E[pos], V[pos], 0)
                 vectors[i] = V_prev[:, cols]
                 pos += 1
         if on_chunk is not None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from shortcut_forge import (
@@ -16,7 +18,7 @@ from shortcut_forge import (
     quantum_geometric_tensor,
 )
 from shortcut_forge.errors import GridTooCoarseError
-from shortcut_forge.dynamics import sample
+from shortcut_forge.dynamics import STACK_BYTES, sample
 from shortcut_forge.models import DrivenSystem, landau_zener, random_hermitian, random_hermitian_ramp
 from shortcut_forge.schedule import Schedule
 from shortcut_forge import spectral
@@ -323,29 +325,35 @@ def _per_point_path(H_of_t, grid):
         ok = size.min() >= OVERLAP_MIN and not ((rank != rank_from) & (size < 1 - 1e-12)).any()
         return E, V, rank, ok
 
+    bisected = []
+
     def connect(t0, V_from, rank_from, t1, depth):
         E, V, rank, ok = match(V_from, rank_from, t1)
         if ok:
             return E, V, rank
         assert depth < MAX_REFINE
+        bisected.append(depth == 0)
         tm = 0.5 * (t0 + t1)
         return connect(tm, *connect(t0, V_from, rank_from, tm, depth + 1)[1:], t1, depth + 1)
 
     E, V = eig(grid[0])
     energies, vectors, rank = [E], [_initial_gauge(V.copy())], np.arange(len(E))
-    bisected = 0
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        bisected += not match(vectors[-1], rank, t1)[3]
         E, V, rank = connect(t0, vectors[-1], rank, t1, 0)
         energies.append(E)
         vectors.append(V)
-    return np.array(energies), np.array(vectors), bisected
+    return np.array(energies), np.array(vectors), sum(bisected)
 
 
-def _labels(H_of_t, grid, vectors):
-    """labels[i, n]: the column of ``eigh``'s frame at grid[i] that mode n holds."""
-    V = np.linalg.eigh(H_of_t(grid))[1]
-    return np.abs(V.conj().swapaxes(1, 2) @ vectors).argmax(axis=1)
+def _labels(H_of_t, grid, *paths):
+    """For each (n_t, D, D) array of path vectors, labels[i, n]: the column of
+    ``eigh``'s frame at grid[i] that mode n holds; 256 times at a time."""
+    labels = [[] for _ in paths]
+    for s in range(0, len(grid), 256):
+        Vh = np.linalg.eigh(H_of_t(grid[s:s + 256]))[1].conj().swapaxes(1, 2)
+        for out, vectors in zip(labels, paths):
+            out.append(np.abs(Vh @ vectors[s:s + 256]).argmax(axis=1))
+    return [np.concatenate(out) for out in labels]
 
 
 def _sharp_turn(t):
@@ -383,16 +391,22 @@ class TestChunkedTracker:
     ``_align_frames`` with bisection is its oracle."""
 
     @pytest.mark.parametrize("case", ["lz_crossing", "mid_chunk_bisection", "narrow_lz_avoided_crossing",
-                                      "rh2_complex_phases", "rh8_chunk_boundaries", "d50_one_time_chunks"])
-    def test_matches_the_per_point_tracker(self, case, align_calls, monkeypatch):
+                                      "rh2_complex_phases", "rh8_chunk_boundaries", "d50_one_time_chunks",
+                                      "d50_lz_crossing"])
+    def test_matches_the_per_point_tracker(self, case, monkeypatch):
         """Energies and labels equal the oracle's, vectors to 1e-13 and of unit
-        norm, and only an interval that fails the overlap gate or the rank
-        guard goes through ``_align_frames`` (the protected crossing is passed
-        by the chunk's labels, and a lone frame that passes the pre-check by
-        the labels it keeps)."""
+        norm, and ``_align_frames`` serves only the intervals that fail the
+        same-rank check: one where a mode's overlap with the column of its
+        energy rank is below OVERLAP_MIN, either bisected or a protected
+        crossing, which a single match passes."""
         if case == "lz_crossing":
             # delta = 0: the levels cross at grid point 1000, inside the 1024-time chunk [1, 1025)
             H_of_t, grid, bisected = landau_zener(delta=0.0).hamiltonian, np.linspace(0, 1, 2001), 0
+        elif case == "d50_lz_crossing":
+            # D = 50, one time per chunk: the LZ levels cross each other at t = 1/2 and the fixed level 3 at
+            # t = 0.2 and 0.8, all with fixed eigenvectors
+            H_of_t, grid = _beside_fixed_levels(landau_zener(delta=0.0).hamiltonian), np.linspace(0, 1, 2001)
+            bisected = 0
         elif case == "narrow_lz_avoided_crossing":
             # delta = 0.003: the avoided crossing at t = 1/2 falls between grid points 99 and 100, inside
             # the chunk [1, 200), where the diabatic overlap passes the gate and only the rank guard fails
@@ -412,19 +426,33 @@ class TestChunkedTracker:
         count = spectral._align_frames
         monkeypatch.setattr(spectral, "_align_frames", lambda *a: served.append(evaluated[-1]) or count(*a))
         path = eigenpath(lambda t: evaluated.append(t[-1]) or H_of_t(t), grid)
-        assert bool(align_calls) == bool(bisected)
-        if case == "d50_one_time_chunks":
-            # a chunk of one time is evaluated right before its match: every match serves [0.50, 0.51]
-            assert served and all(0.50 < t <= 0.51 for t in served)
         energies, vectors, n_bisected = _per_point_path(H_of_t, grid)
         assert n_bisected == bisected
         assert np.array_equal(path.energies, energies)
-        assert np.array_equal(_labels(H_of_t, grid, path.vectors), _labels(H_of_t, grid, vectors))
+        labels, path_labels = _labels(H_of_t, grid, vectors, path.vectors)
+        assert np.array_equal(path_labels, labels)
         assert np.abs(path.vectors - vectors).max() <= 1e-13
         assert np.abs(np.linalg.norm(path.vectors, axis=1) - 1).max() <= 4e-15     # unit phases keep unit vectors
-        steps = np.einsum("tdn,tdn->tn", path.vectors[:-1].conj(), path.vectors[1:])
+        steps = discrete_connection(path.vectors)
         assert (steps.real > 0).all()
         assert np.abs(steps.imag).max() <= 1e-14
+
+        # a same-rank overlap below OVERLAP_MIN: a mode changes rank (its overlap with the column of its old
+        # rank is then at most sqrt(2e-12)) or keeps it with a step overlap below the gate
+        turns = np.abs(discrete_connection(vectors)).min(axis=1) < OVERLAP_MIN
+        fails = (np.diff(labels, axis=0) != 0).any(axis=1) | turns
+        ends = np.intersect1d(evaluated, grid)      # the last time of each grid chunk: midpoints are off the grid
+
+        def serves(i, t):
+            """A match of interval i sees its own times, its end or a midpoint, or the end of the chunk that
+            holds it, evaluated right before its first match."""
+            return grid[i] < t <= grid[i + 1] or t == ends[np.searchsorted(ends, grid[i + 1])]
+
+        failing = np.flatnonzero(fails)
+        assert all(any(serves(i, t) for t in served) for i in failing)
+        assert all(any(serves(i, t) for i in failing) for t in served)
+        if not bisected:        # a protected crossing is passed by one match
+            assert len(served) == failing.size
 
     def test_lz_crossing_keeps_its_labels(self):
         """Across the delta = 0 crossing eigh's ascending order swaps the two
@@ -433,13 +461,31 @@ class TestChunkedTracker:
         assert path.energies[0, 0] < path.energies[0, 1] and path.energies[-1, 0] > path.energies[-1, 1]
         assert np.abs(np.abs(path.vectors[-1]) - np.abs(path.vectors[0])).max() < 1e-12
 
-    @pytest.mark.parametrize("system, n_t", [(landau_zener(), 1001), (random_hermitian_ramp(64, seed=0), 201)],
-                             ids=["lz_batched", "rh64_one_time_chunks"])
+    @pytest.mark.parametrize("system, n_t", [(landau_zener(), 1001),
+                                             (random_hermitian_ramp(16, seed=0, shape="linear"), 1001),
+                                             (random_hermitian_ramp(64, seed=0), 201)],
+                             ids=["lz_1024_time_chunks", "rh16_16_time_chunks", "rh64_one_time_chunks"])
     def test_a_smooth_path_makes_no_per_point_match(self, system, n_t, align_calls):
-        """LZ is tracked by batched chunks; at D = 64 every chunk holds one time
-        and passes the O(D^2) pre-check."""
+        """Every interval of a smooth path passes the same-rank check, at chunks
+        of 1024 times (LZ), 16 times (D = 16 on a linear schedule, as the
+        approximate CD routes run) and one time (D = 64)."""
         eigenpath(system.hamiltonian, np.linspace(0, system.duration, n_t))
         assert align_calls == []
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(D=st.sampled_from([2, 3, 5, 8, 16]), seed=st.integers(0, 2**16), chunks=st.integers(1, 2),
+           tail=st.integers(0, 20))
+    def test_random_ramps_match_the_per_point_tracker(self, D, seed, chunks, tail):
+        """On a random ramp whose grid ends up to 20 times (short of a full
+        chunk) past the end of one or two full chunks, the path equals the
+        oracle's: energies exactly, vectors to 1e-13."""
+        system = random_hermitian_ramp(D, seed=seed)
+        per_chunk = STACK_BYTES // (16 * D ** 2)
+        grid = np.linspace(0, system.duration, 1 + chunks * per_chunk + min(tail, per_chunk - 1))
+        path = eigenpath(system.hamiltonian, grid)
+        energies, vectors, _ = _per_point_path(system.hamiltonian, grid)
+        assert np.array_equal(path.energies, energies)
+        assert np.abs(path.vectors - vectors).max() <= 1e-13
 
     @pytest.mark.parametrize("grid, match", [
         (np.array([]), "at least one time"),
