@@ -33,7 +33,7 @@ from .operators import (
     reconstruct_from_basis,
 )
 from .schedule import Schedule
-from .dynamics import StateTrajectory, adiabatic_coefficients, evolve, fidelity, overlap, step_unitary
+from .dynamics import StateTrajectory, adiabatic_populations, evolve, fidelity, overlap, step_unitary
 from .spectral import (
     AdiabaticState,
     CDWalk,

@@ -36,7 +36,7 @@ from . import __version__
 from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
-from .dynamics import StateTrajectory, fidelity, stack_at
+from .dynamics import StateTrajectory, adiabatic_populations, fidelity, stack_at
 from .errors import ConfigError, ShortcutForgeError
 from .fastforward import TimeRescaling
 from .gridff import GridSystem1D, ff_potential, split_step_evolve
@@ -101,7 +101,7 @@ _RULES = {
     "grid_points": (lambda v: v >= 3, "at least 3"),
     "hbar": (lambda v: v > 0, "positive"),
     "order": (lambda v: v >= 1, "at least 1"),
-    "compare_tolerances": (lambda v: all(_has_type(t, 0.0) for t in v.values()), "a map to numbers"),
+    "compare_tolerances": (lambda v: all(_has_type(t, 0.0) for t in v.values()), "a map to finite numbers"),
     "parameters.duration": (lambda v: v > 0, "positive"),
     "parameters.dim": (lambda v: 2 <= v <= 1024, "between 2 and 1024"),
     "parameters.n_sites": (lambda v: 2 <= v <= 10, "between 2 and 10"),
@@ -191,7 +191,8 @@ def _check_section(data: dict, schema: dict, prefix: str, unread: set, pair: str
             value = data[key]
             if not _has_type(value, spec):
                 typ = spec if isinstance(spec, type) else type(spec)
-                raise ConfigError(f"config key {name!r} must be {typ.__name__}, got {value!r}")
+                what = "a finite number" if typ is float else typ.__name__
+                raise ConfigError(f"config key {name!r} must be {what}, got {value!r}")
             rule = _RULES.get(name)
             if rule and not rule[0](value):
                 raise ConfigError(f"config key {name!r} must be {rule[1]}, got {value!r}")
@@ -203,13 +204,15 @@ def _check_section(data: dict, schema: dict, prefix: str, unread: set, pair: str
 
 def _has_type(value, spec) -> bool:
     """Whether ``value`` has the type of ``spec`` (a default or a bare type): an
-    int passes for a float, a bool is never a number, and list items must have
+    int passes for a float, a float must be finite (``json`` reads NaN,
+    Infinity and 1e309), a bool is never a number, and list items must have
     the type of the default's items."""
     typ = spec if isinstance(spec, type) else type(spec)
     if isinstance(value, bool) and typ is not bool:
         return False
     if typ is float:
-        return isinstance(value, (int, float))
+        # False for NaN, the infinities and an int beyond the float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if typ is list:
         return isinstance(value, list) and all(_has_type(v, spec[0]) for v in value)
     return isinstance(value, typ)
@@ -296,8 +299,8 @@ class _Reference:
     """The adiabatic reference of a matrix scenario: the system, the
     ``grid_points`` grid on its duration and the grid's eigenpath, and the
     tracked ground mode ``target``. The target carries no adiabatic phase,
-    because every reader (the fidelity, the populations, the QSL stddev and
-    |overlap|) drops the phase at each time.
+    because every reader (the fidelity, ``dynamics.adiabatic_populations``,
+    the QSL stddev and |overlap|) drops the phase at each time.
 
     A ``route`` (a method name of ``_cd_route``) runs ``cd_walk`` in place of
     the plain ``eigenpath``: the walk drives the target's first state with
@@ -323,11 +326,6 @@ class _Reference:
             self.path = self.walk.path
         self.target = StateTrajectory(grid=self.grid, states=self.path.vectors[:, :, self.path.column(0)])
 
-    def populations(self, states: np.ndarray) -> np.ndarray:
-        """|<n(t)|psi(t)>|^2 in the adiabatic basis of each grid time, shape (times, levels);
-        taken as |<psi|n>|^2 so that the path is not copied to conjugate it."""
-        return np.abs(np.einsum("tdn,td->tn", self.path.vectors, states.conj())) ** 2
-
 
 def _driven_scenario(conf: dict) -> dict:
     """CD-driving scenarios: drive the ground state with H + H_cd of the
@@ -346,7 +344,7 @@ def _driven_scenario(conf: dict) -> dict:
     cols = [ref.grid, fid**2]
     if ref.system.dim <= _LEVEL_COLUMNS_MAX:
         columns += [f"population_{n}" for n in range(ref.system.dim)]
-        cols += list(ref.populations(traj.states).T)
+        cols += list(adiabatic_populations(traj, ref.path).T)
         basis = _canonical_basis(ref.system.dim)
         columns += [f"cd_coeff_{lab.lower()}" for lab in basis.labels]
         cols += list(gram_matrix(basis.elements, np.concatenate(cds)).real)
@@ -415,8 +413,8 @@ def _ff_scenario(conf: dict) -> dict:
     rate = conf["ff"]["rate"]
     p = conf["parameters"]
     ref = _Reference({**conf, "parameters": {**p, "duration": p["duration"] / rate}}, route="exact_cd")
-    pops = ref.populations(ref.walk.trajectory.states)
-    dev = np.abs(pops - ref.populations(ref.target.states)).max(axis=1)
+    pops = adiabatic_populations(ref.walk.trajectory, ref.path)
+    dev = np.abs(pops - adiabatic_populations(ref.target, ref.path)).max(axis=1)
     columns = ["time", "population_deviation"]
     cols = [ref.grid, dev]
     if ref.system.dim <= _LEVEL_COLUMNS_MAX:

@@ -1,16 +1,14 @@
 """Norm-preserving integration of the time-dependent Schrodinger equation,
-adiabatic-frame coefficients, and overlap metrics.
+adiabatic-frame populations, and overlap metrics.
 
-Two step rules. Each step of ``evolve`` applies exp(-i dt H/hbar) of the
-midpoint Hamiltonian, so its global error is O(dt^2); it serves every time
-callable on any grid, evenly spaced or not. No CLI scenario calls it.
-``Magnus4Walk`` is fourth order and takes no time callable: it steps an
-evenly spaced grid from the operators at the grid points, which a caller
-that already holds them hands over chunk by chunk. ``spectral.cd_walk`` is
-that caller for every counterdiabatic run, exact or approximate, and for the
-QSL partner trajectory. Population invariants at the 1e-7 level need norm
-preservation by construction, which generic adaptive ODE steppers do not
-guarantee.
+One step rule. ``Magnus4Walk`` steps an evenly spaced grid by one
+fourth-order Magnus step per interval from the operators at the grid points,
+which a caller that already holds them hands over chunk by chunk.
+``spectral.cd_walk`` is that caller for every counterdiabatic run, exact or
+approximate, and for the QSL partner trajectory; ``evolve`` is that caller for
+a time callable, on the caller's grid split ``steps_per_interval`` times.
+Population invariants at the 1e-7 level need norm preservation by
+construction, which generic adaptive ODE steppers do not guarantee.
 
 Time stacks. A time callable such as ``H_of_t`` maps a 1-D array of n times
 to an (n, D, D) stack; ``stack_at`` enforces that contract. Kernels walk a
@@ -19,17 +17,17 @@ every later one holds as many times as fit one complex (n, D, D) stack into
 ``STACK_BYTES`` (1024 times at D = 2, 64 at D = 8, 16 at D = 16, 1 at
 D >= 46). Only the state recursion runs point by point.
 
-Two step kernels, shared by both rules. A chunk of several times is one
-batched eigendecomposition, whose exponentials are exactly unitary. A chunk
-of one time (every chunk at D >= 46, and the first chunk of every run)
-applies the exponential to the state alone by short-iterative Lanczos
-(``lanczos_step``; Park & Light, J. Chem. Phys. 85, 5870 (1986)), which costs
-matrix-vector products instead of a D x D eigendecomposition. Its basis grows
-until an a-priori bound on the Krylov defect (Hochbruck & Lubich, SIAM J.
-Numer. Anal. 34, 1911 (1997)) is at most ``KRYLOV_TOL`` times the norm of the
-state, so its step is unitary and exact to that bound; a step whose basis
-reaches D/2 first, where the basis costs about as much as the
-eigendecomposition, goes through the eigendecomposition instead.
+Two step kernels. A chunk of several times is one batched
+eigendecomposition, whose exponentials are exactly unitary. A chunk of one
+time (every chunk at D >= 46, and the first chunk of every run) applies the
+exponential to the state alone by short-iterative Lanczos (``lanczos_step``;
+Park & Light, J. Chem. Phys. 85, 5870 (1986)), which costs matrix-vector
+products instead of a D x D eigendecomposition. Its basis grows until an
+a-priori bound on the Krylov defect (Hochbruck & Lubich, SIAM J. Numer. Anal.
+34, 1911 (1997)) is at most ``KRYLOV_TOL`` times the norm of the state, so its
+step is unitary and exact to that bound; a step whose basis reaches D/2
+first, where the basis costs about as much as the eigendecomposition, goes
+through the eigendecomposition instead.
 
 Held arrays. A ``Magnus4Walk`` whose chunks hold one time each allocates its
 D x D arrays once: the ring of the last four operators and four work arrays,
@@ -166,67 +164,23 @@ def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float, work: np.ndarray | 
     return norm * ((S @ (np.exp(-1j * tau * theta) * S[0])) @ V[:m])
 
 
-def _chunk_states(H: np.ndarray, psi: np.ndarray, dt: np.ndarray, hbar: float, work: np.ndarray | None = None):
-    """Yield the state after each step of one time chunk: by ``lanczos_step``
-    (with its ``work`` array) when the chunk holds one time and its basis
-    suffices, else by one batched eigendecomposition of the chunk."""
+def _chunk_states(H: np.ndarray, psi: np.ndarray, h: float, hbar: float, work: np.ndarray | None = None):
+    """Yield the state after each step exp(-i h H[k] / hbar) of one chunk of
+    operators, one step per interval of an evenly spaced grid of spacing h:
+    by ``lanczos_step`` (with its ``work`` array) when the chunk holds one
+    operator and its basis suffices, else by one batched eigendecomposition
+    of the chunk."""
     if len(H) == 1:
-        psi_next = lanczos_step(H[0], psi, dt[0] / hbar, work)
+        psi_next = lanczos_step(H[0], psi, h / hbar, work)
         if psi_next is not None:
             yield psi_next
             return
     E, V = np.linalg.eigh(H)
-    phase = np.exp(-1j * E * dt[:, None] / hbar)
+    phase = np.exp(-1j * E * h / hbar)
     Vh = V.conj().swapaxes(1, 2)
     for k in range(len(H)):
         psi = V[k] @ (phase[k] * (Vh[k] @ psi))
         yield psi
-
-
-def evolve(
-    H_of_t: Callable[[np.ndarray], np.ndarray],
-    psi0: np.ndarray,
-    grid: np.ndarray,
-    steps_per_interval: int = 1,
-    hbar: float = 1.0,
-) -> StateTrajectory:
-    """Propagate psi0 along a time grid under H(t).
-
-    Each grid interval is split into ``steps_per_interval`` sub-steps; each
-    sub-step applies exp(-i dt H/hbar) of the midpoint Hamiltonian. The
-    midpoint Hamiltonians are evaluated one ``time_chunks`` chunk at a time,
-    and the chunk length, which follows from D, picks the step kernel: a chunk
-    of several times is diagonalized in one batched ``eigh``, whose steps are
-    exactly unitary; a chunk of one time (every chunk at D >= 46, and the
-    first chunk) steps by ``lanczos_step``, unitary and exact to within
-    ``KRYLOV_TOL`` times the norm of the state, and falls back to the
-    ``eigh`` step when its Krylov basis would reach D/2 vectors first. Every
-    chunk must be finite, and its D must match ``psi0``; ``steps_per_interval``
-    must be an int >= 1. psi0 is copied to a contiguous array, so the
-    trajectory does not depend on its memory layout.
-    """
-    per = steps_per_interval
-    if isinstance(per, bool) or not isinstance(per, (int, np.integer)) or per < 1:
-        raise ValueError(f"steps_per_interval must be an int >= 1, got {per!r}")
-    grid = np.asarray(grid, dtype=float)
-    # a contiguous copy: BLAS sums a strided vector in another order
-    psi = np.ascontiguousarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("initial state must be normalized")
-    dt = np.repeat(np.diff(grid) / per, per)
-    tm = np.repeat(grid[:-1], per) + (np.tile(np.arange(per), len(grid) - 1) + 0.5) * dt
-    states = np.empty((len(grid), len(psi)), dtype=complex)
-    states[0] = psi
-    for start, H in time_chunks(H_of_t, tm):
-        if H.shape[1] != len(psi):
-            raise DimensionMismatchError(f"psi0 has shape {psi.shape}, the Hamiltonian {H.shape[1:]}")
-        finite = np.isfinite(H).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"Hamiltonian contains non-finite entries at t = {tm[start + np.argmin(finite)]}")
-        for k, psi in enumerate(_chunk_states(H, psi, dt[start:start + len(H)], hbar), start + 1):
-            if k % per == 0:
-                states[k // per] = psi
-    return StateTrajectory(grid=grid, states=states)
 
 
 #: the weights of a ``Magnus4Walk`` step by stencil width: rows are the first,
@@ -270,9 +224,9 @@ class Magnus4Walk:
     through the nodes and a0 is its midpoint value, so the global error is
     O(h^4) (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); Blanes,
     Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)). Each push steps every
-    interval whose nodes it completes, with the step kernels of ``evolve``:
-    one batched ``eigh`` when the chunk holds several times, a ``lanczos_step``
-    per interval when it holds one. The walk holds the (at most 3) earlier
+    interval whose nodes it completes by ``_chunk_states``: one batched
+    ``eigh`` when the chunk holds several times, a ``lanczos_step`` per
+    interval when it holds one. The walk holds the (at most 3) earlier
     nodes a later interval reads, besides the chunk. ``uniform_step`` checks
     the grid, and psi0 must be normalized (ValueError otherwise).
 
@@ -326,8 +280,8 @@ class Magnus4Walk:
         per = max(1, stop - self.next) if len(A) > 1 else 1
         for j in range(self.next, stop, per):
             i = np.arange(j, min(j + per, stop))
-            for k, psi in enumerate(_chunk_states(self._operator(i), self.states[j], np.full(len(i), self.h),
-                                                  self.hbar, self.work[3]), j + 1):
+            steps = _chunk_states(self._operator(i), self.states[j], self.h, self.hbar, self.work[3])
+            for k, psi in enumerate(steps, j + 1):
                 self.states[k] = psi
         self.next = max(self.next, stop)
 
@@ -380,6 +334,40 @@ class Magnus4Walk:
         return StateTrajectory(grid=self.grid, states=self.states)
 
 
+def evolve(
+    H_of_t: Callable[[np.ndarray], np.ndarray],
+    psi0: np.ndarray,
+    grid: np.ndarray,
+    steps_per_interval: int = 1,
+    hbar: float = 1.0,
+) -> StateTrajectory:
+    """Propagate psi0 along an evenly spaced time grid under H(t), by a
+    ``Magnus4Walk`` with O(h^4) global error in its step h.
+
+    Each grid interval is split into ``steps_per_interval`` equal steps, H is
+    evaluated at the points of that refined grid one ``time_chunks`` chunk at
+    a time, and each chunk is pushed to the walk, whose chunk length picks
+    the step kernel. The grid must pass ``uniform_step`` (evenly spaced
+    within 1e-9 relative, at least 3 points), every chunk must be finite and
+    its D must match ``psi0``, and ``steps_per_interval`` must be an int
+    >= 1; ValueError (DimensionMismatchError for D) otherwise. The states are
+    returned on ``grid``.
+    """
+    per = steps_per_interval
+    if isinstance(per, bool) or not isinstance(per, (int, np.integer)) or per < 1:
+        raise ValueError(f"steps_per_interval must be an int >= 1, got {per!r}")
+    grid = np.asarray(grid, dtype=float)
+    uniform_step(grid)
+    fine = np.linspace(grid[0], grid[-1], (len(grid) - 1) * per + 1)
+    walk = Magnus4Walk(psi0, fine, hbar)
+    for start, H in time_chunks(H_of_t, fine):
+        finite = np.isfinite(H).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"Hamiltonian contains non-finite entries at t = {fine[start + np.argmin(finite)]}")
+        walk.push(H)
+    return StateTrajectory(grid=grid, states=np.ascontiguousarray(walk.trajectory().states[::per]))
+
+
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Running trapezoid-rule integral of y over the grid x along the first
     axis, zero at x[0]; the result has the shape of y."""
@@ -403,20 +391,18 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return abs(overlap(a, b)) ** 2
 
 
-def adiabatic_coefficients(traj: StateTrajectory, path, hbar: float = 1.0) -> np.ndarray:
-    """Adiabatic-frame coefficients c_n(t) = e^{+(i/hbar) int E_n} <n(t)|Psi(t)>
-    of the modes ``path`` keeps: an (n_t, K) array whose column k is mode
-    ``path.modes[k]``, so (n_t, D) for a path that keeps every mode.
+def adiabatic_populations(traj: StateTrajectory, path) -> np.ndarray:
+    """Adiabatic-frame populations |<n(t)|Psi(t)>|^2 of the modes ``path``
+    keeps: an (n_t, K) array whose column k is mode ``path.modes[k]``, so
+    (n_t, D) for a path that keeps every mode. Transitionless driving keeps
+    every column constant.
 
-    ``path`` is an EigenPath on the same grid. The dynamical phase is removed
-    so that |c_n| is constant exactly when transitions are suppressed. The
-    overlaps are taken against the conjugated states, so the (n_t, D, K)
-    path is never copied.
+    ``path`` is an EigenPath on the grid of ``traj`` (ValueError otherwise).
+    The overlaps are taken as <Psi|n> against the conjugated states, so the
+    (n_t, D, K) path is never copied.
     """
     if len(traj.grid) != len(path.grid) or np.abs(traj.grid - path.grid).max() > 1e-12 * max(
         1.0, abs(traj.grid[-1])
     ):
         raise ValueError("trajectory and eigenpath grids are not aligned")
-    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid) / hbar
-    raw = np.einsum("tdn,td->tn", path.vectors, traj.states.conj()).conj()
-    return np.exp(1j * dyn) * raw
+    return np.abs(np.einsum("tdn,td->tn", path.vectors, traj.states.conj())) ** 2

@@ -32,7 +32,7 @@ energies of all of them, while the tracker itself always aligns whole
 frames: a run that reads only the ground mode stores (n_t, D, 1) vectors
 instead of (n_t, D, D). The readers of a path (``adiabatic_state``,
 ``geometric_integrand``, ``loop_geometric_phase`` and
-``dynamics.adiabatic_coefficients``) work on its kept columns and raise
+``dynamics.adiabatic_populations``) work on its kept columns and raise
 ValueError for a mode it did not keep.
 
 Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from shortcut_forge import cd_walk, cli, counterdiabatic_term, eigenpath
-from shortcut_forge.agp import algebraic_cd, odd_commutator_support
+from shortcut_forge.agp import algebraic_cd, odd_commutator_support, variational_cd
 from shortcut_forge.digitized import ORDERINGS, SAMPLINGS, digitization_error
 from shortcut_forge.dynamics import sample
 from shortcut_forge.models import landau_zener, random_hermitian_ramp, tfim_chain
 from shortcut_forge.operators import gram_matrix, pauli_basis
+from shortcut_forge.qsl import qsl_continuous
 from shortcut_forge.schedule import SHAPES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -437,6 +438,27 @@ def test_lz_trotter_infidelity_is_the_library_digitization_error(tmp_path):
     assert np.array_equal(data[:, 1], report.values)
 
 
+@pytest.mark.parametrize("system, parameters, final_angle", [("random_hermitian", {"dim": 4, "seed": 3}, 0.46),
+                                                               ("landau_zener", {}, 0.0)])
+def test_qsl_run_is_the_library_qsl_continuous(tmp_path, system, parameters, final_angle):
+    """The qsl run forms its integrand inside the variational walk, from the
+    walk's frames. ``qsl_continuous`` of H + H_cd against H + the order-1
+    variational H_cd, on the run's target and walked trajectory, gives the
+    same angle, bound and observed overlap to 1e-12. Order-1 variational CD
+    is exact at D = 2, so the LZ angle is rounding only."""
+    conf = {"system": system, "method": "qsl", "grid_points": 101, "parameters": parameters}
+    rc, _ = _run_conf(tmp_path, conf)
+    assert rc == 0
+    data = np.loadtxt(tmp_path / "run" / "timeseries.csv", delimiter=",", skiprows=1)
+    ref = cli._Reference(cli.validate_config(conf), route="variational")
+    H, dH = ref.system.hamiltonian, ref.system.dhamiltonian
+    report = qsl_continuous(lambda t: H(t) + counterdiabatic_term(H(t), dH(t)),
+                            lambda t: H(t) + variational_cd(H(t), dH(t), 1), ref.target, other=ref.walk.trajectory)
+    assert data[-1, 1] == pytest.approx(final_angle, abs=0.01)
+    for j, column in enumerate((report.angle, report.bound, report.observed), 1):
+        assert np.abs(data[:, j] - column).max() <= 1e-12
+
+
 def _trotter_columns(tmp_path, conf):
     rc, summary = _run_conf(tmp_path, conf)
     assert rc == 0
@@ -711,6 +733,15 @@ _LZ_TROTTER = {"system": "landau_zener", "method": "trotter"}
     ({**_LZ, "method": "exact_cd", "parameters": {"duration": 0}}, "parameters.duration"),
     ({**_LZ, "method": "variational", "order": 0}, "order"),
     ({**_LZ, "method": "exact_cd", "compare_tolerances": {"fidelity": "tight"}}, "compare_tolerances"),
+    # json reads NaN, Infinity and 1e309; a float key must be finite
+    ({**_LZ, "method": "exact_cd", "parameters": {"delta": float("nan")}}, "parameters.delta"),
+    ({**_LZ, "method": "exact_cd", "parameters": {"delta": float("inf")}}, "parameters.delta"),
+    ({**_LZ, "method": "exact_cd", "parameters": {"duration": float("inf")}}, "parameters.duration"),
+    ({**_LZ, "method": "exact_cd", "parameters": {"lambda_stop": float("-inf")}}, "parameters.lambda_stop"),
+    ({**_LZ, "method": "exact_cd", "hbar": float("inf")}, "hbar"),
+    ({**_LZ, "method": "exact_cd", "compare_tolerances": {"fidelity": float("nan")}}, "compare_tolerances"),
+    ({**_LZ, "method": "exact_cd", "compare_tolerances": {"default": float("inf")}}, "compare_tolerances"),
+    ({**_LZ_TROTTER, "trotter": {"total_time": float("inf")}}, "trotter.total_time"),
     ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 1, "seed": 0}}, "parameters.dim"),
     ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 1025, "seed": 0}}, "parameters.dim"),
     ({"system": "random_hermitian", "method": "exact_cd", "parameters": {"dim": 4}}, "parameters.seed"),

@@ -8,7 +8,7 @@ from shortcut_forge import (
     DimensionMismatchError,
     EigenPath,
     StateTrajectory,
-    adiabatic_coefficients,
+    adiabatic_populations,
     eigenpath,
     evolve,
     fidelity,
@@ -55,17 +55,18 @@ class TestEvolve:
         traj = evolve(lz.hamiltonian, psi0, grid)
         assert np.abs(traj.norms() - 1).max() < 1e-10
 
-    def test_second_order_convergence(self, lz):
-        """Halving dt cuts the error against a fine reference by about 4x."""
+    def test_fourth_order_convergence(self, lz):
+        """Halving the step cuts the error against a fine reference by about
+        16: the walk's O(h^4), on a 3-point grid split 16, 32 and 64 times."""
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        grid = np.linspace(0, 1, 2)
-        ref = evolve(lz.hamiltonian, psi0, grid, steps_per_interval=4096).final()
+        grid = np.linspace(0, 1, 3)
+        ref = evolve(lz.hamiltonian, psi0, grid, steps_per_interval=2048).final()
         errs = []
-        for steps in (64, 128, 256):
+        for steps in (16, 32, 64):
             psi = evolve(lz.hamiltonian, psi0, grid, steps_per_interval=steps).final()
             errs.append(np.linalg.norm(psi - ref))
         ratios = [errs[i] / errs[i + 1] for i in range(2)]
-        assert all(3.3 < r < 4.7 for r in ratios)
+        assert all(13.2 < r < 18.8 for r in ratios)
 
     def test_rejects_nonfinite(self):
         H_bad = stacked(lambda t: np.array([[np.nan, 0], [0, 1.0]]))
@@ -138,7 +139,7 @@ class TestMagnus4Walk:
         on the first, the interior and the last intervals (3 points: the
         quadratic stencil, whose fourth ring slot has weight 0)."""
         grid = np.linspace(0.0, 0.6, n_t)
-        h, s = grid[1] - grid[0], min(n_t, 4)
+        h = grid[1] - grid[0]
         nodes = np.array([random_hermitian(50, rng) for _ in grid])
         walk = Magnus4Walk(np.eye(50)[0].astype(complex), grid)
         made = {}
@@ -146,14 +147,8 @@ class TestMagnus4Walk:
         walk._operator = lambda i: made.setdefault(int(i[0]), operator(i).copy())
         _push_in_chunks(walk, nodes, [1] * n_t)
         assert sorted(made) == list(range(n_t - 1))
-        W, M = _MAGNUS4[s]
         for i, H_eff in made.items():
-            row, lo = (0 if i == 0 else 2 if i == n_t - 2 else 1), min(max(i - 1, 0), n_t - s)
-            stencil = nodes[lo:lo + s]
-            a0 = np.einsum("k,kab->ab", M[row], stencil)
-            dA = nodes[i + 1] - nodes[i]
-            expected = np.einsum("k,kab->ab", W[row], stencil) + 1j * h / 12 * (a0 @ dA - dA @ a0)
-            assert np.abs(H_eff[0] - expected).max() <= 1e-13
+            assert np.abs(H_eff[0] - _written_out_operator(nodes, i, h)).max() <= 1e-13
 
     def test_chunk_boundaries_change_no_state(self, rng):
         """The ring of held points serves any chunking: pushing the grid points
@@ -166,13 +161,14 @@ class TestMagnus4Walk:
         uneven = _push_in_chunks(Magnus4Walk(psi0, grid), nodes, [1, 1, 1, 4, 1, 2, 9, 1, 10])
         assert np.abs(uneven - whole).max() < 1e-13
 
+    @pytest.mark.parametrize("check", [lambda grid: Magnus4Walk(np.array([1.0, 0.0]), grid), uniform_step,
+                                       lambda grid: evolve(stacked(lambda t: SZ), np.array([1.0, 0.0]), grid)],
+                             ids=["walk", "uniform_step", "evolve"])
     @pytest.mark.parametrize("grid", [np.geomspace(0.1, 1.0, 11), np.linspace(0.0, 1.0, 2),
                                       np.linspace(1.0, 0.0, 11), np.r_[np.linspace(0.0, 1.0, 10), 1.2]])
-    def test_rejects_a_grid_that_is_not_evenly_spaced(self, grid):
+    def test_rejects_a_grid_that_is_not_evenly_spaced(self, grid, check):
         with pytest.raises(ValueError, match="grid"):
-            Magnus4Walk(np.array([1.0, 0.0]), grid)
-        with pytest.raises(ValueError, match="grid"):
-            uniform_step(grid)
+            check(grid)
 
     def test_a_spacing_within_1e_9_relative_is_even(self):
         grid = np.linspace(0.0, 1.0, 11)
@@ -190,13 +186,13 @@ class TestMagnus4Walk:
             walk.push(np.eye(3)[None])
 
 
-class TestAdiabaticCoefficients:
+class TestAdiabaticPopulations:
     def test_initial_eigenstate(self, lz):
         grid = np.linspace(0, 1, 201)
         path = eigenpath(lz.hamiltonian, grid)
         traj = evolve(lz.hamiltonian, path.vectors[0][:, 0], grid)
-        c = adiabatic_coefficients(traj, path)
-        assert np.allclose(np.abs(c[0]), [1.0, 0.0], atol=1e-12)
+        pops = adiabatic_populations(traj, path)
+        assert np.allclose(pops[0], [1.0, 0.0], atol=1e-12)
 
     def test_cd_driven_moduli_constant(self, lz):
         grid = np.linspace(0, 1, 1001)
@@ -204,13 +200,13 @@ class TestAdiabaticCoefficients:
         H_tot = cd_driven(lz)
         psi0 = (path.vectors[0][:, 0] + path.vectors[0][:, 1]) / np.sqrt(2)
         traj = evolve(H_tot, psi0, grid, steps_per_interval=2)
-        c = adiabatic_coefficients(traj, path)
-        assert np.abs(np.abs(c) - np.abs(c[0])).max() < 1e-6
-        assert np.abs((np.abs(c) ** 2).sum(axis=1) - 1).max() < 1e-8
+        pops = adiabatic_populations(traj, path)
+        assert np.abs(np.sqrt(pops) - np.sqrt(pops[0])).max() < 1e-6
+        assert np.abs(pops.sum(axis=1) - 1).max() < 1e-8
 
     def test_sudden_quench_projection(self):
-        """An instantaneous parameter jump redistributes |c_n|^2 exactly by
-        the overlap of old and new eigenbases."""
+        """An instantaneous parameter jump redistributes the populations
+        exactly by the overlap of old and new eigenbases."""
         H0 = 2.0 * SZ
         H1 = 2.0 * SX + 0.5 * SZ
         E0, V0 = np.linalg.eigh(H0)
@@ -220,13 +216,12 @@ class TestAdiabaticCoefficients:
         grid = np.linspace(0, 0.5, 101)
         path = eigenpath(stacked(lambda t: H1), grid)
         traj = evolve(stacked(lambda t: H1), psi, grid)
-        c = adiabatic_coefficients(traj, path)
-        assert np.abs(np.abs(c) ** 2 - expected).max() < 1e-10
+        assert np.abs(adiabatic_populations(traj, path) - expected).max() < 1e-10
 
     def test_per_time_overlaps_without_a_path_copy(self):
-        """On a D = 64, 401-point path c_n(t_i) is e^{(i/hbar) int E_n} times
-        the per-time <n(t_i)|psi(t_i)>, and the call allocates less than half
-        of the path's vectors: the (n_t, D, D) path is never copied."""
+        """On a D = 64, 401-point path the populations are the per-time
+        |<n(t_i)|psi(t_i)>|^2, and the call allocates less than half of the
+        path's vectors: the (n_t, D, D) path is never copied."""
         rng = np.random.default_rng(7)
         n_t, D = 401, 64
         grid = np.linspace(0, 1, n_t)
@@ -235,14 +230,20 @@ class TestAdiabaticCoefficients:
         traj = StateTrajectory(grid=grid, states=rng.standard_normal((n_t, D)) + 1j * rng.standard_normal((n_t, D)))
         tracemalloc.start()
         try:
-            c = adiabatic_coefficients(traj, path)
+            pops = adiabatic_populations(traj, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        raw = np.array([[np.vdot(vectors[i, :, n], traj.states[i]) for n in range(D)] for i in range(n_t)])
-        expected = np.exp(1j * cumulative_trapezoid(path.energies, grid)) * raw
-        assert np.abs(c - expected).max() <= 1e-12 * np.abs(expected).max()
+        expected = np.abs([[np.vdot(vectors[i, :, n], traj.states[i]) for n in range(D)] for i in range(n_t)]) ** 2
+        assert np.abs(pops - expected).max() <= 1e-12 * expected.max()
         assert peak < 0.5 * vectors.nbytes
+
+    def test_rejects_a_trajectory_on_another_grid(self, lz):
+        grid = np.linspace(0, 1, 11)
+        path = eigenpath(lz.hamiltonian, grid)
+        traj = StateTrajectory(grid=grid + 1e-6, states=path.vectors[:, :, 0])
+        with pytest.raises(ValueError, match="not aligned"):
+            adiabatic_populations(traj, path)
 
 
 class TestOverlap:
@@ -280,16 +281,31 @@ class TestCumulativeTrapezoid:
         assert np.abs(out - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-def _step_loop(H_of_t, psi0, grid, per=1):
-    """The per-step reference: one ``step_unitary`` of each midpoint
-    Hamiltonian, the states at the grid times."""
+def _written_out_operator(nodes, i, h):
+    """H_eff of interval i of an evenly spaced grid of spacing h with the
+    operators ``nodes`` at its points, written out from ``_MAGNUS4``:
+    sum_k w_k A_k + (i h / 12) [a0, A_i+1 - A_i] with a0 = sum_k m_k A_k."""
+    n_t = len(nodes)
+    s = min(n_t, 4)
+    row, lo = (0 if i == 0 else 2 if i == n_t - 2 else 1), min(max(i - 1, 0), n_t - s)
+    W, M = _MAGNUS4[s]
+    stencil = nodes[lo:lo + s]
+    a0 = np.einsum("k,kab->ab", M[row], stencil)
+    dA = nodes[i + 1] - nodes[i]
+    return np.einsum("k,kab->ab", W[row], stencil) + 1j * h / 12 * (a0 @ dA - dA @ a0)
+
+
+def _magnus_loop(H_of_t, psi0, grid, per=1):
+    """The per-step reference of ``evolve``: on the grid split ``per`` times,
+    one ``step_unitary`` of each interval's written-out Magnus operator; the
+    states at the grid times."""
+    fine = np.linspace(grid[0], grid[-1], (len(grid) - 1) * per + 1)
+    nodes, h = H_of_t(fine), fine[1] - fine[0]
     psi, states = psi0, [psi0]
-    for i in range(len(grid) - 1):
-        dt = (grid[i + 1] - grid[i]) / per
-        for j in range(per):
-            psi = step_unitary(H_of_t(np.array([grid[i] + (j + 0.5) * dt]))[0], dt) @ psi
+    for i in range(len(fine) - 1):
+        psi = step_unitary(_written_out_operator(nodes, i, h), h) @ psi
         states.append(psi)
-    return np.array(states)
+    return np.array(states[::per])
 
 
 @pytest.fixture
@@ -309,14 +325,15 @@ def eigh_shapes(monkeypatch):
 class TestTimeChunks:
     @pytest.mark.parametrize("dim", [8, 64])
     def test_chunk_edges_off_the_grid_match_the_loop(self, dim):
-        """49 intervals of 3 sub-steps: D = 8 chunks hold 64 midpoints and
-        split as 1 + 64 + 64 + 18; D = 64 chunks hold one midpoint each and
-        step by Lanczos. The states match a per-step loop."""
+        """49 intervals of 3 steps: at D = 8 the 148 points of the split grid
+        come in chunks of 1 + 64 + 64 + 19, whose edges fall between grid
+        points; D = 64 chunks hold one point each and step by Lanczos. The
+        states match a per-step loop."""
         system = random_hermitian_ramp(dim, 2)
         grid = np.linspace(0.0, 1.0, 50)
         psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
         traj = evolve(system.hamiltonian, psi0, grid, steps_per_interval=3)
-        assert np.abs(traj.states - _step_loop(system.hamiltonian, psi0, grid, per=3)).max() <= 1e-12
+        assert np.abs(traj.states - _magnus_loop(system.hamiltonian, psi0, grid, per=3)).max() <= 1e-12
 
     def test_unstacked_callable_is_rejected_naming_the_contract(self):
         with pytest.raises(ValueError, match=r"must map 1 times to an \(1, D, D\) stack, got shape \(2, 2\)"):
@@ -325,7 +342,8 @@ class TestTimeChunks:
 
 class TestLanczosStep:
     """Chunks of one time (D >= 46) step by Lanczos; each case matches the
-    per-step ``step_unitary`` loop within 1e-12."""
+    per-step ``step_unitary`` loop of the written-out Magnus operators within
+    1e-12."""
 
     def test_eigenvector_breaks_down_at_one_vector(self, eigh_shapes):
         """psi0 = e_0 is decoupled from the rest of every H(t), so each step's
@@ -339,13 +357,14 @@ class TestLanczosStep:
         psi0 = np.eye(64, dtype=complex)[0]
         traj = evolve(H_of_t, psi0, grid)
         assert eigh_shapes == [(1, 1)] * 40
-        assert np.abs(traj.states - _step_loop(H_of_t, psi0, grid)).max() <= 1e-12
+        assert np.abs(traj.states - _magnus_loop(H_of_t, psi0, grid)).max() <= 1e-12
 
     @pytest.mark.parametrize("points, all_fall_back", [(5, True), (21, False)])
     def test_stiff_coarse_grid(self, points, all_fall_back, eigh_shapes):
-        """dt ||H||_F is 18 on 5 points, past what D/2 = 32 Lanczos vectors can
-        bound, so every step falls back to the eigendecomposition; on 21
-        points (3.6) some steps need 30-32 vectors and the rest fall back."""
+        """h ||H_eff||_F is 16-23 on 5 points, past what D/2 = 32 Lanczos
+        vectors can bound, so every step falls back to the eigendecomposition;
+        on 21 points (3.2-4.6) some steps need 30-32 vectors and the rest fall
+        back."""
         system = random_hermitian_ramp(64, 0)
         grid = np.linspace(0.0, 1.0, points)
         psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
@@ -358,7 +377,7 @@ class TestLanczosStep:
             assert fallback == points - 1
         else:
             assert fallback > 0 and min(lanczos) >= 24
-        assert np.abs(traj.states - _step_loop(system.hamiltonian, psi0, grid)).max() <= 1e-12
+        assert np.abs(traj.states - _magnus_loop(system.hamiltonian, psi0, grid)).max() <= 1e-12
 
     def test_thousand_steps_keep_the_norm(self):
         system = random_hermitian_ramp(64, 1)
@@ -366,4 +385,4 @@ class TestLanczosStep:
         psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
         traj = evolve(system.hamiltonian, psi0, grid)
         assert np.abs(traj.norms() - 1).max() <= 1e-13
-        assert np.abs(traj.states - _step_loop(system.hamiltonian, psi0, grid)).max() <= 1e-12
+        assert np.abs(traj.states - _magnus_loop(system.hamiltonian, psi0, grid)).max() <= 1e-12

@@ -138,7 +138,9 @@ def _populations(system, times, states):
                                                   ("rh4", "arbitrary", "sine")])
 def test_relation_2_any_projector_gauge_reproduces_reference_populations(name, phases, clock):
     """The fast-forward populations at t are the reference populations at
-    s(t), on the uniform clock s = 2 t and on the non-uniform sine clock."""
+    s(t), on the uniform clock s = 2 t and on the non-uniform sine clock. The
+    reference is evolved under (ds/dt) H(s(t)) on the uniform t grid, which
+    carries psi0 to the reference state at s(t) (time rescaling)."""
     system = SYSTEMS[name]()
     rate = 2.0
     if clock == "sine":
@@ -153,7 +155,7 @@ def test_relation_2_any_projector_gauge_reproduces_reference_populations(name, p
     grid = np.linspace(0.0, rescale.T_ff, 1001)
     s = rescale.s(grid)
     psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
-    reference = evolve(system.hamiltonian, psi0, s)
+    reference = evolve(stacked(lambda t: rescale.dsdt(t) * system.hamiltonian(rescale.s(t))), psi0, grid)
     H_ff = lambda t: ff_hamiltonian(system.hamiltonian, gauge, rescale, t)
     fast = evolve(stacked(H_ff), psi0, grid)
     expected = _populations(system, s, reference.states)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shortcut_forge import (
-    adiabatic_coefficients,
+    adiabatic_populations,
     adiabaticity_metric,
     counterdiabatic_term,
     eigenpath,
@@ -18,21 +18,21 @@ from conftest import cd_driven
 
 
 class TestCounterdiabaticInvariant:
-    def test_mode_populations_are_conserved_at_second_order(self):
+    def test_mode_populations_are_conserved_at_fourth_order(self):
         """CD <-> Lewis-Riesenfeld invariant: under H + H_cd every
         sum_n f_n |n(t)><n(t)| is conserved, so a D = 64 superposition with
         c_n = 1/8 on every mode keeps |c_n|^2 = 1/64. The deviation is the
-        midpoint integrator's: doubling the grid cuts it by about 4, with no
-        floor from the Lanczos steps of this D."""
+        fourth-order walk's: doubling the grid cuts it by about 16 (15.4 from
+        401 to 801 points, 13.2 from 201 to 401, before the asymptotic range),
+        with no floor from the Lanczos steps of this D."""
         system = random_hermitian_ramp(64, 0)
         deviation = []
-        for points in (201, 401):
+        for points in (401, 801):
             grid = np.linspace(0.0, 1.0, points)
             path = eigenpath(system.hamiltonian, grid)
             traj = evolve(cd_driven(system), path.vectors[0].sum(axis=1) / 8, grid)
-            c = adiabatic_coefficients(traj, path)
-            deviation.append(np.abs(np.abs(c) ** 2 - 1 / 64).max())
-        assert 3.5 <= deviation[0] / deviation[1] <= 4.5
+            deviation.append(np.abs(adiabatic_populations(traj, path) - 1 / 64).max())
+        assert 14.0 <= deviation[0] / deviation[1] <= 18.0
 
     def test_transitionless_driving_is_the_inverse_engineered_hamiltonian(self):
         """Berry's transitionless driving: the eigenmodes move by

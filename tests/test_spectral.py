@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from shortcut_forge import (
     loop_geometric_phase,
     DegeneracyError,
-    adiabatic_coefficients,
+    adiabatic_populations,
     adiabatic_state,
     adiabaticity_metric,
     cd_walk,
@@ -296,7 +296,7 @@ class TestKeptModes:
         assert np.array_equal(ad.dynamical_phases, ad_full.dynamical_phases[:, :1])
         assert np.array_equal(geometric_integrand(ground, 0), geometric_integrand(full, 0))
         traj = evolve(lz.hamiltonian, full.vectors[0, :, 0], grid)
-        assert np.array_equal(adiabatic_coefficients(traj, ground), adiabatic_coefficients(traj, full)[:, :1])
+        assert np.array_equal(adiabatic_populations(traj, ground), adiabatic_populations(traj, full)[:, :1])
         with pytest.raises(ValueError, match="modes \\[1\\] that the path did not keep"):
             adiabatic_state(ground, np.array([0.6, 0.8]))
         for reader in (geometric_integrand, loop_geometric_phase):
