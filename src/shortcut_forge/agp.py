@@ -1,9 +1,17 @@
-"""Approximate counterdiabatic construction without eigenstates.
+"""Approximate counterdiabatic driving: the Krylov, variational and algebraic routes.
 
-One operator chain underlies every route. ``krylov_chain`` runs Lanczos on
-the Liouvillian [H, .] from dH and returns an orthonormal stack of operators,
-Hermitian at even and anti-Hermitian at odd positions. Each route solves one
-linear system B a = u over a span of trial operators:
+One recurrence underlies every route: the Lanczos chain of the Liouvillian
+[H, .] from dH. In the eigenbasis of H the Liouvillian multiplies element
+(n, m) by the Bohr frequency w_nm = E_n - E_m, so chain operator k is
+p_k(w) o dHe, dHe = V^dagger dH V, for a real polynomial p_k, and every
+route's H_cd is V (i hbar f(w) o dHe) V^dagger for an odd polynomial f fitted
+to -1/w with weights |dHe_nm|^2 (Claeys, Pandey, Sels & Polkovnikov, PRL 123,
+090602 (2019); Takahashi & del Campo, PRX 14, 011032 (2024)).
+``_frame_chain`` runs that recurrence in real arithmetic over the D^2 Bohr
+frequencies of eigenframes a caller holds: ``frame_krylov_cd`` takes the
+walk's frames, and ``krylov_chain``, ``krylov_cd`` and ``variational_cd`` make
+one ``eigh`` of H and call it. Each route solves one linear system B a = u
+over a span of trial operators:
 
 * krylov      -- the odd chain operators; B is tridiagonal in the chain
                  normalizations;
@@ -151,79 +159,107 @@ def algebraic_system(
 
 
 def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> KrylovChain:
-    """Lanczos three-term recurrence on the Liouvillian with full
-    re-orthogonalization; terminates at b < 1e-10 b_0 or k_max.
+    """Lanczos chain of the Liouvillian [H, .] from dH: ``_frame_chain`` on
+    one ``eigh`` of H, its operators rotated back to the basis of H.
 
-    The chain is held as one (n, K, D^2) stack, and each new operator is
-    projected off all earlier ones with one stacked product. A second pass
-    runs only at times where the first removed more than half of ||W||^2
-    (the Daniel-Gragg-Kaufman-Stewart test) and left more than the
-    termination norm. Each time leaves the recurrence where its own chain
-    terminates; a time with dH = 0 has an empty chain (a single dH = 0 is a
-    ValueError). The chain length satisfies K <= D^2 - D + 1.
+    Terminates at b < 1e-10 b_0 or k_max; a time with dH = 0 has an empty
+    chain (a single dH = 0 is a ValueError). The chain length satisfies
+    K <= D^2 - D + 1.
     """
     single, H, dH = _as_stacks(H, dH)
-    n, D = len(H), H.shape[1]
-    b0 = np.sqrt(_norm2(dH.reshape(n, D * D)) / D)
-    if single and b0[0] == 0.0:
+    E, V = np.linalg.eigh(H)
+    chain, phase, Vh = _frame_chain(E, V, dH, k_max)
+    if single and chain.b[0, 0] == 0.0:
         raise ValueError("dH vanishes; no Krylov chain exists")
+    ops = np.matmul(np.matmul(V[:, None], chain.ops * phase[:, None]), Vh[:, None])
+    if single:
+        L = int(chain.length[0])
+        return KrylovChain(ops=ops[0, :L], b=chain.b[0, :L], b_next=float(chain.b_next[0]), length=L)
+    return KrylovChain(ops=ops, b=chain.b, b_next=chain.b_next, length=chain.length)
+
+
+def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None = None):
+    """(chain, phase, Vh): the Krylov chain of [H, .] from dH at n times in
+    the eigenframes of H = V diag(E) V^dagger, given (n, D) energies E,
+    (n, D, D) vectors V and the (n, D, D) stack dH, as a real chain with
+    V^dagger Q_k V = chain.ops[:, k] * phase; and the adjoint frames Vh.
+
+    There [H, .] multiplies element (n, m) of dHe = V^dagger dH V by the Bohr
+    frequency w_nm = E_n - E_m, so Q_k = p_k(w) o dHe for a real polynomial
+    p_k, and (Q_j|Q_k) = sum p_j p_k |dHe|^2 / D. The recurrence runs on the
+    real (n, D^2) values x_k = p_k(w) |dHe| / sqrt(D), zero where dHe is, whose
+    dot products are those Frobenius products: the chain of [diag(E), .] from
+    |dHe|, real symmetric at even and antisymmetric at odd k, and phase is
+    dHe / |dHe|. Each new x is projected off all earlier ones with one stacked
+    product; a second pass runs only at times where the first removed more
+    than half of |W|^2 (the Daniel-Gragg-Kaufman-Stewart test) and left more
+    than the termination norm. Each time leaves the recurrence where its own
+    chain terminates, at b < 1e-10 b_0 or at k_max.
+    """
+    n, D = E.shape
+    Vh = np.conjugate(V).swapaxes(1, 2)
+    dHe = np.matmul(np.matmul(Vh, dH), V).reshape(n, D * D)
+    w = (E[:, :, None] - E[:, None, :]).reshape(n, D * D)
+    size = np.abs(dHe)
+    phase = np.divide(dHe, size, out=np.zeros_like(dHe), where=size > 0.0).reshape(n, D, D)
+    size /= np.sqrt(D)
+    b0 = np.sqrt(_norm2(size))
     hard_cap = D * D - D + 1
     k_max = hard_cap if k_max is None else max(1, min(k_max, hard_cap))
     tol = 1e-10 * b0
-    tol2 = tol * tol * D            # tol^2 in the unnormalized |W|^2
+    tol2 = tol * tol
     live = b0 > 0.0
     # grown geometrically: k_max may lie far beyond where the chains terminate
-    Q = np.zeros((n, min(k_max, 16), D * D), dtype=complex)
-    Q[:, 0] = dH.reshape(n, D * D) / np.where(live, b0, 1.0)[:, None]
-    bs = np.zeros((n, Q.shape[1]))
+    X = np.zeros((n, min(k_max, 16), D * D))
+    np.multiply(size, _inverse(b0, live)[:, None], out=X[:, 0])
+    bs = np.zeros((n, X.shape[1]))
     bs[:, 0] = b0
     length = live.astype(int)
     b_next = np.zeros(n)
     K = 1
     while live.any():
-        q = Q[:, K - 1].reshape(n, D, D)
-        W = (H @ q - q @ H).reshape(n, D * D)
+        W = w * X[:, K - 1]
         if K > 1:
-            W -= bs[:, K - 1, None] * Q[:, K - 2]
+            W -= bs[:, K - 1, None] * X[:, K - 2]
         w2 = _norm2(W)
         # ended chains have zero rows from here on, so one pass over all times
         # is exact for them; the second pass runs only where the test asks
-        W -= _projection(Q[:, :K], W, D)
+        W -= _projection(X[:, :K], W)
         r2 = _norm2(W)
-        again = np.nonzero(live & (r2 <= 0.5 * w2) & (r2 >= tol2))[0]
+        again = np.flatnonzero(live & (r2 <= 0.5 * w2) & (r2 >= tol2))
         if len(again):
-            W[again] -= _projection(Q[again, :K], W[again], D)
+            W[again] -= _projection(X[again, :K], W[again])
             r2[again] = _norm2(W[again])
-        b = np.sqrt(r2 / D)
+        b = np.sqrt(r2)
         b_next = np.where(live, b, b_next)
-        live = live & ~((b < tol) | (K == k_max))
+        live = live & (b >= tol) & (K < k_max)
         if not live.any():
             break
-        if K == Q.shape[1]:
+        if K == X.shape[1]:
             grow = min(K, k_max - K)
-            Q = np.concatenate([Q, np.zeros((n, grow, D * D), dtype=complex)], axis=1)
+            X = np.concatenate([X, np.zeros((n, grow, D * D))], axis=1)
             bs = np.concatenate([bs, np.zeros((n, grow))], axis=1)
-        Q[live, K] = W[live] / b[live, None]
-        bs[live, K] = b[live]
+        np.multiply(W, _inverse(b, live)[:, None], out=X[:, K])
+        bs[:, K] = b * live
         length += live
         K += 1
-    ops = Q[:, :K].reshape(n, K, D, D)
-    if single:
-        L = int(length[0])
-        return KrylovChain(ops=ops[0, :L], b=bs[0, :L], b_next=float(b_next[0]), length=L)
-    return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, length=length)
+    ops = np.sqrt(D) * X[:, :K].reshape(n, K, D, D)
+    return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, length=length), phase, Vh
+
+
+def _inverse(b: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """1 / b where live, 0 elsewhere."""
+    return np.divide(1.0, b, out=np.zeros_like(b), where=live)
 
 
 def _norm2(W: np.ndarray) -> np.ndarray:
-    """|W_t|^2 for each row of an (n, D^2) stack."""
-    return np.einsum("ti,ti->t", W.conj(), W).real
+    """|W_t|^2 for each row of a real (n, m) stack."""
+    return np.einsum("ti,ti->t", W, W)
 
 
-def _projection(Q: np.ndarray, W: np.ndarray, D: int) -> np.ndarray:
-    """sum_j Q_j (Q_j|W) per time for chains Q (n, K, D^2) and W (n, D^2),
-    conjugating W rather than the stack."""
-    coef = (Q @ W[:, :, None].conj()).conj() / D
-    return (Q.swapaxes(1, 2) @ coef)[..., 0]
+def _projection(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_j X_j (X_j . W) per time for real chains X (n, K, m) and W (n, m)."""
+    return (X.swapaxes(1, 2) @ (X @ W[:, :, None]))[..., 0]
 
 
 def krylov_system(chain: KrylovChain, hbar: float = 1.0) -> LinearCDSystem:
@@ -328,12 +364,31 @@ def action_value(
 # End-to-end constructions
 
 
+def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None = None,
+                    hbar: float = 1.0) -> np.ndarray:
+    """Counterdiabatic operator of the Krylov route from eigenframes a caller
+    holds, the analogue of ``spectral.frame_cd``: (n, D) energies E and
+    (n, D, D) vectors V of H at n times, in any matching column order and
+    phases, and the (n, D, D) stack dH; returns the (n, D, D) H_cd.
+
+    ``_frame_chain`` runs the recurrence over the Bohr frequencies,
+    ``krylov_system`` and ``solve_cd`` give the coefficients of its odd
+    operators, and ``assemble_cd`` sums and checks them in the eigenframe:
+    H_cd = V (i hbar f(w) o dHe) V^dagger, with f the odd polynomial the
+    route fits to -1/w, formed by ``frame_cd``'s products. Zero where the
+    drive dH vanishes.
+    """
+    chain, phase, Vh = _frame_chain(E, V, dH, k_max)
+    system = krylov_system(chain, hbar=hbar)
+    cd = assemble_cd(system, solve_cd(system))      # i hbar f(w) |dHe|
+    return np.matmul(V, np.multiply(cd, phase, out=cd)) @ Vh
+
+
 def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None, hbar: float = 1.0) -> np.ndarray:
-    """Counterdiabatic operator from the Krylov route (full chain by default);
-    zero where the drive dH vanishes."""
+    """Counterdiabatic operator from the Krylov route (full chain by default):
+    ``frame_krylov_cd`` on one ``eigh`` of H; zero where the drive dH vanishes."""
     single, Hs, dHs = _as_stacks(H, dH)
-    system = krylov_system(krylov_chain(Hs, dHs, k_max=k_max), hbar=hbar)
-    out = assemble_cd(system, solve_cd(system))
+    out = frame_krylov_cd(*np.linalg.eigh(Hs), dHs, k_max=k_max, hbar=hbar)
     return out[0] if single else out
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agp import krylov_cd, variational_cd, algebraic_cd, odd_commutator_support
+from .agp import algebraic_cd, frame_krylov_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
 from .dynamics import StateTrajectory, adiabatic_populations, fidelity, stack_at
@@ -275,24 +275,21 @@ def _canonical_basis(dim: int):
 _LEVEL_COLUMNS_MAX = 8
 
 
-def _cd_route(system, conf: dict, method: str = "exact_cd"):
-    """cd(t) of a counterdiabatic route on ``system``; the approximate ones read ``order``."""
-    H, dH, hbar = system.hamiltonian, system.dhamiltonian, conf["hbar"]
-    if method == "exact_cd":
-        return lambda t: counterdiabatic_term(H(t), dH(t), hbar=hbar)
-    order = conf["order"]
-    if method == "variational":
-        return lambda t: variational_cd(H(t), dH(t), order, hbar=hbar)
-    if method == "krylov":
-        return lambda t: krylov_cd(H(t), dH(t), k_max=2 * order + 1, hbar=hbar)
+def _cd_route(system, conf: dict, method: str):
+    """The ``cd_walk`` route of an approximate method on ``system``, which
+    reads ``order``: route(H, E, V, dH) gives H_cd of a time chunk from its
+    stacks and the walk's eigenframes (E, V) of H. The variational order-K
+    ansatz is the Krylov chain truncated at 2K + 1, and the ``krylov``
+    method runs that same chain, so both are one ``frame_krylov_cd`` on the
+    walk's frames and no route diagonalizes H again. The algebraic route
+    solves over the Pauli or Gell-Mann elements that the odd chain operators
+    up to ``order`` reach at each time."""
+    hbar, order = conf["hbar"], conf["order"]
+    if method in ("variational", "krylov"):
+        return lambda H, E, V, dH: frame_krylov_cd(E, V, dH, k_max=2 * order + 1, hbar=hbar)
     basis = _canonical_basis(system.dim)     # algebraic
-
-    def cd(t):
-        Ht, dHt = H(t), dH(t)
-        support = odd_commutator_support(Ht, dHt, basis, max_order=order)
-        return algebraic_cd(Ht, dHt, basis, hbar=hbar, support=support)
-
-    return cd
+    return lambda H, E, V, dH: algebraic_cd(H, dH, basis, hbar=hbar,
+                                            support=odd_commutator_support(H, dH, basis, max_order=order))
 
 
 class _Reference:
@@ -302,14 +299,14 @@ class _Reference:
     because every reader (the fidelity, ``dynamics.adiabatic_populations``,
     the QSL stddev and |overlap|) drops the phase at each time.
 
-    A ``route`` (a method name of ``_cd_route``) runs ``cd_walk`` in place of
-    the plain ``eigenpath``: the walk drives the target's first state with
-    H + H_cd of that route by the fourth-order Magnus step (``self.walk``). A
-    walked run reads no mode but the ground mode, except for its population
-    columns at D <= 8, so above ``_LEVEL_COLUMNS_MAX`` its path keeps mode 0
-    alone, (n_t, D, 1) vectors instead of (n_t, D, D), while the tracker's
-    overlap gate and rank guard still run on every mode. ``on_chunk`` is
-    ``cd_walk``'s consumer, with this reference first."""
+    A ``route`` (``exact_cd`` or a method of ``_cd_route``) runs ``cd_walk``
+    in place of the plain ``eigenpath``: the walk drives the target's first
+    state with H + H_cd of that route by the fourth-order Magnus step
+    (``self.walk``). A walked run reads no mode but the ground mode, except
+    for its population columns at D <= 8, so above ``_LEVEL_COLUMNS_MAX`` its
+    path keeps mode 0 alone, (n_t, D, 1) vectors instead of (n_t, D, D),
+    while the tracker's overlap gate and rank guard still run on every mode.
+    ``on_chunk`` is ``cd_walk``'s consumer, with this reference first."""
 
     def __init__(self, conf: dict, route: str | None = None, on_chunk=None):
         self.hbar = conf["hbar"]
@@ -321,7 +318,7 @@ class _Reference:
         else:
             modes = [0] if dim > _LEVEL_COLUMNS_MAX else None
             self.walk = cd_walk(H, self.system.dhamiltonian, self.grid, modes, self.hbar,
-                                cd_of_t=None if route == "exact_cd" else _cd_route(self.system, conf, route),
+                                route=None if route == "exact_cd" else _cd_route(self.system, conf, route),
                                 on_chunk=None if on_chunk is None else (lambda *chunk: on_chunk(self, *chunk)))
             self.path = self.walk.path
         self.target = StateTrajectory(grid=self.grid, states=self.path.vectors[:, :, self.path.column(0)])
@@ -380,7 +377,7 @@ def _trotter_scenario(conf: dict) -> dict:
 
     system = _build_system(conf)
     T = tr.get("total_time", system.duration)
-    cd_of_t = _cd_route(system, conf)
+    cd_of_t = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t), hbar=hbar)
     M_list = np.asarray(sorted(tr["M_list"]), dtype=int)
     slice_grids = [np.linspace(0.0, T, M + 1) for M in M_list]
     ends = np.array(sorted(set(np.concatenate(slice_grids).tolist())))

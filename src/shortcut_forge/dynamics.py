@@ -238,16 +238,22 @@ class Magnus4Walk:
     four (D, D) work arrays. A push copies A into the ring before it steps, so
     a caller may form A in ``work`` between pushes. A walk that has taken a
     chunk of several times steps from gathered nodes, as a stack.
+
+    The walk carries the current state and records it at grid points 0,
+    ``every``, 2 ``every``, ..., so a walk on a grid split ``every`` times
+    holds the states of the coarse grid alone.
     """
 
-    def __init__(self, psi0: np.ndarray, grid: np.ndarray, hbar: float = 1.0):
+    def __init__(self, psi0: np.ndarray, grid: np.ndarray, hbar: float = 1.0, every: int = 1):
         self.grid = np.asarray(grid, dtype=float)
         self.h = uniform_step(self.grid)
         self.hbar = hbar
         psi = np.ascontiguousarray(psi0, dtype=complex)
         if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
             raise ValueError("initial state must be normalized")
-        self.states = np.empty((len(self.grid), len(psi)), dtype=complex)
+        self.every = every
+        self.psi = psi
+        self.states = np.empty(((len(self.grid) - 1) // every + 1, len(psi)), dtype=complex)
         self.states[0] = psi
         # grid point k is ring[k % len(ring)]; the ring holds the chunk and
         # the 3 points before it, which a later interval may still read
@@ -280,9 +286,11 @@ class Magnus4Walk:
         per = max(1, stop - self.next) if len(A) > 1 else 1
         for j in range(self.next, stop, per):
             i = np.arange(j, min(j + per, stop))
-            steps = _chunk_states(self._operator(i), self.states[j], self.h, self.hbar, self.work[3])
+            steps = _chunk_states(self._operator(i), self.psi, self.h, self.hbar, self.work[3])
             for k, psi in enumerate(steps, j + 1):
-                self.states[k] = psi
+                if k % self.every == 0:
+                    self.states[k // self.every] = psi
+            self.psi = psi
         self.next = max(self.next, stop)
 
     def _operator(self, i: np.ndarray) -> np.ndarray:
@@ -328,10 +336,10 @@ class Magnus4Walk:
         return work[:1]
 
     def trajectory(self) -> StateTrajectory:
-        """The states at every grid point; ValueError until every interval is stepped."""
+        """The states at every ``every``-th grid point; ValueError until every interval is stepped."""
         if self.next != len(self.grid) - 1:
             raise ValueError(f"the walk stepped {self.next} of {len(self.grid) - 1} intervals")
-        return StateTrajectory(grid=self.grid, states=self.states)
+        return StateTrajectory(grid=self.grid[::self.every], states=self.states)
 
 
 def evolve(
@@ -351,7 +359,7 @@ def evolve(
     within 1e-9 relative, at least 3 points), every chunk must be finite and
     its D must match ``psi0``, and ``steps_per_interval`` must be an int
     >= 1; ValueError (DimensionMismatchError for D) otherwise. The states are
-    returned on ``grid``.
+    returned on ``grid``, and the walk holds those alone.
     """
     per = steps_per_interval
     if isinstance(per, bool) or not isinstance(per, (int, np.integer)) or per < 1:
@@ -359,13 +367,13 @@ def evolve(
     grid = np.asarray(grid, dtype=float)
     uniform_step(grid)
     fine = np.linspace(grid[0], grid[-1], (len(grid) - 1) * per + 1)
-    walk = Magnus4Walk(psi0, fine, hbar)
+    walk = Magnus4Walk(psi0, fine, hbar, every=per)
     for start, H in time_chunks(H_of_t, fine):
         finite = np.isfinite(H).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"Hamiltonian contains non-finite entries at t = {fine[start + np.argmin(finite)]}")
         walk.push(H)
-    return StateTrajectory(grid=grid, states=np.ascontiguousarray(walk.trajectory().states[::per]))
+    return StateTrajectory(grid=grid, states=walk.trajectory().states)
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

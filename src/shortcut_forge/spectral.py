@@ -46,16 +46,19 @@ match ``_align_frames`` and its bisection.
 ``counterdiabatic_term`` takes one matrix or an (n, D, D) stack.
 
 Counterdiabatic driving in one walk. ``cd_walk`` makes one ``eigh`` per
-grid chunk serve the eigenpath and the propagation of every CD route:
+grid chunk serve the eigenpath, the CD route and the propagation:
 ``eigenpath`` hands each chunk's decomposition to a consumer, which forms
-A = H + H_cd at the grid points, with the exact H_cd from that decomposition
-or the route's own H_cd, and feeds them to the fourth-order
-``dynamics.Magnus4Walk``. So a CD run on an evenly spaced grid diagonalizes
-H once per grid point (plus the bisections of the tracker) and evaluates its
-route once per grid point. At one time per chunk a grid point costs one
-``eigh``, the four products of the exact H_cd and the one commutator product
-of the Magnus step, and nothing else of order D^3; H_cd and the Magnus
-operator are formed in the walk's held work arrays.
+A = H + H_cd at the grid points and feeds them to the fourth-order
+``dynamics.Magnus4Walk``. Every route reads that decomposition: the exact
+H_cd is ``frame_cd`` of it, and any other route is a ``route(H, E, V, dH)``,
+such as the variational and Krylov ``agp.frame_krylov_cd``, whose chain runs
+over the Bohr frequencies of those frames. So a CD run on an
+evenly spaced grid diagonalizes H once per grid point (plus the bisections of
+the tracker), makes no commutator chain, and evaluates its route once per
+grid point. At one time per chunk an exact-CD grid point costs one ``eigh``,
+the four products of the exact H_cd and the one commutator product of the
+Magnus step, and nothing else of order D^3; H_cd and the Magnus operator are
+formed in the walk's held work arrays.
 """
 
 from __future__ import annotations
@@ -360,23 +363,24 @@ class CDWalk:
 
 def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.ndarray], np.ndarray],
             grid: np.ndarray, modes: list[int] | None = None, hbar: float = 1.0,
-            cd_of_t: Callable[[np.ndarray], np.ndarray] | None = None, on_chunk: Callable | None = None) -> CDWalk:
+            route: Callable | None = None, on_chunk: Callable | None = None) -> CDWalk:
     """Drive the ground state with H + H_cd along an evenly spaced grid, one
-    ``eigh`` per grid chunk serving the eigenpath and the step.
+    ``eigh`` per grid chunk serving the eigenpath, the route and the step.
 
     ``eigenpath(H_of_t, grid, modes)`` tracks the frames. H_cd at each
-    chunk's grid points is ``cd_of_t`` of its times, a route's time-stacked
-    H_cd, or by default the exact term: the chunk's decomposition (E, V) and
-    dH_of_t give H_cd = ``frame_cd`` (E, V, dH), the values of
-    ``counterdiabatic_term`` bit for bit; a chunk of one time forms it in the
-    walk's work arrays (``Magnus4Walk.work``). The ``Magnus4Walk`` steps H + H_cd
-    at the grid points; the array a route returns is only read. The state
-    starts in mode 0 at grid[0], in the path's gauge, so
-    trajectory.states[0] is the path's ground vector there. The grid must be
-    evenly spaced (``uniform_step``, ValueError before any ``eigh``). A failed
-    frame match raises GridTooCoarseError before H_cd of its chunk is formed
-    or the route is called on it; a coupled closed gap at a grid point raises
-    DegeneracyError in the exact term, as in ``counterdiabatic_term``.
+    chunk's grid points is formed from that chunk's stack H, its
+    decomposition (E, V) and dH = dH_of_t at its times: by ``route(H, E, V,
+    dH)``, a route's (n, D, D) H_cd, or by default the exact term
+    H_cd = ``frame_cd`` (E, V, dH), the values of ``counterdiabatic_term`` bit
+    for bit, which a chunk of one time forms in the walk's work arrays
+    (``Magnus4Walk.work``). The ``Magnus4Walk`` steps H + H_cd at the grid
+    points; the array a route returns is only read. The state starts in mode 0
+    at grid[0], in the path's gauge, so trajectory.states[0] is the path's
+    ground vector there. The grid must be evenly spaced (``uniform_step``,
+    ValueError before any ``eigh``). A failed frame match raises
+    GridTooCoarseError before H_cd of its chunk is formed or the route is
+    called on it; a coupled closed gap at a grid point raises DegeneracyError
+    in the exact term, as in ``counterdiabatic_term``.
 
     ``on_chunk(start, H, E, V, kept, cd)``, when given, reads ``eigenpath``'s
     five arguments and the chunk's H_cd, valid during the call, once it is
@@ -391,14 +395,15 @@ def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.nd
         times = grid[start:start + len(H)]
         if start == 0:
             walk = Magnus4Walk(_initial_gauge(V[0, :, :1].copy())[:, 0], grid, hbar)
-        if cd_of_t is None:     # a chunk of one time forms H_cd in the walk's work arrays
-            cd = frame_cd(E, V, stack_at(dH_of_t, times), hbar, times, walk.work[:3, None] if len(H) == 1 else None)
+        dH = stack_at(dH_of_t, times)
+        if route is None:       # a chunk of one time forms H_cd in the walk's work arrays
+            cd = frame_cd(E, V, dH, hbar, times, walk.work[:3, None] if len(H) == 1 else None)
         else:
-            cd = stack_at(cd_of_t, times)
+            cd = route(H, E, V, dH)
         if on_chunk is not None:
             on_chunk(start, H, E, V, kept, cd)
         # the exact term is the walk's own array; a route's is only read
-        walk.push(np.add(cd, H, out=cd) if cd_of_t is None else H + cd)
+        walk.push(np.add(cd, H, out=cd) if route is None else H + cd)
 
     path = eigenpath(H_of_t, grid, modes, step)
     return CDWalk(path=path, trajectory=walk.trajectory())

@@ -221,15 +221,18 @@ def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypa
     ("landau_zener", "qsl", 2, 1),
     ("landau_zener", "invariant", 1, 0),
     ("random_hermitian", "qsl", 2, 1),
+    ("random_hermitian", "variational", 2, 1),
+    ("landau_zener", "krylov", 2, 1),
 ])
 def test_each_matrix_scenario_diagonalizes_once_per_grid_point(tmp_path, monkeypatch, system, method, dense, small):
     """At defaults (1001 points) a scenario's one walk or path serves every
     reader: D x D eigh matrices are one per grid point for the path plus one
     per interval for the Magnus step of a walk, and the small ``solve_cd``
-    eigh of the qsl run's variational route is one per grid point (none at
-    the smoothstep ends of random_hermitian, where dH = 0). The fast-forward
-    run walks CD on the faster clock, and qsl and invariant form the exact
-    term from the walk's or the path's own frames, never by
+    eigh of a variational or krylov route, the qsl run's too, is one per grid
+    point (none at the smoothstep ends of random_hermitian, where dH = 0):
+    those routes read the walk's frames and diagonalize nothing. The
+    fast-forward run walks CD on the faster clock, and qsl and invariant form
+    the exact term from the walk's or the path's own frames, never by
     ``counterdiabatic_term``."""
     shapes, cd_calls = [], []
     eigh, counterdiabatic_term = np.linalg.eigh, cli.counterdiabatic_term
@@ -409,18 +412,18 @@ def test_exact_cd_coefficient_columns_are_the_library_cd_term(tmp_path, system, 
 def test_approximate_route_is_evaluated_once_per_grid_point(tmp_path, monkeypatch):
     """The Krylov route of a 101-point Landau-Zener run is evaluated at the
     101 grid times the walk steps from and the ``cd_coeff_*`` columns read,
-    and at no other time."""
-    times = []
-    krylov_cd = cli.krylov_cd
+    and at no other time: the frame kernel sees 101 frames in all."""
+    frames = []
+    frame_krylov_cd = cli.frame_krylov_cd
 
-    def counting(H, *args, **kwargs):
-        times.append(len(H))
-        return krylov_cd(H, *args, **kwargs)
+    def counting(E, *args, **kwargs):
+        frames.append(len(E))
+        return frame_krylov_cd(E, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "krylov_cd", counting)
+    monkeypatch.setattr(cli, "frame_krylov_cd", counting)
     rc, _ = _run_conf(tmp_path, {"system": "landau_zener", "method": "krylov", "grid_points": 101})
     assert rc == 0
-    assert sum(times) == 101
+    assert sum(frames) == 101
 
 
 def test_lz_trotter_infidelity_is_the_library_digitization_error(tmp_path):

@@ -88,6 +88,25 @@ class TestEvolve:
             evolve(H_of_t, np.array([1.0, 0.0]), np.linspace(0, 1, 11), steps_per_interval=steps)
         assert times == []
 
+    def test_split_grid_holds_only_the_returned_states(self):
+        """The walk records the state at the grid times alone, so evolve's
+        traced peak on a 3-point D = 8 grid is the same at 2048 steps per
+        interval as at 64, within 10 % (the split grid's 4097 times are the
+        rest); 4097 held states doubled it."""
+        system = random_hermitian_ramp(8, 0)
+        grid = np.linspace(0.0, 1.0, 3)
+        psi0 = np.eye(8, dtype=complex)[0]
+        peaks = []
+        for steps in (64, 2048):
+            tracemalloc.start()
+            try:
+                traj = evolve(system.hamiltonian, psi0, grid, steps_per_interval=steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert traj.states.shape == (3, 8)
+        assert peaks[1] <= 1.1 * peaks[0]
+
     @pytest.mark.parametrize("dim", [6, 50])
     def test_memory_layout_of_psi0_changes_no_bit(self, dim):
         """A strided psi0, such as an eigenpath column, and its contiguous copy

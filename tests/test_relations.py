@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from shortcut_forge import (
+    EigenPath,
     adiabatic_populations,
     adiabaticity_metric,
     counterdiabatic_term,
     eigenpath,
     evolve,
+    geometric_integrand,
     hamiltonian_from_modes,
+    loop_geometric_phase,
     quantum_geometric_tensor,
 )
 from shortcut_forge.models import random_hermitian, random_hermitian_ramp
 
-from conftest import cd_driven
+from conftest import SX, SY, SZ, cd_driven
 
 
 class TestCounterdiabaticInvariant:
@@ -104,3 +107,28 @@ class TestAdiabaticityMetricModeVelocity:
                     if m != n:
                         oracle = abs(np.vdot(V[:, n], dV[:, m])) / abs(E[m] - E[n])
                         assert adiabaticity_metric(H, dH, m, n) == pytest.approx(oracle, rel=1e-5)
+
+
+class TestBerryConnectionLoopPhase:
+    @pytest.mark.parametrize("theta", [0.3, 0.5])
+    def test_integrated_connection_is_the_loop_phase_and_half_the_solid_angle(self, theta):
+        """Berry: a spin-1/2 in a unit field that precesses once on a cone of
+        half-angle theta, H = -n(t).sigma, whose ground state |n(t)> is kept in
+        the single-valued gauge (cos(theta/2), e^{i phi} sin(theta/2)). There
+        the connection does not vanish, and -int Im <n|d_t n> dt from
+        ``geometric_integrand`` is the gauge-invariant ``loop_geometric_phase``
+        and minus half the enclosed solid angle, -pi (1 - cos theta), mod 2 pi,
+        to 1e-6 at 2001 points. The midpoint estimate's own error against the
+        solid angle, pi (1 - cos theta) (2 pi h)^2 / 6 at step h, is 6.3e-7 at
+        theta = 0.5."""
+        grid = np.linspace(0.0, 1.0, 2001)
+        phi = 2 * np.pi * grid
+        ground = np.stack([np.full(phi.shape, np.cos(theta / 2)), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+        path = EigenPath(grid=grid, energies=np.tile([-1.0, 1.0], (len(grid), 1)), vectors=ground[:, :, None],
+                         modes=np.array([0]))
+        n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.full(phi.shape, np.cos(theta))])
+        H = -(n[0, :, None, None] * SX + n[1, :, None, None] * SY + n[2, :, None, None] * SZ)
+        assert np.abs((H @ path.vectors)[:, :, 0] + ground).max() < 1e-14     # ground states of H, energy -1
+        integrated = -np.sum(geometric_integrand(path, 0).imag * np.diff(grid))
+        for phase in (loop_geometric_phase(path, 0), -np.pi * (1 - np.cos(theta))):
+            assert abs(np.angle(np.exp(1j * (integrated - phase)))) < 1e-6

@@ -22,7 +22,7 @@ from shortcut_forge.dynamics import STACK_BYTES, sample
 from shortcut_forge.models import DrivenSystem, landau_zener, random_hermitian, random_hermitian_ramp
 from shortcut_forge.schedule import Schedule
 from shortcut_forge import spectral
-from shortcut_forge.agp import variational_cd
+from shortcut_forge.agp import frame_krylov_cd, variational_cd
 from shortcut_forge.spectral import MAX_REFINE, OVERLAP_MIN, _align_frames, _initial_gauge, discrete_connection
 
 from conftest import SX, SY, SZ, cd_driven, discrete_berry_phase, lz_cd_oracle, stacked
@@ -858,33 +858,40 @@ class TestCDWalk:
         return lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
 
     @staticmethod
-    def _variational(system, calls=None):
-        def cd_of_t(t):
+    def _variational_of_t(system):
+        return lambda t: variational_cd(system.hamiltonian(t), system.dhamiltonian(t), 1)
+
+    @staticmethod
+    def _variational(calls=None):
+        """The order-1 variational route on the walk's frames; it records the
+        H stacks it sees in ``calls``."""
+        def route(H, E, V, dH):
             if calls is not None:
-                calls.append(t.copy())
-            return variational_cd(system.hamiltonian(t), system.dhamiltonian(t), 1)
-        return cd_of_t
+                calls.append(H.copy())
+            return frame_krylov_cd(E, V, dH, k_max=3)
+        return route
 
     def test_fourth_order_on_a_variational_route(self):
         """An order-1 variational route on a D = 8 ramp: each halving of the
         step cuts the final-state error against a 6401-point walk 16 +- 3 fold,
         21 -> 41 -> 81 -> 161 points."""
         system = random_hermitian_ramp(8, seed=1, shape="linear")
-        route = self._variational(system)
-        ref = self._walk(system, 6401, cd_of_t=route).trajectory.final()
-        errs = [np.linalg.norm(self._walk(system, n, cd_of_t=route).trajectory.final() - ref)
+        route = self._variational()
+        ref = self._walk(system, 6401, route=route).trajectory.final()
+        errs = [np.linalg.norm(self._walk(system, n, route=route).trajectory.final() - ref)
                 for n in (21, 41, 81, 161)]
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         assert all(13.0 <= r <= 19.0 for r in ratios), ratios
 
     def test_route_cd_is_the_route_at_the_grid_points_bit_for_bit(self):
-        """201 points of D = 8 span four time chunks; the stepped H_cd is the
-        route sampled on the grid, and the route sees each grid time once."""
+        """201 points of D = 8 span four time chunks; the stepped H_cd, formed
+        on the walk's frames, is ``variational_cd`` sampled on the grid, and
+        the route sees H at each grid time once."""
         system = random_hermitian_ramp(8, seed=1, shape="linear")
         calls = []
-        walk, cd = self._walk_cd(system, 201, cd_of_t=self._variational(system, calls))
-        assert np.array_equal(cd, sample(self._variational(system), walk.path.grid))
-        assert np.array_equal(np.concatenate(calls), walk.path.grid)
+        walk, cd = self._walk_cd(system, 201, route=self._variational(calls))
+        assert np.array_equal(cd, sample(self._variational_of_t(system), walk.path.grid))
+        assert np.array_equal(np.concatenate(calls), sample(system.hamiltonian, walk.path.grid))
 
     @pytest.mark.parametrize("dim, n_t, modes", [(4, 401, None), (48, 11, [0])], ids=["batched", "lone"])
     @pytest.mark.parametrize("route", ["exact", "variational"])
@@ -896,12 +903,12 @@ class TestCDWalk:
         system = random_hermitian_ramp(dim, seed=0, shape="linear")
         seen = []
         walk = self._walk(system, n_t, modes=modes,
-                          cd_of_t=None if route == "exact" else self._variational(system),
+                          route=None if route == "exact" else self._variational(),
                           on_chunk=lambda start, H, E, V, kept, cd: seen.append((start, kept.copy(), cd.copy())))
         starts = [start for start, _, _ in seen]
         assert len(seen) > 2 and starts == [0] + np.cumsum([len(kept) for _, kept, _ in seen[:-1]]).tolist()
         assert np.array_equal(np.concatenate([kept for _, kept, _ in seen]), walk.path.vectors)
-        cd_of_t = self._exact(system) if route == "exact" else self._variational(system)
+        cd_of_t = self._exact(system) if route == "exact" else self._variational_of_t(system)
         assert np.array_equal(np.concatenate([cd for _, _, cd in seen]), sample(cd_of_t, walk.path.grid))
 
     def test_a_failed_frame_match_is_raised_before_the_route_sees_its_chunk(self):
@@ -910,16 +917,16 @@ class TestCDWalk:
         system = DrivenSystem(H0=np.zeros((2, 2), dtype=complex), H1=SX, schedule=Schedule.linear(-1.0, 1.0, 1.0))
         calls = []
         with pytest.raises(GridTooCoarseError, match="and 0.5 after 12 refinement levels"):
-            self._walk(system, 21, cd_of_t=self._variational(system, calls))
-        assert [t.tolist() for t in calls] == [[0.0]]
+            self._walk(system, 21, route=self._variational(calls))
+        assert len(calls) == 1 and np.array_equal(calls[0], system.hamiltonian(np.array([0.0])))
 
     def test_a_read_only_route_stack_runs(self):
         """A route that returns a read-only broadcast of zeros steps H alone:
         the same states as a route that returns fresh zeros."""
         system = landau_zener()
         read_only, cd = self._walk_cd(
-            system, 21, cd_of_t=lambda t: np.broadcast_to(np.zeros((2, 2), dtype=complex), (len(t), 2, 2)))
-        fresh = self._walk(system, 21, cd_of_t=lambda t: np.zeros((len(t), 2, 2), dtype=complex))
+            system, 21, route=lambda H, E, V, dH: np.broadcast_to(np.zeros((2, 2), dtype=complex), H.shape))
+        fresh = self._walk(system, 21, route=lambda H, E, V, dH: np.zeros_like(H))
         assert not cd.any()
         assert np.array_equal(read_only.trajectory.states, fresh.trajectory.states)
 
@@ -929,6 +936,6 @@ class TestCDWalk:
         system = random_hermitian_ramp(50, seed=3)
         cache = 0.01 * random_hermitian(50, np.random.default_rng(0))[None]
         saved = cache.copy()
-        _, cd = self._walk_cd(system, 11, cd_of_t=lambda t: cache)
+        _, cd = self._walk_cd(system, 11, route=lambda H, E, V, dH: cache)
         assert np.array_equal(cache, saved)
         assert np.array_equal(cd, np.broadcast_to(saved, cd.shape))
