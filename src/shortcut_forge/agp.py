@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import STACK_BYTES
+from .dynamics import STACK_BYTES, as_stacks
 from .errors import DimensionMismatchError, HermiticityError
 from .operators import OperatorBasis, commutator, frobenius_norm, gram_matrix
 
@@ -113,16 +113,6 @@ class KrylovChain:
         return self.ops.shape[-1]
 
 
-def _as_stacks(H, dH):
-    """(single, H, dH) with H and dH as complex (n, D, D) stacks."""
-    H = np.asarray(H, dtype=complex)
-    dH = np.asarray(dH, dtype=complex)
-    if H.shape != dH.shape:
-        raise DimensionMismatchError(f"H has shape {H.shape}, dH has shape {dH.shape}")
-    single = H.ndim == 2
-    return single, H.reshape((-1,) + H.shape[-2:]), dH.reshape((-1,) + H.shape[-2:])
-
-
 def algebraic_system(
     H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float = 1.0,
     support: np.ndarray | None = None,
@@ -138,7 +128,7 @@ def algebraic_system(
     """
     if len(trial_basis) == 0:
         raise ValueError("trial basis is empty")
-    single, H, dH = _as_stacks(H, dH)
+    single, H, dH = as_stacks(H, dH)
     if H.shape[1:] != trial_basis.elements[0].shape:
         raise DimensionMismatchError("trial basis dimension does not match H")
     L = trial_basis.elements
@@ -166,7 +156,7 @@ def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> Kry
     chain (a single dH = 0 is a ValueError). The chain length satisfies
     K <= D^2 - D + 1.
     """
-    single, H, dH = _as_stacks(H, dH)
+    single, H, dH = as_stacks(H, dH)
     E, V = np.linalg.eigh(H)
     chain, phase, Vh = _frame_chain(E, V, dH, k_max)
     if single and chain.b[0, 0] == 0.0:
@@ -387,7 +377,7 @@ def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | N
 def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None, hbar: float = 1.0) -> np.ndarray:
     """Counterdiabatic operator from the Krylov route (full chain by default):
     ``frame_krylov_cd`` on one ``eigh`` of H; zero where the drive dH vanishes."""
-    single, Hs, dHs = _as_stacks(H, dH)
+    single, Hs, dHs = as_stacks(H, dH)
     out = frame_krylov_cd(*np.linalg.eigh(Hs), dHs, k_max=k_max, hbar=hbar)
     return out[0] if single else out
 
@@ -403,7 +393,7 @@ def algebraic_cd(
     runs in sub-stacks whose (n, len(basis), D, D) commutator stack fits
     ``STACK_BYTES``.
     """
-    single, H, dH = _as_stacks(H, dH)
+    single, H, dH = as_stacks(H, dH)
     support = None if support is None else np.reshape(support, (len(H), -1))
     step = max(1, STACK_BYTES // (16 * trial_basis.elements.size))
     out = np.empty_like(H)
@@ -441,7 +431,7 @@ def odd_commutator_support(H: np.ndarray, dH: np.ndarray, basis: OperatorBasis, 
     overlaps exceeds 1e-10 in magnitude. The support is the natural trial basis
     for the algebraic route. A vanishing drive has empty support.
     """
-    single, Hs, dHs = _as_stacks(H, dH)
+    single, Hs, dHs = as_stacks(H, dH)
     k_max = None if max_order is None else 2 * max_order
     odd = krylov_chain(Hs, dHs, k_max=k_max).ops[:, 1::2]
     mask = (np.abs(gram_matrix(basis.elements, odd)) > 1e-10).any(axis=2)

@@ -65,6 +65,23 @@ def stack_at(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> n
     return H
 
 
+def as_stacks(H, dH):
+    """(single, H, dH) with H and dH of one shape (DimensionMismatchError
+    otherwise) as complex (n, D, D) stacks; single when they were one matrix."""
+    H = np.asarray(H, dtype=complex)
+    dH = np.asarray(dH, dtype=complex)
+    if H.shape != dH.shape:
+        raise DimensionMismatchError(f"H has shape {H.shape}, dH has shape {dH.shape}")
+    single = H.ndim == 2
+    return single, H.reshape((-1,) + H.shape[-2:]), dH.reshape((-1,) + H.shape[-2:])
+
+
+def check_aligned(a: np.ndarray, b: np.ndarray, what: str) -> None:
+    """ValueError naming ``what`` unless grid b matches grid a to 1e-12 of max(1, |a[-1]|)."""
+    if len(a) != len(b) or np.abs(a - b).max() > 1e-12 * max(1.0, abs(a[-1])):
+        raise ValueError(f"{what} grids are not aligned")
+
+
 def time_chunks(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray):
     """Yield (start, H_of_t(times[start:start + n])) over consecutive chunks of
     ``times``: one time first, then chunks of the ``STACK_BYTES`` budget."""
@@ -409,8 +426,5 @@ def adiabatic_populations(traj: StateTrajectory, path) -> np.ndarray:
     The overlaps are taken as <Psi|n> against the conjugated states, so the
     (n_t, D, K) path is never copied.
     """
-    if len(traj.grid) != len(path.grid) or np.abs(traj.grid - path.grid).max() > 1e-12 * max(
-        1.0, abs(traj.grid[-1])
-    ):
-        raise ValueError("trajectory and eigenpath grids are not aligned")
+    check_aligned(traj.grid, path.grid, "trajectory and eigenpath")
     return np.abs(np.einsum("tdn,td->tn", path.vectors, traj.states.conj())) ** 2

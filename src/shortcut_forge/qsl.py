@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import StateTrajectory, cumulative_trapezoid, stack_at, time_chunks
+from .dynamics import StateTrajectory, check_aligned, cumulative_trapezoid, stack_at, time_chunks
 
 
 @dataclass
@@ -92,8 +92,7 @@ def qsl_from_integrand(L: np.ndarray, reference: StateTrajectory, other: StateTr
     angle = cumulative_trapezoid(L, grid) / hbar
     observed = None
     if other is not None:
-        if len(other.grid) != len(grid) or np.abs(other.grid - grid).max() > 1e-12 * max(1.0, abs(grid[-1])):
-            raise ValueError("reference and other trajectory grids are not aligned")
+        check_aligned(grid, other.grid, "reference and other trajectory")
         observed = np.abs(np.einsum("ti,ti->t", reference.states.conj(), other.states))
     return BoundReport(grid=grid, angle=angle, bound=np.cos(angle), observed=observed,
                        metadata={"integrand": L})

@@ -18,12 +18,12 @@ continuation, and only fixed eigenvectors (overlap 1) let levels cross.
 
 One kernel, ``_coupling``, gives the coupling matrix
 M_nm = i hbar <n|dH|m> / (E_m - E_n) from an eigendecomposition (E, V) of H
-and from dH; ``_eigenbasis_coupling`` runs it on its own ``eigh`` of H. The CD
-term (or, for dH = d_lambda H, the gauge potential) is V M V^dagger, formed
-by ``frame_cd`` from frames its caller holds, the adiabaticity metric
-|M_nm| / |E_m - E_n|, the geometric tensor Re <n|A_i A_j|n> / hbar^2. A
-closed gap contributes zero where nothing couples across it, as at a
-symmetry-protected crossing, and raises DegeneracyError where something does.
+and from dH. The CD term (or, for dH = d_lambda H, the gauge potential) is
+V M V^dagger, formed by ``frame_cd`` from frames its caller holds, the
+adiabaticity metric |M_nm| / |E_m - E_n|, the geometric tensor
+Re <n|A_i A_j|n> / hbar^2. A closed gap contributes zero where nothing
+couples across it, as at a symmetry-protected crossing, and raises
+DegeneracyError where something does.
 One function, ``discrete_connection``, gives the overlaps <n(t_i)|n(t_{i+1})>
 behind every geometric and Lewis-Riesenfeld phase.
 
@@ -43,7 +43,7 @@ overlap with the column of that rank reaches ``OVERLAP_MIN``
 (``_same_ranks``, O(D^2) per time). Only an interval where it does not, a
 turn of the frame or a change of rank, goes through the O(D^3) per-point
 match ``_align_frames`` and its bisection.
-``counterdiabatic_term`` takes one matrix or an (n, D, D) stack.
+``counterdiabatic_term`` takes one matrix or an (n, D, D) stack (``dynamics.as_stacks``).
 
 Counterdiabatic driving in one walk. ``cd_walk`` makes one ``eigh`` per
 grid chunk serve the eigenpath, the CD route and the propagation:
@@ -68,9 +68,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (STACK_BYTES, Magnus4Walk, StateTrajectory, cumulative_trapezoid, stack_at, time_chunks,
-                       uniform_step)
-from .errors import DegeneracyError, GridTooCoarseError
+from .dynamics import (STACK_BYTES, Magnus4Walk, StateTrajectory, as_stacks, cumulative_trapezoid, stack_at,
+                       time_chunks, uniform_step)
+from .errors import DegeneracyError, DimensionMismatchError, GridTooCoarseError
 
 #: smallest mode overlap |<n(t_i)|n(t_{i+1})>| that ``eigenpath`` accepts
 OVERLAP_MIN = 0.9
@@ -272,18 +272,6 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     return EigenPath(grid=grid, energies=energies, vectors=vectors, modes=keep)
 
 
-def _eigenbasis_coupling(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0):
-    """(E, V, M, shut) of H (one matrix or an (n, D, D) stack, one ``eigh``
-    call) and dH (one matrix per H, or a stack of derivatives of one H), as
-    stacks: ``_coupling`` of the ``eigh`` of H."""
-    single = np.ndim(H) == 2
-    H = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
-    dH = np.asarray(dH, dtype=complex).reshape((-1,) + H.shape[1:])
-    E, V = np.linalg.eigh(H)
-    where = (lambda t: "") if single else (lambda t: f" at stack index {t}")
-    return (E, V) + _coupling(E, V, V.conj().swapaxes(1, 2), dH, hbar, where)
-
-
 def _coupling(E: np.ndarray, V: np.ndarray, Vh: np.ndarray, dH: np.ndarray, hbar: float,
               where: Callable[[int], str], work=(None, None)):
     """(M, shut) of the (n, D) energies, (n, D, D) eigenvectors V and their
@@ -329,9 +317,9 @@ def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np
     With dH = d_lambda H, a parameter derivative, the result is the adiabatic
     gauge potential A_lambda, and H_cd = lambda_dot . A_lambda.
     """
-    Hs = np.asarray(H, dtype=complex).reshape((-1,) + np.shape(H)[-2:])
-    out = frame_cd(*np.linalg.eigh(Hs), np.asarray(dH, dtype=complex).reshape((-1,) + Hs.shape[1:]), hbar)
-    return out[0] if np.ndim(H) == 2 else out
+    single, H, dH = as_stacks(H, dH)
+    out = frame_cd(*np.linalg.eigh(H), dH, hbar)
+    return out[0] if single else out
 
 
 def frame_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float = 1.0, times: np.ndarray | None = None,
@@ -506,11 +494,16 @@ def adiabaticity_metric(H: np.ndarray, dH: np.ndarray, m: int, n: int, hbar: flo
 
     Values much smaller than 1 indicate the pair (m, n) evolves adiabatically;
     the threshold is left to the caller. A closed gap of the pair raises
-    DegeneracyError, as does a coupled closed gap of any other pair.
+    DegeneracyError, as does a coupled closed gap of any other pair; H and dH
+    of different shapes, or stacks, raise DimensionMismatchError.
     """
     if m == n:
         raise ValueError("adiabaticity metric needs two distinct levels")
-    E, _, M, shut = _eigenbasis_coupling(H, dH, hbar)
+    single, H, dH = as_stacks(H, dH)
+    if not single:
+        raise DimensionMismatchError(f"adiabaticity_metric takes one H, got a stack of {len(H)}")
+    E, V = np.linalg.eigh(H)
+    M, shut = _coupling(E, V, V.conj().swapaxes(1, 2), dH, hbar, lambda t: "")
     if shut[0, n, m]:
         raise DegeneracyError(f"levels {m} and {n} are degenerate")
     return float(abs(M[0, n, m]) / abs(E[0, m] - E[0, n]))
@@ -526,6 +519,7 @@ def quantum_geometric_tensor(H: np.ndarray, dH_stack: np.ndarray, n: int = 0) ->
     positive semidefinite. A level degenerate with n contributes nothing when
     no d_i H couples them, and raises DegeneracyError otherwise.
     """
-    _, _, A, _ = _eigenbasis_coupling(H, dH_stack, 1.0)
+    E, V = np.linalg.eigh(np.asarray(H, dtype=complex)[None])
+    A, _ = _coupling(E, V, V.conj().swapaxes(1, 2), np.asarray(dH_stack, dtype=complex), 1.0, lambda t: "")
     g = (A[:, n, :] @ A[:, :, n].T).real
     return 0.5 * (g + g.T)

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from shortcut_forge.dynamics import evolve, step_unitary
+from shortcut_forge.dynamics import StateTrajectory, evolve, step_unitary
 from shortcut_forge.models import SX, landau_zener, random_hermitian
-from shortcut_forge.qsl import qsl_continuous, qsl_discrete, stddev_in_state
+from shortcut_forge.qsl import qsl_continuous, qsl_discrete, qsl_from_integrand, stddev_in_state
 
 
 def _random_state(dim, rng):
@@ -44,6 +44,15 @@ def test_constant_shift_gives_no_angle():
     assert np.abs(report.bound - 1.0).max() < 1e-14
     assert np.abs(report.observed - 1.0).max() < 1e-12
     assert report.holds() and not report.vacuous.any()
+
+
+def test_rejects_an_other_trajectory_on_a_shifted_grid():
+    grid = np.linspace(0.0, 1.0, 11)
+    states = np.tile([1.0, 0.0], (11, 1)).astype(complex)
+    reference = StateTrajectory(grid=grid, states=states)
+    qsl_from_integrand(np.ones(11), reference, StateTrajectory(grid=grid.copy(), states=states))
+    with pytest.raises(ValueError, match="not aligned"):
+        qsl_from_integrand(np.ones(11), reference, StateTrajectory(grid=grid + 1e-6, states=states))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -17,7 +17,7 @@ from shortcut_forge import (
     geometric_integrand,
     quantum_geometric_tensor,
 )
-from shortcut_forge.errors import GridTooCoarseError
+from shortcut_forge.errors import DimensionMismatchError, GridTooCoarseError
 from shortcut_forge.dynamics import STACK_BYTES, sample
 from shortcut_forge.models import DrivenSystem, landau_zener, random_hermitian, random_hermitian_ramp
 from shortcut_forge.schedule import Schedule
@@ -689,6 +689,24 @@ class TestAdiabaticityMetric:
         assert adiabaticity_metric(H, X01, 0, 1) == pytest.approx(0.25, abs=1e-12)
         with pytest.raises(DegeneracyError, match="levels 1 and 2"):
             adiabaticity_metric(H, X01, 1, 2)
+
+
+@pytest.mark.parametrize("reader", [lambda H, dH: counterdiabatic_term(H, dH),
+                                    lambda H, dH: adiabaticity_metric(H, dH, 0, 1)],
+                         ids=["counterdiabatic_term", "adiabaticity_metric"])
+@pytest.mark.parametrize("dH", [np.stack([SZ, SX]), np.eye(3)], ids=["stack_of_two", "three_by_three"])
+def test_mismatched_derivative_raises(reader, dH):
+    """A 2 x 2 H with a stack of two derivatives, or with a 3 x 3 one, is a
+    DimensionMismatchError, as in ``agp``: not the CD term of the first
+    derivative alone, nor a bare reshape error."""
+    with pytest.raises(DimensionMismatchError):
+        reader(SX + 0.3 * SZ, dH)
+
+
+def test_adiabaticity_metric_rejects_a_stack():
+    H = np.stack([SX + 0.3 * SZ, SX - 0.3 * SZ])
+    with pytest.raises(DimensionMismatchError, match="stack of 2"):
+        adiabaticity_metric(H, np.stack([SZ, SZ]), 0, 1)
 
 
 class TestQuantumGeometricTensor:
