@@ -4,7 +4,7 @@ One recurrence underlies every route: the Lanczos chain of the Liouvillian
 [H, .] from dH. In the eigenbasis of H the Liouvillian multiplies element
 (n, m) by the Bohr frequency w_nm = E_n - E_m, so chain operator k is
 p_k(w) o dHe, dHe = V^dagger dH V, for a real polynomial p_k, and every
-route's H_cd is V (i hbar f(w) o dHe) V^dagger for an odd polynomial f fitted
+route's H_cd is V (i f(w) o dHe) V^dagger for an odd polynomial f fitted
 to -1/w with weights |dHe_nm|^2 (Claeys, Pandey, Sels & Polkovnikov, PRL 123,
 090602 (2019); Takahashi & del Campo, PRX 14, 011032 (2024)).
 ``_frame_chain`` runs that recurrence in real arithmetic over the D^2 Bohr
@@ -43,8 +43,8 @@ Rows outside it are zero. Hermiticity is checked per time. A single matrix
 is the n = 1 case of the same code.
 
 Sign convention: the solved coefficients are real and multiply the Hermitian
-operators stored in ``basis_ops`` (i*hbar times an anti-Hermitian chain
-element, or -hbar times a Hermitian trial element). The convention is pinned
+operators stored in ``basis_ops`` (i times an anti-Hermitian chain
+element, or minus a Hermitian trial element). The convention is pinned
 by agreement with the spectral construction on two-level models.
 """
 
@@ -114,14 +114,13 @@ class KrylovChain:
 
 
 def algebraic_system(
-    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float = 1.0,
-    support: np.ndarray | None = None,
+    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, support: np.ndarray | None = None,
 ) -> LinearCDSystem:
     """Algebraic system over a Hermitian orthonormal trial basis.
 
     B_kl = ([H, L_k]|[H, L_l]) and u_k carries the inner product of the
     commutator condition with L_k; the solved coefficients multiply
-    basis_ops[k] = -hbar * L_k. ``support``, a boolean mask over the basis
+    basis_ops[k] = -L_k. ``support``, a boolean mask over the basis
     (one row per time for stacks), restricts each time's system to its
     support: rows and columns outside it are zero, so the minimum-norm
     solution leaves those coefficients at zero.
@@ -142,7 +141,7 @@ def algebraic_system(
         B *= keep[:, :, None] & keep[:, None, :]
         u *= keep
         meta["support"] = keep[0] if single else keep
-    ops = np.broadcast_to(-hbar * L, (len(H),) + L.shape)
+    ops = np.broadcast_to(-L, (len(H),) + L.shape)
     if single:
         return LinearCDSystem(B=B[0], u=u[0], basis_ops=ops[0], metadata=meta)
     return LinearCDSystem(B=B, u=u, basis_ops=ops, metadata=meta)
@@ -252,7 +251,7 @@ def _projection(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return (X.swapaxes(1, 2) @ (X @ W[:, :, None]))[..., 0]
 
 
-def krylov_system(chain: KrylovChain, hbar: float = 1.0) -> LinearCDSystem:
+def krylov_system(chain: KrylovChain) -> LinearCDSystem:
     """Tridiagonal system in the Krylov chain normalizations.
 
     B_kl = (b_{2k-1}^2 + b_{2k}^2) delta_kl + b_{2k-2} b_{2k-1} delta_{k,l+1}
@@ -284,7 +283,7 @@ def krylov_system(chain: KrylovChain, hbar: float = 1.0) -> LinearCDSystem:
     u = np.zeros((n, kb))
     if kb:
         u[:, 0] = np.where(nb > 0, -b[:, 0] * b[:, 1], 0.0)
-    basis_ops = 1j * hbar * ops[:, 1:2 * kb:2]
+    basis_ops = 1j * ops[:, 1:2 * kb:2]
     if single:
         return LinearCDSystem(B=B[0], u=u[0], basis_ops=basis_ops[0], metadata={"support": inside[0]})
     return LinearCDSystem(B=B, u=u, basis_ops=basis_ops, metadata={"support": inside})
@@ -338,15 +337,13 @@ def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def action_value(
-    H: np.ndarray, dH: np.ndarray, H_cd_trial: np.ndarray, hbar: float = 1.0
-) -> float:
-    """Variational cost ||G||^2 with G = dH - (i/hbar)[H, H_cd_trial].
+def action_value(H: np.ndarray, dH: np.ndarray, H_cd_trial: np.ndarray) -> float:
+    """Variational cost ||G||^2 with G = dH - i [H, H_cd_trial].
 
     The solved coefficients of any of the three systems sit at a stationary
     point of this quadratic along every ansatz direction.
     """
-    G = dH - (1j / hbar) * commutator(H, H_cd_trial)
+    G = dH - 1j * commutator(H, H_cd_trial)
     return frobenius_norm(G) ** 2
 
 
@@ -354,8 +351,7 @@ def action_value(
 # End-to-end constructions
 
 
-def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None = None,
-                    hbar: float = 1.0) -> np.ndarray:
+def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> np.ndarray:
     """Counterdiabatic operator of the Krylov route from eigenframes a caller
     holds, the analogue of ``spectral.frame_cd``: (n, D) energies E and
     (n, D, D) vectors V of H at n times, in any matching column order and
@@ -364,27 +360,26 @@ def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | N
     ``_frame_chain`` runs the recurrence over the Bohr frequencies,
     ``krylov_system`` and ``solve_cd`` give the coefficients of its odd
     operators, and ``assemble_cd`` sums and checks them in the eigenframe:
-    H_cd = V (i hbar f(w) o dHe) V^dagger, with f the odd polynomial the
+    H_cd = V (i f(w) o dHe) V^dagger, with f the odd polynomial the
     route fits to -1/w, formed by ``frame_cd``'s products. Zero where the
     drive dH vanishes.
     """
     chain, phase, Vh = _frame_chain(E, V, dH, k_max)
-    system = krylov_system(chain, hbar=hbar)
-    cd = assemble_cd(system, solve_cd(system))      # i hbar f(w) |dHe|
+    system = krylov_system(chain)
+    cd = assemble_cd(system, solve_cd(system))      # i f(w) |dHe|
     return np.matmul(V, np.multiply(cd, phase, out=cd)) @ Vh
 
 
-def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None, hbar: float = 1.0) -> np.ndarray:
+def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> np.ndarray:
     """Counterdiabatic operator from the Krylov route (full chain by default):
     ``frame_krylov_cd`` on one ``eigh`` of H; zero where the drive dH vanishes."""
     single, Hs, dHs = as_stacks(H, dH)
-    out = frame_krylov_cd(*np.linalg.eigh(Hs), dHs, k_max=k_max, hbar=hbar)
+    out = frame_krylov_cd(*np.linalg.eigh(Hs), dHs, k_max=k_max)
     return out[0] if single else out
 
 
 def algebraic_cd(
-    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, hbar: float = 1.0,
-    support: np.ndarray | None = None,
+    H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Counterdiabatic operator from the algebraic route over a trial basis,
     restricted at each time to ``support`` when given (see ``algebraic_system``).
@@ -399,15 +394,13 @@ def algebraic_cd(
     out = np.empty_like(H)
     for s in range(0, len(H), step):
         part = slice(s, s + step)
-        system = algebraic_system(H[part], dH[part], trial_basis, hbar=hbar,
+        system = algebraic_system(H[part], dH[part], trial_basis,
                                   support=None if support is None else support[part])
         out[part] = assemble_cd(system, solve_cd(system))
     return out[0] if single else out
 
 
-def variational_cd(
-    H: np.ndarray, dH: np.ndarray, K_tr: int, hbar: float = 1.0
-) -> np.ndarray:
+def variational_cd(H: np.ndarray, dH: np.ndarray, K_tr: int) -> np.ndarray:
     """Counterdiabatic operator from the variational nested-commutator route.
 
     The order-K_tr ansatz sum_k alpha_k i O_{2k-1}, with O_k the k-fold nested
@@ -417,7 +410,7 @@ def variational_cd(
     Krylov route truncated there. The orthonormal chain keeps every order in
     float64, where the moment matrix of the raw commutators would not.
     """
-    return krylov_cd(H, dH, k_max=2 * K_tr + 1, hbar=hbar)
+    return krylov_cd(H, dH, k_max=2 * K_tr + 1)
 
 
 def odd_commutator_support(H: np.ndarray, dH: np.ndarray, basis: OperatorBasis, max_order: int | None = None):

@@ -37,7 +37,7 @@ from .agp import algebraic_cd, frame_krylov_cd, odd_commutator_support
 from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
                         trotter_step_unitaries)
 from .dynamics import StateTrajectory, adiabatic_populations, fidelity, stack_at
-from .errors import ConfigError, ShortcutForgeError
+from .errors import ConfigError, NonFiniteError, ShortcutForgeError
 from .fastforward import TimeRescaling
 from .gridff import GridSystem1D, ff_potential, split_step_evolve
 from .invariants import DynamicalInvariant, invariant_residual
@@ -53,7 +53,6 @@ _COMMON = {
     "system": str,
     "method": str,
     "grid_points": 1001,
-    "hbar": 1.0,
     "compare_tolerances": dict,     # column glob (or "default") -> tolerance
     "output": {"csv": "timeseries.csv", "summary": "summary.json"},
 }
@@ -99,7 +98,6 @@ _FF_SEGMENTS = 8
 #: value rules by dotted key: (predicate, what it requires)
 _RULES = {
     "grid_points": (lambda v: v >= 3, "at least 3"),
-    "hbar": (lambda v: v > 0, "positive"),
     "order": (lambda v: v >= 1, "at least 1"),
     "compare_tolerances": (lambda v: all(_has_type(t, 0.0) for t in v.values()), "a map to finite numbers"),
     "parameters.duration": (lambda v: v > 0, "positive"),
@@ -227,9 +225,9 @@ def config_hash(conf: dict) -> str:
 
 
 def scenario_hash(conf: dict) -> str:
-    """Hash of the scenario identity only (system, parameters, grid, hbar):
+    """Hash of the scenario identity only (system, parameters, grid):
     runs of different methods on the same scenario stay comparable."""
-    ident = {k: conf[k] for k in ("system", "parameters", "grid_points", "hbar") if k in conf}
+    ident = {k: conf[k] for k in ("system", "parameters", "grid_points") if k in conf}
     return hashlib.sha256(_canonical_json(ident).encode()).hexdigest()
 
 
@@ -284,11 +282,11 @@ def _cd_route(system, conf: dict, method: str):
     walk's frames and no route diagonalizes H again. The algebraic route
     solves over the Pauli or Gell-Mann elements that the odd chain operators
     up to ``order`` reach at each time."""
-    hbar, order = conf["hbar"], conf["order"]
+    order = conf["order"]
     if method in ("variational", "krylov"):
-        return lambda H, E, V, dH: frame_krylov_cd(E, V, dH, k_max=2 * order + 1, hbar=hbar)
+        return lambda H, E, V, dH: frame_krylov_cd(E, V, dH, k_max=2 * order + 1)
     basis = _canonical_basis(system.dim)     # algebraic
-    return lambda H, E, V, dH: algebraic_cd(H, dH, basis, hbar=hbar,
+    return lambda H, E, V, dH: algebraic_cd(H, dH, basis,
                                             support=odd_commutator_support(H, dH, basis, max_order=order))
 
 
@@ -309,7 +307,6 @@ class _Reference:
     ``on_chunk`` is ``cd_walk``'s consumer, with this reference first."""
 
     def __init__(self, conf: dict, route: str | None = None, on_chunk=None):
-        self.hbar = conf["hbar"]
         self.system = _build_system(conf)
         self.grid = np.linspace(0.0, self.system.duration, conf["grid_points"])
         H, dim = self.system.hamiltonian, self.system.dim
@@ -317,7 +314,7 @@ class _Reference:
             self.path = eigenpath(H, self.grid)
         else:
             modes = [0] if dim > _LEVEL_COLUMNS_MAX else None
-            self.walk = cd_walk(H, self.system.dhamiltonian, self.grid, modes, self.hbar,
+            self.walk = cd_walk(H, self.system.dhamiltonian, self.grid, modes,
                                 route=None if route == "exact_cd" else _cd_route(self.system, conf, route),
                                 on_chunk=None if on_chunk is None else (lambda *chunk: on_chunk(self, *chunk)))
             self.path = self.walk.path
@@ -362,7 +359,6 @@ def _fit_summary(report) -> dict:
 
 def _trotter_scenario(conf: dict) -> dict:
     tr = conf["trotter"]
-    hbar = conf["hbar"]
     if conf["system"] == "random_hermitian":
         # conventional first-order baseline: the constant non-commuting pair (H0, H1)
         p = conf["parameters"]
@@ -371,13 +367,13 @@ def _trotter_scenario(conf: dict) -> dict:
         psi0 = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
         psi0 /= np.linalg.norm(psi0)
         report = trotter_baseline_error(system.H0, system.H1, tr.get("total_time", p["duration"]),
-                                        tr["M_list"], psi0, hbar=hbar)
+                                        tr["M_list"], psi0)
         rows = np.column_stack([report.M_list.astype(float), report.values])
         return {"columns": ["m", "state_error"], "rows": rows, "summary": _fit_summary(report)}
 
     system = _build_system(conf)
     T = tr.get("total_time", system.duration)
-    cd_of_t = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t), hbar=hbar)
+    cd_of_t = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
     M_list = np.asarray(sorted(tr["M_list"]), dtype=int)
     slice_grids = [np.linspace(0.0, T, M + 1) for M in M_list]
     ends = np.array(sorted(set(np.concatenate(slice_grids).tolist())))
@@ -385,7 +381,7 @@ def _trotter_scenario(conf: dict) -> dict:
     infidelity, bounds = [], []
     for M, slice_grid in zip(M_list, slice_grids):
         plan = TrotterPlan(M=int(M), T=T, ordering=tr["ordering"], sampling=tr["sampling"])
-        steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan, hbar=hbar)
+        steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan)
         exact = mode[np.searchsorted(ends, slice_grid)]
         psi_dig = mode[0]
         for U in steps_dig:
@@ -427,7 +423,6 @@ def _ff_scenario(conf: dict) -> dict:
 
 
 def _grid_ff_scenario(conf: dict) -> dict:
-    hbar = conf["hbar"]
     p = conf["parameters"]
     rate, n_steps = conf["ff"]["rate"], conf["ff"]["n_steps"]
     ramp = GaussianWidthRamp(width_start=p["width_start"], width_stop=p["width_stop"], duration=p["duration"],
@@ -444,8 +439,8 @@ def _grid_ff_scenario(conf: dict) -> dict:
     for i in range(_FF_SEGMENTS):
         steps = n_steps // _FF_SEGMENTS + (i < n_steps % _FF_SEGMENTS)    # the first segments take the rest
         psi = split_step_evolve(
-            x, lambda tau, t0=checks[i]: ff_potential(grid_sys, rescale, t0 + tau, hbar=hbar),
-            psi, checks[i + 1] - checks[i], steps, ramp.mass, hbar=hbar)
+            x, lambda tau, t0=checks[i]: ff_potential(grid_sys, rescale, t0 + tau),
+            psi, checks[i + 1] - checks[i], steps, ramp.mass)
         rho_t = grid_sys.density(rescale.s(checks[i + 1]))
         l2.append(float(np.sqrt(np.sum((np.abs(psi) ** 2 - rho_t) ** 2) * grid_sys.dx)))
     columns = ["time", "density_l2"]
@@ -460,11 +455,11 @@ def _qsl_scenario(conf: dict) -> dict:
     def integrand(ref, start, H, E, V, kept, cd):
         """stddev of exact H_cd - the walk's variational H_cd in the tracked ground state."""
         times = ref.grid[start:start + len(H)]
-        exact = frame_cd(E, V, stack_at(ref.system.dhamiltonian, times), ref.hbar, times)
+        exact = frame_cd(E, V, stack_at(ref.system.dhamiltonian, times), times)
         L[start:start + len(H)] = stddev_in_state(exact - cd, kept[:, :, 0])
 
     ref = _Reference(conf, route="variational", on_chunk=integrand)
-    report = qsl_from_integrand(L, ref.target, other=ref.walk.trajectory, hbar=ref.hbar)
+    report = qsl_from_integrand(L, ref.target, other=ref.walk.trajectory)
     columns = ["time", "angle", "bound", "observed", "margin"]
     rows = np.column_stack([ref.grid, report.angle, report.bound, report.observed, report.margin()])
     summary = {
@@ -487,9 +482,9 @@ def _invariant_scenario(conf: dict) -> dict:
     def driven(t):
         """H + H_cd at grid times t, H_cd from the path's own frames there."""
         i = np.searchsorted(grid, t)
-        return H(t) + frame_cd(path.energies[i], path.vectors[i], stack_at(dH, t), ref.hbar, t)
+        return H(t) + frame_cd(path.energies[i], path.vectors[i], stack_at(dH, t), t)
 
-    res = invariant_residual(driven, inv, hbar=ref.hbar)
+    res = invariant_residual(driven, inv)
     drift = inv.eigenvalue_drift()
     columns = ["time", "eigenvalue_drift", "von_neumann_residual"]
     rows = np.column_stack([grid, drift, res])
@@ -506,8 +501,14 @@ _RUNNERS = {
 }
 
 def run_scenario(conf: dict, out_dir: Path) -> dict:
+    """Run a validated config into out_dir; a NaN or infinity in the CSV
+    rows is a NonFiniteError naming the column, raised before any write."""
     out_dir.mkdir(parents=True, exist_ok=True)
     result = _RUNNERS[conf["method"]](conf)
+    rows = np.asarray(result["rows"], dtype=float)
+    if not np.isfinite(rows).all():
+        i, j = np.argwhere(~np.isfinite(rows))[0]
+        raise NonFiniteError(f"CSV column {result['columns'][j]!r} is {rows[i, j]} at row {i}")
     write_csv(out_dir / conf["output"]["csv"], result["columns"], result["rows"])
     summary = {
         "tool": "shortcut-forge",
@@ -556,10 +557,13 @@ def _load_run(d: Path):
         raise ConfigError(f"no CSV {csv_path.name} in {d}")
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"unreadable CSV {csv_path}: {exc}") from exc
+        lines = [line for line in fh if line.strip()]
+    if not lines:
+        raise ConfigError(f"CSV {csv_path} holds no data rows")
+    try:
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"unreadable CSV {csv_path}: {exc}") from exc
     return summary, header, data
 
 

@@ -3,7 +3,7 @@
 The digitized propagator alternates exact exponentials of the reference and
 counterdiabatic terms over M uniform slices,
 
-    U(T) ~ prod_{n=M..1} exp(-i dt H(t_n)/hbar) exp(-i dt H_cd(t_n)/hbar),
+    U(T) ~ prod_{n=M..1} exp(-i dt H(t_n)) exp(-i dt H_cd(t_n)),
 
 sampled at the right endpoints t_n = n T / M (midpoint sampling available for
 sensitivity checks). Infidelity against a coherent target scales as 1/M^2.
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import fidelity, sample, step_unitary
+from .dynamics import check_normalized, fidelity, sample, step_unitary
 
 ORDERINGS = ("h-then-cd", "cd-then-h")   # operator order within a slice
 SAMPLINGS = ("right", "midpoint")        # where each slice samples H and H_cd
@@ -57,13 +57,12 @@ def trotter_step_unitaries(
     H_of_t: Callable[[np.ndarray], np.ndarray],
     cd_of_t: Callable[[np.ndarray], np.ndarray],
     plan: TrotterPlan,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """The (M, D, D) stack of per-slice unitaries of the digitized
     counterdiabatic product, built from one time stack of each term."""
     tn = plan.sample_time(np.arange(1, plan.M + 1))
-    Uh = step_unitary(sample(H_of_t, tn), plan.dt, hbar=hbar)
-    Uc = step_unitary(sample(cd_of_t, tn), plan.dt, hbar=hbar)
+    Uh = step_unitary(sample(H_of_t, tn), plan.dt)
+    Uc = step_unitary(sample(cd_of_t, tn), plan.dt)
     return Uh @ Uc if plan.ordering == "h-then-cd" else Uc @ Uh
 
 
@@ -72,7 +71,6 @@ def trotter_cd_evolve(
     cd_of_t: Callable[[np.ndarray], np.ndarray],
     plan: TrotterPlan,
     psi0: np.ndarray,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """Apply the digitized counterdiabatic product to psi0.
 
@@ -81,9 +79,8 @@ def trotter_cd_evolve(
     evolution under H + H_cd.
     """
     psi = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("initial state must be normalized")
-    for U in trotter_step_unitaries(H_of_t, cd_of_t, plan, hbar=hbar):
+    check_normalized(psi, "initial state")
+    for U in trotter_step_unitaries(H_of_t, cd_of_t, plan):
         psi = U @ psi
     return psi
 
@@ -113,7 +110,6 @@ def digitization_error(
     M_list,
     target: np.ndarray,
     psi0: np.ndarray,
-    hbar: float = 1.0,
 ) -> ScalingReport:
     """Infidelity 1 - |<target|psi_M>|^2 against the coherent target at T, per
     slice count, for the default ``TrotterPlan`` (right endpoints, H after
@@ -126,7 +122,7 @@ def digitization_error(
     values = np.empty(len(M_list))
     for i, M in enumerate(M_list):
         plan = TrotterPlan(M=int(M), T=T)
-        psi = trotter_cd_evolve(H_of_t, cd_of_t, plan, psi0, hbar=hbar)
+        psi = trotter_cd_evolve(H_of_t, cd_of_t, plan, psi0)
         values[i] = 1.0 - fidelity(target, psi)
     return fit_scaling(M_list, values, "infidelity")
 
@@ -171,26 +167,24 @@ def trotter_baseline_error(
     T: float,
     M_list,
     psi0: np.ndarray,
-    hbar: float = 1.0,
 ) -> ScalingReport:
     """Conventional first-order baseline: constant non-commuting pair.
 
-    Per slice count M, the step U = exp(-i dt A/hbar) exp(-i dt B/hbar) with
+    Per slice count M, the step U = exp(-i dt A) exp(-i dt B) with
     dt = T/M (the default ``TrotterPlan`` order) is applied M times to psi0,
-    and the state error ||psi_M - exp(-iT(A+B)/hbar) psi0|| is fitted; its
+    and the state error ||psi_M - exp(-iT(A+B)) psi0|| is fitted; its
     slope sits at the first-order value of -1. Two D x D eigendecompositions
     per slice count and one for the target; only D-vectors grow with M.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
-        raise ValueError("initial state must be normalized")
+    check_normalized(psi0, "initial state")
     A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
-    target = step_unitary(A + B, T, hbar=hbar) @ psi0
+    target = step_unitary(A + B, T) @ psi0
     M_list = np.asarray(sorted(M_list), dtype=int)
     values = np.empty(len(M_list))
     for i, M in enumerate(M_list):
         dt = TrotterPlan(M=int(M), T=T).dt
-        U = step_unitary(A, dt, hbar=hbar) @ step_unitary(B, dt, hbar=hbar)
+        U = step_unitary(A, dt) @ step_unitary(B, dt)
         psi = psi0
         for _ in range(M):
             psi = U @ psi

@@ -11,7 +11,8 @@ Population invariants at the 1e-7 level need norm preservation by
 construction, which generic adaptive ODE steppers do not guarantee.
 
 Time stacks. A time callable such as ``H_of_t`` maps a 1-D array of n times
-to an (n, D, D) stack; ``stack_at`` enforces that contract. Kernels walk a
+to a finite (n, D, D) stack; ``stack_at``, which every kernel reads them
+through, enforces that contract. Kernels walk a
 grid in chunks (``time_chunks``): the first chunk holds one time and fixes D,
 every later one holds as many times as fit one complex (n, D, D) stack into
 ``STACK_BYTES`` (1024 times at D = 2, 64 at D = 8, 16 at D = 16, 1 at
@@ -47,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteError
 
 #: byte budget of one complex (n, D, D) time stack
 STACK_BYTES = 64 * 1024
@@ -57,11 +58,15 @@ KRYLOV_TOL = 1e-16
 
 
 def stack_at(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> np.ndarray:
-    """H_of_t(times) as a complex (n, D, D) stack; any other shape is a ValueError."""
+    """H_of_t(times) as a complex (n, D, D) stack; any other shape is a
+    ValueError, and a NaN or infinite entry a NonFiniteError naming its first time."""
     H = np.asarray(H_of_t(times), dtype=complex)
     if H.ndim != 3 or H.shape[0] != len(times) or H.shape[1] != H.shape[2]:
         raise ValueError(f"a time callable must map {len(times)} times to an ({len(times)}, D, D) stack, "
                          f"got shape {H.shape}")
+    if not np.isfinite(H).all():
+        finite = np.isfinite(H).all(axis=(1, 2))
+        raise NonFiniteError(f"the operator stack holds non-finite entries at t = {times[np.argmin(finite)]}")
     return H
 
 
@@ -80,6 +85,12 @@ def check_aligned(a: np.ndarray, b: np.ndarray, what: str) -> None:
     """ValueError naming ``what`` unless grid b matches grid a to 1e-12 of max(1, |a[-1]|)."""
     if len(a) != len(b) or np.abs(a - b).max() > 1e-12 * max(1.0, abs(a[-1])):
         raise ValueError(f"{what} grids are not aligned")
+
+
+def check_normalized(psi: np.ndarray, what: str) -> None:
+    """ValueError naming ``what`` unless the vector psi has norm 1 within 1e-10 (a NaN norm fails)."""
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
+        raise ValueError(f"{what} must be normalized")
 
 
 def time_chunks(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray):
@@ -115,15 +126,15 @@ class StateTrajectory:
         return np.linalg.norm(self.states, axis=1)
 
 
-def step_unitary(H: np.ndarray, dt, hbar: float = 1.0) -> np.ndarray:
-    """exp(-i dt H / hbar) by eigendecomposition; exactly unitary at desk scale.
+def step_unitary(H: np.ndarray, dt) -> np.ndarray:
+    """exp(-i dt H) by eigendecomposition; exactly unitary at desk scale.
 
     H is one (D, D) matrix or an (n, D, D) stack, dt a number or one step per
-    matrix."""
+    matrix. A non-finite H is a NonFiniteError."""
     if not np.isfinite(H).all():
-        raise ValueError("Hamiltonian contains non-finite entries")
+        raise NonFiniteError("Hamiltonian contains non-finite entries")
     E, V = np.linalg.eigh(H)
-    phase = np.exp(-1j * E * np.asarray(dt, dtype=float)[..., None] / hbar)
+    phase = np.exp(-1j * E * np.asarray(dt, dtype=float)[..., None])
     return (V * phase[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
@@ -181,19 +192,19 @@ def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float, work: np.ndarray | 
     return norm * ((S @ (np.exp(-1j * tau * theta) * S[0])) @ V[:m])
 
 
-def _chunk_states(H: np.ndarray, psi: np.ndarray, h: float, hbar: float, work: np.ndarray | None = None):
-    """Yield the state after each step exp(-i h H[k] / hbar) of one chunk of
+def _chunk_states(H: np.ndarray, psi: np.ndarray, h: float, work: np.ndarray | None = None):
+    """Yield the state after each step exp(-i h H[k]) of one chunk of
     operators, one step per interval of an evenly spaced grid of spacing h:
     by ``lanczos_step`` (with its ``work`` array) when the chunk holds one
     operator and its basis suffices, else by one batched eigendecomposition
     of the chunk."""
     if len(H) == 1:
-        psi_next = lanczos_step(H[0], psi, h / hbar, work)
+        psi_next = lanczos_step(H[0], psi, h, work)
         if psi_next is not None:
             yield psi_next
             return
     E, V = np.linalg.eigh(H)
-    phase = np.exp(-1j * E * h / hbar)
+    phase = np.exp(-1j * E * h)
     Vh = V.conj().swapaxes(1, 2)
     for k in range(len(H)):
         psi = V[k] @ (phase[k] * (Vh[k] @ psi))
@@ -234,8 +245,8 @@ class Magnus4Walk:
     it, i-1 .. i+2 inside the grid and the first or last four at its ends (the
     three points of a 3-point grid), and steps
 
-        psi <- exp(-i h H_eff / hbar) psi,
-        H_eff = sum_k w_k A_k + (i h / 12 hbar) [a0, A_i+1 - A_i],  a0 = sum_k m_k A_k,
+        psi <- exp(-i h H_eff) psi,
+        H_eff = sum_k w_k A_k + (i h / 12) [a0, A_i+1 - A_i],  a0 = sum_k m_k A_k,
 
     with the weights of ``_MAGNUS4``: sum_k w_k A_k integrates the cubic
     through the nodes and a0 is its midpoint value, so the global error is
@@ -261,13 +272,11 @@ class Magnus4Walk:
     holds the states of the coarse grid alone.
     """
 
-    def __init__(self, psi0: np.ndarray, grid: np.ndarray, hbar: float = 1.0, every: int = 1):
+    def __init__(self, psi0: np.ndarray, grid: np.ndarray, every: int = 1):
         self.grid = np.asarray(grid, dtype=float)
         self.h = uniform_step(self.grid)
-        self.hbar = hbar
         psi = np.ascontiguousarray(psi0, dtype=complex)
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-            raise ValueError("initial state must be normalized")
+        check_normalized(psi, "initial state")
         self.every = every
         self.psi = psi
         self.states = np.empty(((len(self.grid) - 1) // every + 1, len(psi)), dtype=complex)
@@ -303,7 +312,7 @@ class Magnus4Walk:
         per = max(1, stop - self.next) if len(A) > 1 else 1
         for j in range(self.next, stop, per):
             i = np.arange(j, min(j + per, stop))
-            steps = _chunk_states(self._operator(i), self.psi, self.h, self.hbar, self.work[3])
+            steps = _chunk_states(self._operator(i), self.psi, self.h, self.work[3])
             for k, psi in enumerate(steps, j + 1):
                 if k % self.every == 0:
                     self.states[k // self.every] = psi
@@ -328,7 +337,7 @@ class Magnus4Walk:
         P = a0 @ node
         del a0, node
         P -= P.conj().swapaxes(1, 2)
-        P *= 1j * self.h / (12 * self.hbar)
+        P *= 1j * self.h / 12
         H += P
         return H
 
@@ -348,7 +357,7 @@ class Magnus4Walk:
         np.matmul(a0, diff, out=P)
         Ph = np.conjugate(P.T, out=a0)
         P -= Ph
-        P *= 1j * self.h / (12 * self.hbar)
+        P *= 1j * self.h / 12
         H += P
         return work[:1]
 
@@ -364,7 +373,6 @@ def evolve(
     psi0: np.ndarray,
     grid: np.ndarray,
     steps_per_interval: int = 1,
-    hbar: float = 1.0,
 ) -> StateTrajectory:
     """Propagate psi0 along an evenly spaced time grid under H(t), by a
     ``Magnus4Walk`` with O(h^4) global error in its step h.
@@ -373,10 +381,10 @@ def evolve(
     evaluated at the points of that refined grid one ``time_chunks`` chunk at
     a time, and each chunk is pushed to the walk, whose chunk length picks
     the step kernel. The grid must pass ``uniform_step`` (evenly spaced
-    within 1e-9 relative, at least 3 points), every chunk must be finite and
-    its D must match ``psi0``, and ``steps_per_interval`` must be an int
-    >= 1; ValueError (DimensionMismatchError for D) otherwise. The states are
-    returned on ``grid``, and the walk holds those alone.
+    within 1e-9 relative, at least 3 points), every chunk finite and of the D
+    of ``psi0``, and ``steps_per_interval`` an int >= 1; ValueError otherwise
+    (NonFiniteError from ``stack_at``, DimensionMismatchError for D). The
+    states are returned on ``grid``, and the walk holds those alone.
     """
     per = steps_per_interval
     if isinstance(per, bool) or not isinstance(per, (int, np.integer)) or per < 1:
@@ -384,11 +392,8 @@ def evolve(
     grid = np.asarray(grid, dtype=float)
     uniform_step(grid)
     fine = np.linspace(grid[0], grid[-1], (len(grid) - 1) * per + 1)
-    walk = Magnus4Walk(psi0, fine, hbar, every=per)
-    for start, H in time_chunks(H_of_t, fine):
-        finite = np.isfinite(H).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"Hamiltonian contains non-finite entries at t = {fine[start + np.argmin(finite)]}")
+    walk = Magnus4Walk(psi0, fine, every=per)
+    for _, H in time_chunks(H_of_t, fine):
         walk.push(H)
     return StateTrajectory(grid=grid, states=walk.trajectory().states)
 

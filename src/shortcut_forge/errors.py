@@ -35,3 +35,7 @@ class IllConditionedError(ShortcutForgeError):
 
 class ConfigError(ShortcutForgeError):
     """Scenario configuration failed validation."""
+
+
+class NonFiniteError(ShortcutForgeError, ValueError):
+    """An operator stack or a result holds a NaN or an infinity."""

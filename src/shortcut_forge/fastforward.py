@@ -4,16 +4,16 @@ A fast-forward state U_f(t)|Psi(s(t))> with a measurement-gauge unitary
 U_f = sum_n e^{i f_n} P_n reproduces the reference probability distribution
 in the projector basis on a rescaled clock s(t). The driving Hamiltonian is
 
-    H_FF(t) = (ds/dt) U_f H(s) U_f^dag + i hbar (d_t U_f) U_f^dag,
+    H_FF(t) = (ds/dt) U_f H(s) U_f^dag + i (d_t U_f) U_f^dag,
 
 and ``ff_hamiltonian`` builds it for any gauge. With adiabatic projectors
 P_n(s) of H(s), ``FFGauge`` phases f_n enter U_f with a plus sign, so a phase
-rate hbar df_n/dt = c E_n adds -c H to the generator term. Two relations tie
+rate df_n/dt = c E_n adds -c H to the generator term. Two relations tie
 the method to counterdiabatic (CD) driving, and the tests check both:
 
 1. ``ff_of_cd`` (H(s) + (ds/dt) H_cd(s)) is ``ff_hamiltonian`` of the CD
    reference H + H_cd in the adiabatic-projector gauge with
-   hbar df_n/dt = (ds/dt - 1) E_n(s).
+   df_n/dt = (ds/dt - 1) E_n(s).
 2. In any adiabatic-projector gauge, ``ff_hamiltonian`` of H itself
    reproduces the nonadiabatic reference populations at s(t). In the gauge
    of relation 1 it equals H + (ds/dt)(H_cd - U_f H_cd U_f^dag): fast-forwarded
@@ -77,11 +77,10 @@ def ff_hamiltonian(
     gauge: FFGauge,
     rescale: TimeRescaling,
     t: float,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """Fast-forward Hamiltonian at time t for an arbitrary measurement gauge.
 
-    The generator term i hbar (d_t U_f) U_f^dag uses a second-order difference
+    The generator term i (d_t U_f) U_f^dag uses a second-order difference
     of U_f with step _DT_REL max(T_ff, 1) (central inside [0, T_ff],
     three-point one-sided within one step of an end) and is antisymmetrized,
     which makes it Hermitian by construction.
@@ -96,7 +95,7 @@ def ff_hamiltonian(
     else:
         dU = (gauge.unitary(t + h) - gauge.unitary(t - h)) / (2 * h)
     T_ = dU @ Uf.conj().T
-    gen = 1j * hbar * 0.5 * (T_ - T_.conj().T)   # (d_t U) U^dag is anti-Hermitian for unitary U
+    gen = 1j * 0.5 * (T_ - T_.conj().T)   # (d_t U) U^dag is anti-Hermitian for unitary U
     return main + gen
 
 
@@ -109,7 +108,7 @@ def ff_of_cd(
     """Fast-forwarded counterdiabatic driving: H(s) + (ds/dt) H_cd(s).
 
     This is ``ff_hamiltonian`` of H + H_cd in the gauge
-    hbar df_n/dt = (ds/dt - 1) E_n(s) on adiabatic projectors: the reference
+    df_n/dt = (ds/dt - 1) E_n(s) on adiabatic projectors: the reference
     term keeps its strength while the counterdiabatic term is amplified by
     the rate. For a 1-D array of times t, H_of_s and cd_of_s get the array
     s(t) and the result is the (n, D, D) stack.

@@ -1,7 +1,7 @@
 """Coordinate-space fast-forward on a uniform 1-D grid.
 
 Given a target amplitude r(x, t), the phase theta(x, t) follows from the
-continuity equation d_x(r^2 d_x theta) = -(m/hbar) d_t(r^2), the reference
+continuity equation d_x(r^2 d_x theta) = -m d_t(r^2), the reference
 potential from inverting the Schrodinger equation for r e^{i theta}, and the
 fast-forward potential from the time-rescaled phase choice
 f = (ds/dt - 1) theta(s). This is the coordinate form of the generator
@@ -66,8 +66,8 @@ def _lap(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Phase theta(x, t) solving d_x(r^2 d_x theta) = -(m/hbar) d_t(r^2).
+def phase_from_continuity(grid: GridSystem1D, t: float) -> np.ndarray:
+    """Phase theta(x, t) solving d_x(r^2 d_x theta) = -m d_t(r^2).
 
     Integrated from the left edge with d_x theta(x_min) = 0; the additive
     constant anchors theta = 0 at the density maximum. Probability flux
@@ -76,7 +76,7 @@ def phase_from_continuity(grid: GridSystem1D, t: float, hbar: float = 1.0) -> np
     """
     rho = grid.density(t)
     drho = grid.density_rate(t)
-    flux = -(grid.mass / hbar) * cumulative_trapezoid(drho, grid.x)
+    flux = -grid.mass * cumulative_trapezoid(drho, grid.x)
     dead = rho < R_FLOOR**2
     flux_scale = max(np.abs(flux).max(), 1e-300)
     if (np.abs(flux[dead]) > 1e-6 * flux_scale).any():
@@ -105,15 +105,14 @@ def ff_potential(
     grid: GridSystem1D,
     rescale: TimeRescaling,
     t: float,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """Real fast-forward potential at time t for the phase choice
     f = (ds/dt - 1) theta(s):
 
-    V_FF = Re V(s) - hbar s'' theta(s) - hbar (s'^2 - 1) d_s theta(s)
-           - hbar^2/2m (s'^2 - 1) (d_x theta(s))^2,
+    V_FF = Re V(s) - s'' theta(s) - (s'^2 - 1) d_s theta(s)
+           - 1/(2m) (s'^2 - 1) (d_x theta(s))^2,
 
-    where Re V = -hbar d_s theta + hbar^2/2m [(d_x^2 r)/r - (d_x theta)^2] is
+    where Re V = -d_s theta + 1/(2m) [(d_x^2 r)/r - (d_x theta)^2] is
     the reference potential of r e^{i theta}, with theta from
     ``phase_from_continuity``. Outside the amplitude support (r above
     R_FLOOR) Re V is continued with its nearest defined value. d_s theta is
@@ -125,7 +124,7 @@ def ff_potential(
     sp = rescale.dsdt(t)
     spp = rescale.d2sdt2(t)
     r = np.asarray(grid.r(s), dtype=float)
-    theta = lambda u: phase_from_continuity(grid, u, hbar=hbar)
+    theta = lambda u: phase_from_continuity(grid, u)
     th = theta(s)
     h = rescale.s(rescale.T_ff) / len(grid.x)
     dth_ds = (theta(s + h) - theta(s - h)) / (2 * h)
@@ -133,12 +132,12 @@ def ff_potential(
     inv_r = np.zeros_like(r)
     inv_r[live] = 1.0 / r[live]
     grad_th = np.gradient(th, grid.dx)
-    reV = -hbar * dth_ds + hbar**2 / (2 * grid.mass) * (_lap(r, grid.dx) * inv_r - grad_th**2)
+    reV = -dth_ds + 1 / (2 * grid.mass) * (_lap(r, grid.dx) * inv_r - grad_th**2)
     return (
         _continue_outside(reV, live)
-        - hbar * spp * th
-        - hbar * (sp**2 - 1.0) * dth_ds
-        - hbar**2 / (2 * grid.mass) * (sp**2 - 1.0) * grad_th**2
+        - spp * th
+        - (sp**2 - 1.0) * dth_ds
+        - 1 / (2 * grid.mass) * (sp**2 - 1.0) * grad_th**2
     )
 
 
@@ -149,7 +148,6 @@ def split_step_evolve(
     duration: float,
     n_steps: int,
     mass: float,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """Strang-split Fourier reference integrator (periodic boundary).
 
@@ -160,11 +158,11 @@ def split_step_evolve(
     dx = x[1] - x[0]
     k = 2 * np.pi * np.fft.fftfreq(len(x), d=dx)
     dt = duration / n_steps
-    half_kin = np.exp(-1j * (hbar * k**2 / (2 * mass)) * dt / 2)
+    half_kin = np.exp(-1j * (k**2 / (2 * mass)) * dt / 2)
     psi = np.asarray(psi0, dtype=complex).copy()
     for n in range(n_steps):
         tm = (n + 0.5) * dt
         psi = np.fft.ifft(half_kin * np.fft.fft(psi))
-        psi = np.exp(-1j * V_of_t(tm) * dt / hbar) * psi
+        psi = np.exp(-1j * V_of_t(tm) * dt) * psi
         psi = np.fft.ifft(half_kin * np.fft.fft(psi))
     return psi

@@ -68,9 +68,8 @@ class DynamicalInvariant:
 def invariant_residual(
     H_of_t: Callable[[np.ndarray], np.ndarray],
     F: DynamicalInvariant,
-    hbar: float = 1.0,
 ) -> np.ndarray:
-    """Per-time von Neumann defect ||i hbar dF/dt - [H, F]|| (Frobenius norm)
+    """Per-time von Neumann defect ||i dF/dt - [H, F]|| (Frobenius norm)
     on the grid of F.
 
     dF/dt is taken by centered differences on the grid (one-sided at the
@@ -84,7 +83,7 @@ def invariant_residual(
     out = np.empty(len(grid))
     for start, H in time_chunks(H_of_t, grid):
         Fc = ops[start:start + len(H)]
-        X = 1j * hbar * dF[start:start + len(H)] - (H @ Fc - Fc @ H)
+        X = 1j * dF[start:start + len(H)] - (H @ Fc - Fc @ H)
         out[start:start + len(H)] = np.sqrt(np.einsum("tij,tij->t", X.conj(), X).real / X.shape[-1])
     return out
 
@@ -93,11 +92,10 @@ def lr_phase(
     H_of_t: Callable[[np.ndarray], np.ndarray],
     phi: np.ndarray,
     grid: np.ndarray,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """Lewis-Riesenfeld phase alpha(t) of one smooth mode path phi[i] = phi(t_i).
 
-    alpha(t) = (1/hbar) int <phi|(i hbar d_t - H)|phi> dt'. The derivative
+    alpha(t) = int <phi|(i d_t - H)|phi> dt'. The derivative
     term uses the antisymmetrized midpoint overlap, which is real by
     construction; the energy term uses the trapezoid rule.
     """
@@ -108,12 +106,12 @@ def lr_phase(
         i = int(np.abs(ov).argmin())
         raise GaugeDiscontinuityError(
             f"mode overlap {abs(ov[i]):.3f} < {OVERLAP_MIN} between grid points {i} and {i + 1}")
-    deriv_inc = -np.imag(ov)  # (1/hbar) * i*hbar <phi|dphi> integrated over the interval
+    deriv_inc = -np.imag(ov)  # i <phi|dphi> integrated over the interval
     energy = np.empty(len(grid))
     for start, H in time_chunks(H_of_t, grid):
         p = phi[start:start + len(H)]
         energy[start:start + len(H)] = np.einsum("ti,ti->t", p.conj(), (H @ p[..., None])[..., 0]).real
-    alpha = -cumulative_trapezoid(energy, grid) / hbar
+    alpha = -cumulative_trapezoid(energy, grid)
     alpha[1:] += np.cumsum(deriv_inc)
     return alpha
 
@@ -123,11 +121,10 @@ def hamiltonian_from_modes(
     modes: np.ndarray,
     alpha_rates: np.ndarray,
     dmodes: np.ndarray,
-    hbar: float = 1.0,
 ) -> np.ndarray:
     """Inverse-engineered Hamiltonian driving the given mode paths and phases.
 
-    H(t) = -hbar sum_n (d alpha_n/dt) |phi_n><phi_n| + i hbar sum_n |d_t phi_n><phi_n|.
+    H(t) = -sum_n (d alpha_n/dt) |phi_n><phi_n| + i sum_n |d_t phi_n><phi_n|.
     Evolving |phi_n(0)> under it reproduces e^{i alpha_n(t)} |phi_n(t)>.
     The modes must be orthonormal to 1e-8 at every grid time (ValueError
     otherwise). ``alpha_rates``: array (n_t, D). ``dmodes``: the analytic
@@ -142,8 +139,8 @@ def hamiltonian_from_modes(
     gram_dev = np.abs(modes.conj().swapaxes(1, 2) @ modes - np.eye(modes.shape[2])).max(axis=(1, 2))
     if (gram_dev > 1e-8).any():
         raise ValueError(f"modes are not orthonormal at grid index {int((gram_dev > 1e-8).argmax())}")
-    # H = hbar sum_n (-alpha_n' |phi_n> + i |d_t phi_n>) <phi_n|
-    H = hbar * np.einsum("tin,tjn->tij", 1j * dmodes - alpha_rates[:, None, :] * modes, modes.conj())
+    # H = sum_n (-alpha_n' |phi_n> + i |d_t phi_n>) <phi_n|
+    H = np.einsum("tin,tjn->tij", 1j * dmodes - alpha_rates[:, None, :] * modes, modes.conj())
     Hh = H.conj().swapaxes(1, 2)
     bad = np.abs(H - Hh).max(axis=(1, 2)) > 1e-9 * np.maximum(np.abs(H).max(axis=(1, 2)), 1e-300)
     if bad.any():
@@ -211,13 +208,12 @@ def inverse_engineer_schedule(
     algebra: AlgebraSpec,
     f_target: np.ndarray,
     df_target: np.ndarray,
-    hbar: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hamiltonian coefficients h_k(t) on span(A) driving a target invariant.
 
     Substituting F = sum_l f_l X_l and H = sum_k h_k X_k into the von Neumann
     equation gives, per time, the real linear system
-        hbar df_j/dt = sum_{k in A, l in B} T_klj h_k f_l,   j in B,
+        df_j/dt = sum_{k in A, l in B} T_klj h_k f_l,   j in B,
     solved for every time at once in the least-squares sense (minimum-norm h
     when under-determined), with ``np.linalg.lstsq``'s default cutoff on the
     singular values. Returns (h, residuals) with h of shape (n_t, |A|).
@@ -227,11 +223,10 @@ def inverse_engineer_schedule(
     A_idx, B_idx = algebra.A_indices, algebra.B_indices
     # M[t, j, k] = sum_{l in B} T_klj f_l(t), j in B, k in A
     M = np.einsum("klj,tl->tjk", algebra.T[np.ix_(A_idx, B_idx, B_idx)], f_target)
-    rhs = hbar * df_target
     # the minimum-norm solution by one stacked SVD, with lstsq's rcond=None cutoff
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     keep = sv > np.finfo(float).eps * max(M.shape[1:]) * sv[:, :1]
-    coef = np.divide(np.einsum("tjr,tj->tr", U, rhs), sv, out=np.zeros_like(sv), where=keep)
+    coef = np.divide(np.einsum("tjr,tj->tr", U, df_target), sv, out=np.zeros_like(sv), where=keep)
     h = np.einsum("trk,tr->tk", Vt, coef)
-    res = np.linalg.norm(np.einsum("tjk,tk->tj", M, h) - rhs, axis=1)
+    res = np.linalg.norm(np.einsum("tjk,tk->tj", M, h) - df_target, axis=1)
     return h, res

@@ -121,7 +121,7 @@ class GaussianWidthRamp:
     """Normalized Gaussian amplitude whose width follows a quintic ramp,
     ``Schedule.smoothstep`` from width_start to width_stop.
 
-    The scaling phase theta = m wdot x^2 / (2 hbar w) solves the continuity
+    The scaling phase theta = m wdot x^2 / (2 w) solves the continuity
     equation exactly, making this the standard oracle for the 1-D
     fast-forward construction.
     """
@@ -151,6 +151,6 @@ class GaussianWidthRamp:
         w = self.width(t)
         return self.amplitude(x, t) * (x**2 / w**3 - 1 / (2 * w)) * self.width_rate(t)
 
-    def theta_exact(self, x: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
+    def theta_exact(self, x: np.ndarray, t: float) -> np.ndarray:
         w, wd = self.width(t), self.width_rate(t)
-        return self.mass * wd * x**2 / (2 * hbar * w)
+        return self.mass * wd * x**2 / (2 * w)

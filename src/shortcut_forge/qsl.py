@@ -3,7 +3,7 @@
 Two driven states can separate no faster than the accumulated standard
 deviation of their Hamiltonian difference allows:
 
-    |<Psi_1(t)|Psi_2(t)>| >= cos( (1/hbar) int_0^t L dt' ),
+    |<Psi_1(t)|Psi_2(t)>| >= cos( int_0^t L dt' ),
     L(t) = stddev of (H_1 - H_2) in either trajectory's state.
 
 A discretized form bounds digitized protocols through per-slice mismatch
@@ -70,7 +70,6 @@ def qsl_continuous(
     H2_of_t: Callable[[np.ndarray], np.ndarray],
     reference: StateTrajectory,
     other: StateTrajectory | None = None,
-    hbar: float = 1.0,
 ) -> BoundReport:
     """Continuous bound from the reference trajectory (solving either H_1 or H_2).
 
@@ -80,16 +79,16 @@ def qsl_continuous(
     L = np.empty(len(reference.grid))
     for start, dHm in time_chunks(lambda t: stack_at(H1_of_t, t) - stack_at(H2_of_t, t), reference.grid):
         L[start:start + len(dHm)] = stddev_in_state(dHm, reference.states[start:start + len(dHm)])
-    return qsl_from_integrand(L, reference, other, hbar)
+    return qsl_from_integrand(L, reference, other)
 
 
-def qsl_from_integrand(L: np.ndarray, reference: StateTrajectory, other: StateTrajectory | None = None,
-                       hbar: float = 1.0) -> BoundReport:
+def qsl_from_integrand(L: np.ndarray, reference: StateTrajectory,
+                       other: StateTrajectory | None = None) -> BoundReport:
     """The continuous bound from the integrand L(t_i) on the reference grid:
-    the trapezoid angle (1/hbar) int L, its cosine and, given the other
+    the trapezoid angle int L, its cosine and, given the other
     trajectory on the same grid, the per-time |overlap| for the check."""
     grid = reference.grid
-    angle = cumulative_trapezoid(L, grid) / hbar
+    angle = cumulative_trapezoid(L, grid)
     observed = None
     if other is not None:
         check_aligned(grid, other.grid, "reference and other trajectory")

@@ -17,11 +17,11 @@ with an overlap below ``RANK_OVERLAP``: the modes follow the adiabatic
 continuation, and only fixed eigenvectors (overlap 1) let levels cross.
 
 One kernel, ``_coupling``, gives the coupling matrix
-M_nm = i hbar <n|dH|m> / (E_m - E_n) from an eigendecomposition (E, V) of H
+M_nm = i <n|dH|m> / (E_m - E_n) from an eigendecomposition (E, V) of H
 and from dH. The CD term (or, for dH = d_lambda H, the gauge potential) is
 V M V^dagger, formed by ``frame_cd`` from frames its caller holds, the
 adiabaticity metric |M_nm| / |E_m - E_n|, the geometric tensor
-Re <n|A_i A_j|n> / hbar^2. A closed gap contributes zero where nothing
+Re <n|A_i A_j|n>. A closed gap contributes zero where nothing
 couples across it, as at a symmetry-protected crossing, and raises
 DegeneracyError where something does.
 One function, ``discrete_connection``, gives the overlaps <n(t_i)|n(t_{i+1})>
@@ -68,8 +68,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import (STACK_BYTES, Magnus4Walk, StateTrajectory, as_stacks, cumulative_trapezoid, stack_at,
-                       time_chunks, uniform_step)
+from .dynamics import (STACK_BYTES, Magnus4Walk, StateTrajectory, as_stacks, check_normalized,
+                       cumulative_trapezoid, stack_at, time_chunks, uniform_step)
 from .errors import DegeneracyError, DimensionMismatchError, GridTooCoarseError
 
 #: smallest mode overlap |<n(t_i)|n(t_{i+1})>| that ``eigenpath`` accepts
@@ -272,7 +272,7 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     return EigenPath(grid=grid, energies=energies, vectors=vectors, modes=keep)
 
 
-def _coupling(E: np.ndarray, V: np.ndarray, Vh: np.ndarray, dH: np.ndarray, hbar: float,
+def _coupling(E: np.ndarray, V: np.ndarray, Vh: np.ndarray, dH: np.ndarray,
               where: Callable[[int], str], work=(None, None)):
     """(M, shut) of the (n, D) energies, (n, D, D) eigenvectors V and their
     adjoints Vh of H and the (n, D, D) stack dH (or one derivative per stack
@@ -297,17 +297,17 @@ def _coupling(E: np.ndarray, V: np.ndarray, Vh: np.ndarray, dH: np.ndarray, hbar
                 f"(gap {abs(np.broadcast_to(gap, dHe.shape)[t, n, m]):.3e}) with coupling {abs(dHe[t, n, m]):.3e}"
             )
     np.copyto(gap, 1.0, where=shut)
-    M = np.multiply(1j * hbar, dHe, out=dHe)
+    M = np.multiply(1j, dHe, out=dHe)
     M /= gap
     np.copyto(M, 0.0, where=shut)
     return M, shut
 
 
-def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+def counterdiabatic_term(H: np.ndarray, dH: np.ndarray) -> np.ndarray:
     """Exact counterdiabatic operator from H and its time derivative.
 
     Built from the gauge-free projector form: the (n, m) eigenbasis element is
-    i*hbar <n|dH|m> / (E_m - E_n) for m != n, zero on the diagonal. Closed
+    i <n|dH|m> / (E_m - E_n) for m != n, zero on the diagonal. Closed
     gaps are tolerated only where the coupling matrix element also vanishes
     (symmetry-protected crossings); a genuine coupling across a closed gap
     raises DegeneracyError. H and dH are single matrices or (n, D, D) stacks,
@@ -318,11 +318,11 @@ def counterdiabatic_term(H: np.ndarray, dH: np.ndarray, hbar: float = 1.0) -> np
     gauge potential A_lambda, and H_cd = lambda_dot . A_lambda.
     """
     single, H, dH = as_stacks(H, dH)
-    out = frame_cd(*np.linalg.eigh(H), dH, hbar)
+    out = frame_cd(*np.linalg.eigh(H), dH)
     return out[0] if single else out
 
 
-def frame_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float = 1.0, times: np.ndarray | None = None,
+def frame_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, times: np.ndarray | None = None,
              work: np.ndarray | None = None):
     """``counterdiabatic_term`` V M V^dagger from eigenframes a caller holds:
     (n, D) energies E and (n, D, D) vectors V of H at n times, in any matching
@@ -336,7 +336,7 @@ def frame_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, hbar: float = 1.0, ti
              else (lambda k: f" at stack index {k}" if len(E) > 1 else ""))
     work = (None,) * 3 if work is None else work
     Vh = np.conjugate(V, out=work[0]).swapaxes(1, 2)
-    M = _coupling(E, V, Vh, dH, hbar, where, work[1:])[0]
+    M = _coupling(E, V, Vh, dH, where, work[1:])[0]
     return np.matmul(np.matmul(V, M, out=work[1]), Vh, out=work[2])
 
 
@@ -350,7 +350,7 @@ class CDWalk:
 
 
 def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.ndarray], np.ndarray],
-            grid: np.ndarray, modes: list[int] | None = None, hbar: float = 1.0,
+            grid: np.ndarray, modes: list[int] | None = None,
             route: Callable | None = None, on_chunk: Callable | None = None) -> CDWalk:
     """Drive the ground state with H + H_cd along an evenly spaced grid, one
     ``eigh`` per grid chunk serving the eigenpath, the route and the step.
@@ -382,10 +382,10 @@ def cd_walk(H_of_t: Callable[[np.ndarray], np.ndarray], dH_of_t: Callable[[np.nd
         nonlocal walk
         times = grid[start:start + len(H)]
         if start == 0:
-            walk = Magnus4Walk(_initial_gauge(V[0, :, :1].copy())[:, 0], grid, hbar)
+            walk = Magnus4Walk(_initial_gauge(V[0, :, :1].copy())[:, 0], grid)
         dH = stack_at(dH_of_t, times)
         if route is None:       # a chunk of one time forms H_cd in the walk's work arrays
-            cd = frame_cd(E, V, dH, hbar, times, walk.work[:3, None] if len(H) == 1 else None)
+            cd = frame_cd(E, V, dH, times, walk.work[:3, None] if len(H) == 1 else None)
         else:
             cd = route(H, E, V, dH)
         if on_chunk is not None:
@@ -405,7 +405,7 @@ class AdiabaticState:
     """
 
     trajectory: StateTrajectory
-    dynamical_phases: np.ndarray   # (n_t, K): (1/hbar) int E_n dt', one column per kept mode
+    dynamical_phases: np.ndarray   # (n_t, K): int E_n dt', one column per kept mode
     geometric_phases: np.ndarray   # (n_t, K): -Im int <n|d_t n> dt'
 
 
@@ -437,7 +437,7 @@ def geometric_integrand(path: EigenPath, n: int) -> np.ndarray:
     return 1j * np.imag(ov) / np.diff(path.grid)
 
 
-def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float = 1.0) -> AdiabaticState:
+def adiabatic_state(path: EigenPath, c0: np.ndarray) -> AdiabaticState:
     """Adiabatic reference state for initial adiabatic-frame coefficients c0.
 
     c0 has one entry per mode, D in all, and may be nonzero only on the modes
@@ -448,14 +448,13 @@ def adiabatic_state(path: EigenPath, c0: np.ndarray, hbar: float = 1.0) -> Adiab
     taken for the kept modes alone, one column each, in ``path.modes`` order.
     """
     c0 = np.asarray(c0, dtype=complex)
-    if abs(np.linalg.norm(c0) - 1.0) > 1e-10:
-        raise ValueError("initial coefficients must be normalized")
+    check_normalized(c0, "initial coefficients")
     kept = np.zeros(len(c0), dtype=bool)
     kept[path.modes] = True
     dropped = np.flatnonzero((c0 != 0) & ~kept)
     if dropped.size:
         raise ValueError(f"c0 is nonzero on modes {dropped.tolist()} that the path did not keep")
-    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid) / hbar
+    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid)
     geo = np.zeros(dyn.shape)
     geo[1:] = -np.cumsum(np.imag(discrete_connection(path.vectors)), axis=0)
     phases = np.exp(-1j * dyn + 1j * geo)
@@ -487,8 +486,8 @@ def loop_geometric_phase(path: EigenPath, n: int) -> float:
     return float(-(np.angle(ov).sum() + np.angle(closure)))
 
 
-def adiabaticity_metric(H: np.ndarray, dH: np.ndarray, m: int, n: int, hbar: float = 1.0) -> float:
-    """Two-level adiabaticity measure hbar |<n|dH|m>| / (E_m - E_n)^2 of one
+def adiabaticity_metric(H: np.ndarray, dH: np.ndarray, m: int, n: int) -> float:
+    """Two-level adiabaticity measure |<n|dH|m>| / (E_m - E_n)^2 of one
     H and its time derivative, read off the counterdiabatic coupling matrix as
     |(H_cd)_nm| / |E_m - E_n|.
 
@@ -503,7 +502,7 @@ def adiabaticity_metric(H: np.ndarray, dH: np.ndarray, m: int, n: int, hbar: flo
     if not single:
         raise DimensionMismatchError(f"adiabaticity_metric takes one H, got a stack of {len(H)}")
     E, V = np.linalg.eigh(H)
-    M, shut = _coupling(E, V, V.conj().swapaxes(1, 2), dH, hbar, lambda t: "")
+    M, shut = _coupling(E, V, V.conj().swapaxes(1, 2), dH, lambda t: "")
     if shut[0, n, m]:
         raise DegeneracyError(f"levels {m} and {n} are degenerate")
     return float(abs(M[0, n, m]) / abs(E[0, m] - E[0, n]))
@@ -513,13 +512,13 @@ def quantum_geometric_tensor(H: np.ndarray, dH_stack: np.ndarray, n: int = 0) ->
     """Quantum geometric tensor g_ij of the n-th eigenstate of H, from the
     (p, D, D) stack of its parameter derivatives d_i H.
 
-    g_ij = Re <d_i n|(1 - |n><n|)|d_j n> = Re <n|A_i A_j|n> / hbar^2, the
+    g_ij = Re <d_i n|(1 - |n><n|)|d_j n> = Re <n|A_i A_j|n>, the
     covariance of the adiabatic gauge potentials A_i, in matrix elements
     sum_{m != n} <n|d_iH|m><m|d_jH|n> / (E_m - E_n)^2. Real, symmetric,
     positive semidefinite. A level degenerate with n contributes nothing when
     no d_i H couples them, and raises DegeneracyError otherwise.
     """
     E, V = np.linalg.eigh(np.asarray(H, dtype=complex)[None])
-    A, _ = _coupling(E, V, V.conj().swapaxes(1, 2), np.asarray(dH_stack, dtype=complex), 1.0, lambda t: "")
+    A, _ = _coupling(E, V, V.conj().swapaxes(1, 2), np.asarray(dH_stack, dtype=complex), lambda t: "")
     g = (A[:, n, :] @ A[:, :, n].T).real
     return 0.5 * (g + g.T)

@@ -46,10 +46,10 @@ def cd_driven(system):
     return lambda t: system.hamiltonian(t) + counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
 
 
-def lz_cd_oracle(lam: float, rate: float, delta: float = 1.0, hbar: float = 1.0) -> np.ndarray:
+def lz_cd_oracle(lam: float, rate: float, delta: float = 1.0) -> np.ndarray:
     """Closed-form two-level counterdiabatic operator from the Bloch-angle
-    eigenbasis: -(hbar delta rate / (2 (lam^2 + delta^2))) sigma_y."""
-    return -hbar * delta * rate / (2 * (lam**2 + delta**2)) * SY
+    eigenbasis: -(delta rate / (2 (lam^2 + delta^2))) sigma_y."""
+    return -delta * rate / (2 * (lam**2 + delta**2)) * SY
 
 
 def two_level_eigvecs(lam: float, delta: float = 1.0):

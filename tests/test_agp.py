@@ -433,7 +433,7 @@ class TestUnifiedViewpoint:
             assert abs(frobenius_inner(chain.ops[k], cd)) < 1e-9
 
 
-def cd_integral_representation(H, dH, eta, hbar=1.0):
+def cd_integral_representation(H, dH, eta):
     """Oracle: the regularized integral form of the exact counterdiabatic term
     at finite damping eta.
 
@@ -450,7 +450,7 @@ def cd_integral_representation(H, dH, eta, hbar=1.0):
         for n in range(D):
             if m == n:
                 continue
-            w = (E[m] - E[n]) / hbar
+            w = E[m] - E[n]
             # -(1/2) * integral sgn(u) e^{-eta|u|} e^{i w u} du = -i w/(eta^2+w^2)
             # evaluated numerically: 2*sin-weighted QAWF integral over [0, inf)
             val, _ = scipy.integrate.quad(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortcut_forge import cd_walk, cli, counterdiabatic_term, eigenpath
+from shortcut_forge import NonFiniteError, cd_walk, cli, counterdiabatic_term, eigenpath
 from shortcut_forge.agp import algebraic_cd, odd_commutator_support, variational_cd
 from shortcut_forge.digitized import ORDERINGS, SAMPLINGS, digitization_error
 from shortcut_forge.dynamics import sample
@@ -91,6 +91,18 @@ def test_compare_exits_1_when_a_nan_exceeds(tmp_path, capsys):
     assert cli.main(["compare", str(run_b), str(run_a)]) == 1
 
 
+def test_compare_rejects_a_csv_without_data_rows(tmp_path, capsys):
+    """A header-only CSV is a config error naming the file, not a traceback."""
+    run_a = _lz_run(tmp_path, "a", 1.0)
+    run_b = _lz_run(tmp_path, "b", 1.0)
+    path = run_b / "timeseries.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["compare", str(run_a), str(run_b)]) == 2
+    assert f"CSV {path} holds no data rows" in capsys.readouterr().err
+
+
 _IMPORT_BUDGET_RUNS = [
     {"system": "landau_zener", "method": m, "grid_points": 21} for m in ("exact_cd", "qsl", "ff")
 ] + [{"system": "landau_zener", "method": "trotter"}] + [{"system": "random_hermitian", "method": "algebraic", "grid_points": 21,
@@ -147,6 +159,19 @@ def test_package_source_imports_no_scipy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_package_source_has_no_hbar_parameter():
+    """hbar is 1 throughout: no function or method under src/shortcut_forge
+    takes an ``hbar`` parameter."""
+    found = []
+    for path in sorted((SRC / "shortcut_forge").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+                found += [f"{path.name}:{node.lineno}" for n in names if n == "hbar"]
     assert found == []
 
 
@@ -300,6 +325,38 @@ def _pair_conf(system, method, grid_points=None):
     if system == "random_hermitian":
         conf["parameters"] = {"seed": 0}
     return conf
+
+
+#: finite configs whose arithmetic overflows: a rate of 2e308 makes lambda(0)
+#: NaN, and a duration of 1e-300 overflows the Magnus commutator
+_OVERFLOWING = [
+    ("exact_cd", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
+    ("invariant", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
+    ("trotter", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
+    ("exact_cd", {"duration": 1e-300}, "CSV column 'fidelity' is nan"),
+    ("qsl", {"duration": 1e-300}, "CSV column 'angle' is inf"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method, parameters, message", _OVERFLOWING,
+                         ids=[f"{m}-{'duration' if 'duration' in p else 'rate'}" for m, p, _ in _OVERFLOWING])
+def test_overflowing_config_exits_3_and_writes_nothing(tmp_path, capsys, method, parameters, message):
+    conf = {**_pair_conf("landau_zener", method, grid_points=21), "parameters": parameters}
+    rc, _ = _run_conf(tmp_path, conf)
+    err = capsys.readouterr().err
+    assert rc == 3 and "NonFiniteError" in err and message in err
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_run_rejects_a_nonfinite_csv_row_naming_the_column(tmp_path, monkeypatch):
+    rows = np.array([[0.0, 1.0], [1.0, -np.inf]])
+    monkeypatch.setitem(cli._RUNNERS, "exact_cd", lambda conf: {"columns": ["time", "fidelity"], "rows": rows,
+                                                               "summary": {}})
+    conf = cli.validate_config({"system": "landau_zener", "method": "exact_cd", "grid_points": 21})
+    with pytest.raises(NonFiniteError, match="CSV column 'fidelity' is -inf at row 1"):
+        cli.run_scenario(conf, tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 #: pairs that stop with a numerical failure at their defaults, by error class
@@ -593,7 +650,7 @@ def _key_cases():
     for system in ("landau_zener", "random_hermitian"):
         for method in sorted(cli._VALID_COMBOS[system]):
             methods = cli._METHOD_KEYS[method]
-            sections = {"": {"grid_points": cli._COMMON["grid_points"], "hbar": cli._COMMON["hbar"],
+            sections = {"": {"grid_points": cli._COMMON["grid_points"],
                              **{k: v for k, v in methods.items() if not isinstance(v, dict)}},
                         "parameters": cli._PARAMETERS[system],
                         **{k: v for k, v in methods.items() if isinstance(v, dict)}}
@@ -732,6 +789,7 @@ _LZ_TROTTER = {"system": "landau_zener", "method": "trotter"}
     ({**_LZ, "method": "ff", "ff": {"rate": 0}}, "ff.rate"),
     ({**_LZ, "method": "exact_cd", "grid_points": 0}, "grid_points"),
     ({**_LZ, "method": "invariant", "grid_points": 2}, "grid_points"),
+    # hbar is 1 and no key sets it: any hbar value is an unread key
     ({**_LZ, "method": "exact_cd", "hbar": 0}, "hbar"),
     ({**_LZ, "method": "exact_cd", "parameters": {"duration": 0}}, "parameters.duration"),
     ({**_LZ, "method": "variational", "order": 0}, "order"),

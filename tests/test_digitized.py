@@ -84,10 +84,10 @@ class TestBaseline:
         time callables gives the same state errors, bit for bit."""
         A, B, psi0 = _random_pair(dim, dim)
         T, M_list = 1.3, [3, 5, 9, 17, 40]
-        report = trotter_baseline_error(A, B, T, M_list, psi0, hbar=0.7)
-        target = step_unitary(np.asarray(A + B, dtype=complex), T, hbar=0.7) @ psi0
+        report = trotter_baseline_error(A, B, T, M_list, psi0)
+        target = step_unitary(np.asarray(A + B, dtype=complex), T) @ psi0
         const = lambda X: (lambda t: np.broadcast_to(X, (len(t),) + X.shape))
-        oracle = [np.linalg.norm(trotter_cd_evolve(const(A), const(B), TrotterPlan(M, T), psi0, hbar=0.7) - target)
+        oracle = [np.linalg.norm(trotter_cd_evolve(const(A), const(B), TrotterPlan(M, T), psi0) - target)
                   for M in M_list]
         assert report.metric == "state_error"
         assert np.array_equal(report.values, oracle)

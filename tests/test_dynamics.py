@@ -7,15 +7,21 @@ import scipy.integrate
 from shortcut_forge import (
     DimensionMismatchError,
     EigenPath,
+    NonFiniteError,
     StateTrajectory,
+    TrotterPlan,
     adiabatic_populations,
+    adiabatic_state,
     eigenpath,
     evolve,
     fidelity,
     overlap,
     step_unitary,
+    trotter_baseline_error,
+    trotter_cd_evolve,
 )
-from shortcut_forge.dynamics import _MAGNUS4, Magnus4Walk, cumulative_trapezoid, uniform_step
+from shortcut_forge.dynamics import (_MAGNUS4, Magnus4Walk, check_normalized, cumulative_trapezoid, stack_at,
+                                     uniform_step)
 from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
 
 from conftest import SX, SY, SZ, cd_driven, stacked
@@ -357,6 +363,50 @@ class TestTimeChunks:
     def test_unstacked_callable_is_rejected_naming_the_contract(self):
         with pytest.raises(ValueError, match=r"must map 1 times to an \(1, D, D\) stack, got shape \(2, 2\)"):
             evolve(lambda t: SZ, np.array([1.0, 0.0]), np.linspace(0, 1, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_stack_is_rejected_naming_its_first_time(self, bad):
+        """The one stack gate names the first time whose matrix holds a NaN or
+        an infinity; evolve and every other kernel read their stacks through it."""
+        def H_of_t(t):
+            H = np.array(np.broadcast_to(SZ, (len(t), 2, 2)), dtype=complex)
+            H[t > 0.4, 0, 0] = bad
+            return H
+
+        with pytest.raises(NonFiniteError, match=r"non-finite entries at t = 0\.5$"):
+            stack_at(H_of_t, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(NonFiniteError, match=r"non-finite entries at t = 0\.5$"):
+            evolve(H_of_t, np.array([1.0, 0.0]), np.linspace(0.0, 1.0, 5))
+
+    def test_step_unitary_rejects_a_nonfinite_matrix(self):
+        with pytest.raises(NonFiniteError):
+            step_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
+
+
+class TestCheckNormalized:
+    """One normalization check serves the walk, the digitized product, the
+    baseline and the adiabatic reference state."""
+
+    def test_accepts_a_unit_vector_within_1e_10(self):
+        check_normalized(np.array([0.6, 0.8j]) * (1 + 9e-11), "initial state")
+
+    @pytest.mark.parametrize("psi", [np.array([0.6, 0.8]) * (1 + 2e-10), np.array([np.nan, 0.0]), np.zeros(2)])
+    def test_rejects_naming_what(self, psi):
+        with pytest.raises(ValueError, match="^initial coefficients must be normalized$"):
+            check_normalized(psi, "initial coefficients")
+
+    @pytest.mark.parametrize("entry, message", [
+        (lambda psi: Magnus4Walk(psi, np.linspace(0.0, 1.0, 3)), "initial state"),
+        (lambda psi: trotter_cd_evolve(stacked(lambda t: SZ), stacked(lambda t: SX), TrotterPlan(4, 1.0), psi),
+         "initial state"),
+        (lambda psi: trotter_baseline_error(SZ, SX, 1.0, [4, 8, 16, 32], psi), "initial state"),
+        (lambda psi: adiabatic_state(eigenpath(stacked(lambda t: SZ), np.linspace(0.0, 1.0, 3)), psi),
+         "initial coefficients"),
+    ], ids=["Magnus4Walk", "trotter_cd_evolve", "trotter_baseline_error", "adiabatic_state"])
+    @pytest.mark.parametrize("psi", [np.array([1.0, 1.0]), np.array([np.nan, 0.0])], ids=["long", "nan"])
+    def test_every_entry_point_rejects(self, entry, message, psi):
+        with pytest.raises(ValueError, match=f"^{message} must be normalized$"):
+            entry(psi)
 
 
 class TestLanczosStep:

@@ -1,7 +1,7 @@
 """Fast-forward (FF) against counterdiabatic (CD) driving.
 
 Relation 1: ``ff_of_cd`` is ``ff_hamiltonian`` of the CD reference H + H_cd
-in the adiabatic-projector gauge hbar df_n/dt = (ds/dt - 1) E_n(s).
+in the adiabatic-projector gauge df_n/dt = (ds/dt - 1) E_n(s).
 Relation 2: ``ff_hamiltonian`` of H itself, in any adiabatic-projector gauge,
 reproduces the reference populations at s(t).
 """
@@ -54,7 +54,7 @@ def _projectors(system, rescale):
 
 
 def _relation_1_gauge(name, system, rescale, rate):
-    """hbar df_n/dt = (rate - 1) E_n(s), i.e. f_n = (1 - 1/rate) int_0^s E_n."""
+    """df_n/dt = (rate - 1) E_n(s), i.e. f_n = (1 - 1/rate) int_0^s E_n."""
     integral = (_lz_energy_integral if name == "lz" else _gauss_energy_integral)(system)
     return FFGauge(_projectors(system, rescale), lambda t: (1 - 1 / rate) * integral(rescale.s(t)))
 

@@ -1,5 +1,5 @@
 """Oracle tests for the 1-D grid fast-forward, built on the Gaussian width ramp:
-its scaling phase m wdot x^2 / (2 hbar w) solves the continuity equation
+its scaling phase m wdot x^2 / (2 w) solves the continuity equation
 exactly, and its fast-forward potential is a harmonic trap in closed form."""
 
 import numpy as np
@@ -54,8 +54,8 @@ def test_continuity_phase_converges_to_the_scaling_phase_at_second_order():
 @pytest.mark.parametrize("rate", [1.0, 2.0, "sine"])
 @pytest.mark.parametrize("t", [0.25, 1.5])
 def test_ff_potential_is_the_harmonic_trap_of_the_rescaled_width(rate, t):
-    """V_FF = m omega^2 x^2 / 2 - hbar^2 / (2 m w^2) with
-    omega^2 = hbar^2 / (m^2 w^4) - ((ds/dt)^2 w'' + (d2s/dt2) w') / w, the
+    """V_FF = m omega^2 x^2 / 2 - 1 / (2 m w^2) with
+    omega^2 = 1 / (m^2 w^4) - ((ds/dt)^2 w'' + (d2s/dt2) w') / w, the
     width and its s-derivatives at s(t); rate "sine" is the non-uniform clock."""
     if rate == "sine":
         rescale = sine_rescaling(RAMP.duration)
@@ -75,7 +75,7 @@ def test_ff_potential_is_the_harmonic_trap_of_the_rescaled_width(rate, t):
 
 
 def test_split_step_reproduces_free_gaussian_spreading():
-    """psi(x, T) = (pi w^2)^(-1/4) a^(-1/2) exp(-x^2 / (2 w^2 a)), a = 1 + i hbar T / (m w^2)."""
+    """psi(x, T) = (pi w^2)^(-1/4) a^(-1/2) exp(-x^2 / (2 w^2 a)), a = 1 + i T / (m w^2)."""
     x = np.linspace(-20.0, 20.0, 256, endpoint=False)
     w, mass, T = 1.0, 1.0, 2.0
     psi0 = (np.pi * w**2) ** -0.25 * np.exp(-(x**2) / (2 * w**2))

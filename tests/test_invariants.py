@@ -187,7 +187,7 @@ class TestHamiltonianFromModes:
     def test_static_modes(self):
         grid = np.linspace(0, 1, 11)
         modes = np.tile(np.eye(2, dtype=complex)[None], (11, 1, 1))
-        rates = np.tile(np.array([-2.0, 1.0]), (11, 1))          # -E_n / hbar
+        rates = np.tile(np.array([-2.0, 1.0]), (11, 1))          # -E_n
         H = hamiltonian_from_modes(grid, modes, rates, dmodes=np.zeros_like(modes))
         assert np.abs(H - np.diag([2.0, -1.0])).max() < 1e-12
 
@@ -196,7 +196,7 @@ class TestHamiltonianFromModes:
         exactly H + H_cd (analytic modes keep the check at 1e-7)."""
         grid = np.linspace(0, 1, 101)
         modes, dmodes, energies = lz_modes_analytic(lz, grid)
-        rates = -energies            # alpha_n rate = -E_n/hbar; geometric part vanishes
+        rates = -energies            # alpha_n rate = -E_n; geometric part vanishes
         H = hamiltonian_from_modes(grid, modes, rates, dmodes=dmodes)
         for i in (0, 50, 100):
             t = grid[i]
@@ -213,7 +213,7 @@ class TestHamiltonianFromModes:
         assert (1 - fids).max() < 1e-6
 
     def test_offdiagonal_identity(self, lz):
-        """<phi_m|H|phi_n> = i hbar <phi_m|d_t phi_n> for m != n."""
+        """<phi_m|H|phi_n> = i <phi_m|d_t phi_n> for m != n."""
         grid = np.linspace(0, 1, 101)
         modes, dmodes, energies = lz_modes_analytic(lz, grid)
         H = hamiltonian_from_modes(grid, modes, -energies, dmodes=dmodes)
@@ -315,7 +315,7 @@ class TestInverseEngineering:
 
     def test_two_level_theta_schedule(self):
         """Recover the driving for F = cos(theta) sz + sin(theta) sx; the
-        closed form is h_y = hbar thetadot / 2, and the recovered schedule
+        closed form is h_y = thetadot / 2, and the recovered schedule
         must drive the target invariant (von Neumann oracle)."""
         basis = pauli_basis(1)
         algebra = AlgebraSpec(basis=basis, A_indices=[1], B_indices=[0, 2])

@@ -39,8 +39,8 @@ class TestCounterdiabaticInvariant:
 
     def test_transitionless_driving_is_the_inverse_engineered_hamiltonian(self):
         """Berry's transitionless driving: the eigenmodes move by
-        d_t|n> = -(i/hbar) H_cd |n>, so inverse engineering them with the
-        phase rates -E_n/hbar gives back H + H_cd, to rounding."""
+        d_t|n> = -i H_cd |n>, so inverse engineering them with the
+        phase rates -E_n gives back H + H_cd, to rounding."""
         system = random_hermitian_ramp(4, 2, shape="linear")
         grid = np.linspace(0.0, 1.0, 101)
         path = eigenpath(system.hamiltonian, grid)
@@ -50,7 +50,7 @@ class TestCounterdiabaticInvariant:
         assert np.abs(rebuilt - (H + H_cd)).max() < 1e-13
 
     def test_invariant_basis_cd_part_converges_to_the_cd_term(self):
-        """The off-diagonal generator i hbar V (V^dagger dV)_offdiag V^dagger
+        """The off-diagonal generator i V (V^dagger dV)_offdiag V^dagger
         of the eigenmode motion is H_cd. With central grid differences of the
         tracked modes the error at the interior points falls at second order:
         5.8e-6, 3.6e-7 and 2.3e-8 at 401, 1601 and 6401 points, a factor of
@@ -91,7 +91,7 @@ class TestGeometricTensorFidelitySusceptibility:
 
 class TestAdiabaticityMetricModeVelocity:
     def test_metric_is_the_mode_velocity_over_the_gap(self):
-        """Adiabaticity metric <-> hbar |<n|d_t m>| / |E_m - E_n|, with the mode
+        """Adiabaticity metric <-> |<n|d_t m>| / |E_m - E_n|, with the mode
         derivative taken by central differences of a 4001-point eigenpath of
         a random D = 4 ramp."""
         system = random_hermitian_ramp(4, 2)

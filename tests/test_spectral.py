@@ -525,7 +525,7 @@ class TestExactCD:
         assert diag.max() < 1e-12
 
     def test_matches_fd_eigenbasis_construction(self):
-        """Independent oracle: assemble i hbar sum |n><n|d_t m><m| from
+        """Independent oracle: assemble i sum |n><n|d_t m><m| from
         finite-difference mode derivatives on a random 4-level path."""
         sys4 = random_hermitian_ramp(4, seed=2)
         grid = np.linspace(0, 1, 4001)
