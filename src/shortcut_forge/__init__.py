@@ -5,12 +5,11 @@ engineering, fast-forward scaling, digitized (Trotterized) driving, and
 quantum-speed-limit performance certificates, on dense matrices at desk scale.
 
 Units: hbar = 1. A run in units with hbar != 1 is the hbar = 1 run on the
-duration T / hbar (Trotter ``total_time`` T / hbar; on the 1-D grid also mass
-m / hbar^2), its times read as t / hbar: over every advertised Landau-Zener
-and random Hermitian pair and the 1-D grid, hbar = 0.7 runs matched their
-rescaled runs to 2.0e-13 in every CSV column but time (1e-9 of the
-Landau-Zener von Neumann residual) and to 9.8e-12 in every summary number
-(the Landau-Zener Trotter slope fit).
+duration T / hbar (on the 1-D grid also mass m / hbar^2), its times read as
+t / hbar: over every advertised Landau-Zener and random Hermitian pair and the
+1-D grid, hbar = 0.7 runs matched their rescaled runs to 2.0e-13 in every CSV
+column but time (1e-9 of the Landau-Zener von Neumann residual) and to
+9.8e-12 in every summary number (the Landau-Zener Trotter slope fit).
 """
 
 from .errors import (
@@ -80,7 +79,6 @@ from .fastforward import FFGauge, TimeRescaling, ff_hamiltonian, ff_of_cd
 from .gridff import GridSystem1D, ff_potential, phase_from_continuity, split_step_evolve
 from .digitized import (
     ScalingReport,
-    TrotterPlan,
     digitization_error,
     trotter_baseline_error,
     trotter_cd_evolve,

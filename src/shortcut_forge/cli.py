@@ -34,16 +34,15 @@ import numpy as np
 
 from . import __version__
 from .agp import algebraic_cd, frame_krylov_cd, odd_commutator_support
-from .digitized import (ORDERINGS, SAMPLINGS, TrotterPlan, fit_scaling, fit_spans, trotter_baseline_error,
-                        trotter_step_unitaries)
-from .dynamics import StateTrajectory, adiabatic_populations, fidelity, stack_at
+from .digitized import digitization_error, fit_spans, trotter_baseline_error
+from .dynamics import StateTrajectory, adiabatic_populations, stack_at
 from .errors import ConfigError, NonFiniteError, ShortcutForgeError
 from .fastforward import TimeRescaling
 from .gridff import GridSystem1D, ff_potential, split_step_evolve
 from .invariants import DynamicalInvariant, invariant_residual
 from .models import GaussianWidthRamp, landau_zener, random_hermitian_ramp, tfim_chain
 from .operators import gell_mann_basis, gram_matrix, pauli_basis
-from .qsl import qsl_discrete, qsl_from_integrand, stddev_in_state
+from .qsl import qsl_from_integrand, stddev_in_state
 from .schedule import SHAPES
 from .spectral import cd_walk, counterdiabatic_term, eigenpath, frame_cd
 
@@ -74,20 +73,18 @@ _METHOD_KEYS = {
     "variational": {"order": 1},
     "algebraic": {"order": 1},
     "krylov": {"order": 1},
-    # total_time defaults to the schedule's duration
-    "trotter": {"trotter": {"M_list": [8, 16, 32, 64, 128, 256], "ordering": "h-then-cd", "sampling": "right",
-                            "total_time": float}},
+    "trotter": {"trotter": {"M_list": [8, 16, 32, 64, 128, 256]}},
     "ff": {"ff": {"rate": 2.0, "n_steps": 4000}},
     "qsl": {"order": 1},
     "invariant": {},
 }
-#: keys that the tables give a pair but its runner does not read: the
-#: random_hermitian Trotter baseline splits the constant pair (H0, H1) with
-#: the plain product, the other Trotter runs read their eigenpath at the slice
-#: ends only, and the 1-D grid steps its own x grid and time steps
+#: keys that the tables give a pair but its runner does not read: no Trotter
+#: run reads a grid (the random_hermitian baseline powers the constant pair
+#: (H0, H1), so it reads no schedule either; the other Trotter runs read their
+#: eigenpath at the slice ends), and the 1-D grid steps its own x grid and
+#: time steps
 _UNREAD = {
-    ("random_hermitian", "trotter"): ("grid_points", "parameters.schedule_shape", "trotter.ordering",
-                                      "trotter.sampling"),
+    ("random_hermitian", "trotter"): ("grid_points", "parameters.schedule_shape"),
     ("landau_zener", "trotter"): ("grid_points",),
     ("tfim_chain", "trotter"): ("grid_points",),
     ("landau_zener", "ff"): ("ff.n_steps",),
@@ -110,11 +107,7 @@ _RULES = {
     "parameters.mass": (lambda v: v > 0, "positive"),
     "parameters.width_start": (lambda v: v > 0, "positive"),
     "parameters.width_stop": (lambda v: v > 0, "positive"),
-    "trotter.M_list": (lambda v: fit_spans(sorted(v)) and min(v) >= 1,
-                       "at least 4 positive slice counts spanning at least two octaves"),
-    "trotter.ordering": (lambda v: v in ORDERINGS, f"one of {ORDERINGS}"),
-    "trotter.sampling": (lambda v: v in SAMPLINGS, f"one of {SAMPLINGS}"),
-    "trotter.total_time": (lambda v: v > 0, "positive"),
+    "trotter.M_list": (fit_spans, "at least 4 distinct positive slice counts spanning at least two octaves"),
     "ff.rate": (lambda v: v > 0, "positive"),
     "ff.n_steps": (lambda v: v >= _FF_SEGMENTS, f"at least {_FF_SEGMENTS}, one step per density check"),
     "output.csv": (lambda v: v not in ("", ".", "..") and os.path.basename(v) == v, "a plain file name"),
@@ -366,35 +359,18 @@ def _trotter_scenario(conf: dict) -> dict:
         rng = np.random.default_rng(p["seed"])
         psi0 = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
         psi0 /= np.linalg.norm(psi0)
-        report = trotter_baseline_error(system.H0, system.H1, tr.get("total_time", p["duration"]),
-                                        tr["M_list"], psi0)
+        report = trotter_baseline_error(system.H0, system.H1, p["duration"], tr["M_list"], psi0)
         rows = np.column_stack([report.M_list.astype(float), report.values])
         return {"columns": ["m", "state_error"], "rows": rows, "summary": _fit_summary(report)}
 
     system = _build_system(conf)
-    T = tr.get("total_time", system.duration)
     cd_of_t = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
-    M_list = np.asarray(sorted(tr["M_list"]), dtype=int)
-    slice_grids = [np.linspace(0.0, T, M + 1) for M in M_list]
-    ends = np.array(sorted(set(np.concatenate(slice_grids).tolist())))
-    mode = eigenpath(system.hamiltonian, ends, modes=[0]).vectors[:, :, 0]
-    infidelity, bounds = [], []
-    for M, slice_grid in zip(M_list, slice_grids):
-        plan = TrotterPlan(M=int(M), T=T, ordering=tr["ordering"], sampling=tr["sampling"])
-        steps_dig = trotter_step_unitaries(system.hamiltonian, cd_of_t, plan)
-        exact = mode[np.searchsorted(ends, slice_grid)]
-        psi_dig = mode[0]
-        for U in steps_dig:
-            psi_dig = U @ psi_dig
-        rep = qsl_discrete(steps_dig, exact, grid=slice_grid)
-        infidelity.append(1.0 - fidelity(mode[-1], psi_dig))
-        bounds.append(rep.bound[-1])
-    report = fit_scaling(M_list, np.array(infidelity), "infidelity")
+    report = digitization_error(system.hamiltonian, cd_of_t, system.duration, tr["M_list"])
     columns = ["m", "infidelity", "qsl_bound"]
-    rows = np.column_stack([report.M_list.astype(float), report.values, bounds])
+    rows = np.column_stack([report.M_list.astype(float), report.values, report.qsl_bound])
     summary = {
         **_fit_summary(report),
-        "qsl_certified": bool((np.sqrt(1.0 - report.values) >= np.array(bounds) - 1e-8).all()),
+        "qsl_certified": bool((np.sqrt(1.0 - report.values) >= report.qsl_bound - 1e-8).all()),
     }
     return {"columns": columns, "rows": rows, "summary": summary}
 

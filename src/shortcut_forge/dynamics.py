@@ -256,7 +256,9 @@ class Magnus4Walk:
     ``eigh`` when the chunk holds several times, a ``lanczos_step`` per
     interval when it holds one. The walk holds the (at most 3) earlier
     nodes a later interval reads, besides the chunk. ``uniform_step`` checks
-    the grid, and psi0 must be normalized (ValueError otherwise).
+    the grid, and psi0 must be normalized (ValueError otherwise). A step that
+    leaves a non-finite state, such as one whose commutator product
+    overflows, is a NonFiniteError naming its interval, not a numpy warning.
 
     While every push holds one time (every chunk at D >= 46) the ring is four
     operators, and a step makes no D x D array: one (2, 4) by (4, D^2)
@@ -310,13 +312,20 @@ class Magnus4Walk:
         # a chunk of several times steps its intervals as one stack, a chunk of
         # one time interval by interval, so no temporary outgrows one operator
         per = max(1, stop - self.next) if len(A) > 1 else 1
-        for j in range(self.next, stop, per):
-            i = np.arange(j, min(j + per, stop))
-            steps = _chunk_states(self._operator(i), self.psi, self.h, self.work[3])
-            for k, psi in enumerate(steps, j + 1):
-                if k % self.every == 0:
-                    self.states[k // self.every] = psi
-            self.psi = psi
+        # an overflow shows in the chunk's last state, one D-vector checked per chunk
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.next, stop, per):
+                i = np.arange(j, min(j + per, stop))
+                H = self._operator(i)
+                for k, psi in enumerate(_chunk_states(H, self.psi, self.h, self.work[3]), j + 1):
+                    if k % self.every == 0:
+                        self.states[k // self.every] = psi
+                if not np.isfinite(psi).all():
+                    bad = i[~np.isfinite(H).all(axis=(1, 2))]
+                    lo, hi = (bad[0], bad[0] + 1) if len(bad) else (i[0], i[-1] + 1)
+                    raise NonFiniteError(f"the Magnus step between t = {self.grid[lo]} and t = {self.grid[hi]} "
+                                         "is not finite")
+                self.psi = psi
         self.next = max(self.next, stop)
 
     def _operator(self, i: np.ndarray) -> np.ndarray:

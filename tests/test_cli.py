@@ -13,8 +13,9 @@ import pytest
 
 from shortcut_forge import NonFiniteError, cd_walk, cli, counterdiabatic_term, eigenpath
 from shortcut_forge.agp import algebraic_cd, odd_commutator_support, variational_cd
-from shortcut_forge.digitized import ORDERINGS, SAMPLINGS, digitization_error
-from shortcut_forge.dynamics import sample
+from shortcut_forge import digitized
+from shortcut_forge.digitized import trotter_cd_evolve
+from shortcut_forge.dynamics import fidelity, sample
 from shortcut_forge.models import landau_zener, random_hermitian_ramp, tfim_chain
 from shortcut_forge.operators import gram_matrix, pauli_basis
 from shortcut_forge.qsl import qsl_continuous
@@ -333,7 +334,7 @@ _OVERFLOWING = [
     ("exact_cd", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("invariant", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("trotter", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
-    ("exact_cd", {"duration": 1e-300}, "CSV column 'fidelity' is nan"),
+    ("exact_cd", {"duration": 1e-300}, "the Magnus step between t = 0.0 and t = 5e-302 is not finite"),
     ("qsl", {"duration": 1e-300}, "CSV column 'angle' is inf"),
 ]
 
@@ -346,6 +347,21 @@ def test_overflowing_config_exits_3_and_writes_nothing(tmp_path, capsys, method,
     rc, _ = _run_conf(tmp_path, conf)
     err = capsys.readouterr().err
     assert rc == 3 and "NonFiniteError" in err and message in err
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+@pytest.mark.parametrize("conf", [
+    {"system": "landau_zener", "grid_points": 21, "parameters": {"duration": 1e-300}},
+    {"system": "random_hermitian", "grid_points": 5, "parameters": {"dim": 64, "seed": 0, "duration": 1e-300}},
+], ids=["stacked-D2", "held-D64"])
+def test_magnus_overflow_exits_3_naming_the_step_without_a_warning(tmp_path, capsys, conf):
+    """A duration of 1e-300 overflows the Magnus commutator product of the
+    first interval, on both step kernels: the walk stops there with a
+    NonFiniteError naming the step, and no numpy warning (which the test run
+    makes an error, exit 4) comes first."""
+    rc, _ = _run_conf(tmp_path, {**conf, "method": "exact_cd"})
+    err = capsys.readouterr().err
+    assert rc == 3 and "NonFiniteError" in err and "the Magnus step between t = 0.0 and t = " in err
     assert list((tmp_path / "run").iterdir()) == []
 
 
@@ -483,19 +499,24 @@ def test_approximate_route_is_evaluated_once_per_grid_point(tmp_path, monkeypatc
     assert sum(frames) == 101
 
 
+def _composed_infidelity(system, M_list):
+    """1 - |<g(T)|psi_M>|^2 with psi_M = ``trotter_cd_evolve`` of the ground
+    state of H(0) and g(T) the ground state of H(T), both off an eigenpath on
+    [0, T] alone: the digitized product composed without the run's driver."""
+    path = eigenpath(system.hamiltonian, [0.0, system.duration])
+    target, psi0 = path.vectors[-1][:, path.energies[-1].argmin()], path.vectors[0, :, 0]
+    cd = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
+    return [1.0 - fidelity(target, trotter_cd_evolve(system.hamiltonian, cd, int(M), system.duration, psi0))
+            for M in M_list]
+
+
 def test_lz_trotter_infidelity_is_the_library_digitization_error(tmp_path):
-    """The CLI's Trotter loop and ``digitization_error`` build the same
-    digitized product for the default plan: the infidelity column is the
-    library's, bit for bit."""
+    """The Trotter run reads ``digitization_error``, whose infidelity column
+    is the digitized product composed independently, bit for bit."""
     rc, _ = _run_conf(tmp_path, _LZ_TROTTER)
     assert rc == 0
     data = np.loadtxt(tmp_path / "run" / "timeseries.csv", delimiter=",", skiprows=1)
-    system = landau_zener()
-    path = eigenpath(system.hamiltonian, [0.0, system.duration])
-    cd = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
-    report = digitization_error(system.hamiltonian, cd, system.duration, data[:, 0].astype(int),
-                                path.vectors[-1][:, path.energies[-1].argmin()], psi0=path.vectors[0, :, 0])
-    assert np.array_equal(data[:, 1], report.values)
+    assert np.array_equal(data[:, 1], _composed_infidelity(landau_zener(), data[:, 0]))
 
 
 @pytest.mark.parametrize("system, parameters, final_angle", [("random_hermitian", {"dim": 4, "seed": 3}, 0.46),
@@ -541,16 +562,11 @@ def test_lz_trotter_carries_the_ground_state_past_an_avoided_crossing_between_sl
     """With every slice count odd, no slice end falls on the avoided crossing
     at T/2, and the levels at the slice ends beside it overlap by more than
     the tracker's gate. The run still carries the ground state: its
-    infidelity is the library's against the ground state at T."""
+    infidelity is the composed product's against the ground state at T."""
     M_list = [3, 5, 7, 13]
     data, summary = _trotter_columns(tmp_path, {**_LZ_TROTTER, "parameters": {"delta": delta},
                                                 "trotter": {"M_list": M_list}})
-    system = landau_zener(delta=delta)
-    path = eigenpath(system.hamiltonian, [0.0, system.duration])
-    cd = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
-    report = digitization_error(system.hamiltonian, cd, system.duration, np.array(M_list),
-                                path.vectors[-1][:, path.energies[-1].argmin()], psi0=path.vectors[0, :, 0])
-    assert np.array_equal(data[:, 1], report.values)
+    assert np.array_equal(data[:, 1], _composed_infidelity(landau_zener(delta=delta), M_list))
     assert summary["qsl_certified"]
 
 
@@ -598,7 +614,7 @@ def test_lz_trotter_reads_one_eigenpath_on_the_slice_ends(tmp_path, monkeypatch)
         grids.append(np.array(grid))
         return eigenpath(H_of_t, grid, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "eigenpath", recording)
+    monkeypatch.setattr(digitized, "eigenpath", recording)
     M_list = [3, 5, 7, 12, 30]
     _trotter_columns(tmp_path, {**_LZ_TROTTER, "trotter": {"M_list": M_list}})
     ends = np.unique(np.concatenate([np.linspace(0.0, 1.0, M + 1) for M in M_list]))
@@ -621,7 +637,7 @@ def test_grid_ff_takes_every_step(tmp_path):
 # Every accepted key takes effect
 
 
-_CHOICES = {"schedule_shape": tuple(SHAPES), "ordering": ORDERINGS, "sampling": SAMPLINGS}
+_CHOICES = {"schedule_shape": tuple(SHAPES)}
 
 #: (system, method, key) -> why the key cannot move that pair's output beyond
 #: rounding; None matches every system or method
@@ -779,6 +795,8 @@ _LZ_TROTTER = {"system": "landau_zener", "method": "trotter"}
     ({**_LZ, "method": "exact_cd", "parameters": {"delta": "x"}}, "parameters.delta"),
     ({**_LZ, "method": "exact_cd", "parameters": {"schedule_shape": "cubic"}}, "parameters.schedule_shape"),
     ({**_LZ, "method": "exact_cd", "grid_points": True}, "grid_points"),
+    # the digitized product has one operator order and one sampling, on the
+    # schedule's duration: any ordering, sampling or total_time is an unread key
     ({**_LZ_TROTTER, "trotter": {"ordering": "bogus"}}, "trotter.ordering"),
     ({**_LZ_TROTTER, "trotter": {"sampling": "left"}}, "trotter.sampling"),
     ({**_LZ_TROTTER, "trotter": {"M_list": [8, 16]}}, "trotter.M_list"),
@@ -840,6 +858,12 @@ _LZ_TROTTER = {"system": "landau_zener", "method": "trotter"}
     ({**_LZ, "method": "exact_cd", "output": {"summary": "sub/s.json"}}, "output.summary"),
     ({**_LZ, "method": "exact_cd", "output": {"summary": "summary.txt"}}, "output.summary"),
     ({**_LZ, "method": "exact_cd", "output": {"csv": "summary.json"}}, "output.summary"),
+    # the values these keys used to take are unread keys too
+    ({**_LZ_TROTTER, "trotter": {"ordering": "cd-then-h"}}, "trotter.ordering"),
+    ({**_LZ_TROTTER, "trotter": {"sampling": "midpoint"}}, "trotter.sampling"),
+    ({**_LZ_TROTTER, "trotter": {"total_time": 2.0}}, "trotter.total_time"),
+    # four slice counts, but only two distinct ones
+    ({**_LZ_TROTTER, "trotter": {"M_list": [8, 8, 8, 32]}}, "trotter.M_list"),
 ])
 def test_bad_config_exits_2_naming_the_key(tmp_path, capsys, conf, key):
     rc, _ = _run_conf(tmp_path, conf)

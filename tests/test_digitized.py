@@ -5,7 +5,6 @@ import pytest
 
 from shortcut_forge import digitized
 from shortcut_forge.digitized import (
-    TrotterPlan,
     digitization_error,
     fit_scaling,
     trotter_baseline_error,
@@ -13,7 +12,8 @@ from shortcut_forge.digitized import (
     trotter_step_unitaries,
 )
 from shortcut_forge.dynamics import step_unitary
-from shortcut_forge.models import random_hermitian
+from shortcut_forge.models import random_hermitian, random_hermitian_ramp
+from shortcut_forge.spectral import counterdiabatic_term
 
 from conftest import SX, SZ, stacked
 
@@ -27,22 +27,40 @@ class TestCommutingPair:
     psi0 = np.linalg.eigh(H)[1][:, 0]
 
     @pytest.mark.parametrize("M", [1, 2, 7, 64])
-    @pytest.mark.parametrize("ordering", ["h-then-cd", "cd-then-h"])
-    def test_product_equals_exact(self, M, ordering):
-        plan = TrotterPlan(M=M, T=1.3, ordering=ordering)
-        steps = trotter_step_unitaries(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), plan)
+    def test_product_equals_exact(self, M):
+        steps = trotter_step_unitaries(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), M, 1.3)
         U = np.linalg.multi_dot([np.eye(4)] + list(steps[::-1]))
         exact = step_unitary(1.4 * self.H, 1.3)
         assert np.abs(U - exact).max() < 1e-12
-        psi = trotter_cd_evolve(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), plan, self.psi0)
+        psi = trotter_cd_evolve(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), M, 1.3, self.psi0)
         assert np.abs(psi - exact @ self.psi0).max() < 1e-12
 
+    def test_rejects_no_slices(self):
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            trotter_step_unitaries(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), 0, 1.3)
+
     def test_error_at_floor_skips_the_fit(self):
-        target = step_unitary(1.4 * self.H, 1.3) @ self.psi0
-        report = digitization_error(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), 1.3, [4, 8, 16, 32],
-                                    target, psi0=self.psi0)
+        """The ground state of H is stationary under H + H_cd = 1.4 H: every
+        infidelity sits at the floor, and every QSL bound is 1."""
+        report = digitization_error(stacked(lambda t: self.H), stacked(lambda t: 0.4 * self.H), 1.3, [4, 8, 16, 32])
         assert report.fit_skipped and report.slope is None
         assert report.values.max() < 1e-12
+        assert np.abs(report.qsl_bound - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_cd_on_a_random_smoothstep_ramp_falls_as_one_over_m_squared(seed):
+    """``digitization_error`` on a D = 4 random Hermitian smoothstep ramp
+    with exact CD, a pair the CLI does not run: the infidelity falls as
+    1/M^2, and the discrete QSL bound holds at T for every M. The counts
+    start at 16: seed 0 is not yet asymptotic at 8 (local slope -2.75 from 8
+    to 16, then -2.00)."""
+    system = random_hermitian_ramp(4, seed)
+    cd = lambda t: counterdiabatic_term(system.hamiltonian(t), system.dhamiltonian(t))
+    report = digitization_error(system.hamiltonian, cd, system.duration, [16, 32, 64, 128, 256])
+    assert report.metric == "infidelity" and not report.fit_skipped
+    assert -2.1 <= report.slope <= -1.9
+    assert (np.sqrt(1.0 - report.values) >= report.qsl_bound).all()
 
 
 class TestFitScaling:
@@ -57,6 +75,11 @@ class TestFitScaling:
     def test_needs_two_octaves(self):
         with pytest.raises(ValueError, match="two octaves"):
             fit_scaling(np.array([8, 10, 12, 16]), np.ones(4), "infidelity")
+
+    @pytest.mark.parametrize("M_list", [[8, 8, 8, 32], [0, 8, 16, 32]], ids=["two-distinct", "zero"])
+    def test_needs_four_distinct_positive_counts(self, M_list):
+        with pytest.raises(ValueError, match="^need >= 4 distinct positive values of M"):
+            fit_scaling(np.array(M_list), np.ones(4), "infidelity")
 
 
 def test_baseline_first_order_slope():
@@ -80,14 +103,14 @@ class TestBaseline:
 
     @pytest.mark.parametrize("dim", [2, 5, 16])
     def test_equals_the_stacked_product_bit_for_bit(self, dim):
-        """The default ``TrotterPlan`` product of the pair sampled as constant
-        time callables gives the same state errors, bit for bit."""
+        """The digitized product of the pair sampled as constant time
+        callables gives the same state errors, bit for bit."""
         A, B, psi0 = _random_pair(dim, dim)
         T, M_list = 1.3, [3, 5, 9, 17, 40]
         report = trotter_baseline_error(A, B, T, M_list, psi0)
         target = step_unitary(np.asarray(A + B, dtype=complex), T) @ psi0
         const = lambda X: (lambda t: np.broadcast_to(X, (len(t),) + X.shape))
-        oracle = [np.linalg.norm(trotter_cd_evolve(const(A), const(B), TrotterPlan(M, T), psi0) - target)
+        oracle = [np.linalg.norm(trotter_cd_evolve(const(A), const(B), M, T, psi0) - target)
                   for M in M_list]
         assert report.metric == "state_error"
         assert np.array_equal(report.values, oracle)

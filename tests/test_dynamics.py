@@ -9,7 +9,6 @@ from shortcut_forge import (
     EigenPath,
     NonFiniteError,
     StateTrajectory,
-    TrotterPlan,
     adiabatic_populations,
     adiabatic_state,
     eigenpath,
@@ -174,6 +173,18 @@ class TestMagnus4Walk:
         assert sorted(made) == list(range(n_t - 1))
         for i, H_eff in made.items():
             assert np.abs(H_eff[0] - _written_out_operator(nodes, i, h)).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim, chunk", [(2, 6), (50, 1)])
+    def test_an_overflowing_step_is_a_nonfinite_error_naming_its_interval(self, rng, dim, chunk):
+        """A node of 1e200 first overflows the commutator product of the
+        interval that ends on it. The walk raises NonFiniteError naming that
+        interval, with no numpy warning (which the test run makes an error):
+        by one batched eigh at D = 2 and by held one-time steps at D = 50."""
+        grid = np.linspace(0.0, 6.0, 7)
+        nodes = np.array([random_hermitian(dim, rng) for _ in grid])
+        nodes[4] *= 1e200
+        with pytest.raises(NonFiniteError, match=r"^the Magnus step between t = 3\.0 and t = 4\.0 is not finite$"):
+            _push_in_chunks(Magnus4Walk(np.eye(dim)[0], grid), nodes, [1] + [chunk] * (6 // chunk))
 
     def test_chunk_boundaries_change_no_state(self, rng):
         """The ring of held points serves any chunking: pushing the grid points
@@ -397,7 +408,7 @@ class TestCheckNormalized:
 
     @pytest.mark.parametrize("entry, message", [
         (lambda psi: Magnus4Walk(psi, np.linspace(0.0, 1.0, 3)), "initial state"),
-        (lambda psi: trotter_cd_evolve(stacked(lambda t: SZ), stacked(lambda t: SX), TrotterPlan(4, 1.0), psi),
+        (lambda psi: trotter_cd_evolve(stacked(lambda t: SZ), stacked(lambda t: SX), 4, 1.0, psi),
          "initial state"),
         (lambda psi: trotter_baseline_error(SZ, SX, 1.0, [4, 8, 16, 32], psi), "initial state"),
         (lambda psi: adiabatic_state(eigenpath(stacked(lambda t: SZ), np.linspace(0.0, 1.0, 3)), psi),
