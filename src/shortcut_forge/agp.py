@@ -6,21 +6,29 @@ One recurrence underlies every route: the Lanczos chain of the Liouvillian
 p_k(w) o dHe, dHe = V^dagger dH V, for a real polynomial p_k, and every
 route's H_cd is V (i f(w) o dHe) V^dagger for an odd polynomial f fitted
 to -1/w with weights |dHe_nm|^2 (Claeys, Pandey, Sels & Polkovnikov, PRL 123,
-090602 (2019); Takahashi & del Campo, PRX 14, 011032 (2024)).
-``_frame_chain`` runs that recurrence in real arithmetic over the D^2 Bohr
-frequencies of eigenframes a caller holds: ``frame_krylov_cd`` takes the
-walk's frames, and ``krylov_chain``, ``krylov_cd`` and ``variational_cd`` make
-one ``eigh`` of H and call it. Each route solves one linear system B a = u
-over a span of trial operators:
+090602 (2019); Takahashi & del Campo, PRX 14, 011032 (2024)). The routes:
 
-* krylov      -- the odd chain operators; B is tridiagonal in the chain
-                 normalizations;
+* krylov      -- the odd chain operators up to a length k_max;
 * variational -- the nested-commutator ansatz up to order K, which spans the
                  odd operators of a chain of length 2K + 1, so it is the krylov
                  route truncated there;
 * algebraic   -- a user-supplied Hermitian trial basis, B_kl = ([H,L_k]|[H,L_l]);
                  the support of the odd chain operators in a basis
                  (``odd_commutator_support``) is the natural trial basis.
+
+The krylov and variational routes are one fit (``frame_krylov_cd``) on
+eigenframes a caller holds, such as the walk's: since f = w r(w^2), it is a
+least-squares fit in u = w^2 over the D(D - 1)/2 pairs n < m, solved by
+projection onto a Lanczos basis of that span. ``krylov_cd`` and
+``variational_cd`` make one ``eigh`` of H and call it. The algebraic route
+solves one linear system B a = u over its trial span (``algebraic_system``),
+as does the krylov route in its chain form, whose B is tridiagonal in the
+chain normalizations (``krylov_system``); every such system is solved the
+same way (``solve_cd``): minimum-norm least squares from one batched
+eigendecomposition of B. ``_frame_chain`` runs the chain itself in real
+arithmetic over the D^2 Bohr frequencies of the frames: ``krylov_chain``
+makes one ``eigh`` of H for it, and ``frame_odd_commutator_support`` reads
+the walk's frames.
 
 For identical spans the assembled operators coincide; at full span they
 reproduce the exact counterdiabatic term (zero-diagonal in the eigenbasis).
@@ -29,18 +37,15 @@ A vanishing drive dH = 0 has a zero counterdiabatic term.
 Operator sets are (n, D, D) arrays throughout, and every set-wise Frobenius
 product is one ``gram_matrix`` call.
 
-Every system is solved the same way (``solve_cd``): minimum-norm least
-squares from one batched eigendecomposition of B.
-
 Time stacks. Every route takes H and dH either as single (D, D) matrices or
 as (n, D, D) time stacks, as sampled in ``dynamics.STACK_BYTES`` chunks by
-the kernels that walk a grid; a stack runs one batched pass. The chain keeps
-a per-time length (a time drops out of the recurrence where its chain
-terminates, and a vanishing drive gives an empty chain). Each time's system
-lives on its ``support``, a per-time mask of live rows: the Krylov rows
-within that time's chain, or the algebraic trial elements a caller keeps.
-Rows outside it are zero. Hermiticity is checked per time. A single matrix
-is the n = 1 case of the same code.
+the kernels that walk a grid; a stack runs one batched pass. The chain and
+the fit keep a per-time length (a time drops out of the recurrence where its
+basis terminates, and a vanishing drive gives an empty one). Each time's
+system lives on its ``support``, a per-time mask of live rows: the Krylov
+rows within that time's chain, or the algebraic trial elements a caller
+keeps. Rows outside it are zero. Hermiticity is checked per time. A single
+matrix is the n = 1 case of the same code.
 
 Sign convention: the solved coefficients are real and multiply the Hermitian
 operators stored in ``basis_ops`` (i times an anti-Hermitian chain
@@ -149,41 +154,40 @@ def algebraic_system(
 
 def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> KrylovChain:
     """Lanczos chain of the Liouvillian [H, .] from dH: ``_frame_chain`` on
-    one ``eigh`` of H, its operators rotated back to the basis of H.
+    one ``eigh`` of H.
 
     Terminates at b < 1e-10 b_0 or k_max; a time with dH = 0 has an empty
     chain (a single dH = 0 is a ValueError). The chain length satisfies
     K <= D^2 - D + 1.
     """
     single, H, dH = as_stacks(H, dH)
-    E, V = np.linalg.eigh(H)
-    chain, phase, Vh = _frame_chain(E, V, dH, k_max)
+    chain = _frame_chain(*np.linalg.eigh(H), dH, k_max)
     if single and chain.b[0, 0] == 0.0:
         raise ValueError("dH vanishes; no Krylov chain exists")
-    ops = np.matmul(np.matmul(V[:, None], chain.ops * phase[:, None]), Vh[:, None])
     if single:
         L = int(chain.length[0])
-        return KrylovChain(ops=ops[0, :L], b=chain.b[0, :L], b_next=float(chain.b_next[0]), length=L)
-    return KrylovChain(ops=ops, b=chain.b, b_next=chain.b_next, length=chain.length)
+        return KrylovChain(ops=chain.ops[0, :L], b=chain.b[0, :L], b_next=float(chain.b_next[0]), length=L)
+    return chain
 
 
-def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None = None):
-    """(chain, phase, Vh): the Krylov chain of [H, .] from dH at n times in
-    the eigenframes of H = V diag(E) V^dagger, given (n, D) energies E,
-    (n, D, D) vectors V and the (n, D, D) stack dH, as a real chain with
-    V^dagger Q_k V = chain.ops[:, k] * phase; and the adjoint frames Vh.
+def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> KrylovChain:
+    """The time-stacked Krylov chain of [H, .] from dH at n times, run in the
+    eigenframes of H = V diag(E) V^dagger, given (n, D) energies E, (n, D, D)
+    vectors V and the (n, D, D) stack dH; its operators are rotated back to
+    the basis of H.
 
     There [H, .] multiplies element (n, m) of dHe = V^dagger dH V by the Bohr
     frequency w_nm = E_n - E_m, so Q_k = p_k(w) o dHe for a real polynomial
     p_k, and (Q_j|Q_k) = sum p_j p_k |dHe|^2 / D. The recurrence runs on the
     real (n, D^2) values x_k = p_k(w) |dHe| / sqrt(D), zero where dHe is, whose
     dot products are those Frobenius products: the chain of [diag(E), .] from
-    |dHe|, real symmetric at even and antisymmetric at odd k, and phase is
-    dHe / |dHe|. Each new x is projected off all earlier ones with one stacked
-    product; a second pass runs only at times where the first removed more
-    than half of |W|^2 (the Daniel-Gragg-Kaufman-Stewart test) and left more
-    than the termination norm. Each time leaves the recurrence where its own
-    chain terminates, at b < 1e-10 b_0 or at k_max.
+    |dHe|, real symmetric at even and antisymmetric at odd k, which the phase
+    dHe / |dHe| and V carry back to Q_k. Each new x is projected off all
+    earlier ones with one stacked product; a second pass runs only at times
+    where the first removed more than half of |W|^2 (the
+    Daniel-Gragg-Kaufman-Stewart test) and left more than the termination
+    norm. Each time leaves the recurrence where its own chain terminates, at
+    b < 1e-10 b_0 or at k_max.
     """
     n, D = E.shape
     Vh = np.conjugate(V).swapaxes(1, 2)
@@ -232,8 +236,9 @@ def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None
         bs[:, K] = b * live
         length += live
         K += 1
-    ops = np.sqrt(D) * X[:, :K].reshape(n, K, D, D)
-    return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, length=length), phase, Vh
+    ops = np.sqrt(D) * X[:, :K].reshape(n, K, D, D) * phase[:, None]
+    ops = np.matmul(np.matmul(V[:, None], ops), Vh[:, None])
+    return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, length=length)
 
 
 def _inverse(b: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -329,12 +334,17 @@ def assemble_cd(system: LinearCDSystem, a: np.ndarray) -> np.ndarray:
     if a.shape != system.u.shape:
         raise ValueError(f"coefficient shape {a.shape} != system shape {system.u.shape}")
     out = np.einsum("...k,...kij->...ij", a, system.basis_ops)
-    stack = out.reshape((-1,) + out.shape[-2:])
+    _check_hermitian(out.reshape((-1,) + out.shape[-2:]))
+    return out
+
+
+def _check_hermitian(stack: np.ndarray) -> None:
+    """HermiticityError unless each matrix of an (n, D, D) stack is Hermitian
+    within 1e-10 of its largest element."""
     dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     scale = np.maximum(np.abs(stack).max(axis=(1, 2)), 1e-300)
     if (dev > 1e-10 * scale).any():
         raise HermiticityError(f"assembled counterdiabatic term not Hermitian: dev {dev.max():.3e}")
-    return out
 
 
 def action_value(H: np.ndarray, dH: np.ndarray, H_cd_trial: np.ndarray) -> float:
@@ -357,17 +367,73 @@ def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | N
     (n, D, D) vectors V of H at n times, in any matching column order and
     phases, and the (n, D, D) stack dH; returns the (n, D, D) H_cd.
 
-    ``_frame_chain`` runs the recurrence over the Bohr frequencies,
-    ``krylov_system`` and ``solve_cd`` give the coefficients of its odd
-    operators, and ``assemble_cd`` sums and checks them in the eigenframe:
-    H_cd = V (i f(w) o dHe) V^dagger, with f the odd polynomial the
-    route fits to -1/w, formed by ``frame_cd``'s products. Zero where the
-    drive dH vanishes.
+    The odd chain operators up to k_max span i f(w) o dHe for the odd
+    polynomials f = w r(u) of degree below k_max, u = w^2, so the route is a
+    weighted least-squares fit of -1/w over the D(D - 1)/2 pairs n < m (Sels &
+    Polkovnikov, PNAS 114, E3909 (2017)): with s = |dHe_nm|, the residual
+    ||s (1 + u r(u))|| is least where s u r(u) is the projection of -s onto
+    span{s u^j : 1 <= j <= k_max // 2}, every j for k_max None (the full
+    span, exact CD on the support of dHe). Lanczos on multiplication by u (scaled
+    to max 1) from s u gives an orthonormal basis of that span, with full
+    reorthogonalization under ``_frame_chain``'s second-pass test, and leaves
+    a time's recurrence where its basis terminates (b < 1e-10) or is
+    complete. Then f = u r(u) / w, and H_cd = V (i f o dHe) V^dagger with
+    each (m, n) element the conjugate of its (n, m) element, formed by
+    ``frame_cd``'s products and checked Hermitian at each time. A time whose
+    chain has no odd operator is zero: k_max <= 1, a vanishing drive, and a
+    drive that commutes with H by the chain's own test b_1 < 1e-10 b_0.
     """
-    chain, phase, Vh = _frame_chain(E, V, dH, k_max)
-    system = krylov_system(chain)
-    cd = assemble_cd(system, solve_cd(system))      # i f(w) |dHe|
-    return np.matmul(V, np.multiply(cd, phase, out=cd)) @ Vh
+    n, D = E.shape
+    Vh = np.conjugate(V).swapaxes(1, 2)
+    dHe = np.matmul(np.matmul(Vh, dH), V)
+    w = E[:, :, None] - E[:, None, :]
+    s = np.abs(dHe)
+    # the chain's first test, b_1 = |w x_0| against b_0 = |dHe| / sqrt(D), with x_0 = |dHe| / |dHe|
+    norm = np.sqrt(_norm2(s.reshape(n, D * D)))
+    live = norm > 0.0
+    x0 = s.reshape(n, D * D) * _inverse(norm, live)[:, None]
+    live &= np.sqrt(_norm2(w.reshape(n, D * D) * x0)) >= 1e-10 * norm / np.sqrt(D)
+    upper = np.triu_indices(D, 1)
+    s, w = s[:, upper[0], upper[1]], w[:, upper[0], upper[1]]
+    u = w * w
+    u *= _inverse(u.max(axis=1, initial=0.0), live)[:, None]      # zero at the times that have ended
+    K = len(u[0]) if k_max is None else min(max(k_max, 0) // 2, len(u[0]))
+    X = np.zeros((n, min(K, 16), len(u[0])))
+    if K:
+        start = s * u
+        b = np.sqrt(_norm2(start))
+        live &= b > 0.0
+        np.multiply(start, _inverse(b, live)[:, None], out=X[:, 0])
+    for k in range(1, K):
+        W = u * X[:, k - 1]
+        W -= np.einsum("ti,ti->t", W, X[:, k - 1])[:, None] * X[:, k - 1]
+        if k > 1:
+            W -= b[:, None] * X[:, k - 2]
+        w2 = _norm2(W)
+        W -= _projection(X[:, :k], W)
+        r2 = _norm2(W)
+        again = np.flatnonzero(live & (r2 <= 0.5 * w2) & (r2 >= 1e-20))
+        if len(again):
+            W[again] -= _projection(X[again, :k], W[again])
+            r2[again] = _norm2(W[again])
+        b = np.sqrt(r2)
+        live &= b >= 1e-10
+        if not live.any():
+            break
+        if k == X.shape[1]:     # grown geometrically: K may lie far beyond where the bases terminate
+            X = np.concatenate([X, np.zeros((n, min(k, K - k), X.shape[2]))], axis=1)
+        np.multiply(W, _inverse(b, live)[:, None], out=X[:, k])
+    fit = -_projection(X, s)            # s u r(u), zero where s u is
+    f = np.zeros_like(fit)
+    fitted = fit != 0.0
+    np.divide(fit, s, out=f, where=fitted)
+    np.divide(f, w, out=f, where=fitted)
+    cd = np.zeros_like(dHe)
+    cd[:, upper[0], upper[1]] = 1j * f * dHe[:, upper[0], upper[1]]
+    cd[:, upper[1], upper[0]] = np.conjugate(cd[:, upper[0], upper[1]])
+    cd = np.matmul(V, cd) @ Vh
+    _check_hermitian(cd)
+    return cd
 
 
 def krylov_cd(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> np.ndarray:
@@ -417,15 +483,24 @@ def odd_commutator_support(H: np.ndarray, dH: np.ndarray, basis: OperatorBasis, 
     """Basis elements appearing in the first max_order odd nested
     commutators (all of them by default): their index list for one time, a
     boolean (n, len(basis)) mask for a time stack.
-
-    Those commutators span the same space as the odd operators of the Krylov
-    chain, so one product holds the overlap of every basis element with
-    every Q_{2k-1} (unit norm); an element is in the support when any of its
-    overlaps exceeds 1e-10 in magnitude. The support is the natural trial basis
-    for the algebraic route. A vanishing drive has empty support.
-    """
+    ``frame_odd_commutator_support`` on one ``eigh`` of H."""
     single, Hs, dHs = as_stacks(H, dH)
-    k_max = None if max_order is None else 2 * max_order
-    odd = krylov_chain(Hs, dHs, k_max=k_max).ops[:, 1::2]
-    mask = (np.abs(gram_matrix(basis.elements, odd)) > 1e-10).any(axis=2)
+    mask = frame_odd_commutator_support(*np.linalg.eigh(Hs), dHs, basis, max_order)
     return np.nonzero(mask[0])[0].tolist() if single else mask
+
+
+def frame_odd_commutator_support(E: np.ndarray, V: np.ndarray, dH: np.ndarray, basis: OperatorBasis,
+                                 max_order: int | None = None) -> np.ndarray:
+    """The boolean (n, len(basis)) mask of ``odd_commutator_support`` from
+    eigenframes (E, V) of H that a caller holds, as for ``frame_krylov_cd``.
+
+    The first max_order odd nested commutators span the same space as the
+    odd operators of the Krylov chain, so one product holds the overlap of
+    every basis element with every Q_{2k-1} (unit norm); an element is in the
+    support when any of its overlaps exceeds 1e-10 in magnitude. The support
+    is the natural trial basis for the algebraic route. A vanishing drive has
+    empty support.
+    """
+    k_max = None if max_order is None else 2 * max_order
+    odd = _frame_chain(E, V, dH, k_max=k_max).ops[:, 1::2]
+    return (np.abs(gram_matrix(basis.elements, odd)) > 1e-10).any(axis=2)

@@ -28,12 +28,13 @@ import json
 import os
 import sys
 import traceback
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .agp import algebraic_cd, frame_krylov_cd, odd_commutator_support
+from .agp import algebraic_cd, frame_krylov_cd, frame_odd_commutator_support
 from .digitized import digitization_error, fit_spans, trotter_baseline_error
 from .dynamics import StateTrajectory, adiabatic_populations, stack_at
 from .errors import ConfigError, NonFiniteError, ShortcutForgeError
@@ -255,32 +256,26 @@ def _build_system(conf: dict):
     return random_hermitian_ramp(dim=p["dim"], seed=p["seed"], duration=p["duration"], shape=p["schedule_shape"])
 
 
-def _canonical_basis(dim: int):
-    n = int(np.log2(dim))
-    if 2**n == dim:
-        return pauli_basis(n)
-    return gell_mann_basis(dim)
-
-
 #: the largest D whose runs write one population column per level
 _LEVEL_COLUMNS_MAX = 8
 
 
-def _cd_route(system, conf: dict, method: str):
-    """The ``cd_walk`` route of an approximate method on ``system``, which
-    reads ``order``: route(H, E, V, dH) gives H_cd of a time chunk from its
-    stacks and the walk's eigenframes (E, V) of H. The variational order-K
-    ansatz is the Krylov chain truncated at 2K + 1, and the ``krylov``
-    method runs that same chain, so both are one ``frame_krylov_cd`` on the
-    walk's frames and no route diagonalizes H again. The algebraic route
-    solves over the Pauli or Gell-Mann elements that the odd chain operators
-    up to ``order`` reach at each time."""
+def _cd_route(ref, conf: dict, method: str):
+    """The ``cd_walk`` route of an approximate method on the system of the
+    reference ``ref``, which reads ``order``: route(H, E, V, dH) gives H_cd of
+    a time chunk from its stacks and the walk's eigenframes (E, V) of H, and
+    no route diagonalizes H again. The variational order-K ansatz is the
+    Krylov chain truncated at 2K + 1, and the ``krylov`` method runs that same
+    chain, so both are one ``frame_krylov_cd``: a least-squares fit of -1/w
+    over the frames' Bohr frequencies. The algebraic route solves over the
+    elements of ``ref.basis`` that the odd chain operators up to ``order``
+    reach at each time (``frame_odd_commutator_support``)."""
     order = conf["order"]
     if method in ("variational", "krylov"):
         return lambda H, E, V, dH: frame_krylov_cd(E, V, dH, k_max=2 * order + 1)
-    basis = _canonical_basis(system.dim)     # algebraic
-    return lambda H, E, V, dH: algebraic_cd(H, dH, basis,
-                                            support=odd_commutator_support(H, dH, basis, max_order=order))
+    basis = ref.basis     # algebraic
+    return lambda H, E, V, dH: algebraic_cd(
+        H, dH, basis, support=frame_odd_commutator_support(E, V, dH, basis, max_order=order))
 
 
 class _Reference:
@@ -308,10 +303,19 @@ class _Reference:
         else:
             modes = [0] if dim > _LEVEL_COLUMNS_MAX else None
             self.walk = cd_walk(H, self.system.dhamiltonian, self.grid, modes,
-                                route=None if route == "exact_cd" else _cd_route(self.system, conf, route),
+                                route=None if route == "exact_cd" else _cd_route(self, conf, route),
                                 on_chunk=None if on_chunk is None else (lambda *chunk: on_chunk(self, *chunk)))
             self.path = self.walk.path
         self.target = StateTrajectory(grid=self.grid, states=self.path.vectors[:, :, self.path.column(0)])
+
+    @cached_property
+    def basis(self):
+        """The Pauli basis of the system's dimension when it is a power of 2,
+        else the Gell-Mann basis: built once per run, for the algebraic route
+        and the ``cd_coeff_*`` columns."""
+        dim = self.system.dim
+        n = int(np.log2(dim))
+        return pauli_basis(n) if 2**n == dim else gell_mann_basis(dim)
 
 
 def _driven_scenario(conf: dict) -> dict:
@@ -332,9 +336,8 @@ def _driven_scenario(conf: dict) -> dict:
     if ref.system.dim <= _LEVEL_COLUMNS_MAX:
         columns += [f"population_{n}" for n in range(ref.system.dim)]
         cols += list(adiabatic_populations(traj, ref.path).T)
-        basis = _canonical_basis(ref.system.dim)
-        columns += [f"cd_coeff_{lab.lower()}" for lab in basis.labels]
-        cols += list(gram_matrix(basis.elements, np.concatenate(cds)).real)
+        columns += [f"cd_coeff_{lab.lower()}" for lab in ref.basis.labels]
+        cols += list(gram_matrix(ref.basis.elements, np.concatenate(cds)).real)
     rows = np.column_stack(cols)
     summary = {
         "final_fidelity": float(fid[-1] ** 2),

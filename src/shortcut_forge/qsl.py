@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import StateTrajectory, check_aligned, cumulative_trapezoid, stack_at, time_chunks
+from .errors import NonFiniteError
 
 
 @dataclass
@@ -57,11 +58,13 @@ def stddev_in_state(X: np.ndarray, psi: np.ndarray):
 
     Computed as the norm of the deviation vector (X - <X>)|psi>, which is
     algebraically <X^2> - <X>^2 without the catastrophic cancellation of the
-    explicit difference when the deviation is tiny.
+    explicit difference when the deviation is tiny. A value that overflows
+    is inf, with no numpy warning; ``qsl_from_integrand`` rejects it.
     """
-    Xp = (X @ psi[..., None])[..., 0]
-    mean = np.sum(psi.conj() * Xp, axis=-1, keepdims=True)
-    out = np.linalg.norm(Xp - mean * psi, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xp = (X @ psi[..., None])[..., 0]
+        mean = np.sum(psi.conj() * Xp, axis=-1, keepdims=True)
+        out = np.linalg.norm(Xp - mean * psi, axis=-1)
     return out if out.ndim else float(out)
 
 
@@ -86,8 +89,12 @@ def qsl_from_integrand(L: np.ndarray, reference: StateTrajectory,
                        other: StateTrajectory | None = None) -> BoundReport:
     """The continuous bound from the integrand L(t_i) on the reference grid:
     the trapezoid angle int L, its cosine and, given the other
-    trajectory on the same grid, the per-time |overlap| for the check."""
+    trajectory on the same grid, the per-time |overlap| for the check.
+    A non-finite L(t_i) raises NonFiniteError naming its first time."""
     grid = reference.grid
+    bad = np.flatnonzero(~np.isfinite(L))
+    if len(bad):
+        raise NonFiniteError(f"the QSL integrand is {L[bad[0]]} at t = {grid[bad[0]]}")
     angle = cumulative_trapezoid(L, grid)
     observed = None
     if other is not None:

@@ -51,7 +51,7 @@ grid chunk serve the eigenpath, the CD route and the propagation:
 A = H + H_cd at the grid points and feeds them to the fourth-order
 ``dynamics.Magnus4Walk``. Every route reads that decomposition: the exact
 H_cd is ``frame_cd`` of it, and any other route is a ``route(H, E, V, dH)``,
-such as the variational and Krylov ``agp.frame_krylov_cd``, whose chain runs
+such as the variational and Krylov ``agp.frame_krylov_cd``, a Lanczos fit
 over the Bohr frequencies of those frames. So a CD run on an
 evenly spaced grid diagonalizes H once per grid point (plus the bisections of
 the tracker), makes no commutator chain, and evaluates its route once per

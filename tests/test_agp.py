@@ -28,6 +28,7 @@ from shortcut_forge import (
     solve_cd,
     variational_cd,
 )
+from shortcut_forge.agp import frame_krylov_cd, frame_odd_commutator_support
 from shortcut_forge.models import random_hermitian
 
 from conftest import SX, SY, SZ, lz_cd_oracle, random_hermitian_pair
@@ -628,3 +629,37 @@ def test_frame_chain_is_the_operator_chain(D, seed, cut):
     expect = V @ assemble_cd(system, solve_cd(system)) @ V.conj().swapaxes(1, 2)
     for c, e in zip(krylov_cd(H, dH, k_max=k_max), expect):
         assert frobenius_norm(c - e) <= 1e-10 * frobenius_norm(e)
+
+
+def test_frame_fit_is_zero_where_the_chain_has_no_odd_operator():
+    """Exact zeros where the chain has no odd operator: at k_max <= 1, at a
+    vanishing drive and at a drive that commutes with H; a generic time and
+    the protected crossing's generic block are fitted from k_max = 2 on."""
+    H, dH = _mixed_stack(8, 3)
+    E, V = np.linalg.eigh(H)
+    for k_max in (-1, 0, 1):
+        assert not frame_krylov_cd(E, V, dH, k_max).any()
+    for k_max in (2, 5, None):
+        cd = frame_krylov_cd(E, V, dH, k_max)
+        assert not cd[:2].any() and cd[2].any() and cd[3].any()
+
+
+def test_frame_fit_past_natural_termination_adds_exact_zeros():
+    """A basis that is complete adds nothing: Landau-Zener has one Bohr pair,
+    so every k_max from 2 on gives the same bits, the exact term."""
+    E, V = np.linalg.eigh(H_LZ[None])
+    first = frame_krylov_cd(E, V, DH_LZ[None], k_max=2)
+    for k_max in (3, 4, 9, None):
+        assert np.array_equal(frame_krylov_cd(E, V, DH_LZ[None], k_max), first)
+    assert np.abs(first[0] - CD_LZ).max() < 1e-12
+
+
+def test_frame_support_reads_the_given_frames():
+    """The frame form of the support, fed one ``eigh`` of the stack, is the
+    support's mask bit for bit."""
+    H, dH = _mixed_stack(4, 5)
+    basis = pauli_basis(2)
+    for order in (1, 2, None):
+        mask = frame_odd_commutator_support(*np.linalg.eigh(H), dH, basis, order)
+        assert np.array_equal(mask, odd_commutator_support(H, dH, basis, max_order=order))
+        assert not mask[0].any() and mask[3].any()

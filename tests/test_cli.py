@@ -244,21 +244,22 @@ def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypa
 @pytest.mark.parametrize("system, method, dense, small", [
     ("landau_zener", "exact_cd", 2, 0),
     ("landau_zener", "ff", 2, 0),
-    ("landau_zener", "qsl", 2, 1),
+    ("landau_zener", "qsl", 2, 0),
     ("landau_zener", "invariant", 1, 0),
-    ("random_hermitian", "qsl", 2, 1),
-    ("random_hermitian", "variational", 2, 1),
-    ("landau_zener", "krylov", 2, 1),
+    ("random_hermitian", "qsl", 2, 0),
+    ("random_hermitian", "variational", 2, 0),
+    ("landau_zener", "krylov", 2, 0),
+    ("random_hermitian", "algebraic", 2, 1),
 ])
 def test_each_matrix_scenario_diagonalizes_once_per_grid_point(tmp_path, monkeypatch, system, method, dense, small):
     """At defaults (1001 points) a scenario's one walk or path serves every
     reader: D x D eigh matrices are one per grid point for the path plus one
-    per interval for the Magnus step of a walk, and the small ``solve_cd``
-    eigh of a variational or krylov route, the qsl run's too, is one per grid
-    point (none at the smoothstep ends of random_hermitian, where dH = 0):
-    those routes read the walk's frames and diagonalize nothing. The
-    fast-forward run walks CD on the faster clock, and qsl and invariant form
-    the exact term from the walk's or the path's own frames, never by
+    per interval for the Magnus step of a walk. The variational and krylov
+    routes, the qsl run's too, fit on the walk's frames and diagonalize
+    nothing; the algebraic route reads the walk's frames for its support, and
+    its (D^2 - 1)-row ``solve_cd`` makes the one small eigh per grid point.
+    The fast-forward run walks CD on the faster clock, and qsl and invariant
+    form the exact term from the walk's or the path's own frames, never by
     ``counterdiabatic_term``."""
     shapes, cd_calls = [], []
     eigh, counterdiabatic_term = np.linalg.eigh, cli.counterdiabatic_term
@@ -275,6 +276,19 @@ def test_each_matrix_scenario_diagonalizes_once_per_grid_point(tmp_path, monkeyp
     assert count(True) == n + (dense - 1) * (n - 1)
     assert small * (n - 2) <= count(False) <= small * n
     assert cd_calls == []
+
+
+@pytest.mark.parametrize("dim, factory", [(4, "pauli_basis"), (3, "gell_mann_basis")])
+def test_an_algebraic_run_builds_its_basis_once(tmp_path, monkeypatch, dim, factory):
+    """The algebraic route and the ``cd_coeff_*`` columns read one basis of
+    the run."""
+    calls = []
+    build = getattr(cli, factory)
+    monkeypatch.setattr(cli, factory, lambda n: calls.append(n) or build(n))
+    conf = {"system": "random_hermitian", "method": "algebraic", "grid_points": 21,
+            "parameters": {"dim": dim, "seed": 0}}
+    assert _run(tmp_path, conf) == 0
+    assert len(calls) == 1
 
 
 def test_large_dim_exact_cd_allocates_less_than_one_full_eigenpath(tmp_path):
@@ -329,19 +343,23 @@ def _pair_conf(system, method, grid_points=None):
 
 
 #: finite configs whose arithmetic overflows: a rate of 2e308 makes lambda(0)
-#: NaN, and a duration of 1e-300 overflows the Magnus commutator
+#: NaN, and a duration of 1e-300 overflows the Magnus commutator or the QSL
+#: integrand. The schedule's 0 * inf at t = 0 of a rate row still prints a
+#: numpy RuntimeWarning before the stack check names the NaN; the duration
+#: rows print none.
 _OVERFLOWING = [
     ("exact_cd", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("invariant", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("trotter", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("exact_cd", {"duration": 1e-300}, "the Magnus step between t = 0.0 and t = 5e-302 is not finite"),
-    ("qsl", {"duration": 1e-300}, "CSV column 'angle' is inf"),
+    ("qsl", {"duration": 1e-300}, "the QSL integrand is inf at t = 0.0"),
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("method, parameters, message", _OVERFLOWING,
-                         ids=[f"{m}-{'duration' if 'duration' in p else 'rate'}" for m, p, _ in _OVERFLOWING])
+@pytest.mark.parametrize("method, parameters, message", [
+    pytest.param(m, p, msg, id=f"{m}-duration") if "duration" in p else
+    pytest.param(m, p, msg, id=f"{m}-rate", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+    for m, p, msg in _OVERFLOWING])
 def test_overflowing_config_exits_3_and_writes_nothing(tmp_path, capsys, method, parameters, message):
     conf = {**_pair_conf("landau_zener", method, grid_points=21), "parameters": parameters}
     rc, _ = _run_conf(tmp_path, conf)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shortcut_forge.dynamics import StateTrajectory, evolve, step_unitary
+from shortcut_forge.errors import NonFiniteError
 from shortcut_forge.models import SX, landau_zener, random_hermitian
 from shortcut_forge.qsl import qsl_continuous, qsl_discrete, qsl_from_integrand, stddev_in_state
 
@@ -53,6 +54,18 @@ def test_rejects_an_other_trajectory_on_a_shifted_grid():
     qsl_from_integrand(np.ones(11), reference, StateTrajectory(grid=grid.copy(), states=states))
     with pytest.raises(ValueError, match="not aligned"):
         qsl_from_integrand(np.ones(11), reference, StateTrajectory(grid=grid + 1e-6, states=states))
+
+
+def test_an_overflowing_integrand_is_a_nonfinite_error_naming_its_time():
+    """A stddev whose squares overflow is inf with no numpy warning (the test
+    run makes a warning an error), and the bound refuses it at its time."""
+    grid = np.linspace(0.0, 1.0, 3)
+    states = np.tile([1.0, 0.0], (3, 1)).astype(complex)
+    X = np.array([0.1 * SX, 1e300 * SX, SX])
+    L = stddev_in_state(X, states)
+    assert L[0] == pytest.approx(0.1) and L[1] == np.inf
+    with pytest.raises(NonFiniteError, match=r"the QSL integrand is inf at t = 0\.5"):
+        qsl_from_integrand(L, StateTrajectory(grid=grid, states=states))
 
 
 @pytest.mark.parametrize("seed", range(4))
