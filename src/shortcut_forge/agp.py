@@ -156,9 +156,9 @@ def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> Kry
     """Lanczos chain of the Liouvillian [H, .] from dH: ``_frame_chain`` on
     one ``eigh`` of H.
 
-    Terminates at b < 1e-10 b_0 or k_max; a time with dH = 0 has an empty
-    chain (a single dH = 0 is a ValueError). The chain length satisfies
-    K <= D^2 - D + 1.
+    Terminates at b <= 1e-10 max|E_n - E_m| or k_max; a time with dH = 0
+    has an empty chain (a single dH = 0 is a ValueError). The chain length
+    satisfies K <= D^2 - D + 1.
     """
     single, H, dH = as_stacks(H, dH)
     chain = _frame_chain(*np.linalg.eigh(H), dH, k_max)
@@ -187,7 +187,9 @@ def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None
     where the first removed more than half of |W|^2 (the
     Daniel-Gragg-Kaufman-Stewart test) and left more than the termination
     norm. Each time leaves the recurrence where its own chain terminates, at
-    b < 1e-10 b_0 or at k_max.
+    k_max or at b <= 1e-10 max|w|: b_k (k >= 1) is a frequency, so the test
+    is independent of the drive's scale, and a fully degenerate spectrum
+    (max|w| = 0) ends its chain at dH alone, a commuting drive.
     """
     n, D = E.shape
     Vh = np.conjugate(V).swapaxes(1, 2)
@@ -199,7 +201,7 @@ def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None
     b0 = np.sqrt(_norm2(size))
     hard_cap = D * D - D + 1
     k_max = hard_cap if k_max is None else max(1, min(k_max, hard_cap))
-    tol = 1e-10 * b0
+    tol = 1e-10 * np.ptp(E, axis=1)     # a frequency, as the b_k of k >= 1 are
     tol2 = tol * tol
     live = b0 > 0.0
     # grown geometrically: k_max may lie far beyond where the chains terminate
@@ -225,7 +227,7 @@ def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None
             r2[again] = _norm2(W[again])
         b = np.sqrt(r2)
         b_next = np.where(live, b, b_next)
-        live = live & (b >= tol) & (K < k_max)
+        live = live & (b > tol) & (K < k_max)
         if not live.any():
             break
         if K == X.shape[1]:
@@ -381,18 +383,19 @@ def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | N
     each (m, n) element the conjugate of its (n, m) element, formed by
     ``frame_cd``'s products and checked Hermitian at each time. A time whose
     chain has no odd operator is zero: k_max <= 1, a vanishing drive, and a
-    drive that commutes with H by the chain's own test b_1 < 1e-10 b_0.
+    drive that commutes with H by the chain's own test b_1 <= 1e-10 max|w|,
+    which a fully degenerate spectrum meets at b_1 = 0.
     """
     n, D = E.shape
     Vh = np.conjugate(V).swapaxes(1, 2)
     dHe = np.matmul(np.matmul(Vh, dH), V)
     w = E[:, :, None] - E[:, None, :]
     s = np.abs(dHe)
-    # the chain's first test, b_1 = |w x_0| against b_0 = |dHe| / sqrt(D), with x_0 = |dHe| / |dHe|
+    # the chain's first test, b_1 = |w x_0| with x_0 = |dHe| / |dHe|
     norm = np.sqrt(_norm2(s.reshape(n, D * D)))
     live = norm > 0.0
     x0 = s.reshape(n, D * D) * _inverse(norm, live)[:, None]
-    live &= np.sqrt(_norm2(w.reshape(n, D * D) * x0)) >= 1e-10 * norm / np.sqrt(D)
+    live &= np.sqrt(_norm2(w.reshape(n, D * D) * x0)) > 1e-10 * np.ptp(E, axis=1)
     upper = np.triu_indices(D, 1)
     s, w = s[:, upper[0], upper[1]], w[:, upper[0], upper[1]]
     u = w * w

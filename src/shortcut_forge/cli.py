@@ -290,8 +290,9 @@ class _Reference:
     state with H + H_cd of that route by the fourth-order Magnus step
     (``self.walk``). A walked run reads no mode but the ground mode, except
     for its population columns at D <= 8, so above ``_LEVEL_COLUMNS_MAX`` its
-    path keeps mode 0 alone, (n_t, D, 1) vectors instead of (n_t, D, D),
-    while the tracker's overlap gate and rank guard still run on every mode.
+    path tracks mode 0 alone: the tracker's overlap gate and rank guard run
+    on that mode, and the path stores (n_t, D, 1) vectors instead of
+    (n_t, D, D).
     ``on_chunk`` is ``cd_walk``'s consumer, with this reference first."""
 
     def __init__(self, conf: dict, route: str | None = None, on_chunk=None):

@@ -18,26 +18,26 @@ every later one holds as many times as fit one complex (n, D, D) stack into
 ``STACK_BYTES`` (1024 times at D = 2, 64 at D = 8, 16 at D = 16, 1 at
 D >= 46). Only the state recursion runs point by point.
 
-Two step kernels. A chunk of several times is one batched
-eigendecomposition, whose exponentials are exactly unitary. A chunk of one
-time (every chunk at D >= 46, and the first chunk of every run) applies the
-exponential to the state alone by short-iterative Lanczos (``lanczos_step``;
-Park & Light, J. Chem. Phys. 85, 5870 (1986)), which costs matrix-vector
-products instead of a D x D eigendecomposition. Its basis grows until an
-a-priori bound on the Krylov defect (Hochbruck & Lubich, SIAM J. Numer. Anal.
-34, 1911 (1997)) is at most ``KRYLOV_TOL`` times the norm of the state, so its
-step is unitary and exact to that bound; a step whose basis reaches D/2
-first, where the basis costs about as much as the eigendecomposition, goes
-through the eigendecomposition instead.
+One step kernel. ``_chunk_states`` steps a chunk of Magnus operators by the
+Taylor series of the exponential, truncated where an a-priori bound on its
+remainder is at most ``TAYLOR_TOL`` per unit norm of the state (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)), so a step costs matrix
+products and no eigendecomposition: a chunk of one time (every chunk at
+D >= 46) applies the series to the state by matrix-vector products, and a
+chunk of several builds its step matrices by Horner's rule. The state is
+rescaled to unit norm at the end of each chunk. Where the series would cost
+more than one eigendecomposition, or its bound is not finite, the chunk goes
+through one batched eigendecomposition instead. A counterdiabatic walk
+(``spectral.cd_walk``) thus diagonalizes H alone, once per grid point.
 
 Held arrays. A ``Magnus4Walk`` whose chunks hold one time each allocates its
 D x D arrays once: the ring of the last four operators and four work arrays,
-which take the weighted node sums, the commutator product and the Hermitian
-part of ``lanczos_step``, and which ``spectral.cd_walk`` borrows for the
-exact H_cd between pushes. ``time_chunks`` (and ``spectral.eigenpath``, its
-reader) drop each chunk before the next is made, so the per-call arrays of
-the callables and of ``eigh`` reuse the same freed blocks at every grid point
-instead of growing the heap and faulting it in again after each trim.
+which take the weighted node sums and the commutator product, and which
+``spectral.cd_walk`` borrows for the exact H_cd between pushes.
+``time_chunks`` (and ``spectral.eigenpath``, its reader) drop each chunk
+before the next is made, so the per-call arrays of the callables and of
+``eigh`` reuse the same freed blocks at every grid point instead of growing
+the heap and faulting it in again after each trim.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .errors import DimensionMismatchError, NonFiniteError
 #: byte budget of one complex (n, D, D) time stack
 STACK_BYTES = 64 * 1024
 
-#: bound on the Lanczos step's Krylov defect, per unit norm of the state
-KRYLOV_TOL = 1e-16
+#: bound on the Taylor step's remainder, per unit norm of the state: the unit roundoff
+TAYLOR_TOL = 2.0 ** -53
 
 
 def stack_at(H_of_t: Callable[[np.ndarray], np.ndarray], times: np.ndarray) -> np.ndarray:
@@ -138,77 +138,59 @@ def step_unitary(H: np.ndarray, dt) -> np.ndarray:
     return (V * phase[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def lanczos_step(H: np.ndarray, psi: np.ndarray, tau: float, work: np.ndarray | None = None) -> np.ndarray | None:
-    """exp(-i tau H) psi by short-iterative Lanczos, or None when the basis
-    reaches D/2 vectors before its defect bound holds.
+def _taylor_degree(x: float) -> int:
+    """The least degree m >= 1 whose Taylor remainder bound x^(m+1) e^x / (m+1)!
+    for exp(-i tau H), x = tau ||H||_F, is at most ``TAYLOR_TOL``."""
+    m, bound = 1, x * x * math.exp(x) / 2
+    while bound > TAYLOR_TOL:
+        m += 1
+        bound *= x / (m + 1)
+    return m
 
-    The Krylov basis of the Hermitian part A of H is reorthogonalized in full,
-    in two passes per vector. With T_m the m x m Lanczos tridiagonal and
-    beta_k its couplings (beta_m the norm of the residual), the defect of an
-    m-vector step is at most, per unit norm of psi,
 
-        tau beta_m [tau^(m-1) prod_{k<m} beta_k / (m-1)! + x^m e^x / m!],  x = tau ||A||_F,
+def _chunk_states(H: np.ndarray, psi: np.ndarray, h: float) -> np.ndarray:
+    """The (n, D) states after each step exp(-i h H[k]) of a chunk of n
+    operators, the last one rescaled to unit norm.
 
-    a bound on the integral over s in [0, tau] of |<e_m| exp(-i s T_m) |e_1>|
-    from its first nonzero Taylor term plus the tail of the series. The basis
-    grows until that is at most ``KRYLOV_TOL`` (beta_m = 0, a breakdown,
-    makes it 0), and T_m is diagonalized once. Past D/2 vectors the basis
-    costs about as much as a D x D eigendecomposition. ``work``, a (D, D)
-    complex array other than H, receives A in place of a fresh array.
-    """
-    A = np.conjugate(H.T, out=np.empty_like(H) if work is None else work)
-    A += H
-    A *= 0.5
-    x = tau * math.sqrt(np.vdot(A, A).real)
-    norm = math.sqrt(np.vdot(psi, psi).real)
-    cap = len(psi) // 2
-    V = np.empty((cap + 1, len(psi)), dtype=complex)
-    Vc = np.empty_like(V)           # the conjugated basis: <V_k|w> is one product
-    np.divide(psi, norm, out=V[0])
-    np.conjugate(V[0], out=Vc[0])
-    alpha, beta = [], []
-    lead, tail = 1.0, x * math.exp(x) if x < 700.0 else math.inf
-    for m in range(1, cap + 1):
-        w = A @ V[m - 1]
-        a = 0.0
-        for _ in range(2):
-            h = Vc[:m] @ w
-            w -= h @ V[:m]
-            a += h[m - 1].real
-        b = math.sqrt(np.vdot(w, w).real)
-        alpha.append(a)
-        beta.append(b)
-        if b == 0.0 or tau * b * (lead + tail) <= KRYLOV_TOL:
-            break
-        np.divide(w, b, out=V[m])
-        np.conjugate(V[m], out=Vc[m])
-        lead *= tau * b / m
-        tail *= x / (m + 1)
+    With theta = h max_k ||H[k]||_F, a step is ceil(theta) sub-steps of the
+    Taylor series of degree m = ``_taylor_degree`` (theta / ceil(theta)): one
+    operator applies it to the state, m matrix-vector products per sub-step;
+    a stack with theta <= 1 builds its step matrices by Horner's rule. A
+    one-operator step of more than D products, a stack with theta > 1 and a
+    non-finite theta go through one batched eigendecomposition instead."""
+    n, D = len(H), len(psi)
+    flat = H.reshape(n, -1).view(float)
+    theta = h * math.sqrt(np.einsum("ti,ti->t", flat, flat).max())
+    s = max(1, math.ceil(theta)) if math.isfinite(theta) else 0
+    m = _taylor_degree(theta / s) if s else 0
+    states = np.empty((n, D), dtype=complex)
+    if n == 1 and 0 < s * m <= D:
+        c = -1j * h / s
+        for _ in range(s):
+            term, psi = psi, psi.copy()
+            for j in range(1, m + 1):
+                term = H[0] @ term
+                term *= c / j
+                psi += term
+        states[0] = psi
+    elif n > 1 and s == 1:
+        X = np.multiply(H, -1j * h)
+        U = X / m           # Horner: I + X (I + X/2 (... (I + X/m)))
+        for j in range(m - 1, 0, -1):
+            U.reshape(n, -1)[:, ::D + 1] += 1.0
+            U = np.matmul(X, U)
+            U /= j
+        U.reshape(n, -1)[:, ::D + 1] += 1.0
+        for k in range(n):
+            psi = states[k] = U[k] @ psi
     else:
-        return None
-    T = np.zeros((m, m))
-    T.flat[::m + 1], T.flat[1::m + 1], T.flat[m::m + 1] = alpha, beta[:-1], beta[:-1]
-    theta, S = np.linalg.eigh(T)
-    return norm * ((S @ (np.exp(-1j * tau * theta) * S[0])) @ V[:m])
-
-
-def _chunk_states(H: np.ndarray, psi: np.ndarray, h: float, work: np.ndarray | None = None):
-    """Yield the state after each step exp(-i h H[k]) of one chunk of
-    operators, one step per interval of an evenly spaced grid of spacing h:
-    by ``lanczos_step`` (with its ``work`` array) when the chunk holds one
-    operator and its basis suffices, else by one batched eigendecomposition
-    of the chunk."""
-    if len(H) == 1:
-        psi_next = lanczos_step(H[0], psi, h, work)
-        if psi_next is not None:
-            yield psi_next
-            return
-    E, V = np.linalg.eigh(H)
-    phase = np.exp(-1j * E * h)
-    Vh = V.conj().swapaxes(1, 2)
-    for k in range(len(H)):
-        psi = V[k] @ (phase[k] * (Vh[k] @ psi))
-        yield psi
+        E, V = np.linalg.eigh(H)
+        phase = np.exp(-1j * E * h)
+        Vh = V.conj().swapaxes(1, 2)
+        for k in range(n):
+            psi = states[k] = V[k] @ (phase[k] * (Vh[k] @ psi))
+    states[-1] /= np.linalg.norm(states[-1])
+    return states
 
 
 #: the weights of a ``Magnus4Walk`` step by stencil width: rows are the first,
@@ -252,10 +234,11 @@ class Magnus4Walk:
     through the nodes and a0 is its midpoint value, so the global error is
     O(h^4) (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983 (1999); Blanes,
     Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)). Each push steps every
-    interval whose nodes it completes by ``_chunk_states``: one batched
-    ``eigh`` when the chunk holds several times, a ``lanczos_step`` per
-    interval when it holds one. The walk holds the (at most 3) earlier
-    nodes a later interval reads, besides the chunk. ``uniform_step`` checks
+    interval whose nodes it completes by ``_chunk_states``'s Taylor step:
+    one stack of step matrices when the chunk holds several times, the
+    series applied to the state interval by interval when it holds one. The
+    walk holds the (at most 3) earlier nodes a later interval reads, besides
+    the chunk. ``uniform_step`` checks
     the grid, and psi0 must be normalized (ValueError otherwise). A step that
     leaves a non-finite state, such as one whose commutator product
     overflows, is a NonFiniteError naming its interval, not a numpy warning.
@@ -263,9 +246,8 @@ class Magnus4Walk:
     While every push holds one time (every chunk at D >= 46) the ring is four
     operators, and a step makes no D x D array: one (2, 4) by (4, D^2)
     product of the weights, permuted to the ring's slots, gives sum_k w_k A_k
-    and a0 without gathering the nodes, and the commutator product and the
-    Hermitian part of ``lanczos_step`` are written into ``work``, the walk's
-    four (D, D) work arrays. A push copies A into the ring before it steps, so
+    and a0 without gathering the nodes, and the commutator product is
+    written into ``work``, the walk's four (D, D) work arrays. A push copies A into the ring before it steps, so
     a caller may form A in ``work`` between pushes. A walk that has taken a
     chunk of several times steps from gathered nodes, as a stack.
 
@@ -317,9 +299,10 @@ class Magnus4Walk:
             for j in range(self.next, stop, per):
                 i = np.arange(j, min(j + per, stop))
                 H = self._operator(i)
-                for k, psi in enumerate(_chunk_states(H, self.psi, self.h, self.work[3]), j + 1):
-                    if k % self.every == 0:
-                        self.states[k // self.every] = psi
+                states = _chunk_states(H, self.psi, self.h)
+                on = (i + 1) % self.every == 0
+                self.states[(i[on] + 1) // self.every] = states[on]
+                psi = states[-1]
                 if not np.isfinite(psi).all():
                     bad = i[~np.isfinite(H).all(axis=(1, 2))]
                     lo, hi = (bad[0], bad[0] + 1) if len(bad) else (i[0], i[-1] + 1)

@@ -14,7 +14,8 @@ class Schedule:
 
     ``value(t)`` returns lambda(t) and ``derivative(t)`` its time derivative,
     each shaped like t: a number (np.float64) for one time, an (n,) array for
-    an array of n times.
+    an array of n times. An overflowing ramp gives inf or NaN without a numpy
+    warning, which ``dynamics.stack_at`` then names as a NonFiniteError.
     """
 
     duration: float
@@ -27,10 +28,12 @@ class Schedule:
 
     def __call__(self, t) -> float | np.ndarray:
         # [()] makes the 0-d array of one time a number and leaves arrays as they are
-        return np.asarray(self.value(t), dtype=float)[()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(self.value(t), dtype=float)[()]
 
     def rate(self, t) -> float | np.ndarray:
-        return np.asarray(self.derivative(t), dtype=float)[()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(self.derivative(t), dtype=float)[()]
 
     @classmethod
     def linear(cls, start: float, stop: float, duration: float) -> "Schedule":

@@ -27,22 +27,22 @@ DegeneracyError where something does.
 One function, ``discrete_connection``, gives the overlaps <n(t_i)|n(t_{i+1})>
 behind every geometric and Lewis-Riesenfeld phase.
 
-An ``EigenPath`` stores the vectors of the modes its caller names and the
-energies of all of them, while the tracker itself always aligns whole
-frames: a run that reads only the ground mode stores (n_t, D, 1) vectors
-instead of (n_t, D, D). The readers of a path (``adiabatic_state``,
-``geometric_integrand``, ``loop_geometric_phase`` and
-``dynamics.adiabatic_populations``) work on its kept columns and raise
+An ``EigenPath`` gates, tracks and stores only the modes its caller names:
+a run that reads the ground mode alone holds (n_t, 1) energies and
+(n_t, D, 1) vectors and never bisects for a dropped mode, since the exact CD
+term, formed from each time's raw frame, reads no mode label. The readers of
+a path (``adiabatic_state``, ``geometric_integrand``, ``loop_geometric_phase``
+and ``dynamics.adiabatic_populations``) work on its kept columns and raise
 ValueError for a mode it did not keep.
 
 Time callables follow the time-stack contract of ``dynamics``: H_of_t maps a
 1-D array of n times to an (n, D, D) stack. ``eigenpath`` diagonalizes the
 grid one ``STACK_BYTES`` chunk per ``eigh`` call and tracks it by one rule,
-whatever the chunk's length: each mode keeps its energy rank while its
+whatever the chunk's length: each kept mode keeps its energy rank while its
 overlap with the column of that rank reaches ``OVERLAP_MIN``
-(``_same_ranks``, O(D^2) per time). Only an interval where it does not, a
-turn of the frame or a change of rank, goes through the O(D^3) per-point
-match ``_align_frames`` and its bisection.
+(``_same_ranks``, O(D K) per time for K kept modes). Only an interval where
+it does not, a turn of the frame or a change of rank, goes through the
+per-point match ``_align_frames`` and its bisection.
 ``counterdiabatic_term`` takes one matrix or an (n, D, D) stack (``dynamics.as_stacks``).
 
 Counterdiabatic driving in one walk. ``cd_walk`` makes one ``eigh`` per
@@ -52,13 +52,13 @@ A = H + H_cd at the grid points and feeds them to the fourth-order
 ``dynamics.Magnus4Walk``. Every route reads that decomposition: the exact
 H_cd is ``frame_cd`` of it, and any other route is a ``route(H, E, V, dH)``,
 such as the variational and Krylov ``agp.frame_krylov_cd``, a Lanczos fit
-over the Bohr frequencies of those frames. So a CD run on an
-evenly spaced grid diagonalizes H once per grid point (plus the bisections of
-the tracker), makes no commutator chain, and evaluates its route once per
-grid point. At one time per chunk an exact-CD grid point costs one ``eigh``,
-the four products of the exact H_cd and the one commutator product of the
-Magnus step, and nothing else of order D^3; H_cd and the Magnus operator are
-formed in the walk's held work arrays.
+over the Bohr frequencies of those frames. So a CD run on an evenly spaced
+grid diagonalizes H once per grid point (plus the bisections of the tracker
+for the kept modes), makes no commutator chain, and evaluates its route once
+per grid point. At one time per chunk an exact-CD grid point costs one
+``eigh``, the four products of the exact H_cd and the one commutator product
+of the Magnus step, whose Taylor series adds only matrix-vector products;
+H_cd and the Magnus operator are formed in the walk's held work arrays.
 """
 
 from __future__ import annotations
@@ -87,18 +87,17 @@ EPS_GAP_REL = 1e-10
 
 @dataclass
 class EigenPath:
-    """Smooth-gauge spectral data {E_n(t), |n(t)>} on a time grid: the
-    energies of every tracked mode and the vectors of the kept ones.
+    """Smooth-gauge spectral data {E_n(t), |n(t)>} of the tracked modes on a
+    time grid.
 
-    energies[i, n] is the energy of the n-th tracked mode at grid[i], for all
-    D modes. vectors[i, :, k] is the vector of mode ``modes[k]`` at grid[i];
-    a path keeps every mode, so that column k is mode k, unless it was built
-    to keep fewer. The gauge satisfies Re <n(t_i)|n(t_{i+1})> > 0 for every
-    consecutive pair.
+    energies[i, k] and vectors[i, :, k] are the energy and the vector of mode
+    ``modes[k]`` at grid[i]; a path keeps every mode, so that column k is
+    mode k, unless it was built to keep fewer. The gauge satisfies
+    Re <n(t_i)|n(t_{i+1})> > 0 for every consecutive pair.
     """
 
     grid: np.ndarray
-    energies: np.ndarray           # (n_t, D), continuity-tracked order
+    energies: np.ndarray           # (n_t, K), columns are the kept modes
     vectors: np.ndarray            # (n_t, D, K), columns are the kept modes
     modes: np.ndarray | None = None     # (K,) mode labels of the columns; None: 0 .. K-1
 
@@ -116,14 +115,16 @@ class EigenPath:
 
 
 def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
-    """Match modes of V_cur to V_prev by overlap and fix phases; returns
-    (E, V, |<prev_n|cur_n>|, perm) with Re <prev_n|cur_n> > 0 and perm[n]
-    the column mode n took, its energy rank in an ascending frame.
+    """Match the K aligned modes V_prev (D x K) to columns of the frame V_cur
+    by overlap and fix phases; returns (E, V, |<prev_n|cur_n>|, perm) with
+    Re <prev_n|cur_n> > 0 and perm[n] the column mode n took, its energy
+    rank in an ascending frame.
 
     Mode n takes the column of V_cur of largest overlap |<prev_n|cur>|. Each
-    row and column of P = |overlap|^2 between two orthonormal frames sums to 1,
-    so when every row maximum exceeds 1/2 these columns form a permutation and
-    the unique maximiser of sum_n P[n, perm(n)]. When a row maximum is at or
+    row and column of P = |overlap|^2 between two orthonormal frames sums to
+    at most 1, so when every row maximum exceeds 1/2 these columns are
+    distinct (a permutation when every mode is kept) and the unique
+    maximiser of sum_n P[n, perm(n)]. When a row maximum is at or
     below 1/2, that mode's overlap is at most 1/sqrt(2) < ``OVERLAP_MIN``, so
     the returned sizes already tell ``eigenpath`` to bisect the interval or
     raise; the match made there, a permutation or not, is never used.
@@ -137,7 +138,7 @@ def _align_frames(V_prev: np.ndarray, E_cur: np.ndarray, V_cur: np.ndarray):
 
 
 def _fails(size: np.ndarray, rank_from: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """Whether each interval, given its (..., D) overlaps and ranks, fails the gate or the rank guard."""
+    """Whether each interval, given its (..., K) overlaps and ranks, fails the gate or the rank guard."""
     return (size.min(axis=-1) < OVERLAP_MIN) | ((rank != rank_from) & (size < RANK_OVERLAP)).any(axis=-1)
 
 
@@ -151,7 +152,7 @@ def _initial_gauge(V: np.ndarray) -> np.ndarray:
 
 def _same_ranks(V_from: np.ndarray, rank: np.ndarray, V: np.ndarray, out: np.ndarray) -> int:
     """Track a run of raw ``eigh`` frames V[k], k = 0 .. m - 1, from the
-    aligned frame V_from of ranks ``rank`` while every mode keeps its rank:
+    aligned modes V_from of ranks ``rank`` while every mode keeps its rank:
     out[k] = V[k][:, rank] with the phases of ``_align_frames``, up to the
     first interval where a mode's overlap with the column of its rank is
     below ``OVERLAP_MIN``; returns the number j of frames aligned in out.
@@ -159,7 +160,7 @@ def _same_ranks(V_from: np.ndarray, rank: np.ndarray, V: np.ndarray, out: np.nda
     In a passing interval each overlap exceeds 0.9, so that column is the
     mode's unique best partner (|overlap|^2 > 1/2): the labels, the gate and
     the rank guard of ``_align_frames`` are decided, and the overlaps cost
-    O(D^2) per frame. Mode n's phase at k is the conjugate of the product of
+    O(D K) per frame for K modes. Mode n's phase at k is the conjugate of the product of
     its unit overlaps up to k, normalized; the product (not a sum of angles)
     keeps each step's overlap real to rounding however far the phase has
     turned.
@@ -184,9 +185,9 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     """Diagonalize H(t) on a grid with smooth gauge and continuity tracking.
 
     The grid is diagonalized one time chunk per ``eigh`` call and tracked by
-    one rule: each mode keeps the column of its energy rank while every
+    one rule: each kept mode keeps the column of its energy rank while every
     overlap with that column reaches the gate ``OVERLAP_MIN`` (0.9), which
-    ``_same_ranks`` checks with O(D^2) work per time and no D x D product.
+    ``_same_ranks`` checks with O(D K) work per time and no D x D product.
     The first interval where a mode falls below it, by a turn of the frame or
     by a change of rank, is matched by ``_align_frames`` from the aligned
     frame before it. That match passes when it meets the gate and the rank
@@ -200,13 +201,14 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     time per chunk (D >= 46) reuses the same blocks at every grid point. An
     empty grid or a non-finite time is a ValueError before any ``eigh``.
 
-    ``modes`` names the mode labels whose vectors the path keeps, every mode
-    by default; the columns hold them in increasing label order. Tracking
-    always runs on the whole frame: only the previous aligned frame and its
-    ranks are held between chunks, every mode passes the overlap gate and the
-    rank guard, and the energies of every mode are kept. So a path that keeps
-    K modes stores (n_t, D, K) vectors, and its energies and kept columns are
-    those of the full path, bit for bit.
+    ``modes`` names the mode labels the path tracks, every mode by default;
+    a label is an energy rank at grid[0], and the columns hold the modes in
+    increasing label order. The overlap gate, the rank guard, the match and
+    the held frames run on the kept modes alone, so a path that keeps K modes
+    stores (n_t, K) energies and (n_t, D, K) vectors, and a dropped mode that
+    turns or changes rank is never bisected. Where no dropped mode would fail
+    the gate, its energies and columns are those of the full path, bit for
+    bit; a path that keeps every mode is the full path.
 
     ``on_chunk(start, H, E, V, kept)``, when given, receives each chunk's
     stack H = H_of_t(grid[start:start + n]), its ascending ``eigh`` output
@@ -233,8 +235,8 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
             where = f"between t = {t0} and {t1} after {MAX_REFINE} refinement levels"
             if size.min() < OVERLAP_MIN:
                 raise GridTooCoarseError(f"mode overlap {size.min():.3f} < {OVERLAP_MIN} {where}")
-            n = int(np.flatnonzero((rank != rank_from) & (size < RANK_OVERLAP))[0])
-            raise GridTooCoarseError(f"mode {n} changes energy rank with overlap {size[n]:.15g} {where}")
+            k = int(np.flatnonzero((rank != rank_from) & (size < RANK_OVERLAP))[0])
+            raise GridTooCoarseError(f"mode {keep[k]} changes energy rank with overlap {size[k]:.15g} {where}")
         tm = 0.5 * (t0 + t1)
         _, Vm, rank_m = connect(t0, V_from, rank_from, tm, *eig_at(tm), depth + 1)
         return connect(tm, Vm, rank_m, t1, E1, V1, depth + 1)
@@ -246,25 +248,25 @@ def eigenpath(H_of_t: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
             keep = np.arange(D) if modes is None else np.array(sorted(set(modes)), dtype=int)
             if not keep.size or keep[0] < 0 or keep[-1] >= D:
                 raise ValueError(f"modes must name at least one of the labels 0 .. {D - 1}, got {modes!r}")
-            cols = slice(None) if modes is None else keep      # a view when every mode is kept
-            energies = np.empty((len(grid), D))
+            energies = np.empty((len(grid), len(keep)))
             vectors = np.empty((len(grid), D, len(keep)), dtype=complex)
-            V_prev, rank = _initial_gauge(V[0].copy()), np.arange(D)
-            held, side = np.empty((2, max(1, STACK_BYTES // (16 * D ** 2)), D, D), dtype=complex), 0
-            energies[0], vectors[0] = E[0], V_prev[:, cols]
+            # a mode's label is its energy rank at grid[0]
+            V_prev, rank = _initial_gauge(V[0][:, keep]), keep
+            held, side = np.empty((2, max(1, STACK_BYTES // (16 * D ** 2)), D, len(keep)), dtype=complex), 0
+            energies[0], vectors[0] = E[0, keep], V_prev
         pos = int(start == 0)
         while pos < len(H):
             frames = held[side]     # the held array that V_prev is not read from
             j = _same_ranks(V_prev, rank, V[pos:], frames)
             i = start + pos
-            energies[i:i + j], vectors[i:i + j] = E[pos:pos + j, rank], frames[:j, :, cols]
+            energies[i:i + j], vectors[i:i + j] = E[pos:pos + j, rank], frames[:j]
             if j:
                 V_prev, side = frames[j - 1], 1 - side
             pos += j
             if pos < len(H):        # the failing interval, matched and bisected as needed
                 i = start + pos
                 energies[i], V_prev, rank = connect(grid[i - 1], V_prev, rank, grid[i], E[pos], V[pos], 0)
-                vectors[i] = V_prev[:, cols]
+                vectors[i] = V_prev
                 pos += 1
         if on_chunk is not None:
             on_chunk(start, H, E, V, vectors[start:start + len(H)])
@@ -454,7 +456,7 @@ def adiabatic_state(path: EigenPath, c0: np.ndarray) -> AdiabaticState:
     dropped = np.flatnonzero((c0 != 0) & ~kept)
     if dropped.size:
         raise ValueError(f"c0 is nonzero on modes {dropped.tolist()} that the path did not keep")
-    dyn = cumulative_trapezoid(path.energies[:, path.modes], path.grid)
+    dyn = cumulative_trapezoid(path.energies, path.grid)
     geo = np.zeros(dyn.shape)
     geo[1:] = -np.cumsum(np.imag(discrete_connection(path.vectors)), axis=0)
     phases = np.exp(-1j * dyn + 1j * geo)

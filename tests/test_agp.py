@@ -535,8 +535,8 @@ def _operator_chain(H, dH, k_max=None):
     """Oracle: Lanczos on the Liouvillian [H, .] in operator space, from dH,
     for (n, D, D) stacks: complex (n, K, D^2) operators, two commutator
     products per step, full re-orthogonalization with the same second-pass
-    test, the same 1e-10 b_0 termination and the same k_max cut and per-time
-    lengths."""
+    test, the same termination at b <= 1e-10 max|E_n - E_m| and the same k_max
+    cut and per-time lengths."""
     n, D = len(H), H.shape[1]
 
     def norm2(W):
@@ -548,7 +548,7 @@ def _operator_chain(H, dH, k_max=None):
     b0 = np.sqrt(norm2(dH.reshape(n, D * D)) / D)
     hard_cap = D * D - D + 1
     k_max = hard_cap if k_max is None else max(1, min(k_max, hard_cap))
-    tol = 1e-10 * b0
+    tol = 1e-10 * np.ptp(np.linalg.eigvalsh(H), axis=1)
     live = b0 > 0.0
     Q = np.zeros((n, k_max, D * D), dtype=complex)
     Q[:, 0] = dH.reshape(n, D * D) / np.where(live, b0, 1.0)[:, None]
@@ -571,7 +571,7 @@ def _operator_chain(H, dH, k_max=None):
             r2[again] = norm2(W[again])
         b = np.sqrt(r2 / D)
         b_next = np.where(live, b, b_next)
-        live = live & ~((b < tol) | (K == k_max))
+        live = live & ~((b <= tol) | (K == k_max))
         if not live.any():
             break
         Q[live, K] = W[live] / b[live, None]
@@ -652,6 +652,26 @@ def test_frame_fit_past_natural_termination_adds_exact_zeros():
     for k_max in (3, 4, 9, None):
         assert np.array_equal(frame_krylov_cd(E, V, DH_LZ[None], k_max), first)
     assert np.abs(first[0] - CD_LZ).max() < 1e-12
+
+
+@pytest.mark.parametrize("rate", [1e11, 1e15])
+def test_a_fast_drive_is_not_read_as_commuting(rate):
+    """The commuting-drive test compares a chain frequency with the width of
+    the spectrum, not with the drive's norm, so the route scales with the
+    drive's rate: krylov_cd of 2 sz + sx with dH = rate sz, over the rate, is
+    the unit-rate term within 4 ulps of its largest entry. A test against
+    1e-10 b_0 read the rate-1e11 drive as commuting and returned zero."""
+    H = 2 * SZ + SX
+    unit = krylov_cd(H, SZ, 3)
+    assert np.abs(krylov_cd(H, rate * SZ, 3) / rate - unit).max() <= 4 * np.finfo(float).eps * np.abs(unit).max()
+
+
+def test_a_fully_degenerate_spectrum_is_a_commuting_drive():
+    """H = 0 has no Bohr frequency: the chain is dH alone and H_cd is zero,
+    with no division by the zero width (a warning fails the test)."""
+    chain = krylov_chain(np.zeros((2, 2)), SZ)
+    assert chain.length == 1 and chain.b_next == 0.0
+    assert not krylov_cd(np.zeros((2, 2)), SZ, 3).any()
 
 
 def test_frame_support_reads_the_given_frames():

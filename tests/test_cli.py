@@ -221,10 +221,10 @@ def test_unexpected_exception_exits_4_with_its_traceback(tmp_path, capsys, monke
 def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypatch):
     """At D = 64 a time chunk holds one point, and one D x D eigh per point
     serves the eigenpath, the CD term and the propagator: 101 calls for 101
-    points. The 100 Magnus steps are Lanczos steps that each diagonalize one
-    m x m tridiagonal, m < D. (On this seed no eigenpath interval of the
-    101-point grid is bisected; on coarser grids the random ramp bisects,
-    which would add calls.)"""
+    points. The 100 Magnus steps are Taylor steps, which diagonalize
+    nothing. (On this seed no eigenpath interval of the 101-point grid is
+    bisected; on coarser grids the random ramp bisects, which would add
+    calls.)"""
     calls = []
     eigh = np.linalg.eigh
 
@@ -236,27 +236,25 @@ def test_large_dim_exact_cd_makes_one_eigh_per_point_and_step(tmp_path, monkeypa
     conf = {"system": "random_hermitian", "method": "exact_cd", "grid_points": 101,
             "parameters": {"dim": 64, "seed": 0}}
     assert _run(tmp_path, conf) == 0
-    dense = [c for c in calls if c == (1, 64, 64)]
-    tridiagonal = [c for c in calls if len(c) == 2 and c[0] == c[1] < 64]
-    assert len(dense) == 101 and len(tridiagonal) == 100 and len(calls) == 201
+    assert calls == [(1, 64, 64)] * 101
 
 
 @pytest.mark.parametrize("system, method, dense, small", [
-    ("landau_zener", "exact_cd", 2, 0),
-    ("landau_zener", "ff", 2, 0),
-    ("landau_zener", "qsl", 2, 0),
+    ("landau_zener", "exact_cd", 1, 0),
+    ("landau_zener", "ff", 1, 0),
+    ("landau_zener", "qsl", 1, 0),
     ("landau_zener", "invariant", 1, 0),
-    ("random_hermitian", "qsl", 2, 0),
-    ("random_hermitian", "variational", 2, 0),
-    ("landau_zener", "krylov", 2, 0),
-    ("random_hermitian", "algebraic", 2, 1),
+    ("random_hermitian", "qsl", 1, 0),
+    ("random_hermitian", "variational", 1, 0),
+    ("landau_zener", "krylov", 1, 0),
+    ("random_hermitian", "algebraic", 1, 1),
 ])
 def test_each_matrix_scenario_diagonalizes_once_per_grid_point(tmp_path, monkeypatch, system, method, dense, small):
     """At defaults (1001 points) a scenario's one walk or path serves every
-    reader: D x D eigh matrices are one per grid point for the path plus one
-    per interval for the Magnus step of a walk. The variational and krylov
-    routes, the qsl run's too, fit on the walk's frames and diagonalize
-    nothing; the algebraic route reads the walk's frames for its support, and
+    reader: D x D eigh matrices are one per grid point for the path, and the
+    Magnus steps of a walk, Taylor stacks, diagonalize nothing. The
+    variational and krylov routes, the qsl run's too, fit on the walk's
+    frames and diagonalize nothing; the algebraic route reads the walk's frames for its support, and
     its (D^2 - 1)-row ``solve_cd`` makes the one small eigh per grid point.
     The fast-forward run walks CD on the faster clock, and qsl and invariant
     form the exact term from the walk's or the path's own frames, never by
@@ -344,9 +342,8 @@ def _pair_conf(system, method, grid_points=None):
 
 #: finite configs whose arithmetic overflows: a rate of 2e308 makes lambda(0)
 #: NaN, and a duration of 1e-300 overflows the Magnus commutator or the QSL
-#: integrand. The schedule's 0 * inf at t = 0 of a rate row still prints a
-#: numpy RuntimeWarning before the stack check names the NaN; the duration
-#: rows print none.
+#: integrand. No row prints a numpy warning (which the test run makes an
+#: error) before its NonFiniteError.
 _OVERFLOWING = [
     ("exact_cd", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("invariant", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
@@ -357,15 +354,27 @@ _OVERFLOWING = [
 
 
 @pytest.mark.parametrize("method, parameters, message", [
-    pytest.param(m, p, msg, id=f"{m}-duration") if "duration" in p else
-    pytest.param(m, p, msg, id=f"{m}-rate", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
-    for m, p, msg in _OVERFLOWING])
+    pytest.param(m, p, msg, id=f"{m}-{'duration' if 'duration' in p else 'rate'}") for m, p, msg in _OVERFLOWING])
 def test_overflowing_config_exits_3_and_writes_nothing(tmp_path, capsys, method, parameters, message):
     conf = {**_pair_conf("landau_zener", method, grid_points=21), "parameters": parameters}
     rc, _ = _run_conf(tmp_path, conf)
     err = capsys.readouterr().err
     assert rc == 3 and "NonFiniteError" in err and message in err
     assert list((tmp_path / "run").iterdir()) == []
+
+
+def test_an_overflowing_rate_exits_3_under_python_w_error(tmp_path):
+    """The CLI in a fresh interpreter that makes every warning an error: a
+    ramp from -1e308 to 1e308 stops with the stack check's NonFiniteError
+    (exit 3), not with a warning raised from the schedule (exit 4)."""
+    conf = {"system": "landau_zener", "method": "exact_cd", "grid_points": 21,
+            "parameters": {"lambda_start": -1e308, "lambda_stop": 1e308}}
+    (tmp_path / "config.json").write_text(json.dumps(conf))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "shortcut_forge.cli", "run", "config.json",
+                           "--out", "run"], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "NonFiniteError" in proc.stderr and "non-finite entries at t = 0.0" in proc.stderr
 
 
 @pytest.mark.parametrize("conf", [
@@ -394,7 +403,9 @@ def test_run_rejects_a_nonfinite_csv_row_naming_the_column(tmp_path, monkeypatch
 
 
 #: pairs that stop with a numerical failure at their defaults, by error class
-_FAILING_AT_DEFAULTS = {("tfim_chain", m): "GridTooCoarseError" for m in cli._VALID_COMBOS["tfim_chain"]}
+_FAILING_AT_DEFAULTS = {
+    ("tfim_chain", "exact_cd"): "DegeneracyError", ("tfim_chain", "qsl"): "DegeneracyError",
+    ("tfim_chain", "trotter"): "GridTooCoarseError", ("tfim_chain", "invariant"): "GridTooCoarseError"}
 
 
 def _pairs():
@@ -465,10 +476,24 @@ def test_exact_cd_runs_on_the_shortest_grids(tmp_path, grid_points, system, dim)
     assert 0.0 < summary["final_fidelity"] <= 1.0 + 1e-12
 
 
-def test_tfim_exact_cd_stops_on_a_grid_too_coarse(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["variational", "krylov"])
+def test_a_fast_landau_zener_sweep_is_driven_by_the_approximate_routes(tmp_path, method):
+    """At duration 1e-11 the drive's norm is about 1e11 times the gap; order
+    1 is exact CD for two levels, so the routes keep the ground state (they
+    returned H_cd = 0 and F = 0.0385 while their commuting-drive test read the
+    drive's norm)."""
+    conf = {"system": "landau_zener", "method": method, "grid_points": 201, "parameters": {"duration": 1e-11}}
+    rc, summary = _run_conf(tmp_path, conf)
+    assert rc == 0 and summary["final_fidelity"] >= 1 - 1e-8
+
+
+def test_tfim_exact_cd_stops_on_a_coupled_closed_gap(tmp_path, capsys):
+    """The ground-only gate passes the degenerate multiplets at lambda = 0;
+    the exact term then meets a split of 3.6e-16 that it counts as closed,
+    with a coupling of 2.0e-13 across it (ROADMAP item 9)."""
     rc, _ = _run_conf(tmp_path, _pair_conf("tfim_chain", "exact_cd"))
     assert rc == 3
-    assert "GridTooCoarseError" in capsys.readouterr().err
+    assert "DegeneracyError]: levels 7 and 8 are degenerate at t = 0.001 " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("system, shape, method", [("landau_zener", "linear", "exact_cd"),

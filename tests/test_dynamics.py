@@ -19,8 +19,8 @@ from shortcut_forge import (
     trotter_baseline_error,
     trotter_cd_evolve,
 )
-from shortcut_forge.dynamics import (_MAGNUS4, Magnus4Walk, check_normalized, cumulative_trapezoid, stack_at,
-                                     uniform_step)
+from shortcut_forge.dynamics import (_MAGNUS4, Magnus4Walk, _chunk_states, check_normalized, cumulative_trapezoid,
+                                     stack_at, uniform_step)
 from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp
 
 from conftest import SX, SY, SZ, cd_driven, stacked
@@ -141,7 +141,7 @@ class TestMagnus4Walk:
         """For A(t) = f(t) B the commutator term vanishes, and the stencils
         integrate a polynomial f of degree 3 (2 on a 3-point grid) exactly,
         so every state is exp(-i F(t) B) psi0 with F the integral of f: by
-        one batched eigh per chunk at D = 2 and by Lanczos steps at D = 50."""
+        one stacked step per chunk at D = 2 and by one-time steps at D = 50."""
         coeffs = [1.0, 2.0, -3.0, 0.5][:degree + 1]
         grid = np.linspace(0.0, 1.3, n_t)
         f = np.polynomial.Polynomial(coeffs)
@@ -363,7 +363,7 @@ class TestTimeChunks:
     def test_chunk_edges_off_the_grid_match_the_loop(self, dim):
         """49 intervals of 3 steps: at D = 8 the 148 points of the split grid
         come in chunks of 1 + 64 + 64 + 19, whose edges fall between grid
-        points; D = 64 chunks hold one point each and step by Lanczos. The
+        points; D = 64 chunks hold one point each and step by Taylor. The
         states match a per-step loop."""
         system = random_hermitian_ramp(dim, 2)
         grid = np.linspace(0.0, 1.0, 50)
@@ -420,15 +420,16 @@ class TestCheckNormalized:
             entry(psi)
 
 
-class TestLanczosStep:
-    """Chunks of one time (D >= 46) step by Lanczos; each case matches the
-    per-step ``step_unitary`` loop of the written-out Magnus operators within
-    1e-12."""
+class TestTaylorStep:
+    """Chunks of one time (D >= 46) step the state by the Taylor series of
+    exp(-i h H_eff), in ceil(theta) sub-steps, theta = h ||H_eff||_F; each
+    case matches the per-step ``step_unitary`` loop of the written-out Magnus
+    operators within 1e-12."""
 
-    def test_eigenvector_breaks_down_at_one_vector(self, eigh_shapes):
-        """psi0 = e_0 is decoupled from the rest of every H(t), so each step's
-        Krylov basis ends at m = 1: beta_1 is 0, or about 1e-31 after the
-        second orthogonalization pass where |psi| rounds off 1."""
+    def test_decoupled_state_stays_on_e0(self, eigh_shapes):
+        """psi0 = e_0 is decoupled from the rest of every H(t), so every
+        product of the series keeps it on e_0 exactly, and no step makes an
+        eigendecomposition."""
         system = random_hermitian_ramp(64, 3)
         decoupled = np.ones((64, 64))
         decoupled[0, 1:] = decoupled[1:, 0] = 0.0
@@ -436,28 +437,39 @@ class TestLanczosStep:
         grid = np.linspace(0.0, 1.0, 41)
         psi0 = np.eye(64, dtype=complex)[0]
         traj = evolve(H_of_t, psi0, grid)
-        assert eigh_shapes == [(1, 1)] * 40
+        assert eigh_shapes == []
+        assert not traj.states[:, 1:].any()
         assert np.abs(traj.states - _magnus_loop(H_of_t, psi0, grid)).max() <= 1e-12
 
-    @pytest.mark.parametrize("points, all_fall_back", [(5, True), (21, False)])
-    def test_stiff_coarse_grid(self, points, all_fall_back, eigh_shapes):
-        """h ||H_eff||_F is 16-23 on 5 points, past what D/2 = 32 Lanczos
-        vectors can bound, so every step falls back to the eigendecomposition;
-        on 21 points (3.2-4.6) some steps need 30-32 vectors and the rest fall
-        back."""
+    @pytest.mark.parametrize("points, fallback", [(5, 4), (21, 20), (41, 0)])
+    def test_stiff_coarse_grid(self, points, fallback, eigh_shapes):
+        """theta is 16-23 on 5 points and 3.2-4.6 on 21, where ceil(theta)
+        sub-steps of degree 17-18 take more than D = 64 products, so every
+        step goes through one eigendecomposition; on 41 points (1.6-2.3) each
+        step takes 2 or 3 sub-steps of at most 48 products in all."""
         system = random_hermitian_ramp(64, 0)
         grid = np.linspace(0.0, 1.0, points)
         psi0 = np.linalg.eigh(system.hamiltonian(0.0))[1][:, 0]
         eigh_shapes.clear()
         traj = evolve(system.hamiltonian, psi0, grid)
-        fallback = eigh_shapes.count((1, 64, 64))
-        lanczos = [shape[0] for shape in eigh_shapes if len(shape) == 2]
-        assert fallback + len(lanczos) == points - 1
-        if all_fall_back:
-            assert fallback == points - 1
-        else:
-            assert fallback > 0 and min(lanczos) >= 24
+        assert eigh_shapes == [(1, 64, 64)] * fallback
         assert np.abs(traj.states - _magnus_loop(system.hamiltonian, psi0, grid)).max() <= 1e-12
+
+    @pytest.mark.parametrize("h, eigh_calls", [(0.05, 0), (0.5, 1)])
+    def test_a_stack_is_stepped_by_horner_up_to_theta_one(self, rng, h, eigh_calls, eigh_shapes):
+        """A chunk of several D = 4 operators, ||H||_F about 5: at h = 0.05
+        (theta <= 1) its step matrices come from Horner's rule, at h = 0.5
+        from one batched eigendecomposition; both give the states of the
+        per-step exponentials within 1e-13."""
+        H = np.array([random_hermitian(4, rng) for _ in range(6)])
+        psi0 = np.eye(4, dtype=complex)[0]
+        states = _chunk_states(H, psi0, h)
+        assert len(eigh_shapes) == eigh_calls
+        psi, exact = psi0, []
+        for H_k in H:
+            psi = step_unitary(H_k, h) @ psi
+            exact.append(psi)
+        assert np.abs(states - np.array(exact)).max() <= 1e-13
 
     def test_thousand_steps_keep_the_norm(self):
         system = random_hermitian_ramp(64, 1)

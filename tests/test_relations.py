@@ -27,7 +27,7 @@ class TestCounterdiabaticInvariant:
         c_n = 1/8 on every mode keeps |c_n|^2 = 1/64. The deviation is the
         fourth-order walk's: doubling the grid cuts it by about 16 (15.4 from
         401 to 801 points, 13.2 from 201 to 401, before the asymptotic range),
-        with no floor from the Lanczos steps of this D."""
+        with no floor from the Taylor steps of this D."""
         system = random_hermitian_ramp(64, 0)
         deviation = []
         for points in (401, 801):

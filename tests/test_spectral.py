@@ -220,7 +220,9 @@ def _ground_and_turning_pair(jump: bool):
 
 
 class TestKeptModes:
-    """A path that keeps some modes is the full path's energies and columns."""
+    """A path that keeps some modes gates, tracks and stores those alone: where
+    no dropped mode fails the gate, its energies and columns are the full
+    path's kept ones; a dropped mode that fails it is not bisected."""
 
     @pytest.mark.parametrize("dim", [2, 16])
     @pytest.mark.parametrize("modes", [[0], [3, 1]])
@@ -231,44 +233,48 @@ class TestKeptModes:
         full = eigenpath(system.hamiltonian, grid)
         kept = eigenpath(system.hamiltonian, grid, modes=modes)
         assert kept.vectors.shape == (301, dim, len(modes))
+        assert kept.energies.shape == (301, len(modes))
         assert kept.modes.tolist() == sorted(modes)
-        assert np.array_equal(kept.energies, full.energies)
+        assert np.array_equal(kept.energies, full.energies[:, sorted(modes)])
         assert np.array_equal(kept.vectors, full.vectors[:, :, sorted(modes)])
         for n in modes:
             assert np.array_equal(geometric_integrand(kept, n), geometric_integrand(full, n))
 
-    def test_a_dropped_mode_is_bisected_like_the_full_path(self):
-        """Only modes 1 and 2 turn, by pi/2 per grid step: a ground-only path
-        bisects each step once, at the same midpoints as the full path."""
+    def test_a_dropped_mode_is_not_bisected(self):
+        """Only modes 1 and 2 turn, by pi/2 per grid step: the full path
+        bisects each step once, and a ground-only path, whose mode keeps
+        overlap 1, evaluates the grid alone, with the full path's ground
+        column."""
         H = _ground_and_turning_pair(jump=False)
-        paths = []
+        paths, calls = [], {}
         for modes in (None, [0]):
-            calls = []
-            paths.append(eigenpath(lambda t: calls.append(list(t)) or H(t), np.array([0.0, 0.5, 1.0]), modes=modes))
-            assert calls == [[0.0], [0.5, 1.0], [0.25], [0.75]]
+            made = calls[modes is None] = []
+            paths.append(eigenpath(lambda t: made.append(list(t)) or H(t), np.array([0.0, 0.5, 1.0]), modes=modes))
+        assert calls == {True: [[0.0], [0.5, 1.0], [0.25], [0.75]], False: [[0.0], [0.5, 1.0]]}
         full, ground = paths
-        assert np.array_equal(ground.energies, full.energies)
+        assert np.array_equal(ground.energies, full.energies[:, :1])
         assert np.array_equal(ground.vectors[:, :, 0], full.vectors[:, :, 0])
 
-    def test_a_dropped_mode_exhausts_refinement_like_the_full_path(self):
+    def test_a_dropped_mode_that_jumps_stops_only_the_full_path(self):
+        """Modes 1 and 2 jump by pi/4 at t = 1/3: the full path exhausts its
+        refinement there, and a ground-only path runs through."""
         H = _ground_and_turning_pair(jump=True)
-        messages = []
-        for modes in (None, [0]):
-            with pytest.raises(GridTooCoarseError) as err:
-                eigenpath(H, np.array([0.0, 1.0]), modes=modes)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1] == (
-            "mode overlap 0.707 < 0.9 between t = 0.333251953125 and 0.33349609375 "
-            "after 12 refinement levels"
-        )
+        with pytest.raises(GridTooCoarseError, match=(
+                r"^mode overlap 0\.707 < 0\.9 between t = 0\.333251953125 and 0\.33349609375 "
+                r"after 12 refinement levels$")):
+            eigenpath(H, np.array([0.0, 1.0]))
+        ground = eigenpath(H, np.array([0.0, 1.0]), modes=[0])
+        assert np.array_equal(ground.energies, [[-5.0], [-5.0]])
+        assert np.abs(ground.vectors[:, :, 0] - np.eye(3)[0]).max() == 0.0
 
-    def test_a_dropped_pair_crossing_between_grid_points_is_bisected(self):
+    def test_a_dropped_pair_crossing_between_grid_points_is_not_bisected(self):
         """D = 3: the ground mode is e_0 at energy -5 throughout, and levels 1
         and 2 are those of (t - 1/2) sz + 0.005 sx on (e_1, e_2), an avoided
         crossing at t = 1/2 between the grid points 0.4 and 0.6. Across that
         interval the diabatic overlap cos(0.05) passes the gate, so only the
-        rank guard sees it: a ground-only path bisects there like the full
-        path, and modes 1 and 2 end on their own levels."""
+        rank guard sees it: the full path bisects there, and modes 1 and 2
+        end on their own levels; a ground-only path does not bisect, and
+        its ground column is the full path's."""
         def H(t):
             t = np.asarray(t, dtype=float)
             out = np.zeros((len(t), 3, 3), dtype=complex)
@@ -276,15 +282,35 @@ class TestKeptModes:
             out[:, 1:, 1:] = (t - 0.5)[:, None, None] * SZ + 0.005 * SX
             return out
 
-        grid, paths = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], []
+        grid, paths, calls = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], [], {}
         for modes in (None, [0]):
-            calls = []
-            paths.append(eigenpath(lambda t: calls.append(list(t)) or H(t), np.array(grid), modes=modes))
-            assert calls[:3] == [grid[:1], grid[1:], [0.5]]
+            made = calls[modes is None] = []
+            paths.append(eigenpath(lambda t: made.append(list(t)) or H(t), np.array(grid), modes=modes))
+        assert calls[True][:3] == [grid[:1], grid[1:], [0.5]]
+        assert calls[False] == [grid[:1], grid[1:]]
         full, ground = paths
-        assert np.array_equal(ground.energies, full.energies)
+        assert np.array_equal(ground.energies, full.energies[:, :1])
         assert np.array_equal(ground.vectors[:, :, 0], full.vectors[:, :, 0])
         assert (np.diff(full.energies, axis=1) > 0).all()       # every mode keeps its energy rank
+
+    @pytest.mark.parametrize("modes, named", [(None, 1), ([2], 2), ([1, 2], 1)])
+    def test_a_kept_mode_that_changes_rank_is_named_by_its_label(self, modes, named):
+        """Levels 1 and 2 of D = 3 are (t - 0.5137) sz + 1e-6 sx: an avoided
+        crossing narrower than 12 bisections of [0.4, 0.6] resolve. Every
+        path that keeps one of the pair stops there naming the first kept
+        mode's label, not its column; a ground-only path runs through."""
+        def H(t):
+            out = np.zeros((len(t), 3, 3), dtype=complex)
+            out[:, 0, 0] = -5.0
+            out[:, 1:, 1:] = (np.asarray(t) - 0.5137)[:, None, None] * SZ + 1e-6 * SX
+            return out
+
+        grid = np.linspace(0.0, 1.0, 6)
+        with pytest.raises(GridTooCoarseError, match=(
+                rf"^mode {named} changes energy rank with overlap 0\.999\d+ between t = 0\.513671875 and "
+                r"0\.513720703125 after 12 refinement levels$")):
+            eigenpath(H, grid, modes=modes)
+        assert eigenpath(H, grid, modes=[0]).energies.tolist() == [[-5.0]] * 6
 
     def test_readers_work_on_kept_columns_and_reject_dropped_modes(self, lz):
         grid = np.linspace(0, 1, 201)
@@ -820,6 +846,41 @@ class TestCDWalk:
         assert np.array_equal(walk.trajectory.states[0], path.vectors[0, :, 0])
         fid = np.abs(np.einsum("td,td->t", path.vectors[:, :, 0].conj(), walk.trajectory.states)) ** 2
         assert fid.min() >= 1 - 1e-6
+
+    def test_a_ground_only_walk_makes_one_eigh_per_grid_point(self, monkeypatch):
+        """D = 48, one time per chunk: the ground mode is e_0 at energy -2,
+        and the pair cos(pi t) sz + sin(pi t) sx on (e_1, e_2) turns its
+        modes by pi/4 between grid points, which a gate on every mode bisects
+        at each of the 10 intervals. The ground-only walk makes one D x D
+        eigh per grid point and no other: the frames serve the path and the
+        exact H_cd, and each Magnus step (theta about 1.8) is two Taylor
+        sub-steps."""
+        D = 48
+        pair = lambda c, s: c[:, None, None] * SZ + s[:, None, None] * SX
+
+        def H(t):
+            out = np.zeros((len(t), D, D), dtype=complex)
+            out[:, 0, 0] = -2.0
+            out[:, 1:3, 1:3] = pair(np.cos(np.pi * t), np.sin(np.pi * t))
+            out[:, np.arange(3, D), np.arange(3, D)] = np.linspace(0.1, 0.3, D - 3)
+            return out
+
+        def dH(t):
+            out = np.zeros((len(t), D, D), dtype=complex)
+            out[:, 1:3, 1:3] = np.pi * pair(-np.sin(np.pi * t), np.cos(np.pi * t))
+            return out
+
+        grid = np.linspace(0.0, 5.0, 11)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(np.shape(a)) or eigh(a, *args, **kw))
+        eigenpath(H, grid)
+        assert calls == [(1, D, D)] * 21
+        calls.clear()
+        walk = cd_walk(H, dH, grid, modes=[0])
+        assert calls == [(1, D, D)] * 11
+        states = walk.trajectory.states
+        assert not states[:, 1:].any() and np.abs(np.abs(states[:, 0]) - 1).max() <= 1e-14
 
     @pytest.mark.parametrize("dim, n_t", [(4, 301), (50, 31)])
     def test_cd_is_counterdiabatic_term_bit_for_bit(self, dim, n_t):
