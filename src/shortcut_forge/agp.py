@@ -15,6 +15,10 @@ to -1/w with weights |dHe_nm|^2 (Claeys, Pandey, Sels & Polkovnikov, PRL 123,
 * algebraic   -- a user-supplied Hermitian trial basis, B_kl = ([H,L_k]|[H,L_l]);
                  the support of the odd chain operators in a basis
                  (``odd_commutator_support``) is the natural trial basis.
+                 A support that is the whole basis spans the operator
+                 algebra, where the fit is the exact term, so a walk that
+                 holds the frames takes ``spectral.frame_cd`` at such times
+                 and solves only the partial or empty supports.
 
 The krylov and variational routes are one fit (``frame_krylov_cd``) on
 eigenframes a caller holds, such as the walk's: since f = w r(w^2), it is a
@@ -182,11 +186,12 @@ def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None
     real (n, D^2) values x_k = p_k(w) |dHe| / sqrt(D), zero where dHe is, whose
     dot products are those Frobenius products: the chain of [diag(E), .] from
     |dHe|, real symmetric at even and antisymmetric at odd k, which the phase
-    dHe / |dHe| and V carry back to Q_k. Each new x is projected off all
-    earlier ones with one stacked product; a second pass runs only at times
-    where the first removed more than half of |W|^2 (the
-    Daniel-Gragg-Kaufman-Stewart test) and left more than the termination
-    norm. Each time leaves the recurrence where its own chain terminates, at
+    dHe / |dHe| and V carry back to Q_k; |dHe| is scaled per time by a power
+    of two before its norm, so b_0 does not overflow with sum |dHe|^2. Each
+    new x is projected off all earlier ones with one stacked product; a
+    second pass runs only at times where the first removed more than half of
+    |W|^2 (the Daniel-Gragg-Kaufman-Stewart test) and left more than the
+    termination norm. Each time leaves the recurrence where its own chain terminates, at
     k_max or at b <= 1e-10 max|w|: b_k (k >= 1) is a frequency, so the test
     is independent of the drive's scale, and a fully degenerate spectrum
     (max|w| = 0) ends its chain at dH alone, a commuting drive.
@@ -197,6 +202,8 @@ def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None
     w = (E[:, :, None] - E[:, None, :]).reshape(n, D * D)
     size = np.abs(dHe)
     phase = np.divide(dHe, size, out=np.zeros_like(dHe), where=size > 0.0).reshape(n, D, D)
+    scale = _unit_scale(size)
+    size *= scale[:, None]
     size /= np.sqrt(D)
     b0 = np.sqrt(_norm2(size))
     hard_cap = D * D - D + 1
@@ -208,7 +215,7 @@ def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None
     X = np.zeros((n, min(k_max, 16), D * D))
     np.multiply(size, _inverse(b0, live)[:, None], out=X[:, 0])
     bs = np.zeros((n, X.shape[1]))
-    bs[:, 0] = b0
+    bs[:, 0] = b0 / scale
     length = live.astype(int)
     b_next = np.zeros(n)
     K = 1
@@ -241,6 +248,16 @@ def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None
     ops = np.sqrt(D) * X[:, :K].reshape(n, K, D, D) * phase[:, None]
     ops = np.matmul(np.matmul(V[:, None], ops), Vh[:, None])
     return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, length=length)
+
+
+def _unit_scale(s: np.ndarray) -> np.ndarray:
+    """The power of two per time that brings the largest entry of each row of
+    a non-negative (n, ...) stack into [0.5, 1): 1 for a zero row, and at most
+    2^1021 for a subnormal one. Scaling by it is exact, so the norm of a
+    scaled row has the bits of the unscaled norm, scaled, also where the
+    unscaled sum of squares would overflow."""
+    exponent = np.frexp(s.reshape(len(s), -1).max(axis=1, initial=0.0))[1]
+    return np.ldexp(1.0, -np.maximum(exponent, -1021))
 
 
 def _inverse(b: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -372,7 +389,8 @@ def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | N
     The odd chain operators up to k_max span i f(w) o dHe for the odd
     polynomials f = w r(u) of degree below k_max, u = w^2, so the route is a
     weighted least-squares fit of -1/w over the D(D - 1)/2 pairs n < m (Sels &
-    Polkovnikov, PNAS 114, E3909 (2017)): with s = |dHe_nm|, the residual
+    Polkovnikov, PNAS 114, E3909 (2017)): with s = |dHe_nm| (scaled per time
+    by a power of two, so its norms do not overflow), the residual
     ||s (1 + u r(u))|| is least where s u r(u) is the projection of -s onto
     span{s u^j : 1 <= j <= k_max // 2}, every j for k_max None (the full
     span, exact CD on the support of dHe). Lanczos on multiplication by u (scaled
@@ -391,6 +409,7 @@ def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | N
     dHe = np.matmul(np.matmul(Vh, dH), V)
     w = E[:, :, None] - E[:, None, :]
     s = np.abs(dHe)
+    s *= _unit_scale(s)[:, None, None]      # the fit f = fit / s is free of the scale
     # the chain's first test, b_1 = |w x_0| with x_0 = |dHe| / |dHe|
     norm = np.sqrt(_norm2(s.reshape(n, D * D)))
     live = norm > 0.0

@@ -116,9 +116,12 @@ _RULES = {
     "output.summary": (lambda v: os.path.basename(v) == v and v.endswith(".json"), "a plain file name ending in .json"),
 }
 
-#: the algebraic trial basis holds D^2 - 1 operators of size D x D, so one CD
-#: evaluation grows as D^6: a default run takes about 6 s at D = 16 (seed 0,
-#: one AMD EPYC core, 1-thread OpenBLAS)
+#: the algebraic trial basis holds D^2 - 1 operators of size D x D: each time's
+#: support overlaps all of them (D^4 work), and a time solved on a partial
+#: support grows as D^6. A default run takes about 0.3 s at D = 16, where every
+#: time but the two smoothstep endpoints spans the basis and takes the exact
+#: term (seed 0, one Intel Xeon core, 1-thread OpenBLAS; 11 s when every time
+#: was solved)
 ALGEBRAIC_MAX_DIM = 16
 
 SYSTEMS = tuple(_PARAMETERS)
@@ -267,15 +270,29 @@ def _cd_route(ref, conf: dict, method: str):
     no route diagonalizes H again. The variational order-K ansatz is the
     Krylov chain truncated at 2K + 1, and the ``krylov`` method runs that same
     chain, so both are one ``frame_krylov_cd``: a least-squares fit of -1/w
-    over the frames' Bohr frequencies. The algebraic route solves over the
+    over the frames' Bohr frequencies. The algebraic route fits over the
     elements of ``ref.basis`` that the odd chain operators up to ``order``
-    reach at each time (``frame_odd_commutator_support``)."""
+    reach at each time (``frame_odd_commutator_support``). A time whose
+    support is the whole basis spans the operator algebra, where the fit is
+    the exact term, so it takes ``frame_cd`` on the frames (a coupled closed
+    gap raises DegeneracyError, as for ``exact_cd``); only the times with a
+    partial or empty support, such as a smoothstep endpoint's dH = 0, are
+    solved by ``algebraic_cd`` on their support."""
     order = conf["order"]
     if method in ("variational", "krylov"):
         return lambda H, E, V, dH: frame_krylov_cd(E, V, dH, k_max=2 * order + 1)
     basis = ref.basis     # algebraic
-    return lambda H, E, V, dH: algebraic_cd(
-        H, dH, basis, support=frame_odd_commutator_support(E, V, dH, basis, max_order=order))
+
+    def algebraic(H, E, V, dH):
+        support = frame_odd_commutator_support(E, V, dH, basis, max_order=order)
+        full = support.all(axis=1)
+        # the exact term sees dH = 0 at the solved times: zero there, and never degenerate
+        cd = frame_cd(E, V, dH * full[:, None, None])
+        if not full.all():
+            cd[~full] = algebraic_cd(H[~full], dH[~full], basis, support=support[~full])
+        return cd
+
+    return algebraic
 
 
 class _Reference:

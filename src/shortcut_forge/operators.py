@@ -162,7 +162,12 @@ def pauli_basis(n_qubits: int) -> OperatorBasis:
     if not 1 <= n_qubits <= 10:
         raise ValueError("n_qubits must be between 1 and 10")
     labels = ["".join(p) for p in product("IXYZ", repeat=n_qubits)][1:]
-    return OperatorBasis([pauli_matrix(lab) for lab in labels], labels)
+    paulis = np.stack([_PAULI[ch] for ch in "IXYZ"])
+    out = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n_qubits):       # one Kronecker product per site, over every string at once
+        k, d = len(out), out.shape[1]
+        out = (out[:, None, :, None, :, None] * paulis[None, :, None, :, None, :]).reshape(4 * k, 2 * d, 2 * d)
+    return OperatorBasis(out[1:], labels)
 
 
 def gell_mann_basis(dim: int) -> OperatorBasis:

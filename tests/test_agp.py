@@ -654,16 +654,30 @@ def test_frame_fit_past_natural_termination_adds_exact_zeros():
     assert np.abs(first[0] - CD_LZ).max() < 1e-12
 
 
-@pytest.mark.parametrize("rate", [1e11, 1e15])
+@pytest.mark.parametrize("rate", [1e11, 1e15, 1e154, 1e200, 1e300])
 def test_a_fast_drive_is_not_read_as_commuting(rate):
     """The commuting-drive test compares a chain frequency with the width of
-    the spectrum, not with the drive's norm, so the route scales with the
-    drive's rate: krylov_cd of 2 sz + sx with dH = rate sz, over the rate, is
-    the unit-rate term within 4 ulps of its largest entry. A test against
-    1e-10 b_0 read the rate-1e11 drive as commuting and returned zero."""
+    the spectrum, not with the drive's norm, and the norms are taken on |dHe|
+    scaled by a power of two, so the route scales with the drive's rate:
+    krylov_cd of 2 sz + sx with dH = rate sz, over the rate, is the unit-rate
+    term within 4 ulps of its largest entry. A test against 1e-10 b_0 read the
+    rate-1e11 drive as commuting and returned zero, and so did the unscaled
+    norms from rate 1e154 on, where sum |dHe|^2 overflows."""
     H = 2 * SZ + SX
     unit = krylov_cd(H, SZ, 3)
     assert np.abs(krylov_cd(H, rate * SZ, 3) / rate - unit).max() <= 4 * np.finfo(float).eps * np.abs(unit).max()
+
+
+@pytest.mark.parametrize("rate", [2.0**520, 2.0**1000], ids=["2^520", "2^1000"])
+def test_a_drive_whose_squares_overflow_keeps_its_chain(rate):
+    """The chain of a drive whose sum |dHe|^2 overflows is the unit drive's
+    scaled by the rate, a power of two, bit for bit: the same operators and
+    support, b_0 = ||dH|| times the rate, and the same frequencies b_k."""
+    H, basis = 2 * SZ + SX, pauli_basis(1)
+    unit, fast = krylov_chain(H, SZ), krylov_chain(H, rate * SZ)
+    assert fast.length == unit.length and np.array_equal(fast.ops, unit.ops)
+    assert fast.b[0] == rate * unit.b[0] and np.array_equal(fast.b[1:], unit.b[1:])
+    assert odd_commutator_support(H, rate * SZ, basis) == odd_commutator_support(H, SZ, basis) == [1]
 
 
 def test_a_fully_degenerate_spectrum_is_a_commuting_drive():

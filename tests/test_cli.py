@@ -7,19 +7,21 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from shortcut_forge import NonFiniteError, cd_walk, cli, counterdiabatic_term, eigenpath
-from shortcut_forge.agp import algebraic_cd, odd_commutator_support, variational_cd
+from shortcut_forge import DegeneracyError, NonFiniteError, cd_walk, cli, counterdiabatic_term, eigenpath
+from shortcut_forge.agp import algebraic_cd, frame_odd_commutator_support, odd_commutator_support, variational_cd
 from shortcut_forge import digitized
 from shortcut_forge.digitized import trotter_cd_evolve
 from shortcut_forge.dynamics import fidelity, sample
-from shortcut_forge.models import landau_zener, random_hermitian_ramp, tfim_chain
+from shortcut_forge.models import landau_zener, random_hermitian, random_hermitian_ramp, tfim_chain
 from shortcut_forge.operators import gram_matrix, pauli_basis
 from shortcut_forge.qsl import qsl_continuous
 from shortcut_forge.schedule import SHAPES
+from shortcut_forge.spectral import frame_cd
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -254,8 +256,11 @@ def test_each_matrix_scenario_diagonalizes_once_per_grid_point(tmp_path, monkeyp
     reader: D x D eigh matrices are one per grid point for the path, and the
     Magnus steps of a walk, Taylor stacks, diagonalize nothing. The
     variational and krylov routes, the qsl run's too, fit on the walk's
-    frames and diagonalize nothing; the algebraic route reads the walk's frames for its support, and
-    its (D^2 - 1)-row ``solve_cd`` makes the one small eigh per grid point.
+    frames and diagonalize nothing. The algebraic route reads the walk's
+    frames for its support, and takes the exact term on them wherever the
+    support is the whole basis: its (D^2 - 1)-row ``solve_cd`` makes one
+    small eigh at each of the two smoothstep endpoints alone, where dH = 0
+    leaves the support empty.
     The fast-forward run walks CD on the faster clock, and qsl and invariant
     form the exact term from the walk's or the path's own frames, never by
     ``counterdiabatic_term``."""
@@ -272,7 +277,7 @@ def test_each_matrix_scenario_diagonalizes_once_per_grid_point(tmp_path, monkeyp
     n, D = 1001, 2 if system == "landau_zener" else 4
     count = lambda big: sum(int(np.prod(s[:-2])) for s in shapes if (s[-1] == D) == big)
     assert count(True) == n + (dense - 1) * (n - 1)
-    assert small * (n - 2) <= count(False) <= small * n
+    assert count(False) == 2 * small
     assert cd_calls == []
 
 
@@ -287,6 +292,71 @@ def test_an_algebraic_run_builds_its_basis_once(tmp_path, monkeypatch, dim, fact
             "parameters": {"dim": dim, "seed": 0}}
     assert _run(tmp_path, conf) == 0
     assert len(calls) == 1
+
+
+class TestAlgebraicRoute:
+    """The walk's algebraic route takes the exact term on the frames wherever
+    the order-1 support spans the whole basis, and solves only elsewhere."""
+
+    @staticmethod
+    def _route(basis):
+        return cli._cd_route(SimpleNamespace(basis=basis), {"order": 1}, "algebraic")
+
+    @staticmethod
+    def _stacks(system, times):
+        H, dH = system.hamiltonian(times), system.dhamiltonian(times)
+        return (H, *np.linalg.eigh(H), dH)
+
+    @pytest.mark.parametrize("system, basis, spans", [
+        (random_hermitian_ramp(8, 3, shape="linear"), pauli_basis(3), True),
+        (random_hermitian_ramp(3, 1, shape="linear"), cli.gell_mann_basis(3), True),
+        (landau_zener(), pauli_basis(1), False),
+    ], ids=["rh8-pauli", "rh3-gell-mann", "lz-pauli"])
+    def test_the_route_is_the_exact_term_where_its_support_holds_it(self, system, basis, spans):
+        """A fit over a support that holds the exact counterdiabatic term is
+        that term (Sels & Polkovnikov, PNAS 114, E3909 (2017)), within 1e-12
+        of its norm. The generic ramps' support is the whole basis, where the
+        route takes the term from the frames bit for bit; Landau-Zener's is
+        sigma_y alone, which the route solves over."""
+        H, E, V, dH = self._stacks(system, np.linspace(0.0, system.duration, 7))
+        support = frame_odd_commutator_support(E, V, dH, basis, max_order=1)
+        assert (support.all(axis=1) == spans).all()
+        cd, exact = self._route(basis)(H, E, V, dH), frame_cd(E, V, dH)
+        fit = algebraic_cd(H, dH, basis, support=support)
+        assert np.array_equal(cd, exact if spans else fit)
+        bound = 1e-12 * np.linalg.norm(exact, axis=(1, 2))
+        assert (np.linalg.norm(fit - exact, axis=(1, 2)) <= bound).all()
+
+    def test_a_partial_support_is_solved_on_that_support(self, monkeypatch):
+        """Times whose support lacks an element are the library fit on that
+        support, bit for bit; the other times of the chunk stay exact."""
+        basis = pauli_basis(2)
+        H, E, V, dH = self._stacks(random_hermitian_ramp(4, 0, shape="linear"), np.linspace(0.0, 1.0, 5))
+        part, full = [1, 3], [0, 2, 4]
+        mask = np.ones((len(H), len(basis)), dtype=bool)
+        mask[part, 4] = False
+        monkeypatch.setattr(cli, "frame_odd_commutator_support", lambda *args, **kwargs: mask.copy())
+        cd = self._route(basis)(H, E, V, dH)
+        fit = algebraic_cd(H[part], dH[part], basis, support=mask[part])
+        assert np.array_equal(cd[part], fit)
+        assert np.array_equal(cd[full], frame_cd(E[full], V[full], dH[full]))
+        assert np.abs(fit - frame_cd(E[part], V[part], dH[part])).max() > 1e-3
+
+    def test_a_coupled_closed_gap_at_full_support_is_a_degeneracy(self):
+        """A degenerate pair of H that dH couples has no counterdiabatic term:
+        the exact term and the route raise DegeneracyError alike (the solve's
+        eigenvalue cutoff would drop the pair)."""
+        rng = np.random.default_rng(5)
+        U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        H = (U * np.array([-1.0, 0.5, 0.5, 2.0])) @ U.conj().T
+        dH = random_hermitian(4, rng)
+        E, V = np.linalg.eigh(H[None])
+        basis = pauli_basis(2)
+        assert frame_odd_commutator_support(E, V, dH[None], basis, max_order=1).all()
+        with pytest.raises(DegeneracyError):
+            counterdiabatic_term(H, dH)
+        with pytest.raises(DegeneracyError):
+            self._route(basis)(H[None], E, V, dH[None])
 
 
 def test_large_dim_exact_cd_allocates_less_than_one_full_eigenpath(tmp_path):
@@ -341,15 +411,15 @@ def _pair_conf(system, method, grid_points=None):
 
 
 #: finite configs whose arithmetic overflows: a rate of 2e308 makes lambda(0)
-#: NaN, and a duration of 1e-300 overflows the Magnus commutator or the QSL
-#: integrand. No row prints a numpy warning (which the test run makes an
-#: error) before its NonFiniteError.
+#: NaN, and a duration of 1e-300 overflows the Magnus commutator, of the exact
+#: term or of the qsl run's variational one alike. No row prints a numpy
+#: warning (which the test run makes an error) before its NonFiniteError.
 _OVERFLOWING = [
     ("exact_cd", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("invariant", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("trotter", {"lambda_start": -1e308, "lambda_stop": 1e308}, "non-finite entries at t = 0.0"),
     ("exact_cd", {"duration": 1e-300}, "the Magnus step between t = 0.0 and t = 5e-302 is not finite"),
-    ("qsl", {"duration": 1e-300}, "the QSL integrand is inf at t = 0.0"),
+    ("qsl", {"duration": 1e-300}, "the Magnus step between t = 0.0 and t = 5e-302 is not finite"),
 ]
 
 
@@ -375,6 +445,23 @@ def test_an_overflowing_rate_exits_3_under_python_w_error(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "NonFiniteError" in proc.stderr and "non-finite entries at t = 0.0" in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["exact_cd", "variational", "krylov", "algebraic"])
+def test_a_drive_whose_norm_overflows_stops_every_route_alike(tmp_path, method):
+    """At duration 1e-155 the drive's |dHe|^2 overflows. The approximate
+    routes' norms are taken on |dHe| scaled by a power of two, so they see the
+    drive and form the term exact CD forms, whose Magnus step then overflows:
+    every route exits 3 naming that step, in a fresh interpreter that makes
+    every warning an error. With the unscaled norms the drive read as
+    commuting, and the approximate routes exited 0 at F = 0.0385."""
+    conf = {"system": "landau_zener", "method": method, "grid_points": 201, "parameters": {"duration": 1e-155}}
+    (tmp_path / "config.json").write_text(json.dumps(conf))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "shortcut_forge.cli", "run", "config.json",
+                           "--out", "run"], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "NonFiniteError" in proc.stderr and "the Magnus step between t = " in proc.stderr
 
 
 @pytest.mark.parametrize("conf", [

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from shortcut_forge import (
     reconstruct_from_basis,
 )
 from shortcut_forge.models import random_hermitian
-from shortcut_forge.operators import gram_matrix
+from shortcut_forge.operators import gram_matrix, pauli_matrix
 
 from conftest import ID2, SX, SY, SZ
 
@@ -181,6 +183,16 @@ class TestPauliBasis:
         sub = basis.subset([2, 0])
         assert sub.labels == ["Z", "X"]
         assert np.array_equal(sub.elements, np.stack([SZ, SX]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_products_are_the_pauli_strings_bit_for_bit(self, n):
+        """The basis is built by one broadcast Kronecker product per site: its
+        elements are ``pauli_matrix`` of its labels, byte for byte (signed
+        zeros too), in the lexicographic I < X < Y < Z order."""
+        basis = pauli_basis(n)
+        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)][1:]
+        assert basis.labels == strings
+        assert basis.elements.tobytes() == np.stack([pauli_matrix(lab) for lab in strings]).tobytes()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
