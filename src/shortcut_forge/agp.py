@@ -20,19 +20,20 @@ to -1/w with weights |dHe_nm|^2 (Claeys, Pandey, Sels & Polkovnikov, PRL 123,
                  holds the frames takes ``spectral.frame_cd`` at such times
                  and solves only the partial or empty supports.
 
-The krylov and variational routes are one fit (``frame_krylov_cd``) on
-eigenframes a caller holds, such as the walk's: since f = w r(w^2), it is a
-least-squares fit in u = w^2 over the D(D - 1)/2 pairs n < m, solved by
-projection onto a Lanczos basis of that span. ``krylov_cd`` and
-``variational_cd`` make one ``eigh`` of H and call it. The algebraic route
+Every route on eigenframes runs one Lanczos kernel (``_lanczos``) over one
+prelude (``_frame``: dHe, the scaled |dHe|, the Bohr frequencies and the times
+whose drive neither vanishes nor commutes with H). ``_frame_chain``, under
+``krylov_chain``, is the chain itself over the D^2 entries. ``frame_krylov_cd``
+is the krylov and variational routes: since f = w r(w^2), a least-squares fit
+in u = w^2 over the D(D - 1)/2 pairs n < m, solved by projection onto the
+kernel's basis; ``krylov_cd`` and ``variational_cd`` make one ``eigh`` of H
+for it. ``frame_odd_commutator_support`` reads the odd chain operators
+directly as the kernel's basis in u over the pairs. The algebraic route
 solves one linear system B a = u over its trial span (``algebraic_system``),
 as does the krylov route in its chain form, whose B is tridiagonal in the
 chain normalizations (``krylov_system``); every such system is solved the
 same way (``solve_cd``): minimum-norm least squares from one batched
-eigendecomposition of B. ``_frame_chain`` runs the chain itself in real
-arithmetic over the D^2 Bohr frequencies of the frames: ``krylov_chain``
-makes one ``eigh`` of H for it, and ``frame_odd_commutator_support`` reads
-the walk's frames.
+eigendecomposition of B.
 
 For identical spans the assembled operators coincide; at full span they
 reproduce the exact counterdiabatic term (zero-diagonal in the eigenbasis).
@@ -129,10 +130,10 @@ def algebraic_system(
 
     B_kl = ([H, L_k]|[H, L_l]) and u_k carries the inner product of the
     commutator condition with L_k; the solved coefficients multiply
-    basis_ops[k] = -L_k. ``support``, a boolean mask over the basis
-    (one row per time for stacks), restricts each time's system to its
-    support: rows and columns outside it are zero, so the minimum-norm
-    solution leaves those coefficients at zero.
+    basis_ops[k] = -L_k. ``support``, a boolean mask of shape (len(basis),)
+    or (n, len(basis)) (one row per time of a stack), restricts each time's
+    system to its support: rows and columns outside it are zero, so the
+    minimum-norm solution leaves those coefficients at zero.
     """
     if len(trial_basis) == 0:
         raise ValueError("trial basis is empty")
@@ -146,7 +147,7 @@ def algebraic_system(
     u = (1j * gram_matrix(LH, dH[:, None])[..., 0]).real
     meta = {}
     if support is not None:
-        keep = np.asarray(support, dtype=bool).reshape(len(H), len(L))
+        keep = _support_mask(support, n, m)
         B *= keep[:, :, None] & keep[:, None, :]
         u *= keep
         meta["support"] = keep[0] if single else keep
@@ -154,6 +155,17 @@ def algebraic_system(
     if single:
         return LinearCDSystem(B=B[0], u=u[0], basis_ops=ops[0], metadata=meta)
     return LinearCDSystem(B=B, u=u, basis_ops=ops, metadata=meta)
+
+
+def _support_mask(support, n: int, m: int) -> np.ndarray:
+    """The (n, m) boolean mask of a ``support`` given for n times over m basis
+    elements; ValueError for anything but a boolean (m,) or (n, m) array,
+    such as the index list ``odd_commutator_support`` returns for one time."""
+    keep = np.asarray(support)
+    if keep.dtype != bool or keep.shape not in ((m,), (n, m)):
+        raise ValueError(f"support must be a boolean mask of shape ({m},) or ({n}, {m}), "
+                         f"not {keep.dtype} of shape {keep.shape}")
+    return np.broadcast_to(keep, (n, m))
 
 
 def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> KrylovChain:
@@ -175,79 +187,96 @@ def krylov_chain(H: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> Kry
 
 
 def _frame_chain(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> KrylovChain:
-    """The time-stacked Krylov chain of [H, .] from dH at n times, run in the
-    eigenframes of H = V diag(E) V^dagger, given (n, D) energies E, (n, D, D)
-    vectors V and the (n, D, D) stack dH; its operators are rotated back to
-    the basis of H.
-
-    There [H, .] multiplies element (n, m) of dHe = V^dagger dH V by the Bohr
-    frequency w_nm = E_n - E_m, so Q_k = p_k(w) o dHe for a real polynomial
-    p_k, and (Q_j|Q_k) = sum p_j p_k |dHe|^2 / D. The recurrence runs on the
-    real (n, D^2) values x_k = p_k(w) |dHe| / sqrt(D), zero where dHe is, whose
-    dot products are those Frobenius products: the chain of [diag(E), .] from
-    |dHe|, real symmetric at even and antisymmetric at odd k, which the phase
-    dHe / |dHe| and V carry back to Q_k; |dHe| is scaled per time by a power
-    of two before its norm, so b_0 does not overflow with sum |dHe|^2. Each
-    new x is projected off all earlier ones with one stacked product; a
-    second pass runs only at times where the first removed more than half of
-    |W|^2 (the Daniel-Gragg-Kaufman-Stewart test) and left more than the
-    termination norm. Each time leaves the recurrence where its own chain terminates, at
-    k_max or at b <= 1e-10 max|w|: b_k (k >= 1) is a frequency, so the test
-    is independent of the drive's scale, and a fully degenerate spectrum
-    (max|w| = 0) ends its chain at dH alone, a commuting drive.
-    """
+    """The time-stacked ``krylov_chain`` from eigenframes (E, V) of H, as for
+    ``_frame``: ``_lanczos`` on multiplication by w over the D^2 entries from
+    |dHe| / sqrt(D), whose x_k = p_k(w) |dHe| / sqrt(D) the phase dHe / |dHe|
+    and V carry back to Q_k = sqrt(D) x_k o phase. The b_k of k >= 1 are
+    frequencies, so a chain ends at b <= 1e-10 max|w|, whatever the drive's
+    scale. The kernel runs to k_max + 1 norms, the last of which is b_next."""
     n, D = E.shape
-    Vh = np.conjugate(V).swapaxes(1, 2)
-    dHe = np.matmul(np.matmul(Vh, dH), V).reshape(n, D * D)
-    w = (E[:, :, None] - E[:, None, :]).reshape(n, D * D)
-    size = np.abs(dHe)
-    phase = np.divide(dHe, size, out=np.zeros_like(dHe), where=size > 0.0).reshape(n, D, D)
-    scale = _unit_scale(size)
-    size *= scale[:, None]
-    size /= np.sqrt(D)
-    b0 = np.sqrt(_norm2(size))
+    Vh, dHe, w, s, scale, _ = _frame(E, V, dH)
+    phase = np.divide(dHe, np.abs(dHe), out=np.zeros_like(dHe), where=s > 0.0)
     hard_cap = D * D - D + 1
     k_max = hard_cap if k_max is None else max(1, min(k_max, hard_cap))
-    tol = 1e-10 * np.ptp(E, axis=1)     # a frequency, as the b_k of k >= 1 are
-    tol2 = tol * tol
-    live = b0 > 0.0
-    # grown geometrically: k_max may lie far beyond where the chains terminate
-    X = np.zeros((n, min(k_max, 16), D * D))
-    np.multiply(size, _inverse(b0, live)[:, None], out=X[:, 0])
-    bs = np.zeros((n, X.shape[1]))
-    bs[:, 0] = b0 / scale
-    length = live.astype(int)
-    b_next = np.zeros(n)
-    K = 1
-    while live.any():
-        W = w * X[:, K - 1]
-        if K > 1:
-            W -= bs[:, K - 1, None] * X[:, K - 2]
-        w2 = _norm2(W)
-        # ended chains have zero rows from here on, so one pass over all times
-        # is exact for them; the second pass runs only where the test asks
-        W -= _projection(X[:, :K], W)
-        r2 = _norm2(W)
-        again = np.flatnonzero(live & (r2 <= 0.5 * w2) & (r2 >= tol2))
-        if len(again):
-            W[again] -= _projection(X[again, :K], W[again])
-            r2[again] = _norm2(W[again])
-        b = np.sqrt(r2)
-        b_next = np.where(live, b, b_next)
-        live = live & (b > tol) & (K < k_max)
-        if not live.any():
-            break
-        if K == X.shape[1]:
-            grow = min(K, k_max - K)
-            X = np.concatenate([X, np.zeros((n, grow, D * D))], axis=1)
-            bs = np.concatenate([bs, np.zeros((n, grow))], axis=1)
-        np.multiply(W, _inverse(b, live)[:, None], out=X[:, K])
-        bs[:, K] = b * live
-        length += live
-        K += 1
+    X, norms, length = _lanczos(w.reshape(n, D * D), s.reshape(n, D * D) / np.sqrt(D), k_max + 1,
+                                1e-10 * np.ptp(E, axis=1))
+    length = np.minimum(length, k_max)
+    b_next = norms[np.arange(n), length]
+    K = max(int(length.max()), 1)
+    b = norms[:, :K] * (np.arange(K) < length[:, None])
+    b[:, 0] /= scale
     ops = np.sqrt(D) * X[:, :K].reshape(n, K, D, D) * phase[:, None]
     ops = np.matmul(np.matmul(V[:, None], ops), Vh[:, None])
-    return KrylovChain(ops=ops, b=bs[:, :K], b_next=b_next, length=length)
+    return KrylovChain(ops=ops, b=b, b_next=b_next, length=length)
+
+
+def _frame(E: np.ndarray, V: np.ndarray, dH: np.ndarray):
+    """The prelude of the frame routes, from (n, D) energies E and (n, D, D)
+    vectors V of H at n times, in any matching column order and phases, and
+    the (n, D, D) stack dH: V^dagger, dHe = V^dagger dH V, s = |dHe| times
+    the power of two ``scale`` per time that keeps its norms finite, the Bohr
+    frequencies w_nm = E_n - E_m and the live times: a nonzero drive that
+    passes the chain's commuting test |w x_0| > 1e-10 max|w|, x_0 = s / |s|,
+    which a fully degenerate spectrum fails."""
+    n, D = E.shape
+    Vh = np.conjugate(V).swapaxes(1, 2)
+    dHe = np.matmul(np.matmul(Vh, dH), V)
+    w = E[:, :, None] - E[:, None, :]
+    s = np.abs(dHe)
+    scale = _unit_scale(s)
+    s *= scale[:, None, None]
+    norm = np.sqrt(_norm2(s.reshape(n, D * D)))
+    live = norm > 0.0
+    x0 = s.reshape(n, D * D) * _inverse(norm, live)[:, None]
+    live &= np.sqrt(_norm2(w.reshape(n, D * D) * x0)) > 1e-10 * np.ptp(E, axis=1)
+    return Vh, dHe, w, s, scale, live
+
+
+def _lanczos(a: np.ndarray, y: np.ndarray, K: int, tol: float | np.ndarray):
+    """Lanczos on multiplication by the real (n, m) stack a, one row per
+    time, from the real (n, m) start y: an orthonormal basis of each time's
+    span{a^j y : j < K}, as (X, norms, length).
+
+    X (n, k, m) holds each time's first ``length`` vectors and zero rows
+    after them (k, grown geometrically, may exceed length.max()). norms[:, 0]
+    is |y| and norms[:, j] the norm of step j before normalization, up to the
+    step that ends the time, and zero after it. A time with y = 0 is empty.
+    Each step makes the three-term recurrence, then projects the new vector
+    off all earlier ones with one stacked product; a second pass runs only at
+    times where the first removed more than half of its squared norm (the
+    Daniel-Gragg-Kaufman-Stewart test) and left at least tol^2. A time ends
+    at its first step whose norm is at most tol (a scalar, or one per time),
+    or at K vectors: the kernel makes at most K - 1 steps.
+    """
+    n, m = y.shape
+    b = np.sqrt(_norm2(y))
+    live = (b > 0.0) & (K > 0)
+    X = np.zeros((n, min(K, 16), m))
+    if K:
+        np.multiply(y, _inverse(b, live)[:, None], out=X[:, 0])
+    norms, length = [b], live.astype(int)
+    for k in range(1, K):
+        W = a * X[:, k - 1]
+        W -= np.einsum("ti,ti->t", W, X[:, k - 1])[:, None] * X[:, k - 1]
+        if k > 1:
+            W -= b[:, None] * X[:, k - 2]
+        w2 = _norm2(W)
+        W -= _projection(X[:, :k], W)
+        r2 = _norm2(W)
+        again = np.flatnonzero(live & (r2 <= 0.5 * w2) & (r2 >= tol * tol))
+        if len(again):
+            W[again] -= _projection(X[again, :k], W[again])
+            r2[again] = _norm2(W[again])
+        b = np.sqrt(r2) * live
+        norms.append(b)
+        live &= b > tol
+        if not live.any():
+            break
+        if k == X.shape[1]:
+            X = np.concatenate([X, np.zeros((n, min(k, K - k), m))], axis=1)
+        np.multiply(W, _inverse(b, live)[:, None], out=X[:, k])
+        length += live
+    return X, np.stack(norms, axis=1), length
 
 
 def _unit_scale(s: np.ndarray) -> np.ndarray:
@@ -382,77 +411,34 @@ def action_value(H: np.ndarray, dH: np.ndarray, H_cd_trial: np.ndarray) -> float
 
 def frame_krylov_cd(E: np.ndarray, V: np.ndarray, dH: np.ndarray, k_max: int | None = None) -> np.ndarray:
     """Counterdiabatic operator of the Krylov route from eigenframes a caller
-    holds, the analogue of ``spectral.frame_cd``: (n, D) energies E and
-    (n, D, D) vectors V of H at n times, in any matching column order and
-    phases, and the (n, D, D) stack dH; returns the (n, D, D) H_cd.
+    holds, as for ``_frame``, the analogue of ``spectral.frame_cd``: the
+    (n, D, D) H_cd at the n times.
 
-    The odd chain operators up to k_max span i f(w) o dHe for the odd
-    polynomials f = w r(u) of degree below k_max, u = w^2, so the route is a
-    weighted least-squares fit of -1/w over the D(D - 1)/2 pairs n < m (Sels &
-    Polkovnikov, PNAS 114, E3909 (2017)): with s = |dHe_nm| (scaled per time
-    by a power of two, so its norms do not overflow), the residual
-    ||s (1 + u r(u))|| is least where s u r(u) is the projection of -s onto
-    span{s u^j : 1 <= j <= k_max // 2}, every j for k_max None (the full
-    span, exact CD on the support of dHe). Lanczos on multiplication by u (scaled
-    to max 1) from s u gives an orthonormal basis of that span, with full
-    reorthogonalization under ``_frame_chain``'s second-pass test, and leaves
-    a time's recurrence where its basis terminates (b < 1e-10) or is
-    complete. Then f = u r(u) / w, and H_cd = V (i f o dHe) V^dagger with
-    each (m, n) element the conjugate of its (n, m) element, formed by
-    ``frame_cd``'s products and checked Hermitian at each time. A time whose
-    chain has no odd operator is zero: k_max <= 1, a vanishing drive, and a
-    drive that commutes with H by the chain's own test b_1 <= 1e-10 max|w|,
-    which a fully degenerate spectrum meets at b_1 = 0.
+    The odd chain operators up to k_max are i f(w) o dHe for the odd
+    f = w r(u), u = w^2, of degree below k_max, so the route is a weighted
+    least-squares fit of -1/w over the pairs n < m (Sels & Polkovnikov, PNAS
+    114, E3909 (2017)): s u r(u) is the projection of -s onto
+    span{s u^j : 1 <= j <= k_max // 2} (every j for k_max None: exact CD on
+    the support of dHe), whose basis is ``_lanczos`` on multiplication by u
+    (scaled to max 1) from s u. H_cd = V (i f o dHe) V^dagger is checked
+    Hermitian at each time, and is zero at k_max <= 1 and at the times that
+    ``_frame`` does not keep live.
     """
     n, D = E.shape
-    Vh = np.conjugate(V).swapaxes(1, 2)
-    dHe = np.matmul(np.matmul(Vh, dH), V)
-    w = E[:, :, None] - E[:, None, :]
-    s = np.abs(dHe)
-    s *= _unit_scale(s)[:, None, None]      # the fit f = fit / s is free of the scale
-    # the chain's first test, b_1 = |w x_0| with x_0 = |dHe| / |dHe|
-    norm = np.sqrt(_norm2(s.reshape(n, D * D)))
-    live = norm > 0.0
-    x0 = s.reshape(n, D * D) * _inverse(norm, live)[:, None]
-    live &= np.sqrt(_norm2(w.reshape(n, D * D) * x0)) > 1e-10 * np.ptp(E, axis=1)
-    upper = np.triu_indices(D, 1)
-    s, w = s[:, upper[0], upper[1]], w[:, upper[0], upper[1]]
+    Vh, dHe, w, s, _, live = _frame(E, V, dH)
+    i, j = np.triu_indices(D, 1)
+    s, w = s[:, i, j], w[:, i, j]
     u = w * w
     u *= _inverse(u.max(axis=1, initial=0.0), live)[:, None]      # zero at the times that have ended
     K = len(u[0]) if k_max is None else min(max(k_max, 0) // 2, len(u[0]))
-    X = np.zeros((n, min(K, 16), len(u[0])))
-    if K:
-        start = s * u
-        b = np.sqrt(_norm2(start))
-        live &= b > 0.0
-        np.multiply(start, _inverse(b, live)[:, None], out=X[:, 0])
-    for k in range(1, K):
-        W = u * X[:, k - 1]
-        W -= np.einsum("ti,ti->t", W, X[:, k - 1])[:, None] * X[:, k - 1]
-        if k > 1:
-            W -= b[:, None] * X[:, k - 2]
-        w2 = _norm2(W)
-        W -= _projection(X[:, :k], W)
-        r2 = _norm2(W)
-        again = np.flatnonzero(live & (r2 <= 0.5 * w2) & (r2 >= 1e-20))
-        if len(again):
-            W[again] -= _projection(X[again, :k], W[again])
-            r2[again] = _norm2(W[again])
-        b = np.sqrt(r2)
-        live &= b >= 1e-10
-        if not live.any():
-            break
-        if k == X.shape[1]:     # grown geometrically: K may lie far beyond where the bases terminate
-            X = np.concatenate([X, np.zeros((n, min(k, K - k), X.shape[2]))], axis=1)
-        np.multiply(W, _inverse(b, live)[:, None], out=X[:, k])
-    fit = -_projection(X, s)            # s u r(u), zero where s u is
+    fit = -_projection(_lanczos(u, s * u, K, 1e-10)[0], s)            # s u r(u), zero where s u is
     f = np.zeros_like(fit)
     fitted = fit != 0.0
     np.divide(fit, s, out=f, where=fitted)
     np.divide(f, w, out=f, where=fitted)
     cd = np.zeros_like(dHe)
-    cd[:, upper[0], upper[1]] = 1j * f * dHe[:, upper[0], upper[1]]
-    cd[:, upper[1], upper[0]] = np.conjugate(cd[:, upper[0], upper[1]])
+    cd[:, i, j] = 1j * f * dHe[:, i, j]
+    cd[:, j, i] = np.conjugate(cd[:, i, j])
     cd = np.matmul(V, cd) @ Vh
     _check_hermitian(cd)
     return cd
@@ -470,14 +456,15 @@ def algebraic_cd(
     H: np.ndarray, dH: np.ndarray, trial_basis: OperatorBasis, support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Counterdiabatic operator from the algebraic route over a trial basis,
-    restricted at each time to ``support`` when given (see ``algebraic_system``).
+    restricted at each time to the boolean mask ``support`` when given (see
+    ``algebraic_system``).
 
     Each time expands into one commutator per basis element, so a time stack
     runs in sub-stacks whose (n, len(basis), D, D) commutator stack fits
     ``STACK_BYTES``.
     """
     single, H, dH = as_stacks(H, dH)
-    support = None if support is None else np.reshape(support, (len(H), -1))
+    support = None if support is None else _support_mask(support, len(H), len(trial_basis))
     step = max(1, STACK_BYTES // (16 * trial_basis.elements.size))
     out = np.empty_like(H)
     for s in range(0, len(H), step):
@@ -514,15 +501,23 @@ def odd_commutator_support(H: np.ndarray, dH: np.ndarray, basis: OperatorBasis, 
 def frame_odd_commutator_support(E: np.ndarray, V: np.ndarray, dH: np.ndarray, basis: OperatorBasis,
                                  max_order: int | None = None) -> np.ndarray:
     """The boolean (n, len(basis)) mask of ``odd_commutator_support`` from
-    eigenframes (E, V) of H that a caller holds, as for ``frame_krylov_cd``.
-
-    The first max_order odd nested commutators span the same space as the
-    odd operators of the Krylov chain, so one product holds the overlap of
-    every basis element with every Q_{2k-1} (unit norm); an element is in the
-    support when any of its overlaps exceeds 1e-10 in magnitude. The support
-    is the natural trial basis for the algebraic route. A vanishing drive has
-    empty support.
-    """
-    k_max = None if max_order is None else 2 * max_order
-    odd = _frame_chain(E, V, dH, k_max=k_max).ops[:, 1::2]
+    eigenframes a caller holds, as for ``_frame``. The odd chain operators up
+    to Q_{2 max_order - 1} are i g(w) o dHe for the odd g = w q(u), so over
+    the pairs n < m they are ``_lanczos`` on multiplication by u from s w at
+    the live times: sqrt(D / 2) x o dHe / |dHe| at (n, m), anti-Hermitian.
+    An element is in the support when its overlap with one exceeds 1e-10."""
+    n, D = E.shape
+    Vh, dHe, w, s, _, live = _frame(E, V, dH)
+    i, j = np.triu_indices(D, 1)
+    s, w, dHe = s[:, i, j], w[:, i, j], dHe[:, i, j]
+    u = w * w
+    u *= _inverse(u.max(axis=1, initial=0.0), live)[:, None]
+    K = len(u[0]) if max_order is None else min(max(max_order, 0), len(u[0]))
+    X, _, length = _lanczos(u, s * w * live[:, None], K, 1e-10)
+    K = int(length.max())
+    phase = np.divide(dHe, np.abs(dHe), out=np.zeros_like(dHe), where=s > 0.0)
+    odd = np.zeros((n, K, D, D), dtype=complex)
+    odd[:, :, i, j] = np.sqrt(D / 2) * X[:, :K] * phase[:, None]
+    odd[:, :, j, i] = -np.conjugate(odd[:, :, i, j])
+    odd = np.matmul(np.matmul(V[:, None], odd), Vh[:, None])
     return (np.abs(gram_matrix(basis.elements, odd)) > 1e-10).any(axis=2)

@@ -30,6 +30,7 @@ from shortcut_forge import (
 )
 from shortcut_forge.agp import frame_krylov_cd, frame_odd_commutator_support
 from shortcut_forge.models import random_hermitian
+from shortcut_forge.operators import gram_matrix
 
 from conftest import SX, SY, SZ, lz_cd_oracle, random_hermitian_pair
 
@@ -142,6 +143,26 @@ class TestAlgebraicSystem:
         assert np.abs(system.B - B).max() < 1e-13
         assert np.abs(system.u - u).max() < 1e-13
         assert np.abs(system.basis_ops + basis.elements).max() == 0.0
+
+    def test_support_is_a_boolean_mask(self):
+        """An index list is not a mask. Read as one, the support [0, 1, 2] of a
+        generic qubit pair would drop sigma_x (0.625 off the exact term), and
+        a list of another length does not fit the basis; each raises a
+        ValueError naming the shape, and the mask of that support is exact,
+        for one time and for a stack."""
+        rng = np.random.default_rng(0)
+        H, dH = random_hermitian(2, rng), random_hermitian(2, rng)
+        basis = pauli_basis(1)
+        support = odd_commutator_support(H, dH, basis)
+        assert support == [0, 1, 2]
+        for bad in (support, [1], np.ones((2, 3), dtype=bool)):
+            for route in (algebraic_cd, algebraic_system):
+                with pytest.raises(ValueError, match=r"boolean mask of shape \(3,\) or \(1, 3\)"):
+                    route(H, dH, basis, support=bad)
+        exact = counterdiabatic_term(H, dH)
+        assert np.abs(algebraic_cd(H, dH, basis, support=np.ones(3, dtype=bool)) - exact).max() < 1e-12
+        stack = algebraic_cd(np.array([H, H]), np.array([dH, dH]), basis, support=np.ones(3, dtype=bool))
+        assert np.abs(stack - exact).max() < 1e-12
 
     def test_empty_trial_rejected(self):
         with pytest.raises(ValueError):
@@ -688,12 +709,21 @@ def test_a_fully_degenerate_spectrum_is_a_commuting_drive():
     assert not krylov_cd(np.zeros((2, 2)), SZ, 3).any()
 
 
-def test_frame_support_reads_the_given_frames():
+@pytest.mark.parametrize("D, seed", [(2, 1), (3, 2), (4, 5), (8, 3)])
+def test_frame_support_reads_the_given_frames(D, seed):
     """The frame form of the support, fed one ``eigh`` of the stack, is the
-    support's mask bit for bit."""
-    H, dH = _mixed_stack(4, 5)
-    basis = pauli_basis(2)
-    for order in (1, 2, None):
-        mask = frame_odd_commutator_support(*np.linalg.eigh(H), dH, basis, order)
+    support's mask bit for bit, and both are the support read off the odd
+    operators of the ``_operator_chain`` oracle, at every max_order: none at
+    max_order <= 0, and none at the vanishing and the commuting drive."""
+    H, dH = _mixed_stack(D, seed)
+    basis = gell_mann_basis(3) if D == 3 else pauli_basis(D.bit_length() - 1)
+    E, V = np.linalg.eigh(H)
+    Vh = V.conj().swapaxes(1, 2)
+    for order in (-1, 0, 1, 2, None):
+        mask = frame_odd_commutator_support(E, V, dH, basis, order)
         assert np.array_equal(mask, odd_commutator_support(H, dH, basis, max_order=order))
-        assert not mask[0].any() and mask[3].any()
+        oracle = _operator_chain(np.eye(D) * E[:, None, :], Vh @ dH @ V, None if order is None else 2 * order)
+        odd = V[:, None] @ oracle.ops[:, 1::2] @ Vh[:, None]
+        assert np.array_equal(mask, (np.abs(gram_matrix(basis.elements, odd)) > 1e-10).any(axis=2))
+        assert not mask[:2].any()
+        assert mask[3].any() == (order is None or order > 0)
